@@ -38,10 +38,14 @@ from .divergences import (
 from .engine import GRAD_QUERIES_PER_STEP, WeightRun, generic_log_weights, run_weights
 from .experiments import Check, RunResult, run, run_experiment
 from .girsanov import (
+    BlockSummary,
     DriftRealization,
     LogWeight,
     MalliavinBlocks,
     TraceDiagnostics,
+    block_summary_dmulmc,
+    block_summary_mlmc,
+    block_summary_ulmc,
     carleman_fredholm_logdet,
     drift_dmulmc,
     drift_mlmc,
@@ -52,6 +56,7 @@ from .girsanov import (
     rn_log_weight,
     skorohod_adjoint,
     spectral_radius_estimate,
+    summary_log_weight,
     trace_diagnostics_mlmc,
 )
 from .integrators import (
@@ -85,6 +90,7 @@ __all__ = [
     "DEFAULT_SEED",
     "AcceptanceSuite",
     "AnisotropicQuadratic",
+    "BlockSummary",
     "Check",
     "ConfigError",
     "CriterionResult",
@@ -109,6 +115,9 @@ __all__ = [
     "UnderdampedSchedule",
     "UnderdampedTrajectory",
     "WeightRun",
+    "block_summary_dmulmc",
+    "block_summary_mlmc",
+    "block_summary_ulmc",
     "carleman_fredholm_logdet",
     "diffusion_marginal_ld",
     "diffusion_marginal_uld",
@@ -144,6 +153,7 @@ __all__ = [
     "skorohod_adjoint",
     "spectral_radius_estimate",
     "stationary_moments",
+    "summary_log_weight",
     "step_maps_for_schedule",
     "trace_diagnostics_mlmc",
     "__version__",

@@ -19,13 +19,13 @@ import numpy as np
 from .affine import fast_log_weights, step_maps_for_schedule
 from .girsanov import (
     LogWeight,
+    block_summary_dmulmc,
+    block_summary_mlmc,
+    block_summary_ulmc,
     drift_dmulmc,
     drift_mlmc,
     drift_ulmc,
-    malliavin_blocks_dmulmc,
-    malliavin_blocks_mlmc,
-    malliavin_blocks_ulmc,
-    rn_log_weight,
+    summary_log_weight,
 )
 from .integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
 from .paths import (
@@ -45,7 +45,7 @@ __all__ = ["WeightRun", "run_weights", "generic_log_weights", "GRAD_QUERIES_PER_
 GRAD_QUERIES_PER_STEP = {"em-ld": 1, "mlmc": 2, "ulmc": 1, "dmulmc": 3}
 
 #: Generic per-path assembly is evaluated in sub-chunks this large to bound
-#: the memory of the (chunk, N, m·d, m·d) block arrays.
+#: the memory of the (chunk, N, m, d, d) Hessian arrays.
 _GENERIC_CHUNK = 512
 
 
@@ -87,23 +87,28 @@ def generic_log_weights(
     z0: np.ndarray,
     xi: np.ndarray,
 ) -> LogWeight:
-    """Per-path drift/blocks/weight assembly for one batch, any potential."""
+    """Per-path drift and weight of one batch, any potential.
+
+    The determinant, trace and spectral diagnostic come from each block's
+    factors (:class:`~girsanovlab.girsanov.BlockSummary`); the dense blocks
+    are never formed.
+    """
     d = potential.d
     if scheme in ("em-ld", "mlmc"):
         traj = simulate_mlmc(potential, schedule, z0, xi)
-        return rn_log_weight(
-            drift_mlmc(potential, traj), malliavin_blocks_mlmc(potential, traj), xi
+        return summary_log_weight(
+            drift_mlmc(potential, traj), block_summary_mlmc(potential, traj), xi
         )
     if scheme == "ulmc":
         g = _resolve_grid(scheme, None, grid)
         traj = simulate_ulmc(potential, g, gamma, z0[:, :d], z0[:, d:], xi)
-        return rn_log_weight(
-            drift_ulmc(potential, traj), malliavin_blocks_ulmc(potential, traj), xi
+        return summary_log_weight(
+            drift_ulmc(potential, traj), block_summary_ulmc(potential, traj), xi
         )
     if scheme == "dmulmc":
         traj = simulate_dmulmc(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
-        return rn_log_weight(
-            drift_dmulmc(traj), malliavin_blocks_dmulmc(potential, traj), xi
+        return summary_log_weight(
+            drift_dmulmc(traj), block_summary_dmulmc(potential, traj), xi
         )
     raise ValueError(f"unknown scheme {scheme!r}")
 

@@ -4,8 +4,7 @@ Each experiment consumes a validated :class:`~girsanovlab.config.ExperimentConfi
 produces rows for a versioned CSV schema, and evaluates built-in pass/fail
 thresholds.  All numeric CSV content is a deterministic function of
 (config, seed) — independent of thread count and wall clock — so re-running a
-config reproduces the file byte for byte.  Per-row runtimes are kept on the
-in-memory rows for console display but never written to the CSV.
+config reproduces the file byte for byte.
 
 CSV schemas (version tag in the first ``#`` comment line):
 
@@ -23,8 +22,7 @@ Not-applicable cells are left empty.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,7 +142,6 @@ class RunResult:
     checks: list[Check]
     csv_text: str = ""
     csv_path: str | None = None
-    runtime_ms: dict[int, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -258,7 +255,6 @@ def _run_normalization(cfg: ExperimentConfig, threads: int) -> RunResult:
     result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
                        REPORT_COLUMNS, [], [])
     for i, grid in enumerate(cfg.grids()):
-        t0 = time.perf_counter()
         schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
         wr = run_weights(
             cfg.scheme, cfg.potential, schedule=schedule, grid=grid,
@@ -277,7 +273,6 @@ def _run_normalization(cfg: ExperimentConfig, threads: int) -> RunResult:
             rejections=wr.n_rejected, status="ok" if ok else "failed",
         )
         result.rows.append(row)
-        result.runtime_ms[len(result.rows) - 1] = 1e3 * (time.perf_counter() - t0)
         gap = abs(est - 1.0)
         passed = ok and gap <= 3.0 * se and se <= 0.01
         result.checks.append(Check(
@@ -305,7 +300,6 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
     potential = cfg.potential
     d = potential.d
     for grid in cfg.grids():
-        t0 = time.perf_counter()
         schedule = OverdampedSchedule.zero(grid)
         n = cfg.n_paths
         x0 = _draw_initial(potential, False, cfg.seed, n)
@@ -326,7 +320,6 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
             slope=None, rejections=int((~lw.invertible).sum()), status="ok",
         )
         result.rows.append(row)
-        result.runtime_ms[len(result.rows) - 1] = 1e3 * (time.perf_counter() - t0)
         result.checks.append(Check(
             f"h={grid.h:g} determinant correction vanishes",
             max_cf == 0.0 and max_trace == 0.0,
@@ -375,7 +368,6 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
     kinetic = cfg.scheme in ("ulmc", "dmulmc")
     n = min(cfg.n_paths, 64)  # derivative checks need few paths
     for i, grid in enumerate(cfg.grids()):
-        t0 = time.perf_counter()
         schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
         z0 = _draw_initial(potential, kinetic, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
@@ -406,7 +398,6 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
             slope=None, rejections=0, status="ok",
         )
         result.rows.append(row)
-        result.runtime_ms[len(result.rows) - 1] = 1e3 * (time.perf_counter() - t0)
         result.checks.append(Check(
             f"h={grid.h:g} derivative blocks vs finite differences",
             worst <= FD_REL_TOL,
@@ -438,7 +429,6 @@ def _run_eta_refinement(cfg: ExperimentConfig, threads: int,
     kinetic = cfg.scheme in ("ulmc", "dmulmc")
     n = min(cfg.n_paths, 100)
     for i, grid in enumerate(cfg.grids()):
-        t0 = time.perf_counter()
         schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
         z0 = _draw_initial(potential, kinetic, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
@@ -467,7 +457,6 @@ def _run_eta_refinement(cfg: ExperimentConfig, threads: int,
                 se=None, slope=None, rejections=n_rej, status="ok",
             )
             result.rows.append(row)
-        result.runtime_ms[len(result.rows) - 1] = 1e3 * (time.perf_counter() - t0)
         decreasing = all(gaps[j + 1] < gaps[j] for j in range(len(gaps) - 1))
         gap_text = " > ".join(f"{g:.3g}" for g in gaps)
         result.checks.append(Check(
@@ -492,7 +481,6 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
     init = _default_init(potential, kinetic)
     hs, kls, ses = [], [], []
     for i, grid in enumerate(cfg.grids()):
-        t0 = time.perf_counter()
         schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
         wr = run_weights(
             cfg.scheme, potential, schedule=schedule, grid=grid, gamma=cfg.gamma,
@@ -506,7 +494,6 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
             status="ok" if ok else "failed",
         )
         result.rows.append(row)
-        result.runtime_ms[len(result.rows) - 1] = 1e3 * (time.perf_counter() - t0)
         if not est.reliable:
             result.checks.append(Check(
                 f"h={grid.h:g} rejection rate",
@@ -583,7 +570,6 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
         )
     kinetic = cfg.scheme in ("ulmc", "dmulmc")
     grids = [TimeGrid(h, 1, m) for h, m in zip(cfg.h_list, cfg.m_list)]
-    t0 = time.perf_counter()
     report = local_error_sweep(
         cfg.scheme, potential, grids, gamma=cfg.gamma,
         n_paths=cfg.n_paths, seed=cfg.seed,
@@ -602,7 +588,6 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
             "weak_p": report.weak_p[i], "weak_p_se": report.weak_p_se[i],
             "status": "ok",
         })
-    result.runtime_ms[0] = 1e3 * (time.perf_counter() - t0)
     thresholds = LOCAL_ERROR_THRESHOLDS.get(cfg.scheme, {})
     lx = np.log(np.asarray(report.h, dtype=float))
     mx = lx.mean()
@@ -660,7 +645,6 @@ def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int) -> RunResult:
     gaps = []
     zero_ok = True
     for i, grid in enumerate(cfg.grids()):
-        t0 = time.perf_counter()
         schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
         x0 = _draw_initial(potential, False, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
@@ -678,7 +662,6 @@ def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int) -> RunResult:
             cfg, h=grid.h, q=None, m=grid.m, estimate=est, se=se, slope=None,
             rejections=0, status="ok",
         ))
-        result.runtime_ms[len(result.rows) - 1] = 1e3 * (time.perf_counter() - t0)
     result.checks.append(Check(
         "strictly-triangular trace vanishes",
         zero_ok,
@@ -814,7 +797,6 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
     T = cfg.T
     m_cfg = cfg.m_list[0]
     q_max = max(cfg.q_list)
-    t0 = time.perf_counter()
     exponents: dict[str, float] = {}
     certificate_ok = True
     for scheme in ("mlmc", "ulmc", "dmulmc"):
@@ -860,7 +842,6 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
                 "exponent": fit.slope,
                 "status": "ok",
             })
-    result.runtime_ms[0] = 1e3 * (time.perf_counter() - t0)
     result.checks.append(Check(
         "marginal accuracy certificate",
         certificate_ok,

@@ -27,6 +27,32 @@ det(I + Dψ) = Π_k det(I + D_k), and only diagonal blocks carry trace.  Blocks
 store the raw derivative together with the scale q at which they will be
 consumed; the log-determinant applies q, the Skorohod trace requires q = 1.
 
+Structured evaluation.  The weight needs only sign and log|det(I + D_k)|,
+tr D_k and a power-iterate norm per block, and each scheme's block has a
+low-rank anticipating part that yields all three from its factors
+(:class:`BlockSummary`), never forming the dense (m·d)×(m·d) block:
+
+* overdamped midpoint: D = L − C·Rᵀ with L[i,j] = η·H_i·1_{j<i},
+  C_i = η·(iη·H_i·H⁺ + H⁺) and R = 1_{j<r} ⊗ I_d.  I + L is unit lower
+  block-triangular, so by the matrix determinant lemma
+  det(I + D) = det(I_d − Σ_{j<r} Y_j), where (I + L)·Y = C is the recurrence
+  Y_i = C_i − η·H_i·Σ_{j<i} Y_j, and tr D = −η·Σ_{i<r} tr(iη·H_i·H⁺ + H⁺);
+* frozen-gradient kinetic: D is strictly lower triangular (nilpotent), so
+  det(I + D) = 1 and tr D = 0 exactly;
+* double-midpoint kinetic: D = U·Wᵀ with U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d]
+  (left-endpoint kernels) and Wᵀ = ∂(λ₁, λ₂)/∂ξ, so
+  det(I + D) = det(I_{2d} + Wᵀ·U) and tr D = tr(Wᵀ·U); the derivative fixed
+  point runs on the 2d columns of U plus the power-iteration start vector
+  instead of on all m·d noise coordinates.
+
+The power iterate is the same 20 normalised steps from the same start vector
+as on the dense block, through an O(m·d²) matrix-vector product (overdamped,
+frozen-gradient) or inside the range of U (double midpoint).  The engine's
+generic route uses these evaluators.  The dense blocks with
+:func:`carleman_fredholm_logdet` and :func:`spectral_radius_estimate` are the
+reference: finite-difference checks, block dumps, trace diagnostics, the
+linearization criterion, affine step-map extraction and the tests use them.
+
 All functions are batched with a leading path axis and are pure; nothing is
 shared across paths.
 """
@@ -60,6 +86,11 @@ __all__ = [
     "carleman_fredholm_logdet",
     "spectral_radius_estimate",
     "rn_log_weight",
+    "BlockSummary",
+    "block_summary_mlmc",
+    "block_summary_ulmc",
+    "block_summary_dmulmc",
+    "summary_log_weight",
     "trace_diagnostics_mlmc",
     "SPECTRAL_RADIUS_LIMIT",
 ]
@@ -68,6 +99,10 @@ __all__ = [
 SPECTRAL_RADIUS_LIMIT = 0.9
 _POWER_ITERATIONS = 20
 _DERIV_TOL = 1e-12
+#: The structured double-midpoint solve moves O(√η)-sized tangent columns (the
+#: columns of U and a unit vector spread over m·d entries) instead of unit
+#: columns, so it stops finer to resolve Dλ as well as the dense solve does.
+_DERIV_TOL_STRUCTURED = 1e-14
 _DERIV_MAX_ITERS = 100
 
 
@@ -185,7 +220,7 @@ def drift_dmulmc(traj: UnderdampedTrajectory) -> DriftRealization:
 def _flatten_block(block: np.ndarray) -> np.ndarray:
     """(B, m, d, m, d) cell-indexed entries → (B, m·d, m·d)."""
     B, m, d = block.shape[0], block.shape[1], block.shape[2]
-    return block.transpose(0, 1, 2, 3, 4).reshape(B, m * d, m * d)
+    return block.reshape(B, m * d, m * d)
 
 
 def malliavin_blocks_mlmc(
@@ -354,9 +389,32 @@ def _dm_step_derivatives(
     DGp = kern.e2_0[m] * np.einsum("bac,bcU->baU", potential.hessian(x_plus), Dmid_plus)
 
     H_left = potential.hessian(x_nodes[:, :m])  # (B, m, d, d)
+    Dlam1, Dlam2, DX, DG = _dm_fixed_point(kern, H_left, DX0, DGx, DGp)
+    DP_m = -eta * np.einsum("j,bjaU->baU", kern.K1[m], DG)
+    DP_m[:, :, m * d + d :] += kern.e1_0[m] * I
+    for j in range(m):
+        DP_m[:, :, j * d : (j + 1) * d] += c * kern.K1[m, j] * I
+    return Dlam1, Dlam2, DX[:, m], DP_m
+
+
+def _dm_fixed_point(
+    kern: StepKernels,
+    H_left: np.ndarray,
+    DX0: np.ndarray,
+    DGx: np.ndarray,
+    DGp: np.ndarray,
+    tol: float = _DERIV_TOL,
+):
+    """Iterate the linear derivative fixed point of one double-midpoint step.
+
+    Every array carries U trailing tangent columns: ``DX0`` (B, m+1, d, U) is
+    the explicit part of the node derivatives, ``DGx``/``DGp`` (B, d, U) the
+    midpoint-gradient terms of the two marginal constraints, ``H_left``
+    (B, m, d, d) the Hessians at the cell left endpoints.  Sweeps stop once
+    no entry of DX moves by more than ``tol``; returns (Dλ₁, Dλ₂, DX, DG).
+    """
+    m, eta = kern.m, kern.eta
     DX = np.array(DX0)
-    Dlam1 = Dlam2 = np.zeros((B, d, U))
-    DG = np.zeros((B, m, d, U))
     for _ in range(_DERIV_MAX_ITERS):
         Dg = np.einsum("bjac,bjcU->bjaU", H_left, DX[:, :m])
         DS1 = eta * np.einsum("j,bjaU->baU", kern.e1_left, Dg)
@@ -375,17 +433,11 @@ def _dm_step_derivatives(
                 "derivative fixed point diverged; the step violates the "
                 "contraction condition h ~ 1/sqrt(beta)"
             )
-        if delta <= _DERIV_TOL:
-            break
-    else:
-        raise StepSizeError(
-            f"derivative fixed point did not converge in {_DERIV_MAX_ITERS} sweeps"
-        )
-    DP_m = -eta * np.einsum("j,bjaU->baU", kern.K1[m], DG)
-    DP_m[:, :, m * d + d :] += kern.e1_0[m] * I
-    for j in range(m):
-        DP_m[:, :, j * d : (j + 1) * d] += c * kern.K1[m, j] * I
-    return Dlam1, Dlam2, DX[:, m], DP_m
+        if delta <= tol:
+            return Dlam1, Dlam2, DX, DG
+    raise StepSizeError(
+        f"derivative fixed point did not converge in {_DERIV_MAX_ITERS} sweeps"
+    )
 
 
 def malliavin_blocks_dmulmc(
@@ -475,6 +527,10 @@ def _assemble_full(
 # ---------------------------------------------------------------------------
 
 
+def _ito_sum(drift: DriftRealization, xi: np.ndarray) -> np.ndarray:
+    return np.einsum("bid,bid->b", drift.psi, np.asarray(xi, dtype=float))
+
+
 def skorohod_adjoint(
     drift: DriftRealization, blocks: MalliavinBlocks, xi: np.ndarray
 ) -> np.ndarray:
@@ -485,9 +541,16 @@ def skorohod_adjoint(
     """
     if blocks.q != 1.0:
         raise ValueError(f"Skorohod adjoint needs blocks at q=1, got q={blocks.q}")
-    ito = np.einsum("bid,bid->b", drift.psi, np.asarray(xi, dtype=float))
     trace = np.trace(blocks.diag, axis1=-2, axis2=-1).sum(axis=-1)
-    return ito - trace
+    return _ito_sum(drift, xi) - trace
+
+
+def _cf_sum(
+    sign: np.ndarray, logabs: np.ndarray, qtrace: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_k [log|det| − q·tr] over the step axis, −inf for a singular block."""
+    value = np.where(sign == 0.0, -np.inf, logabs - qtrace).sum(axis=-1)
+    return value, np.any(sign < 0.0, axis=-1)
 
 
 def carleman_fredholm_logdet(blocks: MalliavinBlocks) -> tuple[np.ndarray, np.ndarray]:
@@ -497,34 +560,81 @@ def carleman_fredholm_logdet(blocks: MalliavinBlocks) -> tuple[np.ndarray, np.nd
     the whole determinant.  Returns (value, negative_det): an exactly singular
     block yields −inf; ``negative_det`` marks paths where some block
     determinant is negative (anomaly under the scheme step bounds).
+
+    This is the dense reference.  The generic weight route evaluates the same
+    quantity from each block's factors (:func:`block_summary_mlmc` and
+    siblings) with the identities of the module docstring:
+    det(I_d − Σ_{j<r} Y_j) for the overdamped midpoint, exactly zero for the
+    frozen-gradient kinetic scheme, det(I_{2d} + Wᵀ·U) for the double
+    midpoint.
     """
     q = blocks.q
     s = blocks.diag.shape[-1]
     eye = np.eye(s)
     sign, logabs = np.linalg.slogdet(eye + q * blocks.diag)
     trace = np.trace(blocks.diag, axis1=-2, axis2=-1)
-    value = np.where(sign == 0.0, -np.inf, logabs - q * trace).sum(axis=-1)
-    negative = np.any(sign < 0.0, axis=-1)
-    return value, negative
+    return _cf_sum(sign, logabs, q * trace)
 
 
-def spectral_radius_estimate(blocks: MalliavinBlocks, iters: int = _POWER_ITERATIONS) -> np.ndarray:
-    """Power-iteration estimate of max_k ρ(q·D_k) per path.
-
-    Deterministic start vector (ones plus a linear tilt) so results are
-    reproducible; ``iters`` matrix-vector products per block.
-    """
-    B, N, s, _ = blocks.diag.shape
+def _power_start(s: int) -> np.ndarray:
+    """Deterministic unit start vector of the power iterate: ones plus a tilt."""
     v = np.ones(s) + np.linspace(0.0, 1.0, s)
-    v = np.broadcast_to(v / np.linalg.norm(v), (B, N, s)).copy()
-    rho = np.zeros((B, N))
+    return v / np.linalg.norm(v)
+
+
+def _power_norms(matvec, batch: tuple, s: int, iters: int) -> np.ndarray:
+    """‖D·v_{iters−1}‖ after normalised power steps v_{t+1} = D·v_t/‖D·v_t‖.
+
+    ``matvec`` maps (*batch, s) vectors to their products; every block
+    starts from :func:`_power_start`, and a zero product keeps the previous
+    vector.
+    """
+    v = np.broadcast_to(_power_start(s), (*batch, s)).copy()
+    rho = np.zeros(batch)
     for _ in range(iters):
-        w = np.einsum("bnij,bnj->bni", blocks.diag, v)
+        w = matvec(v)
         nrm = np.linalg.norm(w, axis=-1)
         rho = nrm
         safe = np.where(nrm > 0.0, nrm, 1.0)[..., None]
         v = np.where(nrm[..., None] > 0.0, w / safe, v)
+    return rho
+
+
+def spectral_radius_estimate(blocks: MalliavinBlocks, iters: int = _POWER_ITERATIONS) -> np.ndarray:
+    """Largest over steps k of ‖q·D_k·v‖ after ``iters`` normalised power steps.
+
+    From a fixed start vector v₀ (ones plus a linear tilt, so results are
+    reproducible) the iterate is v_{t+1} = D_k·v_t/‖D_k·v_t‖, and the value
+    per block is the norm of the last product, ‖q·D_k·v_{iters−1}‖.  When
+    D_k has a single dominant eigenvalue this tends to ρ(q·D_k); it is not
+    a bound on ρ, and it is not ρ in general.  A nilpotent block (ρ = 0)
+    reads small but positive until ``iters`` reaches its nilpotency index:
+    a frozen-gradient kinetic block, strictly lower triangular in m cells,
+    reads of order 1e-5 at m = 24.
+    """
+    B, N, s, _ = blocks.diag.shape
+    rho = _power_norms(
+        lambda v: np.einsum("bnij,bnj->bni", blocks.diag, v), (B, N), s, iters
+    )
     return abs(blocks.q) * rho.max(axis=-1)
+
+
+def _log_weight(
+    drift: DriftRealization,
+    log_cf: np.ndarray,
+    negative: np.ndarray,
+    skorohod: np.ndarray,
+    rho: np.ndarray,
+) -> LogWeight:
+    invertible = (rho < SPECTRAL_RADIUS_LIMIT) & np.isfinite(log_cf)
+    return LogWeight(
+        log_cf_det=log_cf,
+        skorohod=skorohod,
+        energy=drift.energy,
+        spectral_radius=rho,
+        invertible=invertible,
+        negative_det=negative,
+    )
 
 
 def rn_log_weight(
@@ -539,15 +649,171 @@ def rn_log_weight(
     log_cf, negative = carleman_fredholm_logdet(blocks)
     sk = skorohod_adjoint(drift, blocks, xi)
     rho = spectral_radius_estimate(blocks)
-    invertible = (rho < SPECTRAL_RADIUS_LIMIT) & np.isfinite(log_cf)
-    return LogWeight(
-        log_cf_det=log_cf,
-        skorohod=sk,
-        energy=drift.energy,
-        spectral_radius=rho,
-        invertible=invertible,
-        negative_det=negative,
+    return _log_weight(drift, log_cf, negative, sk, rho)
+
+
+# ---------------------------------------------------------------------------
+# Structured block summaries (the generic weight route)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockSummary:
+    """What the weight needs of each diagonal block, without the block.
+
+    All fields are (B, N), per path and step k: ``sign`` and ``logabs`` of
+    det(I + D_k), ``trace`` = tr(D_k), and ``power_norm``, the value
+    :func:`spectral_radius_estimate` reads on the dense D_k (same start
+    vector, same number of steps).  Blocks are at q = 1.
+    """
+
+    sign: np.ndarray
+    logabs: np.ndarray
+    trace: np.ndarray
+    power_norm: np.ndarray
+
+
+def _batched_matvec(H: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(..., d, d) @ (..., d) → (..., d)."""
+    return (H @ v[..., None])[..., 0]
+
+
+def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> BlockSummary:
+    """Overdamped midpoint blocks D = L − C·Rᵀ summarised from their factors.
+
+    L[i,j] = η·H_i·1_{j<i}, C_i = η·(iη·H_i·H⁺ + H⁺), R = 1_{j<r} ⊗ I_d.  The
+    recurrence Y_i = C_i − η·H_i·Σ_{j<i} Y_j solves (I + L)·Y = C, so
+    det(I + D) = det(I_d − Σ_{j<r} Y_j) and tr D = −Σ_{i<r} tr C_i; the
+    power iterate uses (D·v)_i = η·H_i·Σ_{j<i} v_j − C_i·Σ_{j<r} v_j.
+    Cost O(m·d³) per step instead of O((m·d)³).  At r = 0 (EM-LD) the
+    determinant correction is exactly zero.
+    """
+    grid = traj.grid
+    N, m, eta = grid.N, grid.m, grid.eta
+    B, d = traj.x.shape[0], traj.x.shape[2]
+    H = potential.hessian(_left_nodes(traj.x, N, m))  # (B, N, m, d, d)
+    Hp = potential.hessian(traj.x_plus)  # (B, N, d, d)
+    r = traj.schedule.indices
+    band = (np.arange(m)[None, :] < r[:, None]).astype(float)  # (N, m): j < r_k
+    i_eta = eta * np.arange(m)
+    C = eta * (i_eta[:, None, None] * (H @ Hp[:, :, None]) + Hp[:, :, None])
+
+    prefix = np.zeros((B, N, d, d))  # Σ_{j<i} Y_j
+    banded = np.zeros((B, N, d, d))  # Σ_{j<r_k} Y_j
+    for i in range(int(r.max(initial=0))):
+        Y = C[:, :, i] - eta * (H[:, :, i] @ prefix)
+        prefix = prefix + Y
+        banded = banded + band[:, i, None, None] * Y
+    sign, logabs = np.linalg.slogdet(np.eye(d) - banded)
+    trace = -np.einsum("ni,bniaa->bn", band, C)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        V = v.reshape(B, N, m, d)
+        before = np.zeros_like(V)  # Σ_{j<i} v_j
+        np.cumsum(V[:, :, :-1], axis=2, out=before[:, :, 1:])
+        u = _batched_matvec(Hp, np.einsum("nj,bnjd->bnd", band, V))  # H⁺·Σ_{j<r} v_j
+        w = _batched_matvec(H, before - i_eta[:, None] * u[:, :, None]) - u[:, :, None]
+        return eta * w.reshape(B, N, m * d)
+
+    rho = _power_norms(matvec, (B, N), m * d, _POWER_ITERATIONS)
+    return BlockSummary(sign, logabs, trace, rho)
+
+
+def block_summary_ulmc(potential: Potential, traj: UnderdampedTrajectory) -> BlockSummary:
+    """Frozen-gradient kinetic blocks η·E₂(jη, iη)·H_i·1_{j<i}, summarised.
+
+    Strictly lower triangular, hence nilpotent: det(I + D) = 1 and tr D = 0
+    exactly.  Only the power iterate needs the factors, through
+    (D·v)_i = η·H_i·Σ_j E₂(jη, iη)·v_j.
+    """
+    grid = traj.grid
+    N, m, eta = grid.N, grid.m, grid.eta
+    B, d = traj.x.shape[0], traj.x.shape[2]
+    K2 = StepKernels.build(traj.gamma, grid.h, m).K2[:m]
+    H = potential.hessian(_left_nodes(traj.x, N, m))
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        mixed = np.einsum("ij,bnjd->bnid", K2, v.reshape(B, N, m, d))
+        return eta * _batched_matvec(H, mixed).reshape(B, N, m * d)
+
+    rho = _power_norms(matvec, (B, N), m * d, _POWER_ITERATIONS)
+    return BlockSummary(np.ones((B, N)), np.zeros((B, N)), np.zeros((B, N)), rho)
+
+
+def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> BlockSummary:
+    """Double-midpoint blocks D = U·Wᵀ summarised from their rank-2d factors.
+
+    U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d] and Wᵀ = ∂(λ₁, λ₂)/∂ξ.  The derivative
+    fixed point runs on 2d + 1 noise directions, the columns of U and the
+    power start vector v₀, giving Wᵀ·U and Wᵀ·v₀.  Then
+    det(I + D) = det(I_{2d} + Wᵀ·U), tr D = tr(Wᵀ·U), and from the first
+    product on the power iterate stays in the range of U: D·(U·a) = U·(Wᵀ·U·a).
+    """
+    if traj.schedule is None:
+        raise ValueError("trajectory carries no interpolation multipliers")
+    grid = traj.grid
+    N, m, eta = grid.N, grid.m, grid.eta
+    B, d = traj.x.shape[0], traj.x.shape[2]
+    kern = StepKernels.build(traj.gamma, grid.h, m)
+    coef = np.sqrt(eta / (2.0 * traj.gamma))
+    c = np.sqrt(2.0 * kern.gamma * eta)
+    eye = np.eye(d)
+
+    def times_u(a: np.ndarray) -> np.ndarray:
+        """U·a for a (B, 2d) → (B, m·d)."""
+        ua = kern.e1_left[:, None] * a[:, None, :d] + kern.e2_left[:, None] * a[:, None, d:]
+        return coef * ua.reshape(B, m * d)
+
+    # noise directions (m, d, 2d + 1): the columns of U, then v₀
+    dirs = np.concatenate(
+        [
+            coef * kern.e1_left[:, None, None] * eye,
+            coef * kern.e2_left[:, None, None] * eye,
+            _power_start(m * d).reshape(m, d, 1),
+        ],
+        axis=-1,
     )
+    DX0 = c * np.einsum("nj,jcU->ncU", kern.K2, dirs)  # (m+1, d, U) explicit part
+    DX0_b = np.broadcast_to(DX0, (B, *DX0.shape))
+
+    sign = np.empty((B, N))
+    logabs = np.empty((B, N))
+    trace = np.empty((B, N))
+    rho = np.empty((B, N))
+    for k in range(N):
+        r_minus = int(traj.schedule.indices_minus[k])
+        r_plus = int(traj.schedule.indices_plus[k])
+        DGx = kern.e3_0[m] * np.einsum(
+            "bac,cU->baU", potential.hessian(traj.x_minus[:, k]), DX0[r_minus]
+        )
+        DGp = kern.e2_0[m] * np.einsum(
+            "bac,cU->baU", potential.hessian(traj.x_plus[:, k]), DX0[r_plus]
+        )
+        H_left = potential.hessian(traj.x[:, k * m : (k + 1) * m])
+        Dlam1, Dlam2, _, _ = _dm_fixed_point(
+            kern, H_left, DX0_b, DGx, DGp, tol=_DERIV_TOL_STRUCTURED
+        )
+        WT = np.concatenate([Dlam1, Dlam2], axis=1)  # (B, 2d, 2d + 1)
+        WtU, a = WT[:, :, : 2 * d], WT[:, :, 2 * d]
+        sign[:, k], logabs[:, k] = np.linalg.slogdet(np.eye(2 * d) + WtU)
+        trace[:, k] = np.trace(WtU, axis1=-2, axis2=-1)
+        # D·v₀ = U·a; each later product is U·(WᵀU·a)/‖U·a‖
+        nrm = np.linalg.norm(times_u(a), axis=-1)
+        for _ in range(_POWER_ITERATIONS - 1):
+            safe = np.where(nrm > 0.0, nrm, 1.0)[:, None]
+            a = np.where(nrm[:, None] > 0.0, _batched_matvec(WtU, a) / safe, a)
+            nrm = np.linalg.norm(times_u(a), axis=-1)
+        rho[:, k] = nrm
+    return BlockSummary(sign, logabs, trace, rho)
+
+
+def summary_log_weight(
+    drift: DriftRealization, summary: BlockSummary, xi: np.ndarray
+) -> LogWeight:
+    """:func:`rn_log_weight` from block summaries instead of dense blocks."""
+    log_cf, negative = _cf_sum(summary.sign, summary.logabs, summary.trace)
+    sk = _ito_sum(drift, xi) - summary.trace.sum(axis=-1)
+    return _log_weight(drift, log_cf, negative, sk, summary.power_norm.max(axis=-1))
 
 
 # ---------------------------------------------------------------------------

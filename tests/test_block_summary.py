@@ -1,0 +1,153 @@
+"""Structured block summaries against the dense reference blocks.
+
+The generic weight route evaluates det(I + D_k), tr(D_k) and the power
+iterate from each block's factors; these tests hold it to the dense
+``malliavin_blocks_*`` + ``rn_log_weight`` reference on a non-quadratic target.
+"""
+
+import numpy as np
+import pytest
+
+from girsanovlab.girsanov import (
+    BlockSummary,
+    DriftRealization,
+    block_summary_dmulmc,
+    block_summary_mlmc,
+    block_summary_ulmc,
+    drift_dmulmc,
+    drift_mlmc,
+    drift_ulmc,
+    malliavin_blocks_dmulmc,
+    malliavin_blocks_mlmc,
+    malliavin_blocks_ulmc,
+    rn_log_weight,
+    spectral_radius_estimate,
+    summary_log_weight,
+)
+from girsanovlab.integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
+from girsanovlab.paths import (
+    OverdampedSchedule,
+    TimeGrid,
+    UnderdampedSchedule,
+    noise_matrix,
+)
+from girsanovlab.potentials import IsotropicQuadratic, PerturbedQuadratic
+
+GRID = TimeGrid(0.5, 3, 8)
+N_PATHS = 32
+
+
+def _target():
+    return PerturbedQuadratic((1.0, 1.5, 2.0), amplitude=0.1, frequency=1.0)
+
+
+def _inputs(d):
+    xi = noise_matrix(17, N_PATHS, GRID.n_cells, d)
+    rng = np.random.default_rng(3)
+    return xi, rng.normal(size=(N_PATHS, d)), rng.normal(size=(N_PATHS, d))
+
+
+def _overdamped(schedule):
+    pot = _target()
+    xi, x0, _ = _inputs(pot.d)
+    traj = simulate_mlmc(pot, schedule, x0, xi)
+    dense = rn_log_weight(drift_mlmc(pot, traj), malliavin_blocks_mlmc(pot, traj), xi)
+    structured = summary_log_weight(drift_mlmc(pot, traj), block_summary_mlmc(pot, traj), xi)
+    return dense, structured
+
+
+def _frozen_gradient():
+    pot = _target()
+    xi, x0, p0 = _inputs(pot.d)
+    traj = simulate_ulmc(pot, GRID, 1.0, x0, p0, xi)
+    dense = rn_log_weight(drift_ulmc(pot, traj), malliavin_blocks_ulmc(pot, traj), xi)
+    structured = summary_log_weight(drift_ulmc(pot, traj), block_summary_ulmc(pot, traj), xi)
+    return dense, structured
+
+
+def _double_midpoint(schedule):
+    pot = _target()
+    xi, x0, p0 = _inputs(pot.d)
+    traj = simulate_dmulmc(pot, schedule, 1.0, x0, p0, xi)
+    dense = rn_log_weight(drift_dmulmc(traj), malliavin_blocks_dmulmc(pot, traj), xi)
+    structured = summary_log_weight(drift_dmulmc(traj), block_summary_dmulmc(pot, traj), xi)
+    return dense, structured
+
+
+CASES = {
+    "mlmc-deterministic": lambda: _overdamped(OverdampedSchedule.deterministic(GRID)),
+    "mlmc-randomized": lambda: _overdamped(OverdampedSchedule.randomized(GRID, 5, 1)),
+    "em-ld": lambda: _overdamped(OverdampedSchedule.zero(GRID)),
+    "ulmc": _frozen_gradient,
+    "dmulmc-deterministic": lambda: _double_midpoint(UnderdampedSchedule.deterministic(GRID)),
+    "dmulmc-randomized": lambda: _double_midpoint(UnderdampedSchedule.randomized(GRID, 5, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_structured_matches_dense(case):
+    dense, structured = CASES[case]()
+    for name in ("log_cf_det", "skorohod", "spectral_radius"):
+        np.testing.assert_allclose(
+            getattr(structured, name), getattr(dense, name), rtol=0.0, atol=1e-12,
+            err_msg=name,
+        )
+    np.testing.assert_array_equal(structured.energy, dense.energy)
+    np.testing.assert_array_equal(structured.invertible, dense.invertible)
+    np.testing.assert_array_equal(structured.negative_det, dense.negative_det)
+    if case.startswith(("mlmc", "dmulmc")):
+        # the anticipating part is really exercised
+        assert np.all(np.abs(dense.log_cf_det) > 1e-8)
+        assert np.all(dense.spectral_radius > 1e-4)
+
+
+@pytest.mark.parametrize("case", ["em-ld", "ulmc"])
+def test_structured_adapted_correction_is_exactly_zero(case):
+    _, structured = CASES[case]()
+    np.testing.assert_array_equal(structured.log_cf_det, 0.0)
+
+
+def test_structured_singular_block_gives_minus_inf():
+    # d = 1, m = 2, r = 1: det(I + D) = 1 − η·H⁺, zero at η·H⁺ = 1
+    pot = IsotropicQuadratic(1, scale=2.0)
+    grid = TimeGrid(1.0, 1, 2)
+    schedule = OverdampedSchedule(grid, np.array([1]))
+    xi = noise_matrix(2, 3, grid.n_cells, 1)
+    traj = simulate_mlmc(pot, schedule, np.zeros((3, 1)), xi)
+    drift = drift_mlmc(pot, traj)
+    dense = rn_log_weight(drift, malliavin_blocks_mlmc(pot, traj), xi)
+    structured = summary_log_weight(drift, block_summary_mlmc(pot, traj), xi)
+    assert np.all(dense.log_cf_det == -np.inf)
+    assert np.all(structured.log_cf_det == -np.inf)
+    assert not structured.invertible.any()
+    assert not structured.negative_det.any()
+
+
+def test_summary_weight_flags_singular_and_negative_steps():
+    ones = np.ones((1, 2))
+    drift = DriftRealization("mlmc", np.zeros((1, 4, 1)))
+    xi = np.zeros((1, 4, 1))
+    singular = BlockSummary(np.array([[1.0, 0.0]]), 0 * ones, 0 * ones, 0 * ones)
+    lw = summary_log_weight(drift, singular, xi)
+    assert lw.log_cf_det[0] == -np.inf and not lw.invertible[0]
+    flipped = BlockSummary(np.array([[1.0, -1.0]]), 0 * ones, -ones, 0 * ones)
+    lw = summary_log_weight(drift, flipped, xi)
+    assert lw.log_cf_det[0] == pytest.approx(2.0)
+    assert lw.skorohod[0] == pytest.approx(2.0)
+    assert lw.negative_det[0] and lw.invertible[0]
+
+
+def test_spectral_estimate_is_a_power_iterate_not_the_radius():
+    # a frozen-gradient block is strictly lower triangular over m = 24 cells,
+    # so rho = 0, yet 20 power steps leave a small positive norm
+    pot = PerturbedQuadratic((1.0, 2.0), amplitude=0.1, frequency=1.0)
+    grid = TimeGrid(0.5, 2, 24)
+    xi = noise_matrix(1, 4, grid.n_cells, 2)
+    traj = simulate_ulmc(pot, grid, 1.0, np.zeros((4, 2)), np.zeros((4, 2)), xi)
+    blocks = malliavin_blocks_ulmc(pot, traj)
+    assert np.array_equal(np.triu(blocks.diag), np.zeros_like(blocks.diag))
+    np.testing.assert_array_equal(np.linalg.eigvals(blocks.diag), 0.0)
+    estimate = spectral_radius_estimate(blocks)
+    assert np.all((estimate > 0.0) & (estimate < 1e-4))
+    structured = block_summary_ulmc(pot, traj).power_norm.max(axis=-1)
+    np.testing.assert_allclose(structured, estimate, rtol=1e-12)
