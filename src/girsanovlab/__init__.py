@@ -35,7 +35,7 @@ from .divergences import (
     pinsker_tv_bound,
     stationary_moments,
 )
-from .engine import GRAD_QUERIES_PER_STEP, WeightRun, generic_log_weights, run_weights
+from .engine import SCHEMES, Scheme, WeightRun, generic_log_weights, run_weights, scheme_for
 from .experiments import Check, RunResult, run, run_experiment
 from .girsanov import (
     BlockSummary,
@@ -97,7 +97,6 @@ __all__ = [
     "DivergenceEstimate",
     "DriftRealization",
     "ExperimentConfig",
-    "GRAD_QUERIES_PER_STEP",
     "IsotropicQuadratic",
     "LocalErrorReport",
     "LogCoshProduct",
@@ -109,6 +108,8 @@ __all__ = [
     "PerturbedQuadratic",
     "Potential",
     "RunResult",
+    "SCHEMES",
+    "Scheme",
     "SlopeFit",
     "TimeGrid",
     "TraceDiagnostics",
@@ -146,6 +147,7 @@ __all__ = [
     "run_acceptance",
     "run_experiment",
     "run_weights",
+    "scheme_for",
     "scheme_marginal_gaussian",
     "simulate_dmulmc",
     "simulate_mlmc",

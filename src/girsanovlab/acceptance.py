@@ -190,7 +190,7 @@ name = EM-LD
     def criterion_3(self) -> CriterionResult:
         t0 = time.perf_counter()
         results = []
-        for key, scheme in (("fd-mlmc", "M-LMC"), ("fd-dmulmc", "DM-ULMC")):
+        for key, label in (("fd-mlmc", "M-LMC"), ("fd-dmulmc", "DM-ULMC")):
             results.append(self._experiment(key, f"""
 [experiment]
 name = fd-malliavin
@@ -204,7 +204,7 @@ T = 0.5
 N = 2
 m = 4
 [scheme]
-name = {scheme}
+name = {label}
 """))
         passed = all(r.passed for r in results)
         worsts = [r.rows[0]["estimate"] for r in results]
@@ -324,7 +324,7 @@ gamma = 1.0
     def criterion_9(self) -> CriterionResult:
         t0 = time.perf_counter()
         results = []
-        for key, scheme in (("eta-mlmc", "M-LMC"), ("eta-dmulmc", "DM-ULMC")):
+        for key, label in (("eta-mlmc", "M-LMC"), ("eta-dmulmc", "DM-ULMC")):
             results.append(self._experiment(key, f"""
 [experiment]
 name = eta-refinement
@@ -338,7 +338,7 @@ T = 0.5
 N = 4
 m = 2
 [scheme]
-name = {scheme}
+name = {label}
 """))
         passed = all(r.passed for r in results)
         details = []
@@ -371,7 +371,7 @@ name = {scheme}
     def criterion_11(self) -> CriterionResult:
         t0 = time.perf_counter()
         texts = {}
-        for scheme in ("M-LMC", "DM-ULMC"):
+        for label in ("M-LMC", "DM-ULMC"):
             text = f"""
 [experiment]
 name = normalization
@@ -385,14 +385,14 @@ T = 0.5
 N = 4
 m = 4
 [scheme]
-name = {scheme}
+name = {label}
 schedule = randomized
 """
             cfg = self._cfg(text)
             runs = [run_experiment(cfg, threads=1),
                     run_experiment(cfg, threads=1),
                     run_experiment(cfg, threads=8)]
-            texts[scheme] = [r.csv_text for r in runs]
+            texts[label] = [r.csv_text for r in runs]
         repeat_ok = all(v[0] == v[1] for v in texts.values())
         thread_ok = all(v[0] == v[2] for v in texts.values())
         passed = repeat_ok and thread_ok

@@ -27,18 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import girsanov
-from .girsanov import (
-    LogWeight,
-    MalliavinBlocks,
-    drift_dmulmc,
-    drift_mlmc,
-    drift_ulmc,
-    malliavin_blocks_dmulmc,
-    malliavin_blocks_mlmc,
-    malliavin_blocks_ulmc,
-)
-from .integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
-from .paths import OverdampedSchedule, TimeGrid, UnderdampedSchedule
+from .girsanov import LogWeight, MalliavinBlocks
+from .paths import TimeGrid
 from .potentials import Potential
 
 __all__ = [
@@ -50,9 +40,6 @@ __all__ = [
     "quadratic_path_kl",
     "fast_log_weights",
 ]
-
-SCHEMES_OVERDAMPED = ("em-ld", "mlmc")
-SCHEMES_UNDERDAMPED = ("ulmc", "dmulmc")
 
 
 @dataclass(frozen=True)
@@ -91,54 +78,6 @@ class StepMaps:
         return self.S @ self.S.T
 
 
-def _single_step_runner(scheme: str, potential: Potential, grid: TimeGrid, r, gamma):
-    """Return (state_dim, run); run(z0, xi, with_block) → (z', ψ, D or None).
-
-    The derivative block is requested separately (single zero path) because
-    it is constant for quadratic targets while the basis batch that probes
-    the affine maps can be large.
-    """
-    d = potential.d
-    step_grid = TimeGrid(T=grid.h, N=1, m=grid.m)
-    if scheme in SCHEMES_OVERDAMPED:
-        sched = OverdampedSchedule(step_grid, np.array([int(r)], dtype=int))
-
-        def run(z0, xi, with_block=False):
-            traj = simulate_mlmc(potential, sched, z0, xi)
-            dr = drift_mlmc(potential, traj)
-            blk = malliavin_blocks_mlmc(potential, traj).diag[:, 0] if with_block else None
-            return traj.x[:, -1], dr.psi, blk
-
-        return d, run
-    if scheme == "ulmc":
-
-        def run(z0, xi, with_block=False):
-            traj = simulate_ulmc(potential, step_grid, gamma, z0[:, :d], z0[:, d:], xi)
-            dr = drift_ulmc(potential, traj)
-            blk = malliavin_blocks_ulmc(potential, traj).diag[:, 0] if with_block else None
-            zT = np.concatenate([traj.x[:, -1], traj.p[:, -1]], axis=-1)
-            return zT, dr.psi, blk
-
-        return 2 * d, run
-    if scheme == "dmulmc":
-        r_minus, r_plus = r
-        sched = UnderdampedSchedule(
-            step_grid,
-            np.array([int(r_minus)], dtype=int),
-            np.array([int(r_plus)], dtype=int),
-        )
-
-        def run(z0, xi, with_block=False):
-            traj = simulate_dmulmc(potential, sched, gamma, z0[:, :d], z0[:, d:], xi)
-            dr = drift_dmulmc(traj)
-            blk = malliavin_blocks_dmulmc(potential, traj).diag[:, 0] if with_block else None
-            zT = np.concatenate([traj.x[:, -1], traj.p[:, -1]], axis=-1)
-            return zT, dr.psi, blk
-
-        return 2 * d, run
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def extract_step_maps(
     scheme: str, potential: Potential, grid: TimeGrid, r, gamma: float | None = None
 ) -> StepMaps:
@@ -150,25 +89,36 @@ def extract_step_maps(
     recovers the exact maps, since every output is affine for constant
     Hessians.
     """
+    from .engine import scheme_for  # the engine imports this module
+
     if not potential.is_quadratic:
         raise ValueError("affine step maps require a constant-Hessian potential")
+    s = scheme_for(scheme)
     d, m = potential.d, grid.m
-    zdim, run = _single_step_runner(scheme, potential, grid, r, gamma)
+    zdim = 2 * d if s.kinetic else d
+    step_grid = TimeGrid(T=grid.h, N=1, m=grid.m)
+    sched = s.step_schedule(step_grid, r)
+
+    def run(z0, xi):
+        traj = s.simulate(potential, step_grid, sched, gamma, z0, xi)
+        return traj, s.endpoint(traj), s.drift(potential, traj).psi
+
     md = m * d
     B = 1 + zdim + md
     z0 = np.zeros((B, zdim))
     xi = np.zeros((B, m, d))
     z0[1 : 1 + zdim] = np.eye(zdim)
     xi[1 + zdim :] = np.eye(md).reshape(md, m, d)
-    zT, psi, _ = run(z0, xi)
+    _, zT, psi = run(z0, xi)
     b = zT[0]
     A = (zT[1 : 1 + zdim] - b).T
     S = (zT[1 + zdim :] - b).T
     p0 = psi[0]
     Pz = np.moveaxis(psi[1 : 1 + zdim] - p0, 0, -1)
     Pxi = np.moveaxis(psi[1 + zdim :] - p0, 0, -1)
-    _, _, block = run(np.zeros((1, zdim)), np.zeros((1, m, d)), with_block=True)
-    D = block[0]
+    # the block is constant for quadratic targets: one zero path suffices
+    zero_traj, _, _ = run(np.zeros((1, zdim)), np.zeros((1, m, d)))
+    D = s.blocks(potential, zero_traj).diag[0, 0]
     sign, logabs = np.linalg.slogdet(np.eye(md) + D)
     log_abs_det = float(logabs) if sign != 0.0 else -np.inf
     rho = float(
@@ -206,26 +156,14 @@ def step_maps_for_schedule(
     (frozen-gradient and the kinetic baseline) or to request the default
     deterministic midpoint schedule of a midpoint scheme.
     """
-    grid = schedule if isinstance(schedule, TimeGrid) else schedule.grid
-    if scheme == "mlmc":
-        sched = (
-            OverdampedSchedule.deterministic(grid)
-            if isinstance(schedule, TimeGrid)
-            else schedule
-        )
-        keys = [int(i) for i in sched.indices]
-    elif scheme == "dmulmc":
-        sched = (
-            UnderdampedSchedule.deterministic(grid)
-            if isinstance(schedule, TimeGrid)
-            else schedule
-        )
-        keys = [
-            (int(a), int(b))
-            for a, b in zip(sched.indices_minus, sched.indices_plus)
-        ]
-    else:  # frozen-gradient / kinetic baseline: no midpoint dependence
-        keys = [0] * grid.N
+    from .engine import scheme_for  # the engine imports this module
+
+    s = scheme_for(scheme)
+    if isinstance(schedule, TimeGrid):
+        grid, schedule = schedule, s.schedule(schedule)
+    else:
+        grid = schedule.grid
+    keys = s.step_keys(grid, schedule)
     cache: dict = {}
     out = []
     for key in keys:

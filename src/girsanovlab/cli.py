@@ -32,19 +32,13 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, AcceptanceSuite
 from .config import ConfigError, ExperimentConfig, load_config_file
-from .experiments import (
-    _build_schedule,
-    _draw_initial,
-    _simulate_and_drift,
-    run,
-)
-from .girsanov import (
-    malliavin_blocks_dmulmc,
-    malliavin_blocks_mlmc,
-    malliavin_blocks_ulmc,
-    rn_log_weight,
-)
+from .engine import scheme_for
+from .experiments import _draw_initial, run
+from .girsanov import rn_log_weight
 from .paths import noise_matrix
+
+#: per-path trajectory arrays that ``dump-path`` prints, when the scheme has them
+PATH_FIELDS = ("x", "p", "x_minus", "x_plus", "lambda1", "lambda2")
 
 
 def _fmt17(value: float) -> str:
@@ -62,17 +56,16 @@ def _emit_array(lines: list[str], name: str, arr: np.ndarray) -> None:
 
 
 def _path_setup(cfg: ExperimentConfig, path_index: int):
-    """Simulate min(path_index + 1) paths and return per-path pieces."""
+    """Simulate paths 0..path_index; return the scheme and per-path pieces."""
+    scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
-    kinetic = cfg.scheme in ("ulmc", "dmulmc")
     grid = cfg.grids()[0]
-    schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, 0)
+    schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, 0)
     n = path_index + 1
-    z0 = _draw_initial(potential, kinetic, cfg.seed, n)
+    z0 = _draw_initial(potential, scheme.kinetic, cfg.seed, n)
     xi = noise_matrix(cfg.seed, n, grid.n_cells, potential.d)
-    traj, drift = _simulate_and_drift(
-        cfg.scheme, potential, schedule, grid, cfg.gamma, z0, xi)
-    return grid, schedule, z0, xi, traj, drift
+    traj = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, xi)
+    return scheme, grid, schedule, z0, xi, traj
 
 
 def _dump_header(cfg: ExperimentConfig, kind: str, path_index: int,
@@ -84,14 +77,6 @@ def _dump_header(cfg: ExperimentConfig, kind: str, path_index: int,
         f"# grid T={grid.T:g} N={grid.N} m={grid.m}",
         "array,index,value",
     ]
-
-
-def _blocks_for(cfg: ExperimentConfig, traj):
-    if cfg.scheme in ("em-ld", "mlmc"):
-        return malliavin_blocks_mlmc(cfg.potential, traj, q=1.0)
-    if cfg.scheme == "ulmc":
-        return malliavin_blocks_ulmc(cfg.potential, traj, q=1.0)
-    return malliavin_blocks_dmulmc(cfg.potential, traj, q=1.0)
 
 
 def _write_text(text: str, output: str | None) -> None:
@@ -136,7 +121,7 @@ def _cmd_verify(args) -> int:
 def _cmd_dump_path(args) -> int:
     cfg = load_config_file(args.config)
     b = args.path
-    grid, schedule, z0, xi, traj, _ = _path_setup(cfg, b)
+    _, grid, schedule, z0, xi, traj = _path_setup(cfg, b)
     lines = _dump_header(cfg, "path", b, grid)
     _emit_array(lines, "z0", z0[b])
     _emit_array(lines, "xi", xi[b])
@@ -145,11 +130,10 @@ def _cmd_dump_path(args) -> int:
             value = getattr(schedule, f.name)
             if isinstance(value, np.ndarray):
                 _emit_array(lines, f"schedule.{f.name}", value)
-    for f in dataclasses.fields(traj):
-        value = getattr(traj, f.name)
-        if isinstance(value, np.ndarray) and value.ndim >= 1 \
-                and value.shape[0] == xi.shape[0]:
-            _emit_array(lines, f.name, value[b])
+    for name in PATH_FIELDS:
+        value = getattr(traj, name, None)
+        if value is not None:
+            _emit_array(lines, name, value[b])
     _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -157,8 +141,9 @@ def _cmd_dump_path(args) -> int:
 def _cmd_dump_blocks(args) -> int:
     cfg = load_config_file(args.config)
     b = args.path
-    grid, schedule, z0, xi, traj, drift = _path_setup(cfg, b)
-    blocks = _blocks_for(cfg, traj)
+    scheme, grid, _, _, xi, traj = _path_setup(cfg, b)
+    drift = scheme.drift(cfg.potential, traj)
+    blocks = scheme.blocks(cfg.potential, traj)
     lw = rn_log_weight(drift, blocks, xi.reshape(xi.shape[0], grid.n_cells, -1))
     lines = _dump_header(cfg, "blocks", b, grid)
     _emit_array(lines, "psi", drift.psi[b])

@@ -27,6 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .engine import SCHEMES
 from .paths import TimeGrid
 from .potentials import (
     AnisotropicQuadratic,
@@ -50,15 +51,8 @@ EXPERIMENTS = (
     "complexity-table",
 )
 
-#: canonical scheme ids keyed by the user-facing spellings
-SCHEME_NAMES = {
-    "em-ld": "em-ld",
-    "m-lmc": "mlmc",
-    "mlmc": "mlmc",
-    "ulmc": "ulmc",
-    "dm-ulmc": "dmulmc",
-    "dmulmc": "dmulmc",
-}
+#: canonical scheme ids keyed by the user-facing spellings: id or lower-case label
+SCHEME_NAMES = {key: name for name, s in SCHEMES.items() for key in (name, s.label.lower())}
 
 SCHEDULE_MODES = ("deterministic", "randomized", "zero")
 
@@ -245,22 +239,14 @@ def _check_step_bounds(
     scheme: str, h_list: tuple[float, ...], beta: float, q_max: float
 ) -> None:
     """Scheme step-size preconditions, enforced before any simulation."""
-    if scheme == "mlmc":
-        bound = 1.0 / (beta * q_max) if beta > 0 else np.inf
-        for h in h_list:
-            if h > bound * (1 + 1e-12):
-                raise ConfigError(
-                    f"step size h = {h:g} violates h <= 1/(beta*q) = {bound:g} "
-                    f"required for M-LMC weights (beta = {beta:g}, q = {q_max:g})"
-                )
-    if scheme == "dmulmc":
-        bound = 0.5 / np.sqrt(beta * q_max) if beta > 0 else np.inf
-        for h in h_list:
-            if h > bound * (1 + 1e-12):
-                raise ConfigError(
-                    f"step size h = {h:g} violates h <= 0.5/sqrt(beta*q) = {bound:g} "
-                    f"required for DM-ULMC weights (beta = {beta:g}, q = {q_max:g})"
-                )
+    s = SCHEMES[scheme]
+    bound = s.step_bound(beta, q_max)
+    for h in h_list:
+        if h > bound * (1 + 1e-12):
+            raise ConfigError(
+                f"step size h = {h:g} violates h <= {s.bound_rule} = {bound:g} "
+                f"required for {s.label} weights (beta = {beta:g}, q = {q_max:g})"
+            )
 
 
 def load_config(text: str) -> ExperimentConfig:
@@ -324,7 +310,7 @@ def load_config(text: str) -> ExperimentConfig:
     if scheme is None:
         raise ConfigError(
             f"{e.where('scheme.name')}: unknown scheme {scheme_label!r} "
-            "(known: EM-LD, M-LMC, ULMC, DM-ULMC)"
+            f"(known: {', '.join(s.label for s in SCHEMES.values())})"
         )
     schedule_mode = e.raw("scheme.schedule") if e.has("scheme.schedule") else "deterministic"
     if schedule_mode not in SCHEDULE_MODES:
@@ -332,7 +318,7 @@ def load_config(text: str) -> ExperimentConfig:
             f"{e.where('scheme.schedule')}: unknown schedule mode {schedule_mode!r} "
             f"(known: {', '.join(SCHEDULE_MODES)})"
         )
-    kinetic = scheme in ("ulmc", "dmulmc")
+    kinetic = SCHEMES[scheme].kinetic
     if e.has("scheme.gamma"):
         if not kinetic:
             raise ConfigError(

@@ -22,8 +22,10 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp
 from scipy.stats import t as student_t
 
+from .engine import scheme_for
 from .girsanov import LogWeight
 from .integrators import ou_cell_uld
+from .paths import BLOCK_PATHS, bridge_split
 from .potentials import Potential
 
 __all__ = [
@@ -332,15 +334,12 @@ def _refined_reference(kinetic, potential, grid, gamma, x0, p0, xi, seed, start,
     zetas = noise_matrix(
         seed, B, m * ((1 << levels) - 1), d, label=LABEL_RESIDUAL, start=start
     )
-    fine_grid, fine_xi, used, root_half = grid, xi, 0, np.sqrt(0.5)
+    fine_grid, fine_xi, used = grid, xi, 0
     for _ in range(levels):
         ncur = fine_xi.shape[1]
-        zeta = zetas[:, used : used + ncur]
+        fine_xi = bridge_split(fine_xi, zetas[:, used : used + ncur])
         used += ncur
-        child = np.empty((B, 2 * ncur, d))
-        child[:, 0::2] = (fine_xi + zeta) * root_half
-        child[:, 1::2] = (fine_xi - zeta) * root_half
-        fine_xi, fine_grid = child, fine_grid.refined()
+        fine_grid = fine_grid.refined()
     if kinetic:
         traj = simulate_ulmc(potential, fine_grid, gamma, x0, p0, fine_xi)
         return traj.x[:, -1], traj.p[:, -1]
@@ -357,7 +356,6 @@ def local_error_sweep(
     n_paths: int = 4096,
     seed: int = 0,
     init: tuple[np.ndarray, np.ndarray] | None = None,
-    chunk: int = 4096,
 ) -> LocalErrorReport:
     """One-step error sweep over a family of single-step grids.
 
@@ -366,19 +364,13 @@ def local_error_sweep(
     initial state is drawn from ``init`` = (mean, cov) in the scheme's state
     space (default: the stationary law of the target dynamics).  Strong
     errors use replica 1 only; weak errors pair two replicas sharing the
-    initial state.  Deterministic midpoint schedules are used throughout.
+    initial state.  Deterministic midpoint schedules are used throughout, and
+    paths are processed one generation block at a time.
     """
-    from .integrators import simulate_dmulmc, simulate_elementary_ld, simulate_mlmc, simulate_ulmc
-    from .paths import (
-        LABEL_INIT,
-        LABEL_PATH,
-        LABEL_RESIDUAL,
-        OverdampedSchedule,
-        UnderdampedSchedule,
-        noise_matrix,
-    )
+    from .paths import LABEL_INIT, LABEL_PATH, LABEL_RESIDUAL, noise_matrix
 
-    kinetic = scheme in ("ulmc", "dmulmc")
+    s = scheme_for(scheme)
+    kinetic = s.kinetic
     if kinetic and gamma is None:
         raise ValueError("kinetic schemes require gamma")
     d = potential.d
@@ -397,12 +389,13 @@ def local_error_sweep(
         if grid.N != 1:
             raise ValueError("local_error_sweep expects single-step grids (N = 1)")
         eta = grid.h / grid.m
+        schedule = s.schedule(grid)
         sx = np.empty(n_paths)
         sp = np.empty(n_paths)
         wx = np.empty(n_paths)
         wp = np.empty(n_paths)
-        for lo in range(0, n_paths, chunk):
-            hi = min(lo + chunk, n_paths)
+        for lo in range(0, n_paths, BLOCK_PATHS):
+            hi = min(lo + BLOCK_PATHS, n_paths)
             rows = hi - lo
             u0 = noise_matrix(seed, rows, 1, zdim, label=LABEL_INIT, start=lo)[:, 0]
             z0 = mean0 + u0 @ chol0.T
@@ -412,22 +405,8 @@ def local_error_sweep(
             for rep in range(2):
                 off = rep * n_paths + lo
                 xi = noise_matrix(seed, rows, grid.m, d, label=LABEL_PATH, start=off)
-                if scheme == "mlmc":
-                    sched = OverdampedSchedule.deterministic(grid, 0.5)
-                    traj = simulate_mlmc(potential, sched, x0, xi)
-                    x_alg, p_alg = traj.x[:, -1], None
-                elif scheme == "em-ld":
-                    nodes = simulate_elementary_ld(potential, grid, x0, xi)
-                    x_alg, p_alg = nodes[:, -1], None
-                elif scheme == "ulmc":
-                    traj = simulate_ulmc(potential, grid, gamma, x0, p0, xi)
-                    x_alg, p_alg = traj.x[:, -1], traj.p[:, -1]
-                elif scheme == "dmulmc":
-                    sched = UnderdampedSchedule.deterministic(grid)
-                    traj = simulate_dmulmc(potential, sched, gamma, x0, p0, xi)
-                    x_alg, p_alg = traj.x[:, -1], traj.p[:, -1]
-                else:
-                    raise ValueError(f"unknown scheme {scheme!r}")
+                z_alg = s.endpoint(s.simulate(potential, grid, schedule, gamma, z0, xi))
+                x_alg, p_alg = z_alg[:, :d], z_alg[:, d:]
                 if exact:
                     if kinetic:
                         resid = noise_matrix(

@@ -7,6 +7,11 @@ are written into preallocated slots by block index.  The partition, the
 per-block arithmetic, and the merge order are all functions of the path index
 alone, so estimates are bit-identical across thread counts and across runs
 with the same seed.
+
+The scheme table :data:`SCHEMES` defines each discretization once — its
+schedules, simulation, drift, derivative blocks, affine step keys, gradient
+query count and step-size bound — and every scheme-dependent call site in the
+package goes through it.
 """
 
 from __future__ import annotations
@@ -25,9 +30,12 @@ from .girsanov import (
     drift_dmulmc,
     drift_mlmc,
     drift_ulmc,
+    malliavin_blocks_dmulmc,
+    malliavin_blocks_mlmc,
+    malliavin_blocks_ulmc,
     summary_log_weight,
 )
-from .integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
+from .integrators import DM_STEP_MARGIN, simulate_dmulmc, simulate_mlmc, simulate_ulmc
 from .paths import (
     BLOCK_PATHS,
     LABEL_INIT,
@@ -38,15 +46,182 @@ from .paths import (
 )
 from .potentials import Potential
 
-__all__ = ["WeightRun", "run_weights", "generic_log_weights", "GRAD_QUERIES_PER_STEP"]
-
-#: Gradient evaluations per outer step (midpoint schemes query the midpoint
-#: gradient once and reuse it across inner cells).
-GRAD_QUERIES_PER_STEP = {"em-ld": 1, "mlmc": 2, "ulmc": 1, "dmulmc": 3}
+__all__ = ["SCHEMES", "Scheme", "WeightRun", "scheme_for", "run_weights", "generic_log_weights"]
 
 #: Generic per-path assembly is evaluated in sub-chunks this large to bound
 #: the memory of the (chunk, N, m, d, d) Hessian arrays.
 _GENERIC_CHUNK = 512
+
+
+class Scheme:
+    """One discretization, as every scheme-dependent call site needs it.
+
+    ``name`` is the scheme id and ``label`` its user-facing spelling.  A
+    schedule-free scheme has ``None`` as its schedule.  The methods call the
+    integrator and weight layers through this module's names at call time.
+
+    * ``schedule(grid, mode, seed, stream)``: the midpoint schedule for a
+      mode (deterministic | randomized | zero).
+    * ``simulate(potential, grid, schedule, gamma, z0, xi)``: the trajectory
+      from stacked start states z0 — x, or (x, p) for kinetic schemes —
+      and ``endpoint(traj)``, its state at the horizon, shaped like z0.
+    * ``drift``, the dense derivative ``blocks`` (the reference for finite
+      differences, dumps and affine step maps) and their structured
+      ``summary`` (the generic weight route) of a trajectory.
+    * ``step_keys(grid, schedule)``: per outer step, the hashable midpoint
+      choice that fixes the step's affine maps; ``step_schedule(step_grid,
+      key)`` is the one-step schedule of a key.
+    * ``grad_queries(grid, schedule)``: gradient evaluations per path in the
+      algorithm's marginal updates.
+    * ``step_bound(beta, q)``: the largest step size h the weights allow,
+      stated as ``bound_rule``; infinite when there is none.
+    """
+
+    name = label = bound_rule = ""
+    kinetic = False
+
+    def schedule(self, grid: TimeGrid, mode: str = "deterministic", seed: int = 0,
+                 stream: int = 0):
+        return None
+
+    def step_keys(self, grid: TimeGrid, schedule) -> list:
+        return [0] * grid.N
+
+    def step_schedule(self, step_grid: TimeGrid, key):
+        return None
+
+    def step_bound(self, beta: float, q: float) -> float:
+        return np.inf
+
+
+class _MidpointLMC(Scheme):
+    name, label, bound_rule = "mlmc", "M-LMC", "1/(beta*q)"
+
+    def schedule(self, grid, mode="deterministic", seed=0, stream=0):
+        if mode == "deterministic":
+            return OverdampedSchedule.deterministic(grid)
+        if mode == "zero":
+            return OverdampedSchedule.zero(grid)
+        return OverdampedSchedule.randomized(grid, seed, stream)
+
+    def simulate(self, potential, grid, schedule, gamma, z0, xi):
+        return simulate_mlmc(potential, schedule, z0, xi)
+
+    def endpoint(self, traj):
+        return traj.x[:, -1]
+
+    def drift(self, potential, traj):
+        return drift_mlmc(potential, traj)
+
+    def blocks(self, potential, traj, q=1.0, include_offdiag=False):
+        return malliavin_blocks_mlmc(potential, traj, q=q, include_offdiag=include_offdiag)
+
+    def summary(self, potential, traj):
+        return block_summary_mlmc(potential, traj)
+
+    def step_keys(self, grid, schedule):
+        return [int(i) for i in schedule.indices]
+
+    def step_schedule(self, step_grid, key):
+        return OverdampedSchedule(step_grid, np.array([int(key)], dtype=int))
+
+    def grad_queries(self, grid, schedule):
+        # a zero midpoint index reuses the start gradient: one query that step
+        return int(np.sum(np.where(schedule.indices > 0, 2, 1)))
+
+    def step_bound(self, beta, q):
+        return 1.0 / (beta * q) if beta > 0 else np.inf
+
+
+class _EulerLD(_MidpointLMC):
+    """Euler–Maruyama: the overdamped midpoint scheme with τ ≡ 0."""
+
+    name, label, bound_rule = "em-ld", "EM-LD", ""
+
+    def schedule(self, grid, mode="deterministic", seed=0, stream=0):
+        return OverdampedSchedule.zero(grid)
+
+    def step_bound(self, beta, q):
+        return np.inf
+
+
+class _Kinetic(Scheme):
+    kinetic = True
+
+    def endpoint(self, traj):
+        return np.concatenate([traj.x[:, -1], traj.p[:, -1]], axis=-1)
+
+
+class _FrozenGradientULMC(_Kinetic):
+    name, label = "ulmc", "ULMC"
+
+    def simulate(self, potential, grid, schedule, gamma, z0, xi):
+        d = potential.d
+        return simulate_ulmc(potential, grid, gamma, z0[:, :d], z0[:, d:], xi)
+
+    def drift(self, potential, traj):
+        return drift_ulmc(potential, traj)
+
+    def blocks(self, potential, traj, q=1.0, include_offdiag=False):
+        return malliavin_blocks_ulmc(potential, traj, q=q, include_offdiag=include_offdiag)
+
+    def summary(self, potential, traj):
+        return block_summary_ulmc(potential, traj)
+
+    def grad_queries(self, grid, schedule):
+        return grid.N
+
+
+class _DoubleMidpointULMC(_Kinetic):
+    name, label, bound_rule = "dmulmc", "DM-ULMC", f"{DM_STEP_MARGIN:g}/sqrt(beta*q)"
+
+    def schedule(self, grid, mode="deterministic", seed=0, stream=0):
+        if mode == "deterministic":
+            return UnderdampedSchedule.deterministic(grid)
+        if mode == "zero":
+            zeros = np.zeros(grid.N, dtype=int)
+            return UnderdampedSchedule(grid, zeros, zeros.copy())
+        return UnderdampedSchedule.randomized(grid, seed, stream)
+
+    def simulate(self, potential, grid, schedule, gamma, z0, xi):
+        d = potential.d
+        return simulate_dmulmc(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
+
+    def drift(self, potential, traj):
+        return drift_dmulmc(traj)
+
+    def blocks(self, potential, traj, q=1.0, include_offdiag=False):
+        return malliavin_blocks_dmulmc(potential, traj, q=q, include_offdiag=include_offdiag)
+
+    def summary(self, potential, traj):
+        return block_summary_dmulmc(potential, traj)
+
+    def step_keys(self, grid, schedule):
+        return [(int(a), int(b)) for a, b in zip(schedule.indices_minus, schedule.indices_plus)]
+
+    def step_schedule(self, step_grid, key):
+        r_minus, r_plus = key
+        return UnderdampedSchedule(
+            step_grid, np.array([int(r_minus)], dtype=int), np.array([int(r_plus)], dtype=int)
+        )
+
+    def grad_queries(self, grid, schedule):
+        return 3 * grid.N
+
+    def step_bound(self, beta, q):
+        return DM_STEP_MARGIN / np.sqrt(beta * q) if beta > 0 else np.inf
+
+
+#: The scheme table, keyed by scheme id.
+SCHEMES = {s.name: s for s in (_EulerLD(), _MidpointLMC(), _FrozenGradientULMC(), _DoubleMidpointULMC())}
+
+
+def scheme_for(name: str) -> Scheme:
+    """The table entry of a scheme id; ValueError for an unknown id."""
+    try:
+        return SCHEMES[name]
+    except KeyError:
+        raise ValueError(f"unknown scheme {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -70,7 +245,7 @@ class WeightRun:
         return int((~self.invertible).sum())
 
 
-def _resolve_grid(scheme: str, schedule, grid: TimeGrid | None) -> TimeGrid:
+def _resolve_grid(schedule, grid: TimeGrid | None) -> TimeGrid:
     if schedule is not None:
         return schedule.grid
     if grid is None:
@@ -93,24 +268,9 @@ def generic_log_weights(
     factors (:class:`~girsanovlab.girsanov.BlockSummary`); the dense blocks
     are never formed.
     """
-    d = potential.d
-    if scheme in ("em-ld", "mlmc"):
-        traj = simulate_mlmc(potential, schedule, z0, xi)
-        return summary_log_weight(
-            drift_mlmc(potential, traj), block_summary_mlmc(potential, traj), xi
-        )
-    if scheme == "ulmc":
-        g = _resolve_grid(scheme, None, grid)
-        traj = simulate_ulmc(potential, g, gamma, z0[:, :d], z0[:, d:], xi)
-        return summary_log_weight(
-            drift_ulmc(potential, traj), block_summary_ulmc(potential, traj), xi
-        )
-    if scheme == "dmulmc":
-        traj = simulate_dmulmc(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
-        return summary_log_weight(
-            drift_dmulmc(traj), block_summary_dmulmc(potential, traj), xi
-        )
-    raise ValueError(f"unknown scheme {scheme!r}")
+    s = scheme_for(scheme)
+    traj = s.simulate(potential, _resolve_grid(schedule, grid), schedule, gamma, z0, xi)
+    return summary_log_weight(s.drift(potential, traj), s.summary(potential, traj), xi)
 
 
 def _init_sampler(init, potential: Potential, kinetic: bool, seed: int):
@@ -169,19 +329,14 @@ def run_weights(
     initialization stream.  Constant-Hessian targets use the affine fast
     path unless ``force_generic``; both routes agree to rounding (tested).
     """
-    the_grid = _resolve_grid(scheme, schedule, grid)
-    kinetic = scheme in ("ulmc", "dmulmc")
-    if kinetic and (gamma is None or not gamma > 0):
+    the_grid = _resolve_grid(schedule, grid)
+    s = scheme_for(scheme)
+    if s.kinetic and (gamma is None or not gamma > 0):
         raise ValueError("kinetic schemes need a positive friction gamma")
     if schedule is None:
-        if scheme == "em-ld":
-            schedule = OverdampedSchedule.zero(the_grid)
-        elif scheme == "mlmc":
-            schedule = OverdampedSchedule.deterministic(the_grid)
-        elif scheme == "dmulmc":
-            schedule = UnderdampedSchedule.deterministic(the_grid)
+        schedule = s.schedule(the_grid)
     n_cells, d = the_grid.n_cells, potential.d
-    zdim, draw_init = _init_sampler(init, potential, kinetic, seed)
+    zdim, draw_init = _init_sampler(init, potential, s.kinetic, seed)
 
     maps = None
     if potential.is_quadratic and not force_generic:
@@ -230,10 +385,6 @@ def run_weights(
         invertible[lo:hi] = inv
         n_negative += neg
         rho_max = max(rho_max, rho)
-    queries = GRAD_QUERIES_PER_STEP[scheme] * the_grid.N
-    if scheme == "mlmc" and schedule is not None:
-        # a zero midpoint index reuses the start gradient: one query that step
-        queries = int(np.sum(np.where(np.asarray(schedule.indices) > 0, 2, 1)))
     return WeightRun(
         scheme=scheme,
         seed=seed,
@@ -241,5 +392,5 @@ def run_weights(
         invertible=invertible,
         spectral_radius=rho_max,
         n_negative_det=n_negative,
-        grad_queries_per_path=queries,
+        grad_queries_per_path=s.grad_queries(the_grid, schedule),
     )

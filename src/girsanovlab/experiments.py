@@ -37,27 +37,9 @@ from .divergences import (
     local_error_sweep,
     stationary_moments,
 )
-from .engine import GRAD_QUERIES_PER_STEP, generic_log_weights, run_weights
-from .girsanov import (
-    drift_dmulmc,
-    drift_mlmc,
-    drift_ulmc,
-    malliavin_blocks_dmulmc,
-    malliavin_blocks_mlmc,
-    malliavin_blocks_ulmc,
-    trace_diagnostics_mlmc,
-)
-from .integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
-from .paths import (
-    LABEL_INIT,
-    NoisePath,
-    OverdampedSchedule,
-    TimeGrid,
-    UnderdampedSchedule,
-    noise_matrix,
-    normal_block,
-    refine_noise,
-)
+from .engine import _init_sampler, generic_log_weights, run_weights, scheme_for
+from .girsanov import trace_diagnostics_mlmc
+from .paths import BLOCK_PATHS, NoisePath, TimeGrid, noise_matrix, refine_noise
 from .potentials import AnisotropicQuadratic, IsotropicQuadratic, Potential
 
 __all__ = [
@@ -119,6 +101,11 @@ FD_PROBE = 1e-5
 #: built-in accuracy ladder and search cap for the complexity table
 EPSILON_LADDER = (0.18, 0.12, 0.08, 0.05, 0.03)
 COMPLEXITY_STEP_CAP = 2**14
+
+#: schemes of the complexity table in decreasing expected exponent order, and
+#: the pair its dimension-doubling check compares
+COMPLEXITY_SCHEMES = ("mlmc", "ulmc", "dmulmc")
+DOUBLING_SCHEMES = ("mlmc", "dmulmc")
 
 
 @dataclass(frozen=True)
@@ -184,31 +171,11 @@ def _base_row(cfg: ExperimentConfig, **kv) -> dict:
         "experiment": cfg.experiment,
         "config_hash": cfg.config_hash,
         "d": cfg.potential.d,
-        "gamma": cfg.gamma if cfg.scheme in ("ulmc", "dmulmc") else None,
+        "gamma": cfg.gamma if scheme_for(cfg.scheme).kinetic else None,
         "status": "ok",
     }
     row.update(kv)
     return row
-
-
-def _build_schedule(scheme: str, grid: TimeGrid, mode: str, seed: int, stream: int = 0):
-    """Schedule object for a scheme, or None for schedule-free schemes."""
-    if scheme == "em-ld":
-        return OverdampedSchedule.zero(grid)
-    if scheme == "mlmc":
-        if mode == "deterministic":
-            return OverdampedSchedule.deterministic(grid)
-        if mode == "zero":
-            return OverdampedSchedule.zero(grid)
-        return OverdampedSchedule.randomized(grid, seed, stream)
-    if scheme == "ulmc":
-        return None
-    if mode == "deterministic":
-        return UnderdampedSchedule.deterministic(grid)
-    if mode == "zero":
-        zeros = np.zeros(grid.N, dtype=int)
-        return UnderdampedSchedule(grid, zeros, zeros.copy())
-    return UnderdampedSchedule.randomized(grid, seed, stream)
 
 
 def _default_init(potential: Potential, kinetic: bool):
@@ -228,22 +195,11 @@ def _default_init(potential: Potential, kinetic: bool):
 
 def _draw_initial(potential: Potential, kinetic: bool, seed: int, n: int) -> np.ndarray:
     """First n rows of the engine's initialization stream for this seed."""
-    init = _default_init(potential, kinetic)
-    d = potential.d
-    zdim = 2 * d if kinetic else d
-    if init == "stationary":
-        mean, cov = stationary_moments(potential, kinetic=kinetic)
-    else:
-        _, mean, cov = init
-    chol = np.linalg.cholesky(cov)
-    blocks = []
-    from .paths import BLOCK_PATHS
-
-    for block in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS):
-        rows = normal_block(seed, 1, zdim, block, label=LABEL_INIT)[:, 0]
-        blocks.append(rows)
-    normals = np.concatenate(blocks, axis=0)[:n]
-    return mean + normals @ chol.T
+    _, draw = _init_sampler(_default_init(potential, kinetic), potential, kinetic, seed)
+    return np.concatenate([
+        draw(block, slice(0, min(BLOCK_PATHS, n - block * BLOCK_PATHS)))
+        for block in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS)
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +210,13 @@ def _draw_initial(potential: Potential, kinetic: bool, seed: int, n: int) -> np.
 def _run_normalization(cfg: ExperimentConfig, threads: int) -> RunResult:
     result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
                        REPORT_COLUMNS, [], [])
+    scheme = scheme_for(cfg.scheme)
     for i, grid in enumerate(cfg.grids()):
-        schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
+        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
         wr = run_weights(
             cfg.scheme, cfg.potential, schedule=schedule, grid=grid,
             gamma=cfg.gamma, n_paths=cfg.n_paths, seed=cfg.seed,
-            init=_default_init(cfg.potential, cfg.scheme in ("ulmc", "dmulmc")),
+            init=_default_init(cfg.potential, scheme.kinetic),
             threads=threads,
         )
         logw = wr.log_weight[wr.invertible]
@@ -297,17 +254,18 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
             "the adapted-equivalence experiment applies to the EM-LD scheme "
             f"(got {cfg.scheme_label!r})"
         )
+    scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
     for grid in cfg.grids():
-        schedule = OverdampedSchedule.zero(grid)
+        schedule = scheme.schedule(grid)
         n = cfg.n_paths
         x0 = _draw_initial(potential, False, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
-        traj = simulate_mlmc(potential, schedule, x0, xi)
-        drift = drift_mlmc(potential, traj)
-        blocks = malliavin_blocks_mlmc(potential, traj, q=1.0)
-        lw = generic_log_weights("em-ld", potential, schedule, grid, None, x0, xi)
+        traj = scheme.simulate(potential, grid, schedule, None, x0, xi)
+        drift = scheme.drift(potential, traj)
+        blocks = scheme.blocks(potential, traj)
+        lw = generic_log_weights(cfg.scheme, potential, schedule, grid, None, x0, xi)
         # classical adapted exponent: -sum psi.xi - energy (Ito integral form)
         ito = np.einsum("bid,bid->b", drift.psi, xi.reshape(n, grid.n_cells, d))
         classical = -ito - drift.energy
@@ -338,42 +296,19 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_and_drift(scheme: str, potential: Potential, schedule, grid: TimeGrid,
-                        gamma, z0: np.ndarray, xi: np.ndarray):
-    """(trajectory, drift) for any scheme, from explicit noise and start."""
-    d = potential.d
-    if scheme in ("em-ld", "mlmc"):
-        traj = simulate_mlmc(potential, schedule, z0, xi)
-        return traj, drift_mlmc(potential, traj)
-    if scheme == "ulmc":
-        traj = simulate_ulmc(potential, grid, gamma, z0[:, :d], z0[:, d:], xi)
-        return traj, drift_ulmc(potential, traj)
-    traj = simulate_dmulmc(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
-    return traj, drift_dmulmc(traj)
-
-
-def _analytic_full_blocks(scheme: str, potential: Potential, traj) -> np.ndarray:
-    if scheme in ("em-ld", "mlmc"):
-        return malliavin_blocks_mlmc(potential, traj, q=1.0, include_offdiag=True).full
-    if scheme == "ulmc":
-        return malliavin_blocks_ulmc(potential, traj, q=1.0, include_offdiag=True).full
-    return malliavin_blocks_dmulmc(potential, traj, q=1.0, include_offdiag=True).full
-
-
 def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
     result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
                        REPORT_COLUMNS, [], [])
+    scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
-    kinetic = cfg.scheme in ("ulmc", "dmulmc")
     n = min(cfg.n_paths, 64)  # derivative checks need few paths
     for i, grid in enumerate(cfg.grids()):
-        schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
-        z0 = _draw_initial(potential, kinetic, cfg.seed, n)
+        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
+        z0 = _draw_initial(potential, scheme.kinetic, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
-        traj, _ = _simulate_and_drift(cfg.scheme, potential, schedule, grid,
-                                      cfg.gamma, z0, xi)
-        analytic = _analytic_full_blocks(cfg.scheme, potential, traj)
+        traj = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, xi)
+        analytic = scheme.blocks(potential, traj, include_offdiag=True).full
         s = grid.n_cells * d
         numeric = np.empty((n, s, s))
         for cell in range(grid.n_cells):
@@ -382,9 +317,8 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
                 for sign in (+1.0, -1.0):
                     pert = xi.copy()
                     pert[:, cell, a] += sign * FD_PROBE
-                    _, dr = _simulate_and_drift(cfg.scheme, potential, schedule,
-                                                grid, cfg.gamma, z0, pert)
-                    flat = dr.psi.reshape(n, s)
+                    moved = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, pert)
+                    flat = scheme.drift(potential, moved).psi.reshape(n, s)
                     if sign > 0:
                         numeric[:, :, col] = flat
                     else:
@@ -412,41 +346,31 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _refine_noise_batch(xi: np.ndarray, seed: int, level: int) -> np.ndarray:
-    out = np.empty((xi.shape[0], 2 * xi.shape[1], xi.shape[2]))
-    for b in range(xi.shape[0]):
-        path = NoisePath(xi=xi[b], seed=seed, stream=b, level=level)
-        out[b] = refine_noise(path).xi
-    return out
-
-
 def _run_eta_refinement(cfg: ExperimentConfig, threads: int,
                         n_doublings: int = 4) -> RunResult:
     result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
                        REPORT_COLUMNS, [], [])
+    scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
-    kinetic = cfg.scheme in ("ulmc", "dmulmc")
     n = min(cfg.n_paths, 100)
     for i, grid in enumerate(cfg.grids()):
-        schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
-        z0 = _draw_initial(potential, kinetic, cfg.seed, n)
-        xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
-        cur_grid, cur_schedule, cur_xi = grid, schedule, xi
+        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
+        z0 = _draw_initial(potential, scheme.kinetic, cfg.seed, n)
+        noise = NoisePath(noise_matrix(cfg.seed, n, grid.n_cells, d), cfg.seed, 0)
+        cur_grid, cur_schedule = grid, schedule
         logws = []
         keep = np.ones(n, dtype=bool)
         for level in range(n_doublings + 1):
             lw = generic_log_weights(cfg.scheme, potential, cur_schedule,
-                                     cur_grid, cfg.gamma, z0, cur_xi)
+                                     cur_grid, cfg.gamma, z0, noise.xi)
             logws.append(lw.log_weight)
             keep &= lw.invertible
             if level < n_doublings:
-                cur_xi = _refine_noise_batch(cur_xi, cfg.seed, level)
+                noise = refine_noise(noise)
+                cur_grid = cur_grid.refined()
                 if cur_schedule is not None:
                     cur_schedule = cur_schedule.refined()
-                    cur_grid = cur_schedule.grid
-                else:
-                    cur_grid = cur_grid.refined()
         n_rej = int((~keep).sum())
         gaps = []
         for level in range(n_doublings):
@@ -476,12 +400,12 @@ def _run_eta_refinement(cfg: ExperimentConfig, threads: int,
 def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
     result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
                        REPORT_COLUMNS, [], [])
+    scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
-    kinetic = cfg.scheme in ("ulmc", "dmulmc")
-    init = _default_init(potential, kinetic)
+    init = _default_init(potential, scheme.kinetic)
     hs, kls, ses = [], [], []
     for i, grid in enumerate(cfg.grids()):
-        schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
+        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
         wr = run_weights(
             cfg.scheme, potential, schedule=schedule, grid=grid, gamma=cfg.gamma,
             n_paths=cfg.n_paths, seed=cfg.seed, init=init, threads=threads,
@@ -513,7 +437,7 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
                     status="ok" if renyi.reliable else "failed",
                 ))
         if potential.is_quadratic:
-            mean0, cov0 = stationary_moments(potential, kinetic=kinetic)
+            mean0, cov0 = stationary_moments(potential, kinetic=scheme.kinetic)
             sm_mean, sm_cov = scheme_marginal_gaussian(
                 cfg.scheme, potential, schedule if schedule is not None else grid,
                 mean0, cov0, gamma=cfg.gamma)
@@ -568,7 +492,7 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
             "the local-error sweep couples against the exact Gaussian flow "
             "and needs a quadratic potential"
         )
-    kinetic = cfg.scheme in ("ulmc", "dmulmc")
+    kinetic = scheme_for(cfg.scheme).kinetic
     grids = [TimeGrid(h, 1, m) for h, m in zip(cfg.h_list, cfg.m_list)]
     report = local_error_sweep(
         cfg.scheme, potential, grids, gamma=cfg.gamma,
@@ -639,16 +563,17 @@ def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int) -> RunResult:
             "trace diagnostics are defined for the overdamped midpoint scheme "
             f"(got {cfg.scheme_label!r})"
         )
+    scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
     n = min(cfg.n_paths, 4096)
     gaps = []
     zero_ok = True
     for i, grid in enumerate(cfg.grids()):
-        schedule = _build_schedule(cfg.scheme, grid, cfg.schedule_mode, cfg.seed, i)
+        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
         x0 = _draw_initial(potential, False, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
-        traj = simulate_mlmc(potential, schedule, x0, xi)
+        traj = scheme.simulate(potential, grid, schedule, None, x0, xi)
         diag = trace_diagnostics_mlmc(potential, traj)
         zero_ok &= bool(np.all(diag.tr_a2 == 0.0))
         per_path = np.maximum(
@@ -698,21 +623,13 @@ def _complexity_kls(scheme: str, potential: Potential, T: float, n_steps: int,
     it dominates the marginal gaussian_kl at the horizon — the second value
     returned, which certifies the marginal accuracy the table claims.
     """
-    grid = TimeGrid(T, n_steps, m)
-    kinetic = scheme in ("ulmc", "dmulmc")
-    if scheme == "mlmc":
-        schedule = OverdampedSchedule.deterministic(grid)
-    elif scheme == "em-ld":
-        schedule = OverdampedSchedule.zero(grid)
-    elif scheme == "dmulmc":
-        schedule = UnderdampedSchedule.deterministic(grid)
-    else:
-        schedule = grid
+    grid = TimeGrid(T, n_steps, m)  # each scheme's deterministic schedule
+    kinetic = scheme_for(scheme).kinetic
     mean0, cov0 = stationary_moments(potential, kinetic=kinetic)
-    maps = step_maps_for_schedule(scheme, potential, schedule,
+    maps = step_maps_for_schedule(scheme, potential, grid,
                                   gamma=gamma if kinetic else None)
     path_kl = quadratic_path_kl(maps, mean0, cov0)
-    mean, cov = scheme_marginal_gaussian(scheme, potential, schedule, mean0,
+    mean, cov = scheme_marginal_gaussian(scheme, potential, grid, mean0,
                                          cov0, gamma=gamma)
     return path_kl, gaussian_kl(mean, cov, mean0, cov0)
 
@@ -728,14 +645,19 @@ def _dm_inner_cells(n_steps: int, T: float) -> int:
     return max(3, int(np.ceil(3.0 * (1.0 / (8.0 * h)) ** 1.5)))
 
 
+#: inner-cell rules of the complexity table by scheme id; the other schemes
+#: use the config's m
+COMPLEXITY_INNER_CELLS = {"dmulmc": _dm_inner_cells}
+
+
+def _inner_cells(scheme: str, n_steps: int, T: float, m_cfg: int) -> int:
+    rule = COMPLEXITY_INNER_CELLS.get(scheme)
+    return rule(n_steps, T) if rule else m_cfg
+
+
 def _step_bound_floor(scheme: str, potential: Potential, T: float,
                       q_max: float) -> int:
-    if scheme == "mlmc":
-        bound = 1.0 / (potential.beta * q_max)
-    elif scheme == "dmulmc":
-        bound = 0.5 / np.sqrt(potential.beta * q_max)
-    else:
-        bound = np.inf
+    bound = scheme_for(scheme).step_bound(potential.beta, q_max)
     if not np.isfinite(bound):
         return 1
     return max(1, int(np.ceil(T / bound - 1e-12)))
@@ -751,7 +673,7 @@ def _search_steps(scheme: str, potential: Potential, T: float, m_cfg: int,
     """
 
     def kl_at(n_steps: int) -> tuple[float, float]:
-        m = _dm_inner_cells(n_steps, T) if scheme == "dmulmc" else m_cfg
+        m = _inner_cells(scheme, n_steps, T, m_cfg)
         return _complexity_kls(scheme, potential, T, n_steps, m, gamma)
 
     lo = _step_bound_floor(scheme, potential, T, q_max)
@@ -785,6 +707,41 @@ def _double_dimension(potential: Potential) -> Potential:
     raise ValueError("dimension doubling needs a quadratic potential")
 
 
+def _complexity_gamma(cfg: ExperimentConfig, scheme: str) -> float | None:
+    """The config's friction for kinetic schemes, else √β; None otherwise."""
+    if not scheme_for(scheme).kinetic:
+        return None
+    return cfg.gamma if cfg.gamma is not None else float(np.sqrt(cfg.potential.beta))
+
+
+def _complexity_row(cfg: ExperimentConfig, scheme: str, eps: float,
+                    potential: Potential, found: tuple) -> dict:
+    """One (scheme, epsilon) row from a ``_search_steps`` result."""
+    n_steps, kl, marginal = found
+    m = _inner_cells(scheme, n_steps or 1, cfg.T, cfg.m_list[0])
+    queries = None
+    if n_steps:
+        s = scheme_for(scheme)
+        grid = TimeGrid(cfg.T, n_steps, m)
+        queries = s.grad_queries(grid, s.schedule(grid))
+    return {
+        "experiment": cfg.experiment,
+        "config_hash": cfg.config_hash,
+        "scheme": scheme,
+        "epsilon": eps,
+        "d": potential.d,
+        "m": m,
+        "gamma": _complexity_gamma(cfg, scheme),
+        "h": (cfg.T / n_steps) if n_steps else None,
+        "n_steps": n_steps,
+        "queries": queries,
+        "kl": kl if n_steps else None,
+        "marginal_kl": marginal if n_steps else None,
+        "exponent": None,
+        "status": "ok" if n_steps else "unreachable",
+    }
+
+
 def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
     result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_COMPLEXITY,
                        COMPLEXITY_COLUMNS, [], [])
@@ -799,33 +756,13 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
     q_max = max(cfg.q_list)
     exponents: dict[str, float] = {}
     certificate_ok = True
-    for scheme in ("mlmc", "ulmc", "dmulmc"):
-        gamma = cfg.gamma if cfg.gamma is not None else float(np.sqrt(potential.beta))
-        gamma = gamma if scheme in ("ulmc", "dmulmc") else None
+    for scheme in COMPLEXITY_SCHEMES:
+        gamma = _complexity_gamma(cfg, scheme)
         points = []
         for eps in EPSILON_LADDER:
-            n_steps, kl, marginal = _search_steps(scheme, potential, T, m_cfg,
-                                                  gamma, eps * eps, q_max)
-            m_used = (_dm_inner_cells(n_steps or 1, T) if scheme == "dmulmc"
-                      else m_cfg)
-            row = {
-                "experiment": cfg.experiment,
-                "config_hash": cfg.config_hash,
-                "scheme": scheme,
-                "epsilon": eps,
-                "d": potential.d,
-                "m": m_used,
-                "gamma": gamma,
-                "h": (T / n_steps) if n_steps else None,
-                "n_steps": n_steps,
-                "queries": (n_steps * GRAD_QUERIES_PER_STEP[scheme]
-                            if n_steps else None),
-                "kl": kl if n_steps else None,
-                "marginal_kl": marginal if n_steps else None,
-                "exponent": None,
-                "status": "ok" if n_steps else "unreachable",
-            }
-            result.rows.append(row)
+            found = _search_steps(scheme, potential, T, m_cfg, gamma, eps * eps, q_max)
+            result.rows.append(_complexity_row(cfg, scheme, eps, potential, found))
+            n_steps, kl, marginal = found
             if n_steps is not None:
                 certificate_ok &= marginal <= kl <= eps * eps
                 points.append((1.0 / eps, n_steps))
@@ -847,9 +784,8 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
         certificate_ok,
         "gaussian_kl(marginals) <= path KL <= eps^2 on every reachable row",
     ))
-    have_all = all(s in exponents for s in ("mlmc", "ulmc", "dmulmc"))
-    if have_all:
-        e_m, e_u, e_d = exponents["mlmc"], exponents["ulmc"], exponents["dmulmc"]
+    if all(s in exponents for s in COMPLEXITY_SCHEMES):
+        e_m, e_u, e_d = (exponents[s] for s in COMPLEXITY_SCHEMES)
         result.checks.append(Check(
             "step-count exponent ordering (qualitative)",
             e_d <= e_u <= e_m,
@@ -865,42 +801,22 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
     eps_mid = EPSILON_LADDER[len(EPSILON_LADDER) // 2]
     doubled = _double_dimension(potential)
     factors = {}
-    for scheme in ("mlmc", "dmulmc"):
-        gamma = None
-        if scheme == "dmulmc":
-            gamma = cfg.gamma if cfg.gamma is not None else float(np.sqrt(potential.beta))
+    for scheme in DOUBLING_SCHEMES:
+        gamma = _complexity_gamma(cfg, scheme)
         pair = []
         for pot in (potential, doubled):
-            n_steps, kl, marginal = _search_steps(scheme, pot, T, m_cfg, gamma,
-                                                  eps_mid * eps_mid, q_max)
-            m_used = (_dm_inner_cells(n_steps or 1, T) if scheme == "dmulmc"
-                      else m_cfg)
-            result.rows.append({
-                "experiment": cfg.experiment,
-                "config_hash": cfg.config_hash,
-                "scheme": scheme,
-                "epsilon": eps_mid,
-                "d": pot.d,
-                "m": m_used,
-                "gamma": gamma,
-                "h": (T / n_steps) if n_steps else None,
-                "n_steps": n_steps,
-                "queries": (n_steps * GRAD_QUERIES_PER_STEP[scheme]
-                            if n_steps else None),
-                "kl": kl if n_steps else None,
-                "marginal_kl": marginal if n_steps else None,
-                "exponent": None,
-                "status": "ok" if n_steps else "unreachable",
-            })
-            pair.append(n_steps)
+            found = _search_steps(scheme, pot, T, m_cfg, gamma, eps_mid * eps_mid, q_max)
+            result.rows.append(_complexity_row(cfg, scheme, eps_mid, pot, found))
+            pair.append(found[0])
         if pair[0] and pair[1]:
             factors[scheme] = pair[1] / pair[0]
-    if "mlmc" in factors and "dmulmc" in factors:
+    if len(factors) == len(DOUBLING_SCHEMES):
+        f_m, f_d = (factors[s] for s in DOUBLING_SCHEMES)
         result.checks.append(Check(
             "dimension-doubling ordering (qualitative)",
-            factors["mlmc"] >= factors["dmulmc"],
-            f"doubling d multiplies N by {factors['mlmc']:.3f} (overdamped "
-            f"midpoint) >= {factors['dmulmc']:.3f} (double-midpoint)",
+            f_m >= f_d,
+            f"doubling d multiplies N by {f_m:.3f} (overdamped "
+            f"midpoint) >= {f_d:.3f} (double-midpoint)",
         ))
     else:
         result.checks.append(Check(

@@ -35,9 +35,11 @@ Batch convention: states are (B, d), per-step increments (B, m, d), full
 horizons (B, N·m, d); single paths pass B = 1.  Trajectory node arrays have
 shape (B, N·m + 1, d) with node k·m + n holding X̂_{nη} of outer step k.
 
-Gradient-query counts follow the algorithms' marginal updates (M-LMC 2/step
-with ∇V(x₀) shared and 1 when τ=0, ULMC 1/step, DM-ULMC 3/step, elementary
-m/step); fixed-point-solver evaluations are weight machinery and not counted.
+Gradient-query counts live in the scheme table
+(:meth:`girsanovlab.engine.Scheme.grad_queries`) and follow the algorithms'
+marginal updates: M-LMC 2/step with ∇V(x₀) shared and 1 when τ = 0, ULMC
+1/step, DM-ULMC 3/step.  Fixed-point-solver evaluations are weight machinery
+and not counted.
 """
 
 from __future__ import annotations
@@ -126,7 +128,6 @@ class OverdampedTrajectory:
     schedule: OverdampedSchedule
     x: np.ndarray
     x_plus: np.ndarray
-    grad_queries: int
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,6 @@ class UnderdampedTrajectory:
     lambda1: np.ndarray
     lambda2: np.ndarray
     iterations: np.ndarray
-    grad_queries: int
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +179,14 @@ def step_em_ld(
 
 def step_mlmc(
     potential: Potential, x0: np.ndarray, xi: np.ndarray, eta: float, r: int
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One overdamped midpoint step on the inner grid.
 
     X⁺ = x₀ − rη·∇V(x₀) + √(2η)·Σ_{j<r}ξ_j, then
     X̂_n = x₀ − nη·∇V(X⁺) + √(2η)·Σ_{j<n}ξ_j for n = 0..m.
 
-    Returns (nodes (B, m+1, d), x_plus (B, d), gradient queries).
+    Returns (nodes (B, m+1, d), x_plus (B, d)).  ∇V(x₀) is reused as the
+    midpoint gradient when r = 0.
     """
     m = xi.shape[-2]
     sums = np.zeros(xi.shape[:-2] + (m + 1, xi.shape[-1]))
@@ -193,14 +194,11 @@ def step_mlmc(
     coef = np.sqrt(2.0 * eta)
     g0 = potential.gradient(x0)
     x_plus = x0 - (r * eta) * g0 + coef * sums[..., r, :]
-    if r == 0:
-        g_plus, queries = g0, 1
-    else:
-        g_plus, queries = potential.gradient(x_plus), 2
+    g_plus = g0 if r == 0 else potential.gradient(x_plus)
     n_eta = eta * np.arange(m + 1)
     nodes = x0[..., None, :] - n_eta[:, None] * g_plus[..., None, :] + coef * sums
     _check_finite(nodes[..., m, :], m)
-    return nodes, x_plus, queries
+    return nodes, x_plus
 
 
 # ---------------------------------------------------------------------------
@@ -413,18 +411,42 @@ def simulate_mlmc(
     nodes = np.empty((B, grid.n_cells + 1, d))
     nodes[:, 0] = x0
     x_plus = np.empty((B, grid.N, d))
-    queries = 0
     x = x0
     for k in range(grid.N):
-        seg, xp, q = step_mlmc(
+        seg, xp = step_mlmc(
             potential, x, xi[:, k * m : (k + 1) * m], grid.eta, int(schedule.indices[k])
         )
         nodes[:, k * m + 1 : (k + 1) * m + 1] = seg[:, 1:]
         x_plus[:, k] = xp
-        queries += q
         x = seg[:, m]
         _check_finite(x, k)
-    return OverdampedTrajectory(grid=grid, schedule=schedule, x=nodes, x_plus=x_plus, grad_queries=queries)
+    return OverdampedTrajectory(grid=grid, schedule=schedule, x=nodes, x_plus=x_plus)
+
+
+def _kinetic_setup(
+    potential: Potential,
+    grid: TimeGrid,
+    gamma: float,
+    x0: np.ndarray,
+    p0: np.ndarray,
+    xi: np.ndarray,
+    n_nodes: int,
+) -> tuple:
+    """Validated inputs, step kernels and (x, p) node arrays of a kinetic run.
+
+    The node arrays have ``n_nodes`` nodes per path, the first set to (x0, p0).
+    """
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"friction must be positive, got {gamma}")
+    d = potential.d
+    x0 = _batch(x0, d, "x0")
+    p0 = _batch(p0, d, "p0")
+    xi = _batch_noise(xi, grid.n_cells, d)
+    kern = StepKernels.build(gamma, grid.h, grid.m)
+    xs = np.empty((x0.shape[0], n_nodes, d))
+    ps = np.empty((x0.shape[0], n_nodes, d))
+    xs[:, 0], ps[:, 0] = x0, p0
+    return x0, p0, xi, kern, xs, ps
 
 
 def simulate_ulmc(
@@ -436,16 +458,10 @@ def simulate_ulmc(
     xi: np.ndarray,
 ) -> UnderdampedTrajectory:
     """Chain frozen-gradient exponential Euler steps across the horizon."""
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"friction must be positive, got {gamma}")
-    x0 = _batch(x0, potential.d, "x0")
-    p0 = _batch(p0, potential.d, "p0")
-    xi = _batch_noise(xi, grid.n_cells, potential.d)
-    kern = StepKernels.build(gamma, grid.h, grid.m)
+    x0, p0, xi, kern, xs, ps = _kinetic_setup(
+        potential, grid, gamma, x0, p0, xi, grid.n_cells + 1
+    )
     B, d, m = x0.shape[0], potential.d, grid.m
-    xs = np.empty((B, grid.n_cells + 1, d))
-    ps = np.empty((B, grid.n_cells + 1, d))
-    xs[:, 0], ps[:, 0] = x0, p0
     x, p = x0, p0
     for k in range(grid.N):
         xn, pn = step_ulmc(kern, potential, x, p, xi[:, k * m : (k + 1) * m])
@@ -465,7 +481,6 @@ def simulate_ulmc(
         lambda1=zeros,
         lambda2=np.zeros_like(zeros),
         iterations=np.zeros(grid.N, dtype=int),
-        grad_queries=grid.N,
     )
 
 
@@ -478,17 +493,11 @@ def simulate_dmulmc(
     xi: np.ndarray,
 ) -> UnderdampedTrajectory:
     """Chain interpolated double-midpoint steps (fixed point per step)."""
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"friction must be positive, got {gamma}")
     grid = schedule.grid
-    x0 = _batch(x0, potential.d, "x0")
-    p0 = _batch(p0, potential.d, "p0")
-    xi = _batch_noise(xi, grid.n_cells, potential.d)
-    kern = StepKernels.build(gamma, grid.h, grid.m)
+    x0, p0, xi, kern, xs, ps = _kinetic_setup(
+        potential, grid, gamma, x0, p0, xi, grid.n_cells + 1
+    )
     B, d, m = x0.shape[0], potential.d, grid.m
-    xs = np.empty((B, grid.n_cells + 1, d))
-    ps = np.empty((B, grid.n_cells + 1, d))
-    xs[:, 0], ps[:, 0] = x0, p0
     x_minus = np.empty((B, grid.N, d))
     x_plus = np.empty((B, grid.N, d))
     lam1 = np.empty((B, grid.N, d))
@@ -523,7 +532,6 @@ def simulate_dmulmc(
         lambda1=lam1,
         lambda2=lam2,
         iterations=iters,
-        grad_queries=3 * grid.N,
     )
 
 
@@ -539,17 +547,11 @@ def simulate_dmulmc_marginal(
 
     Returns outer-node arrays (x, p), each (B, N+1, d).
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"friction must be positive, got {gamma}")
     grid = schedule.grid
-    x0 = _batch(x0, potential.d, "x0")
-    p0 = _batch(p0, potential.d, "p0")
-    xi = _batch_noise(xi, grid.n_cells, potential.d)
-    kern = StepKernels.build(gamma, grid.h, grid.m)
-    B, d, m = x0.shape[0], potential.d, grid.m
-    xs = np.empty((B, grid.N + 1, d))
-    ps = np.empty((B, grid.N + 1, d))
-    xs[:, 0], ps[:, 0] = x0, p0
+    x0, p0, xi, kern, xs, ps = _kinetic_setup(
+        potential, grid, gamma, x0, p0, xi, grid.N + 1
+    )
+    m = grid.m
     x, p = x0, p0
     for k in range(grid.N):
         x, p, _, _ = step_dmulmc_marginal(

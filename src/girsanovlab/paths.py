@@ -46,6 +46,7 @@ __all__ = [
     "NoisePath",
     "sample_noise",
     "refine_noise",
+    "bridge_split",
     "coarsen_noise",
     "brownian_partial_sums",
     "normal_block",
@@ -249,24 +250,26 @@ def normal_block(
 
 @dataclass(frozen=True)
 class NoisePath:
-    """Standard normal increments of a single path, with its stream identity.
+    """Standard normal increments of a path, with its stream identity.
 
-    ``level`` counts bridge refinements applied since the path was sampled
-    (the inner cell count of ``xi`` is 2^level times the sampled one).
+    ``xi`` holds one path, (n_cells, d), or the consecutive paths
+    ``stream, stream+1, ...`` stacked, (B, n_cells, d).  ``level`` counts
+    bridge refinements applied since the paths were sampled (the inner cell
+    count of ``xi`` is 2^level times the sampled one).
     """
 
-    xi: np.ndarray  # (n_cells, d)
+    xi: np.ndarray
     seed: int
     stream: int
     level: int = 0
 
     @property
     def n_cells(self) -> int:
-        return self.xi.shape[0]
+        return self.xi.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.xi.shape[1]
+        return self.xi.shape[-1]
 
 
 def sample_noise(seed: int, stream: int, n_cells: int, d: int) -> NoisePath:
@@ -294,26 +297,46 @@ def noise_matrix(
     """
     if n_paths <= 0 or start < 0:
         raise ValueError("need n_paths > 0 and start >= 0")
+    return _stream_rows(seed, label, 0, start, n_paths, n_cells, d)
+
+
+def _stream_rows(
+    seed: int, label: int, level: int, start: int, n_paths: int, n_cells: int, d: int
+) -> np.ndarray:
+    """Rows ``start .. start+n_paths−1`` of a stream's blocks, (n_paths, n_cells, d)."""
     out = np.empty((n_paths, n_cells, d))
     first, last = start // BLOCK_PATHS, (start + n_paths - 1) // BLOCK_PATHS
     for block in range(first, last + 1):
         lo = max(start, block * BLOCK_PATHS)
         hi = min(start + n_paths, (block + 1) * BLOCK_PATHS)
-        rows = normal_block(seed, n_cells, d, block, label=label)
+        rows = normal_block(seed, n_cells, d, block, level=level, label=label)
         out[lo - start : hi - start] = rows[lo - block * BLOCK_PATHS : hi - block * BLOCK_PATHS]
     return out
 
 
-def refine_noise(path: NoisePath) -> NoisePath:
-    """Split each increment in two with a fresh level-keyed midpoint variable."""
-    block, row = divmod(path.stream, BLOCK_PATHS)
-    zeta = normal_block(
-        path.seed, path.n_cells, path.d, block, level=path.level, label=LABEL_BRIDGE
-    )[row]
-    child = np.empty((2 * path.n_cells, path.d))
+def bridge_split(xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """Children (ξ+ζ)/√2 and (ξ−ζ)/√2 of each increment, interleaved.
+
+    ``xi`` and ``zeta`` are (..., n_cells, d); returns (..., 2·n_cells, d).
+    """
+    child = np.empty(xi.shape[:-2] + (2 * xi.shape[-2], xi.shape[-1]))
     root_half = np.sqrt(0.5)
-    child[0::2] = (path.xi + zeta) * root_half
-    child[1::2] = (path.xi - zeta) * root_half
+    child[..., 0::2, :] = (xi + zeta) * root_half
+    child[..., 1::2, :] = (xi - zeta) * root_half
+    return child
+
+
+def refine_noise(path: NoisePath) -> NoisePath:
+    """Split each increment in two with a fresh level-keyed midpoint variable.
+
+    Works on one path or a batch; path ``stream + b`` draws its midpoint
+    variables from the same bridge row either way.
+    """
+    n_paths = path.xi.shape[0] if path.xi.ndim == 3 else 1
+    zeta = _stream_rows(
+        path.seed, LABEL_BRIDGE, path.level, path.stream, n_paths, path.n_cells, path.d
+    )
+    child = bridge_split(path.xi, zeta.reshape(path.xi.shape))
     return replace(path, xi=child, level=path.level + 1)
 
 
@@ -323,7 +346,7 @@ def coarsen_noise(path: NoisePath) -> NoisePath:
         raise ValueError("cannot coarsen an odd number of cells")
     if path.level < 1:
         raise ValueError("path is already at its sampled resolution")
-    parent = (path.xi[0::2] + path.xi[1::2]) * np.sqrt(0.5)
+    parent = (path.xi[..., 0::2, :] + path.xi[..., 1::2, :]) * np.sqrt(0.5)
     return replace(path, xi=parent, level=path.level - 1)
 
 

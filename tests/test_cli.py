@@ -1,0 +1,70 @@
+"""Command-line front end: deterministic dumps and typed exit codes."""
+
+import pytest
+
+from girsanovlab.cli import main
+
+SCHEMES = {
+    "em-ld": "name = EM-LD",
+    "mlmc": "name = M-LMC",
+    "ulmc": "name = ULMC\ngamma = 1.0",
+    "dmulmc": "name = DM-ULMC\ngamma = 1.0",
+}
+
+
+def _config(tmp_path, scheme: str) -> str:
+    path = tmp_path / f"{scheme}.cfg"
+    path.write_text(f"""
+[experiment]
+name = normalization
+seed = 9
+[potential]
+kind = perturbed-quadratic
+spectrum = 1.0 2.0
+[grid]
+T = 0.5
+N = 4
+m = 4
+[scheme]
+{SCHEMES[scheme]}
+""")
+    return str(path)
+
+
+def _dump(tmp_path, command: str, cfg: str, path_index: int, tag: str) -> str:
+    out = tmp_path / f"{tag}.txt"
+    assert main([command, cfg, "--path", str(path_index), "--output", str(out)]) == 0
+    return out.read_text()
+
+
+def _array_names(text: str) -> set[str]:
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
+    return {ln.split(",")[0] for ln in lines}
+
+
+@pytest.mark.parametrize("command", ["dump-path", "dump-blocks"])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_dumps_are_deterministic(tmp_path, command, scheme):
+    cfg = _config(tmp_path, scheme)
+    first = _dump(tmp_path, command, cfg, 1, "first")
+    second = _dump(tmp_path, command, cfg, 1, "second")
+    assert first == second
+    assert f"scheme={scheme} path=1" in first
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_dump_path_fields_do_not_depend_on_the_path_index(tmp_path, scheme):
+    # N = 4 outer steps: path 3 simulates 4 paths, so a per-step array of
+    # length N must not pass for a per-path one
+    cfg = _config(tmp_path, scheme)
+    names = [_array_names(_dump(tmp_path, "dump-path", cfg, b, f"p{b}")) for b in (2, 3)]
+    assert names[0] == names[1]
+    assert "iterations" not in names[1]
+    assert {"z0", "xi", "x"} <= names[1]
+
+
+def test_run_on_malformed_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("[experiment]\nname = normalization\nbogus = 1\n")
+    assert main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
+    assert "unknown key 'bogus'" in capsys.readouterr().err

@@ -1,0 +1,30 @@
+"""Experiment internals that the acceptance criteria do not pin."""
+
+from girsanovlab.config import load_config
+from girsanovlab.experiments import _complexity_row
+
+CONFIG = """
+[experiment]
+name = complexity-table
+[potential]
+kind = gaussian
+d = 2
+[grid]
+T = 1.0
+N = 1
+m = {m}
+[scheme]
+name = ULMC
+"""
+
+
+def test_complexity_queries_follow_the_scheme_table():
+    # M-LMC with m = 1 snaps its midpoint to r = 0: one query per step
+    for m, per_step in ((1, 1), (8, 2)):
+        cfg = load_config(CONFIG.format(m=m))
+        row = _complexity_row(cfg, "mlmc", 0.1, cfg.potential, (5, 0.01, 0.005))
+        assert row["m"] == m
+        assert row["queries"] == 5 * per_step
+    row = _complexity_row(cfg, "dmulmc", 0.1, cfg.potential, (5, 0.01, 0.005))
+    assert row["queries"] == 15
+    assert _complexity_row(cfg, "ulmc", 0.1, cfg.potential, (None, 1.0, 1.0))["queries"] is None

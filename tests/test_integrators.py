@@ -19,14 +19,21 @@ from girsanovlab.integrators import (
     simulate_elementary_ld,
     simulate_mlmc,
     simulate_ulmc,
+    step_dmulmc_marginal,
+    step_mlmc,
+    step_ulmc,
 )
+from girsanovlab.engine import SCHEMES
 from girsanovlab.kernels import (
     SigmaCoefficients,
+    StepKernels,
     discrete_sigma_coefficients,
     exp_integrals,
     sigma_coefficients,
 )
 from girsanovlab.paths import (
+    LABEL_INIT,
+    LABEL_RESIDUAL,
     OverdampedSchedule,
     TimeGrid,
     UnderdampedSchedule,
@@ -206,17 +213,57 @@ def test_midpoint_overdamped_affine_superposition():
     np.testing.assert_allclose(out[0] + out[1] - out[2], out[3], rtol=1e-12, atol=1e-12)
 
 
+class _CountingQuadratic(IsotropicQuadratic):
+    """Counts gradient evaluations per path (points evaluated / batch size)."""
+
+    def __init__(self, d, batch):
+        super().__init__(d)
+        self.batch, self.points = batch, 0
+
+    def gradient(self, x):
+        self.points += np.size(x) // self.d
+        return super().gradient(x)
+
+    @property
+    def queries(self):
+        return self.points // self.batch
+
+
 def test_gradient_query_counters():
+    # one step of each scheme's marginal update evaluates exactly the
+    # gradients the scheme table claims for it
+    B, d = 3, 2
+    grid = TimeGrid(0.5, 1, 4)
+    kern = StepKernels.build(1.0, grid.h, grid.m)
     rng = np.random.default_rng(0)
-    pot = IsotropicQuadratic(2)
-    grid = TimeGrid(0.5, 4, 2)
-    xi = rng.normal(size=(1, grid.n_cells, 2))
-    x0 = np.zeros((1, 2))
-    over = OverdampedSchedule.deterministic(grid, fraction=0.5)
-    assert simulate_mlmc(pot, over, x0, xi).grad_queries == 2 * grid.N
-    assert simulate_ulmc(pot, grid, 1.0, x0, x0, xi).grad_queries == grid.N
-    under = UnderdampedSchedule.deterministic(grid)
-    assert simulate_dmulmc(pot, under, 1.0, x0, x0, xi).grad_queries == 3 * grid.N
+    x0, p0 = rng.normal(size=(B, d)), rng.normal(size=(B, d))
+    xi = rng.normal(size=(B, grid.m, d))
+    steps = {
+        ("mlmc", 0): lambda pot: step_mlmc(pot, x0, xi, grid.eta, 0),
+        ("mlmc", 2): lambda pot: step_mlmc(pot, x0, xi, grid.eta, 2),
+        ("ulmc", 0): lambda pot: step_ulmc(kern, pot, x0, p0, xi),
+        ("dmulmc", (1, 2)): lambda pot: step_dmulmc_marginal(kern, pot, x0, p0, xi, 1, 2),
+    }
+    expected = [1, 2, 1, 3]
+    for ((scheme, key), step), queries in zip(steps.items(), expected):
+        pot = _CountingQuadratic(d, B)
+        step(pot)
+        entry = SCHEMES[scheme]
+        assert pot.queries == queries, scheme
+        assert entry.grad_queries(grid, entry.step_schedule(grid, key)) == queries, scheme
+
+
+def test_elementary_ld_matches_exact_flow_for_free_dynamics():
+    # with no drift each Euler cell IS the diffusion's cell under the coupling
+    pot = IsotropicQuadratic(1, scale=0.0)
+    x0 = noise_matrix(5, 256, 1, 1, label=LABEL_INIT)[:, 0]
+    for h in (0.25, 0.125):
+        grid = TimeGrid(h, 1, 4)
+        xi = noise_matrix(5, 256, grid.m, 1)
+        residual = noise_matrix(5, 256, grid.m, 1, label=LABEL_RESIDUAL)
+        euler = simulate_elementary_ld(pot, grid, x0, xi)
+        exact = exact_ou_flow_ld(pot, x0, xi, grid.eta, residual)
+        np.testing.assert_array_equal(euler, exact)
 
 
 def test_blowup_error_names_the_step():

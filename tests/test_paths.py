@@ -115,6 +115,18 @@ def test_refined_midpoints_are_standard_normal():
     assert abs(v - 1.0) <= 4.0 * np.sqrt(2.0 / pool.size)
 
 
+def test_batched_refinement_matches_per_path():
+    # a stacked batch of streams 4095, 4096, 4097 straddles a generation block
+    paths = [sample_noise(seed=8, stream=s, n_cells=6, d=2) for s in (4095, 4096, 4097)]
+    batch = NoisePath(np.stack([p.xi for p in paths]), seed=8, stream=4095)
+    fine = refine_noise(refine_noise(batch))
+    for b, p in enumerate(paths):
+        np.testing.assert_array_equal(fine.xi[b], refine_noise(refine_noise(p)).xi)
+    # coarsening inverts refinement up to rounding, batched as per path
+    back = coarsen_noise(fine)
+    np.testing.assert_allclose(back.xi[1], refine_noise(paths[1]).xi, rtol=1e-14, atol=1e-14)
+
+
 def test_refinement_deterministic_per_level():
     path = sample_noise(seed=9, stream=2, n_cells=8, d=2)
     np.testing.assert_array_equal(refine_noise(path).xi, refine_noise(path).xi)
