@@ -35,7 +35,15 @@ from .divergences import (
     pinsker_tv_bound,
     stationary_moments,
 )
-from .engine import SCHEMES, Scheme, WeightRun, generic_log_weights, run_weights, scheme_for
+from .engine import (
+    SCHEMES,
+    Scheme,
+    WeightRun,
+    generic_log_weights,
+    run_weights,
+    scheme_for,
+    start_states,
+)
 from .experiments import Check, RunResult, run, run_experiment
 from .girsanov import (
     BlockSummary,
@@ -154,6 +162,7 @@ __all__ = [
     "simulate_ulmc",
     "skorohod_adjoint",
     "spectral_radius_estimate",
+    "start_states",
     "stationary_moments",
     "summary_log_weight",
     "step_maps_for_schedule",

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .experiments import RunResult, _draw_initial, run_experiment
+from .engine import start_states
+from .experiments import RunResult, run_experiment
 from .girsanov import carleman_fredholm_logdet, malliavin_blocks_mlmc
 from .integrators import simulate_mlmc
 from .paths import OverdampedSchedule, TimeGrid, noise_matrix
@@ -223,7 +224,7 @@ name = {label}
         for n_steps in (2, 4, 8):  # h = 0.2, 0.1, 0.05 at fixed T
             grid = TimeGrid(T, n_steps, m)
             schedule = OverdampedSchedule.deterministic(grid)
-            x0 = _draw_initial(potential, False, self.seed, n)
+            x0 = start_states(potential, False, self.seed, n)
             xi = noise_matrix(self.seed, n, grid.n_cells, potential.d)
             traj = simulate_mlmc(potential, schedule, x0, xi)
             blocks = malliavin_blocks_mlmc(potential, traj, q=1.0)

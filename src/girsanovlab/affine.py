@@ -48,9 +48,9 @@ class StepMaps:
 
     State z is x (overdamped, dim d) or (x, p) stacked (kinetic, dim 2d).
     Endpoint: z' = A·z + S·ξ_flat + b.  Drift: ψ_i = Pz[i]·z + Pxi[i]·ξ_flat
-    + p0[i] per cell i.  ``block`` is the constant within-step derivative
-    ∂ψ/∂ξ at q = 1, with its log|det(I+D)|, trace, and spectral-radius
-    estimate precomputed.
+    + p0[i] per cell i.  The constant within-step derivative D = ∂ψ/∂ξ at
+    q = 1 enters through its log|det(I+D)|, trace and spectral-radius
+    estimate, precomputed.
     """
 
     scheme: str
@@ -62,7 +62,6 @@ class StepMaps:
     Pz: np.ndarray  # (m, d, z)
     Pxi: np.ndarray  # (m, d, m·d)
     p0: np.ndarray  # (m, d)
-    block: np.ndarray  # (m·d, m·d)
     log_abs_det: float
     det_sign: float
     trace: float
@@ -136,7 +135,6 @@ def extract_step_maps(
         Pz=Pz,
         Pxi=Pxi,
         p0=p0,
-        block=D,
         log_abs_det=log_abs_det,
         det_sign=float(sign),
         trace=float(np.trace(D)),

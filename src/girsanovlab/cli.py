@@ -32,8 +32,8 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, AcceptanceSuite
 from .config import ConfigError, ExperimentConfig, load_config_file
-from .engine import scheme_for
-from .experiments import _draw_initial, run
+from .engine import scheme_for, start_states
+from .experiments import run
 from .girsanov import rn_log_weight
 from .paths import noise_matrix
 
@@ -62,7 +62,7 @@ def _path_setup(cfg: ExperimentConfig, path_index: int):
     grid = cfg.grids()[0]
     schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, 0)
     n = path_index + 1
-    z0 = _draw_initial(potential, scheme.kinetic, cfg.seed, n)
+    z0 = start_states(potential, scheme.kinetic, cfg.seed, n)
     xi = noise_matrix(cfg.seed, n, grid.n_cells, potential.d)
     traj = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, xi)
     return scheme, grid, schedule, z0, xi, traj

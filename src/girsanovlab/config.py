@@ -16,7 +16,9 @@ Sections and keys
 [grid]        T (required); exactly one of N or h (list); m (scalar or list
               parallel to h)
 [scheme]      name (required): EM-LD | M-LMC | ULMC | DM-ULMC;
-              gamma; schedule: deterministic | randomized | zero; q (list)
+              gamma; schedule: deterministic | randomized | zero (rejected
+              by local-error-sweep and complexity-table, which run each
+              scheme's deterministic schedule); q (list)
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ SCHEME_NAMES = {key: name for name, s in SCHEMES.items() for key in (name, s.lab
 
 SCHEDULE_MODES = ("deterministic", "randomized", "zero")
 
+#: experiments that run each scheme's deterministic schedule, so reject the key
+FIXED_SCHEDULE_EXPERIMENTS = ("local-error-sweep", "complexity-table")
+
 _KNOWN_KEYS = {
     "experiment": {"name", "seed", "n_paths", "output"},
     "potential": {"kind", "d", "scale", "spectrum", "amplitude", "frequency", "c"},
@@ -74,7 +79,9 @@ class ExperimentConfig:
 
     ``h_list``/``n_list``/``m_list`` are parallel: one entry per grid in the
     sweep.  ``config_hash`` deterministically identifies (config, seed): any
-    change to a resolved field changes the hash.
+    change to a resolved field that enters the run changes the hash; line
+    order, comments, the ``output`` path and the spelling of the scheme name
+    do not (tested).
     """
 
     experiment: str
@@ -317,6 +324,11 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"{e.where('scheme.schedule')}: unknown schedule mode {schedule_mode!r} "
             f"(known: {', '.join(SCHEDULE_MODES)})"
+        )
+    if e.has("scheme.schedule") and experiment in FIXED_SCHEDULE_EXPERIMENTS:
+        raise ConfigError(
+            f"{e.where('scheme.schedule')}: the {experiment} experiment uses each "
+            "scheme's deterministic schedule; remove the key"
         )
     kinetic = SCHEMES[scheme].kinetic
     if e.has("scheme.gamma"):

@@ -19,13 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import logsumexp
-from scipy.stats import t as student_t
+from scipy.special import logsumexp, stdtrit
 
-from .engine import scheme_for
-from .girsanov import LogWeight
+from .engine import scheme_for, start_states
 from .integrators import ou_cell_uld
-from .paths import BLOCK_PATHS, bridge_split
+from .paths import BLOCK_PATHS, LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential
 
 __all__ = [
@@ -52,10 +50,9 @@ REJECTION_RELIABILITY_LIMIT = 0.01
 class DivergenceEstimate:
     """Point estimate with a jackknife standard error and rejection counts.
 
-    ``kind`` is "kl" or "renyi-q"; ``direction`` names the (P, Q) pair the
-    estimate refers to — P is the simulated law, Q the reweighting target.
-    Swapping direction requires re-simulation under the other law, never
-    reweighting alone.
+    ``kind`` is "kl" or "renyi-q".  The estimate is of D(P‖Q) with P the
+    simulated law and Q the reweighting target; the other direction needs
+    re-simulation under Q, never reweighting alone.
     """
 
     value: float
@@ -63,7 +60,6 @@ class DivergenceEstimate:
     n_used: int
     n_rejected: int
     kind: str = "kl"
-    direction: tuple[str, str] = ("scheme", "diffusion")
 
     @property
     def reliable(self) -> bool:
@@ -262,7 +258,7 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> SlopeFit:
     dof = n - 2
     sigma2 = ss_res / dof
     stderr = np.sqrt(sigma2 / sxx)
-    ci95 = float(student_t.ppf(0.975, dof) * stderr)
+    ci95 = float(stdtrit(dof, 0.975) * stderr)
     return SlopeFit(
         slope=float(slope),
         intercept=float(intercept),
@@ -303,50 +299,6 @@ class LocalErrorReport:
     slopes: dict[str, SlopeFit]
 
 
-def _exact_kinetic_reference(potential, gamma, x0, p0, xi, eta, residual):
-    from .integrators import exact_ou_flow_uld
-
-    xs, ps = exact_ou_flow_uld(potential, gamma, x0, p0, xi, eta, residual)
-    return xs[:, -1], ps[:, -1]
-
-
-def _exact_overdamped_reference(potential, x0, xi, eta, residual):
-    from .integrators import exact_ou_flow_ld
-
-    xs = exact_ou_flow_ld(potential, x0, xi, eta, residual)
-    return xs[:, -1]
-
-
-def _refined_reference(kinetic, potential, grid, gamma, x0, p0, xi, seed, start, levels=5):
-    """Fallback diffusion reference for non-quadratic targets.
-
-    Bridge-refines the driving increments ``levels`` times (so the reference
-    cell is 2^levels finer than the scheme's finest cell) and integrates with
-    the elementary scheme on the refined grid, consuming bridge normals from
-    the residual stream.  The reference carries its own discretization error,
-    so only slopes over steps much coarser than the refined cell are
-    meaningful.
-    """
-    from .integrators import simulate_elementary_ld, simulate_ulmc
-    from .paths import LABEL_RESIDUAL, noise_matrix
-
-    B, m, d = xi.shape
-    zetas = noise_matrix(
-        seed, B, m * ((1 << levels) - 1), d, label=LABEL_RESIDUAL, start=start
-    )
-    fine_grid, fine_xi, used = grid, xi, 0
-    for _ in range(levels):
-        ncur = fine_xi.shape[1]
-        fine_xi = bridge_split(fine_xi, zetas[:, used : used + ncur])
-        used += ncur
-        fine_grid = fine_grid.refined()
-    if kinetic:
-        traj = simulate_ulmc(potential, fine_grid, gamma, x0, p0, fine_xi)
-        return traj.x[:, -1], traj.p[:, -1]
-    nodes = simulate_elementary_ld(potential, fine_grid, x0, fine_xi)
-    return nodes[:, -1], None
-
-
 def local_error_sweep(
     scheme: str,
     potential: Potential,
@@ -355,33 +307,32 @@ def local_error_sweep(
     gamma: float | None = None,
     n_paths: int = 4096,
     seed: int = 0,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LocalErrorReport:
-    """One-step error sweep over a family of single-step grids.
+    """One-step error sweep over a family of single-step grids, quadratic targets only.
 
     Each entry of ``grids`` must be a TimeGrid with N = 1 whose horizon plays
     the role of the step size h; its ``m`` sets the midpoint resolution.  The
-    initial state is drawn from ``init`` = (mean, cov) in the scheme's state
-    space (default: the stationary law of the target dynamics).  Strong
-    errors use replica 1 only; weak errors pair two replicas sharing the
-    initial state.  Deterministic midpoint schedules are used throughout, and
-    paths are processed one generation block at a time.
+    reference is the exact Ornstein–Uhlenbeck flow driven by the same
+    increments, so the target must be quadratic.  Start states come from
+    :func:`~girsanovlab.engine.start_states` with the default (stationary)
+    law.  Strong errors use replica 1 only; weak errors pair two replicas
+    sharing the start state.  Deterministic midpoint schedules are used
+    throughout, and paths are processed one generation block at a time.
     """
-    from .paths import LABEL_INIT, LABEL_PATH, LABEL_RESIDUAL, noise_matrix
+    # looked up at call time, so wrappers installed on these modules see the calls
+    from .integrators import exact_ou_flow_ld, exact_ou_flow_uld
+    from .paths import noise_matrix
 
     s = scheme_for(scheme)
     kinetic = s.kinetic
     if kinetic and gamma is None:
         raise ValueError("kinetic schemes require gamma")
+    if not potential.is_quadratic:
+        raise ValueError(
+            "the local-error sweep couples against the exact Gaussian flow "
+            "and needs a quadratic potential"
+        )
     d = potential.d
-    zdim = 2 * d if kinetic else d
-    if init is None:
-        mean0, cov0 = stationary_moments(potential, kinetic=kinetic)
-    else:
-        mean0 = np.asarray(init[0], dtype=float)
-        cov0 = np.asarray(init[1], dtype=float)
-    chol0 = np.linalg.cholesky(cov0 + 0.0)
-    exact = potential.is_quadratic
 
     hs, ms = [], []
     cols = {k: ([], []) for k in ("strong_x", "strong_p", "weak_x", "weak_p")}
@@ -397,34 +348,22 @@ def local_error_sweep(
         for lo in range(0, n_paths, BLOCK_PATHS):
             hi = min(lo + BLOCK_PATHS, n_paths)
             rows = hi - lo
-            u0 = noise_matrix(seed, rows, 1, zdim, label=LABEL_INIT, start=lo)[:, 0]
-            z0 = mean0 + u0 @ chol0.T
+            z0 = start_states(potential, kinetic, seed, rows, start=lo)
             x0 = z0[:, :d]
-            p0 = z0[:, d:] if kinetic else None
             deltas = []
             for rep in range(2):
                 off = rep * n_paths + lo
                 xi = noise_matrix(seed, rows, grid.m, d, label=LABEL_PATH, start=off)
                 z_alg = s.endpoint(s.simulate(potential, grid, schedule, gamma, z0, xi))
                 x_alg, p_alg = z_alg[:, :d], z_alg[:, d:]
-                if exact:
-                    if kinetic:
-                        resid = noise_matrix(
-                            seed, rows, grid.m, 2 * d, label=LABEL_RESIDUAL, start=off
-                        )
-                        x_ref, p_ref = _exact_kinetic_reference(
-                            potential, gamma, x0, p0, xi, eta, resid
-                        )
-                    else:
-                        resid = noise_matrix(
-                            seed, rows, grid.m, d, label=LABEL_RESIDUAL, start=off
-                        )
-                        x_ref = _exact_overdamped_reference(potential, x0, xi, eta, resid)
-                        p_ref = None
+                resid = noise_matrix(
+                    seed, rows, grid.m, z0.shape[1], label=LABEL_RESIDUAL, start=off
+                )
+                if kinetic:
+                    xs, ps = exact_ou_flow_uld(potential, gamma, x0, z0[:, d:], xi, eta, resid)
+                    x_ref, p_ref = xs[:, -1], ps[:, -1]
                 else:
-                    x_ref, p_ref = _refined_reference(
-                        kinetic, potential, grid, gamma, x0, p0, xi, seed, off
-                    )
+                    x_ref = exact_ou_flow_ld(potential, x0, xi, eta, resid)[:, -1]
                 dx = x_alg - x_ref
                 dp = (p_alg - p_ref) if kinetic else np.zeros_like(dx)
                 deltas.append((dx, dp))

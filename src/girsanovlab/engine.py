@@ -8,6 +8,12 @@ per-block arithmetic, and the merge order are all functions of the path index
 alone, so estimates are bit-identical across thread counts and across runs
 with the same seed.
 
+Every path consumer draws start states through :func:`start_states`: path
+p's start is row p of the seed's initialization stream, as its increments are
+row p of the path stream.  The default start law is the stationary law for
+quadratic targets, N(0, H⁻¹) or N(0, diag(H⁻¹, I)) in phase space, and
+otherwise x ~ N(0, I/α) with p ~ N(0, I).
+
 The scheme table :data:`SCHEMES` defines each discretization once — its
 schedules, simulation, drift, derivative blocks, affine step keys, gradient
 query count and step-size bound — and every scheme-dependent call site in the
@@ -42,11 +48,15 @@ from .paths import (
     OverdampedSchedule,
     TimeGrid,
     UnderdampedSchedule,
+    noise_matrix,
     normal_block,
 )
 from .potentials import Potential
 
-__all__ = ["SCHEMES", "Scheme", "WeightRun", "scheme_for", "run_weights", "generic_log_weights"]
+__all__ = [
+    "SCHEMES", "Scheme", "WeightRun", "scheme_for", "start_states", "run_weights",
+    "generic_log_weights",
+]
 
 #: Generic per-path assembly is evaluated in sub-chunks this large to bound
 #: the memory of the (chunk, N, m, d, d) Hessian arrays.
@@ -273,41 +283,30 @@ def generic_log_weights(
     return summary_log_weight(s.drift(potential, traj), s.summary(potential, traj), xi)
 
 
-def _init_sampler(init, potential: Potential, kinetic: bool, seed: int):
-    """Return (state_dim, draw(block, rows) -> (rows, state_dim)).
+def start_states(
+    potential: Potential, kinetic: bool, seed: int, n: int, *, start: int = 0, init=None
+) -> np.ndarray:
+    """Start states of paths ``start .. start+n−1``, shape (n, d) or (n, 2d).
 
-    ``init`` is "stationary", ("delta", vector), or ("gaussian", mean, cov).
-    Random starts consume the dedicated initialization stream, block-aligned
-    with the path stream, so adding paths never perturbs existing ones.
+    ``init`` is None (the default start law) or ("gaussian", mean, cov).
+    Path p's start is row p of the seed's initialization stream pushed
+    through the law's Cholesky factor, so it depends on (seed, p) alone.
     """
-    from .divergences import stationary_moments
-
     d = potential.d
     zdim = 2 * d if kinetic else d
-    if isinstance(init, str) and init == "stationary":
+    if init is None and potential.is_quadratic:
+        from .divergences import stationary_moments  # divergences imports this module
+
         mean, cov = stationary_moments(potential, kinetic=kinetic)
-    elif isinstance(init, tuple) and init[0] == "delta":
-        vec = np.asarray(init[1], dtype=float)
-        if vec.shape != (zdim,):
-            raise ValueError(f"delta start must have shape ({zdim},), got {vec.shape}")
-
-        def draw_delta(block: int, rows: slice) -> np.ndarray:
-            n = rows.stop - rows.start
-            return np.broadcast_to(vec, (n, zdim)).copy()
-
-        return zdim, draw_delta
-    elif isinstance(init, tuple) and init[0] == "gaussian":
-        mean = np.asarray(init[1], dtype=float)
-        cov = np.asarray(init[2], dtype=float)
+    elif init is None:
+        mean, cov = np.zeros(zdim), np.eye(zdim)
+        cov[:d, :d] /= potential.alpha if potential.alpha > 0 else 1.0
+    elif init[0] == "gaussian":
+        mean, cov = np.asarray(init[1], dtype=float), np.asarray(init[2], dtype=float)
     else:
         raise ValueError(f"unknown initial law {init!r}")
-    chol = np.linalg.cholesky(cov)
-
-    def draw(block: int, rows: slice) -> np.ndarray:
-        normals = normal_block(seed, 1, zdim, block, label=LABEL_INIT)[rows, 0]
-        return mean + normals @ chol.T
-
-    return zdim, draw
+    normals = noise_matrix(seed, n, 1, zdim, label=LABEL_INIT, start=start)[:, 0]
+    return mean + normals @ np.linalg.cholesky(cov).T
 
 
 def run_weights(
@@ -319,15 +318,15 @@ def run_weights(
     gamma: float | None = None,
     n_paths: int,
     seed: int,
-    init="stationary",
+    init=None,
     threads: int = 1,
-    force_generic: bool = False,
 ) -> WeightRun:
     """Sample ``n_paths`` scheme paths and evaluate their log weights.
 
-    Noise comes from the path stream of ``seed``; initial states from the
-    initialization stream.  Constant-Hessian targets use the affine fast
-    path unless ``force_generic``; both routes agree to rounding (tested).
+    Increments are read-only rows of the path stream's generation blocks;
+    start states come from :func:`start_states` with ``init`` (default: the
+    default start law).  Constant-Hessian targets take the affine fast path,
+    which agrees with :func:`generic_log_weights` to rounding (tested).
     """
     the_grid = _resolve_grid(schedule, grid)
     s = scheme_for(scheme)
@@ -336,18 +335,16 @@ def run_weights(
     if schedule is None:
         schedule = s.schedule(the_grid)
     n_cells, d = the_grid.n_cells, potential.d
-    zdim, draw_init = _init_sampler(init, potential, s.kinetic, seed)
 
     maps = None
-    if potential.is_quadratic and not force_generic:
+    if potential.is_quadratic:
         maps = step_maps_for_schedule(scheme, potential, schedule or the_grid, gamma)
 
     def eval_block(block: int) -> tuple:
         lo = block * BLOCK_PATHS
         hi = min(n_paths, lo + BLOCK_PATHS)
-        rows = slice(0, hi - lo)
-        xi = normal_block(seed, n_cells, d, block)[rows]
-        z0 = draw_init(block, rows)
+        xi = normal_block(seed, n_cells, d, block)[: hi - lo]
+        z0 = start_states(potential, s.kinetic, seed, hi - lo, start=lo, init=init)
         if maps is not None:
             w = fast_log_weights(maps, z0, xi)
             return block, w.log_weight, w.invertible, int(w.negative_det.sum()), float(

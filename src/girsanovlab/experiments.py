@@ -26,7 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import quadratic_path_kl, scheme_marginal_gaussian, step_maps_for_schedule
+from .affine import (
+    marginal_moments,
+    quadratic_path_kl,
+    scheme_marginal_gaussian,
+    step_maps_for_schedule,
+)
 from .config import ExperimentConfig
 from .divergences import (
     REJECTION_RELIABILITY_LIMIT,
@@ -37,15 +42,14 @@ from .divergences import (
     local_error_sweep,
     stationary_moments,
 )
-from .engine import _init_sampler, generic_log_weights, run_weights, scheme_for
+from .engine import generic_log_weights, run_weights, scheme_for, start_states
 from .girsanov import trace_diagnostics_mlmc
-from .paths import BLOCK_PATHS, NoisePath, TimeGrid, noise_matrix, refine_noise
+from .paths import NoisePath, TimeGrid, noise_matrix, refine_noise
 from .potentials import AnisotropicQuadratic, IsotropicQuadratic, Potential
 
 __all__ = [
     "Check",
     "RunResult",
-    "EXPERIMENT_CRITERIA",
     "KL_SLOPE_THRESHOLDS",
     "run",
     "run_experiment",
@@ -69,18 +73,6 @@ COMPLEXITY_COLUMNS = (
     "h", "n_steps", "queries", "kl", "marginal_kl", "exponent", "status",
 )
 
-#: acceptance criteria each experiment exercises (documentation + summaries)
-EXPERIMENT_CRITERIA = {
-    "normalization": (1,),
-    "adapted-equivalence": (2,),
-    "fd-malliavin": (3,),
-    "eta-refinement": (9,),
-    "kl-order-sweep": (6, 7, 10),
-    "local-error-sweep": (8,),
-    "trace-diagnostics": (5,),
-    "complexity-table": (12,),
-}
-
 #: one-sided log-log slope thresholds for the KL order sweep: the
 #: bound-implied decay order minus the 0.5 fitting tolerance (0.2 for the
 #: overdamped midpoint, whose acceptance threshold is pinned at 0.8).
@@ -97,6 +89,9 @@ TRACE_GAP_RATIO_LIMIT = 1.0 / 1.7
 FD_REL_TOL = 1e-5
 FD_ABS_FLOOR = 1e-10
 FD_PROBE = 1e-5
+
+#: inner-grid doublings of the eta-refinement experiment
+ETA_DOUBLINGS = 4
 
 #: built-in accuracy ladder and search cap for the complexity table
 EPSILON_LADDER = (0.18, 0.12, 0.08, 0.05, 0.03)
@@ -178,30 +173,6 @@ def _base_row(cfg: ExperimentConfig, **kv) -> dict:
     return row
 
 
-def _default_init(potential: Potential, kinetic: bool):
-    """Stationary start when available, else a fixed Gaussian reference."""
-    if potential.is_quadratic:
-        return "stationary"
-    d = potential.d
-    scale = potential.alpha if potential.alpha > 0 else 1.0
-    cov_x = np.eye(d) / scale
-    if not kinetic:
-        return ("gaussian", np.zeros(d), cov_x)
-    cov = np.zeros((2 * d, 2 * d))
-    cov[:d, :d] = cov_x
-    cov[d:, d:] = np.eye(d)
-    return ("gaussian", np.zeros(2 * d), cov)
-
-
-def _draw_initial(potential: Potential, kinetic: bool, seed: int, n: int) -> np.ndarray:
-    """First n rows of the engine's initialization stream for this seed."""
-    _, draw = _init_sampler(_default_init(potential, kinetic), potential, kinetic, seed)
-    return np.concatenate([
-        draw(block, slice(0, min(BLOCK_PATHS, n - block * BLOCK_PATHS)))
-        for block in range((n + BLOCK_PATHS - 1) // BLOCK_PATHS)
-    ])
-
-
 # ---------------------------------------------------------------------------
 # normalization: E[M] = 1
 # ---------------------------------------------------------------------------
@@ -215,9 +186,7 @@ def _run_normalization(cfg: ExperimentConfig, threads: int) -> RunResult:
         schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
         wr = run_weights(
             cfg.scheme, cfg.potential, schedule=schedule, grid=grid,
-            gamma=cfg.gamma, n_paths=cfg.n_paths, seed=cfg.seed,
-            init=_default_init(cfg.potential, scheme.kinetic),
-            threads=threads,
+            gamma=cfg.gamma, n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
         )
         logw = wr.log_weight[wr.invertible]
         with np.errstate(over="ignore"):
@@ -260,7 +229,7 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
     for grid in cfg.grids():
         schedule = scheme.schedule(grid)
         n = cfg.n_paths
-        x0 = _draw_initial(potential, False, cfg.seed, n)
+        x0 = start_states(potential, False, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
         traj = scheme.simulate(potential, grid, schedule, None, x0, xi)
         drift = scheme.drift(potential, traj)
@@ -305,7 +274,7 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
     n = min(cfg.n_paths, 64)  # derivative checks need few paths
     for i, grid in enumerate(cfg.grids()):
         schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
-        z0 = _draw_initial(potential, scheme.kinetic, cfg.seed, n)
+        z0 = start_states(potential, scheme.kinetic, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
         traj = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, xi)
         analytic = scheme.blocks(potential, traj, include_offdiag=True).full
@@ -346,8 +315,7 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_eta_refinement(cfg: ExperimentConfig, threads: int,
-                        n_doublings: int = 4) -> RunResult:
+def _run_eta_refinement(cfg: ExperimentConfig, threads: int) -> RunResult:
     result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
                        REPORT_COLUMNS, [], [])
     scheme = scheme_for(cfg.scheme)
@@ -356,24 +324,24 @@ def _run_eta_refinement(cfg: ExperimentConfig, threads: int,
     n = min(cfg.n_paths, 100)
     for i, grid in enumerate(cfg.grids()):
         schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
-        z0 = _draw_initial(potential, scheme.kinetic, cfg.seed, n)
+        z0 = start_states(potential, scheme.kinetic, cfg.seed, n)
         noise = NoisePath(noise_matrix(cfg.seed, n, grid.n_cells, d), cfg.seed, 0)
         cur_grid, cur_schedule = grid, schedule
         logws = []
         keep = np.ones(n, dtype=bool)
-        for level in range(n_doublings + 1):
+        for level in range(ETA_DOUBLINGS + 1):
             lw = generic_log_weights(cfg.scheme, potential, cur_schedule,
                                      cur_grid, cfg.gamma, z0, noise.xi)
             logws.append(lw.log_weight)
             keep &= lw.invertible
-            if level < n_doublings:
+            if level < ETA_DOUBLINGS:
                 noise = refine_noise(noise)
                 cur_grid = cur_grid.refined()
                 if cur_schedule is not None:
                     cur_schedule = cur_schedule.refined()
         n_rej = int((~keep).sum())
         gaps = []
-        for level in range(n_doublings):
+        for level in range(ETA_DOUBLINGS):
             delta = np.abs(logws[level + 1][keep] - logws[level][keep])
             gaps.append(float(delta.max()) if delta.size else float("nan"))
             row = _base_row(
@@ -402,13 +370,12 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
                        REPORT_COLUMNS, [], [])
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
-    init = _default_init(potential, scheme.kinetic)
     hs, kls, ses = [], [], []
     for i, grid in enumerate(cfg.grids()):
         schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
         wr = run_weights(
             cfg.scheme, potential, schedule=schedule, grid=grid, gamma=cfg.gamma,
-            n_paths=cfg.n_paths, seed=cfg.seed, init=init, threads=threads,
+            n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
         )
         est = estimate_kl(wr)
         ok = est.reliable and np.isfinite(est.value)
@@ -487,11 +454,6 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
     result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_LOCAL,
                        LOCAL_COLUMNS, [], [])
     potential = cfg.potential
-    if not potential.is_quadratic:
-        raise ValueError(
-            "the local-error sweep couples against the exact Gaussian flow "
-            "and needs a quadratic potential"
-        )
     kinetic = scheme_for(cfg.scheme).kinetic
     grids = [TimeGrid(h, 1, m) for h, m in zip(cfg.h_list, cfg.m_list)]
     report = local_error_sweep(
@@ -571,7 +533,7 @@ def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int) -> RunResult:
     zero_ok = True
     for i, grid in enumerate(cfg.grids()):
         schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
-        x0 = _draw_initial(potential, False, cfg.seed, n)
+        x0 = start_states(potential, False, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
         traj = scheme.simulate(potential, grid, schedule, None, x0, xi)
         diag = trace_diagnostics_mlmc(potential, traj)
@@ -624,13 +586,10 @@ def _complexity_kls(scheme: str, potential: Potential, T: float, n_steps: int,
     returned, which certifies the marginal accuracy the table claims.
     """
     grid = TimeGrid(T, n_steps, m)  # each scheme's deterministic schedule
-    kinetic = scheme_for(scheme).kinetic
-    mean0, cov0 = stationary_moments(potential, kinetic=kinetic)
-    maps = step_maps_for_schedule(scheme, potential, grid,
-                                  gamma=gamma if kinetic else None)
+    mean0, cov0 = stationary_moments(potential, kinetic=scheme_for(scheme).kinetic)
+    maps = step_maps_for_schedule(scheme, potential, grid, gamma=gamma)
     path_kl = quadratic_path_kl(maps, mean0, cov0)
-    mean, cov = scheme_marginal_gaussian(scheme, potential, grid, mean0,
-                                         cov0, gamma=gamma)
+    mean, cov = marginal_moments(maps, mean0, cov0)
     return path_kl, gaussian_kl(mean, cov, mean0, cov0)
 
 
@@ -664,17 +623,21 @@ def _step_bound_floor(scheme: str, potential: Potential, T: float,
 
 
 def _search_steps(scheme: str, potential: Potential, T: float, m_cfg: int,
-                  gamma, eps2: float, q_max: float
+                  gamma, eps2: float, q_max: float, kls: dict
                   ) -> tuple[int | None, float, float]:
     """Smallest step count with path KL <= eps^2 (largest usable h).
 
     Returns (n_steps, path KL, marginal KL); n_steps is None when the cap is
-    exhausted, with the last evaluated values reported.
+    exhausted, with the last evaluated values reported.  ``kls`` memoizes the
+    KL pair by (scheme, potential, n_steps) across one table's searches.
     """
 
     def kl_at(n_steps: int) -> tuple[float, float]:
-        m = _inner_cells(scheme, n_steps, T, m_cfg)
-        return _complexity_kls(scheme, potential, T, n_steps, m, gamma)
+        key = (scheme, potential, n_steps)
+        if key not in kls:
+            m = _inner_cells(scheme, n_steps, T, m_cfg)
+            kls[key] = _complexity_kls(scheme, potential, T, n_steps, m, gamma)
+        return kls[key]
 
     lo = _step_bound_floor(scheme, potential, T, q_max)
     value, marginal = kl_at(lo)
@@ -755,12 +718,13 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
     m_cfg = cfg.m_list[0]
     q_max = max(cfg.q_list)
     exponents: dict[str, float] = {}
+    kls: dict = {}
     certificate_ok = True
     for scheme in COMPLEXITY_SCHEMES:
         gamma = _complexity_gamma(cfg, scheme)
         points = []
         for eps in EPSILON_LADDER:
-            found = _search_steps(scheme, potential, T, m_cfg, gamma, eps * eps, q_max)
+            found = _search_steps(scheme, potential, T, m_cfg, gamma, eps * eps, q_max, kls)
             result.rows.append(_complexity_row(cfg, scheme, eps, potential, found))
             n_steps, kl, marginal = found
             if n_steps is not None:
@@ -805,7 +769,8 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
         gamma = _complexity_gamma(cfg, scheme)
         pair = []
         for pot in (potential, doubled):
-            found = _search_steps(scheme, pot, T, m_cfg, gamma, eps_mid * eps_mid, q_max)
+            found = _search_steps(scheme, pot, T, m_cfg, gamma, eps_mid * eps_mid, q_max,
+                                   kls)
             result.rows.append(_complexity_row(cfg, scheme, eps_mid, pot, found))
             pair.append(found[0])
         if pair[0] and pair[1]:

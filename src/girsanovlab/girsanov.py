@@ -600,21 +600,21 @@ def _power_norms(matvec, batch: tuple, s: int, iters: int) -> np.ndarray:
     return rho
 
 
-def spectral_radius_estimate(blocks: MalliavinBlocks, iters: int = _POWER_ITERATIONS) -> np.ndarray:
-    """Largest over steps k of ‖q·D_k·v‖ after ``iters`` normalised power steps.
+def spectral_radius_estimate(blocks: MalliavinBlocks) -> np.ndarray:
+    """Largest over steps k of ‖q·D_k·v‖ after n = 20 normalised power steps.
 
     From a fixed start vector v₀ (ones plus a linear tilt, so results are
     reproducible) the iterate is v_{t+1} = D_k·v_t/‖D_k·v_t‖, and the value
-    per block is the norm of the last product, ‖q·D_k·v_{iters−1}‖.  When
-    D_k has a single dominant eigenvalue this tends to ρ(q·D_k); it is not
-    a bound on ρ, and it is not ρ in general.  A nilpotent block (ρ = 0)
-    reads small but positive until ``iters`` reaches its nilpotency index:
-    a frozen-gradient kinetic block, strictly lower triangular in m cells,
+    per block is the norm of the last product, ‖q·D_k·v_{n−1}‖.  When D_k
+    has a single dominant eigenvalue this tends to ρ(q·D_k); it is not a
+    bound on ρ, and it is not ρ in general.  A nilpotent block (ρ = 0) reads
+    small but positive until n reaches its nilpotency index: a
+    frozen-gradient kinetic block, strictly lower triangular in m cells,
     reads of order 1e-5 at m = 24.
     """
     B, N, s, _ = blocks.diag.shape
     rho = _power_norms(
-        lambda v: np.einsum("bnij,bnj->bni", blocks.diag, v), (B, N), s, iters
+        lambda v: np.einsum("bnij,bnj->bni", blocks.diag, v), (B, N), s, _POWER_ITERATIONS
     )
     return abs(blocks.q) * rho.max(axis=-1)
 

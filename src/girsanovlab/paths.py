@@ -11,7 +11,9 @@ Reproducibility
 ---------------
 Increments come from counter-based Philox streams:
 
-* key  = (seed, purpose label) — independent streams per purpose,
+* key  = (seed, purpose label) — independent streams per purpose: path
+  increments, bridge midpoints, start states, exact-flow residuals and
+  randomized schedules,
 * counter = [0, level, block, 0] — paths are generated in fixed blocks of
   ``BLOCK_PATHS`` paths; path ``stream`` lives at row ``stream % BLOCK_PATHS``
   of block ``stream // BLOCK_PATHS``.
@@ -23,11 +25,13 @@ how work is divided across threads.
 
 Refinement
 ----------
-``refine_noise`` splits each increment with a fresh midpoint variable ζ from a
-level-keyed stream: ξ′₂ᵢ = (ξᵢ+ζᵢ)/√2, ξ′₂ᵢ₊₁ = (ξᵢ−ζᵢ)/√2.  Coarsening the
-result reproduces the parent increments exactly (up to one floating add), so
-weights can be compared across nested inner grids on the *same* underlying
-Brownian path.
+``refine_noise`` is the package's one bridge refinement.  It splits each
+increment with a fresh midpoint variable ζ from a level-keyed stream:
+ξ′₂ᵢ = (ξᵢ+ζᵢ)/√2, ξ′₂ᵢ₊₁ = (ξᵢ−ζᵢ)/√2, where path ``stream`` reads ζ from
+row ``stream`` of the bridge stream at its level, whether it is refined alone
+or in a stack of consecutive paths.  Coarsening the result reproduces the
+parent increments exactly (up to one floating add), so weights can be
+compared across nested inner grids on the *same* underlying Brownian path.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "NoisePath",
     "sample_noise",
     "refine_noise",
-    "bridge_split",
     "coarsen_noise",
     "brownian_partial_sums",
     "normal_block",
@@ -94,10 +97,6 @@ class TimeGrid:
     def refined(self) -> "TimeGrid":
         """Same horizon and outer steps, doubled inner resolution."""
         return TimeGrid(self.T, self.N, 2 * self.m)
-
-    def node_times(self) -> np.ndarray:
-        """All inner node times, shape (N·m + 1,)."""
-        return self.eta * np.arange(self.n_cells + 1)
 
 
 def _snap_index(fraction: float, m: int) -> int:
@@ -314,18 +313,6 @@ def _stream_rows(
     return out
 
 
-def bridge_split(xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """Children (ξ+ζ)/√2 and (ξ−ζ)/√2 of each increment, interleaved.
-
-    ``xi`` and ``zeta`` are (..., n_cells, d); returns (..., 2·n_cells, d).
-    """
-    child = np.empty(xi.shape[:-2] + (2 * xi.shape[-2], xi.shape[-1]))
-    root_half = np.sqrt(0.5)
-    child[..., 0::2, :] = (xi + zeta) * root_half
-    child[..., 1::2, :] = (xi - zeta) * root_half
-    return child
-
-
 def refine_noise(path: NoisePath) -> NoisePath:
     """Split each increment in two with a fresh level-keyed midpoint variable.
 
@@ -335,8 +322,11 @@ def refine_noise(path: NoisePath) -> NoisePath:
     n_paths = path.xi.shape[0] if path.xi.ndim == 3 else 1
     zeta = _stream_rows(
         path.seed, LABEL_BRIDGE, path.level, path.stream, n_paths, path.n_cells, path.d
-    )
-    child = bridge_split(path.xi, zeta.reshape(path.xi.shape))
+    ).reshape(path.xi.shape)
+    child = np.empty(path.xi.shape[:-2] + (2 * path.n_cells, path.d))
+    root_half = np.sqrt(0.5)
+    child[..., 0::2, :] = (path.xi + zeta) * root_half
+    child[..., 1::2, :] = (path.xi - zeta) * root_half
     return replace(path, xi=child, level=path.level + 1)
 
 

@@ -1,0 +1,122 @@
+"""Config parsing: one case per ConfigError the parser raises, and the hash."""
+
+import pytest
+
+from girsanovlab.config import ConfigError, load_config
+
+BASE = """\
+[experiment]
+name = kl-order-sweep
+seed = 3
+n_paths = 1000
+[potential]
+kind = anisotropic-gaussian
+spectrum = 1.0 2.0
+[grid]
+T = 1
+h = 1/8 1/16
+m = 4 8
+[scheme]
+name = DM-ULMC
+gamma = 1.0
+schedule = deterministic
+q = 2
+"""
+
+
+def _with(base: str, old: str, new: str) -> str:
+    assert base.count(old) == 1
+    return base.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_with(BASE, "[grid]", "[grids]"), r"line 8: unknown section \[grids\]"),
+        ("seed = 3\n" + BASE, r"line 1: key outside any \[section\]"),
+        (_with(BASE, "seed = 3", "sead = 3"), r"line 3: unknown key 'sead' in \[experiment\]"),
+        (_with(BASE, "n_paths = 1000", "n_paths = 1000\nseed = 4"),
+         r"line 5: duplicate key 'seed' in \[experiment\] \(first set on line 3\)"),
+        (_with(BASE, "seed = 3", "seed ="), r"line 3: empty value for 'seed'"),
+        (_with(BASE, "seed = 3", "seed 3"), r"line 3: expected 'key = value'"),
+        (_with(BASE, "T = 1", "T = one"), r"grid.T: malformed number 'one'"),
+        (_with(BASE, "h = 1/8 1/16", "h = 1/8 1/0"), r"line 10 .*malformed number '1/0'"),
+        (_with(BASE, "h = 1/8 1/16", "h = 1/8 1/x"), r"line 10 .*malformed number '1/x'"),
+        (_with(BASE, "seed = 3", "seed = 3.5"), r"line 3 .*malformed integer '3.5'"),
+        (_with(BASE, "T = 1", "T = 1\nN = 8"), r"give exactly one of grid.N or grid.h"),
+        (_with(BASE, "h = 1/8 1/16", "h = 0.3 1/16"), r"h = 0.3 does not divide the horizon T = 1"),
+        (_with(BASE, "m = 4 8", "m = 4 8 16"), r"m has 3 entries but the sweep has 2 grids"),
+        (_with(BASE, "name = DM-ULMC", "name = M-LMC"),
+         r"line 14 .*gamma only applies to kinetic schemes"),
+        (_with(BASE, "name = DM-ULMC", "name = RK4"), r"line 13 .*unknown scheme 'RK4'"),
+        (_with(BASE, "schedule = deterministic", "schedule = midway"),
+         r"line 15 .*unknown schedule mode 'midway'"),
+        (_with(BASE, "h = 1/8 1/16", "h = 1/2 1/16"),
+         r"step size h = 0.5 violates h <= 0.5/sqrt\(beta\*q\) = 0.25 required for DM-ULMC"),
+    ],
+    ids=[
+        "unknown-section", "key-outside-section", "unknown-key", "duplicate-key",
+        "empty-value", "not-key-value", "malformed-number", "fraction-zero-division",
+        "malformed-fraction", "malformed-integer", "both-N-and-h", "h-not-dividing-T",
+        "m-count-mismatch", "gamma-on-overdamped", "unknown-scheme", "unknown-schedule",
+        "step-bound",
+    ],
+)
+def test_parser_errors(text, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(text)
+
+
+def test_base_config_loads():
+    cfg = load_config(BASE)
+    assert cfg.h_list == (0.125, 0.0625)
+    assert cfg.n_list == (8, 16)
+    assert cfg.gamma == 1.0
+
+
+@pytest.mark.parametrize("experiment", ["local-error-sweep", "complexity-table"])
+def test_fixed_schedule_experiments_reject_the_schedule_key(experiment):
+    text = _with(BASE, "name = kl-order-sweep", f"name = {experiment}")
+    with pytest.raises(ConfigError, match=rf"line 15 .*the {experiment} experiment uses"):
+        load_config(text)
+    cfg = load_config(_with(text, "schedule = deterministic\n", ""))
+    assert cfg.experiment == experiment
+
+
+def test_hash_ignores_line_order_and_comments():
+    sections = BASE.split("[")[1:]
+    reordered = "".join("[" + s for s in reversed(sections))
+    reordered = _with(reordered, "seed = 3\nn_paths = 1000", "n_paths = 1000\nseed = 3")
+    commented = "# a comment\n" + _with(BASE, "[grid]", "\n# grid\n[grid]\n  # indented\n")
+    same_grid = _with(BASE, "h = 1/8 1/16", "N = 8 16")
+    hashes = {load_config(t).config_hash for t in (BASE, reordered, commented, same_grid)}
+    assert len(hashes) == 1
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("name = kl-order-sweep", "name = normalization"),
+        ("seed = 3", "seed = 4"),
+        ("n_paths = 1000", "n_paths = 1001"),
+        ("kind = anisotropic-gaussian", "kind = perturbed-quadratic"),
+        ("spectrum = 1.0 2.0", "spectrum = 0.5 2.0"),  # alpha
+        ("spectrum = 1.0 2.0", "spectrum = 1.0 1.5"),  # beta
+        ("spectrum = 1.0 2.0", "spectrum = 1.0 2.0 1.5"),  # d
+        ("T = 1", "T = 2"),
+        ("h = 1/8 1/16", "h = 1/8 1/32"),
+        ("m = 4 8", "m = 4 16"),
+        ("name = DM-ULMC", "name = ULMC"),
+        ("schedule = deterministic", "schedule = randomized"),
+        ("gamma = 1.0", "gamma = 2.0"),
+        ("q = 2", "q = 2 3"),
+    ],
+)
+def test_hash_changes_with_every_resolved_field(old, new):
+    assert load_config(_with(BASE, old, new)).config_hash != load_config(BASE).config_hash
+
+
+def test_hash_ignores_output_path_and_scheme_spelling():
+    base = load_config(BASE).config_hash
+    assert load_config(_with(BASE, "n_paths = 1000", "n_paths = 1000\noutput = x.csv")).config_hash == base
+    assert load_config(_with(BASE, "name = DM-ULMC", "name = dmulmc")).config_hash == base

@@ -1,6 +1,10 @@
 """Tests for divergence estimators, Gaussian references, and error sweeps."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +29,7 @@ from girsanovlab.divergences import (
 from girsanovlab.engine import run_weights
 from girsanovlab.integrators import simulate_mlmc
 from girsanovlab.paths import OverdampedSchedule, TimeGrid, noise_matrix
-from girsanovlab.potentials import AnisotropicQuadratic, IsotropicQuadratic
+from girsanovlab.potentials import AnisotropicQuadratic, IsotropicQuadratic, PerturbedQuadratic
 
 
 # ---------------------------------------------------------------------------
@@ -286,3 +290,41 @@ def test_local_error_sweep_rejects_multistep_grids():
         local_error_sweep("mlmc", pot, [TimeGrid(0.2, 2, 4)], n_paths=16, seed=0)
     with pytest.raises(ValueError):
         local_error_sweep("dmulmc", pot, [TimeGrid(0.2, 1, 4)], n_paths=16, seed=0)
+
+
+def test_local_error_sweep_rejects_non_quadratic_targets():
+    pot = PerturbedQuadratic((1.0, 2.0))
+    with pytest.raises(ValueError, match="needs a quadratic potential"):
+        local_error_sweep("mlmc", pot, [TimeGrid(0.2, 1, 4)], n_paths=16, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Slope fits
+# ---------------------------------------------------------------------------
+
+
+def test_slope_ci95_is_the_student_t_interval():
+    from scipy.stats import t as student_t
+
+    rng = np.random.default_rng(4)
+    x = np.linspace(1.0, 8.0, 9)
+    y = x**1.5 * np.exp(0.1 * rng.standard_normal(x.size))
+    fit = fit_loglog_slope(x, y)
+    lx, ly = np.log(x), np.log(y)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    stderr = np.sqrt(np.sum(resid**2) / (x.size - 2) / np.sum((lx - lx.mean()) ** 2))
+    expected = student_t.ppf(0.975, x.size - 2) * stderr
+    assert fit.ci95 == pytest.approx(expected, rel=1e-9)
+    assert fit.slope == pytest.approx(slope, rel=1e-12)
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, girsanovlab; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -28,3 +28,24 @@ def test_complexity_queries_follow_the_scheme_table():
     row = _complexity_row(cfg, "dmulmc", 0.1, cfg.potential, (5, 0.01, 0.005))
     assert row["queries"] == 15
     assert _complexity_row(cfg, "ulmc", 0.1, cfg.potential, (None, 1.0, 1.0))["queries"] is None
+
+
+def test_complexity_table_builds_each_evaluation_once(monkeypatch):
+    # every (scheme, potential, n_steps) KL evaluation builds its step maps
+    # once: the marginal certificate reuses the path KL's maps, and repeated
+    # step counts of the searches hit the table's memo
+    from girsanovlab import affine, experiments
+
+    calls = []
+    for module in (affine, experiments):
+        original = module.step_maps_for_schedule
+
+        def counted(scheme, potential, grid, gamma=None, _original=original):
+            calls.append((scheme, id(potential), grid.N, grid.m))
+            return _original(scheme, potential, grid, gamma)
+
+        monkeypatch.setattr(module, "step_maps_for_schedule", counted)
+    cfg = load_config(CONFIG.format(m=4))
+    result = experiments.run_experiment(cfg)
+    assert len(result.rows) > 0
+    assert len(calls) == len(set(calls))

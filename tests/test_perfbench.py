@@ -19,3 +19,42 @@ def test_benchmark_self_test_passes():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "self-test ok"
+
+
+#: span names each workload recorded when the benchmark was defined; a layer
+#: missing here has lost its attribution (``paths.generate`` is left out: it
+#: appears only when a noise block is not cached yet)
+LAYER_SPANS = {
+    "kl-affine": {
+        "experiments.run_experiment", "engine.run_weights", "affine.step_maps",
+        "affine.fast_weights", "affine.marginal", "girsanov.drift", "girsanov.blocks",
+        "girsanov.spectral", "integrators.simulate", "divergences.estimate",
+        "paths.normal_block",
+    },
+    "generic-weights": {
+        "engine.run_weights", "engine.generic", "girsanov.drift", "integrators.simulate",
+        "potentials.hessian", "paths.normal_block",
+    },
+    "local-error": {
+        "experiments.run_experiment", "divergences.local_error", "integrators.simulate",
+        "integrators.exact_ou", "paths.noise_matrix", "paths.normal_block",
+    },
+}
+
+
+def test_tracer_attributes_every_layer(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import girsanovlab as gl
+    from tracer import Tracer
+    from workloads import WORKLOADS
+
+    try:
+        for name, expected in LAYER_SPANS.items():
+            workload = WORKLOADS[name]
+            state = workload.setup(gl, gl.DEFAULT_SEED, workload.tiny_paths)
+            with Tracer() as tracer:
+                workload.run(gl, state)
+            missing = expected - {span[0] for span in tracer.spans}
+            assert not missing, f"{name}: no spans for {sorted(missing)}"
+    finally:
+        gl.paths._cached_block.cache_clear()  # the workloads' blocks are large
