@@ -227,7 +227,7 @@ name = {label}
             x0 = start_states(potential, False, self.seed, n)
             xi = noise_matrix(self.seed, n, grid.n_cells, potential.d)
             traj = simulate_mlmc(potential, schedule, x0, xi)
-            blocks = malliavin_blocks_mlmc(potential, traj, q=1.0)
+            blocks = malliavin_blocks_mlmc(potential, traj)
             exact, _ = carleman_fredholm_logdet(blocks)
             tr_d2 = np.einsum("bnij,bnji->b", blocks.diag, blocks.diag)
             gaps.append(float(np.mean(np.abs(exact - (-0.5 * tr_d2)))))

@@ -120,11 +120,7 @@ def extract_step_maps(
     D = s.blocks(potential, zero_traj).diag[0, 0]
     sign, logabs = np.linalg.slogdet(np.eye(md) + D)
     log_abs_det = float(logabs) if sign != 0.0 else -np.inf
-    rho = float(
-        girsanov.spectral_radius_estimate(
-            MalliavinBlocks(scheme, D[None, None], 1.0)
-        )[0]
-    )
+    rho = float(girsanov.spectral_radius_estimate(MalliavinBlocks(scheme, D[None, None]))[0])
     return StepMaps(
         scheme=scheme,
         d=d,

@@ -16,9 +16,10 @@ Sections and keys
 [grid]        T (required); exactly one of N or h (list); m (scalar or list
               parallel to h)
 [scheme]      name (required): EM-LD | M-LMC | ULMC | DM-ULMC;
-              gamma; schedule: deterministic | randomized | zero (rejected
-              by local-error-sweep and complexity-table, which run each
-              scheme's deterministic schedule); q (list)
+              gamma; schedule: deterministic | randomized | zero (M-LMC
+              and DM-ULMC only; rejected by local-error-sweep and
+              complexity-table, which run each scheme's deterministic
+              schedule); q (list)
 """
 
 from __future__ import annotations
@@ -329,6 +330,11 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"{e.where('scheme.schedule')}: the {experiment} experiment uses each "
             "scheme's deterministic schedule; remove the key"
+        )
+    if e.has("scheme.schedule") and not SCHEMES[scheme].midpoint_choice:
+        raise ConfigError(
+            f"{e.where('scheme.schedule')}: {SCHEMES[scheme].label} has no midpoint "
+            "to schedule; remove the key"
         )
     kinetic = SCHEMES[scheme].kinetic
     if e.has("scheme.gamma"):

@@ -230,9 +230,9 @@ class SlopeFit:
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> SlopeFit:
     """Fit log(y) = slope·log(x) + intercept by ordinary least squares.
 
-    All inputs must be strictly positive; at least three points are required
-    so the confidence interval is defined (it is infinite for exactly three
-    collinear-degrees-of-freedom-free data only when residuals vanish).
+    All inputs must be strictly positive.  At least three points are required,
+    so the interval has n − 2 ≥ 1 degrees of freedom; points lying exactly on
+    a line give an interval of zero width.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -71,7 +71,8 @@ class Scheme:
     integrator and weight layers through this module's names at call time.
 
     * ``schedule(grid, mode, seed, stream)``: the midpoint schedule for a
-      mode (deterministic | randomized | zero).
+      mode (deterministic | randomized | zero).  ``midpoint_choice`` is
+      False when the scheme has one schedule whatever the mode.
     * ``simulate(potential, grid, schedule, gamma, z0, xi)``: the trajectory
       from stacked start states z0 — x, or (x, p) for kinetic schemes —
       and ``endpoint(traj)``, its state at the horizon, shaped like z0.
@@ -88,7 +89,7 @@ class Scheme:
     """
 
     name = label = bound_rule = ""
-    kinetic = False
+    kinetic = midpoint_choice = False
 
     def schedule(self, grid: TimeGrid, mode: str = "deterministic", seed: int = 0,
                  stream: int = 0):
@@ -106,6 +107,7 @@ class Scheme:
 
 class _MidpointLMC(Scheme):
     name, label, bound_rule = "mlmc", "M-LMC", "1/(beta*q)"
+    midpoint_choice = True
 
     def schedule(self, grid, mode="deterministic", seed=0, stream=0):
         if mode == "deterministic":
@@ -123,8 +125,8 @@ class _MidpointLMC(Scheme):
     def drift(self, potential, traj):
         return drift_mlmc(potential, traj)
 
-    def blocks(self, potential, traj, q=1.0, include_offdiag=False):
-        return malliavin_blocks_mlmc(potential, traj, q=q, include_offdiag=include_offdiag)
+    def blocks(self, potential, traj, include_offdiag=False):
+        return malliavin_blocks_mlmc(potential, traj, include_offdiag=include_offdiag)
 
     def summary(self, potential, traj):
         return block_summary_mlmc(potential, traj)
@@ -147,6 +149,7 @@ class _EulerLD(_MidpointLMC):
     """Euler–Maruyama: the overdamped midpoint scheme with τ ≡ 0."""
 
     name, label, bound_rule = "em-ld", "EM-LD", ""
+    midpoint_choice = False
 
     def schedule(self, grid, mode="deterministic", seed=0, stream=0):
         return OverdampedSchedule.zero(grid)
@@ -172,8 +175,8 @@ class _FrozenGradientULMC(_Kinetic):
     def drift(self, potential, traj):
         return drift_ulmc(potential, traj)
 
-    def blocks(self, potential, traj, q=1.0, include_offdiag=False):
-        return malliavin_blocks_ulmc(potential, traj, q=q, include_offdiag=include_offdiag)
+    def blocks(self, potential, traj, include_offdiag=False):
+        return malliavin_blocks_ulmc(potential, traj, include_offdiag=include_offdiag)
 
     def summary(self, potential, traj):
         return block_summary_ulmc(potential, traj)
@@ -184,6 +187,7 @@ class _FrozenGradientULMC(_Kinetic):
 
 class _DoubleMidpointULMC(_Kinetic):
     name, label, bound_rule = "dmulmc", "DM-ULMC", f"{DM_STEP_MARGIN:g}/sqrt(beta*q)"
+    midpoint_choice = True
 
     def schedule(self, grid, mode="deterministic", seed=0, stream=0):
         if mode == "deterministic":
@@ -200,8 +204,8 @@ class _DoubleMidpointULMC(_Kinetic):
     def drift(self, potential, traj):
         return drift_dmulmc(traj)
 
-    def blocks(self, potential, traj, q=1.0, include_offdiag=False):
-        return malliavin_blocks_dmulmc(potential, traj, q=q, include_offdiag=include_offdiag)
+    def blocks(self, potential, traj, include_offdiag=False):
+        return malliavin_blocks_dmulmc(potential, traj, include_offdiag=include_offdiag)
 
     def summary(self, potential, traj):
         return block_summary_dmulmc(potential, traj)
@@ -323,7 +327,7 @@ def run_weights(
 ) -> WeightRun:
     """Sample ``n_paths`` scheme paths and evaluate their log weights.
 
-    Increments are read-only rows of the path stream's generation blocks;
+    Each generation block's increments are drawn for its paths only, and
     start states come from :func:`start_states` with ``init`` (default: the
     default start law).  Constant-Hessian targets take the affine fast path,
     which agrees with :func:`generic_log_weights` to rounding (tested).
@@ -343,7 +347,7 @@ def run_weights(
     def eval_block(block: int) -> tuple:
         lo = block * BLOCK_PATHS
         hi = min(n_paths, lo + BLOCK_PATHS)
-        xi = normal_block(seed, n_cells, d, block)[: hi - lo]
+        xi = normal_block(seed, n_cells, d, block, n_rows=hi - lo)
         z0 = start_states(potential, s.kinetic, seed, hi - lo, start=lo, init=init)
         if maps is not None:
             w = fast_log_weights(maps, z0, xi)

@@ -23,9 +23,7 @@ outer step, √η elementary scaling):
 Derivative structure: within a step, ξ_j enters ψ_i directly; across steps
 only through the (adapted) step-start state.  The full derivative matrix is
 therefore block lower-triangular with the per-step blocks on the diagonal,
-det(I + Dψ) = Π_k det(I + D_k), and only diagonal blocks carry trace.  Blocks
-store the raw derivative together with the scale q at which they will be
-consumed; the log-determinant applies q, the Skorohod trace requires q = 1.
+det(I + Dψ) = Π_k det(I + D_k), and only diagonal blocks carry trace.
 
 Structured evaluation.  The weight needs only sign and log|det(I + D_k)|,
 tr D_k and a power-iterate norm per block, and each scheme's block has a
@@ -123,18 +121,17 @@ class DriftRealization:
 
 @dataclass(frozen=True)
 class MalliavinBlocks:
-    """Per-step derivative blocks ∂ψ_i/∂ξ_j, raw (unscaled by q).
+    """Per-step derivative blocks ∂ψ_i/∂ξ_j.
 
     ``diag`` has shape (B, N, m·d, m·d): diagonal (within-step) blocks in cell
     ordering, each d×d spatial entry flattened in place.  ``full``, when
     assembled, is the complete (B, N·m·d, N·m·d) block lower-triangular
     derivative including cross-step chains; its diagonal blocks equal
-    ``diag``.  ``q`` is applied by consumers, never baked into the arrays.
+    ``diag``.
     """
 
     scheme: str
     diag: np.ndarray
-    q: float
     full: np.ndarray | None = None
 
 
@@ -226,7 +223,6 @@ def _flatten_block(block: np.ndarray) -> np.ndarray:
 def malliavin_blocks_mlmc(
     potential: Potential,
     traj: OverdampedTrajectory,
-    q: float = 1.0,
     include_offdiag: bool = False,
 ) -> MalliavinBlocks:
     """Exact derivative blocks of the overdamped midpoint drift.
@@ -286,13 +282,12 @@ def malliavin_blocks_mlmc(
                 I - grid.h * colband[:, None, None] * H_plus[:, k][:, None]
             )
         full = _assemble_full(diag, S_psi, J, V)
-    return MalliavinBlocks("mlmc", diag, float(q), full)
+    return MalliavinBlocks("mlmc", diag, full)
 
 
 def malliavin_blocks_ulmc(
     potential: Potential,
     traj: UnderdampedTrajectory,
-    q: float = 1.0,
     include_offdiag: bool = False,
 ) -> MalliavinBlocks:
     """Derivative blocks of the frozen-gradient kinetic drift.
@@ -338,7 +333,7 @@ def malliavin_blocks_ulmc(
             V[:, k, :, :d] = c * kern.K2[m][:, None, None] * I
             V[:, k, :, d:] = c * kern.K1[m][:, None, None] * I
         full = _assemble_full(diag, S_psi, J, V)
-    return MalliavinBlocks("ulmc", diag, float(q), full)
+    return MalliavinBlocks("ulmc", diag, full)
 
 
 def _dm_step_derivatives(
@@ -443,7 +438,6 @@ def _dm_fixed_point(
 def malliavin_blocks_dmulmc(
     potential: Potential,
     traj: UnderdampedTrajectory,
-    q: float = 1.0,
     include_offdiag: bool = False,
 ) -> MalliavinBlocks:
     """Derivative blocks of the double-midpoint drift.
@@ -493,7 +487,7 @@ def malliavin_blocks_dmulmc(
             V[:, k, :, :d] = Vx.transpose(0, 2, 1, 3)
             V[:, k, :, d:] = Vp.transpose(0, 2, 1, 3)
     full = _assemble_full(diag, S_psi, J, V) if include_offdiag else None
-    return MalliavinBlocks("dmulmc", diag, float(q), full)
+    return MalliavinBlocks("dmulmc", diag, full)
 
 
 def _assemble_full(
@@ -537,24 +531,21 @@ def skorohod_adjoint(
     """δψ = Σ_i⟨ψ_i, ξ_i⟩ − Σ_k tr(D_k), trace over temporal and spatial indices.
 
     Mean zero under the sampling law (Gaussian integration by parts).
-    Requires blocks at q = 1 — the trace of the raw derivative.
     """
-    if blocks.q != 1.0:
-        raise ValueError(f"Skorohod adjoint needs blocks at q=1, got q={blocks.q}")
     trace = np.trace(blocks.diag, axis1=-2, axis2=-1).sum(axis=-1)
     return _ito_sum(drift, xi) - trace
 
 
 def _cf_sum(
-    sign: np.ndarray, logabs: np.ndarray, qtrace: np.ndarray
+    sign: np.ndarray, logabs: np.ndarray, trace: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_k [log|det| − q·tr] over the step axis, −inf for a singular block."""
-    value = np.where(sign == 0.0, -np.inf, logabs - qtrace).sum(axis=-1)
+    """Σ_k [log|det| − tr] over the step axis, −inf for a singular block."""
+    value = np.where(sign == 0.0, -np.inf, logabs - trace).sum(axis=-1)
     return value, np.any(sign < 0.0, axis=-1)
 
 
 def carleman_fredholm_logdet(blocks: MalliavinBlocks) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_k [log|det(I + q·D_k)| − q·tr(D_k)] per path, by dense LU per block.
+    """Σ_k [log|det(I + D_k)| − tr(D_k)] per path, by dense LU per block.
 
     The full derivative is block lower-triangular, so diagonal blocks carry
     the whole determinant.  Returns (value, negative_det): an exactly singular
@@ -568,12 +559,10 @@ def carleman_fredholm_logdet(blocks: MalliavinBlocks) -> tuple[np.ndarray, np.nd
     frozen-gradient kinetic scheme, det(I_{2d} + Wᵀ·U) for the double
     midpoint.
     """
-    q = blocks.q
     s = blocks.diag.shape[-1]
-    eye = np.eye(s)
-    sign, logabs = np.linalg.slogdet(eye + q * blocks.diag)
+    sign, logabs = np.linalg.slogdet(np.eye(s) + blocks.diag)
     trace = np.trace(blocks.diag, axis1=-2, axis2=-1)
-    return _cf_sum(sign, logabs, q * trace)
+    return _cf_sum(sign, logabs, trace)
 
 
 def _power_start(s: int) -> np.ndarray:
@@ -582,8 +571,8 @@ def _power_start(s: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _power_norms(matvec, batch: tuple, s: int, iters: int) -> np.ndarray:
-    """‖D·v_{iters−1}‖ after normalised power steps v_{t+1} = D·v_t/‖D·v_t‖.
+def _power_norms(matvec, batch: tuple, s: int) -> np.ndarray:
+    """‖D·v_{n−1}‖ after n = 20 normalised power steps v_{t+1} = D·v_t/‖D·v_t‖.
 
     ``matvec`` maps (*batch, s) vectors to their products; every block
     starts from :func:`_power_start`, and a zero product keeps the previous
@@ -591,7 +580,7 @@ def _power_norms(matvec, batch: tuple, s: int, iters: int) -> np.ndarray:
     """
     v = np.broadcast_to(_power_start(s), (*batch, s)).copy()
     rho = np.zeros(batch)
-    for _ in range(iters):
+    for _ in range(_POWER_ITERATIONS):
         w = matvec(v)
         nrm = np.linalg.norm(w, axis=-1)
         rho = nrm
@@ -601,22 +590,20 @@ def _power_norms(matvec, batch: tuple, s: int, iters: int) -> np.ndarray:
 
 
 def spectral_radius_estimate(blocks: MalliavinBlocks) -> np.ndarray:
-    """Largest over steps k of ‖q·D_k·v‖ after n = 20 normalised power steps.
+    """Largest over steps k of ‖D_k·v‖ after n = 20 normalised power steps.
 
     From a fixed start vector v₀ (ones plus a linear tilt, so results are
     reproducible) the iterate is v_{t+1} = D_k·v_t/‖D_k·v_t‖, and the value
-    per block is the norm of the last product, ‖q·D_k·v_{n−1}‖.  When D_k
-    has a single dominant eigenvalue this tends to ρ(q·D_k); it is not a
+    per block is the norm of the last product, ‖D_k·v_{n−1}‖.  When D_k
+    has a single dominant eigenvalue this tends to ρ(D_k); it is not a
     bound on ρ, and it is not ρ in general.  A nilpotent block (ρ = 0) reads
     small but positive until n reaches its nilpotency index: a
     frozen-gradient kinetic block, strictly lower triangular in m cells,
     reads of order 1e-5 at m = 24.
     """
     B, N, s, _ = blocks.diag.shape
-    rho = _power_norms(
-        lambda v: np.einsum("bnij,bnj->bni", blocks.diag, v), (B, N), s, _POWER_ITERATIONS
-    )
-    return abs(blocks.q) * rho.max(axis=-1)
+    rho = _power_norms(lambda v: np.einsum("bnij,bnj->bni", blocks.diag, v), (B, N), s)
+    return rho.max(axis=-1)
 
 
 def _log_weight(
@@ -642,9 +629,9 @@ def rn_log_weight(
 ) -> LogWeight:
     """Assemble log M = log_cf_det − δψ − energy with invertibility diagnostics.
 
-    Blocks must be at q = 1.  ``invertible`` requires the spectral-radius
-    estimate below 0.9 and a nonsingular determinant; consumers exclude
-    non-invertible paths and count them as rejections.
+    ``invertible`` requires the spectral-radius estimate below 0.9 and a
+    nonsingular determinant; consumers exclude non-invertible paths and
+    count them as rejections.
     """
     log_cf, negative = carleman_fredholm_logdet(blocks)
     sk = skorohod_adjoint(drift, blocks, xi)
@@ -664,7 +651,7 @@ class BlockSummary:
     All fields are (B, N), per path and step k: ``sign`` and ``logabs`` of
     det(I + D_k), ``trace`` = tr(D_k), and ``power_norm``, the value
     :func:`spectral_radius_estimate` reads on the dense D_k (same start
-    vector, same number of steps).  Blocks are at q = 1.
+    vector, same number of steps).
     """
 
     sign: np.ndarray
@@ -715,7 +702,7 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
         w = _batched_matvec(H, before - i_eta[:, None] * u[:, :, None]) - u[:, :, None]
         return eta * w.reshape(B, N, m * d)
 
-    rho = _power_norms(matvec, (B, N), m * d, _POWER_ITERATIONS)
+    rho = _power_norms(matvec, (B, N), m * d)
     return BlockSummary(sign, logabs, trace, rho)
 
 
@@ -736,7 +723,7 @@ def block_summary_ulmc(potential: Potential, traj: UnderdampedTrajectory) -> Blo
         mixed = np.einsum("ij,bnjd->bnid", K2, v.reshape(B, N, m, d))
         return eta * _batched_matvec(H, mixed).reshape(B, N, m * d)
 
-    rho = _power_norms(matvec, (B, N), m * d, _POWER_ITERATIONS)
+    rho = _power_norms(matvec, (B, N), m * d)
     return BlockSummary(np.ones((B, N)), np.zeros((B, N)), np.zeros((B, N)), rho)
 
 

@@ -14,14 +14,18 @@ Increments come from counter-based Philox streams:
 * key  = (seed, purpose label) — independent streams per purpose: path
   increments, bridge midpoints, start states, exact-flow residuals and
   randomized schedules,
-* counter = [0, level, block, 0] — paths are generated in fixed blocks of
+* counter = [0, level, block, 0] — paths are laid out in fixed blocks of
   ``BLOCK_PATHS`` paths; path ``stream`` lives at row ``stream % BLOCK_PATHS``
   of block ``stream // BLOCK_PATHS``.
 
 Uniform doubles are mapped through the inverse normal CDF (one 64-bit word per
 normal, shifted by 2⁻⁵⁴ so u = 0 cannot occur).  Fixed consumption per normal
 is what makes the block layout — and therefore every estimate — independent of
-how work is divided across threads.
+how work is divided across threads.  It also fixes the word each normal comes
+from, so a window of rows is drawn alone: the counter moves forward to the
+window's first word (Philox4x64 yields four words per counter step) and the
+at most three words before it are dropped.  Nothing is cached; a window costs
+its own rows plus at most three normals.
 
 Refinement
 ----------
@@ -37,7 +41,6 @@ compared across nested inner grids on the *same* underlying Brownian path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -227,24 +230,24 @@ def _normals(gen: np.random.Generator, n: int) -> np.ndarray:
     return ndtri(u)
 
 
-@lru_cache(maxsize=8)
-def _cached_block(
-    seed: int, label: int, level: int, block: int, n_cells: int, d: int
-) -> np.ndarray:
-    gen = _generator(seed, label, level, block)
-    out = _normals(gen, BLOCK_PATHS * n_cells * d).reshape(BLOCK_PATHS, n_cells, d)
-    out.setflags(write=False)
-    return out
-
-
 def normal_block(
-    seed: int, n_cells: int, d: int, block: int, *, level: int = 0, label: int = LABEL_PATH
+    seed: int, n_cells: int, d: int, block: int, *, start: int = 0,
+    n_rows: int = BLOCK_PATHS, level: int = 0, label: int = LABEL_PATH,
 ) -> np.ndarray:
-    """One generation block of standard normals, shape (BLOCK_PATHS, n_cells, d).
+    """Rows ``start .. start+n_rows−1`` of one generation block, (n_rows, n_cells, d).
 
-    Read-only; row r holds the increments of path ``stream = block·BLOCK_PATHS + r``.
+    Row r of the block holds the increments of path
+    ``stream = block·BLOCK_PATHS + r``.  Only the window is drawn: the counter
+    is moved forward to the window's first 64-bit word (four words per
+    Philox step) and the at most three words before it are dropped.
     """
-    return _cached_block(int(seed), int(label), int(level), int(block), int(n_cells), int(d))
+    if not (0 <= start and 0 < n_rows and start + n_rows <= BLOCK_PATHS):
+        raise ValueError(f"rows {start}..{start + n_rows - 1} lie outside a block")
+    gen = _generator(seed, label, level, block)
+    first = start * n_cells * d
+    gen.bit_generator.advance(first // 4)
+    skip = first % 4
+    return _normals(gen, skip + n_rows * n_cells * d)[skip:].reshape(n_rows, n_cells, d)
 
 
 @dataclass(frozen=True)
@@ -272,11 +275,8 @@ class NoisePath:
 
 
 def sample_noise(seed: int, stream: int, n_cells: int, d: int) -> NoisePath:
-    """Increments of path ``stream``: row of its Philox generation block."""
-    if stream < 0:
-        raise ValueError(f"stream must be >= 0, got {stream}")
-    block, row = divmod(int(stream), BLOCK_PATHS)
-    xi = normal_block(seed, n_cells, d, block)[row].copy()
+    """Increments of path ``stream``: one row of :func:`noise_matrix`."""
+    xi = noise_matrix(seed, 1, n_cells, d, start=stream)[0]
     return NoisePath(xi=xi, seed=int(seed), stream=int(stream), level=0)
 
 
@@ -287,30 +287,27 @@ def noise_matrix(
     d: int,
     *,
     label: int = LABEL_PATH,
+    level: int = 0,
     start: int = 0,
 ) -> np.ndarray:
     """Increments of paths ``start .. start+n_paths−1`` stacked, (n_paths, n_cells, d).
 
-    Row p is bit-identical to ``sample_noise(seed, start+p, n_cells, d).xi``
-    for the path label, so batch and per-path consumers agree exactly.
+    Row p is row ``start+p`` of the stream, however the window is cut, so
+    batch and per-path consumers agree exactly.  Each block the window
+    touches draws only its rows (:func:`normal_block`); a window inside one
+    block is that block's array, uncopied.
     """
     if n_paths <= 0 or start < 0:
         raise ValueError("need n_paths > 0 and start >= 0")
-    return _stream_rows(seed, label, 0, start, n_paths, n_cells, d)
-
-
-def _stream_rows(
-    seed: int, label: int, level: int, start: int, n_paths: int, n_cells: int, d: int
-) -> np.ndarray:
-    """Rows ``start .. start+n_paths−1`` of a stream's blocks, (n_paths, n_cells, d)."""
-    out = np.empty((n_paths, n_cells, d))
-    first, last = start // BLOCK_PATHS, (start + n_paths - 1) // BLOCK_PATHS
-    for block in range(first, last + 1):
-        lo = max(start, block * BLOCK_PATHS)
-        hi = min(start + n_paths, (block + 1) * BLOCK_PATHS)
-        rows = normal_block(seed, n_cells, d, block, level=level, label=label)
-        out[lo - start : hi - start] = rows[lo - block * BLOCK_PATHS : hi - block * BLOCK_PATHS]
-    return out
+    parts, stop = [], start + n_paths
+    while start < stop:
+        block, row = divmod(start, BLOCK_PATHS)
+        n_rows = min(stop - start, BLOCK_PATHS - row)
+        parts.append(normal_block(
+            seed, n_cells, d, block, start=row, n_rows=n_rows, level=level, label=label
+        ))
+        start += n_rows
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def refine_noise(path: NoisePath) -> NoisePath:
@@ -320,8 +317,9 @@ def refine_noise(path: NoisePath) -> NoisePath:
     variables from the same bridge row either way.
     """
     n_paths = path.xi.shape[0] if path.xi.ndim == 3 else 1
-    zeta = _stream_rows(
-        path.seed, LABEL_BRIDGE, path.level, path.stream, n_paths, path.n_cells, path.d
+    zeta = noise_matrix(
+        path.seed, n_paths, path.n_cells, path.d,
+        label=LABEL_BRIDGE, level=path.level, start=path.stream,
     ).reshape(path.xi.shape)
     child = np.empty(path.xi.shape[:-2] + (2 * path.n_cells, path.d))
     root_half = np.sqrt(0.5)

@@ -83,6 +83,17 @@ def test_fixed_schedule_experiments_reject_the_schedule_key(experiment):
     assert cfg.experiment == experiment
 
 
+@pytest.mark.parametrize("label", ["EM-LD", "ULMC"])
+def test_schemes_without_a_midpoint_reject_the_schedule_key(label):
+    text = _with(BASE, "name = DM-ULMC", f"name = {label}")
+    if label == "EM-LD":
+        text = _with(text, "gamma = 1.0\n", "")
+    with pytest.raises(ConfigError, match=rf"line \d+ .*{label} has no midpoint to schedule"):
+        load_config(text)
+    cfg = load_config(_with(text, "schedule = deterministic\n", ""))
+    assert cfg.schedule_mode == "deterministic"
+
+
 def test_hash_ignores_line_order_and_comments():
     sections = BASE.split("[")[1:]
     reordered = "".join("[" + s for s in reversed(sections))
@@ -106,7 +117,10 @@ def test_hash_ignores_line_order_and_comments():
         ("T = 1", "T = 2"),
         ("h = 1/8 1/16", "h = 1/8 1/32"),
         ("m = 4 8", "m = 4 16"),
-        ("name = DM-ULMC", "name = ULMC"),
+        pytest.param(  # ULMC takes no schedule key
+            "name = DM-ULMC\ngamma = 1.0\nschedule = deterministic\n", "name = ULMC\ngamma = 1.0\n",
+            id="name = DM-ULMC-name = ULMC",
+        ),
         ("schedule = deterministic", "schedule = randomized"),
         ("gamma = 1.0", "gamma = 2.0"),
         ("q = 2", "q = 2 3"),

@@ -145,7 +145,7 @@ def test_double_midpoint_multipliers_match_independent_solve():
 
 
 def _zero_blocks(B, N, m, d, scheme="mlmc"):
-    return MalliavinBlocks(scheme, np.zeros((B, N, m * d, m * d)), 1.0)
+    return MalliavinBlocks(scheme, np.zeros((B, N, m * d, m * d)))
 
 
 def test_skorohod_zero_drift():
@@ -161,13 +161,6 @@ def test_skorohod_deterministic_drift_is_ito_sum():
     drift = DriftRealization("mlmc", psi)
     out = skorohod_adjoint(drift, _zero_blocks(3, 2, 4, 2), xi)
     np.testing.assert_allclose(out, np.einsum("bid,bid->b", psi, xi), rtol=1e-14)
-
-
-def test_skorohod_requires_unit_q():
-    drift = DriftRealization("mlmc", np.zeros((1, 4, 1)))
-    blocks = MalliavinBlocks("mlmc", np.zeros((1, 2, 2, 2)), 2.0)
-    with pytest.raises(ValueError):
-        skorohod_adjoint(drift, blocks, np.zeros((1, 4, 1)))
 
 
 def test_skorohod_adapted_drift_has_zero_mean():
@@ -228,7 +221,7 @@ def test_carleman_matches_second_order_expansion():
     D *= 0.1 / np.linalg.norm(D, ord=2)
     remainders = []
     for scale in (1.0, 0.5):
-        blocks = MalliavinBlocks("mlmc", (scale * D)[None, None], 1.0)
+        blocks = MalliavinBlocks("mlmc", (scale * D)[None, None])
         value, _ = carleman_fredholm_logdet(blocks)
         second = -0.5 * np.trace((scale * D) @ (scale * D))
         remainders.append(abs(value[0] - second))
@@ -236,30 +229,21 @@ def test_carleman_matches_second_order_expansion():
 
 
 def test_carleman_flags_singular_and_negative_blocks():
-    singular = MalliavinBlocks("mlmc", np.array([[[[-1.0]]]]), 1.0)
+    singular = MalliavinBlocks("mlmc", np.array([[[[-1.0]]]]))
     value, negative = carleman_fredholm_logdet(singular)
     assert value[0] == -np.inf
     assert not negative[0]
 
-    flipped = MalliavinBlocks("mlmc", np.array([[[[-2.0]]]]), 1.0)
+    flipped = MalliavinBlocks("mlmc", np.array([[[[-2.0]]]]))
     value, negative = carleman_fredholm_logdet(flipped)
     # |det(I + D)| = 1 so log|det| = 0; the trace correction remains
     assert value[0] == pytest.approx(2.0)
     assert negative[0]
 
 
-def test_carleman_applies_q_scaling():
-    D = np.array([[[[0.25]]]])
-    doubled = carleman_fredholm_logdet(MalliavinBlocks("mlmc", D, 2.0))[0]
-    expect = math.log(1.5) - 0.5
-    assert doubled[0] == pytest.approx(expect, rel=1e-14)
-
-
 def test_spectral_radius_known_value():
-    blocks = MalliavinBlocks("mlmc", np.array([[[[0.5]]]]), 1.0)
+    blocks = MalliavinBlocks("mlmc", np.array([[[[0.5]]]]))
     assert spectral_radius_estimate(blocks)[0] == pytest.approx(0.5, rel=1e-12)
-    scaled = MalliavinBlocks("mlmc", np.array([[[[0.5]]]]), 2.0)
-    assert spectral_radius_estimate(scaled)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,15 @@ from girsanovlab import (
     noise_matrix,
     refine_noise,
 )
+import girsanovlab.paths as gp
 from girsanovlab.paths import (
+    BLOCK_PATHS,
     LABEL_BRIDGE,
+    LABEL_INIT,
     LABEL_PATH,
     brownian_partial_sums,
     coarsen_noise,
+    normal_block,
     sample_noise,
 )
 
@@ -113,6 +117,68 @@ def test_refined_midpoints_are_standard_normal():
     pool = np.concatenate(children).ravel()
     v = pool.var()
     assert abs(v - 1.0) <= 4.0 * np.sqrt(2.0 / pool.size)
+
+
+def _whole_block(seed, label, level, block, n_cells, d):
+    """A generation block drawn in one piece from the block's first word."""
+    gen = gp._generator(seed, label, level, block)
+    return gp._normals(gen, BLOCK_PATHS * n_cells * d).reshape(BLOCK_PATHS, n_cells, d)
+
+
+_stream_keys = {
+    "seed": st.integers(0, 2**64 - 1),
+    "label": st.sampled_from([LABEL_PATH, LABEL_BRIDGE, LABEL_INIT]),
+    "level": st.integers(0, 3),
+    "n_cells": st.integers(1, 7),  # n_cells·d runs through every residue mod 4
+    "d": st.integers(1, 3),
+}
+
+
+@settings(deadline=None, max_examples=40)
+@given(block=st.integers(0, 2), data=st.data(), **_stream_keys)
+def test_normal_block_window_matches_whole_block(seed, label, level, block, n_cells, d, data):
+    start = data.draw(st.integers(0, BLOCK_PATHS - 1), label="start")
+    n_rows = data.draw(st.integers(1, BLOCK_PATHS - start), label="n_rows")
+    window = normal_block(
+        seed, n_cells, d, block, start=start, n_rows=n_rows, level=level, label=label
+    )
+    whole = _whole_block(seed, label, level, block, n_cells, d)
+    np.testing.assert_array_equal(window, whole[start : start + n_rows])
+
+
+@settings(deadline=None, max_examples=20)
+@given(start=st.integers(0, BLOCK_PATHS - 1), extra=st.integers(1, 64), **_stream_keys)
+def test_noise_matrix_window_across_blocks(seed, label, level, n_cells, d, start, extra):
+    n_paths = BLOCK_PATHS - start + extra  # ends inside the second block
+    window = noise_matrix(
+        seed, n_paths, n_cells, d, label=label, level=level, start=start
+    )
+    whole = np.concatenate([_whole_block(seed, label, level, b, n_cells, d) for b in (0, 1)])
+    np.testing.assert_array_equal(window, whole[start : start + n_paths])
+
+
+def test_normal_block_rejects_rows_outside_the_block():
+    with pytest.raises(ValueError, match="outside a block"):
+        normal_block(1, 2, 1, 0, start=BLOCK_PATHS - 1, n_rows=2)
+    with pytest.raises(ValueError, match="outside a block"):
+        normal_block(1, 2, 1, 0, n_rows=0)
+
+
+@pytest.mark.parametrize("start", [0, 4001])  # 4001·15 words: three dropped
+@pytest.mark.parametrize("n_paths", [1, 100])
+def test_reading_paths_generates_only_their_rows(monkeypatch, n_paths, start):
+    generated = []
+    original = gp._normals
+
+    def counted(gen, n):
+        generated.append(n)
+        return original(gen, n)
+
+    monkeypatch.setattr(gp, "_normals", counted)
+    n_cells, d = 5, 3
+    xi = noise_matrix(7, n_paths, n_cells, d, start=start)
+    assert xi.shape == (n_paths, n_cells, d)
+    assert sum(generated) <= n_paths * n_cells * d + 3
 
 
 def test_batched_refinement_matches_per_path():

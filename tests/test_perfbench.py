@@ -22,8 +22,8 @@ def test_benchmark_self_test_passes():
 
 
 #: span names each workload recorded when the benchmark was defined; a layer
-#: missing here has lost its attribution (``paths.generate`` is left out: it
-#: appears only when a noise block is not cached yet)
+#: missing here has lost its attribution (``paths.generate`` is not listed;
+#: ``paths.normal_block`` stands for the noise layer)
 LAYER_SPANS = {
     "kl-affine": {
         "experiments.run_experiment", "engine.run_weights", "affine.step_maps",
@@ -48,13 +48,10 @@ def test_tracer_attributes_every_layer(monkeypatch):
     from tracer import Tracer
     from workloads import WORKLOADS
 
-    try:
-        for name, expected in LAYER_SPANS.items():
-            workload = WORKLOADS[name]
-            state = workload.setup(gl, gl.DEFAULT_SEED, workload.tiny_paths)
-            with Tracer() as tracer:
-                workload.run(gl, state)
-            missing = expected - {span[0] for span in tracer.spans}
-            assert not missing, f"{name}: no spans for {sorted(missing)}"
-    finally:
-        gl.paths._cached_block.cache_clear()  # the workloads' blocks are large
+    for name, expected in LAYER_SPANS.items():
+        workload = WORKLOADS[name]
+        state = workload.setup(gl, gl.DEFAULT_SEED, workload.tiny_paths)
+        with Tracer() as tracer:
+            workload.run(gl, state)
+        missing = expected - {span[0] for span in tracer.spans}
+        assert not missing, f"{name}: no spans for {sorted(missing)}"
