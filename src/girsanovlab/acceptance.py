@@ -443,7 +443,8 @@ gamma = 1.0
         )
 
     def run(self, only: tuple[int, ...] | None = None) -> list[CriterionResult]:
-        indices = tuple(sorted(only)) if only else tuple(range(1, 13))
+        """Each criterion of ``only`` once, in order; all twelve when None."""
+        indices = range(1, 13) if only is None else sorted(set(only))
         out = []
         for i in indices:
             out.append(getattr(self, f"criterion_{i}")())

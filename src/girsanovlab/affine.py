@@ -10,7 +10,11 @@ then provides:
 
 * exact propagation of step-marginal Gaussian moments,
 * a deterministic (Monte-Carlo-free) path KL between scheme and diffusion,
-* batched log-weight evaluation at a cost linear in the number of cells.
+* batched log-weight evaluation at a cost linear in the number of steps.
+
+Each step's derivative block enters only through its block summary (sign and
+log|det(I + D)|, tr D and the power-iterate norm), taken from the scheme's
+factors exactly as on the generic route; the dense block is never formed.
 
 The derivation of E[log M] uses E[δψ] = 0 (Gaussian integration by parts) and
 E⟨ψ_i, ξ_i⟩ organized per step, leaving
@@ -22,12 +26,12 @@ with E‖ψ_i‖² from the propagated state moments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import girsanov
-from .girsanov import LogWeight, MalliavinBlocks
+from .girsanov import BlockSummary, LogWeight
 from .paths import TimeGrid
 from .potentials import Potential
 
@@ -48,9 +52,9 @@ class StepMaps:
 
     State z is x (overdamped, dim d) or (x, p) stacked (kinetic, dim 2d).
     Endpoint: z' = A·z + S·ξ_flat + b.  Drift: ψ_i = Pz[i]·z + Pxi[i]·ξ_flat
-    + p0[i] per cell i.  The constant within-step derivative D = ∂ψ/∂ξ at
-    q = 1 enters through its log|det(I+D)|, trace and spectral-radius
-    estimate, precomputed.
+    + p0[i] per cell i.  The constant within-step derivative D = ∂ψ/∂ξ enters
+    through ``summary``, its :class:`~girsanovlab.girsanov.BlockSummary` on
+    one path and one step (fields of shape (1, 1)).
     """
 
     scheme: str
@@ -62,10 +66,7 @@ class StepMaps:
     Pz: np.ndarray  # (m, d, z)
     Pxi: np.ndarray  # (m, d, m·d)
     p0: np.ndarray  # (m, d)
-    log_abs_det: float
-    det_sign: float
-    trace: float
-    rho: float
+    summary: BlockSummary
 
     @property
     def state_dim(self) -> int:
@@ -86,7 +87,8 @@ def extract_step_maps(
     (double midpoint); ignored for the frozen-gradient scheme.  One batched
     run over the canonical basis of (state, increments) plus the zero input
     recovers the exact maps, since every output is affine for constant
-    Hessians.
+    Hessians.  The block summary comes from the scheme's structured
+    evaluator on the zero path.
     """
     from .engine import scheme_for  # the engine imports this module
 
@@ -98,9 +100,8 @@ def extract_step_maps(
     step_grid = TimeGrid(T=grid.h, N=1, m=grid.m)
     sched = s.step_schedule(step_grid, r)
 
-    def run(z0, xi):
-        traj = s.simulate(potential, step_grid, sched, gamma, z0, xi)
-        return traj, s.endpoint(traj), s.drift(potential, traj).psi
+    def simulate(z0, xi):
+        return s.simulate(potential, step_grid, sched, gamma, z0, xi)
 
     md = m * d
     B = 1 + zdim + md
@@ -108,7 +109,8 @@ def extract_step_maps(
     xi = np.zeros((B, m, d))
     z0[1 : 1 + zdim] = np.eye(zdim)
     xi[1 + zdim :] = np.eye(md).reshape(md, m, d)
-    _, zT, psi = run(z0, xi)
+    traj = simulate(z0, xi)
+    zT, psi = s.endpoint(traj), s.drift(potential, traj).psi
     b = zT[0]
     A = (zT[1 : 1 + zdim] - b).T
     S = (zT[1 + zdim :] - b).T
@@ -116,11 +118,7 @@ def extract_step_maps(
     Pz = np.moveaxis(psi[1 : 1 + zdim] - p0, 0, -1)
     Pxi = np.moveaxis(psi[1 + zdim :] - p0, 0, -1)
     # the block is constant for quadratic targets: one zero path suffices
-    zero_traj, _, _ = run(np.zeros((1, zdim)), np.zeros((1, m, d)))
-    D = s.blocks(potential, zero_traj).diag[0, 0]
-    sign, logabs = np.linalg.slogdet(np.eye(md) + D)
-    log_abs_det = float(logabs) if sign != 0.0 else -np.inf
-    rho = float(girsanov.spectral_radius_estimate(MalliavinBlocks(scheme, D[None, None]))[0])
+    zero_traj = simulate(np.zeros((1, zdim)), np.zeros((1, m, d)))
     return StepMaps(
         scheme=scheme,
         d=d,
@@ -131,10 +129,7 @@ def extract_step_maps(
         Pz=Pz,
         Pxi=Pxi,
         p0=p0,
-        log_abs_det=log_abs_det,
-        det_sign=float(sign),
-        trace=float(np.trace(D)),
-        rho=rho,
+        summary=s.summary(potential, zero_traj),
     )
 
 
@@ -196,6 +191,17 @@ def scheme_marginal_gaussian(
     return marginal_moments(maps, mean0, cov0)
 
 
+def _step_summaries(maps: list[StepMaps], n_paths: int = 1) -> BlockSummary:
+    """The steps' block summaries side by side, fields (n_paths, N)."""
+    return BlockSummary(*(
+        np.broadcast_to(
+            np.concatenate([getattr(sm.summary, f.name) for sm in maps], axis=-1),
+            (n_paths, len(maps)),
+        )
+        for f in fields(BlockSummary)
+    ))
+
+
 def quadratic_path_kl(
     maps: list[StepMaps], mean0: np.ndarray, cov0: np.ndarray
 ) -> float:
@@ -208,14 +214,15 @@ def quadratic_path_kl(
     cov = np.asarray(cov0, dtype=float)
     kl = 0.0
     for sm in maps:
-        kl += sm.trace - sm.log_abs_det
         mean_psi = sm.Pz @ mean + sm.p0  # (m, d)
         kl += 0.5 * float(np.sum(mean_psi**2))
         kl += 0.5 * float(np.einsum("idz,ze,ide->", sm.Pz, cov, sm.Pz))
         kl += 0.5 * float(np.sum(sm.Pxi**2))
         mean = sm.A @ mean + sm.b
         cov = sm.A @ cov @ sm.A.T + sm.noise_cov
-    return kl
+    summary = _step_summaries(maps)
+    log_cf, _ = girsanov._cf_sum(summary.sign, summary.logabs, summary.trace)
+    return kl - float(log_cf[0])
 
 
 def fast_log_weights(
@@ -223,17 +230,17 @@ def fast_log_weights(
 ) -> LogWeight:
     """Batched log Radon–Nikodym weights through the affine maps.
 
-    ``z0`` is (B, state_dim), ``xi`` is (B, N·m, d).  Exactly reproduces the
-    generic per-path assembly for constant-Hessian targets (dual-route tested)
-    at O(B·N·m·d) cost.
+    ``z0`` is (B, state_dim), ``xi`` is (B, N·m, d).  The drift terms cost
+    O(B·N·m²·d²); the determinant, trace and invertibility rule are the
+    generic route's, applied to the steps' block summaries.  Exactly
+    reproduces the generic per-path assembly for constant-Hessian targets
+    (dual-route tested).
     """
     B = z0.shape[0]
     m, d = maps[0].m, maps[0].d
     z = np.asarray(z0, dtype=float)
     ito = np.zeros(B)
     energy = np.zeros(B)
-    log_cf = 0.0
-    rho = 0.0
     for k, sm in enumerate(maps):
         xif = xi[:, k * m : (k + 1) * m].reshape(B, m * d)
         psi = (
@@ -243,18 +250,5 @@ def fast_log_weights(
         )
         ito += np.einsum("bid,bid->b", psi, xif.reshape(B, m, d))
         energy += 0.5 * np.einsum("bid,bid->b", psi, psi)
-        log_cf += sm.log_abs_det - sm.trace
-        rho = max(rho, sm.rho)
         z = z @ sm.A.T + xif @ sm.S.T + sm.b
-    trace_total = sum(sm.trace for sm in maps)
-    ones = np.ones(B)
-    invertible = bool((rho < girsanov.SPECTRAL_RADIUS_LIMIT) and np.isfinite(log_cf))
-    negative = any(sm.det_sign < 0.0 for sm in maps)
-    return LogWeight(
-        log_cf_det=log_cf * ones,
-        skorohod=ito - trace_total,
-        energy=energy,
-        spectral_radius=rho * ones,
-        invertible=np.full(B, invertible),
-        negative_det=np.full(B, negative),
-    )
+    return girsanov._summary_weight(_step_summaries(maps, B), ito, energy)

@@ -96,13 +96,23 @@ def _cmd_run(args) -> int:
     return 0 if result.passed else 1
 
 
+def _parse_only(text: str) -> tuple[int, ...]:
+    """Criterion numbers of ``--only``; ConfigError unless each is in 1..12."""
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ConfigError(f"--only names no criterion: {text!r}")
+    try:
+        only = tuple(int(tok) for tok in tokens)
+    except ValueError:
+        raise ConfigError(f"--only takes criterion numbers, got {text!r}") from None
+    bad = [i for i in only if not 1 <= i <= 12]
+    if bad:
+        raise ConfigError(f"--only criteria must be in 1..12, got {bad}")
+    return only
+
+
 def _cmd_verify(args) -> int:
-    only = None
-    if args.only:
-        only = tuple(int(tok) for tok in args.only.replace(",", " ").split())
-        bad = [i for i in only if not 1 <= i <= 12]
-        if bad:
-            raise ConfigError(f"--only criteria must be in 1..12, got {bad}")
+    only = None if args.only is None else _parse_only(args.only)
     suite = AcceptanceSuite(seed=args.seed, threads=args.threads)
     results = suite.run(only=only)
     os.makedirs(args.output_dir, exist_ok=True)

@@ -21,9 +21,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp, stdtrit
 
-from .engine import scheme_for, start_states
+from .engine import WINDOW_PATHS, scheme_for, start_states
 from .integrators import ou_cell_uld
-from .paths import BLOCK_PATHS, LABEL_PATH, LABEL_RESIDUAL
+from .paths import LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential
 
 __all__ = [
@@ -317,7 +317,8 @@ def local_error_sweep(
     :func:`~girsanovlab.engine.start_states` with the default (stationary)
     law.  Strong errors use replica 1 only; weak errors pair two replicas
     sharing the start state.  Deterministic midpoint schedules are used
-    throughout, and paths are processed one generation block at a time.
+    throughout, and paths are processed in windows of
+    :data:`~girsanovlab.engine.WINDOW_PATHS`, as in ``run_weights``.
     """
     # looked up at call time, so wrappers installed on these modules see the calls
     from .integrators import exact_ou_flow_ld, exact_ou_flow_uld
@@ -345,8 +346,8 @@ def local_error_sweep(
         sp = np.empty(n_paths)
         wx = np.empty(n_paths)
         wp = np.empty(n_paths)
-        for lo in range(0, n_paths, BLOCK_PATHS):
-            hi = min(lo + BLOCK_PATHS, n_paths)
+        for lo in range(0, n_paths, WINDOW_PATHS):
+            hi = min(lo + WINDOW_PATHS, n_paths)
             rows = hi - lo
             z0 = start_states(potential, kinetic, seed, rows, start=lo)
             x0 = z0[:, :d]

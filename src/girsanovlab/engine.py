@@ -1,12 +1,13 @@
 """Deterministic Monte Carlo driver for pathwise weight runs.
 
-Work is partitioned by path index into fixed generation blocks (the RNG's
-block size), each block is evaluated independently — affine fast path for
-constant-Hessian targets, generic per-path assembly otherwise — and results
-are written into preallocated slots by block index.  The partition, the
-per-block arithmetic, and the merge order are all functions of the path index
-alone, so estimates are bit-identical across thread counts and across runs
-with the same seed.
+Work is partitioned by path index into fixed windows of ``WINDOW_PATHS``
+paths, which tile the RNG's generation blocks.  Each window reads its own
+increments and start states and is evaluated independently — affine fast path
+for constant-Hessian targets, generic per-path assembly otherwise — and the
+windows' weights are merged in path order.  The partition, the per-window
+arithmetic, and the merge order are all functions of the path index alone, so
+estimates are bit-identical across thread counts and across runs with the
+same seed.
 
 Every path consumer draws start states through :func:`start_states`: path
 p's start is row p of the seed's initialization stream, as its increments are
@@ -43,24 +44,24 @@ from .girsanov import (
 )
 from .integrators import DM_STEP_MARGIN, simulate_dmulmc, simulate_mlmc, simulate_ulmc
 from .paths import (
-    BLOCK_PATHS,
     LABEL_INIT,
     OverdampedSchedule,
     TimeGrid,
     UnderdampedSchedule,
     noise_matrix,
-    normal_block,
 )
 from .potentials import Potential
 
 __all__ = [
-    "SCHEMES", "Scheme", "WeightRun", "scheme_for", "start_states", "run_weights",
-    "generic_log_weights",
+    "SCHEMES", "Scheme", "WeightRun", "WINDOW_PATHS", "scheme_for", "start_states",
+    "run_weights", "generic_log_weights",
 ]
 
-#: Generic per-path assembly is evaluated in sub-chunks this large to bound
-#: the memory of the (chunk, N, m, d, d) Hessian arrays.
-_GENERIC_CHUNK = 512
+#: Paths per evaluation window of :func:`run_weights` and the local-error
+#: sweep.  It divides ``BLOCK_PATHS``, so no window crosses a generation
+#: block, and it bounds the memory of a window's increments and of the
+#: generic route's (window, N, m, d, d) Hessian arrays.
+WINDOW_PATHS = 512
 
 
 class Scheme:
@@ -77,8 +78,9 @@ class Scheme:
       from stacked start states z0 — x, or (x, p) for kinetic schemes —
       and ``endpoint(traj)``, its state at the horizon, shaped like z0.
     * ``drift``, the dense derivative ``blocks`` (the reference for finite
-      differences, dumps and affine step maps) and their structured
-      ``summary`` (the generic weight route) of a trajectory.
+      differences and dumps) and their structured ``summary`` (both weight
+      routes: per path on the generic route, once per step on the affine
+      one) of a trajectory.
     * ``step_keys(grid, schedule)``: per outer step, the hashable midpoint
       choice that fixes the step's affine maps; ``step_schedule(step_grid,
       key)`` is the one-step schedule of a key.
@@ -327,71 +329,46 @@ def run_weights(
 ) -> WeightRun:
     """Sample ``n_paths`` scheme paths and evaluate their log weights.
 
-    Each generation block's increments are drawn for its paths only, and
-    start states come from :func:`start_states` with ``init`` (default: the
-    default start law).  Constant-Hessian targets take the affine fast path,
-    which agrees with :func:`generic_log_weights` to rounding (tested).
+    Paths are evaluated in windows of ``WINDOW_PATHS``: each window draws the
+    increments of its own paths, takes its start states from
+    :func:`start_states` with ``init`` (default: the default start law), and
+    yields one :class:`~girsanovlab.girsanov.LogWeight`.  Constant-Hessian
+    targets take the affine fast path, which agrees with
+    :func:`generic_log_weights` to rounding (tested).
     """
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     the_grid = _resolve_grid(schedule, grid)
     s = scheme_for(scheme)
     if s.kinetic and (gamma is None or not gamma > 0):
         raise ValueError("kinetic schemes need a positive friction gamma")
     if schedule is None:
         schedule = s.schedule(the_grid)
-    n_cells, d = the_grid.n_cells, potential.d
 
     maps = None
     if potential.is_quadratic:
         maps = step_maps_for_schedule(scheme, potential, schedule or the_grid, gamma)
 
-    def eval_block(block: int) -> tuple:
-        lo = block * BLOCK_PATHS
-        hi = min(n_paths, lo + BLOCK_PATHS)
-        xi = normal_block(seed, n_cells, d, block, n_rows=hi - lo)
-        z0 = start_states(potential, s.kinetic, seed, hi - lo, start=lo, init=init)
+    def eval_window(lo: int) -> LogWeight:
+        n = min(WINDOW_PATHS, n_paths - lo)
+        xi = noise_matrix(seed, n, the_grid.n_cells, potential.d, start=lo)
+        z0 = start_states(potential, s.kinetic, seed, n, start=lo, init=init)
         if maps is not None:
-            w = fast_log_weights(maps, z0, xi)
-            return block, w.log_weight, w.invertible, int(w.negative_det.sum()), float(
-                w.spectral_radius.max()
-            )
-        logw = np.empty(hi - lo)
-        inv = np.empty(hi - lo, dtype=bool)
-        neg = 0
-        rho = 0.0
-        for c0 in range(0, hi - lo, _GENERIC_CHUNK):
-            c1 = min(hi - lo, c0 + _GENERIC_CHUNK)
-            w = generic_log_weights(
-                scheme, potential, schedule, the_grid, gamma, z0[c0:c1], xi[c0:c1]
-            )
-            logw[c0:c1] = w.log_weight
-            inv[c0:c1] = w.invertible
-            neg += int(w.negative_det.sum())
-            rho = max(rho, float(w.spectral_radius.max()))
-        return block, logw, inv, neg, rho
+            return fast_log_weights(maps, z0, xi)
+        return generic_log_weights(scheme, potential, schedule, the_grid, gamma, z0, xi)
 
-    n_blocks = (n_paths + BLOCK_PATHS - 1) // BLOCK_PATHS
-    log_weight = np.empty(n_paths)
-    invertible = np.empty(n_paths, dtype=bool)
-    n_negative = 0
-    rho_max = 0.0
+    starts = range(0, n_paths, WINDOW_PATHS)
     if threads <= 1:
-        results = map(eval_block, range(n_blocks))
+        windows = [eval_window(lo) for lo in starts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_block, range(n_blocks)))
-    for block, logw, inv, neg, rho in results:
-        lo = block * BLOCK_PATHS
-        hi = min(n_paths, lo + BLOCK_PATHS)
-        log_weight[lo:hi] = logw
-        invertible[lo:hi] = inv
-        n_negative += neg
-        rho_max = max(rho_max, rho)
+            windows = list(pool.map(eval_window, starts))
     return WeightRun(
         scheme=scheme,
         seed=seed,
-        log_weight=log_weight,
-        invertible=invertible,
-        spectral_radius=rho_max,
-        n_negative_det=n_negative,
+        log_weight=np.concatenate([w.log_weight for w in windows]),
+        invertible=np.concatenate([w.invertible for w in windows]),
+        spectral_radius=max(float(w.spectral_radius.max()) for w in windows),
+        n_negative_det=sum(int(w.negative_det.sum()) for w in windows),
         grad_queries_per_path=s.grad_queries(the_grid, schedule),
     )

@@ -45,11 +45,12 @@ low-rank anticipating part that yields all three from its factors
 
 The power iterate is the same 20 normalised steps from the same start vector
 as on the dense block, through an O(m·d²) matrix-vector product (overdamped,
-frozen-gradient) or inside the range of U (double midpoint).  The engine's
-generic route uses these evaluators.  The dense blocks with
+frozen-gradient) or inside the range of U (double midpoint).  Both weight
+routes use these evaluators: the generic route per path, the affine route
+once per distinct step on a zero path.  The dense blocks with
 :func:`carleman_fredholm_logdet` and :func:`spectral_radius_estimate` are the
 reference: finite-difference checks, block dumps, trace diagnostics, the
-linearization criterion, affine step-map extraction and the tests use them.
+linearization criterion and the tests use them.
 
 All functions are batched with a leading path axis and are pure; nothing is
 shared across paths.
@@ -552,7 +553,7 @@ def carleman_fredholm_logdet(blocks: MalliavinBlocks) -> tuple[np.ndarray, np.nd
     block yields −inf; ``negative_det`` marks paths where some block
     determinant is negative (anomaly under the scheme step bounds).
 
-    This is the dense reference.  The generic weight route evaluates the same
+    This is the dense reference.  Both weight routes evaluate the same
     quantity from each block's factors (:func:`block_summary_mlmc` and
     siblings) with the identities of the module docstring:
     det(I_d − Σ_{j<r} Y_j) for the overdamped midpoint, exactly zero for the
@@ -607,7 +608,7 @@ def spectral_radius_estimate(blocks: MalliavinBlocks) -> np.ndarray:
 
 
 def _log_weight(
-    drift: DriftRealization,
+    energy: np.ndarray,
     log_cf: np.ndarray,
     negative: np.ndarray,
     skorohod: np.ndarray,
@@ -617,7 +618,7 @@ def _log_weight(
     return LogWeight(
         log_cf_det=log_cf,
         skorohod=skorohod,
-        energy=drift.energy,
+        energy=energy,
         spectral_radius=rho,
         invertible=invertible,
         negative_det=negative,
@@ -636,7 +637,7 @@ def rn_log_weight(
     log_cf, negative = carleman_fredholm_logdet(blocks)
     sk = skorohod_adjoint(drift, blocks, xi)
     rho = spectral_radius_estimate(blocks)
-    return _log_weight(drift, log_cf, negative, sk, rho)
+    return _log_weight(drift.energy, log_cf, negative, sk, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -798,9 +799,14 @@ def summary_log_weight(
     drift: DriftRealization, summary: BlockSummary, xi: np.ndarray
 ) -> LogWeight:
     """:func:`rn_log_weight` from block summaries instead of dense blocks."""
+    return _summary_weight(summary, _ito_sum(drift, xi), drift.energy)
+
+
+def _summary_weight(summary: BlockSummary, ito: np.ndarray, energy: np.ndarray) -> LogWeight:
+    """The weight of both routes from Σ⟨ψ_i, ξ_i⟩, ½Σ‖ψ_i‖² and the block summaries."""
     log_cf, negative = _cf_sum(summary.sign, summary.logabs, summary.trace)
-    sk = _ito_sum(drift, xi) - summary.trace.sum(axis=-1)
-    return _log_weight(drift, log_cf, negative, sk, summary.power_norm.max(axis=-1))
+    sk = ito - summary.trace.sum(axis=-1)
+    return _log_weight(energy, log_cf, negative, sk, summary.power_norm.max(axis=-1))
 
 
 # ---------------------------------------------------------------------------

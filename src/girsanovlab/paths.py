@@ -226,8 +226,10 @@ def _generator(seed: int, label: int, level: int, block: int) -> np.random.Gener
 def _normals(gen: np.random.Generator, n: int) -> np.ndarray:
     # One 64-bit word per normal: u ∈ [2⁻⁵⁴, 1), then inverse CDF.  Fixed
     # consumption keeps block layouts identical regardless of call pattern.
-    u = gen.random(n) + 2.0**-54
-    return ndtri(u)
+    # In place: a draw holds one array of n doubles.
+    u = gen.random(n)
+    u += 2.0**-54
+    return ndtri(u, out=u)
 
 
 def normal_block(

@@ -19,3 +19,9 @@ def suite():
 def test_cheap_criterion_passes(suite, index):
     result = getattr(suite, f"criterion_{index}")()
     assert result.passed, result.line
+
+
+def test_run_takes_each_named_criterion_once():
+    suite = AcceptanceSuite()
+    assert [r.index for r in suite.run(only=(3, 2, 3))] == [2, 3]
+    assert suite.run(only=()) == []

@@ -2,6 +2,7 @@
 
 import pytest
 
+from girsanovlab import cli
 from girsanovlab.cli import main
 
 SCHEMES = {
@@ -68,3 +69,32 @@ def test_run_on_malformed_config_exits_2(tmp_path, capsys):
     path.write_text("[experiment]\nname = normalization\nbogus = 1\n")
     assert main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
     assert "unknown key 'bogus'" in capsys.readouterr().err
+
+
+class _RecordingSuite:
+    """Stands in for the acceptance suite and records what it was asked to run."""
+
+    calls: list = []
+
+    def __init__(self, seed, threads):
+        pass
+
+    def run(self, only=None):
+        self.calls.append(only)
+        return []
+
+
+@pytest.mark.parametrize("only", ["1,x", ",", " "], ids=["non-number", "comma", "blank"])
+def test_verify_rejects_a_malformed_only_list(monkeypatch, tmp_path, capsys, only):
+    monkeypatch.setattr(cli, "AcceptanceSuite", _RecordingSuite)
+    monkeypatch.setattr(_RecordingSuite, "calls", [])
+    assert main(["verify", "--only", only, "--output-dir", str(tmp_path)]) == 2
+    assert "--only" in capsys.readouterr().err
+    assert _RecordingSuite.calls == []
+
+
+def test_verify_only_accepts_commas_and_spaces(monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "AcceptanceSuite", _RecordingSuite)
+    monkeypatch.setattr(_RecordingSuite, "calls", [])
+    assert main(["verify", "--only", " 3, 1 12", "--output-dir", str(tmp_path)]) == 0
+    assert _RecordingSuite.calls == [(3, 1, 12)]

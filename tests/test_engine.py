@@ -1,10 +1,20 @@
-"""Engine claims: the affine and generic routes agree, and the generic route
-is bit-identical across thread counts."""
+"""Engine claims: the affine and generic routes agree, both are bit-identical
+across thread counts, paths are read one window at a time, and the affine
+route never forms a dense block."""
 
 import numpy as np
 import pytest
 
-from girsanovlab.engine import generic_log_weights, run_weights, start_states
+import girsanovlab.engine as engine
+import girsanovlab.girsanov as girsanov
+import girsanovlab.paths as gp
+from girsanovlab.divergences import local_error_sweep
+from girsanovlab.engine import (
+    WINDOW_PATHS,
+    generic_log_weights,
+    run_weights,
+    start_states,
+)
 from girsanovlab.paths import (
     BLOCK_PATHS,
     OverdampedSchedule,
@@ -15,6 +25,7 @@ from girsanovlab.paths import (
 from girsanovlab.potentials import IsotropicQuadratic, PerturbedQuadratic
 
 GRID = TimeGrid(0.5, 4, 4)
+PERTURBED = PerturbedQuadratic((1.0, 2.0), amplitude=0.1, frequency=1.0)
 
 SCHEDULES = {
     "mlmc": (
@@ -46,10 +57,14 @@ def test_affine_and_generic_routes_agree(scheme, which):
     assert affine.n_negative_det == int(generic.negative_det.sum())
 
 
-@pytest.mark.parametrize("scheme", ["mlmc", "dmulmc"])
-def test_generic_route_is_thread_invariant(scheme):
-    # two generation blocks, so two threads really split the work
-    pot = PerturbedQuadratic((1.0, 2.0), amplitude=0.1, frequency=1.0)
+@pytest.mark.parametrize(
+    "scheme, pot",
+    [("mlmc", PERTURBED), ("dmulmc", PERTURBED), ("dmulmc", IsotropicQuadratic(2))],
+    ids=["mlmc", "dmulmc", "affine-dmulmc"],
+)
+def test_weights_are_thread_invariant(scheme, pot):
+    # two generation blocks, so two threads really split the work; the
+    # quadratic target takes the affine route, the perturbed one the generic
     zdim = 2 if scheme == "mlmc" else 4
     kwargs = dict(
         schedule=SCHEDULES[scheme][1], n_paths=BLOCK_PATHS + 64, seed=5,
@@ -63,6 +78,63 @@ def test_generic_route_is_thread_invariant(scheme):
     assert np.array_equal(one.invertible, two.invertible)
     assert one.spectral_radius == two.spectral_radius
     assert one.n_negative_det == two.n_negative_det
+
+
+def _record_rows(monkeypatch) -> list[int]:
+    """Rows of every generation-block read, recorded from here on."""
+    rows = []
+    original = gp.normal_block
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(gp, "normal_block", recording)
+    return rows
+
+
+def test_windows_tile_the_generation_blocks():
+    assert BLOCK_PATHS % WINDOW_PATHS == 0
+
+
+@pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
+def test_run_weights_reads_one_window_at_a_time(monkeypatch, pot):
+    rows = _record_rows(monkeypatch)
+    n = WINDOW_PATHS + 40
+    run_weights("mlmc", pot, schedule=SCHEDULES["mlmc"][0], n_paths=n, seed=3)
+    assert max(rows) <= WINDOW_PATHS
+    assert sum(rows) == 2 * n  # increments and start states, every row seen
+
+
+def test_local_error_sweep_reads_one_window_at_a_time(monkeypatch):
+    rows = _record_rows(monkeypatch)
+    n = WINDOW_PATHS + 40
+    grids = [TimeGrid(h, 1, 4) for h in (0.25, 0.125, 0.0625)]
+    local_error_sweep("dmulmc", IsotropicQuadratic(2), grids, gamma=1.0, n_paths=n, seed=3)
+    assert max(rows) <= WINDOW_PATHS
+    # per grid: start states, then increments and residuals of two replicas
+    assert sum(rows) == len(grids) * 5 * n
+
+
+def test_run_weights_needs_a_path():
+    with pytest.raises(ValueError, match="n_paths"):
+        run_weights("mlmc", PERTURBED, grid=GRID, n_paths=0, seed=1)
+
+
+@pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
+def test_affine_route_forms_no_dense_block(monkeypatch, scheme):
+    def dense(*args, **kwargs):
+        raise AssertionError("the affine route formed a dense block")
+
+    for name in ("malliavin_blocks_mlmc", "malliavin_blocks_ulmc", "malliavin_blocks_dmulmc"):
+        monkeypatch.setattr(engine, name, dense)
+        monkeypatch.setattr(girsanov, name, dense)
+    monkeypatch.setattr(girsanov, "spectral_radius_estimate", dense)
+    monkeypatch.setattr(girsanov, "carleman_fredholm_logdet", dense)
+    gamma = 1.0 if scheme in ("ulmc", "dmulmc") else None
+    run = run_weights(scheme, IsotropicQuadratic(2), grid=GRID, gamma=gamma, n_paths=64, seed=1)
+    assert np.all(np.isfinite(run.log_weight)) and run.n_rejected == 0
 
 
 @pytest.mark.parametrize("kinetic", [False, True])

@@ -27,9 +27,8 @@ def test_benchmark_self_test_passes():
 LAYER_SPANS = {
     "kl-affine": {
         "experiments.run_experiment", "engine.run_weights", "affine.step_maps",
-        "affine.fast_weights", "affine.marginal", "girsanov.drift", "girsanov.blocks",
-        "girsanov.spectral", "integrators.simulate", "divergences.estimate",
-        "paths.normal_block",
+        "affine.fast_weights", "affine.marginal", "girsanov.drift",
+        "integrators.simulate", "divergences.estimate", "paths.normal_block",
     },
     "generic-weights": {
         "engine.run_weights", "engine.generic", "girsanov.drift", "integrators.simulate",
