@@ -25,14 +25,11 @@ from .divergences import (
     DivergenceEstimate,
     LocalErrorReport,
     SlopeFit,
-    diffusion_marginal_ld,
-    diffusion_marginal_uld,
     estimate_kl,
     estimate_renyi,
     fit_loglog_slope,
     gaussian_kl,
     local_error_sweep,
-    pinsker_tv_bound,
     stationary_moments,
 )
 from .engine import (
@@ -51,6 +48,7 @@ from .girsanov import (
     LogWeight,
     MalliavinBlocks,
     TraceDiagnostics,
+    block_summary_dense,
     block_summary_dmulmc,
     block_summary_mlmc,
     block_summary_ulmc,
@@ -61,9 +59,6 @@ from .girsanov import (
     malliavin_blocks_dmulmc,
     malliavin_blocks_mlmc,
     malliavin_blocks_ulmc,
-    rn_log_weight,
-    skorohod_adjoint,
-    spectral_radius_estimate,
     summary_log_weight,
     trace_diagnostics_mlmc,
 )
@@ -124,12 +119,11 @@ __all__ = [
     "UnderdampedSchedule",
     "UnderdampedTrajectory",
     "WeightRun",
+    "block_summary_dense",
     "block_summary_dmulmc",
     "block_summary_mlmc",
     "block_summary_ulmc",
     "carleman_fredholm_logdet",
-    "diffusion_marginal_ld",
-    "diffusion_marginal_uld",
     "drift_dmulmc",
     "drift_mlmc",
     "drift_ulmc",
@@ -147,10 +141,8 @@ __all__ = [
     "malliavin_blocks_mlmc",
     "malliavin_blocks_ulmc",
     "noise_matrix",
-    "pinsker_tv_bound",
     "quadratic_path_kl",
     "refine_noise",
-    "rn_log_weight",
     "run",
     "run_acceptance",
     "run_experiment",
@@ -160,8 +152,6 @@ __all__ = [
     "simulate_dmulmc",
     "simulate_mlmc",
     "simulate_ulmc",
-    "skorohod_adjoint",
-    "spectral_radius_estimate",
     "start_states",
     "stationary_moments",
     "summary_log_weight",

@@ -14,7 +14,8 @@ then provides:
 
 Each step's derivative block enters only through its block summary (sign and
 log|det(I + D)|, tr D and the power-iterate norm), taken from the scheme's
-factors exactly as on the generic route; the dense block is never formed.
+factors; the dense block is never formed.  Weights and the path KL read those
+summaries through girsanov's one weight assembly.
 
 The derivation of E[log M] uses E[δψ] = 0 (Gaussian integration by parts) and
 E⟨ψ_i, ξ_i⟩ organized per step, leaving
@@ -220,8 +221,7 @@ def quadratic_path_kl(
         kl += 0.5 * float(np.sum(sm.Pxi**2))
         mean = sm.A @ mean + sm.b
         cov = sm.A @ cov @ sm.A.T + sm.noise_cov
-    summary = _step_summaries(maps)
-    log_cf, _ = girsanov._cf_sum(summary.sign, summary.logabs, summary.trace)
+    log_cf, _ = girsanov.carleman_fredholm_logdet(_step_summaries(maps))
     return kl - float(log_cf[0])
 
 
@@ -231,8 +231,8 @@ def fast_log_weights(
     """Batched log Radon–Nikodym weights through the affine maps.
 
     ``z0`` is (B, state_dim), ``xi`` is (B, N·m, d).  The drift terms cost
-    O(B·N·m²·d²); the determinant, trace and invertibility rule are the
-    generic route's, applied to the steps' block summaries.  Exactly
+    O(B·N·m²·d²); the determinant, trace and invertibility rule come from
+    the one weight assembly, applied to the steps' block summaries.  Exactly
     reproduces the generic per-path assembly for constant-Hessian targets
     (dual-route tested).
     """

@@ -34,7 +34,7 @@ from .acceptance import DEFAULT_SEED, AcceptanceSuite
 from .config import ConfigError, ExperimentConfig, load_config_file
 from .engine import scheme_for, start_states
 from .experiments import run
-from .girsanov import rn_log_weight
+from .girsanov import block_summary_dense, summary_log_weight
 from .paths import noise_matrix
 
 #: per-path trajectory arrays that ``dump-path`` prints, when the scheme has them
@@ -85,6 +85,22 @@ def _write_text(text: str, output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _nonnegative(what: str, bits: int | None = None):
+    """An argparse ``type=``: an integer in [0, 2**bits), else a usage error (exit 2)."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+        if value < 0 or (bits is not None and value >= 2**bits):
+            bound = ">= 0" if bits is None else f"in [0, 2**{bits})"
+            raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {value}")
+        return value
+
+    return convert
 
 
 def _cmd_run(args) -> int:
@@ -154,7 +170,7 @@ def _cmd_dump_blocks(args) -> int:
     scheme, grid, _, _, xi, traj = _path_setup(cfg, b)
     drift = scheme.drift(cfg.potential, traj)
     blocks = scheme.blocks(cfg.potential, traj)
-    lw = rn_log_weight(drift, blocks, xi.reshape(xi.shape[0], grid.n_cells, -1))
+    lw = summary_log_weight(drift, block_summary_dense(blocks), xi)
     lines = _dump_header(cfg, "blocks", b, grid)
     _emit_array(lines, "psi", drift.psi[b])
     _emit_array(lines, "diag", blocks.diag[b])
@@ -189,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the acceptance suite")
-    p_ver.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p_ver.add_argument("--seed", type=_nonnegative("seed", 64), default=DEFAULT_SEED,
                        help=f"suite seed (default {DEFAULT_SEED})")
     p_ver.add_argument("--threads", type=int, default=1,
                        help="worker threads (results are thread-invariant)")
@@ -207,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("config", help="path to a config file")
-        p.add_argument("--path", type=int, default=0,
+        p.add_argument("--path", type=_nonnegative("path index"), default=0,
                        help="path index within the seed's stream (default 0)")
         p.add_argument("--output", default=None,
                        help="output file (default: stdout)")

@@ -268,6 +268,8 @@ def load_config(text: str) -> ExperimentConfig:
             f"(known: {', '.join(EXPERIMENTS)})"
         )
     seed = _int(e.raw("experiment.seed"), e.where("experiment.seed")) if e.has("experiment.seed") else 0
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{e.where('experiment.seed')}: seed must be in [0, 2**64)")
     n_paths = _int(e.raw("experiment.n_paths"), e.where("experiment.n_paths")) if e.has("experiment.n_paths") else 100_000
     if n_paths < 2:
         raise ConfigError(f"{e.where('experiment.n_paths')}: need at least 2 paths")

@@ -9,8 +9,8 @@ Q the diffusion's, so
 and both are estimated from sampled log M values.  Paths flagged
 non-invertible are excluded and counted; estimates carrying more than 1%
 rejections are marked unreliable.  For quadratic targets the module also
-provides exact stationary/diffusion marginal moments and the closed-form
-Gaussian KL used in data-processing cross-checks.
+provides the exact stationary moments and the closed-form Gaussian KL used in
+data-processing cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp, stdtrit
 
 from .engine import WINDOW_PATHS, scheme_for, start_states
-from .integrators import ou_cell_uld
 from .paths import LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential
 
@@ -34,10 +33,7 @@ __all__ = [
     "estimate_kl",
     "estimate_renyi",
     "gaussian_kl",
-    "pinsker_tv_bound",
     "stationary_moments",
-    "diffusion_marginal_ld",
-    "diffusion_marginal_uld",
     "fit_loglog_slope",
     "local_error_sweep",
 ]
@@ -146,24 +142,13 @@ def gaussian_kl(
     return 0.5 * (trace + maha - d + logdet1 - logdet0)
 
 
-def pinsker_tv_bound(kl: float) -> float:
-    """Total-variation bound min(1, √(KL/2)) from Pinsker's inequality."""
-    if kl < 0:
-        raise ValueError(f"KL must be nonnegative, got {kl}")
-    return float(min(1.0, np.sqrt(kl / 2.0)))
-
-
-def _quadratic_hessian(potential: Potential) -> np.ndarray:
-    if not potential.is_quadratic:
-        raise ValueError("Gaussian reference moments require a quadratic potential")
-    return potential.hessian(np.zeros((1, potential.d)))[0]
-
-
 def stationary_moments(
     potential: Potential, kinetic: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Moments of the target: N(0, H⁻¹), or N(0, diag(H⁻¹, I)) in phase space."""
-    H = _quadratic_hessian(potential)
+    if not potential.is_quadratic:
+        raise ValueError("Gaussian reference moments require a quadratic potential")
+    H = potential.hessian(np.zeros((1, potential.d)))[0]
     w, Q = np.linalg.eigh(H)
     if np.any(w <= 0):
         raise ValueError("stationary law needs a strictly convex quadratic")
@@ -175,40 +160,6 @@ def stationary_moments(
     cov[:d, :d] = cov_x
     cov[d:, d:] = np.eye(d)
     return np.zeros(2 * d), cov
-
-
-def diffusion_marginal_ld(
-    potential: Potential, T: float, mean0: np.ndarray, cov0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact marginal of dX = −∇V(X)dt + √2·dB at time T from N(mean0, cov0)."""
-    H = _quadratic_hessian(potential)
-    w, Q = np.linalg.eigh(H)
-    decay = np.exp(-w * T)
-    # ∫₀ᵀ e^{−2ws}·2 ds = (1 − e^{−2wT})/w, with the w → 0 limit 2T
-    wt = 2.0 * w * T
-    var = 2.0 * T * np.where(wt == 0.0, 1.0, -np.expm1(-wt) / np.where(wt == 0.0, 1.0, wt))
-    m = Q @ (decay * (Q.T @ np.asarray(mean0, dtype=float)))
-    c0r = Q.T @ np.asarray(cov0, dtype=float) @ Q
-    cov = Q @ (decay[:, None] * c0r * decay[None, :] + np.diag(var)) @ Q.T
-    return m, cov
-
-
-def diffusion_marginal_uld(
-    potential: Potential,
-    gamma: float,
-    T: float,
-    mean0: np.ndarray,
-    cov0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact phase-space marginal of the kinetic diffusion at time T.
-
-    dX = P dt, dP = (−γP − ∇V(X))dt + √(2γ)dB, state ordered (x, p).
-    """
-    Phi, mean_coef, resid_half = ou_cell_uld(potential, gamma, T)
-    noise_cov = mean_coef @ mean_coef.T + resid_half @ resid_half.T
-    mean = Phi @ np.asarray(mean0, dtype=float)
-    cov = Phi @ np.asarray(cov0, dtype=float) @ Phi.T + noise_cov
-    return mean, cov
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,12 @@ The power iterate is the same 20 normalised steps from the same start vector
 as on the dense block, through an O(m·d²) matrix-vector product (overdamped,
 frozen-gradient) or inside the range of U (double midpoint).  Both weight
 routes use these evaluators: the generic route per path, the affine route
-once per distinct step on a zero path.  The dense blocks with
-:func:`carleman_fredholm_logdet` and :func:`spectral_radius_estimate` are the
-reference: finite-difference checks, block dumps, trace diagnostics, the
-linearization criterion and the tests use them.
+once per distinct step on a zero path.  The dense blocks serve the
+finite-difference checks and trace diagnostics, and their summary
+:func:`block_summary_dense` (LU determinant, dense power iterate) is the
+reference that block dumps, the linearization criterion and the tests use.
+Every summary, structured or dense, becomes a weight through the one assembly
+:func:`summary_log_weight`, where the invertibility rule is written.
 
 All functions are batched with a leading path axis and are pure; nothing is
 shared across paths.
@@ -81,14 +83,12 @@ __all__ = [
     "malliavin_blocks_mlmc",
     "malliavin_blocks_ulmc",
     "malliavin_blocks_dmulmc",
-    "skorohod_adjoint",
-    "carleman_fredholm_logdet",
-    "spectral_radius_estimate",
-    "rn_log_weight",
     "BlockSummary",
+    "block_summary_dense",
     "block_summary_mlmc",
     "block_summary_ulmc",
     "block_summary_dmulmc",
+    "carleman_fredholm_logdet",
     "summary_log_weight",
     "trace_diagnostics_mlmc",
     "SPECTRAL_RADIUS_LIMIT",
@@ -140,12 +140,12 @@ class MalliavinBlocks:
 class LogWeight:
     """Pieces of the pathwise log Radon–Nikodym weight, per path.
 
-    ``log_weight = log_cf_det − skorohod − energy``; ``invertible`` is False
-    where the spectral-radius diagnostic fails (estimate ≥ 0.9) or a block is
-    exactly singular (log_cf_det = −inf); such paths should be excluded by
-    estimators and counted as rejections.  ``negative_det`` flags paths where
-    some block determinant came out negative despite a passing diagnostic —
-    an anomaly counter, expected to stay zero under the scheme step bounds.
+    ``log_weight = log_cf_det − skorohod − energy``.  ``invertible``: the
+    largest per-step power norm is below 0.9 and det₂ is finite; estimators
+    exclude other paths and count them as rejections.  ``negative_det`` flags
+    paths where some block determinant came out negative despite a passing
+    diagnostic — an anomaly counter, expected to stay zero under the scheme
+    step bounds.
     """
 
     log_cf_det: np.ndarray
@@ -518,52 +518,24 @@ def _assemble_full(
 
 
 # ---------------------------------------------------------------------------
-# Skorohod adjoint, determinant, weight
+# Block summaries: what the weight needs of each diagonal block
 # ---------------------------------------------------------------------------
 
 
-def _ito_sum(drift: DriftRealization, xi: np.ndarray) -> np.ndarray:
-    return np.einsum("bid,bid->b", drift.psi, np.asarray(xi, dtype=float))
+@dataclass(frozen=True)
+class BlockSummary:
+    """What the weight needs of each diagonal block, without the block.
 
-
-def skorohod_adjoint(
-    drift: DriftRealization, blocks: MalliavinBlocks, xi: np.ndarray
-) -> np.ndarray:
-    """δψ = Σ_i⟨ψ_i, ξ_i⟩ − Σ_k tr(D_k), trace over temporal and spatial indices.
-
-    Mean zero under the sampling law (Gaussian integration by parts).
+    All fields are (B, N), per path and step k: ``sign`` and ``logabs`` of
+    det(I + D_k), ``trace`` = tr(D_k), and ``power_norm``, the value
+    :func:`block_summary_dense` reads on the dense D_k (same start vector,
+    same number of steps).
     """
-    trace = np.trace(blocks.diag, axis1=-2, axis2=-1).sum(axis=-1)
-    return _ito_sum(drift, xi) - trace
 
-
-def _cf_sum(
-    sign: np.ndarray, logabs: np.ndarray, trace: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_k [log|det| − tr] over the step axis, −inf for a singular block."""
-    value = np.where(sign == 0.0, -np.inf, logabs - trace).sum(axis=-1)
-    return value, np.any(sign < 0.0, axis=-1)
-
-
-def carleman_fredholm_logdet(blocks: MalliavinBlocks) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_k [log|det(I + D_k)| − tr(D_k)] per path, by dense LU per block.
-
-    The full derivative is block lower-triangular, so diagonal blocks carry
-    the whole determinant.  Returns (value, negative_det): an exactly singular
-    block yields −inf; ``negative_det`` marks paths where some block
-    determinant is negative (anomaly under the scheme step bounds).
-
-    This is the dense reference.  Both weight routes evaluate the same
-    quantity from each block's factors (:func:`block_summary_mlmc` and
-    siblings) with the identities of the module docstring:
-    det(I_d − Σ_{j<r} Y_j) for the overdamped midpoint, exactly zero for the
-    frozen-gradient kinetic scheme, det(I_{2d} + Wᵀ·U) for the double
-    midpoint.
-    """
-    s = blocks.diag.shape[-1]
-    sign, logabs = np.linalg.slogdet(np.eye(s) + blocks.diag)
-    trace = np.trace(blocks.diag, axis1=-2, axis2=-1)
-    return _cf_sum(sign, logabs, trace)
+    sign: np.ndarray
+    logabs: np.ndarray
+    trace: np.ndarray
+    power_norm: np.ndarray
 
 
 def _power_start(s: int) -> np.ndarray:
@@ -590,75 +562,22 @@ def _power_norms(matvec, batch: tuple, s: int) -> np.ndarray:
     return rho
 
 
-def spectral_radius_estimate(blocks: MalliavinBlocks) -> np.ndarray:
-    """Largest over steps k of ‖D_k·v‖ after n = 20 normalised power steps.
+def block_summary_dense(blocks: MalliavinBlocks) -> BlockSummary:
+    """The reference summary of dense blocks: slogdet(I + D_k), tr D_k, power iterate.
 
-    From a fixed start vector v₀ (ones plus a linear tilt, so results are
-    reproducible) the iterate is v_{t+1} = D_k·v_t/‖D_k·v_t‖, and the value
-    per block is the norm of the last product, ‖D_k·v_{n−1}‖.  When D_k
-    has a single dominant eigenvalue this tends to ρ(D_k); it is not a
-    bound on ρ, and it is not ρ in general.  A nilpotent block (ρ = 0) reads
-    small but positive until n reaches its nilpotency index: a
-    frozen-gradient kinetic block, strictly lower triangular in m cells,
-    reads of order 1e-5 at m = 24.
+    ``power_norm`` is ‖D_k·v_{n−1}‖ after n = 20 normalised power steps
+    v_{t+1} = D_k·v_t/‖D_k·v_t‖ from the fixed start vector v₀ (ones plus a
+    linear tilt, so results are reproducible).  When D_k has a single
+    dominant eigenvalue this tends to ρ(D_k); it is not a bound on ρ, and it
+    is not ρ in general.  A nilpotent block (ρ = 0) reads small but positive
+    until n reaches its nilpotency index: a frozen-gradient kinetic block,
+    strictly lower triangular in m cells, reads of order 1e-5 at m = 24.
     """
     B, N, s, _ = blocks.diag.shape
+    sign, logabs = np.linalg.slogdet(np.eye(s) + blocks.diag)
+    trace = np.trace(blocks.diag, axis1=-2, axis2=-1)
     rho = _power_norms(lambda v: np.einsum("bnij,bnj->bni", blocks.diag, v), (B, N), s)
-    return rho.max(axis=-1)
-
-
-def _log_weight(
-    energy: np.ndarray,
-    log_cf: np.ndarray,
-    negative: np.ndarray,
-    skorohod: np.ndarray,
-    rho: np.ndarray,
-) -> LogWeight:
-    invertible = (rho < SPECTRAL_RADIUS_LIMIT) & np.isfinite(log_cf)
-    return LogWeight(
-        log_cf_det=log_cf,
-        skorohod=skorohod,
-        energy=energy,
-        spectral_radius=rho,
-        invertible=invertible,
-        negative_det=negative,
-    )
-
-
-def rn_log_weight(
-    drift: DriftRealization, blocks: MalliavinBlocks, xi: np.ndarray
-) -> LogWeight:
-    """Assemble log M = log_cf_det − δψ − energy with invertibility diagnostics.
-
-    ``invertible`` requires the spectral-radius estimate below 0.9 and a
-    nonsingular determinant; consumers exclude non-invertible paths and
-    count them as rejections.
-    """
-    log_cf, negative = carleman_fredholm_logdet(blocks)
-    sk = skorohod_adjoint(drift, blocks, xi)
-    rho = spectral_radius_estimate(blocks)
-    return _log_weight(drift.energy, log_cf, negative, sk, rho)
-
-
-# ---------------------------------------------------------------------------
-# Structured block summaries (the generic weight route)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlockSummary:
-    """What the weight needs of each diagonal block, without the block.
-
-    All fields are (B, N), per path and step k: ``sign`` and ``logabs`` of
-    det(I + D_k), ``trace`` = tr(D_k), and ``power_norm``, the value
-    :func:`spectral_radius_estimate` reads on the dense D_k (same start
-    vector, same number of steps).
-    """
-
-    sign: np.ndarray
-    logabs: np.ndarray
-    trace: np.ndarray
-    power_norm: np.ndarray
+    return BlockSummary(sign, logabs, trace, rho)
 
 
 def _batched_matvec(H: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -795,18 +714,43 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     return BlockSummary(sign, logabs, trace, rho)
 
 
+def carleman_fredholm_logdet(summary: BlockSummary) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_k [log|det(I + D_k)| − tr(D_k)] per path, from the block summaries.
+
+    The full derivative is block lower-triangular, so diagonal blocks carry
+    the whole determinant.  Returns (value, negative_det): an exactly singular
+    block yields −inf; ``negative_det`` marks paths where some block
+    determinant is negative (anomaly under the scheme step bounds).
+    """
+    sign = summary.sign
+    value = np.where(sign == 0.0, -np.inf, summary.logabs - summary.trace).sum(axis=-1)
+    return value, np.any(sign < 0.0, axis=-1)
+
+
 def summary_log_weight(
     drift: DriftRealization, summary: BlockSummary, xi: np.ndarray
 ) -> LogWeight:
-    """:func:`rn_log_weight` from block summaries instead of dense blocks."""
-    return _summary_weight(summary, _ito_sum(drift, xi), drift.energy)
+    """log M = log_cf_det − δψ − energy: the one weight assembly, for any summary.
+
+    δψ = Σ_i⟨ψ_i, ξ_i⟩ − Σ_k tr(D_k), mean zero under the sampling law.  The
+    summary may be :func:`block_summary_dense` or a structured one.
+    """
+    ito = np.einsum("bid,bid->b", drift.psi, np.asarray(xi, dtype=float))
+    return _summary_weight(summary, ito, drift.energy)
 
 
 def _summary_weight(summary: BlockSummary, ito: np.ndarray, energy: np.ndarray) -> LogWeight:
-    """The weight of both routes from Σ⟨ψ_i, ξ_i⟩, ½Σ‖ψ_i‖² and the block summaries."""
-    log_cf, negative = _cf_sum(summary.sign, summary.logabs, summary.trace)
-    sk = ito - summary.trace.sum(axis=-1)
-    return _log_weight(energy, log_cf, negative, sk, summary.power_norm.max(axis=-1))
+    """The weight of every route from Σ⟨ψ_i, ξ_i⟩, ½Σ‖ψ_i‖² and the block summaries."""
+    log_cf, negative = carleman_fredholm_logdet(summary)
+    rho = summary.power_norm.max(axis=-1)
+    return LogWeight(
+        log_cf_det=log_cf,
+        skorohod=ito - summary.trace.sum(axis=-1),
+        energy=energy,
+        spectral_radius=rho,
+        invertible=(rho < SPECTRAL_RADIUS_LIMIT) & np.isfinite(log_cf),
+        negative_det=negative,
+    )
 
 
 # ---------------------------------------------------------------------------

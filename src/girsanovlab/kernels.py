@@ -37,10 +37,8 @@ __all__ = [
     "e1",
     "e2",
     "e3",
-    "exp_integrals",
     "SigmaCoefficients",
     "sigma_coefficients",
-    "discrete_sigma_coefficients",
     "StepKernels",
 ]
 
@@ -117,11 +115,6 @@ def e3(gamma: float, s, t) -> np.ndarray:
     return dt**2 * np.where(w >= _SERIES_CUTOFF, direct, series)
 
 
-def exp_integrals(gamma: float, s, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All three kernels (E₁, E₂, E₃) at once."""
-    return e1(gamma, s, t), e2(gamma, s, t), e3(gamma, s, t)
-
-
 @dataclass(frozen=True)
 class SigmaCoefficients:
     """Gram coefficients of (E₁(·,h), E₂(·,h)) on [0, h].
@@ -170,17 +163,6 @@ def sigma_coefficients(gamma: float, h: float) -> SigmaCoefficients:
     return SigmaCoefficients(s11, s12, s22, s11 * s22 - s12**2)
 
 
-def discrete_sigma_coefficients(gamma: float, h: float, m: int) -> SigmaCoefficients:
-    """Left-endpoint Riemann Gram coefficients σ̂_ab = η Σⱼ E_a(jη,h) E_b(jη,h).
-
-    These (not the analytic σ) are what make the discrete marginal constraints
-    of the double-midpoint interpolation hold exactly, because every stochastic
-    integral is realized with the same left-endpoint rule.
-    """
-    kern = StepKernels.build(gamma, h, m)
-    return kern.sigma_hat
-
-
 class StepKernels:
     """Precomputed kernel tables for one underdamped step of length h = m·η.
 
@@ -190,7 +172,10 @@ class StepKernels:
     e1_0, e2_0, e3_0 : (m+1,) kernels E_a(0, nη) at inner nodes
     K1, K2 : (m+1, m) strictly-causal tables E_a(jη, nη)·1{j<n}; contracting
         K @ ξ realizes √η-scaled stochastic integrals at every inner node
-    sigma_hat : discrete Gram coefficients of (e1_left, e2_left)
+    sigma_hat : Gram coefficients σ̂_ab = η Σⱼ E_a(jη,h)·E_b(jη,h) of (e1_left,
+        e2_left).  These left-endpoint sums, not the analytic σ, make the
+        double-midpoint marginal constraints exact, because every stochastic
+        integral is realized with the same left-endpoint rule.
     """
 
     def __init__(self, gamma: float, h: float, m: int):

@@ -1,8 +1,10 @@
 """Structured block summaries against the dense reference blocks.
 
-The generic weight route evaluates det(I + D_k), tr(D_k) and the power
-iterate from each block's factors; these tests hold it to the dense
-``malliavin_blocks_*`` + ``rn_log_weight`` reference on a non-quadratic target.
+Both weight routes evaluate det(I + D_k), tr(D_k) and the power iterate from
+each block's factors (``block_summary_mlmc/_ulmc/_dmulmc``); these tests hold
+them to ``block_summary_dense`` of the ``malliavin_blocks_*`` reference on a
+non-quadratic target, both read through the one assembly
+``summary_log_weight``.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from girsanovlab.girsanov import (
     BlockSummary,
     DriftRealization,
+    block_summary_dense,
     block_summary_dmulmc,
     block_summary_mlmc,
     block_summary_ulmc,
@@ -20,8 +23,6 @@ from girsanovlab.girsanov import (
     malliavin_blocks_dmulmc,
     malliavin_blocks_mlmc,
     malliavin_blocks_ulmc,
-    rn_log_weight,
-    spectral_radius_estimate,
     summary_log_weight,
 )
 from girsanovlab.integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
@@ -51,7 +52,8 @@ def _overdamped(schedule):
     pot = _target()
     xi, x0, _ = _inputs(pot.d)
     traj = simulate_mlmc(pot, schedule, x0, xi)
-    dense = rn_log_weight(drift_mlmc(pot, traj), malliavin_blocks_mlmc(pot, traj), xi)
+    blocks = malliavin_blocks_mlmc(pot, traj)
+    dense = summary_log_weight(drift_mlmc(pot, traj), block_summary_dense(blocks), xi)
     structured = summary_log_weight(drift_mlmc(pot, traj), block_summary_mlmc(pot, traj), xi)
     return dense, structured
 
@@ -60,7 +62,8 @@ def _frozen_gradient():
     pot = _target()
     xi, x0, p0 = _inputs(pot.d)
     traj = simulate_ulmc(pot, GRID, 1.0, x0, p0, xi)
-    dense = rn_log_weight(drift_ulmc(pot, traj), malliavin_blocks_ulmc(pot, traj), xi)
+    blocks = malliavin_blocks_ulmc(pot, traj)
+    dense = summary_log_weight(drift_ulmc(pot, traj), block_summary_dense(blocks), xi)
     structured = summary_log_weight(drift_ulmc(pot, traj), block_summary_ulmc(pot, traj), xi)
     return dense, structured
 
@@ -69,7 +72,8 @@ def _double_midpoint(schedule):
     pot = _target()
     xi, x0, p0 = _inputs(pot.d)
     traj = simulate_dmulmc(pot, schedule, 1.0, x0, p0, xi)
-    dense = rn_log_weight(drift_dmulmc(traj), malliavin_blocks_dmulmc(pot, traj), xi)
+    blocks = malliavin_blocks_dmulmc(pot, traj)
+    dense = summary_log_weight(drift_dmulmc(traj), block_summary_dense(blocks), xi)
     structured = summary_log_weight(drift_dmulmc(traj), block_summary_dmulmc(pot, traj), xi)
     return dense, structured
 
@@ -115,7 +119,7 @@ def test_structured_singular_block_gives_minus_inf():
     xi = noise_matrix(2, 3, grid.n_cells, 1)
     traj = simulate_mlmc(pot, schedule, np.zeros((3, 1)), xi)
     drift = drift_mlmc(pot, traj)
-    dense = rn_log_weight(drift, malliavin_blocks_mlmc(pot, traj), xi)
+    dense = summary_log_weight(drift, block_summary_dense(malliavin_blocks_mlmc(pot, traj)), xi)
     structured = summary_log_weight(drift, block_summary_mlmc(pot, traj), xi)
     assert np.all(dense.log_cf_det == -np.inf)
     assert np.all(structured.log_cf_det == -np.inf)
@@ -147,7 +151,7 @@ def test_spectral_estimate_is_a_power_iterate_not_the_radius():
     blocks = malliavin_blocks_ulmc(pot, traj)
     assert np.array_equal(np.triu(blocks.diag), np.zeros_like(blocks.diag))
     np.testing.assert_array_equal(np.linalg.eigvals(blocks.diag), 0.0)
-    estimate = spectral_radius_estimate(blocks)
+    estimate = block_summary_dense(blocks).power_norm.max(axis=-1)
     assert np.all((estimate > 0.0) & (estimate < 1e-4))
     structured = block_summary_ulmc(pot, traj).power_norm.max(axis=-1)
     np.testing.assert_allclose(structured, estimate, rtol=1e-12)

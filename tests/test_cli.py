@@ -98,3 +98,31 @@ def test_verify_only_accepts_commas_and_spaces(monkeypatch, tmp_path):
     monkeypatch.setattr(_RecordingSuite, "calls", [])
     assert main(["verify", "--only", " 3, 1 12", "--output-dir", str(tmp_path)]) == 0
     assert _RecordingSuite.calls == [(3, 1, 12)]
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64), "x"], ids=["negative", "too-large", "non-number"])
+def test_verify_rejects_a_seed_outside_the_noise_key(monkeypatch, tmp_path, capsys, seed):
+    monkeypatch.setattr(cli, "AcceptanceSuite", _RecordingSuite)
+    monkeypatch.setattr(_RecordingSuite, "calls", [])
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", seed, "--output-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert _RecordingSuite.calls == []
+
+
+@pytest.mark.parametrize("command", ["dump-path", "dump-blocks"])
+def test_dumps_reject_a_negative_path_index(tmp_path, capsys, command):
+    cfg = _config(tmp_path, "mlmc")
+    with pytest.raises(SystemExit) as exc:
+        main([command, cfg, "--path", "-1", "--output", str(tmp_path / "out.txt")])
+    assert exc.value.code == 2
+    assert "--path" in capsys.readouterr().err
+
+
+def test_dump_with_a_negative_seed_in_the_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "neg.cfg"
+    _config(tmp_path, "mlmc")
+    path.write_text((tmp_path / "mlmc.cfg").read_text().replace("seed = 9", "seed = -1"))
+    assert main(["dump-path", str(path), "--output", str(tmp_path / "out.txt")]) == 2
+    assert "seed must be in" in capsys.readouterr().err

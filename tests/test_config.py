@@ -43,6 +43,9 @@ def _with(base: str, old: str, new: str) -> str:
         (_with(BASE, "h = 1/8 1/16", "h = 1/8 1/0"), r"line 10 .*malformed number '1/0'"),
         (_with(BASE, "h = 1/8 1/16", "h = 1/8 1/x"), r"line 10 .*malformed number '1/x'"),
         (_with(BASE, "seed = 3", "seed = 3.5"), r"line 3 .*malformed integer '3.5'"),
+        # the noise key is an unsigned 64-bit word
+        (_with(BASE, "seed = 3", "seed = -1"), r"line 3 .*seed must be in \[0, 2\*\*64\)"),
+        (_with(BASE, "seed = 3", f"seed = {2**64}"), r"line 3 .*seed must be in \[0, 2\*\*64\)"),
         (_with(BASE, "T = 1", "T = 1\nN = 8"), r"give exactly one of grid.N or grid.h"),
         (_with(BASE, "h = 1/8 1/16", "h = 0.3 1/16"), r"h = 0.3 does not divide the horizon T = 1"),
         (_with(BASE, "m = 4 8", "m = 4 8 16"), r"m has 3 entries but the sweep has 2 grids"),
@@ -57,7 +60,8 @@ def _with(base: str, old: str, new: str) -> str:
     ids=[
         "unknown-section", "key-outside-section", "unknown-key", "duplicate-key",
         "empty-value", "not-key-value", "malformed-number", "fraction-zero-division",
-        "malformed-fraction", "malformed-integer", "both-N-and-h", "h-not-dividing-T",
+        "malformed-fraction", "malformed-integer", "seed-negative", "seed-too-large",
+        "both-N-and-h", "h-not-dividing-T",
         "m-count-mismatch", "gamma-on-overdamped", "unknown-scheme", "unknown-schedule",
         "step-bound",
     ],
@@ -134,3 +138,7 @@ def test_hash_ignores_output_path_and_scheme_spelling():
     base = load_config(BASE).config_hash
     assert load_config(_with(BASE, "n_paths = 1000", "n_paths = 1000\noutput = x.csv")).config_hash == base
     assert load_config(_with(BASE, "name = DM-ULMC", "name = dmulmc")).config_hash == base
+
+
+def test_largest_seed_loads():
+    assert load_config(_with(BASE, "seed = 3", f"seed = {2**64 - 1}")).seed == 2**64 - 1

@@ -130,8 +130,7 @@ def test_affine_route_forms_no_dense_block(monkeypatch, scheme):
     for name in ("malliavin_blocks_mlmc", "malliavin_blocks_ulmc", "malliavin_blocks_dmulmc"):
         monkeypatch.setattr(engine, name, dense)
         monkeypatch.setattr(girsanov, name, dense)
-    monkeypatch.setattr(girsanov, "spectral_radius_estimate", dense)
-    monkeypatch.setattr(girsanov, "carleman_fredholm_logdet", dense)
+    monkeypatch.setattr(girsanov, "block_summary_dense", dense)
     gamma = 1.0 if scheme in ("ulmc", "dmulmc") else None
     run = run_weights(scheme, IsotropicQuadratic(2), grid=GRID, gamma=gamma, n_paths=64, seed=1)
     assert np.all(np.isfinite(run.log_weight)) and run.n_rejected == 0

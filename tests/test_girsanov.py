@@ -9,15 +9,14 @@ from girsanovlab.engine import run_weights
 from girsanovlab.girsanov import (
     DriftRealization,
     MalliavinBlocks,
+    block_summary_dense,
     carleman_fredholm_logdet,
     drift_dmulmc,
     drift_mlmc,
     malliavin_blocks_dmulmc,
     malliavin_blocks_mlmc,
     malliavin_blocks_ulmc,
-    rn_log_weight,
-    skorohod_adjoint,
-    spectral_radius_estimate,
+    summary_log_weight,
     trace_diagnostics_mlmc,
 )
 from girsanovlab.integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
@@ -148,9 +147,14 @@ def _zero_blocks(B, N, m, d, scheme="mlmc"):
     return MalliavinBlocks(scheme, np.zeros((B, N, m * d, m * d)))
 
 
+def _skorohod(drift, blocks, xi):
+    """δψ of dense blocks, as the one weight assembly reads it."""
+    return summary_log_weight(drift, block_summary_dense(blocks), xi).skorohod
+
+
 def test_skorohod_zero_drift():
     drift = DriftRealization("mlmc", np.zeros((2, 8, 1)))
-    out = skorohod_adjoint(drift, _zero_blocks(2, 4, 2, 1), np.zeros((2, 8, 1)))
+    out = _skorohod(drift, _zero_blocks(2, 4, 2, 1), np.zeros((2, 8, 1)))
     np.testing.assert_array_equal(out, 0.0)
 
 
@@ -159,7 +163,7 @@ def test_skorohod_deterministic_drift_is_ito_sum():
     psi = rng.normal(size=(3, 8, 2))
     xi = rng.normal(size=(3, 8, 2))
     drift = DriftRealization("mlmc", psi)
-    out = skorohod_adjoint(drift, _zero_blocks(3, 2, 4, 2), xi)
+    out = _skorohod(drift, _zero_blocks(3, 2, 4, 2), xi)
     np.testing.assert_allclose(out, np.einsum("bid,bid->b", psi, xi), rtol=1e-14)
 
 
@@ -174,7 +178,7 @@ def test_skorohod_adapted_drift_has_zero_mean():
     traj = simulate_mlmc(pot, sched, np.zeros((n, 1)), xi)
     drift = drift_mlmc(pot, traj)
     blocks = malliavin_blocks_mlmc(pot, traj)
-    out = skorohod_adjoint(drift, blocks, xi)
+    out = _skorohod(drift, blocks, xi)
     se = out.std(ddof=1) / math.sqrt(n)
     assert abs(out.mean()) <= 4.0 * se
 
@@ -185,7 +189,7 @@ def test_skorohod_adapted_drift_has_zero_mean():
 
 
 def test_carleman_zero_blocks():
-    value, negative = carleman_fredholm_logdet(_zero_blocks(2, 3, 4, 1))
+    value, negative = carleman_fredholm_logdet(block_summary_dense(_zero_blocks(2, 3, 4, 1)))
     np.testing.assert_array_equal(value, 0.0)
     assert not negative.any()
 
@@ -203,13 +207,13 @@ def test_carleman_adapted_blocks_exactly_zero():
     blocks = malliavin_blocks_mlmc(pot, traj)
     tri = blocks.diag[0, 0]
     assert np.array_equal(np.triu(tri), np.zeros_like(tri))
-    value, negative = carleman_fredholm_logdet(blocks)
+    value, negative = carleman_fredholm_logdet(block_summary_dense(blocks))
     np.testing.assert_array_equal(value, 0.0)
     assert not negative.any()
 
     kin = simulate_ulmc(pot, grid, 1.0, x0, x0, xi)
     kin_blocks = malliavin_blocks_ulmc(pot, kin)
-    value, negative = carleman_fredholm_logdet(kin_blocks)
+    value, negative = carleman_fredholm_logdet(block_summary_dense(kin_blocks))
     np.testing.assert_array_equal(value, 0.0)
     assert not negative.any()
 
@@ -222,7 +226,7 @@ def test_carleman_matches_second_order_expansion():
     remainders = []
     for scale in (1.0, 0.5):
         blocks = MalliavinBlocks("mlmc", (scale * D)[None, None])
-        value, _ = carleman_fredholm_logdet(blocks)
+        value, _ = carleman_fredholm_logdet(block_summary_dense(blocks))
         second = -0.5 * np.trace((scale * D) @ (scale * D))
         remainders.append(abs(value[0] - second))
     assert remainders[0] / remainders[1] >= 6.0
@@ -230,12 +234,12 @@ def test_carleman_matches_second_order_expansion():
 
 def test_carleman_flags_singular_and_negative_blocks():
     singular = MalliavinBlocks("mlmc", np.array([[[[-1.0]]]]))
-    value, negative = carleman_fredholm_logdet(singular)
+    value, negative = carleman_fredholm_logdet(block_summary_dense(singular))
     assert value[0] == -np.inf
     assert not negative[0]
 
     flipped = MalliavinBlocks("mlmc", np.array([[[[-2.0]]]]))
-    value, negative = carleman_fredholm_logdet(flipped)
+    value, negative = carleman_fredholm_logdet(block_summary_dense(flipped))
     # |det(I + D)| = 1 so log|det| = 0; the trace correction remains
     assert value[0] == pytest.approx(2.0)
     assert negative[0]
@@ -243,7 +247,8 @@ def test_carleman_flags_singular_and_negative_blocks():
 
 def test_spectral_radius_known_value():
     blocks = MalliavinBlocks("mlmc", np.array([[[[0.5]]]]))
-    assert spectral_radius_estimate(blocks)[0] == pytest.approx(0.5, rel=1e-12)
+    estimate = block_summary_dense(blocks).power_norm.max(axis=-1)
+    assert estimate[0] == pytest.approx(0.5, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +263,15 @@ def test_log_weight_zero_for_free_potential():
     x0 = np.zeros((2, 1))
 
     traj = simulate_mlmc(pot, OverdampedSchedule.deterministic(grid), x0, xi)
-    lw = rn_log_weight(drift_mlmc(pot, traj), malliavin_blocks_mlmc(pot, traj), xi)
+    summary = block_summary_dense(malliavin_blocks_mlmc(pot, traj))
+    lw = summary_log_weight(drift_mlmc(pot, traj), summary, xi)
     np.testing.assert_array_equal(lw.log_weight, 0.0)
     assert lw.invertible.all()
     assert not lw.negative_det.any()
 
     kin = simulate_dmulmc(pot, UnderdampedSchedule.deterministic(grid), 1.0, x0, x0, xi)
-    lw = rn_log_weight(drift_dmulmc(kin), malliavin_blocks_dmulmc(pot, kin), xi)
+    summary = block_summary_dense(malliavin_blocks_dmulmc(pot, kin))
+    lw = summary_log_weight(drift_dmulmc(kin), summary, xi)
     np.testing.assert_array_equal(lw.log_weight, 0.0)
     assert lw.invertible.all()
 
@@ -278,7 +285,7 @@ def test_log_weight_adapted_equals_classical_exponent():
     xi = noise_matrix(7, 5, grid.n_cells, 1)
     traj = simulate_mlmc(pot, sched, np.zeros((5, 1)), xi)
     drift = drift_mlmc(pot, traj)
-    lw = rn_log_weight(drift, malliavin_blocks_mlmc(pot, traj), xi)
+    lw = summary_log_weight(drift, block_summary_dense(malliavin_blocks_mlmc(pot, traj)), xi)
     np.testing.assert_array_equal(lw.log_cf_det, 0.0)
     classical = -np.einsum("bid,bid->b", drift.psi, xi) - drift.energy
     np.testing.assert_allclose(lw.log_weight, classical, rtol=1e-14)
@@ -372,6 +379,7 @@ def test_dm_log_cf_magnitude_stable_across_dimensions():
         traj = simulate_dmulmc(
             pot, sched, gamma, np.zeros((16, d)), np.zeros((16, d)), xi
         )
-        value, _ = carleman_fredholm_logdet(malliavin_blocks_dmulmc(pot, traj))
+        blocks = malliavin_blocks_dmulmc(pot, traj)
+        value, _ = carleman_fredholm_logdet(block_summary_dense(blocks))
         cs.append(float(np.abs(value).max()) / (d * h**4 * N))
     assert max(cs) / min(cs) <= 3.0

@@ -27,8 +27,9 @@ from girsanovlab.engine import SCHEMES
 from girsanovlab.kernels import (
     SigmaCoefficients,
     StepKernels,
-    discrete_sigma_coefficients,
-    exp_integrals,
+    e1,
+    e2,
+    e3,
     sigma_coefficients,
 )
 from girsanovlab.paths import (
@@ -53,7 +54,7 @@ from girsanovlab.potentials import (
 
 
 def test_exp_integrals_collapse_at_equal_times():
-    e1v, e2v, e3v = exp_integrals(3.7, 0.4, 0.4)
+    e1v, e2v, e3v = (e(3.7, 0.4, 0.4) for e in (e1, e2, e3))
     assert e1v == 1.0
     assert e2v == 0.0
     assert e3v == 0.0
@@ -61,7 +62,7 @@ def test_exp_integrals_collapse_at_equal_times():
 
 def test_exp_integrals_closed_forms():
     # gamma=2, t-s=0.5 so gamma*(t-s)=1
-    e1v, e2v, e3v = exp_integrals(2.0, 0.25, 0.75)
+    e1v, e2v, e3v = (e(2.0, 0.25, 0.75) for e in (e1, e2, e3))
     assert e1v == pytest.approx(math.exp(-1.0), rel=1e-14)
     assert e2v == pytest.approx((1.0 - math.exp(-1.0)) / 2.0, rel=1e-14)
     assert e3v == pytest.approx((0.5 + (math.exp(-1.0) - 1.0) / 2.0) / 2.0, rel=1e-14)
@@ -70,16 +71,17 @@ def test_exp_integrals_closed_forms():
 def test_exp_integrals_small_friction_limits():
     # the exact Taylor remainder is gamma*dt^2/2, so dt=0.1 keeps it below 1e-10
     dt = 0.1
-    _, e2v, e3v = exp_integrals(1e-8, 0.0, dt)
+    e2v, e3v = e2(1e-8, 0.0, dt), e3(1e-8, 0.0, dt)
     assert abs(e2v - dt) <= 1e-10
     assert abs(e3v - dt**2 / 2.0) <= 1e-10
 
 
 def test_exp_integrals_reject_reversed_times():
-    with pytest.raises(ValueError):
-        exp_integrals(1.0, 0.5, 0.4)
-    with pytest.raises(ValueError):
-        exp_integrals(-1.0, 0.0, 0.5)
+    for kernel in (e1, e2, e3):
+        with pytest.raises(ValueError):
+            kernel(1.0, 0.5, 0.4)
+        with pytest.raises(ValueError):
+            kernel(-1.0, 0.0, 0.5)
 
 
 def test_sigma_coefficients_small_friction_polynomials():
@@ -142,10 +144,10 @@ def test_discrete_sigma_converges_to_analytic():
     exact = sigma_coefficients(gamma, h)
     errs = []
     for m in (8, 16, 32):
-        hat = discrete_sigma_coefficients(gamma, h, m)
+        hat = StepKernels.build(gamma, h, m).sigma_hat
         errs.append(abs(hat.s22 - exact.s22))
     assert errs[0] > errs[1] > errs[2]
-    assert isinstance(discrete_sigma_coefficients(gamma, h, 8), SigmaCoefficients)
+    assert isinstance(StepKernels.build(gamma, h, 8).sigma_hat, SigmaCoefficients)
 
 
 # ---------------------------------------------------------------------------
