@@ -65,8 +65,8 @@ from .girsanov import (
 from .integrators import (
     OverdampedTrajectory,
     UnderdampedTrajectory,
-    exact_ou_flow_ld,
-    exact_ou_flow_uld,
+    exact_ou_endpoint_ld,
+    exact_ou_endpoint_uld,
     simulate_dmulmc,
     simulate_mlmc,
     simulate_ulmc,
@@ -129,8 +129,8 @@ __all__ = [
     "drift_ulmc",
     "estimate_kl",
     "estimate_renyi",
-    "exact_ou_flow_ld",
-    "exact_ou_flow_uld",
+    "exact_ou_endpoint_ld",
+    "exact_ou_endpoint_uld",
     "fit_loglog_slope",
     "gaussian_kl",
     "generic_log_weights",

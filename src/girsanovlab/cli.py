@@ -56,14 +56,18 @@ def _emit_array(lines: list[str], name: str, arr: np.ndarray) -> None:
 
 
 def _path_setup(cfg: ExperimentConfig, path_index: int):
-    """Simulate paths 0..path_index; return the scheme and per-path pieces."""
+    """Simulate path ``path_index`` alone; return the scheme and its pieces.
+
+    Start state and increments are row ``path_index`` of the seed's streams,
+    as in a run over all paths.  The dumps print the last row of each array,
+    so they print the same path when rows 0..path_index are read instead.
+    """
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     grid = cfg.grids()[0]
     schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, 0)
-    n = path_index + 1
-    z0 = start_states(potential, scheme.kinetic, cfg.seed, n)
-    xi = noise_matrix(cfg.seed, n, grid.n_cells, potential.d)
+    z0 = start_states(potential, scheme.kinetic, cfg.seed, 1, start=path_index)
+    xi = noise_matrix(cfg.seed, 1, grid.n_cells, potential.d, start=path_index)
     traj = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, xi)
     return scheme, grid, schedule, z0, xi, traj
 
@@ -87,16 +91,16 @@ def _write_text(text: str, output: str | None) -> None:
             fh.write(text)
 
 
-def _nonnegative(what: str, bits: int | None = None):
-    """An argparse ``type=``: an integer in [0, 2**bits), else a usage error (exit 2)."""
+def _integer(what: str, low: int = 0, bits: int | None = None):
+    """An argparse ``type=``: an integer in [low, 2**bits), else a usage error (exit 2)."""
 
     def convert(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
-        if value < 0 or (bits is not None and value >= 2**bits):
-            bound = ">= 0" if bits is None else f"in [0, 2**{bits})"
+        if value < low or (bits is not None and value >= 2**bits):
+            bound = f">= {low}" if bits is None else f"in [{low}, 2**{bits})"
             raise argparse.ArgumentTypeError(f"{what} must be {bound}, got {value}")
         return value
 
@@ -149,8 +153,8 @@ def _cmd_dump_path(args) -> int:
     b = args.path
     _, grid, schedule, z0, xi, traj = _path_setup(cfg, b)
     lines = _dump_header(cfg, "path", b, grid)
-    _emit_array(lines, "z0", z0[b])
-    _emit_array(lines, "xi", xi[b])
+    _emit_array(lines, "z0", z0[-1])
+    _emit_array(lines, "xi", xi[-1])
     if schedule is not None:
         for f in dataclasses.fields(schedule):
             value = getattr(schedule, f.name)
@@ -159,7 +163,7 @@ def _cmd_dump_path(args) -> int:
     for name in PATH_FIELDS:
         value = getattr(traj, name, None)
         if value is not None:
-            _emit_array(lines, name, value[b])
+            _emit_array(lines, name, value[-1])
     _write_text("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -172,14 +176,14 @@ def _cmd_dump_blocks(args) -> int:
     blocks = scheme.blocks(cfg.potential, traj)
     lw = summary_log_weight(drift, block_summary_dense(blocks), xi)
     lines = _dump_header(cfg, "blocks", b, grid)
-    _emit_array(lines, "psi", drift.psi[b])
-    _emit_array(lines, "diag", blocks.diag[b])
+    _emit_array(lines, "psi", drift.psi[-1])
+    _emit_array(lines, "diag", blocks.diag[-1])
     for name, value in (
-        ("log_cf_det", lw.log_cf_det[b]),
-        ("skorohod", lw.skorohod[b]),
-        ("energy", lw.energy[b]),
-        ("log_weight", lw.log_weight[b]),
-        ("spectral_radius", lw.spectral_radius[b]),
+        ("log_cf_det", lw.log_cf_det[-1]),
+        ("skorohod", lw.skorohod[-1]),
+        ("energy", lw.energy[-1]),
+        ("log_weight", lw.log_weight[-1]),
+        ("spectral_radius", lw.spectral_radius[-1]),
     ):
         lines.append(f"{name},0,{_fmt17(value)}")
     _write_text("\n".join(lines) + "\n", args.output)
@@ -197,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one configured experiment")
     p_run.add_argument("config", help="path to a config file")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--threads", type=_integer("threads", low=1), default=1,
                        help="worker threads (results are thread-invariant)")
     p_run.add_argument("--output", default=None,
                        help="CSV output path (default: config output key, "
@@ -205,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the acceptance suite")
-    p_ver.add_argument("--seed", type=_nonnegative("seed", 64), default=DEFAULT_SEED,
+    p_ver.add_argument("--seed", type=_integer("seed", bits=64), default=DEFAULT_SEED,
                        help=f"suite seed (default {DEFAULT_SEED})")
-    p_ver.add_argument("--threads", type=int, default=1,
+    p_ver.add_argument("--threads", type=_integer("threads", low=1), default=1,
                        help="worker threads (results are thread-invariant)")
     p_ver.add_argument("--only", default=None,
                        help="comma-separated criterion numbers, e.g. 1,6,7")
@@ -223,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("config", help="path to a config file")
-        p.add_argument("--path", type=_nonnegative("path index"), default=0,
+        p.add_argument("--path", type=_integer("path index"), default=0,
                        help="path index within the seed's stream (default 0)")
         p.add_argument("--output", default=None,
                        help="output file (default: stdout)")

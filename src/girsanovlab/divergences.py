@@ -264,15 +264,20 @@ def local_error_sweep(
     Each entry of ``grids`` must be a TimeGrid with N = 1 whose horizon plays
     the role of the step size h; its ``m`` sets the midpoint resolution.  The
     reference is the exact Ornstein–Uhlenbeck flow driven by the same
-    increments, so the target must be quadratic.  Start states come from
-    :func:`~girsanovlab.engine.start_states` with the default (stationary)
-    law.  Strong errors use replica 1 only; weak errors pair two replicas
-    sharing the start state.  Deterministic midpoint schedules are used
-    throughout, and paths are processed in windows of
+    increments, so the target must be quadratic.  Only step endpoints enter
+    the errors: the scheme's comes from :meth:`~girsanovlab.engine.Scheme.advance`
+    (for DM-ULMC the closed-form marginal update, with no inner fixed point
+    and so no step-size check of its own) and the reference's from
+    :func:`~girsanovlab.integrators.exact_ou_endpoint_ld` /
+    :func:`~girsanovlab.integrators.exact_ou_endpoint_uld`.  Start states come
+    from :func:`~girsanovlab.engine.start_states` with the default
+    (stationary) law.  Strong errors use replica 1 only; weak errors pair two
+    replicas sharing the start state.  Deterministic midpoint schedules are
+    used throughout, and paths are processed in windows of
     :data:`~girsanovlab.engine.WINDOW_PATHS`, as in ``run_weights``.
     """
     # looked up at call time, so wrappers installed on these modules see the calls
-    from .integrators import exact_ou_flow_ld, exact_ou_flow_uld
+    from .integrators import exact_ou_endpoint_ld, exact_ou_endpoint_uld
     from .paths import noise_matrix
 
     s = scheme_for(scheme)
@@ -301,24 +306,20 @@ def local_error_sweep(
             hi = min(lo + WINDOW_PATHS, n_paths)
             rows = hi - lo
             z0 = start_states(potential, kinetic, seed, rows, start=lo)
-            x0 = z0[:, :d]
             deltas = []
             for rep in range(2):
                 off = rep * n_paths + lo
                 xi = noise_matrix(seed, rows, grid.m, d, label=LABEL_PATH, start=off)
-                z_alg = s.endpoint(s.simulate(potential, grid, schedule, gamma, z0, xi))
-                x_alg, p_alg = z_alg[:, :d], z_alg[:, d:]
                 resid = noise_matrix(
                     seed, rows, grid.m, z0.shape[1], label=LABEL_RESIDUAL, start=off
                 )
                 if kinetic:
-                    xs, ps = exact_ou_flow_uld(potential, gamma, x0, z0[:, d:], xi, eta, resid)
-                    x_ref, p_ref = xs[:, -1], ps[:, -1]
+                    z_ref = exact_ou_endpoint_uld(potential, gamma, z0, xi, eta, resid)
                 else:
-                    x_ref = exact_ou_flow_ld(potential, x0, xi, eta, resid)[:, -1]
-                dx = x_alg - x_ref
-                dp = (p_alg - p_ref) if kinetic else np.zeros_like(dx)
-                deltas.append((dx, dp))
+                    z_ref = exact_ou_endpoint_ld(potential, z0, xi, eta, resid)
+                # (x, p) defects; p is empty for overdamped schemes, so its sums are 0
+                delta = s.advance(potential, grid, schedule, gamma, z0, xi) - z_ref
+                deltas.append((delta[:, :d], delta[:, d:]))
             (dx1, dp1), (dx2, dp2) = deltas
             sx[lo:hi] = np.sum(dx1**2, axis=1)
             sp[lo:hi] = np.sum(dp1**2, axis=1)

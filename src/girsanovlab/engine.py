@@ -16,9 +16,9 @@ quadratic targets, N(0, H⁻¹) or N(0, diag(H⁻¹, I)) in phase space, and
 otherwise x ~ N(0, I/α) with p ~ N(0, I).
 
 The scheme table :data:`SCHEMES` defines each discretization once — its
-schedules, simulation, drift, derivative blocks, affine step keys, gradient
-query count and step-size bound — and every scheme-dependent call site in the
-package goes through it.
+schedules, simulation, horizon state, drift, derivative blocks, affine step
+keys, gradient query count and step-size bound — and every scheme-dependent
+call site in the package goes through it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,13 @@ from .girsanov import (
     malliavin_blocks_ulmc,
     summary_log_weight,
 )
-from .integrators import DM_STEP_MARGIN, simulate_dmulmc, simulate_mlmc, simulate_ulmc
+from .integrators import (
+    DM_STEP_MARGIN,
+    simulate_dmulmc,
+    simulate_dmulmc_marginal,
+    simulate_mlmc,
+    simulate_ulmc,
+)
 from .paths import (
     LABEL_INIT,
     OverdampedSchedule,
@@ -77,6 +83,10 @@ class Scheme:
     * ``simulate(potential, grid, schedule, gamma, z0, xi)``: the trajectory
       from stacked start states z0 — x, or (x, p) for kinetic schemes —
       and ``endpoint(traj)``, its state at the horizon, shaped like z0.
+    * ``advance(potential, grid, schedule, gamma, z0, xi)``: the horizon
+      state alone, equal to ``endpoint(simulate(...))``; a scheme overrides
+      it where the marginal update is cheaper than the trajectory (DM-ULMC
+      skips the inner fixed point, and agrees to 1e-12, tested).
     * ``drift``, the dense derivative ``blocks`` (the reference for finite
       differences and dumps) and their structured ``summary`` (both weight
       routes: per path on the generic route, once per step on the affine
@@ -96,6 +106,9 @@ class Scheme:
     def schedule(self, grid: TimeGrid, mode: str = "deterministic", seed: int = 0,
                  stream: int = 0):
         return None
+
+    def advance(self, potential: Potential, grid: TimeGrid, schedule, gamma, z0, xi):
+        return self.endpoint(self.simulate(potential, grid, schedule, gamma, z0, xi))
 
     def step_keys(self, grid: TimeGrid, schedule) -> list:
         return [0] * grid.N
@@ -202,6 +215,11 @@ class _DoubleMidpointULMC(_Kinetic):
     def simulate(self, potential, grid, schedule, gamma, z0, xi):
         d = potential.d
         return simulate_dmulmc(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
+
+    def advance(self, potential, grid, schedule, gamma, z0, xi):
+        d = potential.d
+        xs, ps = simulate_dmulmc_marginal(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
+        return np.concatenate([xs[:, -1], ps[:, -1]], axis=-1)
 
     def drift(self, potential, traj):
         return drift_dmulmc(traj)

@@ -3,32 +3,34 @@
 Schemes (all driven by one :class:`~girsanovlab.paths.NoisePath` on the inner
 grid, increments √η·ξ_i):
 
-* ``step_em_ld`` / ``simulate_elementary_ld`` — Euler–Maruyama on the inner
-  grid itself (gradient refreshed every cell); the elementary reference
-  discretization of the overdamped diffusion.
 * ``step_mlmc`` / ``simulate_mlmc`` — overdamped midpoint scheme: one gradient
   at the step start builds the midpoint X⁺ = x₀ − τ∇V(x₀) + √2·B_τ, a second
   at X⁺ drives the whole step, X_t = x₀ − t∇V(X⁺) + √2·B_t.  τ = 0 degenerates
-  to one Euler step per outer step.
+  to one Euler step per outer step (the EM-LD scheme).
 * ``step_ulmc`` / ``simulate_ulmc`` — kinetic (underdamped) exponential Euler
   with the gradient frozen at the step start; stochastic integrals ∫E_j dB are
   realized as left-endpoint Itô sums on the inner grid.
-* ``step_dmulmc_marginal`` — kinetic double-midpoint scheme: explicit
-  midpoints X⁻ (position) and X⁺ (momentum), then one exponential step using
-  ∇V(X⁻) in the position line and ∇V(X⁺) in the momentum line.  Exactly three
-  gradient evaluations per outer step.
+* ``step_dmulmc_marginal`` / ``simulate_dmulmc_marginal`` — kinetic
+  double-midpoint scheme: explicit midpoints X⁻ (position) and X⁺ (momentum),
+  then one exponential step using ∇V(X⁻) in the position line and ∇V(X⁺) in
+  the momentum line.  Exactly three gradient evaluations per outer step and
+  outer nodes only: the route for callers that need the horizon state alone.
 * ``solve_dmulmc_step`` / ``simulate_dmulmc`` — the inner-grid interpolation
   of the double-midpoint scheme: the implicit fixed point for (X̂, λ₁, λ₂)
   whose drift G^opt_t = ∇V(X̂_t) − E₁(t,h)λ₁ − E₂(t,h)λ₂ satisfies the two
   marginal constraints η·Σ_j E₁(jη,h)G^opt_j = E₂(0,h)∇V(X⁺) and
   η·Σ_j E₂(jη,h)G^opt_j = E₃(0,h)∇V(X⁻).  Its endpoint reproduces the
-  marginal update exactly (the multipliers solve the constraints by
-  construction), so iteration only refines interior nodes.
-* ``exact_ou_flow_ld`` / ``exact_ou_flow_uld`` — exact Gaussian transitions
-  of the continuous dynamics for quadratic potentials, coupled to the same
-  increments: the cell update draws from the exact conditional law given the
-  cell's Brownian increment (conditional mean from the cross-covariance, plus
-  an independent residual supplied by the caller).  Marginally exact, and
+  marginal update (the multipliers solve the constraints by construction,
+  tested to 1e-12), so iteration only refines interior nodes; the weights
+  need those nodes, a local error does not.
+* ``exact_ou_endpoint_ld`` / ``exact_ou_endpoint_uld`` — the horizon state of
+  the exact Gaussian transitions of the continuous dynamics for quadratic
+  potentials, coupled to the same increments: each cell draws from the exact
+  conditional law given the cell's Brownian increment (conditional mean from
+  the cross-covariance, plus an independent residual supplied by the caller;
+  ``ou_cell_ld`` / ``ou_cell_uld`` give one cell).  The n cells compose to
+  z_n = Φⁿz₀ + Σᵢ Φ^{n−1−i}(Mξᵢ + Rrᵢ), evaluated as one product per input
+  against kernels stacked once per (Hessian, γ, η, n).  Marginally exact, and
   synchronously coupled to any scheme sharing the ξ array.
 
 Batch convention: states are (B, d), per-step increments (B, m, d), full
@@ -45,6 +47,7 @@ and not counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh, expm
@@ -60,20 +63,18 @@ __all__ = [
     "OverdampedTrajectory",
     "UnderdampedTrajectory",
     "DmStepSolution",
-    "step_em_ld",
     "step_mlmc",
     "step_ulmc",
     "step_dmulmc_marginal",
     "solve_dmulmc_step",
-    "simulate_elementary_ld",
     "simulate_mlmc",
     "simulate_ulmc",
     "simulate_dmulmc",
     "simulate_dmulmc_marginal",
     "ou_cell_ld",
     "ou_cell_uld",
-    "exact_ou_flow_ld",
-    "exact_ou_flow_uld",
+    "exact_ou_endpoint_ld",
+    "exact_ou_endpoint_uld",
 ]
 
 #: Contraction margin for the implicit interpolation: require h·√β ≤ this.
@@ -156,25 +157,6 @@ class UnderdampedTrajectory:
 # ---------------------------------------------------------------------------
 # Overdamped steps
 # ---------------------------------------------------------------------------
-
-
-def step_em_ld(
-    potential: Potential, x0: np.ndarray, xi: np.ndarray, eta: float
-) -> np.ndarray:
-    """Euler–Maruyama recursion over one outer step's inner cells.
-
-    x_{n+1} = x_n − η∇V(x_n) + √(2η)·ξ_n.  Returns nodes (B, m+1, d).
-    """
-    m = xi.shape[-2]
-    nodes = np.empty(xi.shape[:-2] + (m + 1, xi.shape[-1]))
-    nodes[..., 0, :] = x0
-    coef = np.sqrt(2.0 * eta)
-    x = x0
-    for n in range(m):
-        x = x - eta * potential.gradient(x) + coef * xi[..., n, :]
-        _check_finite(x, n)
-        nodes[..., n + 1, :] = x
-    return nodes
 
 
 def step_mlmc(
@@ -391,15 +373,6 @@ def solve_dmulmc_step(
 # ---------------------------------------------------------------------------
 
 
-def simulate_elementary_ld(
-    potential: Potential, grid: TimeGrid, x0: np.ndarray, xi: np.ndarray
-) -> np.ndarray:
-    """Euler–Maruyama on the whole inner grid; returns nodes (B, N·m+1, d)."""
-    x0 = _batch(x0, potential.d, "x0")
-    xi = _batch_noise(xi, grid.n_cells, potential.d)
-    return step_em_ld(potential, x0, xi, grid.eta)
-
-
 def simulate_mlmc(
     potential: Potential, schedule: OverdampedSchedule, x0: np.ndarray, xi: np.ndarray
 ) -> OverdampedTrajectory:
@@ -569,7 +542,7 @@ def simulate_dmulmc_marginal(
 
 
 # ---------------------------------------------------------------------------
-# Exact Ornstein–Uhlenbeck reference flows (quadratic potentials)
+# Exact Ornstein–Uhlenbeck reference endpoints (quadratic potentials)
 # ---------------------------------------------------------------------------
 
 
@@ -581,15 +554,7 @@ def _require_quadratic(potential: Potential) -> np.ndarray:
     return np.asarray(potential.constant_hessian, dtype=float)
 
 
-def ou_cell_ld(potential: Potential, eta: float):
-    """Per-cell transition of dX = −HX dt + √2 dB over one inner cell.
-
-    Returns (U, phi, mean_coef, resid_sd): eigenvectors of H and, per
-    eigenvalue, the decay factor e^{−λη}, the coefficient of ξ in the
-    conditional mean given the cell increment, and the residual standard
-    deviation.  All elementwise in the eigenbasis.
-    """
-    H = _require_quadratic(potential)
+def _cell_ld(H: np.ndarray, eta: float):
     lam, U = eigh(H)
     w = lam * eta
     # S = ∫₀^η e^{−λu}du and C = 2∫₀^η e^{−2λu}du, stable as λ→0.
@@ -602,43 +567,18 @@ def ou_cell_ld(potential: Potential, eta: float):
     return U, phi, mean_coef, np.sqrt(resid_var)
 
 
-def exact_ou_flow_ld(
-    potential: Potential,
-    x0: np.ndarray,
-    xi: np.ndarray,
-    eta: float,
-    residual: np.ndarray,
-) -> np.ndarray:
-    """Exact overdamped flow for quadratic V, coupled to the increments ξ.
+def ou_cell_ld(potential: Potential, eta: float):
+    """Per-cell transition of dX = −HX dt + √2 dB over one inner cell.
 
-    ``residual`` supplies one independent standard normal d-vector per cell
-    (same shape as ξ); the returned nodes (B, n+1, d) have the exact
-    transition law cell by cell.
+    Returns (U, phi, mean_coef, resid_sd): eigenvectors of H and, per
+    eigenvalue, the decay factor e^{−λη}, the coefficient of ξ in the
+    conditional mean given the cell increment, and the residual standard
+    deviation.  All elementwise in the eigenbasis.
     """
-    x0 = _batch(x0, potential.d, "x0")
-    xi = _batch_noise(xi, xi.shape[-2], potential.d)
-    residual = _batch_noise(residual, xi.shape[-2], potential.d)
-    U, phi, mean_coef, resid_sd = ou_cell_ld(potential, eta)
-    n = xi.shape[1]
-    nodes = np.empty((x0.shape[0], n + 1, potential.d))
-    y = x0 @ U  # eigen coordinates (rows)
-    nodes[:, 0] = y
-    for i in range(n):
-        y = phi * y + mean_coef * (xi[:, i] @ U) + resid_sd * (residual[:, i] @ U)
-        nodes[:, i + 1] = y
-    return nodes @ U.T
+    return _cell_ld(_require_quadratic(potential), eta)
 
 
-def ou_cell_uld(potential: Potential, gamma: float, eta: float):
-    """Per-cell transition of the kinetic diffusion for quadratic V.
-
-    Drift matrix A = [[0, I], [−H, −γI]] on z = (x, p), noise √(2γ) on the
-    momentum line.  Returns (Phi, mean_coef, resid_half): the cell propagator
-    e^{Aη} (2d×2d), the matrix multiplying ξ in the conditional mean given the
-    cell increment (2d×d), and a symmetric square root of the residual
-    covariance (2d×2d).  Covariances come from a block-matrix exponential.
-    """
-    H = _require_quadratic(potential)
+def _cell_uld(H: np.ndarray, gamma: float, eta: float):
     d = H.shape[0]
     A = np.zeros((2 * d, 2 * d))
     A[:d, d:] = np.eye(d)
@@ -669,31 +609,93 @@ def ou_cell_uld(potential: Potential, gamma: float, eta: float):
     return Phi, mean_coef, resid_half
 
 
-def exact_ou_flow_uld(
+def ou_cell_uld(potential: Potential, gamma: float, eta: float):
+    """Per-cell transition of the kinetic diffusion for quadratic V.
+
+    Drift matrix A = [[0, I], [−H, −γI]] on z = (x, p), noise √(2γ) on the
+    momentum line.  Returns (Phi, mean_coef, resid_half): the cell propagator
+    e^{Aη} (2d×2d), the matrix multiplying ξ in the conditional mean given the
+    cell increment (2d×d), and a symmetric square root of the residual
+    covariance (2d×2d).  Covariances come from a block-matrix exponential.
+    """
+    return _cell_uld(_require_quadratic(potential), gamma, eta)
+
+
+@lru_cache(maxsize=16)
+def _endpoint_kernels(hessian: bytes, d: int, gamma: float | None, eta: float, n: int):
+    """(Φⁿ, K_ξ, K_r) of n composed cells; ``gamma`` None is the overdamped flow.
+
+    z_n = z₀·Φⁿᵀ + ξ.reshape(B, n·d)·K_ξ + r.reshape(B, n·z)·K_r, where block
+    i of the stacked kernels is (Φ^{n−1−i}M)ᵀ and (Φ^{n−1−i}R)ᵀ.
+    """
+    H = np.frombuffer(hessian).reshape(d, d)
+    if gamma is None:
+        # diagonal in H's eigenbasis: Φ^k M = U·diag(φ^k·c)·Uᵀ, symmetric
+        U, phi, mean_coef, resid_sd = _cell_ld(H, eta)
+        powers = phi ** np.arange(n - 1, -1, -1)[:, None]  # (n, d): φ^{n−1−i}
+        total = (U * phi**n) @ U.T
+        k_xi = (U * (powers * mean_coef)[:, None, :]) @ U.T
+        k_r = (U * (powers * resid_sd)[:, None, :]) @ U.T
+    else:
+        Phi, mean_coef, resid_half = _cell_uld(H, gamma, eta)
+        powers = np.empty((n,) + Phi.shape)  # powers[i] = Φ^{n−1−i}
+        total = np.eye(2 * d)
+        for i in range(n - 1, -1, -1):
+            powers[i] = total
+            total = Phi @ total
+        k_xi = (powers @ mean_coef).transpose(0, 2, 1)
+        k_r = (powers @ resid_half).transpose(0, 2, 1)
+    zdim = total.shape[0]
+    kernels = (total, k_xi.reshape(-1, zdim), k_r.reshape(-1, zdim))
+    for k in kernels:  # shared by every caller through the cache
+        k.setflags(write=False)
+    return kernels
+
+
+def _ou_endpoint(
+    hessian: np.ndarray, gamma: float | None, z0: np.ndarray, xi: np.ndarray, eta: float,
+    residual: np.ndarray,
+) -> np.ndarray:
+    d = hessian.shape[0]
+    z0 = _batch(z0, d if gamma is None else 2 * d, "z0")
+    xi = _batch_noise(xi, xi.shape[-2], d)
+    n = xi.shape[1]
+    residual = _batch_noise(residual, n, z0.shape[1])
+    total, k_xi, k_r = _endpoint_kernels(hessian.tobytes(), d, gamma, float(eta), n)
+    B = xi.shape[0]
+    return z0 @ total.T + xi.reshape(B, -1) @ k_xi + residual.reshape(B, -1) @ k_r
+
+
+def exact_ou_endpoint_ld(
     potential: Potential,
-    gamma: float,
     x0: np.ndarray,
-    p0: np.ndarray,
     xi: np.ndarray,
     eta: float,
     residual: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kinetic flow for quadratic V, coupled to the increments ξ.
+) -> np.ndarray:
+    """Exact overdamped flow for quadratic V after n cells, coupled to ξ.
 
-    ``residual`` supplies one independent standard normal 2d-vector per cell,
-    shape (B, n, 2d).  Returns node arrays (x, p), each (B, n+1, d).
+    ``residual`` supplies one independent standard normal d-vector per cell
+    (same shape as ξ, (B, n, d)).  Returns the state (B, d) after the n cells,
+    which equals n compositions of :func:`ou_cell_ld` (tested to 1e-12) and so
+    has the exact transition law.
     """
-    d = potential.d
-    x0 = _batch(x0, d, "x0")
-    p0 = _batch(p0, d, "p0")
-    xi = _batch_noise(xi, xi.shape[-2], d)
-    residual = _batch_noise(residual, xi.shape[1], 2 * d)
-    Phi, mean_coef, resid_half = ou_cell_uld(potential, gamma, eta)
-    n = xi.shape[1]
-    z = np.concatenate([x0, p0], axis=1)  # (B, 2d)
-    nodes = np.empty((x0.shape[0], n + 1, 2 * d))
-    nodes[:, 0] = z
-    for i in range(n):
-        z = z @ Phi.T + xi[:, i] @ mean_coef.T + residual[:, i] @ resid_half.T
-        nodes[:, i + 1] = z
-    return nodes[..., :d], nodes[..., d:]
+    return _ou_endpoint(_require_quadratic(potential), None, x0, xi, eta, residual)
+
+
+def exact_ou_endpoint_uld(
+    potential: Potential,
+    gamma: float,
+    z0: np.ndarray,
+    xi: np.ndarray,
+    eta: float,
+    residual: np.ndarray,
+) -> np.ndarray:
+    """Exact kinetic flow for quadratic V after n cells, coupled to ξ.
+
+    ``z0`` stacks (x, p), shape (B, 2d); ``residual`` supplies one independent
+    standard normal 2d-vector per cell, shape (B, n, 2d).  Returns the stacked
+    state (B, 2d) after the n cells, which equals n compositions of
+    :func:`ou_cell_uld` (tested to 1e-12).
+    """
+    return _ou_endpoint(_require_quadratic(potential), float(gamma), z0, xi, eta, residual)

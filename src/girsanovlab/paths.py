@@ -53,8 +53,6 @@ __all__ = [
     "NoisePath",
     "sample_noise",
     "refine_noise",
-    "coarsen_noise",
-    "brownian_partial_sums",
     "normal_block",
 ]
 
@@ -328,27 +326,3 @@ def refine_noise(path: NoisePath) -> NoisePath:
     child[..., 0::2, :] = (path.xi + zeta) * root_half
     child[..., 1::2, :] = (path.xi - zeta) * root_half
     return replace(path, xi=child, level=path.level + 1)
-
-
-def coarsen_noise(path: NoisePath) -> NoisePath:
-    """Merge adjacent increments; inverts :func:`refine_noise` up to rounding."""
-    if path.n_cells % 2 != 0:
-        raise ValueError("cannot coarsen an odd number of cells")
-    if path.level < 1:
-        raise ValueError("path is already at its sampled resolution")
-    parent = (path.xi[..., 0::2, :] + path.xi[..., 1::2, :]) * np.sqrt(0.5)
-    return replace(path, xi=parent, level=path.level - 1)
-
-
-def brownian_partial_sums(xi: np.ndarray, eta: float) -> np.ndarray:
-    """Brownian node values B_{nη} = √η Σ_{j<n} ξ_j, with the leading zero.
-
-    Accepts (..., n_cells, d); returns (..., n_cells+1, d).
-    """
-    xi = np.asarray(xi, dtype=float)
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValueError(f"cell length must be positive, got {eta}")
-    out = np.zeros(xi.shape[:-2] + (xi.shape[-2] + 1, xi.shape[-1]))
-    np.cumsum(xi, axis=-2, out=out[..., 1:, :])
-    out[..., 1:, :] *= np.sqrt(eta)
-    return out

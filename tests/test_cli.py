@@ -1,9 +1,12 @@
 """Command-line front end: deterministic dumps and typed exit codes."""
 
+import numpy as np
 import pytest
 
 from girsanovlab import cli
 from girsanovlab.cli import main
+from girsanovlab.engine import start_states
+from girsanovlab.paths import noise_matrix
 
 SCHEMES = {
     "em-ld": "name = EM-LD",
@@ -55,8 +58,8 @@ def test_dumps_are_deterministic(tmp_path, command, scheme):
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 def test_dump_path_fields_do_not_depend_on_the_path_index(tmp_path, scheme):
-    # N = 4 outer steps: path 3 simulates 4 paths, so a per-step array of
-    # length N must not pass for a per-path one
+    # N = 4 outer steps: a per-step array of length N must not pass for a
+    # per-path one
     cfg = _config(tmp_path, scheme)
     names = [_array_names(_dump(tmp_path, "dump-path", cfg, b, f"p{b}")) for b in (2, 3)]
     assert names[0] == names[1]
@@ -126,3 +129,53 @@ def test_dump_with_a_negative_seed_in_the_config_exits_2(tmp_path, capsys):
     path.write_text((tmp_path / "mlmc.cfg").read_text().replace("seed = 9", "seed = -1"))
     assert main(["dump-path", str(path), "--output", str(tmp_path / "out.txt")]) == 2
     assert "seed must be in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("threads", ["0", "-3", "x"], ids=["zero", "negative", "non-number"])
+def test_threads_below_one_exit_2(monkeypatch, tmp_path, capsys, command, threads):
+    monkeypatch.setattr(cli, "AcceptanceSuite", _RecordingSuite)
+    monkeypatch.setattr(_RecordingSuite, "calls", [])
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", _config(tmp_path, "mlmc"), "--output", str(out)]
+    else:
+        argv = ["verify", "--output-dir", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert _RecordingSuite.calls == [] and not out.exists()
+
+
+def _dump_from_all_rows(monkeypatch, tmp_path, command, cfg, b):
+    """The dump of path b made the earlier way: simulate paths 0..b, print row b."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "start_states",
+                      lambda pot, kinetic, seed, n, start=0: start_states(pot, kinetic, seed, start + n))
+        patch.setattr(cli, "noise_matrix",
+                      lambda seed, n, cells, d, start=0: noise_matrix(seed, start + n, cells, d))
+        return _dump(tmp_path, command, cfg, b, "all-rows")
+
+
+@pytest.mark.parametrize("command", ["dump-path", "dump-blocks"])
+def test_dump_reads_one_row_with_the_output_of_all_rows(monkeypatch, tmp_path, command):
+    # M-LMC arithmetic is row by row, so reading row b alone changes no byte
+    cfg = _config(tmp_path, "mlmc")
+    for b in (0, 5, 4097):
+        alone = _dump(tmp_path, command, cfg, b, "alone")
+        assert alone == _dump_from_all_rows(monkeypatch, tmp_path, command, cfg, b)
+
+
+def test_dmulmc_dump_of_one_row_agrees_with_all_rows_to_rounding(monkeypatch, tmp_path):
+    # the fixed point stops on the batch-wide maximum change, so a batch of
+    # one may take another number of sweeps; the states agree to rounding
+    cfg = _config(tmp_path, "dmulmc")
+    b = 37
+    texts = (_dump(tmp_path, "dump-path", cfg, b, "alone"),
+             _dump_from_all_rows(monkeypatch, tmp_path, "dump-path", cfg, b))
+    rows = [[ln.rsplit(",", 1) for ln in t.splitlines() if not ln.startswith("#")][1:]
+            for t in texts]
+    assert [key for key, _ in rows[0]] == [key for key, _ in rows[1]]
+    values = np.array([[float(v) for _, v in r] for r in rows])
+    np.testing.assert_allclose(values[0], values[1], rtol=0, atol=1e-12)

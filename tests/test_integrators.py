@@ -10,13 +10,12 @@ from girsanovlab.integrators import (
     StepSizeError,
     TrajectoryBlowupError,
     UnsupportedPotentialError,
-    exact_ou_flow_ld,
-    exact_ou_flow_uld,
+    exact_ou_endpoint_ld,
+    exact_ou_endpoint_uld,
     ou_cell_ld,
     ou_cell_uld,
     simulate_dmulmc,
     simulate_dmulmc_marginal,
-    simulate_elementary_ld,
     simulate_mlmc,
     simulate_ulmc,
     step_dmulmc_marginal,
@@ -38,7 +37,6 @@ from girsanovlab.paths import (
     OverdampedSchedule,
     TimeGrid,
     UnderdampedSchedule,
-    brownian_partial_sums,
     noise_matrix,
 )
 from girsanovlab.potentials import (
@@ -46,6 +44,66 @@ from girsanovlab.potentials import (
     IsotropicQuadratic,
     PerturbedQuadratic,
 )
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracles
+# ---------------------------------------------------------------------------
+
+
+def brownian_partial_sums(xi, eta):
+    """Brownian node values B_{nη} = √η Σ_{j<n} ξ_j, with the leading zero.
+
+    Accepts (..., n_cells, d); returns (..., n_cells+1, d).
+    """
+    out = np.zeros(xi.shape[:-2] + (xi.shape[-2] + 1, xi.shape[-1]))
+    np.cumsum(xi, axis=-2, out=out[..., 1:, :])
+    out[..., 1:, :] *= np.sqrt(eta)
+    return out
+
+
+def euler_nodes(potential, x0, xi, eta):
+    """Euler–Maruyama on every inner cell, x_{n+1} = x_n − η∇V(x_n) + √(2η)ξ_n.
+
+    Returns nodes (B, n+1, d).
+    """
+    x = np.atleast_2d(np.asarray(x0, dtype=float))
+    nodes = [x]
+    for n in range(xi.shape[1]):
+        x = x - eta * potential.gradient(x) + np.sqrt(2.0 * eta) * xi[:, n]
+        nodes.append(x)
+    return np.stack(nodes, axis=1)
+
+
+def ou_nodes_ld(potential, x0, xi, eta, residual):
+    """Cell-by-cell composition of ``ou_cell_ld``; nodes (B, n+1, d)."""
+    U, phi, mean_coef, resid_sd = ou_cell_ld(potential, eta)
+    y = np.atleast_2d(np.asarray(x0, dtype=float)) @ U  # eigen coordinates (rows)
+    nodes = [y]
+    for i in range(xi.shape[1]):
+        y = phi * y + mean_coef * (xi[:, i] @ U) + resid_sd * (residual[:, i] @ U)
+        nodes.append(y)
+    return np.stack(nodes, axis=1) @ U.T
+
+
+def ou_nodes_uld(potential, gamma, z0, xi, eta, residual):
+    """Cell-by-cell composition of ``ou_cell_uld``; stacked (x, p) nodes (B, n+1, 2d)."""
+    Phi, mean_coef, resid_half = ou_cell_uld(potential, gamma, eta)
+    z = np.atleast_2d(np.asarray(z0, dtype=float))
+    nodes = [z]
+    for i in range(xi.shape[1]):
+        z = z @ Phi.T + xi[:, i] @ mean_coef.T + residual[:, i] @ resid_half.T
+        nodes.append(z)
+    return np.stack(nodes, axis=1)
+
+
+def test_brownian_partial_sums_oracle():
+    xi = np.ones((8, 1))
+    sums = brownian_partial_sums(xi, eta=0.25)
+    assert sums[0, 0] == 0.0
+    assert sums[-1, 0] == pytest.approx(np.sqrt(0.25) * 8)
+    diffs = np.diff(sums, axis=0)
+    np.testing.assert_allclose(diffs, np.sqrt(0.25) * xi)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +213,17 @@ def test_discrete_sigma_converges_to_analytic():
 # ---------------------------------------------------------------------------
 
 
+def _em_ld(pot, grid, x0, xi):
+    """The EM-LD scheme's inner-grid nodes, through the scheme table."""
+    em = SCHEMES["em-ld"]
+    return em.simulate(pot, grid, em.schedule(grid), None, np.atleast_2d(x0), xi).x
+
+
 def test_em_single_step_hand_value():
     # one Euler step of dX = -X dt: 1 - 0.1*1 = 0.9
     pot = IsotropicQuadratic(1)
     grid = TimeGrid(0.1, 1, 1)
-    nodes = simulate_elementary_ld(pot, grid, np.array([1.0]), np.zeros((1, 1, 1)))
+    nodes = _em_ld(pot, grid, np.array([1.0]), np.zeros((1, 1, 1)))
     assert nodes[0, 1, 0] == pytest.approx(0.9, rel=1e-15)
 
 
@@ -168,7 +232,7 @@ def test_em_free_potential_is_shifted_brownian():
     grid = TimeGrid(1.0, 2, 4)
     xi = noise_matrix(3, 3, grid.n_cells, 2)
     x0 = np.array([[1.0, -2.0], [0.0, 0.5], [3.0, 3.0]])
-    nodes = simulate_elementary_ld(pot, grid, x0, xi)
+    nodes = _em_ld(pot, grid, x0, xi)
     expect = x0[:, None, :] + np.sqrt(2.0) * brownian_partial_sums(xi, grid.eta)
     np.testing.assert_allclose(nodes, expect, rtol=1e-13, atol=1e-14)
 
@@ -195,7 +259,7 @@ def test_midpoint_at_zero_offset_matches_euler():
     xi = noise_matrix(11, 2, grid.n_cells, 1)
     x0 = np.array([[0.3], [-1.1]])
     traj = simulate_mlmc(pot, sched, x0, xi)
-    nodes = simulate_elementary_ld(pot, grid, x0, xi)
+    nodes = euler_nodes(pot, x0, xi, grid.eta)
     np.testing.assert_allclose(traj.x, nodes, rtol=1e-14, atol=1e-15)
 
 
@@ -256,25 +320,29 @@ def test_gradient_query_counters():
 
 
 def test_elementary_ld_matches_exact_flow_for_free_dynamics():
-    # with no drift each Euler cell IS the diffusion's cell under the coupling
+    # with no drift each Euler cell IS the diffusion's cell under the coupling;
+    # the endpoint sums the n cells in another order than the Euler recursion,
+    # so agreement is to rounding (a few ulps), not bit for bit
     pot = IsotropicQuadratic(1, scale=0.0)
     x0 = noise_matrix(5, 256, 1, 1, label=LABEL_INIT)[:, 0]
     for h in (0.25, 0.125):
         grid = TimeGrid(h, 1, 4)
         xi = noise_matrix(5, 256, grid.m, 1)
         residual = noise_matrix(5, 256, grid.m, 1, label=LABEL_RESIDUAL)
-        euler = simulate_elementary_ld(pot, grid, x0, xi)
-        exact = exact_ou_flow_ld(pot, x0, xi, grid.eta, residual)
-        np.testing.assert_array_equal(euler, exact)
+        euler = euler_nodes(pot, x0, xi, grid.eta)
+        for n in range(1, grid.m + 1):
+            exact = exact_ou_endpoint_ld(pot, x0, xi[:, :n], grid.eta, residual[:, :n])
+            np.testing.assert_allclose(exact, euler[:, n], rtol=1e-15, atol=1e-15)
 
 
 def test_blowup_error_names_the_step():
-    # undamped Euler at eta >> 1/beta doubles each cell and overflows
+    # undamped Euler at eta >> 1/beta multiplies the state by 1 - 1e8 each
+    # step and overflows
     pot = IsotropicQuadratic(1)
     grid = TimeGrid(4e9, 40, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrajectoryBlowupError, match=r"step \d+"):
-            simulate_elementary_ld(pot, grid, np.array([1.0]), np.zeros((1, 40, 1)))
+            _em_ld(pot, grid, np.array([1.0]), np.zeros((1, 40, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +450,18 @@ def test_kinetic_rejects_nonpositive_friction():
 
 
 # ---------------------------------------------------------------------------
-# Exact Ornstein-Uhlenbeck reference flows
+# Exact Ornstein-Uhlenbeck reference endpoints
 # ---------------------------------------------------------------------------
 
 
 def test_exact_overdamped_flow_mean_decay():
-    # no noise, no residual: pure exponential contraction e^{-t}
+    # no noise, no residual: pure exponential contraction e^{-t} at every prefix
     pot = IsotropicQuadratic(1)
     eta = 0.05
     n = 10
-    nodes = exact_ou_flow_ld(pot, np.array([2.0]), np.zeros((1, n, 1)), eta, np.zeros((1, n, 1)))
     for i in range(n + 1):
-        assert nodes[0, i, 0] == pytest.approx(2.0 * math.exp(-i * eta), rel=1e-13)
+        end = exact_ou_endpoint_ld(pot, np.array([2.0]), np.zeros((1, i, 1)), eta, np.zeros((1, i, 1)))
+        assert end[0, 0] == pytest.approx(2.0 * math.exp(-i * eta), rel=1e-13)
 
 
 def test_exact_overdamped_flow_preserves_stationary_variance():
@@ -409,10 +477,12 @@ def test_exact_overdamped_flow_free_potential_is_brownian():
     pot = IsotropicQuadratic(2, scale=0.0)
     eta = 0.125
     xi = noise_matrix(13, 2, 8, 2)
+    residual = noise_matrix(14, 2, 8, 2)
     x0 = np.array([[0.0, 1.0], [2.0, -1.0]])
-    nodes = exact_ou_flow_ld(pot, x0, xi, eta, noise_matrix(14, 2, 8, 2))
     expect = x0[:, None, :] + np.sqrt(2.0) * brownian_partial_sums(xi, eta)
-    np.testing.assert_allclose(nodes, expect, rtol=1e-12, atol=1e-13)
+    for n in range(xi.shape[1] + 1):
+        end = exact_ou_endpoint_ld(pot, x0, xi[:, :n], eta, residual[:, :n])
+        np.testing.assert_allclose(end, expect[:, n], rtol=1e-12, atol=1e-13)
 
 
 def test_exact_kinetic_cell_covariance_matches_quadrature():
@@ -449,21 +519,68 @@ def test_exact_kinetic_flow_preserves_stationary_covariance():
 
 
 def test_exact_kinetic_flow_deterministic_part():
-    # no noise: z evolves by the propagator alone
+    # no noise: z evolves by the propagator alone, at every prefix
     pot = IsotropicQuadratic(1)
     gamma, eta, n = 1.1, 0.1, 6
     Phi, _, _ = ou_cell_uld(pot, gamma, eta)
-    xs, ps = exact_ou_flow_uld(
-        pot, gamma, np.array([1.0]), np.array([-0.5]), np.zeros((1, n, 1)), eta, np.zeros((1, n, 2))
-    )
     z = np.array([1.0, -0.5])
     for i in range(n + 1):
-        assert xs[0, i, 0] == pytest.approx(z[0], abs=1e-13)
-        assert ps[0, i, 0] == pytest.approx(z[1], abs=1e-13)
+        end = exact_ou_endpoint_uld(
+            pot, gamma, np.array([1.0, -0.5]), np.zeros((1, i, 1)), eta, np.zeros((1, i, 2))
+        )
+        assert end[0, 0] == pytest.approx(z[0], abs=1e-13)
+        assert end[0, 1] == pytest.approx(z[1], abs=1e-13)
         z = Phi @ z
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 513])
+def test_exact_ou_endpoints_match_cell_composition(n):
+    # the stacked kernels reproduce n compositions of the single-cell maps
+    pot = AnisotropicQuadratic((0.5, 1.0, 2.5))
+    gamma, eta, B, d = 1.3, 0.25 / n, 6, 3
+    z0 = noise_matrix(21, B, 1, 2 * d, label=LABEL_INIT)[:, 0]
+    xi = noise_matrix(21, B, n, d)
+    residual = noise_matrix(21, B, n, 2 * d, label=LABEL_RESIDUAL)
+    ld = exact_ou_endpoint_ld(pot, z0[:, :d], xi, eta, residual[..., :d])
+    oracle_ld = ou_nodes_ld(pot, z0[:, :d], xi, eta, residual[..., :d])[:, -1]
+    np.testing.assert_allclose(ld, oracle_ld, rtol=0, atol=1e-12)
+    uld = exact_ou_endpoint_uld(pot, gamma, z0, xi, eta, residual)
+    oracle_uld = ou_nodes_uld(pot, gamma, z0, xi, eta, residual)[:, -1]
+    np.testing.assert_allclose(uld, oracle_uld, rtol=0, atol=1e-12)
 
 
 def test_exact_flows_require_quadratic_potentials():
     pot = PerturbedQuadratic((1.0,), amplitude=0.2, frequency=1.0)
     with pytest.raises(UnsupportedPotentialError):
-        exact_ou_flow_ld(pot, np.array([1.0]), np.zeros((1, 2, 1)), 0.1, np.zeros((1, 2, 1)))
+        exact_ou_endpoint_ld(pot, np.array([1.0]), np.zeros((1, 2, 1)), 0.1, np.zeros((1, 2, 1)))
+    with pytest.raises(UnsupportedPotentialError):
+        exact_ou_endpoint_uld(
+            pot, 1.0, np.array([1.0, 0.0]), np.zeros((1, 2, 1)), 0.1, np.zeros((1, 2, 2))
+        )
+
+
+# ---------------------------------------------------------------------------
+# Horizon state through the scheme table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+def test_advance_equals_endpoint_of_simulate(scheme, mode):
+    # bit-identical where advance is the default; the closed-form DM-ULMC
+    # update agrees with the fixed point's endpoint to 1e-12
+    entry = SCHEMES[scheme]
+    grid = TimeGrid(0.6, 3, 8)
+    for pot in (AnisotropicQuadratic((0.6, 1.4)), PerturbedQuadratic((1.0, 1.5), 0.2, 1.0)):
+        schedule = entry.schedule(grid, mode, seed=4, stream=0)
+        zdim = 4 if entry.kinetic else 2
+        z0 = noise_matrix(8, 5, 1, zdim, label=LABEL_INIT)[:, 0]
+        xi = noise_matrix(8, 5, grid.n_cells, 2)
+        gamma = 1.2 if entry.kinetic else None
+        end = entry.advance(pot, grid, schedule, gamma, z0, xi)
+        ref = entry.endpoint(entry.simulate(pot, grid, schedule, gamma, z0, xi))
+        assert end.shape == z0.shape
+        if scheme == "dmulmc":
+            np.testing.assert_allclose(end, ref, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(end, ref)

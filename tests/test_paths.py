@@ -1,6 +1,7 @@
 """Time grids, reproducible noise, bridge refinement, midpoint schedules."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,11 +22,16 @@ from girsanovlab.paths import (
     LABEL_BRIDGE,
     LABEL_INIT,
     LABEL_PATH,
-    brownian_partial_sums,
-    coarsen_noise,
     normal_block,
     sample_noise,
 )
+
+
+def coarsen_noise(path: NoisePath) -> NoisePath:
+    """Merge adjacent increments: the inverse of ``refine_noise`` up to rounding."""
+    assert path.n_cells % 2 == 0 and path.level >= 1
+    parent = (path.xi[..., 0::2, :] + path.xi[..., 1::2, :]) * np.sqrt(0.5)
+    return replace(path, xi=parent, level=path.level - 1)
 
 
 def test_grid_fields_exact():
@@ -212,15 +218,6 @@ def test_refinement_deterministic_per_level():
     np.testing.assert_array_equal(refine_noise(path).xi, refine_noise(path).xi)
     # bridge draws differ from the path draws themselves
     assert LABEL_BRIDGE != LABEL_PATH
-
-
-def test_brownian_partial_sums_oracle():
-    xi = np.ones((8, 1))
-    sums = brownian_partial_sums(xi, eta=0.25)
-    assert sums[0, 0] == 0.0
-    assert sums[-1, 0] == pytest.approx(np.sqrt(0.25) * 8)
-    diffs = np.diff(sums, axis=0)
-    np.testing.assert_allclose(diffs, np.sqrt(0.25) * xi)
 
 
 def test_overdamped_schedule_snapping():

@@ -21,8 +21,8 @@ def test_benchmark_self_test_passes():
     assert proc.stdout.strip().splitlines()[-1] == "self-test ok"
 
 
-#: span names each workload recorded when the benchmark was defined; a layer
-#: missing here has lost its attribution (``paths.generate`` is not listed;
+#: span names each workload records; a layer missing here has lost its
+#: attribution (``paths.generate`` is not listed;
 #: ``paths.normal_block`` stands for the noise layer)
 LAYER_SPANS = {
     "kl-affine": {
@@ -35,8 +35,8 @@ LAYER_SPANS = {
         "potentials.hessian", "paths.normal_block",
     },
     "local-error": {
-        "experiments.run_experiment", "divergences.local_error", "integrators.simulate",
-        "integrators.exact_ou", "paths.noise_matrix", "paths.normal_block",
+        "experiments.run_experiment", "divergences.local_error", "potentials.gradient",
+        "paths.noise_matrix", "paths.normal_block",
     },
 }
 
