@@ -28,9 +28,8 @@ grid, increments √η·ξ_i):
   potentials, coupled to the same increments: each cell draws from the exact
   conditional law given the cell's Brownian increment (conditional mean from
   the cross-covariance, plus an independent residual supplied by the caller;
-  ``ou_cell_ld`` / ``ou_cell_uld`` give one cell).  The n cells compose to
-  z_n = Φⁿz₀ + Σᵢ Φ^{n−1−i}(Mξᵢ + Rrᵢ), evaluated as one product per input
-  against kernels stacked once per (Hessian, γ, η, n).  Marginally exact, and
+  ``ou_cell_ld`` / ``ou_cell_uld`` give one cell).  The cells are composed
+  one by one, keeping only the current state.  Marginally exact, and
   synchronously coupled to any scheme sharing the ξ array.
 
 Batch convention: states are (B, d), per-step increments (B, m, d), full
@@ -47,7 +46,6 @@ and not counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh, expm
@@ -554,7 +552,15 @@ def _require_quadratic(potential: Potential) -> np.ndarray:
     return np.asarray(potential.constant_hessian, dtype=float)
 
 
-def _cell_ld(H: np.ndarray, eta: float):
+def ou_cell_ld(potential: Potential, eta: float):
+    """Per-cell transition of dX = −HX dt + √2 dB over one inner cell.
+
+    Returns (U, phi, mean_coef, resid_sd): eigenvectors of H and, per
+    eigenvalue, the decay factor e^{−λη}, the coefficient of ξ in the
+    conditional mean given the cell increment, and the residual standard
+    deviation.  All elementwise in the eigenbasis.
+    """
+    H = _require_quadratic(potential)
     lam, U = eigh(H)
     w = lam * eta
     # S = ∫₀^η e^{−λu}du and C = 2∫₀^η e^{−2λu}du, stable as λ→0.
@@ -567,18 +573,16 @@ def _cell_ld(H: np.ndarray, eta: float):
     return U, phi, mean_coef, np.sqrt(resid_var)
 
 
-def ou_cell_ld(potential: Potential, eta: float):
-    """Per-cell transition of dX = −HX dt + √2 dB over one inner cell.
+def ou_cell_uld(potential: Potential, gamma: float, eta: float):
+    """Per-cell transition of the kinetic diffusion for quadratic V.
 
-    Returns (U, phi, mean_coef, resid_sd): eigenvectors of H and, per
-    eigenvalue, the decay factor e^{−λη}, the coefficient of ξ in the
-    conditional mean given the cell increment, and the residual standard
-    deviation.  All elementwise in the eigenbasis.
+    Drift matrix A = [[0, I], [−H, −γI]] on z = (x, p), noise √(2γ) on the
+    momentum line.  Returns (Phi, mean_coef, resid_half): the cell propagator
+    e^{Aη} (2d×2d), the matrix multiplying ξ in the conditional mean given the
+    cell increment (2d×d), and a symmetric square root of the residual
+    covariance (2d×2d).  Covariances come from a block-matrix exponential.
     """
-    return _cell_ld(_require_quadratic(potential), eta)
-
-
-def _cell_uld(H: np.ndarray, gamma: float, eta: float):
+    H = _require_quadratic(potential)
     d = H.shape[0]
     A = np.zeros((2 * d, 2 * d))
     A[:d, d:] = np.eye(d)
@@ -609,63 +613,6 @@ def _cell_uld(H: np.ndarray, gamma: float, eta: float):
     return Phi, mean_coef, resid_half
 
 
-def ou_cell_uld(potential: Potential, gamma: float, eta: float):
-    """Per-cell transition of the kinetic diffusion for quadratic V.
-
-    Drift matrix A = [[0, I], [−H, −γI]] on z = (x, p), noise √(2γ) on the
-    momentum line.  Returns (Phi, mean_coef, resid_half): the cell propagator
-    e^{Aη} (2d×2d), the matrix multiplying ξ in the conditional mean given the
-    cell increment (2d×d), and a symmetric square root of the residual
-    covariance (2d×2d).  Covariances come from a block-matrix exponential.
-    """
-    return _cell_uld(_require_quadratic(potential), gamma, eta)
-
-
-@lru_cache(maxsize=16)
-def _endpoint_kernels(hessian: bytes, d: int, gamma: float | None, eta: float, n: int):
-    """(Φⁿ, K_ξ, K_r) of n composed cells; ``gamma`` None is the overdamped flow.
-
-    z_n = z₀·Φⁿᵀ + ξ.reshape(B, n·d)·K_ξ + r.reshape(B, n·z)·K_r, where block
-    i of the stacked kernels is (Φ^{n−1−i}M)ᵀ and (Φ^{n−1−i}R)ᵀ.
-    """
-    H = np.frombuffer(hessian).reshape(d, d)
-    if gamma is None:
-        # diagonal in H's eigenbasis: Φ^k M = U·diag(φ^k·c)·Uᵀ, symmetric
-        U, phi, mean_coef, resid_sd = _cell_ld(H, eta)
-        powers = phi ** np.arange(n - 1, -1, -1)[:, None]  # (n, d): φ^{n−1−i}
-        total = (U * phi**n) @ U.T
-        k_xi = (U * (powers * mean_coef)[:, None, :]) @ U.T
-        k_r = (U * (powers * resid_sd)[:, None, :]) @ U.T
-    else:
-        Phi, mean_coef, resid_half = _cell_uld(H, gamma, eta)
-        powers = np.empty((n,) + Phi.shape)  # powers[i] = Φ^{n−1−i}
-        total = np.eye(2 * d)
-        for i in range(n - 1, -1, -1):
-            powers[i] = total
-            total = Phi @ total
-        k_xi = (powers @ mean_coef).transpose(0, 2, 1)
-        k_r = (powers @ resid_half).transpose(0, 2, 1)
-    zdim = total.shape[0]
-    kernels = (total, k_xi.reshape(-1, zdim), k_r.reshape(-1, zdim))
-    for k in kernels:  # shared by every caller through the cache
-        k.setflags(write=False)
-    return kernels
-
-
-def _ou_endpoint(
-    hessian: np.ndarray, gamma: float | None, z0: np.ndarray, xi: np.ndarray, eta: float,
-    residual: np.ndarray,
-) -> np.ndarray:
-    d = hessian.shape[0]
-    z0 = _batch(z0, d if gamma is None else 2 * d, "z0")
-    xi = _batch_noise(xi, xi.shape[-2], d)
-    n = xi.shape[1]
-    residual = _batch_noise(residual, n, z0.shape[1])
-    total, k_xi, k_r = _endpoint_kernels(hessian.tobytes(), d, gamma, float(eta), n)
-    B = xi.shape[0]
-    return z0 @ total.T + xi.reshape(B, -1) @ k_xi + residual.reshape(B, -1) @ k_r
-
-
 def exact_ou_endpoint_ld(
     potential: Potential,
     x0: np.ndarray,
@@ -676,11 +623,18 @@ def exact_ou_endpoint_ld(
     """Exact overdamped flow for quadratic V after n cells, coupled to ξ.
 
     ``residual`` supplies one independent standard normal d-vector per cell
-    (same shape as ξ, (B, n, d)).  Returns the state (B, d) after the n cells,
-    which equals n compositions of :func:`ou_cell_ld` (tested to 1e-12) and so
-    has the exact transition law.
+    (same shape as ξ, (B, n, d)).  Composes :func:`ou_cell_ld` cell by cell,
+    keeping only the current state, and returns the state (B, d) after the
+    n cells: it has the exact transition law.
     """
-    return _ou_endpoint(_require_quadratic(potential), None, x0, xi, eta, residual)
+    x0 = _batch(x0, potential.d, "x0")
+    xi = _batch_noise(xi, xi.shape[-2], potential.d)
+    residual = _batch_noise(residual, xi.shape[1], potential.d)
+    U, phi, mean_coef, resid_sd = ou_cell_ld(potential, eta)
+    y = x0 @ U  # eigen coordinates (rows)
+    for i in range(xi.shape[1]):
+        y = phi * y + mean_coef * (xi[:, i] @ U) + resid_sd * (residual[:, i] @ U)
+    return y @ U.T
 
 
 def exact_ou_endpoint_uld(
@@ -694,8 +648,15 @@ def exact_ou_endpoint_uld(
     """Exact kinetic flow for quadratic V after n cells, coupled to ξ.
 
     ``z0`` stacks (x, p), shape (B, 2d); ``residual`` supplies one independent
-    standard normal 2d-vector per cell, shape (B, n, 2d).  Returns the stacked
-    state (B, 2d) after the n cells, which equals n compositions of
-    :func:`ou_cell_uld` (tested to 1e-12).
+    standard normal 2d-vector per cell, shape (B, n, 2d).  Composes
+    :func:`ou_cell_uld` cell by cell, keeping only the current state, and
+    returns the stacked state (B, 2d) after the n cells.
     """
-    return _ou_endpoint(_require_quadratic(potential), float(gamma), z0, xi, eta, residual)
+    d = potential.d
+    z = _batch(z0, 2 * d, "z0")
+    xi = _batch_noise(xi, xi.shape[-2], d)
+    residual = _batch_noise(residual, xi.shape[1], 2 * d)
+    Phi, mean_coef, resid_half = ou_cell_uld(potential, gamma, eta)
+    for i in range(xi.shape[1]):
+        z = z @ Phi.T + xi[:, i] @ mean_coef.T + residual[:, i] @ resid_half.T
+    return z

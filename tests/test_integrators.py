@@ -320,9 +320,7 @@ def test_gradient_query_counters():
 
 
 def test_elementary_ld_matches_exact_flow_for_free_dynamics():
-    # with no drift each Euler cell IS the diffusion's cell under the coupling;
-    # the endpoint sums the n cells in another order than the Euler recursion,
-    # so agreement is to rounding (a few ulps), not bit for bit
+    # with no drift each Euler cell IS the diffusion's cell under the coupling
     pot = IsotropicQuadratic(1, scale=0.0)
     x0 = noise_matrix(5, 256, 1, 1, label=LABEL_INIT)[:, 0]
     for h in (0.25, 0.125):
@@ -332,7 +330,7 @@ def test_elementary_ld_matches_exact_flow_for_free_dynamics():
         euler = euler_nodes(pot, x0, xi, grid.eta)
         for n in range(1, grid.m + 1):
             exact = exact_ou_endpoint_ld(pot, x0, xi[:, :n], grid.eta, residual[:, :n])
-            np.testing.assert_allclose(exact, euler[:, n], rtol=1e-15, atol=1e-15)
+            np.testing.assert_array_equal(exact, euler[:, n])
 
 
 def test_blowup_error_names_the_step():
@@ -535,7 +533,7 @@ def test_exact_kinetic_flow_deterministic_part():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 513])
 def test_exact_ou_endpoints_match_cell_composition(n):
-    # the stacked kernels reproduce n compositions of the single-cell maps
+    # the endpoints reproduce n compositions of the single-cell maps
     pot = AnisotropicQuadratic((0.5, 1.0, 2.5))
     gamma, eta, B, d = 1.3, 0.25 / n, 6, 3
     z0 = noise_matrix(21, B, 1, 2 * d, label=LABEL_INIT)[:, 0]
