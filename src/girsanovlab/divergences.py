@@ -181,9 +181,10 @@ class SlopeFit:
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> SlopeFit:
     """Fit log(y) = slope·log(x) + intercept by ordinary least squares.
 
-    All inputs must be strictly positive.  At least three points are required,
-    so the interval has n − 2 ≥ 1 degrees of freedom; points lying exactly on
-    a line give an interval of zero width.
+    All inputs must be strictly positive and x must take at least two values.
+    At least three points are required, so the interval has n − 2 ≥ 1 degrees
+    of freedom; points lying exactly on a line give an interval of zero width.
+    Inputs that admit no fit raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -199,6 +200,8 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> SlopeFit:
     mx = lx.mean()
     my = ly.mean()
     sxx = float(np.sum((lx - mx) ** 2))
+    if sxx == 0.0:
+        raise ValueError("log-log fit needs x values with spread; all x are equal")
     sxy = float(np.sum((lx - mx) * (ly - my)))
     slope = sxy / sxx
     intercept = my - slope * mx
@@ -231,8 +234,8 @@ class LocalErrorReport:
     the cross product ⟨Δ⁽¹⁾, Δ⁽²⁾⟩ of two replicas that share the initial
     state but use independent Brownian paths; it may fluctuate below zero
     when the true value is tiny.  Overdamped schemes carry zeros in the
-    momentum columns.  ``slopes`` maps the four column names to log–log
-    fits over the positive columns.
+    momentum columns.  ``slopes`` maps the column names that admit a log–log
+    fit (three or more positive entries, step sizes not all equal) to it.
     """
 
     scheme: str
@@ -282,8 +285,9 @@ def local_error_sweep(
 
     s = scheme_for(scheme)
     kinetic = s.kinetic
-    if kinetic and gamma is None:
-        raise ValueError("kinetic schemes require gamma")
+    s.check_gamma(gamma)
+    if n_paths < 2:
+        raise ValueError(f"need n_paths >= 2 for a standard error, got {n_paths}")
     if not potential.is_quadratic:
         raise ValueError(
             "the local-error sweep couples against the exact Gaussian flow "
@@ -334,9 +338,10 @@ def local_error_sweep(
     h_arr = np.asarray(hs)
     slopes: dict[str, SlopeFit] = {}
     for name, (vals, _) in cols.items():
-        v = np.asarray(vals)
-        if v.size >= 3 and np.all(v > 0.0):
-            slopes[name] = fit_loglog_slope(h_arr, v)
+        try:
+            slopes[name] = fit_loglog_slope(h_arr, np.asarray(vals))
+        except ValueError:  # under 3 points, a non-positive entry, or all h equal
+            pass
     return LocalErrorReport(
         scheme=scheme,
         h=h_arr,

@@ -98,6 +98,8 @@ class Scheme:
       algorithm's marginal updates.
     * ``step_bound(beta, q)``: the largest step size h the weights allow,
       stated as ``bound_rule``; infinite when there is none.
+    * ``check_gamma(gamma)``: ValueError unless a kinetic scheme has a
+      positive friction.
     """
 
     name = label = bound_rule = ""
@@ -118,6 +120,10 @@ class Scheme:
 
     def step_bound(self, beta: float, q: float) -> float:
         return np.inf
+
+    def check_gamma(self, gamma) -> None:
+        if self.kinetic and (gamma is None or not gamma > 0):
+            raise ValueError("kinetic schemes need a positive friction gamma")
 
 
 class _MidpointLMC(Scheme):
@@ -358,8 +364,7 @@ def run_weights(
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
     the_grid = _resolve_grid(schedule, grid)
     s = scheme_for(scheme)
-    if s.kinetic and (gamma is None or not gamma > 0):
-        raise ValueError("kinetic schemes need a positive friction gamma")
+    s.check_gamma(gamma)
     if schedule is None:
         schedule = s.schedule(the_grid)
 

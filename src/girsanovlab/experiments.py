@@ -424,9 +424,15 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
         "KL sequence " + " > ".join(f"{k:.4g}" for k in kls),
     ))
     threshold = KL_SLOPE_THRESHOLDS[cfg.scheme]
-    if len(finite) >= 3:
+    try:
         fit = fit_loglog_slope(np.array([f[0] for f in finite]),
                                np.array([f[1] for f in finite]))
+    except ValueError as exc:
+        result.checks.append(Check(
+            "fitted KL decay order", False,
+            f"no fit over {len(finite)} positive finite estimates: {exc}",
+        ))
+    else:
         result.rows.append(_base_row(
             cfg, h=None, q=1.0, m=None, estimate=fit.slope, se=None,
             slope=fit.slope, rejections=None, status="ok",
@@ -436,11 +442,6 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
             fit.slope >= threshold,
             f"log-log slope {fit.slope:.3f} >= {threshold:g} "
             f"(R^2 = {fit.r_squared:.4f})",
-        ))
-    else:
-        result.checks.append(Check(
-            "fitted KL decay order", False,
-            f"only {len(finite)} positive finite estimates; need >= 3 for a fit",
         ))
     return result
 
@@ -476,28 +477,25 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
         })
     thresholds = LOCAL_ERROR_THRESHOLDS.get(cfg.scheme, {})
     lx = np.log(np.asarray(report.h, dtype=float))
-    mx = lx.mean()
-    sxx = float(np.sum((lx - mx) ** 2))
-    coef = (lx - mx) / sxx
     for name in ("strong_x", "strong_p", "weak_x", "weak_p"):
         values = np.asarray(getattr(report, name), dtype=float)
         se_vals = np.asarray(getattr(report, name + "_se"), dtype=float)
         fit = report.slopes.get(name)
         if fit is None:
             if name in thresholds:
+                why = ("all step sizes h are equal" if np.ptp(lx) == 0.0
+                       else "fewer than 3 entries or a non-positive one")
                 result.checks.append(Check(
-                    f"{name} squared-error decay order", False,
-                    "column has non-positive entries; no log-log fit possible",
+                    f"{name} squared-error decay order", False, f"no fit: {why}",
                 ))
             continue
         if name in thresholds:
-            if np.all(values > 0):
-                # slope standard error propagated from the per-point SEs
-                slope_se = float(np.sqrt(np.sum(coef**2 * (se_vals / values) ** 2)))
-            else:
-                slope_se = float("inf")
+            # slope standard error propagated from the per-point SEs (a fit
+            # exists, so the values are positive and the h spread)
+            coef = (lx - lx.mean()) / np.sum((lx - lx.mean()) ** 2)
+            slope_se = float(np.sqrt(np.sum(coef**2 * (se_vals / values) ** 2)))
             bound = thresholds[name]
-            passed = np.all(values > 0) and fit.slope - slope_se >= bound
+            passed = fit.slope - slope_se >= bound
             result.checks.append(Check(
                 f"{name} squared-error decay order",
                 bool(passed),

@@ -39,9 +39,10 @@ low-rank anticipating part that yields all three from its factors
   det(I + D) = 1 and tr D = 0 exactly;
 * double-midpoint kinetic: D = U·Wᵀ with U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d]
   (left-endpoint kernels) and Wᵀ = ∂(λ₁, λ₂)/∂ξ, so
-  det(I + D) = det(I_{2d} + Wᵀ·U) and tr D = tr(Wᵀ·U); the derivative fixed
-  point runs on the 2d columns of U plus the power-iteration start vector
-  instead of on all m·d noise coordinates.
+  det(I + D) = det(I_{2d} + Wᵀ·U) and tr D = tr(Wᵀ·U).  Wᵀ comes from the
+  path's own fixed point (:func:`~girsanovlab.integrators.interpolation_fixed_point`
+  with grad = ∇²V·DX), run on the 2d columns of U plus the power-iteration
+  start vector instead of on all m·d noise coordinates as the dense block is.
 
 The power iterate is the same 20 normalised steps from the same start vector
 as on the dense block, through an O(m·d²) matrix-vector product (overdamped,
@@ -50,7 +51,7 @@ routes use these evaluators: the generic route per path, the affine route
 once per distinct step on a zero path.  The dense blocks serve the
 finite-difference checks and trace diagnostics, and their summary
 :func:`block_summary_dense` (LU determinant, dense power iterate) is the
-reference that block dumps, the linearization criterion and the tests use.
+reference that block dumps and the tests use.
 Every summary, structured or dense, becomes a weight through the one assembly
 :func:`summary_log_weight`, where the invertibility rule is written.
 
@@ -66,8 +67,8 @@ import numpy as np
 
 from .integrators import (
     OverdampedTrajectory,
-    StepSizeError,
     UnderdampedTrajectory,
+    interpolation_fixed_point,
 )
 from .kernels import StepKernels
 from .potentials import Potential
@@ -97,12 +98,14 @@ __all__ = [
 #: Invertibility flag threshold on the per-block spectral-radius estimate.
 SPECTRAL_RADIUS_LIMIT = 0.9
 _POWER_ITERATIONS = 20
-_DERIV_TOL = 1e-12
-#: The structured double-midpoint solve moves O(√η)-sized tangent columns (the
-#: columns of U and a unit vector spread over m·d entries) instead of unit
-#: columns, so it stops finer to resolve Dλ as well as the dense solve does.
-_DERIV_TOL_STRUCTURED = 1e-14
-_DERIV_MAX_ITERS = 100
+#: Stop of the double-midpoint tangent sweeps, finer than the path's 1e-12
+#: (``integrators.FIXED_POINT_TOL``).  Path nodes are O(1), so 1e-12 is
+#: already a relative accuracy there.  Tangent columns are small: a unit ξ
+#: entry moves the nodes by O(h·√η), and the columns of U and the spread
+#: power start vector by less, so the same absolute stop would resolve Dλ
+#: coarsely.  The sweeps are linear and contract like the path's; the finer
+#: stop costs about one sweep more (5 → 6 at h = 1/4, m = 16, d = 8).
+_DERIV_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -215,12 +218,6 @@ def drift_dmulmc(traj: UnderdampedTrajectory) -> DriftRealization:
 # ---------------------------------------------------------------------------
 
 
-def _flatten_block(block: np.ndarray) -> np.ndarray:
-    """(B, m, d, m, d) cell-indexed entries → (B, m·d, m·d)."""
-    B, m, d = block.shape[0], block.shape[1], block.shape[2]
-    return block.reshape(B, m * d, m * d)
-
-
 def malliavin_blocks_mlmc(
     potential: Potential,
     traj: OverdampedTrajectory,
@@ -255,7 +252,7 @@ def malliavin_blocks_mlmc(
             np.einsum("ij,biac->biajc", lower, Hi)
             - np.einsum("j,biac->biajc", colband, mid)
         )
-        diag[:, k] = _flatten_block(block)
+        diag[:, k] = block.reshape(B, m * d, m * d)
 
     full = None
     if include_offdiag:
@@ -306,7 +303,7 @@ def malliavin_blocks_ulmc(
     diag = np.empty((B, N, m * d, m * d))
     for k in range(N):
         block = eta * np.einsum("ij,biac->biajc", K2_cells, H_nodes[:, k])
-        diag[:, k] = _flatten_block(block)
+        diag[:, k] = block.reshape(B, m * d, m * d)
 
     full = None
     if include_offdiag:
@@ -337,103 +334,50 @@ def malliavin_blocks_ulmc(
     return MalliavinBlocks("ulmc", diag, full)
 
 
-def _dm_step_derivatives(
-    kern: StepKernels,
-    potential: Potential,
-    x_nodes: np.ndarray,
-    x_minus: np.ndarray,
-    x_plus: np.ndarray,
-    x0: np.ndarray,
-    r_minus: int,
-    r_plus: int,
+def _dm_tangents(
+    kern: StepKernels, potential: Potential, traj: UnderdampedTrajectory, k: int,
+    dirs: np.ndarray, state: bool,
 ):
-    """Solve the linear derivative fixed point of one double-midpoint step.
+    """Tangents of double-midpoint step k along ``dirs`` (m, d, U), directions in its ξ.
 
-    Differentiates the converged interpolation with respect to every input
-    u ∈ (ξ_0..ξ_{m−1}, x₀, p₀) simultaneously, keeping the implicit
-    dependence of the multipliers (nothing is dropped).  Returns
-    (Dλ₁, Dλ₂, DX_m, DP_m), each (B, d, U) with U = m·d + 2d; the first m·d
-    input columns are the ξ entries, then d for x₀ and d for p₀.
-    """
-    m, eta, d = kern.m, kern.eta, x0.shape[-1]
-    B = x0.shape[0]
-    U = m * d + 2 * d
-    I = np.eye(d)
-    c = np.sqrt(2.0 * kern.gamma * eta)
-
-    # Explicit part DX⁰_n[u] (path-independent except through nothing):
-    DX0 = np.zeros((m + 1, d, U))
-    for n in range(m + 1):
-        for j in range(m):
-            DX0[n, :, j * d : (j + 1) * d] = c * kern.K2[n, j] * I
-        DX0[n, :, m * d : m * d + d] = I
-        DX0[n, :, m * d + d :] = kern.e2_0[n] * I
-    DX0 = np.broadcast_to(DX0, (B, m + 1, d, U))
-
-    def mid_derivative(r: int, H0: np.ndarray) -> np.ndarray:
-        out = np.zeros((B, d, U))
-        for j in range(m):
-            out[:, :, j * d : (j + 1) * d] = c * kern.K2[r, j] * I
-        out[:, :, m * d : m * d + d] = I - kern.e3_0[r] * H0
-        out[:, :, m * d + d :] = kern.e2_0[r] * I
-        return out
-
-    H0 = potential.hessian(x0)
-    Dmid_minus = mid_derivative(r_minus, H0)
-    Dmid_plus = mid_derivative(r_plus, H0)
-    DGx = kern.e3_0[m] * np.einsum("bac,bcU->baU", potential.hessian(x_minus), Dmid_minus)
-    DGp = kern.e2_0[m] * np.einsum("bac,bcU->baU", potential.hessian(x_plus), Dmid_plus)
-
-    H_left = potential.hessian(x_nodes[:, :m])  # (B, m, d, d)
-    Dlam1, Dlam2, DX, DG = _dm_fixed_point(kern, H_left, DX0, DGx, DGp)
-    DP_m = -eta * np.einsum("j,bjaU->baU", kern.K1[m], DG)
-    DP_m[:, :, m * d + d :] += kern.e1_0[m] * I
-    for j in range(m):
-        DP_m[:, :, j * d : (j + 1) * d] += c * kern.K1[m, j] * I
-    return Dlam1, Dlam2, DX[:, m], DP_m
-
-
-def _dm_fixed_point(
-    kern: StepKernels,
-    H_left: np.ndarray,
-    DX0: np.ndarray,
-    DGx: np.ndarray,
-    DGp: np.ndarray,
-    tol: float = _DERIV_TOL,
-):
-    """Iterate the linear derivative fixed point of one double-midpoint step.
-
-    Every array carries U trailing tangent columns: ``DX0`` (B, m+1, d, U) is
-    the explicit part of the node derivatives, ``DGx``/``DGp`` (B, d, U) the
-    midpoint-gradient terms of the two marginal constraints, ``H_left``
-    (B, m, d, d) the Hessians at the cell left endpoints.  Sweeps stop once
-    no entry of DX moves by more than ``tol``; returns (Dλ₁, Dλ₂, DX, DG).
+    With ``state`` the step start x₀ and p₀ add 2d unit columns after them.
+    The tangents solve the path's own
+    :func:`~girsanovlab.integrators.interpolation_fixed_point` with
+    grad = ∇²V·DX, so the implicit dependence of the multipliers is kept.
+    Returns (Dλ₁, Dλ₂, Dz_h): Dz_h (B, 2d, ·) holds the tangents of the step
+    end (x, p).
     """
     m, eta = kern.m, kern.eta
-    DX = np.array(DX0)
-    for _ in range(_DERIV_MAX_ITERS):
-        Dg = np.einsum("bjac,bjcU->bjaU", H_left, DX[:, :m])
-        DS1 = eta * np.einsum("j,bjaU->baU", kern.e1_left, Dg)
-        DS2 = eta * np.einsum("j,bjaU->baU", kern.e2_left, Dg)
-        Dlam1, Dlam2 = kern.sigma_hat.solve(DS1 - DGp, DS2 - DGx)
-        DG = (
-            Dg
-            - kern.e1_left[:, None, None] * Dlam1[:, None]
-            - kern.e2_left[:, None, None] * Dlam2[:, None]
+    B, (d, n_dirs) = traj.x.shape[0], dirs.shape[1:]
+    c = np.sqrt(2.0 * kern.gamma * eta)
+    explicit = c * np.einsum("nj,jcU->ncU", kern.K2, dirs)  # (m+1, d, U)
+    end_p = c * np.tensordot(kern.K1[m], dirs, axes=1)  # (d, U)
+    if state:
+        eye = np.eye(d)
+        explicit = np.concatenate(
+            [explicit, np.broadcast_to(eye, (m + 1, d, d)), kern.e2_0[:, None, None] * eye],
+            axis=-1,
         )
-        DX_new = DX0 - eta * np.einsum("nj,bjaU->bnaU", kern.K2, DG)
-        delta = float(np.max(np.abs(DX_new - DX)))
-        DX = DX_new
-        if not np.isfinite(delta):
-            raise StepSizeError(
-                "derivative fixed point diverged; the step violates the "
-                "contraction condition h ~ 1/sqrt(beta)"
-            )
-        if delta <= tol:
-            return Dlam1, Dlam2, DX, DG
-    raise StepSizeError(
-        f"derivative fixed point did not converge in {_DERIV_MAX_ITERS} sweeps"
+        end_p = np.concatenate([end_p, 0.0 * eye, kern.e1_0[m] * eye], axis=-1)
+        H0 = potential.hessian(traj.x[:, k * m])
+
+    def midpoint(r: int, x_mid: np.ndarray) -> np.ndarray:
+        """∇²V(X_r)·DX_r, the tangents of the gradient at the midpoint X_r."""
+        tangent = explicit[r]
+        if state:  # X_r also carries −E₃(0,rη)∇V(x₀)
+            tangent = np.broadcast_to(tangent, (B, *tangent.shape)).copy()
+            tangent[:, :, n_dirs : n_dirs + d] -= kern.e3_0[r] * H0
+        return potential.hessian(x_mid) @ tangent
+
+    gx = kern.e3_0[m] * midpoint(int(traj.schedule.indices_minus[k]), traj.x_minus[:, k])
+    gp = kern.e2_0[m] * midpoint(int(traj.schedule.indices_plus[k]), traj.x_plus[:, k])
+    H_left = potential.hessian(traj.x[:, k * m : (k + 1) * m])
+    base = np.broadcast_to(explicit, (B, *explicit.shape))
+    DX, Dlam1, Dlam2, DG, _ = interpolation_fixed_point(
+        kern, lambda tangent: H_left @ tangent, base, base, gp, gx, _DERIV_TOL
     )
+    DP = end_p - eta * np.einsum("j,bjaU->baU", kern.K1[m], DG)
+    return Dlam1, Dlam2, np.concatenate([DX[:, m], DP], axis=1)
 
 
 def malliavin_blocks_dmulmc(
@@ -453,40 +397,27 @@ def malliavin_blocks_dmulmc(
     grid = traj.grid
     N, m, eta = grid.N, grid.m, grid.eta
     B, d = traj.x.shape[0], traj.x.shape[2]
+    md = m * d
     kern = StepKernels.build(traj.gamma, grid.h, m)
     coef = np.sqrt(eta / (2.0 * traj.gamma))
 
-    diag = np.empty((B, N, m * d, m * d))
-    if include_offdiag:
-        S_psi = np.empty((B, N, m, d, 2 * d))
-        J = np.empty((B, N, 2 * d, 2 * d))
-        V = np.empty((B, N, m, 2 * d, d))
+    diag = np.empty((B, N, md, md))
+    S_psi = np.empty((B, N, m, d, 2 * d))
+    J = np.empty((B, N, 2 * d, 2 * d))
+    V = np.empty((B, N, m, 2 * d, d))
+    increments = np.eye(md).reshape(m, d, md)  # every ξ_j entry
     for k in range(N):
-        x_nodes = traj.x[:, k * m : (k + 1) * m + 1]
-        Dlam1, Dlam2, DXm, DPm = _dm_step_derivatives(
-            kern,
-            potential,
-            x_nodes,
-            traj.x_minus[:, k],
-            traj.x_plus[:, k],
-            traj.x[:, k * m],
-            int(traj.schedule.indices_minus[k]),
-            int(traj.schedule.indices_plus[k]),
-        )
+        Dlam1, Dlam2, Dz = _dm_tangents(kern, potential, traj, k, increments, include_offdiag)
         # (B, m, d, U): outer product of e-kernels with multiplier derivatives
         Dpsi = coef * (
             kern.e1_left[:, None, None] * Dlam1[:, None]
             + kern.e2_left[:, None, None] * Dlam2[:, None]
         )
-        diag[:, k] = Dpsi[:, :, :, : m * d].reshape(B, m * d, m * d)
+        diag[:, k] = Dpsi[..., :md].reshape(B, md, md)
         if include_offdiag:
-            S_psi[:, k] = Dpsi[:, :, :, m * d :]
-            J[:, k, :d] = DXm[:, :, m * d :]
-            J[:, k, d:] = DPm[:, :, m * d :]
-            Vx = DXm[:, :, : m * d].reshape(B, d, m, d)
-            Vp = DPm[:, :, : m * d].reshape(B, d, m, d)
-            V[:, k, :, :d] = Vx.transpose(0, 2, 1, 3)
-            V[:, k, :, d:] = Vp.transpose(0, 2, 1, 3)
+            S_psi[:, k] = Dpsi[..., md:]
+            J[:, k] = Dz[..., md:]
+            V[:, k] = Dz[..., :md].reshape(B, 2 * d, m, d).transpose(0, 2, 1, 3)
     full = _assemble_full(diag, S_psi, J, V) if include_offdiag else None
     return MalliavinBlocks("dmulmc", diag, full)
 
@@ -663,7 +594,6 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     B, d = traj.x.shape[0], traj.x.shape[2]
     kern = StepKernels.build(traj.gamma, grid.h, m)
     coef = np.sqrt(eta / (2.0 * traj.gamma))
-    c = np.sqrt(2.0 * kern.gamma * eta)
     eye = np.eye(d)
 
     def times_u(a: np.ndarray) -> np.ndarray:
@@ -680,26 +610,12 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
         ],
         axis=-1,
     )
-    DX0 = c * np.einsum("nj,jcU->ncU", kern.K2, dirs)  # (m+1, d, U) explicit part
-    DX0_b = np.broadcast_to(DX0, (B, *DX0.shape))
-
     sign = np.empty((B, N))
     logabs = np.empty((B, N))
     trace = np.empty((B, N))
     rho = np.empty((B, N))
     for k in range(N):
-        r_minus = int(traj.schedule.indices_minus[k])
-        r_plus = int(traj.schedule.indices_plus[k])
-        DGx = kern.e3_0[m] * np.einsum(
-            "bac,cU->baU", potential.hessian(traj.x_minus[:, k]), DX0[r_minus]
-        )
-        DGp = kern.e2_0[m] * np.einsum(
-            "bac,cU->baU", potential.hessian(traj.x_plus[:, k]), DX0[r_plus]
-        )
-        H_left = potential.hessian(traj.x[:, k * m : (k + 1) * m])
-        Dlam1, Dlam2, _, _ = _dm_fixed_point(
-            kern, H_left, DX0_b, DGx, DGp, tol=_DERIV_TOL_STRUCTURED
-        )
+        Dlam1, Dlam2, _ = _dm_tangents(kern, potential, traj, k, dirs, False)
         WT = np.concatenate([Dlam1, Dlam2], axis=1)  # (B, 2d, 2d + 1)
         WtU, a = WT[:, :, : 2 * d], WT[:, :, 2 * d]
         sign[:, k], logabs[:, k] = np.linalg.slogdet(np.eye(2 * d) + WtU)

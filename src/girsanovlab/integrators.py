@@ -22,7 +22,9 @@ grid, increments √η·ξ_i):
   η·Σ_j E₂(jη,h)G^opt_j = E₃(0,h)∇V(X⁻).  Its endpoint reproduces the
   marginal update (the multipliers solve the constraints by construction,
   tested to 1e-12), so iteration only refines interior nodes; the weights
-  need those nodes, a local error does not.
+  need those nodes, a local error does not.  The path and its Malliavin
+  derivative share one fixed point, ``interpolation_fixed_point``: the path
+  runs it with ∇V, the derivative (in :mod:`girsanovlab.girsanov`) with ∇²V·DX.
 * ``exact_ou_endpoint_ld`` / ``exact_ou_endpoint_uld`` — the horizon state of
   the exact Gaussian transitions of the continuous dynamics for quadratic
   potentials, coupled to the same increments: each cell draws from the exact
@@ -64,6 +66,7 @@ __all__ = [
     "step_mlmc",
     "step_ulmc",
     "step_dmulmc_marginal",
+    "interpolation_fixed_point",
     "solve_dmulmc_step",
     "simulate_mlmc",
     "simulate_ulmc",
@@ -187,10 +190,10 @@ def step_mlmc(
 
 
 def _node_noise(K: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Left-endpoint Itô sums Σ_{j<n} K[n,j]·ξ_j for all nodes n."""
-    B, m, d = xi.shape
-    flat = K @ xi.transpose(1, 0, 2).reshape(m, B * d)  # one BLAS product
-    return flat.reshape(K.shape[0], B, d).transpose(1, 0, 2)
+    """Left-endpoint sums Σ_{j<n} K[n,j]·ξ_j: (B, m, d, …) → (B, K.shape[0], d, …)."""
+    cells = np.moveaxis(xi, 1, 0)
+    flat = K @ cells.reshape(cells.shape[0], -1)  # one BLAS product
+    return np.moveaxis(flat.reshape(K.shape[0], *cells.shape[1:]), 0, 1)
 
 
 def step_ulmc(
@@ -292,6 +295,43 @@ class DmStepSolution:
     iterations: int
 
 
+def interpolation_fixed_point(
+    kern: StepKernels, grad, start: np.ndarray, base: np.ndarray, gp: np.ndarray,
+    gx: np.ndarray, tol: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One fixed point for the double-midpoint interpolation and its tangents.
+
+    Sweeps X ↦ base − η·K₂·G, G_j = grad(X)_j − E₁(jη,h)λ₁ − E₂(jη,h)λ₂, with
+    (λ₁, λ₂) from the 2×2 Gram system, so the marginal constraints
+    η·Σ_j E₁(jη,h)G_j = gp and η·Σ_j E₂(jη,h)G_j = gx hold at every sweep.
+    ``start`` and ``base`` are (B, m+1, d, …) node arrays with any trailing
+    tangent axes and ``grad`` maps X[:, :m] to (B, m, d, …): ∇V for the path,
+    DX ↦ ∇²V·DX for its derivative.  Stops once no entry of X moves by more
+    than ``tol``; returns (X, λ₁, λ₂, G, sweeps).
+    """
+    m, eta = kern.m, kern.eta
+    tail = (1,) * (start.ndim - 2)  # cell kernels broadcast over (d, …)
+    e1, e2 = kern.e1_left.reshape(m, *tail), kern.e2_left.reshape(m, *tail)
+    x = start
+    for it in range(1, FIXED_POINT_MAX_ITERS + 1):
+        g = grad(x[:, :m])
+        s1 = eta * np.einsum("j,bj...->b...", kern.e1_left, g)
+        s2 = eta * np.einsum("j,bj...->b...", kern.e2_left, g)
+        lam1, lam2 = kern.sigma_hat.solve(s1 - gp, s2 - gx)
+        g_opt = g - e1 * lam1[:, None] - e2 * lam2[:, None]
+        x_new = base - eta * _node_noise(kern.K2, g_opt)
+        delta = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if delta <= tol:
+            return x, lam1, lam2, g_opt, it
+        if not np.isfinite(delta):
+            break
+    raise StepSizeError(
+        f"implicit interpolation did not converge ({it} sweeps); the step "
+        "violates the contraction condition h ~ 1/sqrt(beta)"
+    )
+
+
 def solve_dmulmc_step(
     kern: StepKernels,
     potential: Potential,
@@ -303,10 +343,8 @@ def solve_dmulmc_step(
 ) -> DmStepSolution:
     """Solve the implicit inner-grid interpolation of one DM step.
 
-    Iterates X̂ ↦ x₀ + E₂(0,·)p₀ − η·Σ E₂(jη,·)G^opt_j + noise with
-    G^opt_j = ∇V(X̂_j) − E₁(jη,h)λ₁ − E₂(jη,h)λ₂ and (λ₁, λ₂) solved from the
-    2×2 Gram system so the marginal constraints hold exactly at every sweep.
-    Converges to 1e−12 in the grid max-norm under h·√β ≤ 0.5.
+    :func:`interpolation_fixed_point` with grad = ∇V, from the frozen-gradient
+    path; converges to 1e−12 in the grid max-norm under h·√β ≤ 0.5.
     """
     if kern.h * np.sqrt(max(potential.beta, 0.0)) > DM_STEP_MARGIN:
         raise StepSizeError(
@@ -315,10 +353,8 @@ def solve_dmulmc_step(
         )
     m, eta = kern.m, kern.eta
     x_minus, x_plus, g0 = _dm_midpoints(kern, potential, x0, p0, xi, r_minus, r_plus)
-    g_minus = potential.gradient(x_minus)
-    g_plus = potential.gradient(x_plus)
-    gx = kern.e3_0[m] * g_minus  # constraint targets
-    gp = kern.e2_0[m] * g_plus
+    gx = kern.e3_0[m] * potential.gradient(x_minus)  # constraint targets
+    gp = kern.e2_0[m] * potential.gradient(x_plus)
 
     c = np.sqrt(2.0 * kern.gamma * eta)
     base = (
@@ -326,30 +362,10 @@ def solve_dmulmc_step(
         + kern.e2_0[:, None] * p0[:, None, :]
         + c * _node_noise(kern.K2, xi)
     )
-    x_nodes = base - kern.e3_0[:, None] * g0[:, None, :]  # frozen-gradient start
-    lam1 = lam2 = np.zeros_like(x0)
-    g_opt = np.zeros_like(xi)
-    for it in range(1, FIXED_POINT_MAX_ITERS + 1):
-        g = potential.gradient(x_nodes[:, :m])
-        s1 = eta * np.einsum("j,bjd->bd", kern.e1_left, g)
-        s2 = eta * np.einsum("j,bjd->bd", kern.e2_left, g)
-        lam1, lam2 = kern.sigma_hat.solve(s1 - gp, s2 - gx)
-        g_opt = g - kern.e1_left[:, None] * lam1[:, None, :] - kern.e2_left[:, None] * lam2[:, None, :]
-        x_new = base - eta * _node_noise(kern.K2, g_opt)
-        delta = float(np.max(np.abs(x_new - x_nodes)))
-        x_nodes = x_new
-        if not np.isfinite(delta):
-            raise StepSizeError(
-                "implicit interpolation diverged; the step violates the "
-                "contraction condition h ~ 1/sqrt(beta)"
-            )
-        if delta <= FIXED_POINT_TOL:
-            break
-    else:
-        raise StepSizeError(
-            f"implicit interpolation did not converge in {FIXED_POINT_MAX_ITERS} "
-            "sweeps; the step violates the contraction condition h ~ 1/sqrt(beta)"
-        )
+    start = base - kern.e3_0[:, None] * g0[:, None, :]  # frozen-gradient path
+    x_nodes, lam1, lam2, g_opt, it = interpolation_fixed_point(
+        kern, potential.gradient, start, base, gp, gx, FIXED_POINT_TOL
+    )
     p_nodes = (
         kern.e1_0[:, None] * p0[:, None, :]
         - eta * _node_noise(kern.K1, g_opt)

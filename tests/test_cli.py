@@ -74,6 +74,36 @@ def test_run_on_malformed_config_exits_2(tmp_path, capsys):
     assert "unknown key 'bogus'" in capsys.readouterr().err
 
 
+SWEEPS = {
+    "local-error-sweep": "kind = anisotropic-gaussian\nspectrum = 0.5 1.0",
+    "kl-order-sweep": "kind = gaussian\nd = 2",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(SWEEPS))
+def test_sweep_over_equal_step_sizes_reports_no_fit(tmp_path, capsys, experiment):
+    path = tmp_path / "equal.cfg"
+    path.write_text(f"""
+[experiment]
+name = {experiment}
+n_paths = 64
+seed = 3
+[potential]
+{SWEEPS[experiment]}
+[grid]
+T = 0.25
+h = 1/8 1/8 1/8
+m = 4
+[scheme]
+name = DM-ULMC
+gamma = 1.0
+""")
+    assert main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 1
+    out = capsys.readouterr().out
+    assert "decay order: no fit" in out and "FAIL" in out
+    assert (tmp_path / "out.csv").exists()
+
+
 class _RecordingSuite:
     """Stands in for the acceptance suite and records what it was asked to run."""
 

@@ -175,6 +175,8 @@ def test_fit_loglog_slope_input_validation():
         fit_loglog_slope(np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 2.0]))
     with pytest.raises(ValueError):
         fit_loglog_slope(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="spread"):  # equal step sizes in a sweep
+        fit_loglog_slope(np.full(3, 0.125), np.array([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,22 @@ def test_local_error_sweep_rejects_multistep_grids():
         local_error_sweep("mlmc", pot, [TimeGrid(0.2, 2, 4)], n_paths=16, seed=0)
     with pytest.raises(ValueError):
         local_error_sweep("dmulmc", pot, [TimeGrid(0.2, 1, 4)], n_paths=16, seed=0)
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_local_error_sweep_needs_two_paths(n_paths):
+    with pytest.raises(ValueError, match="n_paths >= 2"):
+        local_error_sweep("mlmc", IsotropicQuadratic(1), [TimeGrid(0.2, 1, 4)],
+                          n_paths=n_paths, seed=0)
+
+
+@pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
+@pytest.mark.parametrize("gamma", [None, 0.0, -1.0, float("nan")])
+def test_local_error_sweep_needs_a_positive_friction(scheme, gamma):
+    # the message run_weights gives for the same input
+    with pytest.raises(ValueError, match="kinetic schemes need a positive friction gamma"):
+        local_error_sweep(scheme, IsotropicQuadratic(1), [TimeGrid(0.2, 1, 4)],
+                          gamma=gamma, n_paths=16, seed=0)
 
 
 def test_local_error_sweep_rejects_non_quadratic_targets():

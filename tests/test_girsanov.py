@@ -383,3 +383,68 @@ def test_dm_log_cf_magnitude_stable_across_dimensions():
         value, _ = carleman_fredholm_logdet(block_summary_dense(blocks))
         cs.append(float(np.abs(value).max()) / (d * h**4 * N))
     assert max(cs) / min(cs) <= 3.0
+
+
+# ---------------------------------------------------------------------------
+# One fixed point for the double-midpoint path and its derivative
+# ---------------------------------------------------------------------------
+
+
+def test_dm_path_blocks_and_summary_share_one_fixed_point(monkeypatch):
+    from girsanovlab import girsanov, integrators
+    from girsanovlab.engine import scheme_for
+    from girsanovlab.girsanov import block_summary_dmulmc
+
+    calls = []
+    original = integrators.interpolation_fixed_point
+
+    def counting(*args, **kwargs):
+        calls.append(caller)
+        return original(*args, **kwargs)
+
+    # each caller looks the routine up in its own module
+    monkeypatch.setattr(integrators, "interpolation_fixed_point", counting)
+    monkeypatch.setattr(girsanov, "interpolation_fixed_point", counting)
+    pot = PerturbedQuadratic((1.0, 1.5), amplitude=0.1, frequency=1.0)
+    grid = TimeGrid(0.5, 2, 4)
+    xi = noise_matrix(4, 3, grid.n_cells, pot.d)
+    z0 = np.zeros((3, pot.d))
+    caller = "simulate"
+    traj = scheme_for("dmulmc").simulate(
+        pot, grid, UnderdampedSchedule.deterministic(grid), 1.0, np.hstack([z0, z0]), xi
+    )
+    caller = "blocks"
+    malliavin_blocks_dmulmc(pot, traj, include_offdiag=True)
+    caller = "summary"
+    block_summary_dmulmc(pot, traj)
+    assert calls == ["simulate"] * 2 + ["blocks"] * 2 + ["summary"] * 2
+
+
+@pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
+def test_dense_blocks_match_probed_step_maps(scheme):
+    # for a quadratic target the step maps are read off the path solver on
+    # basis inputs, so the derivative solve must reproduce them: diagonal
+    # blocks are each step's Pxi, the cross-step block (1, 0) is Pz_1 S_0
+    from girsanovlab.affine import step_maps_for_schedule
+    from girsanovlab.engine import scheme_for
+    from girsanovlab.potentials import AnisotropicQuadratic
+
+    pot = AnisotropicQuadratic((0.6, 1.4))
+    s = scheme_for(scheme)
+    grid = TimeGrid(0.5, 2, 8)
+    schedule = s.schedule(grid)
+    gamma = 1.0 if s.kinetic else None
+    d, md = pot.d, grid.m * pot.d
+    zdim = 2 * d if s.kinetic else d
+    z0 = np.random.default_rng(8).normal(size=(2, zdim))
+    traj = s.simulate(pot, grid, schedule, gamma, z0, noise_matrix(8, 2, grid.n_cells, d))
+    full = s.blocks(pot, traj, include_offdiag=True).full
+    maps = step_maps_for_schedule(scheme, pot, schedule if schedule is not None else grid, gamma)
+    for k in range(2):
+        diag = full[:, k * md : (k + 1) * md, k * md : (k + 1) * md]
+        np.testing.assert_allclose(diag, np.broadcast_to(maps[k].Pxi.reshape(md, md), diag.shape),
+                                   rtol=0, atol=1e-12)
+    cross = (maps[1].Pz @ maps[0].S).reshape(md, md)
+    np.testing.assert_allclose(full[:, md:, :md], np.broadcast_to(cross, (2, md, md)),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(full[:, :md, md:], 0.0)
