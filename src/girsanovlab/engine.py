@@ -88,9 +88,11 @@ class Scheme:
       it where the marginal update is cheaper than the trajectory (DM-ULMC
       skips the inner fixed point, and agrees to 1e-12, tested).
     * ``drift``, the dense derivative ``blocks`` (the reference for finite
-      differences and dumps) and their structured ``summary`` (both weight
-      routes: per path on the generic route, once per step on the affine
-      one) of a trajectory.
+      differences and dumps; built from the scheme's one step tangent rule,
+      diagonal blocks per step or, with ``include_offdiag``, the whole
+      derivative in one forward sweep) and their structured ``summary``
+      (both weight routes: per path on the generic route, once per step on
+      the affine one) of a trajectory.
     * ``step_keys(grid, schedule)``: per outer step, the hashable midpoint
       choice that fixes the step's affine maps; ``step_schedule(step_grid,
       key)`` is the one-step schedule of a key.

@@ -20,9 +20,12 @@ outer step, √η elementary scaling):
 * frozen-gradient kinetic:  ψ_i = √(η/(2γ))·(∇V(X̂_{iη}) − ∇V(x₀))
 * double-midpoint kinetic:  ψ_i = √(η/(2γ))·(E₁(iη,h)λ₁ + E₂(iη,h)λ₂)
 
-Derivative structure: within a step, ξ_j enters ψ_i directly; across steps
-only through the (adapted) step-start state.  The full derivative matrix is
-therefore block lower-triangular with the per-step blocks on the diagonal,
+Derivative structure: each scheme has one tangent rule, the derivative of
+step k's drift and end state along directions in its own increments plus a
+step-start tangent.  The dense derivative is one forward sweep of these
+tangents over the horizon, carrying each step's end tangent into the next
+step.  A step's tangent never sees later increments, so every block above the
+step diagonal is zero: the derivative is block lower-triangular,
 det(I + Dψ) = Π_k det(I + D_k), and only diagonal blocks carry trace.
 
 Structured evaluation.  The weight needs only sign and log|det(I + D_k)|,
@@ -129,9 +132,9 @@ class MalliavinBlocks:
 
     ``diag`` has shape (B, N, m·d, m·d): diagonal (within-step) blocks in cell
     ordering, each d×d spatial entry flattened in place.  ``full``, when
-    assembled, is the complete (B, N·m·d, N·m·d) block lower-triangular
-    derivative including cross-step chains; its diagonal blocks equal
-    ``diag``.
+    assembled, is the complete (B, N·m·d, N·m·d) derivative from one forward
+    tangent sweep over the horizon: block lower-triangular, with ``diag`` on
+    its diagonal and exact zeros above it.
     """
 
     scheme: str
@@ -218,6 +221,39 @@ def drift_dmulmc(traj: UnderdampedTrajectory) -> DriftRealization:
 # ---------------------------------------------------------------------------
 
 
+def _derivative_blocks(
+    scheme: str, traj: OverdampedTrajectory | UnderdampedTrajectory, tangents,
+    include_offdiag: bool,
+) -> MalliavinBlocks:
+    """The dense derivative from a scheme's step tangent rule.
+
+    ``tangents(k, dirs, dz0)`` returns (Dψ (B, m, d, U), Dz_h (B, z, U)), the
+    tangents of step k's drift and of its end state (z = d or 2d coordinates)
+    along the increment directions ``dirs`` (m, d, U) in its own ξ plus the
+    step-start tangents ``dz0`` (B, z, U), or None for a fixed start.  The diagonal blocks take every ξ
+    entry of each step with a fixed start; the full derivative is one forward
+    sweep along all N·m·d entries that carries Dz_h into the next step.
+    """
+    N, m, (B, _, d) = traj.grid.N, traj.grid.m, traj.x.shape
+    md = m * d
+    diag = np.empty((B, N, md, md))
+    if not include_offdiag:
+        increments = np.eye(md).reshape(m, d, md)  # every ξ_j entry
+        for k in range(N):
+            diag[:, k] = tangents(k, increments, None)[0].reshape(B, md, md)
+        return MalliavinBlocks(scheme, diag)
+    s = N * md
+    entries = np.eye(s).reshape(N, m, d, s)
+    full = np.empty((B, s, s))
+    dz = None
+    for k in range(N):
+        dpsi, dz = tangents(k, entries[k], dz)
+        rows = slice(k * md, (k + 1) * md)
+        full[:, rows] = dpsi.reshape(B, md, s)
+        diag[:, k] = full[:, rows, rows]
+    return MalliavinBlocks(scheme, diag, full)
+
+
 def malliavin_blocks_mlmc(
     potential: Potential,
     traj: OverdampedTrajectory,
@@ -225,62 +261,37 @@ def malliavin_blocks_mlmc(
 ) -> MalliavinBlocks:
     """Exact derivative blocks of the overdamped midpoint drift.
 
-    Within step k (cells i, j = 0..m−1, H_i = ∇²V(X̂_{iη}), H⁺ = ∇²V(X⁺_k)):
+    Step k's tangents (H_i = ∇²V(X̂_{iη}), H₀ = ∇²V(x_k), H⁺ = ∇²V(X⁺_k)):
 
-        ∂ψ_i/∂ξ_j = η·[H_i·1_{j<i} − (iη·H_i·H⁺ + H⁺)·1_{j<r_k}],
+        DX⁺ = DX₀ − τ·H₀·DX₀ + √(2η)·Σ_{j<r}Dξ_j,
+        DX̂_n = DX₀ − nη·H⁺·DX⁺ + √(2η)·Σ_{j<n}Dξ_j,
+        Dψ_i = √(η/2)·(H_i·DX̂_i − H⁺·DX⁺).
 
-    the 1_{j<r} column band carrying the anticipating dependence through X⁺.
-    Cross-step chains (``include_offdiag``) run through the step-start state.
+    With a fixed start the block is ∂ψ_i/∂ξ_j = η·[H_i·1_{j<i} −
+    (iη·H_i·H⁺ + H⁺)·1_{j<r}], the 1_{j<r} band carrying the anticipating
+    dependence through X⁺.
     """
-    grid = traj.grid
-    N, m, eta = grid.N, grid.m, grid.eta
-    B, d = traj.x.shape[0], traj.x.shape[2]
-    left = _left_nodes(traj.x, N, m)
-    H_nodes = potential.hessian(left)  # (B, N, m, d, d)
+    N, m, eta = traj.grid.N, traj.grid.m, traj.grid.eta
+    H_nodes = potential.hessian(_left_nodes(traj.x, N, m))  # (B, N, m, d, d)
     H_plus = potential.hessian(traj.x_plus)  # (B, N, d, d)
+    n_eta = eta * np.arange(m + 1)[:, None, None]
+    root2eta = np.sqrt(2.0 * eta)
 
-    lower = (np.arange(m)[:, None] > np.arange(m)[None, :]).astype(float)
-    i_eta = eta * np.arange(m)
-    diag = np.empty((B, N, m * d, m * d))
-    for k in range(N):
+    def tangents(k, dirs, dz0):
         r = int(traj.schedule.indices[k])
-        colband = (np.arange(m) < r).astype(float)
-        Hi = H_nodes[:, k]  # (B, m, d, d)
-        Hp = H_plus[:, k]  # (B, d, d)
-        mid = i_eta[:, None, None] * np.einsum("biac,bce->biae", Hi, Hp) + Hp[:, None]
-        block = eta * (
-            np.einsum("ij,biac->biajc", lower, Hi)
-            - np.einsum("j,biac->biajc", colband, mid)
-        )
-        diag[:, k] = block.reshape(B, m * d, m * d)
+        sums = np.zeros((m + 1, *dirs.shape[1:]))  # Σ_{j<n} Dξ_j
+        np.cumsum(dirs, axis=0, out=sums[1:])
+        DX = root2eta * sums
+        DX_plus = DX[r]
+        if dz0 is not None:  # H₀ is the Hessian at cell 0's left node, x_k
+            DX = DX + dz0[:, None]
+            DX_plus = DX[:, r] - (r * eta) * (H_nodes[:, k, 0] @ dz0)
+        HpDXp = H_plus[:, k] @ DX_plus
+        DX = DX - n_eta * HpDXp[:, None]
+        Dpsi = np.sqrt(eta / 2.0) * (H_nodes[:, k] @ DX[:, :m] - HpDXp[:, None])
+        return Dpsi, DX[:, m]
 
-    full = None
-    if include_offdiag:
-        # ∂ψ^{(k)}/∂x_k, the endpoint Jacobians J_k = ∂x_{k+1}/∂x_k, and the
-        # endpoint noise maps V_k[j] = ∂x_{k+1}/∂ξ_j chain the cross-step part.
-        I = np.eye(d)
-        S_psi = np.empty((B, N, m, d, d))
-        J = np.empty((B, N, d, d))
-        V = np.empty((B, N, m, d, d))
-        starts = traj.x[:, :: m][:, :N]  # (B, N, d) step-start states
-        H0 = potential.hessian(starts)
-        root2eta = np.sqrt(2.0 * eta)
-        for k in range(N):
-            r = int(traj.schedule.indices[k])
-            tau = r * eta
-            P = I - tau * H0[:, k]  # ∂X⁺/∂x_k
-            HpP = np.einsum("bac,bce->bae", H_plus[:, k], P)
-            dXdx = I - i_eta[:, None, None] * HpP[:, None]  # ∂X̂_i/∂x_k
-            S_psi[:, k] = np.sqrt(eta / 2.0) * (
-                np.einsum("biac,bice->biae", H_nodes[:, k], dXdx) - HpP[:, None]
-            )
-            J[:, k] = I - grid.h * HpP
-            colband = (np.arange(m) < r).astype(float)
-            V[:, k] = root2eta * (
-                I - grid.h * colband[:, None, None] * H_plus[:, k][:, None]
-            )
-        full = _assemble_full(diag, S_psi, J, V)
-    return MalliavinBlocks("mlmc", diag, full)
+    return _derivative_blocks("mlmc", traj, tangents, include_offdiag)
 
 
 def malliavin_blocks_ulmc(
@@ -290,89 +301,77 @@ def malliavin_blocks_ulmc(
 ) -> MalliavinBlocks:
     """Derivative blocks of the frozen-gradient kinetic drift.
 
-    ∂ψ_i/∂ξ_j = η·E₂(jη, iη)·H_i·1_{j<i}: strictly lower in the temporal
-    index (the scheme is adapted), so every determinant is exactly one.
+    Step k's tangents (H_i = ∇²V(X̂_{iη}), H₀ = ∇²V(x_k), c = √(2γη)):
+
+        DX̂_n = DX₀ + E₂(0,nη)·DP₀ − E₃(0,nη)·H₀·DX₀ + c·Σ_{j<n}E₂(jη,nη)·Dξ_j,
+        DP̂_n = E₁(0,nη)·DP₀ − E₂(0,nη)·H₀·DX₀ + c·Σ_{j<n}E₁(jη,nη)·Dξ_j,
+        Dψ_i = √(η/(2γ))·(H_i·DX̂_i − H₀·DX₀).
+
+    With a fixed start ∂ψ_i/∂ξ_j = η·E₂(jη, iη)·H_i·1_{j<i}: strictly lower
+    in the temporal index (the scheme is adapted), so every determinant is
+    exactly one.
     """
     grid = traj.grid
     N, m, eta = grid.N, grid.m, grid.eta
     B, d = traj.x.shape[0], traj.x.shape[2]
     kern = StepKernels.build(traj.gamma, grid.h, m)
-    left = _left_nodes(traj.x, N, m)
-    H_nodes = potential.hessian(left)
-    K2_cells = kern.K2[:m]  # rows are cells 0..m−1, strictly lower
-    diag = np.empty((B, N, m * d, m * d))
-    for k in range(N):
-        block = eta * np.einsum("ij,biac->biajc", K2_cells, H_nodes[:, k])
-        diag[:, k] = block.reshape(B, m * d, m * d)
+    H_nodes = potential.hessian(_left_nodes(traj.x, N, m))
+    coef = np.sqrt(eta / (2.0 * traj.gamma))
+    c = np.sqrt(2.0 * traj.gamma * eta)
+    e1, e2, e3 = (e[:, None, None] for e in (kern.e1_0, kern.e2_0, kern.e3_0))
 
-    full = None
-    if include_offdiag:
-        I = np.eye(d)
-        coef = np.sqrt(eta / (2.0 * traj.gamma))
-        c = np.sqrt(2.0 * traj.gamma * eta)
-        S_psi = np.empty((B, N, m, d, 2 * d))
-        J = np.empty((B, N, 2 * d, 2 * d))
-        V = np.empty((B, N, m, 2 * d, d))
-        starts_x = traj.x[:, :: m][:, :N]
-        H0 = potential.hessian(starts_x)
-        for k in range(N):
-            Hi = H_nodes[:, k]
-            H0k = H0[:, k]
-            # ∂X̂_i/∂(x₀,p₀) = [I − E₃(0,iη)H₀ , E₂(0,iη)I]
-            dXdx = I - kern.e3_0[:m, None, None] * H0k[:, None]
-            dpsi_x = coef * (np.einsum("biac,bice->biae", Hi, dXdx) - H0k[:, None])
-            dpsi_p = coef * kern.e2_0[:m, None, None] * Hi
-            S_psi[:, k, :, :, :d] = dpsi_x
-            S_psi[:, k, :, :, d:] = dpsi_p
-            J[:, k, :d, :d] = I - kern.e3_0[m] * H0k
-            J[:, k, :d, d:] = kern.e2_0[m] * I
-            J[:, k, d:, :d] = -kern.e2_0[m] * H0k
-            J[:, k, d:, d:] = kern.e1_0[m] * I
-            V[:, k, :, :d] = c * kern.K2[m][:, None, None] * I
-            V[:, k, :, d:] = c * kern.K1[m][:, None, None] * I
-        full = _assemble_full(diag, S_psi, J, V)
-    return MalliavinBlocks("ulmc", diag, full)
+    def tangents(k, dirs, dz0):
+        DX = c * np.einsum("nj,jcU->ncU", kern.K2, dirs)  # (m+1, d, U)
+        DP = c * np.einsum("nj,jcU->ncU", kern.K1, dirs)
+        H0Dx0 = 0.0
+        if dz0 is not None:  # H₀ is the Hessian at cell 0's left node, x_k
+            Dp0 = dz0[:, None, d:]
+            H0Dx0 = (H_nodes[:, k, 0] @ dz0[:, :d])[:, None]
+            DX = DX + dz0[:, None, :d] + e2 * Dp0 - e3 * H0Dx0
+            DP = DP + e1 * Dp0 - e2 * H0Dx0
+        Dpsi = coef * (H_nodes[:, k] @ DX[..., :m, :, :] - H0Dx0)
+        Dz_h = np.concatenate([DX[..., m, :, :], DP[..., m, :, :]], axis=-2)
+        return Dpsi, np.broadcast_to(Dz_h, (B, 2 * d, dirs.shape[-1]))
+
+    return _derivative_blocks("ulmc", traj, tangents, include_offdiag)
 
 
 def _dm_tangents(
     kern: StepKernels, potential: Potential, traj: UnderdampedTrajectory, k: int,
-    dirs: np.ndarray, state: bool,
+    dirs: np.ndarray, dz0: np.ndarray | None,
 ):
     """Tangents of double-midpoint step k along ``dirs`` (m, d, U), directions in its ξ.
 
-    With ``state`` the step start x₀ and p₀ add 2d unit columns after them.
-    The tangents solve the path's own
+    ``dz0`` (B, 2d, U) holds the tangents of the step start (x₀, p₀), or None
+    for a fixed start.  The tangents solve the path's own
     :func:`~girsanovlab.integrators.interpolation_fixed_point` with
     grad = ∇²V·DX, so the implicit dependence of the multipliers is kept.
-    Returns (Dλ₁, Dλ₂, Dz_h): Dz_h (B, 2d, ·) holds the tangents of the step
+    Returns (Dλ₁, Dλ₂, Dz_h): Dz_h (B, 2d, U) holds the tangents of the step
     end (x, p).
     """
     m, eta = kern.m, kern.eta
-    B, (d, n_dirs) = traj.x.shape[0], dirs.shape[1:]
+    B, d = traj.x.shape[0], traj.x.shape[2]
     c = np.sqrt(2.0 * kern.gamma * eta)
-    explicit = c * np.einsum("nj,jcU->ncU", kern.K2, dirs)  # (m+1, d, U)
+    base = c * np.einsum("nj,jcU->ncU", kern.K2, dirs)  # (m+1, d, U)
     end_p = c * np.tensordot(kern.K1[m], dirs, axes=1)  # (d, U)
-    if state:
-        eye = np.eye(d)
-        explicit = np.concatenate(
-            [explicit, np.broadcast_to(eye, (m + 1, d, d)), kern.e2_0[:, None, None] * eye],
-            axis=-1,
-        )
-        end_p = np.concatenate([end_p, 0.0 * eye, kern.e1_0[m] * eye], axis=-1)
-        H0 = potential.hessian(traj.x[:, k * m])
+    if dz0 is None:
+        midpoint = base
+    else:
+        Dx0, Dp0 = dz0[:, :d], dz0[:, d:]
+        base = base + Dx0[:, None] + kern.e2_0[:, None, None] * Dp0[:, None]
+        end_p = end_p + kern.e1_0[m] * Dp0
+        # the midpoints also carry −E₃(0,rη)·∇V(x₀)
+        H0Dx0 = potential.hessian(traj.x[:, k * m]) @ Dx0
+        midpoint = base - kern.e3_0[:, None, None] * H0Dx0[:, None]
 
-    def midpoint(r: int, x_mid: np.ndarray) -> np.ndarray:
+    def grad_tangent(r: int, x_mid: np.ndarray) -> np.ndarray:
         """∇²V(X_r)·DX_r, the tangents of the gradient at the midpoint X_r."""
-        tangent = explicit[r]
-        if state:  # X_r also carries −E₃(0,rη)∇V(x₀)
-            tangent = np.broadcast_to(tangent, (B, *tangent.shape)).copy()
-            tangent[:, :, n_dirs : n_dirs + d] -= kern.e3_0[r] * H0
-        return potential.hessian(x_mid) @ tangent
+        return potential.hessian(x_mid) @ midpoint[..., r, :, :]
 
-    gx = kern.e3_0[m] * midpoint(int(traj.schedule.indices_minus[k]), traj.x_minus[:, k])
-    gp = kern.e2_0[m] * midpoint(int(traj.schedule.indices_plus[k]), traj.x_plus[:, k])
+    gx = kern.e3_0[m] * grad_tangent(int(traj.schedule.indices_minus[k]), traj.x_minus[:, k])
+    gp = kern.e2_0[m] * grad_tangent(int(traj.schedule.indices_plus[k]), traj.x_plus[:, k])
     H_left = potential.hessian(traj.x[:, k * m : (k + 1) * m])
-    base = np.broadcast_to(explicit, (B, *explicit.shape))
+    base = np.broadcast_to(base, (B, *base.shape[-3:]))
     DX, Dlam1, Dlam2, DG, _ = interpolation_fixed_point(
         kern, lambda tangent: H_left @ tangent, base, base, gp, gx, _DERIV_TOL
     )
@@ -387,65 +386,26 @@ def malliavin_blocks_dmulmc(
 ) -> MalliavinBlocks:
     """Derivative blocks of the double-midpoint drift.
 
-    ψ_i is temporally rank-two in (λ₁, λ₂), so the within-step block is
-    ∂ψ_i/∂ξ_j = √(η/(2γ))·(E₁(iη,h)·∂λ₁/∂ξ_j + E₂(iη,h)·∂λ₂/∂ξ_j) with the
-    multiplier derivatives from the exact linear fixed point (the implicit
-    dependence of the optimal drift is kept, not dropped).
+    ψ_i is temporally rank-two in (λ₁, λ₂), so step k's tangent is
+    Dψ_i = √(η/(2γ))·(E₁(iη,h)·Dλ₁ + E₂(iη,h)·Dλ₂) with the multiplier
+    tangents from the exact linear fixed point of :func:`_dm_tangents` (the
+    implicit dependence of the optimal drift is kept, not dropped).
     """
     if traj.schedule is None:
         raise ValueError("trajectory carries no interpolation multipliers")
-    grid = traj.grid
-    N, m, eta = grid.N, grid.m, grid.eta
-    B, d = traj.x.shape[0], traj.x.shape[2]
-    md = m * d
-    kern = StepKernels.build(traj.gamma, grid.h, m)
-    coef = np.sqrt(eta / (2.0 * traj.gamma))
+    kern = StepKernels.build(traj.gamma, traj.grid.h, traj.grid.m)
+    coef = np.sqrt(traj.grid.eta / (2.0 * traj.gamma))
 
-    diag = np.empty((B, N, md, md))
-    S_psi = np.empty((B, N, m, d, 2 * d))
-    J = np.empty((B, N, 2 * d, 2 * d))
-    V = np.empty((B, N, m, 2 * d, d))
-    increments = np.eye(md).reshape(m, d, md)  # every ξ_j entry
-    for k in range(N):
-        Dlam1, Dlam2, Dz = _dm_tangents(kern, potential, traj, k, increments, include_offdiag)
-        # (B, m, d, U): outer product of e-kernels with multiplier derivatives
+    def tangents(k, dirs, dz0):
+        Dlam1, Dlam2, Dz_h = _dm_tangents(kern, potential, traj, k, dirs, dz0)
+        # (B, m, d, U): outer product of e-kernels with multiplier tangents
         Dpsi = coef * (
             kern.e1_left[:, None, None] * Dlam1[:, None]
             + kern.e2_left[:, None, None] * Dlam2[:, None]
         )
-        diag[:, k] = Dpsi[..., :md].reshape(B, md, md)
-        if include_offdiag:
-            S_psi[:, k] = Dpsi[..., md:]
-            J[:, k] = Dz[..., md:]
-            V[:, k] = Dz[..., :md].reshape(B, 2 * d, m, d).transpose(0, 2, 1, 3)
-    full = _assemble_full(diag, S_psi, J, V) if include_offdiag else None
-    return MalliavinBlocks("dmulmc", diag, full)
+        return Dpsi, Dz_h
 
-
-def _assemble_full(
-    diag: np.ndarray, S_psi: np.ndarray, J: np.ndarray, V: np.ndarray
-) -> np.ndarray:
-    """Assemble the complete block lower-triangular derivative matrix.
-
-    diag: (B, N, m·d, m·d); S_psi: (B, N, m, d, z) = ∂ψ^{(k)}/∂(state_k);
-    J: (B, N, z, z) = ∂state_{k+1}/∂state_k; V: (B, N, m, z, d) =
-    ∂state_{k'+1}/∂ξ_j.  Cross-step block (k, k') = S_ψk·J_{k−1}···J_{k'+1}·V_{k'}.
-    """
-    B, N, s, _ = diag.shape
-    m = S_psi.shape[2]
-    d = s // m
-    full = np.zeros((B, N * s, N * s))
-    for k in range(N):
-        full[:, k * s : (k + 1) * s, k * s : (k + 1) * s] = diag[:, k]
-        chain = None  # J_{k−1}···J_{k'+1}, built backwards from k' = k−1
-        for kp in range(k - 1, -1, -1):
-            prop = V[:, kp] if chain is None else np.einsum(
-                "bze,bjef->bjzf", chain, V[:, kp]
-            )
-            block = np.einsum("biaz,bjzf->biajf", S_psi[:, k], prop)
-            full[:, k * s : (k + 1) * s, kp * s : (kp + 1) * s] = block.reshape(B, s, s)
-            chain = J[:, kp] if chain is None else np.einsum("bze,bef->bzf", chain, J[:, kp])
-    return full
+    return _derivative_blocks("dmulmc", traj, tangents, include_offdiag)
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +575,7 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     trace = np.empty((B, N))
     rho = np.empty((B, N))
     for k in range(N):
-        Dlam1, Dlam2, _ = _dm_tangents(kern, potential, traj, k, dirs, False)
+        Dlam1, Dlam2, _ = _dm_tangents(kern, potential, traj, k, dirs, None)
         WT = np.concatenate([Dlam1, Dlam2], axis=1)  # (B, 2d, 2d + 1)
         WtU, a = WT[:, :, : 2 * d], WT[:, :, 2 * d]
         sign[:, k], logabs[:, k] = np.linalg.slogdet(np.eye(2 * d) + WtU)

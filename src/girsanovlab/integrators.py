@@ -228,19 +228,22 @@ def _dm_midpoints(
     xi: np.ndarray,
     r_minus: int,
     r_plus: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Explicit midpoint states (X⁻, X⁺) and the shared start gradient."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Explicit midpoint states (X⁻, X⁺), the shared start gradient and the end noise.
+
+    The noise rows K₂[r⁻], K₂[r⁺], K₂[m] and K₁[m] contract ξ in one stacked
+    product; the end noise (B, 2, d) holds c·K₂[m]·ξ and c·K₁[m]·ξ.
+    """
     g0 = potential.gradient(x0)
     c = np.sqrt(2.0 * kern.gamma * kern.eta)
-    mids = []
-    for r in (r_minus, r_plus):
-        mids.append(
-            x0
-            + kern.e2_0[r] * p0
-            - kern.e3_0[r] * g0
-            + c * np.einsum("j,bjd->bd", kern.K2[r], xi)
-        )
-    return mids[0], mids[1], g0
+    m = kern.m
+    rows = np.stack([kern.K2[r_minus], kern.K2[r_plus], kern.K2[m], kern.K1[m]])
+    noise = c * _node_noise(rows, xi)  # (B, 4, d)
+    x_minus, x_plus = (
+        x0 + kern.e2_0[r] * p0 - kern.e3_0[r] * g0 + noise[:, i]
+        for i, r in enumerate((r_minus, r_plus))
+    )
+    return x_minus, x_plus, g0, noise[:, 2:]
 
 
 def step_dmulmc_marginal(
@@ -258,21 +261,11 @@ def step_dmulmc_marginal(
     (∇V(x₀) shared by both midpoints, then ∇V(X⁻) and ∇V(X⁺)).
     """
     m = kern.m
-    x_minus, x_plus, _ = _dm_midpoints(kern, potential, x0, p0, xi, r_minus, r_plus)
+    x_minus, x_plus, _, end_noise = _dm_midpoints(kern, potential, x0, p0, xi, r_minus, r_plus)
     g_minus = potential.gradient(x_minus)
     g_plus = potential.gradient(x_plus)
-    c = np.sqrt(2.0 * kern.gamma * kern.eta)
-    x_h = (
-        x0
-        + kern.e2_0[m] * p0
-        - kern.e3_0[m] * g_minus
-        + c * np.einsum("j,bjd->bd", kern.K2[m], xi)
-    )
-    p_h = (
-        kern.e1_0[m] * p0
-        - kern.e2_0[m] * g_plus
-        + c * np.einsum("j,bjd->bd", kern.K1[m], xi)
-    )
+    x_h = x0 + kern.e2_0[m] * p0 - kern.e3_0[m] * g_minus + end_noise[:, 0]
+    p_h = kern.e1_0[m] * p0 - kern.e2_0[m] * g_plus + end_noise[:, 1]
     return x_h, p_h, x_minus, x_plus
 
 
@@ -352,7 +345,7 @@ def solve_dmulmc_step(
             f"(h={kern.h}, beta={potential.beta}); reduce the step size"
         )
     m, eta = kern.m, kern.eta
-    x_minus, x_plus, g0 = _dm_midpoints(kern, potential, x0, p0, xi, r_minus, r_plus)
+    x_minus, x_plus, g0, _ = _dm_midpoints(kern, potential, x0, p0, xi, r_minus, r_plus)
     gx = kern.e3_0[m] * potential.gradient(x_minus)  # constraint targets
     gp = kern.e2_0[m] * potential.gradient(x_plus)
 

@@ -182,19 +182,10 @@ class UnderdampedSchedule:
         return self.grid.eta * self.indices_plus
 
     @classmethod
-    def deterministic(
-        cls,
-        grid: TimeGrid,
-        fraction_minus: float = 1.0 / 3.0,
-        fraction_plus: float = 0.5,
-    ) -> "UnderdampedSchedule":
-        rm = _snap_index(fraction_minus, grid.m)
-        rp = _snap_index(fraction_plus, grid.m)
-        return cls(
-            grid,
-            np.full(grid.N, rm, dtype=int),
-            np.full(grid.N, rp, dtype=int),
-        )
+    def deterministic(cls, grid: TimeGrid) -> "UnderdampedSchedule":
+        """τ⁻ = h/3 and τ⁺ = h/2 on every step, snapped to the inner grid."""
+        ones = np.ones(grid.N, dtype=int)
+        return cls(grid, _snap_index(1.0 / 3.0, grid.m) * ones, _snap_index(0.5, grid.m) * ones)
 
     @classmethod
     def randomized(cls, grid: TimeGrid, seed: int, stream: int) -> "UnderdampedSchedule":

@@ -448,3 +448,57 @@ def test_dense_blocks_match_probed_step_maps(scheme):
     np.testing.assert_allclose(full[:, md:, :md], np.broadcast_to(cross, (2, md, md)),
                                rtol=0, atol=1e-12)
     np.testing.assert_array_equal(full[:, :md, md:], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# One tangent rule per scheme: the full derivative against finite differences
+# ---------------------------------------------------------------------------
+
+
+FD_CONFIG = """
+[experiment]
+name = fd-malliavin
+n_paths = 20
+seed = {seed}
+[potential]
+kind = perturbed-quadratic
+spectrum = 1.0 1.0
+[grid]
+T = 0.5
+N = 2
+m = 4
+[scheme]
+name = {label}
+"""
+
+
+@pytest.mark.parametrize("label", ["EM-LD", "ULMC"])
+def test_full_derivative_matches_finite_differences(label):
+    # criterion 3's check (M-LMC and DM-ULMC) at its config, for the other
+    # two schemes: every entry of the cross-step sweep against central FD
+    from girsanovlab.acceptance import DEFAULT_SEED
+    from girsanovlab.config import load_config
+    from girsanovlab.experiments import run_experiment
+
+    result = run_experiment(load_config(FD_CONFIG.format(seed=DEFAULT_SEED, label=label)))
+    assert result.passed, [c.detail for c in result.checks]
+
+
+@pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
+def test_full_sweep_keeps_the_diagonal_blocks_and_zero_upper_blocks(scheme):
+    from girsanovlab.engine import scheme_for
+
+    pot = PerturbedQuadratic((1.0, 1.5), amplitude=0.1, frequency=1.0)
+    s = scheme_for(scheme)
+    grid = TimeGrid(0.75, 3, 4)
+    gamma = 1.0 if s.kinetic else None
+    z0 = np.random.default_rng(3).normal(size=(4, 2 * pot.d if s.kinetic else pot.d))
+    traj = s.simulate(pot, grid, s.schedule(grid), gamma, z0,
+                      noise_matrix(3, 4, grid.n_cells, pot.d))
+    blocks = s.blocks(pot, traj, include_offdiag=True)
+    np.testing.assert_allclose(blocks.diag, s.blocks(pot, traj).diag, rtol=0, atol=1e-15)
+    md = grid.m * pot.d
+    for k in range(grid.N):
+        rows = slice(k * md, (k + 1) * md)
+        np.testing.assert_array_equal(blocks.full[:, rows, rows], blocks.diag[:, k])
+        np.testing.assert_array_equal(blocks.full[:, rows, (k + 1) * md :], 0.0)
