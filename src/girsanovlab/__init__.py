@@ -61,6 +61,7 @@ from .girsanov import (
     malliavin_blocks_ulmc,
     summary_log_weight,
     trace_diagnostics_mlmc,
+    trace_square_mlmc,
 )
 from .integrators import (
     OverdampedTrajectory,
@@ -157,5 +158,6 @@ __all__ = [
     "summary_log_weight",
     "step_maps_for_schedule",
     "trace_diagnostics_mlmc",
+    "trace_square_mlmc",
     "__version__",
 ]

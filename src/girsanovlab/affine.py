@@ -10,7 +10,9 @@ then provides:
 
 * exact propagation of step-marginal Gaussian moments,
 * a deterministic (Monte-Carlo-free) path KL between scheme and diffusion,
-* batched log-weight evaluation at a cost linear in the number of steps.
+* batched log-weight evaluation at a cost linear in the number of steps,
+  whose drift terms are BLAS matrix products of cost O(B·N·m²·d²) and which
+  agrees with the generic per-path assembly to 1e-12 (dual-route tested).
 
 Each step's derivative block enters only through its block summary (sign and
 log|det(I + D)|, tr D and the power-iterate norm), taken from the scheme's
@@ -230,25 +232,28 @@ def fast_log_weights(
 ) -> LogWeight:
     """Batched log Radon–Nikodym weights through the affine maps.
 
-    ``z0`` is (B, state_dim), ``xi`` is (B, N·m, d).  The drift terms cost
-    O(B·N·m²·d²); the determinant, trace and invertibility rule come from
-    the one weight assembly, applied to the steps' block summaries.  Exactly
-    reproduces the generic per-path assembly for constant-Hessian targets
-    (dual-route tested).
+    ``z0`` is (B, state_dim), ``xi`` is (B, N·m, d).  Per step, the cells'
+    drifts ψ (B, m·d) are two BLAS matrix products of the flattened maps,
+    of cost O(B·N·m²·d²) over the horizon, and the Itô and energy terms are
+    row sums of ψ·ξ and ψ²; the determinant, trace and invertibility rule
+    come from the one weight assembly, applied to the steps' block
+    summaries.  Agrees with the generic per-path assembly to 1e-12 for
+    constant-Hessian targets (dual-route tested, every scheme).
     """
     B = z0.shape[0]
     m, d = maps[0].m, maps[0].d
+    md = m * d
     z = np.asarray(z0, dtype=float)
     ito = np.zeros(B)
     energy = np.zeros(B)
     for k, sm in enumerate(maps):
-        xif = xi[:, k * m : (k + 1) * m].reshape(B, m * d)
+        xif = xi[:, k * m : (k + 1) * m].reshape(B, md)
         psi = (
-            np.einsum("idz,bz->bid", sm.Pz, z)
-            + np.einsum("idc,bc->bid", sm.Pxi, xif)
-            + sm.p0
+            z @ sm.Pz.reshape(md, sm.state_dim).T
+            + xif @ sm.Pxi.reshape(md, md).T
+            + sm.p0.reshape(-1)
         )
-        ito += np.einsum("bid,bid->b", psi, xif.reshape(B, m, d))
-        energy += 0.5 * np.einsum("bid,bid->b", psi, psi)
+        ito += (psi * xif).sum(1)
+        energy += 0.5 * (psi * psi).sum(1)
         z = z @ sm.A.T + xif @ sm.S.T + sm.b
     return girsanov._summary_weight(_step_summaries(maps, B), ito, energy)

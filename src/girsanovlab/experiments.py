@@ -459,7 +459,7 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
     grids = [TimeGrid(h, 1, m) for h, m in zip(cfg.h_list, cfg.m_list)]
     report = local_error_sweep(
         cfg.scheme, potential, grids, gamma=cfg.gamma,
-        n_paths=cfg.n_paths, seed=cfg.seed,
+        n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
     )
     for i, grid in enumerate(grids):
         result.rows.append({

@@ -37,7 +37,9 @@ low-rank anticipating part that yields all three from its factors
   C_i = η·(iη·H_i·H⁺ + H⁺) and R = 1_{j<r} ⊗ I_d.  I + L is unit lower
   block-triangular, so by the matrix determinant lemma
   det(I + D) = det(I_d − Σ_{j<r} Y_j), where (I + L)·Y = C is the recurrence
-  Y_i = C_i − η·H_i·Σ_{j<i} Y_j, and tr D = −η·Σ_{i<r} tr(iη·H_i·H⁺ + H⁺);
+  Y_i = C_i − η·H_i·Σ_{j<i} Y_j, and tr D = −η·Σ_{i<r} tr(iη·H_i·H⁺ + H⁺).
+  The same factors give tr(D²) (:func:`trace_square_mlmc`), which the
+  determinant-linearization check compares with log det₂;
 * frozen-gradient kinetic: D is strictly lower triangular (nilpotent), so
   det(I + D) = 1 and tr D = 0 exactly;
 * double-midpoint kinetic: D = U·Wᵀ with U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d]
@@ -92,6 +94,7 @@ __all__ = [
     "block_summary_mlmc",
     "block_summary_ulmc",
     "block_summary_dmulmc",
+    "trace_square_mlmc",
     "carleman_fredholm_logdet",
     "summary_log_weight",
     "trace_diagnostics_mlmc",
@@ -476,6 +479,40 @@ def _batched_matvec(H: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (H @ v[..., None])[..., 0]
 
 
+def _mlmc_factors(potential: Potential, traj: OverdampedTrajectory):
+    """Factors of the overdamped midpoint blocks D = L − C·Rᵀ.
+
+    H_i (B, N, m, d, d), H⁺ (B, N, d, d), C_i = η·(iη·H_i·H⁺ + H⁺)
+    (B, N, m, d, d) and the band 1_{j<r_k} (N, m).
+    """
+    grid = traj.grid
+    N, m, eta = grid.N, grid.m, grid.eta
+    H = potential.hessian(_left_nodes(traj.x, N, m))
+    Hp = potential.hessian(traj.x_plus)
+    r = traj.schedule.indices
+    band = (np.arange(m)[None, :] < r[:, None]).astype(float)
+    i_eta = eta * np.arange(m)
+    C = eta * (i_eta[:, None, None] * (H @ Hp[:, :, None]) + Hp[:, :, None])
+    return H, Hp, C, band
+
+
+def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.ndarray:
+    """tr(D²) of each overdamped midpoint block, shape (B, N), from its factors.
+
+    With D = L − C·Rᵀ as in :func:`block_summary_mlmc`, L is strictly lower
+    block-triangular, so tr(L²) = 0 and
+    tr(D²) = tr((Σ_{i<r} C_i)²) − 2·tr(Σ_{j<r} η·H_j·Σ_{i<j} C_i).
+    Cost O(m·d³) per step; agrees with the trace of the dense blocks' square
+    to 1e-12 (tested).
+    """
+    H, _, C, band = _mlmc_factors(potential, traj)
+    before = np.zeros_like(C)  # Σ_{i<j} C_i
+    np.cumsum(C[:, :, :-1], axis=2, out=before[:, :, 1:])
+    banded = np.einsum("nj,bnjac->bnac", band, C)  # Σ_{i<r} C_i
+    cross = np.einsum("nj,bnjac,bnjca->bn", band, H, before)
+    return np.einsum("bnac,bnca->bn", banded, banded) - 2.0 * traj.grid.eta * cross
+
+
 def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> BlockSummary:
     """Overdamped midpoint blocks D = L − C·Rᵀ summarised from their factors.
 
@@ -489,16 +526,12 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
     grid = traj.grid
     N, m, eta = grid.N, grid.m, grid.eta
     B, d = traj.x.shape[0], traj.x.shape[2]
-    H = potential.hessian(_left_nodes(traj.x, N, m))  # (B, N, m, d, d)
-    Hp = potential.hessian(traj.x_plus)  # (B, N, d, d)
-    r = traj.schedule.indices
-    band = (np.arange(m)[None, :] < r[:, None]).astype(float)  # (N, m): j < r_k
+    H, Hp, C, band = _mlmc_factors(potential, traj)
     i_eta = eta * np.arange(m)
-    C = eta * (i_eta[:, None, None] * (H @ Hp[:, :, None]) + Hp[:, :, None])
 
     prefix = np.zeros((B, N, d, d))  # Σ_{j<i} Y_j
     banded = np.zeros((B, N, d, d))  # Σ_{j<r_k} Y_j
-    for i in range(int(r.max(initial=0))):
+    for i in range(int(traj.schedule.indices.max(initial=0))):
         Y = C[:, :, i] - eta * (H[:, :, i] @ prefix)
         prefix = prefix + Y
         banded = banded + band[:, i, None, None] * Y

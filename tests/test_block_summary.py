@@ -4,7 +4,8 @@ Both weight routes evaluate det(I + D_k), tr(D_k) and the power iterate from
 each block's factors (``block_summary_mlmc/_ulmc/_dmulmc``); these tests hold
 them to ``block_summary_dense`` of the ``malliavin_blocks_*`` reference on a
 non-quadratic target, both read through the one assembly
-``summary_log_weight``.
+``summary_log_weight``.  The overdamped tr(D_k²) of ``trace_square_mlmc`` is
+held to the dense blocks the same way.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from girsanovlab.girsanov import (
     malliavin_blocks_mlmc,
     malliavin_blocks_ulmc,
     summary_log_weight,
+    trace_square_mlmc,
 )
 from girsanovlab.integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
 from girsanovlab.paths import (
@@ -155,3 +157,19 @@ def test_spectral_estimate_is_a_power_iterate_not_the_radius():
     assert np.all((estimate > 0.0) & (estimate < 1e-4))
     structured = block_summary_ulmc(pot, traj).power_norm.max(axis=-1)
     np.testing.assert_allclose(structured, estimate, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [OverdampedSchedule.deterministic(GRID), OverdampedSchedule.randomized(GRID, 5, 1)],
+    ids=["deterministic", "randomized"],
+)
+@pytest.mark.parametrize("pot", [IsotropicQuadratic(2), _target()], ids=["isotropic", "perturbed"])
+def test_trace_square_matches_dense_blocks(pot, schedule):
+    xi, x0, _ = _inputs(pot.d)
+    traj = simulate_mlmc(pot, schedule, x0, xi)
+    diag = malliavin_blocks_mlmc(pot, traj).diag
+    dense = np.einsum("bnij,bnji->bn", diag, diag)
+    # the anticipating part is really exercised (a step with r = 0 has D = 0)
+    assert np.all(np.abs(dense[:, schedule.indices > 0]) > 1e-6)
+    np.testing.assert_allclose(trace_square_mlmc(pot, traj), dense, rtol=0.0, atol=1e-12)

@@ -13,6 +13,7 @@ from girsanovlab.engine import (
     WINDOW_PATHS,
     generic_log_weights,
     run_weights,
+    scheme_for,
     start_states,
 )
 from girsanovlab.paths import (
@@ -38,18 +39,29 @@ SCHEDULES = {
     ),
 }
 
+# every scheme that takes the affine route; EM-LD and ULMC have one schedule
+ROUTE_CASES = [
+    pytest.param("em-ld", OverdampedSchedule.zero(GRID), id="em-ld"),
+    pytest.param("ulmc", None, id="ulmc"),
+] + [
+    pytest.param(scheme, SCHEDULES[scheme][which], id=f"{label}-{scheme}")
+    for which, label in enumerate(("deterministic", "randomized"))
+    for scheme in ("dmulmc", "mlmc")
+]
 
-@pytest.mark.parametrize("scheme", ["mlmc", "dmulmc"])
-@pytest.mark.parametrize("which", [0, 1], ids=["deterministic", "randomized"])
-def test_affine_and_generic_routes_agree(scheme, which):
+
+@pytest.mark.parametrize("scheme, schedule", ROUTE_CASES)
+def test_affine_and_generic_routes_agree(scheme, schedule):
     # run_weights takes the affine route for a quadratic target; the generic
     # route sees the same paths: the same start states and increments
     pot = IsotropicQuadratic(2)
-    schedule = SCHEDULES[scheme][which]
-    gamma = 1.0 if scheme == "dmulmc" else None
+    kinetic = scheme_for(scheme).kinetic
+    gamma = 1.0 if kinetic else None
     n, seed = 1024, 11
-    affine = run_weights(scheme, pot, schedule=schedule, gamma=gamma, n_paths=n, seed=seed)
-    z0 = start_states(pot, scheme == "dmulmc", seed, n)
+    affine = run_weights(
+        scheme, pot, schedule=schedule, grid=GRID, gamma=gamma, n_paths=n, seed=seed
+    )
+    z0 = start_states(pot, kinetic, seed, n)
     xi = noise_matrix(seed, n, GRID.n_cells, pot.d)
     generic = generic_log_weights(scheme, pot, schedule, GRID, gamma, z0, xi)
     assert np.max(np.abs(affine.log_weight - generic.log_weight)) <= 1e-12

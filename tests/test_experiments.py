@@ -1,7 +1,8 @@
 """Experiment internals that the acceptance criteria do not pin."""
 
 from girsanovlab.config import load_config
-from girsanovlab.experiments import _complexity_row
+from girsanovlab.engine import WINDOW_PATHS
+from girsanovlab.experiments import _complexity_row, run_experiment
 
 CONFIG = """
 [experiment]
@@ -49,3 +50,30 @@ def test_complexity_table_builds_each_evaluation_once(monkeypatch):
     result = experiments.run_experiment(cfg)
     assert len(result.rows) > 0
     assert len(calls) == len(set(calls))
+
+
+LOCAL_ERROR_CONFIG = """
+[experiment]
+name = local-error-sweep
+n_paths = {n_paths}
+seed = 9
+[potential]
+kind = anisotropic-gaussian
+spectrum = 0.5 1.0
+[grid]
+T = 0.25
+h = 1/4 1/8 1/16
+m = 4 8 16
+[scheme]
+name = DM-ULMC
+gamma = 1.0
+"""
+
+
+def test_local_error_sweep_is_thread_invariant():
+    # three windows, the last one partial, so two threads really split them
+    cfg = load_config(LOCAL_ERROR_CONFIG.format(n_paths=2 * WINDOW_PATHS + 40))
+    one = run_experiment(cfg, threads=1)
+    two = run_experiment(cfg, threads=2)
+    assert len(one.rows) == 3
+    assert one.csv_text == two.csv_text
