@@ -53,6 +53,7 @@ from .girsanov import (
     block_summary_mlmc,
     block_summary_ulmc,
     carleman_fredholm_logdet,
+    drift_basis_dmulmc,
     drift_dmulmc,
     drift_mlmc,
     drift_ulmc,
@@ -125,6 +126,7 @@ __all__ = [
     "block_summary_mlmc",
     "block_summary_ulmc",
     "carleman_fredholm_logdet",
+    "drift_basis_dmulmc",
     "drift_dmulmc",
     "drift_mlmc",
     "drift_ulmc",

@@ -11,8 +11,15 @@ then provides:
 * exact propagation of step-marginal Gaussian moments,
 * a deterministic (Monte-Carlo-free) path KL between scheme and diffusion,
 * batched log-weight evaluation at a cost linear in the number of steps,
-  whose drift terms are BLAS matrix products of cost O(B·N·m²·d²) and which
-  agrees with the generic per-path assembly to 1e-12 (dual-route tested).
+  whose drift terms are BLAS matrix products and which agrees with the
+  generic per-path assembly to 1e-12 (dual-route tested).
+
+Maps are stored in drift coordinates, ψ = U·c with c affine in the inputs.
+DM-ULMC drifts span 2d columns, U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d], and c is
+the step's multipliers (λ₁, λ₂), read off the probe batch's own solves; the
+weights then cost O(B·N·m·d²) and the path KL forms no (m·d)² product.  The
+other schemes have full-rank blocks and keep ψ itself as coordinates
+(U = I), at O(B·N·m²·d²).
 
 Each step's derivative block enters only through its block summary (sign and
 log|det(I + D)|, tr D and the power-iterate norm), taken from the scheme's
@@ -30,6 +37,7 @@ with E‖ψ_i‖² from the propagated state moments.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -54,10 +62,22 @@ class StepMaps:
     """Affine maps of one scheme step: endpoint, drift, and derivative block.
 
     State z is x (overdamped, dim d) or (x, p) stacked (kinetic, dim 2d).
-    Endpoint: z' = A·z + S·ξ_flat + b.  Drift: ψ_i = Pz[i]·z + Pxi[i]·ξ_flat
-    + p0[i] per cell i.  The constant within-step derivative D = ∂ψ/∂ξ enters
-    through ``summary``, its :class:`~girsanovlab.girsanov.BlockSummary` on
-    one path and one step (fields of shape (1, 1)).
+    Endpoint: z' = A·z + S·ξ_flat + b.  Drift: the step's cells' drifts,
+    flattened to ψ (m·d), are ψ = U·c in drift coordinates
+    c = Lz·z + Wt·ξ_flat + l0 (dim r), whose Gram matrix is G = UᵀU.
+
+    * DM-ULMC: c = (λ₁, λ₂), the step's multipliers (r = 2d), and
+      U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d], so G = σ̂/(2γ) ⊗ I_d
+      (:func:`~girsanovlab.girsanov.drift_basis_dmulmc`) and the block
+      D = U·Wt has rank 2d.
+    * EM-LD, M-LMC, ULMC: full-rank blocks; ``U`` and ``G`` are None, the
+      identity basis (c = ψ, r = m·d).
+
+    ``Pz`` (m, d, z), ``Pxi`` (m, d, m·d) and ``p0`` (m, d) are the dense
+    drift maps derived from these, ψ_i = Pz[i]·z + Pxi[i]·ξ_flat + p0[i].
+    The constant within-step derivative D = ∂ψ/∂ξ enters through
+    ``summary``, its :class:`~girsanovlab.girsanov.BlockSummary` on one path
+    and one step (fields of shape (1, 1)).
     """
 
     scheme: str
@@ -66,9 +86,11 @@ class StepMaps:
     A: np.ndarray  # (z, z)
     S: np.ndarray  # (z, m·d)
     b: np.ndarray  # (z,)
-    Pz: np.ndarray  # (m, d, z)
-    Pxi: np.ndarray  # (m, d, m·d)
-    p0: np.ndarray  # (m, d)
+    Lz: np.ndarray  # (r, z)
+    Wt: np.ndarray  # (r, m·d)
+    l0: np.ndarray  # (r,)
+    U: np.ndarray | None  # (m·d, r)
+    G: np.ndarray | None  # (r, r)
     summary: BlockSummary
 
     @property
@@ -80,6 +102,28 @@ class StepMaps:
         """Covariance contribution of one step's increments, S·Sᵀ."""
         return self.S @ self.S.T
 
+    def _dense(self, coords: np.ndarray) -> np.ndarray:
+        return (coords if self.U is None else self.U @ coords).reshape(
+            self.m, self.d, *coords.shape[1:]
+        )
+
+    @property
+    def Pz(self) -> np.ndarray:
+        return self._dense(self.Lz)
+
+    @property
+    def Pxi(self) -> np.ndarray:
+        return self._dense(self.Wt)
+
+    @property
+    def p0(self) -> np.ndarray:
+        return self._dense(self.l0)
+
+    @cached_property
+    def noise_product(self) -> np.ndarray:
+        """[Wtᵀ | U | Sᵀ] (m·d, 2r + z): ξ times it gives Wt·ξ, Uᵀ·ξ and S·ξ."""
+        return np.concatenate([self.Wt.T, self.U, self.S.T], axis=1)
+
 
 def extract_step_maps(
     scheme: str, potential: Potential, grid: TimeGrid, r, gamma: float | None = None
@@ -89,9 +133,10 @@ def extract_step_maps(
     ``r`` is the midpoint cell index (overdamped) or an (r⁻, r⁺) pair
     (double midpoint); ignored for the frozen-gradient scheme.  One batched
     run over the canonical basis of (state, increments) plus the zero input
-    recovers the exact maps, since every output is affine for constant
-    Hessians.  The block summary comes from the scheme's structured
-    evaluator on the zero path.
+    recovers the exact maps, since the endpoint and the drift coordinates
+    (the scheme's ``drift_coordinates``) are affine for constant Hessians.
+    The block summary comes from the scheme's structured evaluator on the
+    zero path.
     """
     from .engine import scheme_for  # the engine imports this module
 
@@ -113,25 +158,24 @@ def extract_step_maps(
     z0[1 : 1 + zdim] = np.eye(zdim)
     xi[1 + zdim :] = np.eye(md).reshape(md, m, d)
     traj = simulate(z0, xi)
-    zT, psi = s.endpoint(traj), s.drift(potential, traj).psi
-    b = zT[0]
-    A = (zT[1 : 1 + zdim] - b).T
-    S = (zT[1 + zdim :] - b).T
-    p0 = psi[0]
-    Pz = np.moveaxis(psi[1 : 1 + zdim] - p0, 0, -1)
-    Pxi = np.moveaxis(psi[1 + zdim :] - p0, 0, -1)
+    zT = s.endpoint(traj)
+    U, G, coords = s.drift_coordinates(potential, traj)
+    c = coords[:, 0]  # (B, r): the one step
+    b, l0 = zT[0], c[0]
     # the block is constant for quadratic targets: one zero path suffices
     zero_traj = simulate(np.zeros((1, zdim)), np.zeros((1, m, d)))
     return StepMaps(
         scheme=scheme,
         d=d,
         m=m,
-        A=A,
-        S=S,
+        A=(zT[1 : 1 + zdim] - b).T,
+        S=(zT[1 + zdim :] - b).T,
         b=b,
-        Pz=Pz,
-        Pxi=Pxi,
-        p0=p0,
+        Lz=(c[1 : 1 + zdim] - l0).T,
+        Wt=(c[1 + zdim :] - l0).T,
+        l0=l0,
+        U=U,
+        G=G,
         summary=s.summary(potential, zero_traj),
     )
 
@@ -211,16 +255,23 @@ def quadratic_path_kl(
     """KL between the scheme path law and the diffusion path law, exactly.
 
     Deterministic: uses E[δψ] = 0 and the propagated state moments, no
-    sampling.  Infinite when some step block is exactly singular.
+    sampling.  E‖ψ‖² = E[cᵀGc] comes from the drift coordinates' moments,
+    so a low-rank step forms no (m·d)² product.  Infinite when some step
+    block is exactly singular.
     """
     mean = np.asarray(mean0, dtype=float)
     cov = np.asarray(cov0, dtype=float)
     kl = 0.0
     for sm in maps:
-        mean_psi = sm.Pz @ mean + sm.p0  # (m, d)
-        kl += 0.5 * float(np.sum(mean_psi**2))
-        kl += 0.5 * float(np.einsum("idz,ze,ide->", sm.Pz, cov, sm.Pz))
-        kl += 0.5 * float(np.sum(sm.Pxi**2))
+        if sm.G is None:  # identity basis: c = ψ
+            mean_psi = sm.Pz @ mean + sm.p0  # (m, d)
+            kl += 0.5 * float(np.sum(mean_psi**2))
+            kl += 0.5 * float(np.einsum("idz,ze,ide->", sm.Pz, cov, sm.Pz))
+            kl += 0.5 * float(np.sum(sm.Pxi**2))
+        else:
+            mean_c = sm.Lz @ mean + sm.l0
+            cov_c = sm.Lz @ cov @ sm.Lz.T + sm.Wt @ sm.Wt.T
+            kl += 0.5 * float(mean_c @ sm.G @ mean_c + np.sum(sm.G * cov_c))
         mean = sm.A @ mean + sm.b
         cov = sm.A @ cov @ sm.A.T + sm.noise_cov
     log_cf, _ = girsanov.carleman_fredholm_logdet(_step_summaries(maps))
@@ -232,13 +283,15 @@ def fast_log_weights(
 ) -> LogWeight:
     """Batched log Radon–Nikodym weights through the affine maps.
 
-    ``z0`` is (B, state_dim), ``xi`` is (B, N·m, d).  Per step, the cells'
-    drifts ψ (B, m·d) are two BLAS matrix products of the flattened maps,
-    of cost O(B·N·m²·d²) over the horizon, and the Itô and energy terms are
-    row sums of ψ·ξ and ψ²; the determinant, trace and invertibility rule
-    come from the one weight assembly, applied to the steps' block
-    summaries.  Agrees with the generic per-path assembly to 1e-12 for
-    constant-Hessian targets (dual-route tested, every scheme).
+    ``z0`` is (B, state_dim), ``xi`` is (B, N·m, d).  Per step, the drift
+    coordinates are c = z·Lzᵀ + ξ·Wtᵀ + l0, the Itô term is Σ c·(Uᵀξ) and
+    the energy ½ Σ (c·G)·c.  A DM-ULMC step reads ξ through one BLAS product
+    with [Wtᵀ | U | Sᵀ] (m·d × (4d + z)), of cost O(B·N·m·d²) over the
+    horizon; the other schemes' drifts are their own coordinates (U = I),
+    two products of cost O(B·N·m²·d²).  The determinant, trace and
+    invertibility rule come from the one weight assembly, applied to the
+    steps' block summaries.  Agrees with the generic per-path assembly to
+    1e-12 for constant-Hessian targets (dual-route tested, every scheme).
     """
     B = z0.shape[0]
     m, d = maps[0].m, maps[0].d
@@ -248,12 +301,16 @@ def fast_log_weights(
     energy = np.zeros(B)
     for k, sm in enumerate(maps):
         xif = xi[:, k * m : (k + 1) * m].reshape(B, md)
-        psi = (
-            z @ sm.Pz.reshape(md, sm.state_dim).T
-            + xif @ sm.Pxi.reshape(md, md).T
-            + sm.p0.reshape(-1)
-        )
-        ito += (psi * xif).sum(1)
-        energy += 0.5 * (psi * psi).sum(1)
-        z = z @ sm.A.T + xif @ sm.S.T + sm.b
+        if sm.U is None:  # identity basis: c = ψ
+            c = z @ sm.Lz.T + xif @ sm.Wt.T + sm.l0
+            u_xi, c_g, s_xi = xif, c, xif @ sm.S.T
+        else:
+            r = sm.l0.size
+            prod = xif @ sm.noise_product
+            c = z @ sm.Lz.T + prod[:, :r] + sm.l0
+            u_xi, s_xi = prod[:, r : 2 * r], prod[:, 2 * r :]
+            c_g = c @ sm.G
+        ito += (c * u_xi).sum(1)
+        energy += 0.5 * (c_g * c).sum(1)
+        z = z @ sm.A.T + s_xi + sm.b
     return girsanov._summary_weight(_step_summaries(maps, B), ito, energy)

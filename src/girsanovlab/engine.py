@@ -34,6 +34,7 @@ from .girsanov import (
     block_summary_dmulmc,
     block_summary_mlmc,
     block_summary_ulmc,
+    drift_basis_dmulmc,
     drift_dmulmc,
     drift_mlmc,
     drift_ulmc,
@@ -93,6 +94,10 @@ class Scheme:
       derivative in one forward sweep) and their structured ``summary``
       (both weight routes: per path on the generic route, once per step on
       the affine one) of a trajectory.
+    * ``drift_coordinates(potential, traj)``: (U, G, c), the drifts of each
+      step flattened to m·d as ψ = U·c with coordinates c (B, N, r) and Gram
+      matrix G = UᵀU.  DM-ULMC drifts span r = 2d columns; the other schemes
+      return U = G = None, the identity basis (c = ψ, r = m·d).
     * ``step_keys(grid, schedule)``: per outer step, the hashable midpoint
       choice that fixes the step's affine maps; ``step_schedule(step_grid,
       key)`` is the one-step schedule of a key.
@@ -113,6 +118,10 @@ class Scheme:
 
     def advance(self, potential: Potential, grid: TimeGrid, schedule, gamma, z0, xi):
         return self.endpoint(self.simulate(potential, grid, schedule, gamma, z0, xi))
+
+    def drift_coordinates(self, potential: Potential, traj):
+        psi = self.drift(potential, traj).psi
+        return None, None, psi.reshape(psi.shape[0], traj.grid.N, -1)
 
     def step_keys(self, grid: TimeGrid, schedule) -> list:
         return [0] * grid.N
@@ -231,6 +240,10 @@ class _DoubleMidpointULMC(_Kinetic):
 
     def drift(self, potential, traj):
         return drift_dmulmc(traj)
+
+    def drift_coordinates(self, potential, traj):
+        U, gram = drift_basis_dmulmc(traj)
+        return U, gram, np.concatenate([traj.lambda1, traj.lambda2], axis=-1)
 
     def blocks(self, potential, traj, include_offdiag=False):
         return malliavin_blocks_dmulmc(potential, traj, include_offdiag=include_offdiag)

@@ -43,7 +43,7 @@ from .divergences import (
     stationary_moments,
 )
 from .engine import generic_log_weights, run_weights, scheme_for, start_states
-from .girsanov import trace_diagnostics_mlmc
+from .girsanov import summary_log_weight, trace_diagnostics_mlmc
 from .paths import NoisePath, TimeGrid, noise_matrix, refine_noise
 from .potentials import AnisotropicQuadratic, IsotropicQuadratic, Potential
 
@@ -233,15 +233,14 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
         traj = scheme.simulate(potential, grid, schedule, None, x0, xi)
         drift = scheme.drift(potential, traj)
-        blocks = scheme.blocks(potential, traj)
-        lw = generic_log_weights(cfg.scheme, potential, schedule, grid, None, x0, xi)
+        summary = scheme.summary(potential, traj)
+        lw = summary_log_weight(drift, summary, xi)
         # classical adapted exponent: -sum psi.xi - energy (Ito integral form)
         ito = np.einsum("bid,bid->b", drift.psi, xi.reshape(n, grid.n_cells, d))
         classical = -ito - drift.energy
         max_cf = float(np.max(np.abs(lw.log_cf_det)))
         max_diff = float(np.max(np.abs(lw.log_weight - classical)))
-        max_trace = float(np.max(np.abs(
-            np.trace(blocks.diag, axis1=-2, axis2=-1))))
+        max_trace = float(np.max(np.abs(summary.trace)))
         row = _base_row(
             cfg, h=grid.h, q=None, m=grid.m, estimate=max_diff, se=None,
             slope=None, rejections=int((~lw.invertible).sum()), status="ok",

@@ -43,7 +43,8 @@ low-rank anticipating part that yields all three from its factors
 * frozen-gradient kinetic: D is strictly lower triangular (nilpotent), so
   det(I + D) = 1 and tr D = 0 exactly;
 * double-midpoint kinetic: D = U·Wᵀ with U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d]
-  (left-endpoint kernels) and Wᵀ = ∂(λ₁, λ₂)/∂ξ, so
+  (left-endpoint kernels, :func:`drift_basis_dmulmc`; the affine step maps
+  store the drift in this basis too) and Wᵀ = ∂(λ₁, λ₂)/∂ξ, so
   det(I + D) = det(I_{2d} + Wᵀ·U) and tr D = tr(Wᵀ·U).  Wᵀ comes from the
   path's own fixed point (:func:`~girsanovlab.integrators.interpolation_fixed_point`
   with grad = ∇²V·DX), run on the 2d columns of U plus the power-iteration
@@ -86,6 +87,7 @@ __all__ = [
     "drift_mlmc",
     "drift_ulmc",
     "drift_dmulmc",
+    "drift_basis_dmulmc",
     "malliavin_blocks_mlmc",
     "malliavin_blocks_ulmc",
     "malliavin_blocks_dmulmc",
@@ -217,6 +219,25 @@ def drift_dmulmc(traj: UnderdampedTrajectory) -> DriftRealization:
     )
     psi = np.sqrt(grid.eta / (2.0 * traj.gamma)) * comb
     return DriftRealization("dmulmc", psi.reshape(psi.shape[0], grid.n_cells, -1))
+
+
+def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """U (m·d, 2d) with ψ = U·(λ₁, λ₂) per step, and its Gram matrix UᵀU.
+
+    U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d] on the left-endpoint kernels, so
+    UᵀU = σ̂/(2γ) ⊗ I_d with σ̂ the kernels' discrete Gram coefficients.
+    """
+    grid, d = traj.grid, traj.x.shape[2]
+    kern = StepKernels.build(traj.gamma, grid.h, grid.m)
+    coef = np.sqrt(grid.eta / (2.0 * traj.gamma))
+    eye = np.eye(d)
+    U = np.concatenate(
+        [coef * kern.e1_left[:, None, None] * eye, coef * kern.e2_left[:, None, None] * eye],
+        axis=-1,
+    )
+    sh = kern.sigma_hat
+    gram = np.kron(np.array([[sh.s11, sh.s12], [sh.s12, sh.s22]]) / (2.0 * traj.gamma), eye)
+    return U.reshape(grid.m * d, 2 * d), gram
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +608,6 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     B, d = traj.x.shape[0], traj.x.shape[2]
     kern = StepKernels.build(traj.gamma, grid.h, m)
     coef = np.sqrt(eta / (2.0 * traj.gamma))
-    eye = np.eye(d)
 
     def times_u(a: np.ndarray) -> np.ndarray:
         """U·a for a (B, 2d) → (B, m·d)."""
@@ -596,11 +616,7 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
 
     # noise directions (m, d, 2d + 1): the columns of U, then v₀
     dirs = np.concatenate(
-        [
-            coef * kern.e1_left[:, None, None] * eye,
-            coef * kern.e2_left[:, None, None] * eye,
-            _power_start(m * d).reshape(m, d, 1),
-        ],
+        [drift_basis_dmulmc(traj)[0].reshape(m, d, 2 * d), _power_start(m * d).reshape(m, d, 1)],
         axis=-1,
     )
     sign = np.empty((B, N))

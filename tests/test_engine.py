@@ -23,9 +23,10 @@ from girsanovlab.paths import (
     UnderdampedSchedule,
     noise_matrix,
 )
-from girsanovlab.potentials import IsotropicQuadratic, PerturbedQuadratic
+from girsanovlab.potentials import AnisotropicQuadratic, IsotropicQuadratic, PerturbedQuadratic
 
 GRID = TimeGrid(0.5, 4, 4)
+GRID16 = TimeGrid(0.5, 4, 16)
 PERTURBED = PerturbedQuadratic((1.0, 2.0), amplitude=0.1, frequency=1.0)
 
 SCHEDULES = {
@@ -39,22 +40,31 @@ SCHEDULES = {
     ),
 }
 
-# every scheme that takes the affine route; EM-LD and ULMC have one schedule
+# every scheme that takes the affine route; EM-LD and ULMC have one schedule.
+# DM-ULMC also runs on an anisotropic target, where a wrong ⊗ I_d layout of
+# its rank-2d drift basis would show
+ISOTROPIC = IsotropicQuadratic(2)
 ROUTE_CASES = [
-    pytest.param("em-ld", OverdampedSchedule.zero(GRID), id="em-ld"),
-    pytest.param("ulmc", None, id="ulmc"),
+    pytest.param("em-ld", OverdampedSchedule.zero(GRID), ISOTROPIC, id="em-ld"),
+    pytest.param("ulmc", None, ISOTROPIC, id="ulmc"),
 ] + [
-    pytest.param(scheme, SCHEDULES[scheme][which], id=f"{label}-{scheme}")
+    pytest.param(scheme, SCHEDULES[scheme][which], ISOTROPIC, id=f"{label}-{scheme}")
     for which, label in enumerate(("deterministic", "randomized"))
     for scheme in ("dmulmc", "mlmc")
+] + [
+    pytest.param("dmulmc", schedule, AnisotropicQuadratic((0.6, 1.4)),
+                 id=f"{label}-dmulmc-anisotropic-m16")
+    for schedule, label in (
+        (UnderdampedSchedule.deterministic(GRID16), "deterministic"),
+        (UnderdampedSchedule.randomized(GRID16, 7, 0), "randomized"),
+    )
 ]
 
 
-@pytest.mark.parametrize("scheme, schedule", ROUTE_CASES)
-def test_affine_and_generic_routes_agree(scheme, schedule):
+@pytest.mark.parametrize("scheme, schedule, pot", ROUTE_CASES)
+def test_affine_and_generic_routes_agree(scheme, schedule, pot):
     # run_weights takes the affine route for a quadratic target; the generic
     # route sees the same paths: the same start states and increments
-    pot = IsotropicQuadratic(2)
     kinetic = scheme_for(scheme).kinetic
     gamma = 1.0 if kinetic else None
     n, seed = 1024, 11
@@ -62,8 +72,9 @@ def test_affine_and_generic_routes_agree(scheme, schedule):
         scheme, pot, schedule=schedule, grid=GRID, gamma=gamma, n_paths=n, seed=seed
     )
     z0 = start_states(pot, kinetic, seed, n)
-    xi = noise_matrix(seed, n, GRID.n_cells, pot.d)
-    generic = generic_log_weights(scheme, pot, schedule, GRID, gamma, z0, xi)
+    grid = GRID if schedule is None else schedule.grid
+    xi = noise_matrix(seed, n, grid.n_cells, pot.d)
+    generic = generic_log_weights(scheme, pot, schedule, grid, gamma, z0, xi)
     assert np.max(np.abs(affine.log_weight - generic.log_weight)) <= 1e-12
     np.testing.assert_array_equal(affine.invertible, generic.invertible)
     assert affine.n_negative_det == int(generic.negative_det.sum())

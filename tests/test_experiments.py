@@ -77,3 +77,36 @@ def test_local_error_sweep_is_thread_invariant():
     two = run_experiment(cfg, threads=2)
     assert len(one.rows) == 3
     assert one.csv_text == two.csv_text
+
+
+ADAPTED_CONFIG = """
+[experiment]
+name = adapted-equivalence
+n_paths = 20
+seed = 3
+[potential]
+kind = gaussian
+d = 3
+[grid]
+T = 0.5
+N = 4
+m = 8
+[scheme]
+name = EM-LD
+"""
+
+
+def test_adapted_equivalence_forms_no_dense_block(monkeypatch):
+    # the determinant correction and tr D come from the block summaries
+    import girsanovlab.engine as engine
+    import girsanovlab.girsanov as girsanov
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the adapted-equivalence run formed a dense block")
+
+    for name in ("malliavin_blocks_mlmc", "malliavin_blocks_ulmc", "malliavin_blocks_dmulmc"):
+        monkeypatch.setattr(engine, name, dense)
+        monkeypatch.setattr(girsanov, name, dense)
+    monkeypatch.setattr(girsanov, "block_summary_dense", dense)
+    result = run_experiment(load_config(ADAPTED_CONFIG))
+    assert result.passed and len(result.rows) == 1
