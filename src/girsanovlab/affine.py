@@ -3,10 +3,10 @@
 Every scheme here is an affine map of its Gaussian inputs when ∇V is affine:
 the step endpoint, the interpolation multipliers, and the per-cell drift ψ are
 all linear in (start state, inner increments), and the Malliavin block is a
-constant matrix.  This module extracts those maps *by running the generic
-integrators on basis inputs* — one batched call per distinct step shape — so
-the fast path is definitionally consistent with the per-path machinery, and
-then provides:
+constant matrix.  The linear parts are the derivative, so this module reads
+them off the scheme's one step tangent rule (``Scheme.tangents``, the rule
+behind the dense blocks) on one zero path per distinct step key, whose
+endpoint and drift coordinates are the constant parts.  It then provides:
 
 * exact propagation of step-marginal Gaussian moments,
 * a deterministic (Monte-Carlo-free) path KL between scheme and diffusion,
@@ -16,10 +16,9 @@ then provides:
 
 Maps are stored in drift coordinates, ψ = U·c with c affine in the inputs.
 DM-ULMC drifts span 2d columns, U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d], and c is
-the step's multipliers (λ₁, λ₂), read off the probe batch's own solves; the
-weights then cost O(B·N·m·d²) and the path KL forms no (m·d)² product.  The
-other schemes have full-rank blocks and keep ψ itself as coordinates
-(U = I), at O(B·N·m²·d²).
+the step's multipliers (λ₁, λ₂); the weights then cost O(B·N·m·d²) and the
+path KL forms no (m·d)² product.  The other schemes have full-rank blocks and
+keep ψ itself as coordinates (U = I), at O(B·N·m²·d²).
 
 Each step's derivative block enters only through its block summary (sign and
 log|det(I + D)|, tr D and the power-iterate norm), taken from the scheme's
@@ -128,55 +127,35 @@ class StepMaps:
 def extract_step_maps(
     scheme: str, potential: Potential, grid: TimeGrid, r, gamma: float | None = None
 ) -> StepMaps:
-    """Extract the affine maps of one step by probing the generic integrator.
+    """The affine maps of one step, from the scheme's step tangent rule.
 
-    ``r`` is the midpoint cell index (overdamped) or an (r⁻, r⁺) pair
-    (double midpoint); ignored for the frozen-gradient scheme.  One batched
-    run over the canonical basis of (state, increments) plus the zero input
-    recovers the exact maps, since the endpoint and the drift coordinates
-    (the scheme's ``drift_coordinates``) are affine for constant Hessians.
-    The block summary comes from the scheme's structured evaluator on the
-    zero path.
+    ``r`` is the step's key: the midpoint cell index (overdamped) or an
+    (r⁻, r⁺) pair (double midpoint); ignored for the frozen-gradient scheme.
+    For constant Hessians the endpoint and the drift coordinates (the
+    scheme's ``drift_coordinates``) are affine in (start state, increments),
+    so the maps are their derivative.  One zero path on the one-step grid
+    gives b (its endpoint), l0 (its drift coordinates) and the block summary;
+    one call of ``Scheme.tangents`` on it, along the columns [I_z | I_{m·d}]
+    (start state, then increments), gives A and Lz, then S and Wt.
     """
     from .engine import scheme_for  # the engine imports this module
 
     if not potential.is_quadratic:
         raise ValueError("affine step maps require a constant-Hessian potential")
     s = scheme_for(scheme)
+    s.check_gamma(gamma)
     d, m = potential.d, grid.m
     zdim = 2 * d if s.kinetic else d
-    step_grid = TimeGrid(T=grid.h, N=1, m=grid.m)
-    sched = s.step_schedule(step_grid, r)
-
-    def simulate(z0, xi):
-        return s.simulate(potential, step_grid, sched, gamma, z0, xi)
-
-    md = m * d
-    B = 1 + zdim + md
-    z0 = np.zeros((B, zdim))
-    xi = np.zeros((B, m, d))
-    z0[1 : 1 + zdim] = np.eye(zdim)
-    xi[1 + zdim :] = np.eye(md).reshape(md, m, d)
-    traj = simulate(z0, xi)
-    zT = s.endpoint(traj)
+    step_grid = TimeGrid(T=grid.h, N=1, m=m)
+    zero = np.zeros((1, zdim)), np.zeros((1, m, d))
+    traj = s.simulate(potential, step_grid, s.step_schedule(step_grid, r), gamma, *zero)
     U, G, coords = s.drift_coordinates(potential, traj)
-    c = coords[:, 0]  # (B, r): the one step
-    b, l0 = zT[0], c[0]
-    # the block is constant for quadratic targets: one zero path suffices
-    zero_traj = simulate(np.zeros((1, zdim)), np.zeros((1, m, d)))
+    cols = np.eye(zdim + m * d)  # start-state directions, then increment entries
+    Dc, Dz = s.tangents(potential, traj)(0, cols[zdim:].reshape(m, d, -1), cols[None, :zdim])
     return StepMaps(
-        scheme=scheme,
-        d=d,
-        m=m,
-        A=(zT[1 : 1 + zdim] - b).T,
-        S=(zT[1 + zdim :] - b).T,
-        b=b,
-        Lz=(c[1 : 1 + zdim] - l0).T,
-        Wt=(c[1 + zdim :] - l0).T,
-        l0=l0,
-        U=U,
-        G=G,
-        summary=s.summary(potential, zero_traj),
+        scheme, d, m, A=Dz[0, :, :zdim], S=Dz[0, :, zdim:], b=s.endpoint(traj)[0],
+        Lz=Dc[0, :, :zdim], Wt=Dc[0, :, zdim:], l0=coords[0, 0], U=U, G=G,
+        summary=s.summary(potential, traj),
     )
 
 

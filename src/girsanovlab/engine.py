@@ -16,9 +16,9 @@ quadratic targets, N(0, H⁻¹) or N(0, diag(H⁻¹, I)) in phase space, and
 otherwise x ~ N(0, I/α) with p ~ N(0, I).
 
 The scheme table :data:`SCHEMES` defines each discretization once — its
-schedules, simulation, horizon state, drift, derivative blocks, affine step
-keys, gradient query count and step-size bound — and every scheme-dependent
-call site in the package goes through it.
+schedules, simulation, horizon state, drift, step tangent rule, derivative
+blocks, affine step keys, gradient query count and step-size bound — and
+every scheme-dependent call site in the package goes through it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,9 @@ from .girsanov import (
     malliavin_blocks_mlmc,
     malliavin_blocks_ulmc,
     summary_log_weight,
+    tangents_dmulmc,
+    tangents_mlmc,
+    tangents_ulmc,
 )
 from .integrators import (
     DM_STEP_MARGIN,
@@ -89,15 +92,17 @@ class Scheme:
       it where the marginal update is cheaper than the trajectory (DM-ULMC
       skips the inner fixed point, and agrees to 1e-12, tested).
     * ``drift``, the dense derivative ``blocks`` (the reference for finite
-      differences and dumps; built from the scheme's one step tangent rule,
-      diagonal blocks per step or, with ``include_offdiag``, the whole
-      derivative in one forward sweep) and their structured ``summary``
-      (both weight routes: per path on the generic route, once per step on
-      the affine one) of a trajectory.
+      differences and dumps; diagonal blocks per step or, with
+      ``include_offdiag``, the whole derivative in one forward sweep) and
+      their structured ``summary`` (both weight routes: per path on the
+      generic route, once per step on the affine one) of a trajectory.
     * ``drift_coordinates(potential, traj)``: (U, G, c), the drifts of each
       step flattened to m·d as ψ = U·c with coordinates c (B, N, r) and Gram
       matrix G = UᵀU.  DM-ULMC drifts span r = 2d columns; the other schemes
       return U = G = None, the identity basis (c = ψ, r = m·d).
+    * ``tangents(potential, traj)``: the one step tangent rule
+      (k, dirs, dz0) → (Dc, Dz_h) in drift coordinates, behind the dense
+      ``blocks``, the DM-ULMC ``summary`` and the affine step maps.
     * ``step_keys(grid, schedule)``: per outer step, the hashable midpoint
       choice that fixes the step's affine maps; ``step_schedule(step_grid,
       key)`` is the one-step schedule of a key.
@@ -160,6 +165,9 @@ class _MidpointLMC(Scheme):
     def blocks(self, potential, traj, include_offdiag=False):
         return malliavin_blocks_mlmc(potential, traj, include_offdiag=include_offdiag)
 
+    def tangents(self, potential, traj):
+        return tangents_mlmc(potential, traj)
+
     def summary(self, potential, traj):
         return block_summary_mlmc(potential, traj)
 
@@ -210,6 +218,9 @@ class _FrozenGradientULMC(_Kinetic):
     def blocks(self, potential, traj, include_offdiag=False):
         return malliavin_blocks_ulmc(potential, traj, include_offdiag=include_offdiag)
 
+    def tangents(self, potential, traj):
+        return tangents_ulmc(potential, traj)
+
     def summary(self, potential, traj):
         return block_summary_ulmc(potential, traj)
 
@@ -247,6 +258,9 @@ class _DoubleMidpointULMC(_Kinetic):
 
     def blocks(self, potential, traj, include_offdiag=False):
         return malliavin_blocks_dmulmc(potential, traj, include_offdiag=include_offdiag)
+
+    def tangents(self, potential, traj):
+        return tangents_dmulmc(potential, traj)
 
     def summary(self, potential, traj):
         return block_summary_dmulmc(potential, traj)

@@ -20,13 +20,15 @@ outer step, √η elementary scaling):
 * frozen-gradient kinetic:  ψ_i = √(η/(2γ))·(∇V(X̂_{iη}) − ∇V(x₀))
 * double-midpoint kinetic:  ψ_i = √(η/(2γ))·(E₁(iη,h)λ₁ + E₂(iη,h)λ₂)
 
-Derivative structure: each scheme has one tangent rule, the derivative of
-step k's drift and end state along directions in its own increments plus a
-step-start tangent.  The dense derivative is one forward sweep of these
-tangents over the horizon, carrying each step's end tangent into the next
-step.  A step's tangent never sees later increments, so every block above the
-step diagonal is zero: the derivative is block lower-triangular,
-det(I + Dψ) = Π_k det(I + D_k), and only diagonal blocks carry trace.
+Derivative structure: each scheme has one tangent rule (``tangents_*``,
+``Scheme.tangents``), the derivative of step k's drift coordinates and end
+state along directions in its own increments plus a step-start tangent.  Its
+three consumers are the dense derivative, one forward sweep of the tangents
+that carries each step's end tangent into the next; the DM-ULMC summary; and
+the affine step maps, its value on one zero path per step.  A step's tangent
+never sees later increments, so every block above the step diagonal is zero:
+the derivative is block lower-triangular, det(I + Dψ) = Π_k det(I + D_k), and
+only diagonal blocks carry trace.
 
 Structured evaluation.  The weight needs only sign and log|det(I + D_k)|,
 tr D_k and a power-iterate norm per block, and each scheme's block has a
@@ -91,6 +93,7 @@ __all__ = [
     "malliavin_blocks_mlmc",
     "malliavin_blocks_ulmc",
     "malliavin_blocks_dmulmc",
+    "tangents_mlmc", "tangents_ulmc", "tangents_dmulmc",
     "BlockSummary",
     "block_summary_dense",
     "block_summary_mlmc",
@@ -247,16 +250,18 @@ def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndar
 
 def _derivative_blocks(
     scheme: str, traj: OverdampedTrajectory | UnderdampedTrajectory, tangents,
-    include_offdiag: bool,
+    include_offdiag: bool, basis: np.ndarray | None = None,
 ) -> MalliavinBlocks:
     """The dense derivative from a scheme's step tangent rule.
 
-    ``tangents(k, dirs, dz0)`` returns (Dψ (B, m, d, U), Dz_h (B, z, U)), the
-    tangents of step k's drift and of its end state (z = d or 2d coordinates)
-    along the increment directions ``dirs`` (m, d, U) in its own ξ plus the
-    step-start tangents ``dz0`` (B, z, U), or None for a fixed start.  The diagonal blocks take every ξ
-    entry of each step with a fixed start; the full derivative is one forward
-    sweep along all N·m·d entries that carries Dz_h into the next step.
+    ``tangents(k, dirs, dz0)`` returns (Dc (B, r, U), Dz_h (B, z, U)), the
+    tangents of step k's drift coordinates and of its end state (z = d or 2d
+    coordinates) along the increment directions ``dirs`` (m, d, U) in its own
+    ξ plus the step-start tangents ``dz0`` (B, z, U), or None for a fixed
+    start.  ``basis`` U (m·d, r) maps them to Dψ = U·Dc; None is the identity
+    basis (Dc = Dψ).  The diagonal blocks take every ξ entry of each step with
+    a fixed start; the full derivative is one forward sweep along all N·m·d
+    entries that carries Dz_h into the next step.
     """
     N, m, (B, _, d) = traj.grid.N, traj.grid.m, traj.x.shape
     md = m * d
@@ -264,18 +269,44 @@ def _derivative_blocks(
     if not include_offdiag:
         increments = np.eye(md).reshape(m, d, md)  # every ξ_j entry
         for k in range(N):
-            diag[:, k] = tangents(k, increments, None)[0].reshape(B, md, md)
+            Dc = tangents(k, increments, None)[0]
+            diag[:, k] = Dc if basis is None else basis @ Dc
         return MalliavinBlocks(scheme, diag)
     s = N * md
     entries = np.eye(s).reshape(N, m, d, s)
     full = np.empty((B, s, s))
     dz = None
     for k in range(N):
-        dpsi, dz = tangents(k, entries[k], dz)
+        Dc, dz = tangents(k, entries[k], dz)
         rows = slice(k * md, (k + 1) * md)
-        full[:, rows] = dpsi.reshape(B, md, s)
+        full[:, rows] = Dc if basis is None else basis @ Dc
         diag[:, k] = full[:, rows, rows]
     return MalliavinBlocks(scheme, diag, full)
+
+
+def tangents_mlmc(potential: Potential, traj: OverdampedTrajectory):
+    """Step tangent rule of :func:`malliavin_blocks_mlmc`: (Dψ (B, m·d, U), DX_h (B, d, U))."""
+    N, m, eta = traj.grid.N, traj.grid.m, traj.grid.eta
+    H_nodes = potential.hessian(_left_nodes(traj.x, N, m))  # (B, N, m, d, d)
+    H_plus = potential.hessian(traj.x_plus)  # (B, N, d, d)
+    n_eta = eta * np.arange(m + 1)[:, None, None]
+    root2eta = np.sqrt(2.0 * eta)
+
+    def tangents(k, dirs, dz0):
+        r = int(traj.schedule.indices[k])
+        sums = np.zeros((m + 1, *dirs.shape[1:]))  # Σ_{j<n} Dξ_j
+        np.cumsum(dirs, axis=0, out=sums[1:])
+        DX = root2eta * sums
+        DX_plus = DX[r]
+        if dz0 is not None:  # H₀ is the Hessian at cell 0's left node, x_k
+            DX = DX + dz0[:, None]
+            DX_plus = DX[:, r] - (r * eta) * (H_nodes[:, k, 0] @ dz0)
+        HpDXp = H_plus[:, k] @ DX_plus
+        DX = DX - n_eta * HpDXp[:, None]
+        Dpsi = np.sqrt(eta / 2.0) * (H_nodes[:, k] @ DX[:, :m] - HpDXp[:, None])
+        return Dpsi.reshape(len(Dpsi), -1, dirs.shape[-1]), DX[:, m]
+
+    return tangents
 
 
 def malliavin_blocks_mlmc(
@@ -295,27 +326,34 @@ def malliavin_blocks_mlmc(
     (iη·H_i·H⁺ + H⁺)·1_{j<r}], the 1_{j<r} band carrying the anticipating
     dependence through X⁺.
     """
-    N, m, eta = traj.grid.N, traj.grid.m, traj.grid.eta
-    H_nodes = potential.hessian(_left_nodes(traj.x, N, m))  # (B, N, m, d, d)
-    H_plus = potential.hessian(traj.x_plus)  # (B, N, d, d)
-    n_eta = eta * np.arange(m + 1)[:, None, None]
-    root2eta = np.sqrt(2.0 * eta)
+    return _derivative_blocks("mlmc", traj, tangents_mlmc(potential, traj), include_offdiag)
+
+
+def tangents_ulmc(potential: Potential, traj: UnderdampedTrajectory):
+    """Step tangent rule of :func:`malliavin_blocks_ulmc`: (Dψ (B, m·d, U), Dz_h (B, 2d, U))."""
+    grid = traj.grid
+    N, m, eta = grid.N, grid.m, grid.eta
+    B, d = traj.x.shape[0], traj.x.shape[2]
+    kern = StepKernels.build(traj.gamma, grid.h, m)
+    H_nodes = potential.hessian(_left_nodes(traj.x, N, m))
+    coef = np.sqrt(eta / (2.0 * traj.gamma))
+    c = np.sqrt(2.0 * traj.gamma * eta)
+    e1, e2, e3 = (e[:, None, None] for e in (kern.e1_0, kern.e2_0, kern.e3_0))
 
     def tangents(k, dirs, dz0):
-        r = int(traj.schedule.indices[k])
-        sums = np.zeros((m + 1, *dirs.shape[1:]))  # Σ_{j<n} Dξ_j
-        np.cumsum(dirs, axis=0, out=sums[1:])
-        DX = root2eta * sums
-        DX_plus = DX[r]
+        DX = c * np.tensordot(kern.K2, dirs, axes=1)  # (m+1, d, U)
+        DP = c * np.tensordot(kern.K1, dirs, axes=1)
+        H0Dx0 = 0.0
         if dz0 is not None:  # H₀ is the Hessian at cell 0's left node, x_k
-            DX = DX + dz0[:, None]
-            DX_plus = DX[:, r] - (r * eta) * (H_nodes[:, k, 0] @ dz0)
-        HpDXp = H_plus[:, k] @ DX_plus
-        DX = DX - n_eta * HpDXp[:, None]
-        Dpsi = np.sqrt(eta / 2.0) * (H_nodes[:, k] @ DX[:, :m] - HpDXp[:, None])
-        return Dpsi, DX[:, m]
+            Dp0 = dz0[:, None, d:]
+            H0Dx0 = (H_nodes[:, k, 0] @ dz0[:, :d])[:, None]
+            DX = DX + dz0[:, None, :d] + e2 * Dp0 - e3 * H0Dx0
+            DP = DP + e1 * Dp0 - e2 * H0Dx0
+        Dpsi = coef * (H_nodes[:, k] @ DX[..., :m, :, :] - H0Dx0)
+        Dz_h = np.concatenate([DX[..., m, :, :], DP[..., m, :, :]], axis=-2)
+        return Dpsi.reshape(B, m * d, -1), np.broadcast_to(Dz_h, (B, 2 * d, dirs.shape[-1]))
 
-    return _derivative_blocks("mlmc", traj, tangents, include_offdiag)
+    return tangents
 
 
 def malliavin_blocks_ulmc(
@@ -335,72 +373,54 @@ def malliavin_blocks_ulmc(
     in the temporal index (the scheme is adapted), so every determinant is
     exactly one.
     """
-    grid = traj.grid
-    N, m, eta = grid.N, grid.m, grid.eta
-    B, d = traj.x.shape[0], traj.x.shape[2]
-    kern = StepKernels.build(traj.gamma, grid.h, m)
-    H_nodes = potential.hessian(_left_nodes(traj.x, N, m))
-    coef = np.sqrt(eta / (2.0 * traj.gamma))
-    c = np.sqrt(2.0 * traj.gamma * eta)
-    e1, e2, e3 = (e[:, None, None] for e in (kern.e1_0, kern.e2_0, kern.e3_0))
-
-    def tangents(k, dirs, dz0):
-        DX = c * np.einsum("nj,jcU->ncU", kern.K2, dirs)  # (m+1, d, U)
-        DP = c * np.einsum("nj,jcU->ncU", kern.K1, dirs)
-        H0Dx0 = 0.0
-        if dz0 is not None:  # H₀ is the Hessian at cell 0's left node, x_k
-            Dp0 = dz0[:, None, d:]
-            H0Dx0 = (H_nodes[:, k, 0] @ dz0[:, :d])[:, None]
-            DX = DX + dz0[:, None, :d] + e2 * Dp0 - e3 * H0Dx0
-            DP = DP + e1 * Dp0 - e2 * H0Dx0
-        Dpsi = coef * (H_nodes[:, k] @ DX[..., :m, :, :] - H0Dx0)
-        Dz_h = np.concatenate([DX[..., m, :, :], DP[..., m, :, :]], axis=-2)
-        return Dpsi, np.broadcast_to(Dz_h, (B, 2 * d, dirs.shape[-1]))
-
-    return _derivative_blocks("ulmc", traj, tangents, include_offdiag)
+    return _derivative_blocks("ulmc", traj, tangents_ulmc(potential, traj), include_offdiag)
 
 
-def _dm_tangents(
-    kern: StepKernels, potential: Potential, traj: UnderdampedTrajectory, k: int,
-    dirs: np.ndarray, dz0: np.ndarray | None,
-):
-    """Tangents of double-midpoint step k along ``dirs`` (m, d, U), directions in its ξ.
+def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
+    """Step tangent rule of :func:`malliavin_blocks_dmulmc` in drift coordinates.
 
-    ``dz0`` (B, 2d, U) holds the tangents of the step start (x₀, p₀), or None
-    for a fixed start.  The tangents solve the path's own
+    Returns (Dλ₁‖Dλ₂ (B, 2d, U), Dz_h (B, 2d, U)) along ``dirs`` (m, d, U),
+    directions in step k's ξ, and the step-start tangents ``dz0`` (B, 2d, U)
+    of (x₀, p₀), or None for a fixed start; Dz_h holds the tangents of the
+    step end (x, p).  The tangents solve the path's own
     :func:`~girsanovlab.integrators.interpolation_fixed_point` with
     grad = ∇²V·DX, so the implicit dependence of the multipliers is kept.
-    Returns (Dλ₁, Dλ₂, Dz_h): Dz_h (B, 2d, U) holds the tangents of the step
-    end (x, p).
     """
+    if traj.schedule is None:
+        raise ValueError("trajectory carries no interpolation multipliers")
+    kern = StepKernels.build(traj.gamma, traj.grid.h, traj.grid.m)
     m, eta = kern.m, kern.eta
     B, d = traj.x.shape[0], traj.x.shape[2]
     c = np.sqrt(2.0 * kern.gamma * eta)
-    base = c * np.einsum("nj,jcU->ncU", kern.K2, dirs)  # (m+1, d, U)
-    end_p = c * np.tensordot(kern.K1[m], dirs, axes=1)  # (d, U)
-    if dz0 is None:
-        midpoint = base
-    else:
-        Dx0, Dp0 = dz0[:, :d], dz0[:, d:]
-        base = base + Dx0[:, None] + kern.e2_0[:, None, None] * Dp0[:, None]
-        end_p = end_p + kern.e1_0[m] * Dp0
-        # the midpoints also carry −E₃(0,rη)·∇V(x₀)
-        H0Dx0 = potential.hessian(traj.x[:, k * m]) @ Dx0
-        midpoint = base - kern.e3_0[:, None, None] * H0Dx0[:, None]
 
-    def grad_tangent(r: int, x_mid: np.ndarray) -> np.ndarray:
-        """∇²V(X_r)·DX_r, the tangents of the gradient at the midpoint X_r."""
-        return potential.hessian(x_mid) @ midpoint[..., r, :, :]
+    def tangents(k, dirs, dz0):
+        base = c * np.tensordot(kern.K2, dirs, axes=1)  # (m+1, d, U)
+        end_p = c * np.tensordot(kern.K1[m], dirs, axes=1)  # (d, U)
+        if dz0 is None:
+            midpoint = base
+        else:
+            Dx0, Dp0 = dz0[:, :d], dz0[:, d:]
+            base = base + Dx0[:, None] + kern.e2_0[:, None, None] * Dp0[:, None]
+            end_p = end_p + kern.e1_0[m] * Dp0
+            # the midpoints also carry −E₃(0,rη)·∇V(x₀)
+            H0Dx0 = potential.hessian(traj.x[:, k * m]) @ Dx0
+            midpoint = base - kern.e3_0[:, None, None] * H0Dx0[:, None]
 
-    gx = kern.e3_0[m] * grad_tangent(int(traj.schedule.indices_minus[k]), traj.x_minus[:, k])
-    gp = kern.e2_0[m] * grad_tangent(int(traj.schedule.indices_plus[k]), traj.x_plus[:, k])
-    H_left = potential.hessian(traj.x[:, k * m : (k + 1) * m])
-    base = np.broadcast_to(base, (B, *base.shape[-3:]))
-    DX, Dlam1, Dlam2, DG, _ = interpolation_fixed_point(
-        kern, lambda tangent: H_left @ tangent, base, base, gp, gx, _DERIV_TOL
-    )
-    DP = end_p - eta * np.einsum("j,bjaU->baU", kern.K1[m], DG)
-    return Dlam1, Dlam2, np.concatenate([DX[:, m], DP], axis=1)
+        def grad_tangent(r: int, x_mid: np.ndarray) -> np.ndarray:
+            """∇²V(X_r)·DX_r, the tangents of the gradient at the midpoint X_r."""
+            return potential.hessian(x_mid) @ midpoint[..., r, :, :]
+
+        gx = kern.e3_0[m] * grad_tangent(int(traj.schedule.indices_minus[k]), traj.x_minus[:, k])
+        gp = kern.e2_0[m] * grad_tangent(int(traj.schedule.indices_plus[k]), traj.x_plus[:, k])
+        H_left = potential.hessian(traj.x[:, k * m : (k + 1) * m])
+        base = np.broadcast_to(base, (B, *base.shape[-3:]))
+        DX, Dlam1, Dlam2, DG, _ = interpolation_fixed_point(
+            kern, lambda tangent: H_left @ tangent, base, base, gp, gx, _DERIV_TOL
+        )
+        DP = end_p - eta * np.tensordot(kern.K1[m], DG, axes=([0], [1]))
+        return np.concatenate([Dlam1, Dlam2], axis=1), np.concatenate([DX[:, m], DP], axis=1)
+
+    return tangents
 
 
 def malliavin_blocks_dmulmc(
@@ -412,24 +432,13 @@ def malliavin_blocks_dmulmc(
 
     ψ_i is temporally rank-two in (λ₁, λ₂), so step k's tangent is
     Dψ_i = √(η/(2γ))·(E₁(iη,h)·Dλ₁ + E₂(iη,h)·Dλ₂) with the multiplier
-    tangents from the exact linear fixed point of :func:`_dm_tangents` (the
+    tangents from the exact linear fixed point of :func:`tangents_dmulmc` (the
     implicit dependence of the optimal drift is kept, not dropped).
     """
-    if traj.schedule is None:
-        raise ValueError("trajectory carries no interpolation multipliers")
-    kern = StepKernels.build(traj.gamma, traj.grid.h, traj.grid.m)
-    coef = np.sqrt(traj.grid.eta / (2.0 * traj.gamma))
-
-    def tangents(k, dirs, dz0):
-        Dlam1, Dlam2, Dz_h = _dm_tangents(kern, potential, traj, k, dirs, dz0)
-        # (B, m, d, U): outer product of e-kernels with multiplier tangents
-        Dpsi = coef * (
-            kern.e1_left[:, None, None] * Dlam1[:, None]
-            + kern.e2_left[:, None, None] * Dlam2[:, None]
-        )
-        return Dpsi, Dz_h
-
-    return _derivative_blocks("dmulmc", traj, tangents, include_offdiag)
+    return _derivative_blocks(
+        "dmulmc", traj, tangents_dmulmc(potential, traj), include_offdiag,
+        drift_basis_dmulmc(traj)[0],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +610,7 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     det(I + D) = det(I_{2d} + Wᵀ·U), tr D = tr(Wᵀ·U), and from the first
     product on the power iterate stays in the range of U: D·(U·a) = U·(Wᵀ·U·a).
     """
-    if traj.schedule is None:
-        raise ValueError("trajectory carries no interpolation multipliers")
+    tangents = tangents_dmulmc(potential, traj)
     grid = traj.grid
     N, m, eta = grid.N, grid.m, grid.eta
     B, d = traj.x.shape[0], traj.x.shape[2]
@@ -624,8 +632,7 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     trace = np.empty((B, N))
     rho = np.empty((B, N))
     for k in range(N):
-        Dlam1, Dlam2, _ = _dm_tangents(kern, potential, traj, k, dirs, None)
-        WT = np.concatenate([Dlam1, Dlam2], axis=1)  # (B, 2d, 2d + 1)
+        WT = tangents(k, dirs, None)[0]  # (B, 2d, 2d + 1)
         WtU, a = WT[:, :, : 2 * d], WT[:, :, 2 * d]
         sign[:, k], logabs[:, k] = np.linalg.slogdet(np.eye(2 * d) + WtU)
         trace[:, k] = np.trace(WtU, axis1=-2, axis2=-1)

@@ -1,9 +1,10 @@
-"""Affine step maps: the DM-ULMC drift factors against dense probes and formulas."""
+"""Affine step maps: every scheme's maps against a probe of the path solver,
+and the DM-ULMC drift factors against dense formulas."""
 
 import numpy as np
 import pytest
 
-from girsanovlab.affine import quadratic_path_kl, step_maps_for_schedule
+from girsanovlab.affine import quadratic_path_kl, scheme_marginal_gaussian, step_maps_for_schedule
 from girsanovlab.divergences import stationary_moments
 from girsanovlab.engine import scheme_for
 from girsanovlab.kernels import StepKernels
@@ -13,21 +14,81 @@ from girsanovlab.potentials import AnisotropicQuadratic
 POT = AnisotropicQuadratic((0.6, 1.4))
 GRID = TimeGrid(0.5, 3, 16)
 GAMMA = 1.0
+SCHEMES = ["em-ld", "mlmc", "ulmc", "dmulmc"]
+MODES = ["deterministic", "randomized"]
 
 
-def _probed_drift_maps(key):
-    """Dense (Pz, Pxi, p0) of one step, read off ψ on basis inputs."""
-    s = scheme_for("dmulmc")
+def _gamma(scheme):
+    return GAMMA if scheme_for(scheme).kinetic else None
+
+
+def _schedule(scheme, mode):
+    """The scheme's schedule for a mode; None for the schedule-free ULMC."""
+    return scheme_for(scheme).schedule(GRID, mode, 4, 0)
+
+
+def _probed_step_maps(scheme, key):
+    """Dense (A, S, b, Pz, Pxi, p0) of one step, read off the path solver on basis inputs.
+
+    The oracle is independent of the derivative code: it runs the simulator on
+    the zero input, the start-state basis and every increment entry, and takes
+    differences of the endpoints and of the drifts ψ.
+    """
+    s = scheme_for(scheme)
     d, m = POT.d, GRID.m
-    md, zdim = m * d, 2 * d
+    md, zdim = m * d, (2 * d if s.kinetic else d)
     step_grid = TimeGrid(GRID.h, 1, m)
     z0 = np.zeros((1 + zdim + md, zdim))
     xi = np.zeros((1 + zdim + md, m, d))
     z0[1 : 1 + zdim] = np.eye(zdim)
     xi[1 + zdim :] = np.eye(md).reshape(md, m, d)
-    traj = s.simulate(POT, step_grid, s.step_schedule(step_grid, key), GAMMA, z0, xi)
+    traj = s.simulate(POT, step_grid, s.step_schedule(step_grid, key), _gamma(scheme), z0, xi)
+    zT = s.endpoint(traj)
     psi = s.drift(POT, traj).psi.reshape(len(z0), md)
-    return (psi[1 : 1 + zdim] - psi[0]).T, (psi[1 + zdim :] - psi[0]).T, psi[0]
+
+    def split(v):  # (start-state map, increment map, constant)
+        return (v[1 : 1 + zdim] - v[0]).T, (v[1 + zdim :] - v[0]).T, v[0]
+
+    return (*split(zT), *split(psi))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_step_maps_match_probed_oracle(scheme, mode):
+    s, schedule = scheme_for(scheme), _schedule(scheme, mode)
+    maps = step_maps_for_schedule(scheme, POT, schedule or GRID, _gamma(scheme))
+    md = GRID.m * POT.d
+    for key, sm in zip(s.step_keys(GRID, schedule), maps):
+        ours = (sm.A, sm.S, sm.b, sm.Pz.reshape(md, -1), sm.Pxi.reshape(md, md), sm.p0.ravel())
+        probed = _probed_step_maps(scheme, key)
+        for name, got, want in zip(("A", "S", "b", "Pz", "Pxi", "p0"), ours, probed):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
+                                       err_msg=f"{scheme} {key} {name}")
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_extraction_simulates_one_path_per_step_key(monkeypatch, scheme, mode):
+    s, schedule = scheme_for(scheme), _schedule(scheme, mode)
+    rows = []
+    simulate = s.simulate
+
+    def recording(potential, grid, sched, gamma, z0, xi):
+        rows.append(z0.shape[0])
+        return simulate(potential, grid, sched, gamma, z0, xi)
+
+    monkeypatch.setattr(s, "simulate", recording)
+    step_maps_for_schedule(scheme, POT, schedule or GRID, _gamma(scheme))
+    assert rows == [1] * len(set(s.step_keys(GRID, schedule)))
+
+
+@pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
+def test_kinetic_maps_need_a_friction(scheme):
+    mean, cov = stationary_moments(POT, kinetic=True)
+    with pytest.raises(ValueError, match="friction"):
+        step_maps_for_schedule(scheme, POT, GRID, None)
+    with pytest.raises(ValueError, match="friction"):
+        scheme_marginal_gaussian(scheme, POT, GRID, mean, cov, gamma=None)
 
 
 def _dense_path_kl(maps, mean, cov):
@@ -54,7 +115,7 @@ def test_dmulmc_step_maps_are_rank_2d_factors(mode):
     gram = np.kron(np.array([[sh.s11, sh.s12], [sh.s12, sh.s22]]) / (2 * GAMMA), np.eye(d))
     for key, sm in zip(s.step_keys(GRID, schedule), maps):
         assert sm.U.shape == (md, 2 * d) and sm.Wt.shape == (2 * d, md)
-        Pz, Pxi, p0 = _probed_drift_maps(key)
+        Pz, Pxi, p0 = _probed_step_maps("dmulmc", key)[3:]
         np.testing.assert_allclose(sm.U @ sm.Wt, Pxi, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sm.U @ sm.Lz, Pz, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sm.U @ sm.l0, p0, rtol=0, atol=1e-12)

@@ -422,9 +422,10 @@ def test_dm_path_blocks_and_summary_share_one_fixed_point(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
 def test_dense_blocks_match_probed_step_maps(scheme):
-    # for a quadratic target the step maps are read off the path solver on
-    # basis inputs, so the derivative solve must reproduce them: diagonal
-    # blocks are each step's Pxi, the cross-step block (1, 0) is Pz_1 S_0
+    # the step maps and the dense derivative share each scheme's step tangent
+    # rule (the maps are checked against a probe of the path solver in
+    # test_affine), so this checks the horizon sweep that composes the steps:
+    # diagonal blocks are each step's Pxi, the cross-step block (1, 0) is Pz_1 S_0
     from girsanovlab.affine import step_maps_for_schedule
     from girsanovlab.engine import scheme_for
     from girsanovlab.potentials import AnisotropicQuadratic
