@@ -15,14 +15,13 @@ data-processing cross-checks.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp, stdtrit
 
-from .engine import WINDOW_PATHS, scheme_for, start_states
+from .engine import WINDOW_PATHS, map_windows, scheme_for, start_states
 from .paths import LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential
 
@@ -279,7 +278,8 @@ def local_error_sweep(
     (stationary) law.  Strong errors use replica 1 only; weak errors pair two
     replicas sharing the start state.  Deterministic midpoint schedules are
     used throughout, and paths are processed in windows of
-    :data:`~girsanovlab.engine.WINDOW_PATHS`, as in ``run_weights``: with
+    :data:`~girsanovlab.engine.WINDOW_PATHS` by
+    :func:`~girsanovlab.engine.map_windows`, as in ``run_weights``: with
     ``threads`` > 1 the windows of a grid run on a thread pool, and since
     each window fills only its own slice of the per-path errors, the report
     does not depend on ``threads`` (tested).
@@ -336,13 +336,7 @@ def local_error_sweep(
             wx[lo:hi] = np.sum(dx1 * dx2, axis=1)
             wp[lo:hi] = np.sum(dp1 * dp2, axis=1)
 
-        starts = range(0, n_paths, WINDOW_PATHS)
-        if threads <= 1:
-            for lo in starts:
-                eval_window(lo)
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(eval_window, starts))
+        map_windows(eval_window, n_paths, threads)
         hs.append(grid.h)
         ms.append(grid.m)
         for name, arr in (("strong_x", sx), ("strong_p", sp), ("weak_x", wx), ("weak_p", wp)):

@@ -64,7 +64,7 @@ from .potentials import Potential
 
 __all__ = [
     "SCHEMES", "Scheme", "WeightRun", "WINDOW_PATHS", "scheme_for", "start_states",
-    "run_weights", "generic_log_weights",
+    "map_windows", "run_weights", "generic_log_weights",
 ]
 
 #: Paths per evaluation window of :func:`run_weights` and the local-error
@@ -101,7 +101,8 @@ class Scheme:
       matrix G = UᵀU.  DM-ULMC drifts span r = 2d columns; the other schemes
       return U = G = None, the identity basis (c = ψ, r = m·d).
     * ``tangents(potential, traj)``: the one step tangent rule
-      (k, dirs, dz0) → (Dc, Dz_h) in drift coordinates, behind the dense
+      (k, dirs, dz0) → (Dc, Dz_h) in drift coordinates, which runs the
+      scheme's own integrator step with grad = ∇²V·DX, behind the dense
       ``blocks``, the DM-ULMC ``summary`` and the affine step maps.
     * ``step_keys(grid, schedule)``: per outer step, the hashable midpoint
       choice that fixes the step's affine maps; ``step_schedule(step_grid,
@@ -111,7 +112,7 @@ class Scheme:
     * ``step_bound(beta, q)``: the largest step size h the weights allow,
       stated as ``bound_rule``; infinite when there is none.
     * ``check_gamma(gamma)``: ValueError unless a kinetic scheme has a
-      positive friction.
+      finite positive friction.
     """
 
     name = label = bound_rule = ""
@@ -138,8 +139,10 @@ class Scheme:
         return np.inf
 
     def check_gamma(self, gamma) -> None:
-        if self.kinetic and (gamma is None or not gamma > 0):
-            raise ValueError("kinetic schemes need a positive friction gamma")
+        if self.kinetic and (gamma is None or not 0 < gamma < np.inf):
+            raise ValueError(
+                f"kinetic schemes need a positive friction gamma that is finite, got {gamma}"
+            )
 
 
 class _MidpointLMC(Scheme):
@@ -368,6 +371,19 @@ def start_states(
     return mean + normals @ np.linalg.cholesky(cov).T
 
 
+def map_windows(eval_window, n_paths: int, threads: int) -> list:
+    """eval_window(lo) for lo = 0, WINDOW_PATHS, … < n_paths, in window order.
+
+    With ``threads`` > 1 the windows run on a thread pool; the one window
+    map of :func:`run_weights` and the local-error sweep.
+    """
+    starts = range(0, n_paths, WINDOW_PATHS)
+    if threads <= 1:
+        return [eval_window(lo) for lo in starts]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(eval_window, starts))
+
+
 def run_weights(
     scheme: str,
     potential: Potential,
@@ -409,12 +425,7 @@ def run_weights(
             return fast_log_weights(maps, z0, xi)
         return generic_log_weights(scheme, potential, schedule, the_grid, gamma, z0, xi)
 
-    starts = range(0, n_paths, WINDOW_PATHS)
-    if threads <= 1:
-        windows = [eval_window(lo) for lo in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            windows = list(pool.map(eval_window, starts))
+    windows = map_windows(eval_window, n_paths, threads)
     return WeightRun(
         scheme=scheme,
         seed=seed,

@@ -22,13 +22,16 @@ outer step, √η elementary scaling):
 
 Derivative structure: each scheme has one tangent rule (``tangents_*``,
 ``Scheme.tangents``), the derivative of step k's drift coordinates and end
-state along directions in its own increments plus a step-start tangent.  Its
-three consumers are the dense derivative, one forward sweep of the tangents
-that carries each step's end tangent into the next; the DM-ULMC summary; and
-the affine step maps, its value on one zero path per step.  A step's tangent
-never sees later increments, so every block above the step diagonal is zero:
-the derivative is block lower-triangular, det(I + Dψ) = Π_k det(I + D_k), and
-only diagonal blocks carry trace.
+state along directions in its own increments plus a step-start tangent.  The
+rule writes no step equation: it runs the scheme's own step function from
+:mod:`girsanovlab.integrators` on the tangents with ∇V(X) replaced by
+∇²V(X)·DX at the path's points (the step recursion linearised), then
+differentiates the drift.  Its three consumers are the dense derivative, one
+forward sweep of the tangents that carries each step's end tangent into the
+next; the DM-ULMC summary; and the affine step maps, its value on one zero
+path per step.  A step's tangent never sees later increments, so every block
+above the step diagonal is zero: the derivative is block lower-triangular,
+det(I + Dψ) = Π_k det(I + D_k), and only diagonal blocks carry trace.
 
 Structured evaluation.  The weight needs only sign and log|det(I + D_k)|,
 tr D_k and a power-iterate norm per block, and each scheme's block has a
@@ -48,7 +51,7 @@ low-rank anticipating part that yields all three from its factors
   (left-endpoint kernels, :func:`drift_basis_dmulmc`; the affine step maps
   store the drift in this basis too) and Wᵀ = ∂(λ₁, λ₂)/∂ξ, so
   det(I + D) = det(I_{2d} + Wᵀ·U) and tr D = tr(Wᵀ·U).  Wᵀ comes from the
-  path's own fixed point (:func:`~girsanovlab.integrators.interpolation_fixed_point`
+  path's own step solver (:func:`~girsanovlab.integrators.solve_dmulmc_step`
   with grad = ∇²V·DX), run on the 2d columns of U plus the power-iteration
   start vector instead of on all m·d noise coordinates as the dense block is.
 
@@ -76,7 +79,9 @@ import numpy as np
 from .integrators import (
     OverdampedTrajectory,
     UnderdampedTrajectory,
-    interpolation_fixed_point,
+    solve_dmulmc_step,
+    step_mlmc,
+    step_ulmc,
 )
 from .kernels import StepKernels
 from .potentials import Potential
@@ -284,27 +289,40 @@ def _derivative_blocks(
     return MalliavinBlocks(scheme, diag, full)
 
 
+def _start_tangents(dz0, H_start: np.ndarray, z: int, dirs: np.ndarray):
+    """(dz0, H_start), or (1, z, U) and (1, d, d) zeros for a fixed start (None).
+
+    The zero Hessian keeps a fixed start unbatched: no (B, …) array forms
+    before the step's own Hessians act.
+    """
+    if dz0 is None:
+        d = H_start.shape[-1]
+        return np.zeros((1, z, dirs.shape[-1])), np.zeros((1, d, d))
+    return dz0, H_start
+
+
 def tangents_mlmc(potential: Potential, traj: OverdampedTrajectory):
-    """Step tangent rule of :func:`malliavin_blocks_mlmc`: (Dψ (B, m·d, U), DX_h (B, d, U))."""
+    """Step tangent rule of :func:`malliavin_blocks_mlmc`: (Dψ (B, m·d, U), DX_h (B, d, U)).
+
+    :func:`~girsanovlab.integrators.step_mlmc` run on the tangents with
+    grad = ∇²V·DX at the path's points, then
+    Dψ_i = √(η/2)·(∇²V(X̂_i)·DX̂_i − ∇²V(X⁺)·DX⁺).
+    """
     N, m, eta = traj.grid.N, traj.grid.m, traj.grid.eta
     H_nodes = potential.hessian(_left_nodes(traj.x, N, m))  # (B, N, m, d, d)
     H_plus = potential.hessian(traj.x_plus)  # (B, N, d, d)
-    n_eta = eta * np.arange(m + 1)[:, None, None]
-    root2eta = np.sqrt(2.0 * eta)
 
     def tangents(k, dirs, dz0):
-        r = int(traj.schedule.indices[k])
-        sums = np.zeros((m + 1, *dirs.shape[1:]))  # Σ_{j<n} Dξ_j
-        np.cumsum(dirs, axis=0, out=sums[1:])
-        DX = root2eta * sums
-        DX_plus = DX[r]
-        if dz0 is not None:  # H₀ is the Hessian at cell 0's left node, x_k
-            DX = DX + dz0[:, None]
-            DX_plus = DX[:, r] - (r * eta) * (H_nodes[:, k, 0] @ dz0)
-        HpDXp = H_plus[:, k] @ DX_plus
-        DX = DX - n_eta * HpDXp[:, None]
+        # x_k is cell 0's left node
+        dz0, H_start = _start_tangents(dz0, H_nodes[:, k, 0], traj.x.shape[2], dirs)
+        H = {"start": H_start, "plus": H_plus[:, k]}
+        DX, DX_plus = step_mlmc(
+            lambda where, X: H[where] @ X, dz0, dirs[None], eta, int(traj.schedule.indices[k])
+        )
+        HpDXp = H["plus"] @ DX_plus
         Dpsi = np.sqrt(eta / 2.0) * (H_nodes[:, k] @ DX[:, :m] - HpDXp[:, None])
-        return Dpsi.reshape(len(Dpsi), -1, dirs.shape[-1]), DX[:, m]
+        B, U = len(Dpsi), dirs.shape[-1]
+        return Dpsi.reshape(B, -1, U), np.broadcast_to(DX[:, m], (B, DX.shape[2], U))
 
     return tangents
 
@@ -316,41 +334,34 @@ def malliavin_blocks_mlmc(
 ) -> MalliavinBlocks:
     """Exact derivative blocks of the overdamped midpoint drift.
 
-    Step k's tangents (H_i = ∇²V(X̂_{iη}), H₀ = ∇²V(x_k), H⁺ = ∇²V(X⁺_k)):
-
-        DX⁺ = DX₀ − τ·H₀·DX₀ + √(2η)·Σ_{j<r}Dξ_j,
-        DX̂_n = DX₀ − nη·H⁺·DX⁺ + √(2η)·Σ_{j<n}Dξ_j,
-        Dψ_i = √(η/2)·(H_i·DX̂_i − H⁺·DX⁺).
-
     With a fixed start the block is ∂ψ_i/∂ξ_j = η·[H_i·1_{j<i} −
-    (iη·H_i·H⁺ + H⁺)·1_{j<r}], the 1_{j<r} band carrying the anticipating
-    dependence through X⁺.
+    (iη·H_i·H⁺ + H⁺)·1_{j<r}] (H_i = ∇²V(X̂_{iη}), H⁺ = ∇²V(X⁺_k)), the
+    1_{j<r} band carrying the anticipating dependence through X⁺.
     """
     return _derivative_blocks("mlmc", traj, tangents_mlmc(potential, traj), include_offdiag)
 
 
 def tangents_ulmc(potential: Potential, traj: UnderdampedTrajectory):
-    """Step tangent rule of :func:`malliavin_blocks_ulmc`: (Dψ (B, m·d, U), Dz_h (B, 2d, U))."""
+    """Step tangent rule of :func:`malliavin_blocks_ulmc`: (Dψ (B, m·d, U), Dz_h (B, 2d, U)).
+
+    :func:`~girsanovlab.integrators.step_ulmc` run on the tangents with
+    grad = ∇²V·DX at the step start, then
+    Dψ_i = √(η/(2γ))·(∇²V(X̂_i)·DX̂_i − ∇²V(x_k)·DX̂_0).
+    """
     grid = traj.grid
-    N, m, eta = grid.N, grid.m, grid.eta
+    N, m = grid.N, grid.m
     B, d = traj.x.shape[0], traj.x.shape[2]
     kern = StepKernels.build(traj.gamma, grid.h, m)
     H_nodes = potential.hessian(_left_nodes(traj.x, N, m))
-    coef = np.sqrt(eta / (2.0 * traj.gamma))
-    c = np.sqrt(2.0 * traj.gamma * eta)
-    e1, e2, e3 = (e[:, None, None] for e in (kern.e1_0, kern.e2_0, kern.e3_0))
+    coef = np.sqrt(grid.eta / (2.0 * traj.gamma))
 
     def tangents(k, dirs, dz0):
-        DX = c * np.tensordot(kern.K2, dirs, axes=1)  # (m+1, d, U)
-        DP = c * np.tensordot(kern.K1, dirs, axes=1)
-        H0Dx0 = 0.0
-        if dz0 is not None:  # H₀ is the Hessian at cell 0's left node, x_k
-            Dp0 = dz0[:, None, d:]
-            H0Dx0 = (H_nodes[:, k, 0] @ dz0[:, :d])[:, None]
-            DX = DX + dz0[:, None, :d] + e2 * Dp0 - e3 * H0Dx0
-            DP = DP + e1 * Dp0 - e2 * H0Dx0
-        Dpsi = coef * (H_nodes[:, k] @ DX[..., :m, :, :] - H0Dx0)
-        Dz_h = np.concatenate([DX[..., m, :, :], DP[..., m, :, :]], axis=-2)
+        dz0, H_start = _start_tangents(dz0, H_nodes[:, k, 0], 2 * d, dirs)
+        H = {"start": H_start}
+        DX, DP = step_ulmc(kern, lambda where, X: H[where] @ X, dz0[:, :d], dz0[:, d:], dirs[None])
+        HDX = H_nodes[:, k] @ DX[:, :m]  # cell 0 is the step start
+        Dpsi = coef * (HDX - HDX[:, :1])
+        Dz_h = np.concatenate([DX[:, m], DP[:, m]], axis=-2)
         return Dpsi.reshape(B, m * d, -1), np.broadcast_to(Dz_h, (B, 2 * d, dirs.shape[-1]))
 
     return tangents
@@ -363,15 +374,9 @@ def malliavin_blocks_ulmc(
 ) -> MalliavinBlocks:
     """Derivative blocks of the frozen-gradient kinetic drift.
 
-    Step k's tangents (H_i = ∇²V(X̂_{iη}), H₀ = ∇²V(x_k), c = √(2γη)):
-
-        DX̂_n = DX₀ + E₂(0,nη)·DP₀ − E₃(0,nη)·H₀·DX₀ + c·Σ_{j<n}E₂(jη,nη)·Dξ_j,
-        DP̂_n = E₁(0,nη)·DP₀ − E₂(0,nη)·H₀·DX₀ + c·Σ_{j<n}E₁(jη,nη)·Dξ_j,
-        Dψ_i = √(η/(2γ))·(H_i·DX̂_i − H₀·DX₀).
-
-    With a fixed start ∂ψ_i/∂ξ_j = η·E₂(jη, iη)·H_i·1_{j<i}: strictly lower
-    in the temporal index (the scheme is adapted), so every determinant is
-    exactly one.
+    With a fixed start ∂ψ_i/∂ξ_j = η·E₂(jη, iη)·H_i·1_{j<i}
+    (H_i = ∇²V(X̂_{iη})): strictly lower in the temporal index (the scheme is
+    adapted), so every determinant is exactly one.
     """
     return _derivative_blocks("ulmc", traj, tangents_ulmc(potential, traj), include_offdiag)
 
@@ -382,43 +387,29 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
     Returns (Dλ₁‖Dλ₂ (B, 2d, U), Dz_h (B, 2d, U)) along ``dirs`` (m, d, U),
     directions in step k's ξ, and the step-start tangents ``dz0`` (B, 2d, U)
     of (x₀, p₀), or None for a fixed start; Dz_h holds the tangents of the
-    step end (x, p).  The tangents solve the path's own
-    :func:`~girsanovlab.integrators.interpolation_fixed_point` with
-    grad = ∇²V·DX, so the implicit dependence of the multipliers is kept.
+    step end (x, p).  The tangents are the path's own
+    :func:`~girsanovlab.integrators.solve_dmulmc_step` with grad = ∇²V·DX,
+    fixed point included, so the implicit dependence of the multipliers is
+    kept.
     """
     if traj.schedule is None:
         raise ValueError("trajectory carries no interpolation multipliers")
-    kern = StepKernels.build(traj.gamma, traj.grid.h, traj.grid.m)
-    m, eta = kern.m, kern.eta
-    B, d = traj.x.shape[0], traj.x.shape[2]
-    c = np.sqrt(2.0 * kern.gamma * eta)
+    grid, sched = traj.grid, traj.schedule
+    kern = StepKernels.build(traj.gamma, grid.h, grid.m)
+    m, d = grid.m, traj.x.shape[2]
+    H_nodes = potential.hessian(_left_nodes(traj.x, grid.N, m))
+    H_minus = potential.hessian(traj.x_minus)
+    H_plus = potential.hessian(traj.x_plus)
 
     def tangents(k, dirs, dz0):
-        base = c * np.tensordot(kern.K2, dirs, axes=1)  # (m+1, d, U)
-        end_p = c * np.tensordot(kern.K1[m], dirs, axes=1)  # (d, U)
-        if dz0 is None:
-            midpoint = base
-        else:
-            Dx0, Dp0 = dz0[:, :d], dz0[:, d:]
-            base = base + Dx0[:, None] + kern.e2_0[:, None, None] * Dp0[:, None]
-            end_p = end_p + kern.e1_0[m] * Dp0
-            # the midpoints also carry −E₃(0,rη)·∇V(x₀)
-            H0Dx0 = potential.hessian(traj.x[:, k * m]) @ Dx0
-            midpoint = base - kern.e3_0[:, None, None] * H0Dx0[:, None]
-
-        def grad_tangent(r: int, x_mid: np.ndarray) -> np.ndarray:
-            """∇²V(X_r)·DX_r, the tangents of the gradient at the midpoint X_r."""
-            return potential.hessian(x_mid) @ midpoint[..., r, :, :]
-
-        gx = kern.e3_0[m] * grad_tangent(int(traj.schedule.indices_minus[k]), traj.x_minus[:, k])
-        gp = kern.e2_0[m] * grad_tangent(int(traj.schedule.indices_plus[k]), traj.x_plus[:, k])
-        H_left = potential.hessian(traj.x[:, k * m : (k + 1) * m])
-        base = np.broadcast_to(base, (B, *base.shape[-3:]))
-        DX, Dlam1, Dlam2, DG, _ = interpolation_fixed_point(
-            kern, lambda tangent: H_left @ tangent, base, base, gp, gx, _DERIV_TOL
+        dz0, H_start = _start_tangents(dz0, H_nodes[:, k, 0], 2 * d, dirs)
+        H = {"start": H_start, "minus": H_minus[:, k], "plus": H_plus[:, k], "nodes": H_nodes[:, k]}
+        sol = solve_dmulmc_step(
+            kern, lambda where, X: H[where] @ X, dz0[:, :d], dz0[:, d:], dirs[None],
+            int(sched.indices_minus[k]), int(sched.indices_plus[k]), _DERIV_TOL,
         )
-        DP = end_p - eta * np.tensordot(kern.K1[m], DG, axes=([0], [1]))
-        return np.concatenate([Dlam1, Dlam2], axis=1), np.concatenate([DX[:, m], DP], axis=1)
+        Dz_h = np.concatenate([sol.x_nodes[:, m], sol.p_nodes[:, m]], axis=1)
+        return np.concatenate([sol.lam1, sol.lam2], axis=1), Dz_h
 
     return tangents
 

@@ -22,9 +22,7 @@ grid, increments √η·ξ_i):
   η·Σ_j E₂(jη,h)G^opt_j = E₃(0,h)∇V(X⁻).  Its endpoint reproduces the
   marginal update (the multipliers solve the constraints by construction,
   tested to 1e-12), so iteration only refines interior nodes; the weights
-  need those nodes, a local error does not.  The path and its Malliavin
-  derivative share one fixed point, ``interpolation_fixed_point``: the path
-  runs it with ∇V, the derivative (in :mod:`girsanovlab.girsanov`) with ∇²V·DX.
+  need those nodes, a local error does not.
 * ``exact_ou_endpoint_ld`` / ``exact_ou_endpoint_uld`` — the horizon state of
   the exact Gaussian transitions of the continuous dynamics for quadratic
   potentials, coupled to the same increments: each cell draws from the exact
@@ -37,6 +35,14 @@ grid, increments √η·ξ_i):
 Batch convention: states are (B, d), per-step increments (B, m, d), full
 horizons (B, N·m, d); single paths pass B = 1.  Trajectory node arrays have
 shape (B, N·m + 1, d) with node k·m + n holding X̂_{nη} of outer step k.
+
+Each step is written once and shared with its Malliavin derivative.  A step
+function takes ``grad(where, x)`` in place of the potential: ``where`` names
+the point, "start" (x₀), "plus" (X⁺), "minus" (X⁻) or "nodes" (the fixed
+point's left nodes), and arrays carry cells on axis 1 and may carry trailing
+tangent axes after d.  The simulators pass ∇V; the tangent rules of
+:mod:`girsanovlab.girsanov` pass DX ↦ ∇²V·DX at the path's points, which
+runs the linearised step recursion on tangents.
 
 Gradient-query counts live in the scheme table
 (:meth:`girsanovlab.engine.Scheme.grad_queries`) and follow the algorithms'
@@ -66,7 +72,6 @@ __all__ = [
     "step_mlmc",
     "step_ulmc",
     "step_dmulmc_marginal",
-    "interpolation_fixed_point",
     "solve_dmulmc_step",
     "simulate_mlmc",
     "simulate_ulmc",
@@ -160,27 +165,32 @@ class UnderdampedTrajectory:
 # ---------------------------------------------------------------------------
 
 
+def _col(e: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Per-node or per-cell coefficients shaped to broadcast along axis 1 of like[:, None]."""
+    return e.reshape(-1, *(1,) * (like.ndim - 1))
+
+
 def step_mlmc(
-    potential: Potential, x0: np.ndarray, xi: np.ndarray, eta: float, r: int
+    grad, x0: np.ndarray, xi: np.ndarray, eta: float, r: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One overdamped midpoint step on the inner grid.
 
     X⁺ = x₀ − rη·∇V(x₀) + √(2η)·Σ_{j<r}ξ_j, then
-    X̂_n = x₀ − nη·∇V(X⁺) + √(2η)·Σ_{j<n}ξ_j for n = 0..m.
+    X̂_n = x₀ − nη·∇V(X⁺) + √(2η)·Σ_{j<n}ξ_j for n = 0..m, with ∇V from
+    ``grad`` at "start" and "plus".
 
-    Returns (nodes (B, m+1, d), x_plus (B, d)).  ∇V(x₀) is reused as the
-    midpoint gradient when r = 0.
+    Returns (nodes (B, m+1, d, …), x_plus (B, d, …)).  ∇V(x₀) is reused as
+    the midpoint gradient when r = 0.
     """
-    m = xi.shape[-2]
-    sums = np.zeros(xi.shape[:-2] + (m + 1, xi.shape[-1]))
-    np.cumsum(xi, axis=-2, out=sums[..., 1:, :])
+    m = xi.shape[1]
+    sums = np.zeros((xi.shape[0], m + 1, *xi.shape[2:]))
+    np.cumsum(xi, axis=1, out=sums[:, 1:])
     coef = np.sqrt(2.0 * eta)
-    g0 = potential.gradient(x0)
-    x_plus = x0 - (r * eta) * g0 + coef * sums[..., r, :]
-    g_plus = g0 if r == 0 else potential.gradient(x_plus)
-    n_eta = eta * np.arange(m + 1)
-    nodes = x0[..., None, :] - n_eta[:, None] * g_plus[..., None, :] + coef * sums
-    _check_finite(nodes[..., m, :], m)
+    g0 = grad("start", x0)
+    x_plus = x0 - (r * eta) * g0 + coef * sums[:, r]
+    g_plus = g0 if r == 0 else grad("plus", x_plus)
+    n_eta = _col(eta * np.arange(m + 1), x0)
+    nodes = x0[:, None] - n_eta * g_plus[:, None] + coef * sums
     return nodes, x_plus
 
 
@@ -197,24 +207,25 @@ def _node_noise(K: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def step_ulmc(
-    kern: StepKernels, potential: Potential, x0: np.ndarray, p0: np.ndarray, xi: np.ndarray
+    kern: StepKernels, grad, x0: np.ndarray, p0: np.ndarray, xi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frozen-gradient exponential Euler step; returns inner node arrays.
 
     X̂_n = x₀ + E₂(0,nη)p₀ − E₃(0,nη)∇V(x₀) + √(2γη)·Σ_{j<n}E₂(jη,nη)ξ_j and
-    the matching momentum line with E₁/E₂.  One gradient query.
+    the matching momentum line with E₁/E₂, both (B, m+1, d, …).  One
+    gradient query, at "start".
     """
-    g0 = potential.gradient(x0)
+    g0 = grad("start", x0)
     c = np.sqrt(2.0 * kern.gamma * kern.eta)
     x_nodes = (
-        x0[:, None, :]
-        + kern.e2_0[:, None] * p0[:, None, :]
-        - kern.e3_0[:, None] * g0[:, None, :]
+        x0[:, None]
+        + _col(kern.e2_0, x0) * p0[:, None]
+        - _col(kern.e3_0, x0) * g0[:, None]
         + c * _node_noise(kern.K2, xi)
     )
     p_nodes = (
-        kern.e1_0[:, None] * p0[:, None, :]
-        - kern.e2_0[:, None] * g0[:, None, :]
+        _col(kern.e1_0, x0) * p0[:, None]
+        - _col(kern.e2_0, x0) * g0[:, None]
         + c * _node_noise(kern.K1, xi)
     )
     return x_nodes, p_nodes
@@ -222,7 +233,7 @@ def step_ulmc(
 
 def _dm_midpoints(
     kern: StepKernels,
-    potential: Potential,
+    grad,
     x0: np.ndarray,
     p0: np.ndarray,
     xi: np.ndarray,
@@ -232,13 +243,13 @@ def _dm_midpoints(
     """Explicit midpoint states (X⁻, X⁺), the shared start gradient and the end noise.
 
     The noise rows K₂[r⁻], K₂[r⁺], K₂[m] and K₁[m] contract ξ in one stacked
-    product; the end noise (B, 2, d) holds c·K₂[m]·ξ and c·K₁[m]·ξ.
+    product; the end noise (B, 2, d, …) holds c·K₂[m]·ξ and c·K₁[m]·ξ.
     """
-    g0 = potential.gradient(x0)
+    g0 = grad("start", x0)
     c = np.sqrt(2.0 * kern.gamma * kern.eta)
     m = kern.m
     rows = np.stack([kern.K2[r_minus], kern.K2[r_plus], kern.K2[m], kern.K1[m]])
-    noise = c * _node_noise(rows, xi)  # (B, 4, d)
+    noise = c * _node_noise(rows, xi)  # (B, 4, d, …)
     x_minus, x_plus = (
         x0 + kern.e2_0[r] * p0 - kern.e3_0[r] * g0 + noise[:, i]
         for i, r in enumerate((r_minus, r_plus))
@@ -248,7 +259,7 @@ def _dm_midpoints(
 
 def step_dmulmc_marginal(
     kern: StepKernels,
-    potential: Potential,
+    grad,
     x0: np.ndarray,
     p0: np.ndarray,
     xi: np.ndarray,
@@ -261,9 +272,9 @@ def step_dmulmc_marginal(
     (∇V(x₀) shared by both midpoints, then ∇V(X⁻) and ∇V(X⁺)).
     """
     m = kern.m
-    x_minus, x_plus, _, end_noise = _dm_midpoints(kern, potential, x0, p0, xi, r_minus, r_plus)
-    g_minus = potential.gradient(x_minus)
-    g_plus = potential.gradient(x_plus)
+    x_minus, x_plus, _, end_noise = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
+    g_minus = grad("minus", x_minus)
+    g_plus = grad("plus", x_plus)
     x_h = x0 + kern.e2_0[m] * p0 - kern.e3_0[m] * g_minus + end_noise[:, 0]
     p_h = kern.e1_0[m] * p0 - kern.e2_0[m] * g_plus + end_noise[:, 1]
     return x_h, p_h, x_minus, x_plus
@@ -288,26 +299,36 @@ class DmStepSolution:
     iterations: int
 
 
-def interpolation_fixed_point(
-    kern: StepKernels, grad, start: np.ndarray, base: np.ndarray, gp: np.ndarray,
-    gx: np.ndarray, tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """One fixed point for the double-midpoint interpolation and its tangents.
+def solve_dmulmc_step(
+    kern: StepKernels,
+    grad,
+    x0: np.ndarray,
+    p0: np.ndarray,
+    xi: np.ndarray,
+    r_minus: int,
+    r_plus: int,
+    tol: float,
+) -> DmStepSolution:
+    """Solve the implicit inner-grid interpolation of one DM step.
 
-    Sweeps X ↦ base − η·K₂·G, G_j = grad(X)_j − E₁(jη,h)λ₁ − E₂(jη,h)λ₂, with
-    (λ₁, λ₂) from the 2×2 Gram system, so the marginal constraints
-    η·Σ_j E₁(jη,h)G_j = gp and η·Σ_j E₂(jη,h)G_j = gx hold at every sweep.
-    ``start`` and ``base`` are (B, m+1, d, …) node arrays with any trailing
-    tangent axes and ``grad`` maps X[:, :m] to (B, m, d, …): ∇V for the path,
-    DX ↦ ∇²V·DX for its derivative.  Stops once no entry of X moves by more
-    than ``tol``; returns (X, λ₁, λ₂, G, sweeps).
+    From the frozen-gradient path, sweeps X ↦ base − η·K₂·G with
+    G_j = grad("nodes", X)_j − E₁(jη,h)λ₁ − E₂(jη,h)λ₂ and (λ₁, λ₂) from the
+    2×2 Gram system, so the marginal constraints hold at every sweep.  Stops
+    once no entry of X moves by more than ``tol``.  The sweeps contract under
+    h·√β ≤ 0.5 (:func:`simulate_dmulmc` checks the bound); StepSizeError if
+    they do not converge.
     """
     m, eta = kern.m, kern.eta
-    tail = (1,) * (start.ndim - 2)  # cell kernels broadcast over (d, …)
-    e1, e2 = kern.e1_left.reshape(m, *tail), kern.e2_left.reshape(m, *tail)
-    x = start
+    x_minus, x_plus, g0, _ = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
+    gx = kern.e3_0[m] * grad("minus", x_minus)  # constraint targets
+    gp = kern.e2_0[m] * grad("plus", x_plus)
+
+    c = np.sqrt(2.0 * kern.gamma * eta)
+    base = x0[:, None] + _col(kern.e2_0, x0) * p0[:, None] + c * _node_noise(kern.K2, xi)
+    x = base - _col(kern.e3_0, x0) * g0[:, None]  # frozen-gradient path
+    e1, e2 = _col(kern.e1_left, x0), _col(kern.e2_left, x0)
     for it in range(1, FIXED_POINT_MAX_ITERS + 1):
-        g = grad(x[:, :m])
+        g = grad("nodes", x[:, :m])
         s1 = eta * np.einsum("j,bj...->b...", kern.e1_left, g)
         s2 = eta * np.einsum("j,bj...->b...", kern.e2_left, g)
         lam1, lam2 = kern.sigma_hat.solve(s1 - gp, s2 - gx)
@@ -315,57 +336,20 @@ def interpolation_fixed_point(
         x_new = base - eta * _node_noise(kern.K2, g_opt)
         delta = float(np.max(np.abs(x_new - x)))
         x = x_new
-        if delta <= tol:
-            return x, lam1, lam2, g_opt, it
-        if not np.isfinite(delta):
+        if delta <= tol or not np.isfinite(delta):
             break
-    raise StepSizeError(
-        f"implicit interpolation did not converge ({it} sweeps); the step "
-        "violates the contraction condition h ~ 1/sqrt(beta)"
-    )
-
-
-def solve_dmulmc_step(
-    kern: StepKernels,
-    potential: Potential,
-    x0: np.ndarray,
-    p0: np.ndarray,
-    xi: np.ndarray,
-    r_minus: int,
-    r_plus: int,
-) -> DmStepSolution:
-    """Solve the implicit inner-grid interpolation of one DM step.
-
-    :func:`interpolation_fixed_point` with grad = ∇V, from the frozen-gradient
-    path; converges to 1e−12 in the grid max-norm under h·√β ≤ 0.5.
-    """
-    if kern.h * np.sqrt(max(potential.beta, 0.0)) > DM_STEP_MARGIN:
+    if not delta <= tol:
         raise StepSizeError(
-            f"implicit interpolation requires h*sqrt(beta) <= {DM_STEP_MARGIN} "
-            f"(h={kern.h}, beta={potential.beta}); reduce the step size"
+            f"implicit interpolation did not converge ({it} sweeps); the step "
+            "violates the contraction condition h ~ 1/sqrt(beta)"
         )
-    m, eta = kern.m, kern.eta
-    x_minus, x_plus, g0, _ = _dm_midpoints(kern, potential, x0, p0, xi, r_minus, r_plus)
-    gx = kern.e3_0[m] * potential.gradient(x_minus)  # constraint targets
-    gp = kern.e2_0[m] * potential.gradient(x_plus)
-
-    c = np.sqrt(2.0 * kern.gamma * eta)
-    base = (
-        x0[:, None, :]
-        + kern.e2_0[:, None] * p0[:, None, :]
-        + c * _node_noise(kern.K2, xi)
-    )
-    start = base - kern.e3_0[:, None] * g0[:, None, :]  # frozen-gradient path
-    x_nodes, lam1, lam2, g_opt, it = interpolation_fixed_point(
-        kern, potential.gradient, start, base, gp, gx, FIXED_POINT_TOL
-    )
     p_nodes = (
-        kern.e1_0[:, None] * p0[:, None, :]
+        _col(kern.e1_0, x0) * p0[:, None]
         - eta * _node_noise(kern.K1, g_opt)
         + c * _node_noise(kern.K1, xi)
     )
     return DmStepSolution(
-        x_nodes=x_nodes,
+        x_nodes=x,
         p_nodes=p_nodes,
         lam1=lam1,
         lam2=lam2,
@@ -392,9 +376,10 @@ def simulate_mlmc(
     nodes[:, 0] = x0
     x_plus = np.empty((B, grid.N, d))
     x = x0
+    grad = lambda where, x: potential.gradient(x)  # ∇V at every point
     for k in range(grid.N):
         seg, xp = step_mlmc(
-            potential, x, xi[:, k * m : (k + 1) * m], grid.eta, int(schedule.indices[k])
+            grad, x, xi[:, k * m : (k + 1) * m], grid.eta, int(schedule.indices[k])
         )
         nodes[:, k * m + 1 : (k + 1) * m + 1] = seg[:, 1:]
         x_plus[:, k] = xp
@@ -443,8 +428,9 @@ def simulate_ulmc(
     )
     B, d, m = x0.shape[0], potential.d, grid.m
     x, p = x0, p0
+    grad = lambda where, x: potential.gradient(x)  # ∇V at every point
     for k in range(grid.N):
-        xn, pn = step_ulmc(kern, potential, x, p, xi[:, k * m : (k + 1) * m])
+        xn, pn = step_ulmc(kern, grad, x, p, xi[:, k * m : (k + 1) * m])
         xs[:, k * m + 1 : (k + 1) * m + 1] = xn[:, 1:]
         ps[:, k * m + 1 : (k + 1) * m + 1] = pn[:, 1:]
         x, p = xn[:, m], pn[:, m]
@@ -477,6 +463,11 @@ def simulate_dmulmc(
     x0, p0, xi, kern, xs, ps = _kinetic_setup(
         potential, grid, gamma, x0, p0, xi, grid.n_cells + 1
     )
+    if kern.h * np.sqrt(max(potential.beta, 0.0)) > DM_STEP_MARGIN:
+        raise StepSizeError(
+            f"implicit interpolation requires h*sqrt(beta) <= {DM_STEP_MARGIN} "
+            f"(h={kern.h}, beta={potential.beta}); reduce the step size"
+        )
     B, d, m = x0.shape[0], potential.d, grid.m
     x_minus = np.empty((B, grid.N, d))
     x_plus = np.empty((B, grid.N, d))
@@ -484,15 +475,17 @@ def simulate_dmulmc(
     lam2 = np.empty((B, grid.N, d))
     iters = np.zeros(grid.N, dtype=int)
     x, p = x0, p0
+    grad = lambda where, x: potential.gradient(x)  # ∇V at every point
     for k in range(grid.N):
         sol = solve_dmulmc_step(
             kern,
-            potential,
+            grad,
             x,
             p,
             xi[:, k * m : (k + 1) * m],
             int(schedule.indices_minus[k]),
             int(schedule.indices_plus[k]),
+            FIXED_POINT_TOL,
         )
         xs[:, k * m + 1 : (k + 1) * m + 1] = sol.x_nodes[:, 1:]
         ps[:, k * m + 1 : (k + 1) * m + 1] = sol.p_nodes[:, 1:]
@@ -533,10 +526,11 @@ def simulate_dmulmc_marginal(
     )
     m = grid.m
     x, p = x0, p0
+    grad = lambda where, x: potential.gradient(x)  # ∇V at every point
     for k in range(grid.N):
         x, p, _, _ = step_dmulmc_marginal(
             kern,
-            potential,
+            grad,
             x,
             p,
             xi[:, k * m : (k + 1) * m],

@@ -269,7 +269,7 @@ def test_local_error_sweep_needs_two_paths(n_paths):
 
 
 @pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
-@pytest.mark.parametrize("gamma", [None, 0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("gamma", [None, 0.0, -1.0, float("nan"), np.inf])
 def test_local_error_sweep_needs_a_positive_friction(scheme, gamma):
     # the message run_weights gives for the same input
     with pytest.raises(ValueError, match="kinetic schemes need a positive friction gamma"):

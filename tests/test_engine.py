@@ -145,6 +145,15 @@ def test_run_weights_needs_a_path():
         run_weights("mlmc", PERTURBED, grid=GRID, n_paths=0, seed=1)
 
 
+@pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
+@pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
+def test_run_weights_needs_a_finite_friction(scheme, pot):
+    # an infinite friction is refused up front, on either route, with the
+    # scheme table's message
+    with pytest.raises(ValueError, match="kinetic schemes need a positive friction gamma"):
+        run_weights(scheme, pot, grid=GRID, gamma=np.inf, n_paths=4, seed=1)
+
+
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
 def test_affine_route_forms_no_dense_block(monkeypatch, scheme):
     def dense(*args, **kwargs):

@@ -386,38 +386,62 @@ def test_dm_log_cf_magnitude_stable_across_dimensions():
 
 
 # ---------------------------------------------------------------------------
-# One fixed point for the double-midpoint path and its derivative
+# One step function per scheme for the path and its derivative
 # ---------------------------------------------------------------------------
 
 
-def test_dm_path_blocks_and_summary_share_one_fixed_point(monkeypatch):
+class _HessianOnly(PerturbedQuadratic):
+    """A potential whose gradient must not be queried."""
+
+    def gradient(self, x):
+        raise AssertionError("tangent rules must use Hessian products only")
+
+
+_STEPS = {"em-ld": "step_mlmc", "mlmc": "step_mlmc", "ulmc": "step_ulmc",
+          "dmulmc": "solve_dmulmc_step"}
+
+
+@pytest.mark.parametrize("scheme", sorted(_STEPS))
+def test_tangent_rules_run_the_integrators_steps(monkeypatch, scheme):
+    # each rule is one call of its scheme's step function with grad = ∇²V·DX,
+    # the same function the path runs with grad = ∇V
     from girsanovlab import girsanov, integrators
     from girsanovlab.engine import scheme_for
-    from girsanovlab.girsanov import block_summary_dmulmc
 
     calls = []
-    original = integrators.interpolation_fixed_point
 
-    def counting(*args, **kwargs):
-        calls.append(caller)
-        return original(*args, **kwargs)
+    def counting(name):
+        original = getattr(integrators, name)
 
-    # each caller looks the routine up in its own module
-    monkeypatch.setattr(integrators, "interpolation_fixed_point", counting)
-    monkeypatch.setattr(girsanov, "interpolation_fixed_point", counting)
+        def step(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return step
+
+    for name in set(_STEPS.values()):
+        # each caller looks the step up in its own module
+        wrapped = counting(name)
+        monkeypatch.setattr(integrators, name, wrapped)
+        monkeypatch.setattr(girsanov, name, wrapped)
+    s = scheme_for(scheme)
     pot = PerturbedQuadratic((1.0, 1.5), amplitude=0.1, frequency=1.0)
     grid = TimeGrid(0.5, 2, 4)
+    zdim = 2 * pot.d if s.kinetic else pot.d
     xi = noise_matrix(4, 3, grid.n_cells, pot.d)
-    z0 = np.zeros((3, pot.d))
-    caller = "simulate"
-    traj = scheme_for("dmulmc").simulate(
-        pot, grid, UnderdampedSchedule.deterministic(grid), 1.0, np.hstack([z0, z0]), xi
-    )
-    caller = "blocks"
-    malliavin_blocks_dmulmc(pot, traj, include_offdiag=True)
-    caller = "summary"
-    block_summary_dmulmc(pot, traj)
-    assert calls == ["simulate"] * 2 + ["blocks"] * 2 + ["summary"] * 2
+    gamma = 1.0 if s.kinetic else None
+    traj = s.simulate(pot, grid, s.schedule(grid), gamma, np.full((3, zdim), 0.3), xi)
+    assert calls == [_STEPS[scheme]] * grid.N
+    calls.clear()
+    rule = s.tangents(_HessianOnly((1.0, 1.5), amplitude=0.1, frequency=1.0), traj)
+    reference = s.tangents(pot, traj)
+    dirs = np.eye(grid.m * pot.d).reshape(grid.m, pot.d, -1)
+    for dz0 in (None, np.ones((3, zdim, dirs.shape[-1]))):
+        Dc, Dz = rule(1, dirs, dz0)
+        assert Dz.shape == (3, zdim, dirs.shape[-1])
+        for got, want in zip((Dc, Dz), reference(1, dirs, dz0)):
+            np.testing.assert_array_equal(got, want)
+    assert calls == [_STEPS[scheme]] * 4
 
 
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])

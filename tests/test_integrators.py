@@ -279,22 +279,6 @@ def test_midpoint_overdamped_affine_superposition():
     np.testing.assert_allclose(out[0] + out[1] - out[2], out[3], rtol=1e-12, atol=1e-12)
 
 
-class _CountingQuadratic(IsotropicQuadratic):
-    """Counts gradient evaluations per path (points evaluated / batch size)."""
-
-    def __init__(self, d, batch):
-        super().__init__(d)
-        self.batch, self.points = batch, 0
-
-    def gradient(self, x):
-        self.points += np.size(x) // self.d
-        return super().gradient(x)
-
-    @property
-    def queries(self):
-        return self.points // self.batch
-
-
 def test_gradient_query_counters():
     # one step of each scheme's marginal update evaluates exactly the
     # gradients the scheme table claims for it
@@ -304,18 +288,24 @@ def test_gradient_query_counters():
     rng = np.random.default_rng(0)
     x0, p0 = rng.normal(size=(B, d)), rng.normal(size=(B, d))
     xi = rng.normal(size=(B, grid.m, d))
+    pot = IsotropicQuadratic(d)
     steps = {
-        ("mlmc", 0): lambda pot: step_mlmc(pot, x0, xi, grid.eta, 0),
-        ("mlmc", 2): lambda pot: step_mlmc(pot, x0, xi, grid.eta, 2),
-        ("ulmc", 0): lambda pot: step_ulmc(kern, pot, x0, p0, xi),
-        ("dmulmc", (1, 2)): lambda pot: step_dmulmc_marginal(kern, pot, x0, p0, xi, 1, 2),
+        ("mlmc", 0): lambda grad: step_mlmc(grad, x0, xi, grid.eta, 0),
+        ("mlmc", 2): lambda grad: step_mlmc(grad, x0, xi, grid.eta, 2),
+        ("ulmc", 0): lambda grad: step_ulmc(kern, grad, x0, p0, xi),
+        ("dmulmc", (1, 2)): lambda grad: step_dmulmc_marginal(kern, grad, x0, p0, xi, 1, 2),
     }
     expected = [1, 2, 1, 3]
     for ((scheme, key), step), queries in zip(steps.items(), expected):
-        pot = _CountingQuadratic(d, B)
-        step(pot)
+        points = []
+
+        def grad(where, x):
+            points.append(np.size(x) // d)  # points evaluated
+            return pot.gradient(x)
+
+        step(grad)
         entry = SCHEMES[scheme]
-        assert pot.queries == queries, scheme
+        assert sum(points) // B == queries, scheme
         assert entry.grad_queries(grid, entry.step_schedule(grid, key)) == queries, scheme
 
 
@@ -335,12 +325,14 @@ def test_elementary_ld_matches_exact_flow_for_free_dynamics():
 
 def test_blowup_error_names_the_step():
     # undamped Euler at eta >> 1/beta multiplies the state by 1 - 1e8 each
-    # step and overflows
+    # step and overflows at outer step 38 (|x| ~ 1e312); the error names the
+    # outer step, whatever the cells per step
     pot = IsotropicQuadratic(1)
-    grid = TimeGrid(4e9, 40, 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TrajectoryBlowupError, match=r"step \d+"):
-            _em_ld(pot, grid, np.array([1.0]), np.zeros((1, 40, 1)))
+    for m in (1, 4):
+        grid = TimeGrid(4e9, 40, m)  # h = 1e8 whatever m
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrajectoryBlowupError, match=r"after step 38$"):
+                _em_ld(pot, grid, np.array([1.0]), np.zeros((1, 40 * m, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ def test_benchmark_self_test_passes():
 #: span names each workload records; a layer missing here has lost its
 #: attribution (``paths.generate`` is not listed;
 #: ``paths.normal_block`` stands for the noise layer).  ``kl-affine`` has no
-#: ``girsanov.drift`` span: its DM-ULMC step maps read the probe batch's
-#: multipliers, not its drifts
+#: ``girsanov.drift`` span: its DM-ULMC step maps read the zero path's
+#: multipliers (its drift coordinates), not its drifts
 LAYER_SPANS = {
     "kl-affine": {
         "experiments.run_experiment", "engine.run_weights", "affine.step_maps",
