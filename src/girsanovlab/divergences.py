@@ -94,14 +94,15 @@ def estimate_kl(weights) -> DivergenceEstimate:
 
 
 def estimate_renyi(weights, q: float) -> DivergenceEstimate:
-    """Rényi divergence R_q(P‖Q) of order q > 1 with leave-one-out jackknife.
+    """Rényi divergence R_q(P‖Q) of finite order q > 1 with leave-one-out jackknife.
 
     R_q = (1/(q−1))·log(mean of exp(−(q−1)·log M)), computed through
     log-sum-exp; the standard error comes from the n leave-one-out replicas
     (the estimator is nonlinear, so the plain CLT error would be wrong).
+    ValueError for q ≤ 1, NaN or ∞ (the sample formula has no q → ∞ limit).
     """
-    if not q > 1.0:
-        raise ValueError(f"Renyi order must satisfy q > 1, got {q}")
+    if not 1.0 < q < np.inf:
+        raise ValueError(f"Renyi order must be finite with q > 1, got {q}")
     kind = f"renyi-{q:g}"
     logw, n_rej = _usable_log_weights(weights)
     n = logw.size
@@ -272,8 +273,11 @@ def local_error_sweep(
     the errors: the scheme's comes from :meth:`~girsanovlab.engine.Scheme.advance`
     (for DM-ULMC the closed-form marginal update, with no inner fixed point
     and so no step-size check of its own) and the reference's from
-    :func:`~girsanovlab.integrators.exact_ou_endpoint_ld` /
-    :func:`~girsanovlab.integrators.exact_ou_endpoint_uld`.  Start states come
+    :func:`~girsanovlab.integrators.exact_ou_endpoint_ld` or, for kinetic
+    schemes, the affine map of
+    :func:`~girsanovlab.integrators.ou_endpoint_map_uld`, built once per grid
+    before its windows run and shared by every window and both replicas
+    (tested).  Start states come
     from :func:`~girsanovlab.engine.start_states` with the default
     (stationary) law.  Strong errors use replica 1 only; weak errors pair two
     replicas sharing the start state.  Deterministic midpoint schedules are
@@ -285,7 +289,7 @@ def local_error_sweep(
     does not depend on ``threads`` (tested).
     """
     # looked up at call time, so wrappers installed on these modules see the calls
-    from .integrators import exact_ou_endpoint_ld, exact_ou_endpoint_uld
+    from .integrators import exact_ou_endpoint_ld, ou_endpoint_map_uld
     from .paths import noise_matrix
 
     s = scheme_for(scheme)
@@ -307,6 +311,11 @@ def local_error_sweep(
             raise ValueError("local_error_sweep expects single-step grids (N = 1)")
         eta = grid.h / grid.m
         schedule = s.schedule(grid)
+        if kinetic:
+            reference = ou_endpoint_map_uld(potential, gamma, eta, grid.m)
+        else:
+            def reference(z0, xi, resid):
+                return exact_ou_endpoint_ld(potential, z0, xi, eta, resid)
         sx = np.empty(n_paths)
         sp = np.empty(n_paths)
         wx = np.empty(n_paths)
@@ -323,10 +332,7 @@ def local_error_sweep(
                 resid = noise_matrix(
                     seed, rows, grid.m, z0.shape[1], label=LABEL_RESIDUAL, start=off
                 )
-                if kinetic:
-                    z_ref = exact_ou_endpoint_uld(potential, gamma, z0, xi, eta, resid)
-                else:
-                    z_ref = exact_ou_endpoint_ld(potential, z0, xi, eta, resid)
+                z_ref = reference(z0, xi, resid)
                 # (x, p) defects; p is empty for overdamped schemes, so its sums are 0
                 delta = s.advance(potential, grid, schedule, gamma, z0, xi) - z_ref
                 deltas.append((delta[:, :d], delta[:, d:]))

@@ -28,9 +28,12 @@ grid, increments √η·ξ_i):
   potentials, coupled to the same increments: each cell draws from the exact
   conditional law given the cell's Brownian increment (conditional mean from
   the cross-covariance, plus an independent residual supplied by the caller;
-  ``ou_cell_ld`` / ``ou_cell_uld`` give one cell).  The cells are composed
-  one by one, keeping only the current state.  Marginally exact, and
-  synchronously coupled to any scheme sharing the ξ array.
+  ``ou_cell_ld`` / ``ou_cell_uld`` give one cell).  The overdamped endpoint
+  composes the cells one by one in the eigenbasis; the kinetic one applies
+  the n-cell composition as one affine map of (z₀, ξ, residual)
+  (``ou_endpoint_map_uld``, built from powers of the cell propagator), two
+  BLAS products per batch.  Marginally exact, and synchronously coupled to
+  any scheme sharing the ξ array.
 
 Batch convention: states are (B, d), per-step increments (B, m, d), full
 horizons (B, N·m, d); single paths pass B = 1.  Trajectory node arrays have
@@ -80,6 +83,8 @@ __all__ = [
     "ou_cell_ld",
     "ou_cell_uld",
     "exact_ou_endpoint_ld",
+    "OuEndpointMap",
+    "ou_endpoint_map_uld",
     "exact_ou_endpoint_uld",
 ]
 
@@ -201,9 +206,10 @@ def step_mlmc(
 
 def _node_noise(K: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Left-endpoint sums Σ_{j<n} K[n,j]·ξ_j: (B, m, d, …) → (B, K.shape[0], d, …)."""
-    cells = np.moveaxis(xi, 1, 0)
-    flat = K @ cells.reshape(cells.shape[0], -1)  # one BLAS product
-    return np.moveaxis(flat.reshape(K.shape[0], *cells.shape[1:]), 0, 1)
+    # one (rows × m)·(m × d…) product per path, on ξ in place: cells stay on
+    # axis 1, so no transposed copy of the window is made
+    flat = K @ xi.reshape(*xi.shape[:2], -1)
+    return flat.reshape(xi.shape[0], K.shape[0], *xi.shape[2:])
 
 
 def step_ulmc(
@@ -628,7 +634,11 @@ def exact_ou_endpoint_ld(
     ``residual`` supplies one independent standard normal d-vector per cell
     (same shape as ξ, (B, n, d)).  Composes :func:`ou_cell_ld` cell by cell,
     keeping only the current state, and returns the state (B, d) after the
-    n cells: it has the exact transition law.
+    n cells: it has the exact transition law.  The loop stays (unlike the
+    kinetic endpoint's affine map): a cell costs d elementwise products in
+    the eigenbasis, the acceptance suite never calls it, and the
+    free-dynamics test of the elementary schemes pins its sequential
+    arithmetic bit for bit.
     """
     x0 = _batch(x0, potential.d, "x0")
     xi = _batch_noise(xi, xi.shape[-2], potential.d)
@@ -638,6 +648,68 @@ def exact_ou_endpoint_ld(
     for i in range(xi.shape[1]):
         y = phi * y + mean_coef * (xi[:, i] @ U) + resid_sd * (residual[:, i] @ U)
     return y @ U.T
+
+
+@dataclass(frozen=True)
+class OuEndpointMap:
+    """The n-cell exact kinetic flow as one affine map of (z₀, ξ, residual).
+
+    With the cell propagator Φ, the ξ-coefficient M and the residual root R
+    of :func:`ou_cell_uld`, composing n cells gives
+    z_n = Φⁿz₀ + Σ_i Φ^{n−1−i}(M·ξ_i + R·r_i).  In row form, for a batch,
+    z_n = z₀·(Φⁿ)ᵀ + vec(ξ)·G_ξ + vec(r)·G_r, where block i of ``g_xi``
+    (n·d × 2d) is (Φ^{n−1−i}M)ᵀ and block i of ``g_r`` (n·2d × 2d) is
+    (Φ^{n−1−i}R)ᵀ, matching ξ and r flattened cell-major per path.
+    """
+
+    phi_n: np.ndarray  # (2d, 2d)
+    g_xi: np.ndarray  # (n·d, 2d)
+    g_r: np.ndarray  # (n·2d, 2d)
+
+    def __call__(self, z0: np.ndarray, xi: np.ndarray, residual: np.ndarray) -> np.ndarray:
+        """Stacked state (B, 2d) after the n cells; z₀ may be one row for all paths."""
+        two_d = self.phi_n.shape[0]
+        d = two_d // 2
+        n = self.g_xi.shape[0] // d
+        z0 = _batch(z0, two_d, "z0")
+        xi = _batch_noise(xi, n, d)
+        residual = _batch_noise(residual, n, two_d)
+        return (
+            z0 @ self.phi_n.T
+            + xi.reshape(xi.shape[0], -1) @ self.g_xi
+            + residual.reshape(residual.shape[0], -1) @ self.g_r
+        )
+
+
+def ou_endpoint_map_uld(
+    potential: Potential, gamma: float, eta: float, n: int
+) -> OuEndpointMap:
+    """The exact kinetic flow over n cells of width η as an :class:`OuEndpointMap`.
+
+    One :func:`ou_cell_uld` call, then the powers Φ⁰ … Φⁿ by doubling, about
+    log₂ n stacked products with no per-cell loop, stacked against M and R:
+    O(n·d³) once.  Applying the map costs two BLAS products, (B × n·d) by
+    (n·d × 2d) and (B × 2n·d) by (2n·d × 2d).
+    """
+    Phi, mean_coef, resid_half = ou_cell_uld(potential, gamma, eta)
+    # D_k = Φ^k − I for k ≤ n, composed as D_{L+j} = D_L + D_j + D_L·D_j so
+    # rounding scales with ‖D_k‖ ≈ kη‖A‖, not with ‖Φ^k‖ ≈ 1
+    eye = np.eye(Phi.shape[0])
+    dev = np.zeros((n + 1, *Phi.shape))
+    filled, step = 1, Phi - eye  # step = D_filled
+    while filled <= n:
+        take = min(filled, n + 1 - filled)
+        head = dev[:take]
+        dev[filled : filled + take] = step + head + step @ head
+        filled += take
+        step = 2.0 * step + step @ step
+    phi_n = eye + dev[n]
+    late_first = dev[:n][::-1].transpose(0, 2, 1)  # D_{n−1−i}ᵀ for cell i
+    return OuEndpointMap(
+        phi_n=phi_n,
+        g_xi=(mean_coef.T + mean_coef.T @ late_first).reshape(-1, Phi.shape[0]),
+        g_r=(resid_half.T + resid_half.T @ late_first).reshape(-1, Phi.shape[0]),
+    )
 
 
 def exact_ou_endpoint_uld(
@@ -650,16 +722,14 @@ def exact_ou_endpoint_uld(
 ) -> np.ndarray:
     """Exact kinetic flow for quadratic V after n cells, coupled to ξ.
 
-    ``z0`` stacks (x, p), shape (B, 2d); ``residual`` supplies one independent
-    standard normal 2d-vector per cell, shape (B, n, 2d).  Composes
-    :func:`ou_cell_uld` cell by cell, keeping only the current state, and
-    returns the stacked state (B, 2d) after the n cells.
+    ``z0`` stacks (x, p), shape (B, 2d) or one row for every path;
+    ``residual`` supplies one independent standard normal 2d-vector per cell,
+    shape (B, n, 2d).  Returns the stacked state (B, 2d) after the n cells,
+    z_n = Φⁿz₀ + Σ_i Φ^{n−1−i}(M·ξ_i + R·r_i) with (Φ, M, R) from
+    :func:`ou_cell_uld`: :func:`ou_endpoint_map_uld` builds the map (one cell
+    transition and about log₂ n stacked products) and applying it is two
+    BLAS products on the flattened window.  It agrees with composing the
+    cells one by one to 1e-12 (tested up to n = 4096).
     """
-    d = potential.d
-    z = _batch(z0, 2 * d, "z0")
-    xi = _batch_noise(xi, xi.shape[-2], d)
-    residual = _batch_noise(residual, xi.shape[1], 2 * d)
-    Phi, mean_coef, resid_half = ou_cell_uld(potential, gamma, eta)
-    for i in range(xi.shape[1]):
-        z = z @ Phi.T + xi[:, i] @ mean_coef.T + residual[:, i] @ resid_half.T
-    return z
+    n = np.shape(xi)[-2]
+    return ou_endpoint_map_uld(potential, gamma, eta, n)(z0, xi, residual)

@@ -84,6 +84,12 @@ def test_renyi_rejects_low_orders():
         estimate_renyi(w, 0.5)
 
 
+@pytest.mark.parametrize("q", [np.inf, np.nan])
+def test_renyi_rejects_non_finite_orders(q):
+    with pytest.raises(ValueError, match="finite"):
+        estimate_renyi(np.zeros(10), q)
+
+
 def test_renyi_continuity_and_monotonicity():
     a, n = 0.1, 20000
     logw = _martingale_log_weights(a, n, seed=31)

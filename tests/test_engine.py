@@ -7,6 +7,7 @@ import pytest
 
 import girsanovlab.engine as engine
 import girsanovlab.girsanov as girsanov
+import girsanovlab.integrators as integrators
 import girsanovlab.paths as gp
 from girsanovlab.divergences import local_error_sweep
 from girsanovlab.engine import (
@@ -138,6 +139,23 @@ def test_local_error_sweep_reads_one_window_at_a_time(monkeypatch):
     assert max(rows) <= WINDOW_PATHS
     # per grid: start states, then increments and residuals of two replicas
     assert sum(rows) == len(grids) * 5 * n
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_local_error_sweep_builds_the_kinetic_reference_once_per_grid(monkeypatch, threads):
+    # three windows of two replicas each share one exact-flow map per grid
+    calls = []
+    cell = integrators.ou_cell_uld
+
+    def counted(*args):
+        calls.append(args)
+        return cell(*args)
+
+    monkeypatch.setattr(integrators, "ou_cell_uld", counted)
+    grids = [TimeGrid(h, 1, 4) for h in (0.25, 0.125)]
+    local_error_sweep("dmulmc", IsotropicQuadratic(2), grids, gamma=1.0,
+                      n_paths=2 * WINDOW_PATHS + 40, seed=3, threads=threads)
+    assert len(calls) == len(grids)
 
 
 def test_run_weights_needs_a_path():

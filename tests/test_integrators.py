@@ -10,6 +10,7 @@ from girsanovlab.integrators import (
     StepSizeError,
     TrajectoryBlowupError,
     UnsupportedPotentialError,
+    _node_noise,
     exact_ou_endpoint_ld,
     exact_ou_endpoint_uld,
     ou_cell_ld,
@@ -340,6 +341,23 @@ def test_blowup_error_names_the_step():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "shape, cells",
+    [((5, 16, 2), slice(None)), ((5, 16, 2, 3), slice(None)), ((5, 48, 2), slice(16, 32))],
+    ids=["paths", "tangents", "step-slice"],
+)
+def test_node_noise_matches_einsum(shape, cells):
+    # the per-path product against the contraction it stands for, on a whole
+    # window, on tangent axes after d, and on the strided step slice
+    # xi[:, k*m:(k+1)*m] that the marginal simulator passes
+    rng = np.random.default_rng(4)
+    K = StepKernels.build(1.1, 0.4, 16).K2
+    xi = rng.standard_normal(shape)[:, cells]
+    out = _node_noise(K, xi)
+    assert out.shape == (shape[0], K.shape[0], *shape[2:])
+    np.testing.assert_allclose(out, np.einsum("nj,bj...->bn...", K, xi), rtol=0, atol=1e-14)
+
+
 def _e2_closed(gamma, t):
     return (1.0 - math.exp(-gamma * t)) / gamma
 
@@ -523,7 +541,7 @@ def test_exact_kinetic_flow_deterministic_part():
         z = Phi @ z
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 513])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 513, 4096])
 def test_exact_ou_endpoints_match_cell_composition(n):
     # the endpoints reproduce n compositions of the single-cell maps
     pot = AnisotropicQuadratic((0.5, 1.0, 2.5))
@@ -537,6 +555,19 @@ def test_exact_ou_endpoints_match_cell_composition(n):
     uld = exact_ou_endpoint_uld(pot, gamma, z0, xi, eta, residual)
     oracle_uld = ou_nodes_uld(pot, gamma, z0, xi, eta, residual)[:, -1]
     np.testing.assert_allclose(uld, oracle_uld, rtol=0, atol=1e-12)
+
+
+def test_exact_kinetic_endpoint_broadcasts_one_start_row():
+    # one z0 row drives a batch of noise rows, as in the cell composition
+    pot = AnisotropicQuadratic((0.5, 2.5))
+    gamma, eta, B, n = 0.8, 0.01, 5, 33
+    z0 = np.array([0.3, -1.2, 0.7, 0.1])
+    xi = noise_matrix(8, B, n, 2)
+    residual = noise_matrix(8, B, n, 4, label=LABEL_RESIDUAL)
+    end = exact_ou_endpoint_uld(pot, gamma, z0, xi, eta, residual)
+    assert end.shape == (B, 4)
+    oracle = ou_nodes_uld(pot, gamma, np.tile(z0, (B, 1)), xi, eta, residual)[:, -1]
+    np.testing.assert_allclose(end, oracle, rtol=0, atol=1e-12)
 
 
 def test_exact_flows_require_quadratic_potentials():
