@@ -13,7 +13,6 @@ from .acceptance import (
     DEFAULT_SEED,
     AcceptanceSuite,
     CriterionResult,
-    run_acceptance,
 )
 from .affine import (
     quadratic_path_kl,
@@ -67,8 +66,6 @@ from .girsanov import (
 from .integrators import (
     OverdampedTrajectory,
     UnderdampedTrajectory,
-    exact_ou_endpoint_ld,
-    exact_ou_endpoint_uld,
     simulate_dmulmc,
     simulate_mlmc,
     simulate_ulmc,
@@ -132,8 +129,6 @@ __all__ = [
     "drift_ulmc",
     "estimate_kl",
     "estimate_renyi",
-    "exact_ou_endpoint_ld",
-    "exact_ou_endpoint_uld",
     "fit_loglog_slope",
     "gaussian_kl",
     "generic_log_weights",
@@ -147,7 +142,6 @@ __all__ = [
     "quadratic_path_kl",
     "refine_noise",
     "run",
-    "run_acceptance",
     "run_experiment",
     "run_weights",
     "scheme_for",

@@ -449,8 +449,3 @@ gamma = 1.0
             out.append(getattr(self, f"criterion_{i}")())
         return out
 
-
-def run_acceptance(seed: int = DEFAULT_SEED, threads: int = 1,
-                   only: tuple[int, ...] | None = None) -> list[CriterionResult]:
-    """Run the acceptance criteria and return one result per criterion."""
-    return AcceptanceSuite(seed=seed, threads=threads).run(only)

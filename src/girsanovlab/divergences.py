@@ -272,14 +272,13 @@ def local_error_sweep(
     increments, so the target must be quadratic.  Only step endpoints enter
     the errors: the scheme's comes from :meth:`~girsanovlab.engine.Scheme.advance`
     (for DM-ULMC the closed-form marginal update, with no inner fixed point
-    and so no step-size check of its own) and the reference's from
-    :func:`~girsanovlab.integrators.exact_ou_endpoint_ld` or, for kinetic
-    schemes, the affine map of
-    :func:`~girsanovlab.integrators.ou_endpoint_map_uld`, built once per grid
-    before its windows run and shared by every window and both replicas
-    (tested).  Start states come
-    from :func:`~girsanovlab.engine.start_states` with the default
-    (stationary) law.  Strong errors use replica 1 only; weak errors pair two
+    and so no step-size check of its own) and the reference's from the
+    affine map of :func:`~girsanovlab.integrators.ou_endpoint_map` (the
+    overdamped flow for EM-LD and M-LMC, the kinetic one for ULMC and
+    DM-ULMC), built once per grid before its windows run and shared by every
+    window and both replicas (tested).  Start states come from
+    :func:`~girsanovlab.engine.start_states` with the default (stationary)
+    law.  Strong errors use replica 1 only; weak errors pair two
     replicas sharing the start state.  Deterministic midpoint schedules are
     used throughout, and paths are processed in windows of
     :data:`~girsanovlab.engine.WINDOW_PATHS` by
@@ -289,7 +288,7 @@ def local_error_sweep(
     does not depend on ``threads`` (tested).
     """
     # looked up at call time, so wrappers installed on these modules see the calls
-    from .integrators import exact_ou_endpoint_ld, ou_endpoint_map_uld
+    from .integrators import ou_endpoint_map
     from .paths import noise_matrix
 
     s = scheme_for(scheme)
@@ -311,11 +310,7 @@ def local_error_sweep(
             raise ValueError("local_error_sweep expects single-step grids (N = 1)")
         eta = grid.h / grid.m
         schedule = s.schedule(grid)
-        if kinetic:
-            reference = ou_endpoint_map_uld(potential, gamma, eta, grid.m)
-        else:
-            def reference(z0, xi, resid):
-                return exact_ou_endpoint_ld(potential, z0, xi, eta, resid)
+        reference = ou_endpoint_map(potential, gamma if kinetic else None, eta, grid.m)
         sx = np.empty(n_paths)
         sp = np.empty(n_paths)
         wx = np.empty(n_paths)

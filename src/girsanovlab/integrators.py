@@ -23,17 +23,16 @@ grid, increments √η·ξ_i):
   marginal update (the multipliers solve the constraints by construction,
   tested to 1e-12), so iteration only refines interior nodes; the weights
   need those nodes, a local error does not.
-* ``exact_ou_endpoint_ld`` / ``exact_ou_endpoint_uld`` — the horizon state of
-  the exact Gaussian transitions of the continuous dynamics for quadratic
-  potentials, coupled to the same increments: each cell draws from the exact
-  conditional law given the cell's Brownian increment (conditional mean from
-  the cross-covariance, plus an independent residual supplied by the caller;
-  ``ou_cell_ld`` / ``ou_cell_uld`` give one cell).  The overdamped endpoint
-  composes the cells one by one in the eigenbasis; the kinetic one applies
-  the n-cell composition as one affine map of (z₀, ξ, residual)
-  (``ou_endpoint_map_uld``, built from powers of the cell propagator), two
-  BLAS products per batch.  Marginally exact, and synchronously coupled to
-  any scheme sharing the ξ array.
+* ``ou_endpoint_map`` — the horizon state of the exact Gaussian transitions
+  of the continuous dynamics for quadratic potentials, coupled to the same
+  increments: each cell draws from the exact conditional law given the
+  cell's Brownian increment (conditional mean from the cross-covariance,
+  plus an independent residual supplied by the caller; ``ou_cell_ld`` /
+  ``ou_cell_uld`` give one cell as matrices (Φ, M, R)).  One doubling
+  composition of the cell turns n cells into one affine map of
+  (z₀, ξ, residual), for the overdamped state x and the kinetic (x, p)
+  alike; applying it is two BLAS products per batch.  Marginally exact, and
+  synchronously coupled to any scheme sharing the ξ array.
 
 Batch convention: states are (B, d), per-step increments (B, m, d), full
 horizons (B, N·m, d); single paths pass B = 1.  Trajectory node arrays have
@@ -82,10 +81,8 @@ __all__ = [
     "simulate_dmulmc_marginal",
     "ou_cell_ld",
     "ou_cell_uld",
-    "exact_ou_endpoint_ld",
     "OuEndpointMap",
-    "ou_endpoint_map_uld",
-    "exact_ou_endpoint_uld",
+    "ou_endpoint_map",
 ]
 
 #: Contraction margin for the implicit interpolation: require h·√β ≤ this.
@@ -564,10 +561,11 @@ def _require_quadratic(potential: Potential) -> np.ndarray:
 def ou_cell_ld(potential: Potential, eta: float):
     """Per-cell transition of dX = −HX dt + √2 dB over one inner cell.
 
-    Returns (U, phi, mean_coef, resid_sd): eigenvectors of H and, per
-    eigenvalue, the decay factor e^{−λη}, the coefficient of ξ in the
-    conditional mean given the cell increment, and the residual standard
-    deviation.  All elementwise in the eigenbasis.
+    Returns (Phi, mean_coef, resid_half), each d×d and shaped as
+    :func:`ou_cell_uld` returns them: the cell propagator e^{−Hη}, the matrix
+    multiplying ξ in the conditional mean given the cell increment, and a
+    symmetric square root of the residual covariance.  Each is U·diag(·)·Uᵀ of
+    a per-eigenvalue formula in the eigenbasis U of H.
     """
     H = _require_quadratic(potential)
     lam, U = eigh(H)
@@ -575,11 +573,10 @@ def ou_cell_ld(potential: Potential, eta: float):
     # S = ∫₀^η e^{−λu}du and C = 2∫₀^η e^{−2λu}du, stable as λ→0.
     s = eta * np.where(w == 0.0, 1.0, -np.expm1(-w) / np.where(w == 0.0, 1.0, w))
     cvar = eta * np.where(w == 0.0, 2.0, -np.expm1(-2 * w) / np.where(w == 0.0, 1.0, w))
-    phi = np.exp(-w)
     # noise = √2·S·ΔB/η + residual; ΔB = √η ξ ⟹ ξ-coefficient √2 s/√η.
     mean_coef = np.sqrt(2.0) * s / np.sqrt(eta)
-    resid_var = np.clip(cvar - 2.0 * s**2 / eta, 0.0, None)
-    return U, phi, mean_coef, np.sqrt(resid_var)
+    resid_sd = np.sqrt(np.clip(cvar - 2.0 * s**2 / eta, 0.0, None))
+    return tuple((U * v) @ U.T for v in (np.exp(-w), mean_coef, resid_sd))
 
 
 def ou_cell_uld(potential: Potential, gamma: float, eta: float):
@@ -622,76 +619,57 @@ def ou_cell_uld(potential: Potential, gamma: float, eta: float):
     return Phi, mean_coef, resid_half
 
 
-def exact_ou_endpoint_ld(
-    potential: Potential,
-    x0: np.ndarray,
-    xi: np.ndarray,
-    eta: float,
-    residual: np.ndarray,
-) -> np.ndarray:
-    """Exact overdamped flow for quadratic V after n cells, coupled to ξ.
-
-    ``residual`` supplies one independent standard normal d-vector per cell
-    (same shape as ξ, (B, n, d)).  Composes :func:`ou_cell_ld` cell by cell,
-    keeping only the current state, and returns the state (B, d) after the
-    n cells: it has the exact transition law.  The loop stays (unlike the
-    kinetic endpoint's affine map): a cell costs d elementwise products in
-    the eigenbasis, the acceptance suite never calls it, and the
-    free-dynamics test of the elementary schemes pins its sequential
-    arithmetic bit for bit.
-    """
-    x0 = _batch(x0, potential.d, "x0")
-    xi = _batch_noise(xi, xi.shape[-2], potential.d)
-    residual = _batch_noise(residual, xi.shape[1], potential.d)
-    U, phi, mean_coef, resid_sd = ou_cell_ld(potential, eta)
-    y = x0 @ U  # eigen coordinates (rows)
-    for i in range(xi.shape[1]):
-        y = phi * y + mean_coef * (xi[:, i] @ U) + resid_sd * (residual[:, i] @ U)
-    return y @ U.T
-
-
 @dataclass(frozen=True)
 class OuEndpointMap:
-    """The n-cell exact kinetic flow as one affine map of (z₀, ξ, residual).
+    """The n-cell exact flow as one affine map of (z₀, ξ, residual).
 
-    With the cell propagator Φ, the ξ-coefficient M and the residual root R
-    of :func:`ou_cell_uld`, composing n cells gives
+    The state z is x (z = d) for the overdamped dynamics and the stacked
+    (x, p) (z = 2d) for the kinetic one.  With the cell propagator Φ, the
+    ξ-coefficient M and the residual root R of :func:`ou_cell_ld` or
+    :func:`ou_cell_uld`, composing n cells gives
     z_n = Φⁿz₀ + Σ_i Φ^{n−1−i}(M·ξ_i + R·r_i).  In row form, for a batch,
     z_n = z₀·(Φⁿ)ᵀ + vec(ξ)·G_ξ + vec(r)·G_r, where block i of ``g_xi``
-    (n·d × 2d) is (Φ^{n−1−i}M)ᵀ and block i of ``g_r`` (n·2d × 2d) is
+    (n, d, z) is (Φ^{n−1−i}M)ᵀ and block i of ``g_r`` (n, z, z) is
     (Φ^{n−1−i}R)ᵀ, matching ξ and r flattened cell-major per path.
     """
 
-    phi_n: np.ndarray  # (2d, 2d)
-    g_xi: np.ndarray  # (n·d, 2d)
-    g_r: np.ndarray  # (n·2d, 2d)
+    phi_n: np.ndarray  # (z, z)
+    g_xi: np.ndarray  # (n, d, z)
+    g_r: np.ndarray  # (n, z, z)
 
     def __call__(self, z0: np.ndarray, xi: np.ndarray, residual: np.ndarray) -> np.ndarray:
-        """Stacked state (B, 2d) after the n cells; z₀ may be one row for all paths."""
-        two_d = self.phi_n.shape[0]
-        d = two_d // 2
-        n = self.g_xi.shape[0] // d
-        z0 = _batch(z0, two_d, "z0")
+        """State (B, z) after the n cells; z₀ may be one row for all paths.
+
+        ``xi`` is (B, n, d) and ``residual`` supplies one independent standard
+        normal z-vector per cell, (B, n, z).
+        """
+        n, d, z = self.g_xi.shape
+        z0 = _batch(z0, z, "z0")
         xi = _batch_noise(xi, n, d)
-        residual = _batch_noise(residual, n, two_d)
+        residual = _batch_noise(residual, n, z)
         return (
             z0 @ self.phi_n.T
-            + xi.reshape(xi.shape[0], -1) @ self.g_xi
-            + residual.reshape(residual.shape[0], -1) @ self.g_r
+            + xi.reshape(xi.shape[0], -1) @ self.g_xi.reshape(-1, z)
+            + residual.reshape(residual.shape[0], -1) @ self.g_r.reshape(-1, z)
         )
 
 
-def ou_endpoint_map_uld(
-    potential: Potential, gamma: float, eta: float, n: int
+def ou_endpoint_map(
+    potential: Potential, gamma: float | None, eta: float, n: int
 ) -> OuEndpointMap:
-    """The exact kinetic flow over n cells of width η as an :class:`OuEndpointMap`.
+    """The exact flow over n cells of width η as an :class:`OuEndpointMap`.
 
-    One :func:`ou_cell_uld` call, then the powers Φ⁰ … Φⁿ by doubling, about
-    log₂ n stacked products with no per-cell loop, stacked against M and R:
-    O(n·d³) once.  Applying the map costs two BLAS products, (B × n·d) by
-    (n·d × 2d) and (B × 2n·d) by (2n·d × 2d).
+    ``gamma=None`` is the overdamped dynamics (cell from :func:`ou_cell_ld`),
+    a friction the kinetic one (cell from :func:`ou_cell_uld`).  One cell
+    build, then the powers Φ⁰ … Φⁿ by doubling, about log₂ n stacked products
+    with no per-cell loop, stacked against M and R: O(n·z³) once.  Applying
+    the map costs two BLAS products, (B × n·d) by (n·d × z) and (B × n·z) by
+    (n·z × z).  It agrees with composing the cells one by one to 1e-12
+    (tested up to n = 4096 for both dynamics).
     """
-    Phi, mean_coef, resid_half = ou_cell_uld(potential, gamma, eta)
+    Phi, mean_coef, resid_half = (
+        ou_cell_ld(potential, eta) if gamma is None else ou_cell_uld(potential, gamma, eta)
+    )
     # D_k = Φ^k − I for k ≤ n, composed as D_{L+j} = D_L + D_j + D_L·D_j so
     # rounding scales with ‖D_k‖ ≈ kη‖A‖, not with ‖Φ^k‖ ≈ 1
     eye = np.eye(Phi.shape[0])
@@ -703,33 +681,9 @@ def ou_endpoint_map_uld(
         dev[filled : filled + take] = step + head + step @ head
         filled += take
         step = 2.0 * step + step @ step
-    phi_n = eye + dev[n]
     late_first = dev[:n][::-1].transpose(0, 2, 1)  # D_{n−1−i}ᵀ for cell i
     return OuEndpointMap(
-        phi_n=phi_n,
-        g_xi=(mean_coef.T + mean_coef.T @ late_first).reshape(-1, Phi.shape[0]),
-        g_r=(resid_half.T + resid_half.T @ late_first).reshape(-1, Phi.shape[0]),
+        phi_n=eye + dev[n],
+        g_xi=mean_coef.T + mean_coef.T @ late_first,
+        g_r=resid_half.T + resid_half.T @ late_first,
     )
-
-
-def exact_ou_endpoint_uld(
-    potential: Potential,
-    gamma: float,
-    z0: np.ndarray,
-    xi: np.ndarray,
-    eta: float,
-    residual: np.ndarray,
-) -> np.ndarray:
-    """Exact kinetic flow for quadratic V after n cells, coupled to ξ.
-
-    ``z0`` stacks (x, p), shape (B, 2d) or one row for every path;
-    ``residual`` supplies one independent standard normal 2d-vector per cell,
-    shape (B, n, 2d).  Returns the stacked state (B, 2d) after the n cells,
-    z_n = Φⁿz₀ + Σ_i Φ^{n−1−i}(M·ξ_i + R·r_i) with (Φ, M, R) from
-    :func:`ou_cell_uld`: :func:`ou_endpoint_map_uld` builds the map (one cell
-    transition and about log₂ n stacked products) and applying it is two
-    BLAS products on the flattened window.  It agrees with composing the
-    cells one by one to 1e-12 (tested up to n = 4096).
-    """
-    n = np.shape(xi)[-2]
-    return ou_endpoint_map_uld(potential, gamma, eta, n)(z0, xi, residual)

@@ -51,7 +51,6 @@ __all__ = [
     "OverdampedSchedule",
     "UnderdampedSchedule",
     "NoisePath",
-    "sample_noise",
     "refine_noise",
     "normal_block",
 ]
@@ -263,12 +262,6 @@ class NoisePath:
     @property
     def d(self) -> int:
         return self.xi.shape[-1]
-
-
-def sample_noise(seed: int, stream: int, n_cells: int, d: int) -> NoisePath:
-    """Increments of path ``stream``: one row of :func:`noise_matrix`."""
-    xi = noise_matrix(seed, 1, n_cells, d, start=stream)[0]
-    return NoisePath(xi=xi, seed=int(seed), stream=int(stream), level=0)
 
 
 def noise_matrix(

@@ -326,7 +326,8 @@ def test_package_import_leaves_scipy_stats_unloaded():
 DELETED_NAMES = (
     "rn_log_weight", "skorohod_adjoint", "spectral_radius_estimate", "pinsker_tv_bound",
     "diffusion_marginal_ld", "diffusion_marginal_uld", "exp_integrals",
-    "discrete_sigma_coefficients",
+    "discrete_sigma_coefficients", "exact_ou_endpoint_ld", "exact_ou_endpoint_uld",
+    "ou_endpoint_map_uld", "sample_noise", "run_acceptance",
 )
 
 

@@ -142,18 +142,25 @@ def test_local_error_sweep_reads_one_window_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_local_error_sweep_builds_the_kinetic_reference_once_per_grid(monkeypatch, threads):
-    # three windows of two replicas each share one exact-flow map per grid
+@pytest.mark.parametrize("scheme, cell, gamma", [
+    ("mlmc", "ou_cell_ld", None),
+    ("dmulmc", "ou_cell_uld", 1.0),
+], ids=["mlmc", "dmulmc"])
+def test_local_error_sweep_builds_the_reference_once_per_grid(
+    monkeypatch, scheme, cell, gamma, threads
+):
+    # three windows of two replicas each share one exact-flow map per grid,
+    # for the overdamped and the kinetic reference alike
     calls = []
-    cell = integrators.ou_cell_uld
+    build = getattr(integrators, cell)
 
     def counted(*args):
         calls.append(args)
-        return cell(*args)
+        return build(*args)
 
-    monkeypatch.setattr(integrators, "ou_cell_uld", counted)
+    monkeypatch.setattr(integrators, cell, counted)
     grids = [TimeGrid(h, 1, 4) for h in (0.25, 0.125)]
-    local_error_sweep("dmulmc", IsotropicQuadratic(2), grids, gamma=1.0,
+    local_error_sweep(scheme, IsotropicQuadratic(2), grids, gamma=gamma,
                       n_paths=2 * WINDOW_PATHS + 40, seed=3, threads=threads)
     assert len(calls) == len(grids)
 

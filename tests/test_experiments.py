@@ -1,5 +1,7 @@
 """Experiment internals that the acceptance criteria do not pin."""
 
+import pytest
+
 from girsanovlab.config import load_config
 from girsanovlab.engine import WINDOW_PATHS
 from girsanovlab.experiments import _complexity_row, run_experiment
@@ -65,14 +67,15 @@ T = 0.25
 h = 1/4 1/8 1/16
 m = 4 8 16
 [scheme]
-name = DM-ULMC
-gamma = 1.0
+{scheme}
 """
 
 
-def test_local_error_sweep_is_thread_invariant():
+@pytest.mark.parametrize("scheme", ["name = DM-ULMC\ngamma = 1.0", "name = M-LMC"],
+                         ids=["dmulmc", "mlmc"])
+def test_local_error_sweep_is_thread_invariant(scheme):
     # three windows, the last one partial, so two threads really split them
-    cfg = load_config(LOCAL_ERROR_CONFIG.format(n_paths=2 * WINDOW_PATHS + 40))
+    cfg = load_config(LOCAL_ERROR_CONFIG.format(n_paths=2 * WINDOW_PATHS + 40, scheme=scheme))
     one = run_experiment(cfg, threads=1)
     two = run_experiment(cfg, threads=2)
     assert len(one.rows) == 3

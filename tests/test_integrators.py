@@ -11,10 +11,9 @@ from girsanovlab.integrators import (
     TrajectoryBlowupError,
     UnsupportedPotentialError,
     _node_noise,
-    exact_ou_endpoint_ld,
-    exact_ou_endpoint_uld,
     ou_cell_ld,
     ou_cell_uld,
+    ou_endpoint_map,
     simulate_dmulmc,
     simulate_dmulmc_marginal,
     simulate_mlmc,
@@ -76,20 +75,9 @@ def euler_nodes(potential, x0, xi, eta):
     return np.stack(nodes, axis=1)
 
 
-def ou_nodes_ld(potential, x0, xi, eta, residual):
-    """Cell-by-cell composition of ``ou_cell_ld``; nodes (B, n+1, d)."""
-    U, phi, mean_coef, resid_sd = ou_cell_ld(potential, eta)
-    y = np.atleast_2d(np.asarray(x0, dtype=float)) @ U  # eigen coordinates (rows)
-    nodes = [y]
-    for i in range(xi.shape[1]):
-        y = phi * y + mean_coef * (xi[:, i] @ U) + resid_sd * (residual[:, i] @ U)
-        nodes.append(y)
-    return np.stack(nodes, axis=1) @ U.T
-
-
-def ou_nodes_uld(potential, gamma, z0, xi, eta, residual):
-    """Cell-by-cell composition of ``ou_cell_uld``; stacked (x, p) nodes (B, n+1, 2d)."""
-    Phi, mean_coef, resid_half = ou_cell_uld(potential, gamma, eta)
+def ou_nodes(cell, z0, xi, residual):
+    """Cell-by-cell composition of one cell (Φ, M, R); nodes (B, n+1, z)."""
+    Phi, mean_coef, resid_half = cell
     z = np.atleast_2d(np.asarray(z0, dtype=float))
     nodes = [z]
     for i in range(xi.shape[1]):
@@ -311,7 +299,9 @@ def test_gradient_query_counters():
 
 
 def test_elementary_ld_matches_exact_flow_for_free_dynamics():
-    # with no drift each Euler cell IS the diffusion's cell under the coupling
+    # with no drift each Euler cell IS the diffusion's cell under the coupling;
+    # the map sums the cells in one product, not in Euler's order, so the two
+    # agree to rounding (largest difference 8.9e-16 on states of size ~1)
     pot = IsotropicQuadratic(1, scale=0.0)
     x0 = noise_matrix(5, 256, 1, 1, label=LABEL_INIT)[:, 0]
     for h in (0.25, 0.125):
@@ -320,8 +310,8 @@ def test_elementary_ld_matches_exact_flow_for_free_dynamics():
         residual = noise_matrix(5, 256, grid.m, 1, label=LABEL_RESIDUAL)
         euler = euler_nodes(pot, x0, xi, grid.eta)
         for n in range(1, grid.m + 1):
-            exact = exact_ou_endpoint_ld(pot, x0, xi[:, :n], grid.eta, residual[:, :n])
-            np.testing.assert_array_equal(exact, euler[:, n])
+            exact = ou_endpoint_map(pot, None, grid.eta, n)(x0, xi[:, :n], residual[:, :n])
+            np.testing.assert_allclose(exact, euler[:, n], rtol=0, atol=1e-14)
 
 
 def test_blowup_error_names_the_step():
@@ -468,17 +458,19 @@ def test_exact_overdamped_flow_mean_decay():
     eta = 0.05
     n = 10
     for i in range(n + 1):
-        end = exact_ou_endpoint_ld(pot, np.array([2.0]), np.zeros((1, i, 1)), eta, np.zeros((1, i, 1)))
+        end = ou_endpoint_map(pot, None, eta, i)(
+            np.array([2.0]), np.zeros((1, i, 1)), np.zeros((1, i, 1))
+        )
         assert end[0, 0] == pytest.approx(2.0 * math.exp(-i * eta), rel=1e-13)
 
 
 def test_exact_overdamped_flow_preserves_stationary_variance():
-    # per eigenmode: phi^2/lam + mean_coef^2 + resid^2 == 1/lam
+    # stationary law x ~ N(0, H^{-1}): Phi H^{-1} Phi' + M M' + R R' == H^{-1}
     pot = AnisotropicQuadratic((0.5, 2.0))
-    lam = np.linalg.eigvalsh(np.diag([0.5, 2.0]))
-    _, phi, mean_coef, resid_sd = ou_cell_ld(pot, 0.3)
-    out = phi**2 / lam + mean_coef**2 + resid_sd**2
-    np.testing.assert_allclose(out, 1.0 / lam, rtol=1e-12)
+    Phi, mean_coef, resid_half = ou_cell_ld(pot, 0.3)
+    stat = np.diag([1.0 / 0.5, 1.0 / 2.0])
+    out = Phi @ stat @ Phi.T + mean_coef @ mean_coef.T + resid_half @ resid_half.T
+    np.testing.assert_allclose(out, stat, rtol=1e-12, atol=1e-15)
 
 
 def test_exact_overdamped_flow_free_potential_is_brownian():
@@ -489,7 +481,7 @@ def test_exact_overdamped_flow_free_potential_is_brownian():
     x0 = np.array([[0.0, 1.0], [2.0, -1.0]])
     expect = x0[:, None, :] + np.sqrt(2.0) * brownian_partial_sums(xi, eta)
     for n in range(xi.shape[1] + 1):
-        end = exact_ou_endpoint_ld(pot, x0, xi[:, :n], eta, residual[:, :n])
+        end = ou_endpoint_map(pot, None, eta, n)(x0, xi[:, :n], residual[:, :n])
         np.testing.assert_allclose(end, expect[:, n], rtol=1e-12, atol=1e-13)
 
 
@@ -533,8 +525,8 @@ def test_exact_kinetic_flow_deterministic_part():
     Phi, _, _ = ou_cell_uld(pot, gamma, eta)
     z = np.array([1.0, -0.5])
     for i in range(n + 1):
-        end = exact_ou_endpoint_uld(
-            pot, gamma, np.array([1.0, -0.5]), np.zeros((1, i, 1)), eta, np.zeros((1, i, 2))
+        end = ou_endpoint_map(pot, gamma, eta, i)(
+            np.array([1.0, -0.5]), np.zeros((1, i, 1)), np.zeros((1, i, 2))
         )
         assert end[0, 0] == pytest.approx(z[0], abs=1e-13)
         assert end[0, 1] == pytest.approx(z[1], abs=1e-13)
@@ -549,11 +541,11 @@ def test_exact_ou_endpoints_match_cell_composition(n):
     z0 = noise_matrix(21, B, 1, 2 * d, label=LABEL_INIT)[:, 0]
     xi = noise_matrix(21, B, n, d)
     residual = noise_matrix(21, B, n, 2 * d, label=LABEL_RESIDUAL)
-    ld = exact_ou_endpoint_ld(pot, z0[:, :d], xi, eta, residual[..., :d])
-    oracle_ld = ou_nodes_ld(pot, z0[:, :d], xi, eta, residual[..., :d])[:, -1]
+    ld = ou_endpoint_map(pot, None, eta, n)(z0[:, :d], xi, residual[..., :d])
+    oracle_ld = ou_nodes(ou_cell_ld(pot, eta), z0[:, :d], xi, residual[..., :d])[:, -1]
     np.testing.assert_allclose(ld, oracle_ld, rtol=0, atol=1e-12)
-    uld = exact_ou_endpoint_uld(pot, gamma, z0, xi, eta, residual)
-    oracle_uld = ou_nodes_uld(pot, gamma, z0, xi, eta, residual)[:, -1]
+    uld = ou_endpoint_map(pot, gamma, eta, n)(z0, xi, residual)
+    oracle_uld = ou_nodes(ou_cell_uld(pot, gamma, eta), z0, xi, residual)[:, -1]
     np.testing.assert_allclose(uld, oracle_uld, rtol=0, atol=1e-12)
 
 
@@ -564,20 +556,17 @@ def test_exact_kinetic_endpoint_broadcasts_one_start_row():
     z0 = np.array([0.3, -1.2, 0.7, 0.1])
     xi = noise_matrix(8, B, n, 2)
     residual = noise_matrix(8, B, n, 4, label=LABEL_RESIDUAL)
-    end = exact_ou_endpoint_uld(pot, gamma, z0, xi, eta, residual)
+    end = ou_endpoint_map(pot, gamma, eta, n)(z0, xi, residual)
     assert end.shape == (B, 4)
-    oracle = ou_nodes_uld(pot, gamma, np.tile(z0, (B, 1)), xi, eta, residual)[:, -1]
+    oracle = ou_nodes(ou_cell_uld(pot, gamma, eta), np.tile(z0, (B, 1)), xi, residual)[:, -1]
     np.testing.assert_allclose(end, oracle, rtol=0, atol=1e-12)
 
 
 def test_exact_flows_require_quadratic_potentials():
     pot = PerturbedQuadratic((1.0,), amplitude=0.2, frequency=1.0)
-    with pytest.raises(UnsupportedPotentialError):
-        exact_ou_endpoint_ld(pot, np.array([1.0]), np.zeros((1, 2, 1)), 0.1, np.zeros((1, 2, 1)))
-    with pytest.raises(UnsupportedPotentialError):
-        exact_ou_endpoint_uld(
-            pot, 1.0, np.array([1.0, 0.0]), np.zeros((1, 2, 1)), 0.1, np.zeros((1, 2, 2))
-        )
+    for gamma in (None, 1.0):
+        with pytest.raises(UnsupportedPotentialError):
+            ou_endpoint_map(pot, gamma, 0.1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,12 @@ from girsanovlab.paths import (
     LABEL_INIT,
     LABEL_PATH,
     normal_block,
-    sample_noise,
 )
+
+
+def noise_path(seed: int, stream: int, n_cells: int, d: int) -> NoisePath:
+    """Increments of path ``stream``: one row of ``noise_matrix``."""
+    return NoisePath(noise_matrix(seed, 1, n_cells, d, start=stream)[0], seed, stream)
 
 
 def coarsen_noise(path: NoisePath) -> NoisePath:
@@ -59,12 +63,12 @@ def test_grid_validation():
 
 
 def test_noise_deterministic_and_stream_separated():
-    a = sample_noise(seed=11, stream=3, n_cells=16, d=2)
-    b = sample_noise(seed=11, stream=3, n_cells=16, d=2)
+    a = noise_path(seed=11, stream=3, n_cells=16, d=2)
+    b = noise_path(seed=11, stream=3, n_cells=16, d=2)
     np.testing.assert_array_equal(a.xi, b.xi)
-    c = sample_noise(seed=11, stream=4, n_cells=16, d=2)
+    c = noise_path(seed=11, stream=4, n_cells=16, d=2)
     assert not np.array_equal(a.xi, c.xi)
-    e = sample_noise(seed=12, stream=3, n_cells=16, d=2)
+    e = noise_path(seed=12, stream=3, n_cells=16, d=2)
     assert not np.array_equal(a.xi, e.xi)
 
 
@@ -92,7 +96,7 @@ def test_disjoint_streams_uncorrelated():
 
 
 def test_refine_preserves_coarse_path():
-    path = sample_noise(seed=3, stream=0, n_cells=12, d=3)
+    path = noise_path(seed=3, stream=0, n_cells=12, d=3)
     fine = refine_noise(path)
     assert fine.n_cells == 24
     merged = (fine.xi[0::2] + fine.xi[1::2]) * np.sqrt(0.5)
@@ -100,14 +104,14 @@ def test_refine_preserves_coarse_path():
 
 
 def test_refine_then_coarsen_round_trip():
-    path = sample_noise(seed=4, stream=7, n_cells=8, d=2)
+    path = noise_path(seed=4, stream=7, n_cells=8, d=2)
     back = coarsen_noise(refine_noise(path))
     np.testing.assert_allclose(back.xi, path.xi, rtol=1e-15, atol=1e-15)
     assert back.level == path.level
 
 
 def test_double_refinement_nests():
-    path = sample_noise(seed=5, stream=1, n_cells=4, d=1)
+    path = noise_path(seed=5, stream=1, n_cells=4, d=1)
     f2 = refine_noise(refine_noise(path))
     assert f2.n_cells == 16
     # coarse-graining two levels reproduces the original increments
@@ -119,7 +123,7 @@ def test_double_refinement_nests():
 def test_refined_midpoints_are_standard_normal():
     # children are unit normals: sample variance over many cells within 4 SE
     children = [
-        refine_noise(sample_noise(seed=6, stream=s, n_cells=256, d=1)).xi
+        refine_noise(noise_path(seed=6, stream=s, n_cells=256, d=1)).xi
         for s in range(64)
     ]
     pool = np.concatenate(children).ravel()
@@ -203,7 +207,7 @@ def test_stream_bits_are_pinned():
 
 def test_batched_refinement_matches_per_path():
     # a stacked batch of streams 4095, 4096, 4097 straddles a generation block
-    paths = [sample_noise(seed=8, stream=s, n_cells=6, d=2) for s in (4095, 4096, 4097)]
+    paths = [noise_path(seed=8, stream=s, n_cells=6, d=2) for s in (4095, 4096, 4097)]
     batch = NoisePath(np.stack([p.xi for p in paths]), seed=8, stream=4095)
     fine = refine_noise(refine_noise(batch))
     for b, p in enumerate(paths):
@@ -214,7 +218,7 @@ def test_batched_refinement_matches_per_path():
 
 
 def test_refinement_deterministic_per_level():
-    path = sample_noise(seed=9, stream=2, n_cells=8, d=2)
+    path = noise_path(seed=9, stream=2, n_cells=8, d=2)
     np.testing.assert_array_equal(refine_noise(path).xi, refine_noise(path).xi)
     # bridge draws differ from the path draws themselves
     assert LABEL_BRIDGE != LABEL_PATH
@@ -260,6 +264,6 @@ def test_schedule_refinement_keeps_physical_taus():
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.integers(1, 3))
 def test_refine_round_trip_property(seed, n_cells, d):
-    path = sample_noise(seed=seed, stream=0, n_cells=n_cells, d=d)
+    path = noise_path(seed=seed, stream=0, n_cells=n_cells, d=d)
     merged = coarsen_noise(refine_noise(path))
     np.testing.assert_allclose(merged.xi, path.xi, rtol=1e-14, atol=1e-14)
