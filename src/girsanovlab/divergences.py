@@ -286,6 +286,11 @@ def local_error_sweep(
     ``threads`` > 1 the windows of a grid run on a thread pool, and since
     each window fills only its own slice of the per-path errors, the report
     does not depend on ``threads`` (tested).
+
+    Working set per running window: one replica's noise (ξ and the
+    reference's residual, rows × m × (d + z) normals), drawn, used and freed
+    before the other replica draws, plus the two replicas' (rows, z)
+    defects.  For DM-ULMC no (m+1) × m kernel table is built (tested).
     """
     # looked up at call time, so wrappers installed on these modules see the calls
     from .integrators import ou_endpoint_map
@@ -316,26 +321,25 @@ def local_error_sweep(
         wx = np.empty(n_paths)
         wp = np.empty(n_paths)
 
+        def defect(z0: np.ndarray, off: int) -> np.ndarray:
+            """One replica's (rows, z) endpoint defect; its noise is freed on return."""
+            rows = z0.shape[0]
+            xi = noise_matrix(seed, rows, grid.m, d, label=LABEL_PATH, start=off)
+            resid = noise_matrix(
+                seed, rows, grid.m, z0.shape[1], label=LABEL_RESIDUAL, start=off
+            )
+            z_ref = reference(z0, xi, resid)
+            return s.advance(potential, grid, schedule, gamma, z0, xi) - z_ref
+
         def eval_window(lo: int) -> None:
             hi = min(lo + WINDOW_PATHS, n_paths)
-            rows = hi - lo
-            z0 = start_states(potential, kinetic, seed, rows, start=lo)
-            deltas = []
-            for rep in range(2):
-                off = rep * n_paths + lo
-                xi = noise_matrix(seed, rows, grid.m, d, label=LABEL_PATH, start=off)
-                resid = noise_matrix(
-                    seed, rows, grid.m, z0.shape[1], label=LABEL_RESIDUAL, start=off
-                )
-                z_ref = reference(z0, xi, resid)
-                # (x, p) defects; p is empty for overdamped schemes, so its sums are 0
-                delta = s.advance(potential, grid, schedule, gamma, z0, xi) - z_ref
-                deltas.append((delta[:, :d], delta[:, d:]))
-            (dx1, dp1), (dx2, dp2) = deltas
-            sx[lo:hi] = np.sum(dx1**2, axis=1)
-            sp[lo:hi] = np.sum(dp1**2, axis=1)
-            wx[lo:hi] = np.sum(dx1 * dx2, axis=1)
-            wp[lo:hi] = np.sum(dp1 * dp2, axis=1)
+            z0 = start_states(potential, kinetic, seed, hi - lo, start=lo)
+            d1, d2 = defect(z0, lo), defect(z0, n_paths + lo)
+            # x and p parts; p is empty for overdamped schemes, so its sums are 0
+            sx[lo:hi] = np.sum(d1[:, :d] ** 2, axis=1)
+            sp[lo:hi] = np.sum(d1[:, d:] ** 2, axis=1)
+            wx[lo:hi] = np.sum(d1[:, :d] * d2[:, :d], axis=1)
+            wp[lo:hi] = np.sum(d1[:, d:] * d2[:, d:], axis=1)
 
         map_windows(eval_window, n_paths, threads)
         hs.append(grid.h)

@@ -245,13 +245,15 @@ def _dm_midpoints(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Explicit midpoint states (X⁻, X⁺), the shared start gradient and the end noise.
 
-    The noise rows K₂[r⁻], K₂[r⁺], K₂[m] and K₁[m] contract ξ in one stacked
-    product; the end noise (B, 2, d, …) holds c·K₂[m]·ξ and c·K₁[m]·ξ.
+    The noise rows K₂[r⁻], K₂[r⁺], K₂[m] and K₁[m] come from
+    :meth:`StepKernels.row`, so no (m+1) × m table is built, and contract ξ in
+    one stacked product; the end noise (B, 2, d, …) holds c·K₂[m]·ξ and
+    c·K₁[m]·ξ.
     """
     g0 = grad("start", x0)
     c = np.sqrt(2.0 * kern.gamma * kern.eta)
     m = kern.m
-    rows = np.stack([kern.K2[r_minus], kern.K2[r_plus], kern.K2[m], kern.K1[m]])
+    rows = np.stack([kern.row(2, r_minus), kern.row(2, r_plus), kern.row(2, m), kern.row(1, m)])
     noise = c * _node_noise(rows, xi)  # (B, 4, d, …)
     x_minus, x_plus = (
         x0 + kern.e2_0[r] * p0 - kern.e3_0[r] * g0 + noise[:, i]

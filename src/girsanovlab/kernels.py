@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -163,15 +163,27 @@ def sigma_coefficients(gamma: float, h: float) -> SigmaCoefficients:
     return SigmaCoefficients(s11, s12, s22, s11 * s22 - s12**2)
 
 
+def _check_m(m) -> None:
+    if isinstance(m, bool) or m < 1 or not float(m).is_integer():
+        raise ValueError(f"m must be a positive integer, got {m}")
+
+
 class StepKernels:
-    """Precomputed kernel tables for one underdamped step of length h = m·η.
+    """Kernels of one underdamped step of length h = m·η.
+
+    The O(m) vectors below are computed on construction.  The (m+1) × m
+    tables K1, K2 are built on first access and then kept; a caller that
+    needs only a few of their rows takes them from :meth:`row`, which is the
+    one formula both use, so a row equals the table's row bit for bit
+    (tested).
 
     Attributes
     ----------
     e1_left, e2_left : (m,) kernels E₁(jη, h), E₂(jη, h) at cell left endpoints
     e1_0, e2_0, e3_0 : (m+1,) kernels E_a(0, nη) at inner nodes
-    K1, K2 : (m+1, m) strictly-causal tables E_a(jη, nη)·1{j<n}; contracting
-        K @ ξ realizes √η-scaled stochastic integrals at every inner node
+    K1, K2 : (m+1, m) strictly-causal tables E_a(jη, nη)·1{j<n}, i.e.
+        ``row(a, range(m+1))``; contracting K @ ξ realizes √η-scaled
+        stochastic integrals at every inner node
     sigma_hat : Gram coefficients σ̂_ab = η Σⱼ E_a(jη,h)·E_b(jη,h) of (e1_left,
         e2_left).  These left-endpoint sums, not the analytic σ, make the
         double-midpoint marginal constraints exact, because every stochastic
@@ -179,8 +191,7 @@ class StepKernels:
     """
 
     def __init__(self, gamma: float, h: float, m: int):
-        if m < 1 or not float(m).is_integer():
-            raise ValueError(f"m must be a positive integer, got {m}")
+        _check_m(m)
         if not (np.isfinite(gamma) and gamma > 0):
             raise ValueError(f"underdamped kernels require gamma > 0, got {gamma}")
         if not (np.isfinite(h) and h > 0):
@@ -190,25 +201,39 @@ class StepKernels:
         self.m = int(m)
         self.eta = self.h / self.m
 
-        nodes = self.eta * np.arange(m + 1)  # nη
-        lefts = nodes[:m]  # jη
+        self._nodes = self.eta * np.arange(self.m + 1)  # nη
+        lefts = self._nodes[: self.m]  # jη
         self.e1_left = e1(gamma, lefts, self.h)
         self.e2_left = e2(gamma, lefts, self.h)
-        self.e1_0 = e1(gamma, 0.0, nodes)
-        self.e2_0 = e2(gamma, 0.0, nodes)
-        self.e3_0 = e3(gamma, 0.0, nodes)
-
-        # E_a(jη, nη) for j < n, zero otherwise (row n, column j).
-        jj, nn = np.meshgrid(lefts, nodes)  # (m+1, m)
-        causal = jj < nn - 0.5 * self.eta
-        dt = np.where(causal, nn - jj, 0.0)
-        self.K1 = np.where(causal, e1(gamma, 0.0, dt), 0.0)
-        self.K2 = np.where(causal, e2(gamma, 0.0, dt), 0.0)
+        self.e1_0 = e1(gamma, 0.0, self._nodes)
+        self.e2_0 = e2(gamma, 0.0, self._nodes)
+        self.e3_0 = e3(gamma, 0.0, self._nodes)
 
         s11 = self.eta * float(self.e1_left @ self.e1_left)
         s12 = self.eta * float(self.e1_left @ self.e2_left)
         s22 = self.eta * float(self.e2_left @ self.e2_left)
         self.sigma_hat = SigmaCoefficients(s11, s12, s22, s11 * s22 - s12**2)
+
+    def row(self, a: int, n) -> np.ndarray:
+        """E_a(jη, nη)·1{j<n} over the cells j = 0..m−1, for a ∈ {1, 2}.
+
+        ``n`` is a node index in 0..m, or an array of them, which gives one
+        row per entry (shape ``n.shape + (m,)``).
+        """
+        kernel = {1: e1, 2: e2}[a]
+        nn = self._nodes[np.asarray(n)][..., None]
+        lefts = self._nodes[: self.m]
+        causal = lefts < nn - 0.5 * self.eta
+        dt = np.where(causal, nn - lefts, 0.0)
+        return np.where(causal, kernel(self.gamma, 0.0, dt), 0.0)
+
+    @cached_property
+    def K1(self) -> np.ndarray:
+        return self.row(1, np.arange(self.m + 1))
+
+    @cached_property
+    def K2(self) -> np.ndarray:
+        return self.row(2, np.arange(self.m + 1))
 
     @staticmethod
     @lru_cache(maxsize=64)
@@ -217,5 +242,7 @@ class StepKernels:
 
     @classmethod
     def build(cls, gamma: float, h: float, m: int) -> "StepKernels":
-        """Memoized constructor (tables are reused heavily across steps)."""
+        """Memoized constructor: a step's kernels, and any table built from
+        them, are shared by every step and window on the same (γ, h, m)."""
+        _check_m(m)
         return cls._cached(float(gamma), float(h), int(m))

@@ -40,6 +40,7 @@ compared across nested inner grids on the *same* underlying Brownian path.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -68,7 +69,11 @@ LABEL_SCHEDULE = 0x5
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Horizon T split into N outer steps, each with m inner cells."""
+    """Horizon T split into N outer steps, each with m inner cells.
+
+    N and m must be integers (Python or numpy); a float, even 4.0, or a bool
+    is rejected, since cell counts size the noise arrays.
+    """
 
     T: float
     N: int
@@ -77,6 +82,10 @@ class TimeGrid:
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError(f"horizon must be positive, got {self.T}")
+        for name in ("N", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.N < 1:
             raise ValueError(f"need at least one outer step, got N={self.N}")
         if self.m < 1:

@@ -1,6 +1,9 @@
 """Engine claims: the affine and generic routes agree, both are bit-identical
-across thread counts, paths are read one window at a time, and the affine
-route never forms a dense block."""
+across thread counts, paths are read one window at a time, the affine route
+never forms a dense block, and a local-error window holds one replica's
+noise at a time."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from girsanovlab.engine import (
     scheme_for,
     start_states,
 )
+from girsanovlab.kernels import StepKernels
 from girsanovlab.paths import (
     BLOCK_PATHS,
     OverdampedSchedule,
@@ -139,6 +143,36 @@ def test_local_error_sweep_reads_one_window_at_a_time(monkeypatch):
     assert max(rows) <= WINDOW_PATHS
     # per grid: start states, then increments and residuals of two replicas
     assert sum(rows) == len(grids) * 5 * n
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_dmulmc_local_error_sweep_builds_no_kernel_table(threads):
+    # the marginal update reads four kernel rows, never the (m+1) × m tables
+    StepKernels._cached.cache_clear()
+    grid = TimeGrid(0.125, 1, 8)
+    local_error_sweep("dmulmc", IsotropicQuadratic(2), [grid], gamma=1.0,
+                      n_paths=2 * WINDOW_PATHS + 40, seed=3, threads=threads)
+    assert StepKernels._cached.cache_info().currsize == 1
+    kern = StepKernels.build(1.0, grid.h, grid.m)
+    assert "K1" not in vars(kern) and "K2" not in vars(kern)
+
+
+def test_local_error_sweep_holds_one_replicas_noise_at_a_time():
+    # one window of a criterion 8 grid: the peak is one replica's ξ (d) and
+    # residual (2d), not both replicas' noise, nor the kernel tables
+    pot = AnisotropicQuadratic((0.5, 1.0))
+    rows, m, d = WINDOW_PATHS, 512, pot.d
+    noise_bytes = rows * m * 3 * d * 8
+    local_error_sweep("dmulmc", pot, [TimeGrid(1 / 32, 1, 4)], gamma=1.0, n_paths=8,
+                      seed=1)  # first calls load what they lazily import
+    tracemalloc.start()
+    try:
+        local_error_sweep("dmulmc", pot, [TimeGrid(1 / 32, 1, m)], gamma=1.0,
+                          n_paths=rows, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * noise_bytes + 2**20
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -186,6 +186,33 @@ def test_sigma_coefficients_positive_definite_across_scales():
     assert sig.s12 * x1 + sig.s22 * x2 == pytest.approx(b2[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1, 3, 64, 512])
+@pytest.mark.parametrize("gamma, h", [(1.0, 0.25), (0.3, 1 / 32), (7.5, 2.0)])
+def test_kernel_rows_are_the_table_rows(gamma, h, m):
+    # one formula: a row on demand is the table's row bit for bit, alone or
+    # as a stack of indices; the kernels come fresh, so the rows are computed
+    # before any table exists
+    kern = StepKernels(gamma, h, m)
+    r = m // 2
+    rows = {a: [kern.row(a, n) for n in (0, 1, r, m)] for a in (1, 2)}
+    stacked = {a: kern.row(a, [0, 1, r, m]) for a in (1, 2)}
+    assert "K1" not in vars(kern) and "K2" not in vars(kern)
+    for a, table in ((1, kern.K1), (2, kern.K2)):
+        assert table.shape == (m + 1, m)
+        for n, row in zip((0, 1, r, m), rows[a]):
+            np.testing.assert_array_equal(row, table[n])
+        np.testing.assert_array_equal(stacked[a], table[[0, 1, r, m]])
+        assert not np.any(np.triu(table[:m]))  # strictly causal: j < n only
+
+
+@pytest.mark.parametrize("make", [StepKernels, StepKernels.build], ids=["init", "build"])
+@pytest.mark.parametrize("m", [2.5, 0, True])
+def test_step_kernels_reject_a_non_integer_m(make, m):
+    # build checks m before its int() cast, so 2.5 cannot become m = 2
+    with pytest.raises(ValueError, match="positive integer"):
+        make(1.0, 0.5, m)
+
+
 def test_discrete_sigma_converges_to_analytic():
     gamma, h = 1.3, 0.5
     exact = sigma_coefficients(gamma, h)

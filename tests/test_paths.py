@@ -62,6 +62,20 @@ def test_grid_validation():
         TimeGrid(1.0, 2, 0)
 
 
+@pytest.mark.parametrize("N, m", [(2.5, 4), (2, 2.5), (4.0, 2), (True, 4), (2, True),
+                                  (2, np.bool_(True))])
+def test_grid_rejects_non_integer_counts(N, m):
+    # a float count would reach the noise arrays' shapes as n_cells = 10.0
+    with pytest.raises(ValueError, match="must be an integer"):
+        TimeGrid(1.0, N, m)
+
+
+def test_grid_accepts_numpy_integer_counts():
+    grid = TimeGrid(1.0, np.int64(2), np.int32(4))
+    assert grid == TimeGrid(1.0, 2, 4)
+    assert grid.n_cells == 8
+
+
 def test_noise_deterministic_and_stream_separated():
     a = noise_path(seed=11, stream=3, n_cells=16, d=2)
     b = noise_path(seed=11, stream=3, n_cells=16, d=2)
