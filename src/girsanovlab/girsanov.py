@@ -57,7 +57,10 @@ low-rank anticipating part that yields all three from its factors
 
 The power iterate is the same 20 normalised steps from the same start vector
 as on the dense block, through an O(m·d²) matrix-vector product (overdamped,
-frozen-gradient) or inside the range of U (double midpoint).  Both weight
+frozen-gradient) or inside the range of U (double midpoint).  The overdamped
+and double-midpoint summaries and the tangent rules evaluate ∇²V one step at
+a time, so their working set is one step's (B, m, d, d) Hessians and
+factors whatever N is.  Both weight
 routes use these evaluators: the generic route per path, the affine route
 once per distinct step on a zero path.  The dense blocks serve the
 finite-difference checks and trace diagnostics, and their summary
@@ -301,26 +304,33 @@ def _start_tangents(dz0, H_start: np.ndarray, z: int, dirs: np.ndarray):
     return dz0, H_start
 
 
+def _step_hessians(potential: Potential, traj, k: int) -> np.ndarray:
+    """∇²V at the m left nodes of step k, (B, m, d, d): one step's node Hessians."""
+    m = traj.grid.m
+    return potential.hessian(traj.x[:, k * m : (k + 1) * m])
+
+
 def tangents_mlmc(potential: Potential, traj: OverdampedTrajectory):
     """Step tangent rule of :func:`malliavin_blocks_mlmc`: (Dψ (B, m·d, U), DX_h (B, d, U)).
 
     :func:`~girsanovlab.integrators.step_mlmc` run on the tangents with
     grad = ∇²V·DX at the path's points, then
-    Dψ_i = √(η/2)·(∇²V(X̂_i)·DX̂_i − ∇²V(X⁺)·DX⁺).
+    Dψ_i = √(η/2)·(∇²V(X̂_i)·DX̂_i − ∇²V(X⁺)·DX⁺).  ``tangents(k, …)``
+    evaluates step k's Hessians itself, so one step's (B, m, d, d) node
+    Hessians exist at a time, never the whole path's.
     """
-    N, m, eta = traj.grid.N, traj.grid.m, traj.grid.eta
-    H_nodes = potential.hessian(_left_nodes(traj.x, N, m))  # (B, N, m, d, d)
-    H_plus = potential.hessian(traj.x_plus)  # (B, N, d, d)
+    m, eta = traj.grid.m, traj.grid.eta
 
     def tangents(k, dirs, dz0):
+        H_nodes = _step_hessians(potential, traj, k)
         # x_k is cell 0's left node
-        dz0, H_start = _start_tangents(dz0, H_nodes[:, k, 0], traj.x.shape[2], dirs)
-        H = {"start": H_start, "plus": H_plus[:, k]}
+        dz0, H_start = _start_tangents(dz0, H_nodes[:, 0], traj.x.shape[2], dirs)
+        H = {"start": H_start, "plus": potential.hessian(traj.x_plus[:, k])}
         DX, DX_plus = step_mlmc(
             lambda where, X: H[where] @ X, dz0, dirs[None], eta, int(traj.schedule.indices[k])
         )
         HpDXp = H["plus"] @ DX_plus
-        Dpsi = np.sqrt(eta / 2.0) * (H_nodes[:, k] @ DX[:, :m] - HpDXp[:, None])
+        Dpsi = np.sqrt(eta / 2.0) * (H_nodes @ DX[:, :m] - HpDXp[:, None])
         B, U = len(Dpsi), dirs.shape[-1]
         return Dpsi.reshape(B, -1, U), np.broadcast_to(DX[:, m], (B, DX.shape[2], U))
 
@@ -346,20 +356,21 @@ def tangents_ulmc(potential: Potential, traj: UnderdampedTrajectory):
 
     :func:`~girsanovlab.integrators.step_ulmc` run on the tangents with
     grad = ∇²V·DX at the step start, then
-    Dψ_i = √(η/(2γ))·(∇²V(X̂_i)·DX̂_i − ∇²V(x_k)·DX̂_0).
+    Dψ_i = √(η/(2γ))·(∇²V(X̂_i)·DX̂_i − ∇²V(x_k)·DX̂_0).  Step k's node
+    Hessians are evaluated inside ``tangents(k, …)``, one step at a time.
     """
     grid = traj.grid
-    N, m = grid.N, grid.m
+    m = grid.m
     B, d = traj.x.shape[0], traj.x.shape[2]
     kern = StepKernels.build(traj.gamma, grid.h, m)
-    H_nodes = potential.hessian(_left_nodes(traj.x, N, m))
     coef = np.sqrt(grid.eta / (2.0 * traj.gamma))
 
     def tangents(k, dirs, dz0):
-        dz0, H_start = _start_tangents(dz0, H_nodes[:, k, 0], 2 * d, dirs)
+        H_nodes = _step_hessians(potential, traj, k)
+        dz0, H_start = _start_tangents(dz0, H_nodes[:, 0], 2 * d, dirs)
         H = {"start": H_start}
         DX, DP = step_ulmc(kern, lambda where, X: H[where] @ X, dz0[:, :d], dz0[:, d:], dirs[None])
-        HDX = H_nodes[:, k] @ DX[:, :m]  # cell 0 is the step start
+        HDX = H_nodes @ DX[:, :m]  # cell 0 is the step start
         Dpsi = coef * (HDX - HDX[:, :1])
         Dz_h = np.concatenate([DX[:, m], DP[:, m]], axis=-2)
         return Dpsi.reshape(B, m * d, -1), np.broadcast_to(Dz_h, (B, 2 * d, dirs.shape[-1]))
@@ -390,20 +401,21 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
     step end (x, p).  The tangents are the path's own
     :func:`~girsanovlab.integrators.solve_dmulmc_step` with grad = ∇²V·DX,
     fixed point included, so the implicit dependence of the multipliers is
-    kept.
+    kept.  ``tangents(k, …)`` evaluates step k's node and midpoint Hessians
+    itself: the working set is one step's (B, m, d, d) Hessians plus the
+    sweep's buffers, whatever N is.
     """
     if traj.schedule is None:
         raise ValueError("trajectory carries no interpolation multipliers")
     grid, sched = traj.grid, traj.schedule
     kern = StepKernels.build(traj.gamma, grid.h, grid.m)
     m, d = grid.m, traj.x.shape[2]
-    H_nodes = potential.hessian(_left_nodes(traj.x, grid.N, m))
-    H_minus = potential.hessian(traj.x_minus)
-    H_plus = potential.hessian(traj.x_plus)
 
     def tangents(k, dirs, dz0):
-        dz0, H_start = _start_tangents(dz0, H_nodes[:, k, 0], 2 * d, dirs)
-        H = {"start": H_start, "minus": H_minus[:, k], "plus": H_plus[:, k], "nodes": H_nodes[:, k]}
+        H_nodes = _step_hessians(potential, traj, k)
+        dz0, H_start = _start_tangents(dz0, H_nodes[:, 0], 2 * d, dirs)
+        H = {"start": H_start, "minus": potential.hessian(traj.x_minus[:, k]),
+             "plus": potential.hessian(traj.x_plus[:, k]), "nodes": H_nodes}
         sol = solve_dmulmc_step(
             kern, lambda where, X: H[where] @ X, dz0[:, :d], dz0[:, d:], dirs[None],
             int(sched.indices_minus[k]), int(sched.indices_plus[k]), _DERIV_TOL,
@@ -462,19 +474,21 @@ def _power_start(s: int) -> np.ndarray:
 def _power_norms(matvec, batch: tuple, s: int) -> np.ndarray:
     """‖D·v_{n−1}‖ after n = 20 normalised power steps v_{t+1} = D·v_t/‖D·v_t‖.
 
-    ``matvec`` maps (*batch, s) vectors to their products; every block
-    starts from :func:`_power_start`, and a zero product keeps the previous
-    vector.
+    ``matvec(v, out)`` writes the products of the (*batch, s) vectors ``v``
+    into ``out`` of the same shape; every block starts from
+    :func:`_power_start`, and a zero product keeps the previous vector.  The
+    iterate, the product and the squares of the norm are three buffers,
+    reused by every step.
     """
     v = np.broadcast_to(_power_start(s), (*batch, s)).copy()
-    rho = np.zeros(batch)
+    w = np.empty_like(v)
+    sq = np.empty_like(v)
     for _ in range(_POWER_ITERATIONS):
-        w = matvec(v)
-        nrm = np.linalg.norm(w, axis=-1)
-        rho = nrm
-        safe = np.where(nrm > 0.0, nrm, 1.0)[..., None]
-        v = np.where(nrm[..., None] > 0.0, w / safe, v)
-    return rho
+        matvec(v, w)
+        # np.linalg.norm's own sum, without its temporary
+        nrm = np.sqrt(np.square(w, out=sq).sum(axis=-1))
+        np.divide(w, nrm[..., None], out=v, where=nrm[..., None] > 0.0)
+    return nrm
 
 
 def block_summary_dense(blocks: MalliavinBlocks) -> BlockSummary:
@@ -491,7 +505,9 @@ def block_summary_dense(blocks: MalliavinBlocks) -> BlockSummary:
     B, N, s, _ = blocks.diag.shape
     sign, logabs = np.linalg.slogdet(np.eye(s) + blocks.diag)
     trace = np.trace(blocks.diag, axis1=-2, axis2=-1)
-    rho = _power_norms(lambda v: np.einsum("bnij,bnj->bni", blocks.diag, v), (B, N), s)
+    rho = _power_norms(
+        lambda v, out: np.einsum("bnij,bnj->bni", blocks.diag, v, out=out), (B, N), s
+    )
     return BlockSummary(sign, logabs, trace, rho)
 
 
@@ -500,21 +516,21 @@ def _batched_matvec(H: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (H @ v[..., None])[..., 0]
 
 
-def _mlmc_factors(potential: Potential, traj: OverdampedTrajectory):
-    """Factors of the overdamped midpoint blocks D = L − C·Rᵀ.
+def _mlmc_step_factors(potential: Potential, traj: OverdampedTrajectory, k: int):
+    """Factors of step k's overdamped midpoint block D = L − C·Rᵀ.
 
-    H_i (B, N, m, d, d), H⁺ (B, N, d, d), C_i = η·(iη·H_i·H⁺ + H⁺)
-    (B, N, m, d, d) and the band 1_{j<r_k} (N, m).
+    H_i (B, m, d, d), H⁺ (B, d, d) and C_i = η·(iη·H_i·H⁺ + H⁺) on the band
+    cells i < r_k only, (B, r_k, d, d): C·Rᵀ is zero outside the band.
     """
-    grid = traj.grid
-    N, m, eta = grid.N, grid.m, grid.eta
-    H = potential.hessian(_left_nodes(traj.x, N, m))
-    Hp = potential.hessian(traj.x_plus)
-    r = traj.schedule.indices
-    band = (np.arange(m)[None, :] < r[:, None]).astype(float)
-    i_eta = eta * np.arange(m)
-    C = eta * (i_eta[:, None, None] * (H @ Hp[:, :, None]) + Hp[:, :, None])
-    return H, Hp, C, band
+    eta = traj.grid.eta
+    r = int(traj.schedule.indices[k])
+    H = _step_hessians(potential, traj, k)
+    Hp = potential.hessian(traj.x_plus[:, k])
+    C = H[:, :r] @ Hp[:, None]
+    C *= eta * np.arange(r)[:, None, None]
+    C += Hp[:, None]
+    C *= eta
+    return H, Hp, C
 
 
 def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.ndarray:
@@ -524,14 +540,19 @@ def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.nd
     block-triangular, so tr(L²) = 0 and
     tr(D²) = tr((Σ_{i<r} C_i)²) − 2·tr(Σ_{j<r} η·H_j·Σ_{i<j} C_i).
     Cost O(m·d³) per step; agrees with the trace of the dense blocks' square
-    to 1e-12 (tested).
+    to 1e-12 (tested).  Steps are taken one at a time: the working set is
+    one step's factors, (B, m + 2·r_k, d, d), whatever N is.
     """
-    H, _, C, band = _mlmc_factors(potential, traj)
-    before = np.zeros_like(C)  # Σ_{i<j} C_i
-    np.cumsum(C[:, :, :-1], axis=2, out=before[:, :, 1:])
-    banded = np.einsum("nj,bnjac->bnac", band, C)  # Σ_{i<r} C_i
-    cross = np.einsum("nj,bnjac,bnjca->bn", band, H, before)
-    return np.einsum("bnac,bnca->bn", banded, banded) - 2.0 * traj.grid.eta * cross
+    (B, _, d), N = traj.x.shape, traj.grid.N
+    out = np.empty((B, N))
+    for k in range(N):
+        H, _, C = _mlmc_step_factors(potential, traj, k)
+        r = C.shape[1]
+        partial = np.cumsum(C, axis=1)  # Σ_{i≤j} C_i
+        banded = partial[:, -1] if r else np.zeros((B, d, d))  # Σ_{i<r} C_i
+        cross = np.einsum("bjac,bjca->b", H[:, 1:r], partial[:, :-1])
+        out[:, k] = np.einsum("bac,bca->b", banded, banded) - 2.0 * traj.grid.eta * cross
+    return out
 
 
 def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> BlockSummary:
@@ -542,32 +563,38 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
     det(I + D) = det(I_d − Σ_{j<r} Y_j) and tr D = −Σ_{i<r} tr C_i; the
     power iterate uses (D·v)_i = η·H_i·Σ_{j<i} v_j − C_i·Σ_{j<r} v_j.
     Cost O(m·d³) per step instead of O((m·d)³).  At r = 0 (EM-LD) the
-    determinant correction is exactly zero.
+    determinant correction is exactly zero.  Steps are summarised one at a
+    time, each from its own factors (:func:`_mlmc_step_factors`), and the
+    power products run in buffers of one step's (B, m·d) vectors: the
+    working set is one step's (B, m + r_k, d, d) factors, whatever N is.
     """
     grid = traj.grid
     N, m, eta = grid.N, grid.m, grid.eta
     B, d = traj.x.shape[0], traj.x.shape[2]
-    H, Hp, C, band = _mlmc_factors(potential, traj)
-    i_eta = eta * np.arange(m)
+    i_eta = eta * np.arange(m)[:, None]
+    sign, logabs, trace, rho = (np.empty((B, N)) for _ in range(4))
+    before = np.zeros((B, m, d))  # Σ_{j<i} v_j; cell 0 stays zero
+    shifted = np.empty((B, m, d))
+    for k in range(N):
+        H, Hp, C = _mlmc_step_factors(potential, traj, k)
+        r = C.shape[1]
+        prefix = np.zeros((B, d, d))  # Σ_{j<i} Y_j, and Σ_{j<r} Y_j once i = r
+        for i in range(r):
+            prefix = prefix + (C[:, i] - eta * (H[:, i] @ prefix))
+        sign[:, k], logabs[:, k] = np.linalg.slogdet(np.eye(d) - prefix)
+        trace[:, k] = -np.einsum("biaa->b", C)
 
-    prefix = np.zeros((B, N, d, d))  # Σ_{j<i} Y_j
-    banded = np.zeros((B, N, d, d))  # Σ_{j<r_k} Y_j
-    for i in range(int(traj.schedule.indices.max(initial=0))):
-        Y = C[:, :, i] - eta * (H[:, :, i] @ prefix)
-        prefix = prefix + Y
-        banded = banded + band[:, i, None, None] * Y
-    sign, logabs = np.linalg.slogdet(np.eye(d) - banded)
-    trace = -np.einsum("ni,bniaa->bn", band, C)
+        def matvec(v: np.ndarray, out: np.ndarray) -> None:
+            V = v.reshape(B, m, d)
+            np.cumsum(V[:, :-1], axis=1, out=before[:, 1:])
+            u = _batched_matvec(Hp, V[:, :r].sum(axis=1))  # H⁺·Σ_{j<r} v_j
+            np.subtract(before, np.multiply(i_eta, u[:, None], out=shifted), out=shifted)
+            w = out.reshape(B, m, d, 1)
+            np.matmul(H, shifted[..., None], out=w)
+            w -= u[:, None, :, None]
+            w *= eta
 
-    def matvec(v: np.ndarray) -> np.ndarray:
-        V = v.reshape(B, N, m, d)
-        before = np.zeros_like(V)  # Σ_{j<i} v_j
-        np.cumsum(V[:, :, :-1], axis=2, out=before[:, :, 1:])
-        u = _batched_matvec(Hp, np.einsum("nj,bnjd->bnd", band, V))  # H⁺·Σ_{j<r} v_j
-        w = _batched_matvec(H, before - i_eta[:, None] * u[:, :, None]) - u[:, :, None]
-        return eta * w.reshape(B, N, m * d)
-
-    rho = _power_norms(matvec, (B, N), m * d)
+        rho[:, k] = _power_norms(matvec, (B,), m * d)
     return BlockSummary(sign, logabs, trace, rho)
 
 
@@ -584,9 +611,9 @@ def block_summary_ulmc(potential: Potential, traj: UnderdampedTrajectory) -> Blo
     K2 = StepKernels.build(traj.gamma, grid.h, m).K2[:m]
     H = potential.hessian(_left_nodes(traj.x, N, m))
 
-    def matvec(v: np.ndarray) -> np.ndarray:
+    def matvec(v: np.ndarray, out: np.ndarray) -> None:
         mixed = np.einsum("ij,bnjd->bnid", K2, v.reshape(B, N, m, d))
-        return eta * _batched_matvec(H, mixed).reshape(B, N, m * d)
+        np.multiply(eta, _batched_matvec(H, mixed).reshape(B, N, m * d), out=out)
 
     rho = _power_norms(matvec, (B, N), m * d)
     return BlockSummary(np.ones((B, N)), np.zeros((B, N)), np.zeros((B, N)), rho)
@@ -600,6 +627,9 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     power start vector v₀, giving Wᵀ·U and Wᵀ·v₀.  Then
     det(I + D) = det(I_{2d} + Wᵀ·U), tr D = tr(Wᵀ·U), and from the first
     product on the power iterate stays in the range of U: D·(U·a) = U·(Wᵀ·U·a).
+    Steps are summarised one at a time, and :func:`tangents_dmulmc` evaluates
+    each step's Hessians itself: the working set is one step's (B, m, d, d)
+    Hessians and the fixed point's (B, m+1, d, 2d+1) buffers, whatever N is.
     """
     tangents = tangents_dmulmc(potential, traj)
     grid = traj.grid

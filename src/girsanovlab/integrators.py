@@ -201,11 +201,15 @@ def step_mlmc(
 # ---------------------------------------------------------------------------
 
 
-def _node_noise(K: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Left-endpoint sums Σ_{j<n} K[n,j]·ξ_j: (B, m, d, …) → (B, K.shape[0], d, …)."""
+def _node_noise(K: np.ndarray, xi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Left-endpoint sums Σ_{j<n} K[n,j]·ξ_j: (B, m, d, …) → (B, K.shape[0], d, …).
+
+    ``out``, a C-contiguous array of the result's shape, receives the sums.
+    """
     # one (rows × m)·(m × d…) product per path, on ξ in place: cells stay on
     # axis 1, so no transposed copy of the window is made
-    flat = K @ xi.reshape(*xi.shape[:2], -1)
+    flat_out = None if out is None else out.reshape(xi.shape[0], K.shape[0], -1)
+    flat = np.matmul(K, xi.reshape(*xi.shape[:2], -1), out=flat_out)
     return flat.reshape(xi.shape[0], K.shape[0], *xi.shape[2:])
 
 
@@ -322,6 +326,17 @@ def solve_dmulmc_step(
     once no entry of X moves by more than ``tol``.  The sweeps contract under
     h·√β ≤ 0.5 (:func:`simulate_dmulmc` checks the bound); StepSizeError if
     they do not converge.
+
+    The sweeps run in place: the iterate alternates between two buffers of
+    its (B, m+1, d, …) shape, G is corrected inside the array ``grad``
+    returns, one more buffer of G's shape holds the E·λ products, and the
+    momentum nodes are formed in the spent iterate's buffer.  So the working
+    set is four node arrays whatever the number of sweeps.  Each entry is
+    rounded as by the out-of-place expressions: G = (g − E₁λ₁) − E₂λ₂,
+    X = base + (−η·K₂G) and P = (E₁p₀ − η·K₁G) + c·K₁ξ.  ``base`` may be
+    unbatched ((1, m+1, d, U) for a tangent batch with a fixed start) while
+    the iterate is (B, m+1, d, U); the first sweep allocates the second
+    buffer at the iterate's shape.
     """
     m, eta = kern.m, kern.eta
     x_minus, x_plus, g0, _ = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
@@ -331,16 +346,22 @@ def solve_dmulmc_step(
     c = np.sqrt(2.0 * kern.gamma * eta)
     base = x0[:, None] + _col(kern.e2_0, x0) * p0[:, None] + c * _node_noise(kern.K2, xi)
     x = base - _col(kern.e3_0, x0) * g0[:, None]  # frozen-gradient path
+    e_lam = spare = None  # the E·λ buffer and the iterate's second buffer
     e1, e2 = _col(kern.e1_left, x0), _col(kern.e2_left, x0)
     for it in range(1, FIXED_POINT_MAX_ITERS + 1):
-        g = grad("nodes", x[:, :m])
-        s1 = eta * np.einsum("j,bj...->b...", kern.e1_left, g)
-        s2 = eta * np.einsum("j,bj...->b...", kern.e2_left, g)
+        g_opt = grad("nodes", x[:, :m])
+        s1 = eta * np.einsum("j,bj...->b...", kern.e1_left, g_opt)
+        s2 = eta * np.einsum("j,bj...->b...", kern.e2_left, g_opt)
         lam1, lam2 = kern.sigma_hat.solve(s1 - gp, s2 - gx)
-        g_opt = g - e1 * lam1[:, None] - e2 * lam2[:, None]
-        x_new = base - eta * _node_noise(kern.K2, g_opt)
-        delta = float(np.max(np.abs(x_new - x)))
-        x = x_new
+        e_lam = np.multiply(e1, lam1[:, None], out=e_lam)
+        g_opt -= e_lam
+        g_opt -= np.multiply(e2, lam2[:, None], out=e_lam)
+        x_new = _node_noise(kern.K2, g_opt, out=spare)
+        x_new *= -eta
+        x_new += base
+        step = np.subtract(x_new, x, out=x if x.shape == x_new.shape else None)
+        delta = float(np.max(np.abs(step, out=step)))
+        x, spare = x_new, step
         if delta <= tol or not np.isfinite(delta):
             break
     if not delta <= tol:
@@ -348,11 +369,10 @@ def solve_dmulmc_step(
             f"implicit interpolation did not converge ({it} sweeps); the step "
             "violates the contraction condition h ~ 1/sqrt(beta)"
         )
-    p_nodes = (
-        _col(kern.e1_0, x0) * p0[:, None]
-        - eta * _node_noise(kern.K1, g_opt)
-        + c * _node_noise(kern.K1, xi)
-    )
+    p_nodes = _node_noise(kern.K1, g_opt, out=spare)
+    p_nodes *= -eta
+    p_nodes += _col(kern.e1_0, x0) * p0[:, None]
+    p_nodes += c * _node_noise(kern.K1, xi)
     return DmStepSolution(
         x_nodes=x,
         p_nodes=p_nodes,

@@ -5,8 +5,11 @@ each block's factors (``block_summary_mlmc/_ulmc/_dmulmc``); these tests hold
 them to ``block_summary_dense`` of the ``malliavin_blocks_*`` reference on a
 non-quadratic target, both read through the one assembly
 ``summary_log_weight``.  The overdamped tr(D_k²) of ``trace_square_mlmc`` is
-held to the dense blocks the same way.
+held to the dense blocks the same way.  The generic-route summaries take one
+step at a time, so their working set does not grow with the step count.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from girsanovlab.potentials import IsotropicQuadratic, PerturbedQuadratic
 
 GRID = TimeGrid(0.5, 3, 8)
 N_PATHS = 32
+EDGES = OverdampedSchedule(GRID, np.array([0, GRID.m - 1, GRID.m // 2]))
 
 
 def _target():
@@ -84,6 +88,8 @@ CASES = {
     "mlmc-deterministic": lambda: _overdamped(OverdampedSchedule.deterministic(GRID)),
     "mlmc-randomized": lambda: _overdamped(OverdampedSchedule.randomized(GRID, 5, 1)),
     "em-ld": lambda: _overdamped(OverdampedSchedule.zero(GRID)),
+    # the band's edges: r = 0 (empty band slices), r = m − 1 and r = m/2
+    "mlmc-edges": lambda: _overdamped(EDGES),
     "ulmc": _frozen_gradient,
     "dmulmc-deterministic": lambda: _double_midpoint(UnderdampedSchedule.deterministic(GRID)),
     "dmulmc-randomized": lambda: _double_midpoint(UnderdampedSchedule.randomized(GRID, 5, 1)),
@@ -161,8 +167,9 @@ def test_spectral_estimate_is_a_power_iterate_not_the_radius():
 
 @pytest.mark.parametrize(
     "schedule",
-    [OverdampedSchedule.deterministic(GRID), OverdampedSchedule.randomized(GRID, 5, 1)],
-    ids=["deterministic", "randomized"],
+    [OverdampedSchedule.deterministic(GRID), OverdampedSchedule.randomized(GRID, 5, 1),
+     EDGES, OverdampedSchedule.zero(GRID)],
+    ids=["deterministic", "randomized", "edges", "em-ld"],
 )
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), _target()], ids=["isotropic", "perturbed"])
 def test_trace_square_matches_dense_blocks(pot, schedule):
@@ -173,3 +180,37 @@ def test_trace_square_matches_dense_blocks(pot, schedule):
     # the anticipating part is really exercised (a step with r = 0 has D = 0)
     assert np.all(np.abs(dense[:, schedule.indices > 0]) > 1e-6)
     np.testing.assert_allclose(trace_square_mlmc(pot, traj), dense, rtol=0.0, atol=1e-12)
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced while fn() runs, after one untraced warm-up call."""
+    fn()  # first calls load what they lazily import and build cached kernels
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "summary", [block_summary_mlmc, trace_square_mlmc, block_summary_dmulmc],
+    ids=lambda f: f.__name__,
+)
+def test_generic_summary_working_set_does_not_grow_with_steps(summary):
+    # each step's Hessians and factors exist only while that step is
+    # summarised: at the same B, m and d, N = 8 peaks no higher than N = 2
+    pot = PerturbedQuadratic(np.linspace(1.0, 2.0, 6), amplitude=0.1, frequency=1.0)
+    n_paths, m, h = 64, 16, 0.25
+    peaks = {}
+    for N in (2, 8):
+        grid = TimeGrid(N * h, N, m)
+        xi = noise_matrix(5, n_paths, grid.n_cells, pot.d)
+        x0 = np.random.default_rng(2).normal(size=(n_paths, pot.d))
+        if summary is block_summary_dmulmc:
+            traj = simulate_dmulmc(pot, UnderdampedSchedule.deterministic(grid), 1.0, x0,
+                                   np.zeros_like(x0), xi)
+        else:
+            traj = simulate_mlmc(pot, OverdampedSchedule.deterministic(grid), x0, xi)
+        peaks[N] = _traced_peak(lambda: summary(pot, traj))
+    assert peaks[8] <= 1.25 * peaks[2] + 2**19, peaks

@@ -7,9 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from girsanovlab.integrators import (
+    FIXED_POINT_MAX_ITERS,
     StepSizeError,
     TrajectoryBlowupError,
     UnsupportedPotentialError,
+    _col,
+    _dm_midpoints,
     _node_noise,
     ou_cell_ld,
     ou_cell_uld,
@@ -18,6 +21,7 @@ from girsanovlab.integrators import (
     simulate_dmulmc_marginal,
     simulate_mlmc,
     simulate_ulmc,
+    solve_dmulmc_step,
     step_dmulmc_marginal,
     step_mlmc,
     step_ulmc,
@@ -373,6 +377,9 @@ def test_node_noise_matches_einsum(shape, cells):
     out = _node_noise(K, xi)
     assert out.shape == (shape[0], K.shape[0], *shape[2:])
     np.testing.assert_allclose(out, np.einsum("nj,bj...->bn...", K, xi), rtol=0, atol=1e-14)
+    buffer = np.empty_like(out)
+    assert np.shares_memory(_node_noise(K, xi, out=buffer), buffer)
+    np.testing.assert_array_equal(buffer, out)
 
 
 def _e2_closed(gamma, t):
@@ -460,6 +467,72 @@ def test_double_midpoint_rejects_oversized_steps():
     sched = UnderdampedSchedule.deterministic(grid)
     with pytest.raises(StepSizeError):
         simulate_dmulmc(pot, sched, 1.0, np.array([1.0]), np.array([0.0]), np.zeros((1, 4, 1)))
+
+
+def _solve_out_of_place(kern, grad, x0, p0, xi, r_minus, r_plus, tol):
+    """The double-midpoint sweeps as out-of-place expressions, for the in-place solver.
+
+    Returns (x_nodes, p_nodes, lam1, lam2, sweeps).
+    """
+    m, eta = kern.m, kern.eta
+    c = np.sqrt(2.0 * kern.gamma * eta)
+
+    def sums(K, v):
+        return (K @ v.reshape(*v.shape[:2], -1)).reshape(v.shape[0], K.shape[0], *v.shape[2:])
+
+    x_minus, x_plus, g0, _ = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
+    gx = kern.e3_0[m] * grad("minus", x_minus)
+    gp = kern.e2_0[m] * grad("plus", x_plus)
+    base = x0[:, None] + _col(kern.e2_0, x0) * p0[:, None] + c * sums(kern.K2, xi)
+    x = base - _col(kern.e3_0, x0) * g0[:, None]
+    e1, e2 = _col(kern.e1_left, x0), _col(kern.e2_left, x0)
+    for it in range(1, FIXED_POINT_MAX_ITERS + 1):
+        g = grad("nodes", x[:, :m])
+        s1 = eta * np.einsum("j,bj...->b...", kern.e1_left, g)
+        s2 = eta * np.einsum("j,bj...->b...", kern.e2_left, g)
+        lam1, lam2 = kern.sigma_hat.solve(s1 - gp, s2 - gx)
+        g_opt = g - e1 * lam1[:, None] - e2 * lam2[:, None]
+        x_new = base - eta * sums(kern.K2, g_opt)
+        delta = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if delta <= tol:
+            break
+    p = _col(kern.e1_0, x0) * p0[:, None] - eta * sums(kern.K1, g_opt) + c * sums(kern.K1, xi)
+    return x, p, lam1, lam2, it
+
+
+@pytest.mark.parametrize("batch", ["paths", "tangents"])
+def test_double_midpoint_sweeps_in_place_match_the_out_of_place_sweeps(batch):
+    # the in-place sweeps round every entry as the out-of-place expressions
+    # do; the tangent batch has an unbatched base (1, m+1, d, U) under a
+    # batched iterate (B, m+1, d, U), the first sweep broadcasting
+    pot = PerturbedQuadratic((1.0, 1.5, 2.0), amplitude=0.1, frequency=1.0)
+    grid = TimeGrid(0.5, 2, 8)
+    sched = UnderdampedSchedule.randomized(grid, seed=6, stream=0)
+    kern = StepKernels.build(1.0, grid.h, grid.m)
+    n, d, m, k = 5, pot.d, grid.m, 1
+    rng = np.random.default_rng(12)
+    xi = noise_matrix(9, n, grid.n_cells, d)
+    x0, p0 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    r = int(sched.indices_minus[k]), int(sched.indices_plus[k])
+    if batch == "paths":
+        grad = lambda where, x: pot.gradient(x)
+        args = (x0, p0, xi[:, k * m : (k + 1) * m], *r, 1e-12)
+    else:
+        traj = simulate_dmulmc(pot, sched, 1.0, x0, p0, xi)
+        H = {"start": np.zeros((1, d, d)), "minus": pot.hessian(traj.x_minus[:, k]),
+             "plus": pot.hessian(traj.x_plus[:, k]),
+             "nodes": pot.hessian(traj.x[:, k * m : (k + 1) * m])}
+        grad = lambda where, X: H[where] @ X
+        U = 2 * d + 1
+        dirs = rng.normal(size=(1, m, d, U))
+        args = (np.zeros((1, d, U)), np.zeros((1, d, U)), dirs, *r, 1e-14)
+    sol = solve_dmulmc_step(kern, grad, *args)
+    want = _solve_out_of_place(kern, grad, *args)
+    assert sol.x_nodes.shape[0] == n
+    assert sol.iterations == want[4] > 2
+    for got, expected in zip((sol.x_nodes, sol.p_nodes, sol.lam1, sol.lam2), want):
+        np.testing.assert_array_equal(got, expected)
 
 
 def test_kinetic_rejects_nonpositive_friction():
