@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp, stdtrit
 
-from .engine import WINDOW_PATHS, map_windows, scheme_for, start_states
+from .engine import map_windows, scheme_for, start_states
 from .paths import LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential
 
@@ -280,17 +280,19 @@ def local_error_sweep(
     :func:`~girsanovlab.engine.start_states` with the default (stationary)
     law.  Strong errors use replica 1 only; weak errors pair two
     replicas sharing the start state.  Deterministic midpoint schedules are
-    used throughout, and paths are processed in windows of
-    :data:`~girsanovlab.engine.WINDOW_PATHS` by
-    :func:`~girsanovlab.engine.map_windows`, as in ``run_weights``: with
-    ``threads`` > 1 the windows of a grid run on a thread pool, and since
-    each window fills only its own slice of the per-path errors, the report
-    does not depend on ``threads`` (tested).
+    used throughout, and paths are processed in the windows of
+    :func:`~girsanovlab.engine.map_windows`, as in ``run_weights``, cut so
+    that one replica's m·(d + z) normals per path fit in
+    :data:`~girsanovlab.engine.WINDOW_BYTES`: with ``threads`` > 1 the
+    windows of a grid run on a thread pool, and since each window fills only
+    its own slice of the per-path errors, the report does not depend on
+    ``threads`` (tested).
 
     Working set per running window: one replica's noise (ξ and the
-    reference's residual, rows × m × (d + z) normals), drawn, used and freed
-    before the other replica draws, plus the two replicas' (rows, z)
-    defects.  For DM-ULMC no (m+1) × m kernel table is built (tested).
+    reference's residual, rows × m × (d + z) normals, at most
+    ``WINDOW_BYTES``), drawn, used and freed before the other replica draws,
+    plus the two replicas' (rows, z) defects (tested).  For DM-ULMC no
+    (m+1) × m kernel table is built (tested).
     """
     # looked up at call time, so wrappers installed on these modules see the calls
     from .integrators import ou_endpoint_map
@@ -307,6 +309,7 @@ def local_error_sweep(
             "and needs a quadratic potential"
         )
     d = potential.d
+    zdim = 2 * d if kinetic else d
 
     hs, ms = [], []
     cols = {k: ([], []) for k in ("strong_x", "strong_p", "weak_x", "weak_p")}
@@ -325,14 +328,11 @@ def local_error_sweep(
             """One replica's (rows, z) endpoint defect; its noise is freed on return."""
             rows = z0.shape[0]
             xi = noise_matrix(seed, rows, grid.m, d, label=LABEL_PATH, start=off)
-            resid = noise_matrix(
-                seed, rows, grid.m, z0.shape[1], label=LABEL_RESIDUAL, start=off
-            )
+            resid = noise_matrix(seed, rows, grid.m, zdim, label=LABEL_RESIDUAL, start=off)
             z_ref = reference(z0, xi, resid)
             return s.advance(potential, grid, schedule, gamma, z0, xi) - z_ref
 
-        def eval_window(lo: int) -> None:
-            hi = min(lo + WINDOW_PATHS, n_paths)
+        def eval_window(lo: int, hi: int) -> None:
             z0 = start_states(potential, kinetic, seed, hi - lo, start=lo)
             d1, d2 = defect(z0, lo), defect(z0, n_paths + lo)
             # x and p parts; p is empty for overdamped schemes, so its sums are 0
@@ -341,7 +341,7 @@ def local_error_sweep(
             wx[lo:hi] = np.sum(d1[:, :d] * d2[:, :d], axis=1)
             wp[lo:hi] = np.sum(d1[:, d:] * d2[:, d:], axis=1)
 
-        map_windows(eval_window, n_paths, threads)
+        map_windows(eval_window, n_paths, threads, grid.m * (d + zdim))
         hs.append(grid.h)
         ms.append(grid.m)
         for name, arr in (("strong_x", sx), ("strong_p", sp), ("weak_x", wx), ("weak_p", wp)):

@@ -1,13 +1,15 @@
 """Deterministic Monte Carlo driver for pathwise weight runs.
 
-Work is partitioned by path index into fixed windows of ``WINDOW_PATHS``
-paths, which tile the RNG's generation blocks.  Each window reads its own
-increments and start states and is evaluated independently — affine fast path
-for constant-Hessian targets, generic per-path assembly otherwise — and the
-windows' weights are merged in path order.  The partition, the per-window
-arithmetic, and the merge order are all functions of the path index alone, so
-estimates are bit-identical across thread counts and across runs with the
-same seed.
+Work is partitioned by path index into windows of :func:`window_rows` paths:
+the largest power of two, at most ``WINDOW_PATHS``, whose noise fits in
+``WINDOW_BYTES``.  So windows tile the RNG's generation blocks, and a
+window's noise does not grow with the grid.  Each window reads its own
+increments and start states and is evaluated independently — affine fast
+path for constant-Hessian targets, generic per-path assembly otherwise — and
+the windows' weights are merged in path order.  The partition, the
+per-window arithmetic, and the merge order are all functions of the path
+index and the grid alone, so estimates are bit-identical across thread counts
+and across runs with the same seed.
 
 Every path consumer draws start states through :func:`start_states`: path
 p's start is row p of the seed's initialization stream, as its increments are
@@ -63,15 +65,18 @@ from .paths import (
 from .potentials import Potential
 
 __all__ = [
-    "SCHEMES", "Scheme", "WeightRun", "WINDOW_PATHS", "scheme_for", "start_states",
-    "map_windows", "run_weights", "generic_log_weights",
+    "SCHEMES", "Scheme", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS", "scheme_for",
+    "start_states", "window_rows", "map_windows", "run_weights", "generic_log_weights",
 ]
 
-#: Paths per evaluation window of :func:`run_weights` and the local-error
-#: sweep.  It divides ``BLOCK_PATHS``, so no window crosses a generation
-#: block, and it bounds the memory of a window's increments and of the
-#: generic route's (window, N, m, d, d) Hessian arrays.
+#: Most paths in one evaluation window of :func:`run_weights` and the
+#: local-error sweep.  It divides ``BLOCK_PATHS``, so no window crosses a
+#: generation block; grids whose 512-row window holds more than
+#: ``WINDOW_BYTES`` of noise get fewer rows (:func:`window_rows`).
 WINDOW_PATHS = 512
+
+#: Bytes of noise one evaluation window may hold: rows × values per path × 8.
+WINDOW_BYTES = 4 * 2**20
 
 
 class Scheme:
@@ -371,17 +376,32 @@ def start_states(
     return mean + normals @ np.linalg.cholesky(cov).T
 
 
-def map_windows(eval_window, n_paths: int, threads: int) -> list:
-    """eval_window(lo) for lo = 0, WINDOW_PATHS, … < n_paths, in window order.
+def window_rows(values_per_path: int) -> int:
+    """Rows per window: the largest power of two ≤ ``WINDOW_PATHS`` whose
+    rows × ``values_per_path`` float64 values fit in ``WINDOW_BYTES``, and at
+    least 1.  A power of two divides ``BLOCK_PATHS``, so windows tile the
+    generation blocks."""
+    rows = WINDOW_PATHS
+    while rows > 1 and rows * values_per_path * 8 > WINDOW_BYTES:
+        rows //= 2
+    return rows
 
-    With ``threads`` > 1 the windows run on a thread pool; the one window
-    map of :func:`run_weights` and the local-error sweep.
+
+def map_windows(eval_window, n_paths: int, threads: int, values_per_path: int) -> list:
+    """eval_window(lo, hi) over the windows of paths 0 … n_paths−1, in window order.
+
+    Windows have :func:`window_rows` (``values_per_path``) rows, the last one
+    fewer; this is the one place that cuts them, for :func:`run_weights` and
+    the local-error sweep.  With ``threads`` > 1 the windows run on a thread
+    pool.
     """
-    starts = range(0, n_paths, WINDOW_PATHS)
+    rows = window_rows(values_per_path)
+    starts = range(0, n_paths, rows)
+    stops = [min(lo + rows, n_paths) for lo in starts]
     if threads <= 1:
-        return [eval_window(lo) for lo in starts]
+        return [eval_window(lo, hi) for lo, hi in zip(starts, stops)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(eval_window, starts))
+        return list(pool.map(eval_window, starts, stops))
 
 
 def run_weights(
@@ -398,10 +418,11 @@ def run_weights(
 ) -> WeightRun:
     """Sample ``n_paths`` scheme paths and evaluate their log weights.
 
-    Paths are evaluated in windows of ``WINDOW_PATHS``: each window draws the
-    increments of its own paths, takes its start states from
-    :func:`start_states` with ``init`` (default: the default start law), and
-    yields one :class:`~girsanovlab.girsanov.LogWeight`.  Constant-Hessian
+    Paths are evaluated in the windows of :func:`map_windows`, cut by the
+    n_cells·d increments of a path on either route, so that one window's
+    noise fits in ``WINDOW_BYTES``: each window draws the increments of its
+    own paths, takes its start states from :func:`start_states` with
+    ``init`` (default: the default start law), and yields one :class:`~girsanovlab.girsanov.LogWeight`.  Constant-Hessian
     targets take the affine fast path, which agrees with
     :func:`generic_log_weights` to rounding (tested).
     """
@@ -417,15 +438,14 @@ def run_weights(
     if potential.is_quadratic:
         maps = step_maps_for_schedule(scheme, potential, schedule or the_grid, gamma)
 
-    def eval_window(lo: int) -> LogWeight:
-        n = min(WINDOW_PATHS, n_paths - lo)
-        xi = noise_matrix(seed, n, the_grid.n_cells, potential.d, start=lo)
-        z0 = start_states(potential, s.kinetic, seed, n, start=lo, init=init)
+    def eval_window(lo: int, hi: int) -> LogWeight:
+        xi = noise_matrix(seed, hi - lo, the_grid.n_cells, potential.d, start=lo)
+        z0 = start_states(potential, s.kinetic, seed, hi - lo, start=lo, init=init)
         if maps is not None:
             return fast_log_weights(maps, z0, xi)
         return generic_log_weights(scheme, potential, schedule, the_grid, gamma, z0, xi)
 
-    windows = map_windows(eval_window, n_paths, threads)
+    windows = map_windows(eval_window, n_paths, threads, the_grid.n_cells * potential.d)
     return WeightRun(
         scheme=scheme,
         seed=seed,

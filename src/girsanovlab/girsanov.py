@@ -737,14 +737,13 @@ def trace_diagnostics_mlmc(
     """Compute the discrete block traces and their refinement limits.
 
     All arrays are (B, N).  Traces are evaluated from the assembled matrices,
-    not from closed forms, so they test the block structure itself.
+    not from closed forms, so they test the block structure itself.  Step k's
+    node Hessians and H⁺ are evaluated inside the step loop, so one step's
+    (B, m, d, d) Hessians exist at a time, never the whole path's.
     """
     grid = traj.grid
     N, m, eta = grid.N, grid.m, grid.eta
     B, d = traj.x.shape[0], traj.x.shape[2]
-    left = _left_nodes(traj.x, N, m)
-    H_nodes = potential.hessian(left)
-    H_plus = potential.hessian(traj.x_plus)
     root2eta = np.sqrt(2.0) * eta
 
     tr_a2 = np.zeros((B, N))
@@ -756,11 +755,12 @@ def trace_diagnostics_mlmc(
     for k in range(N):
         r = int(traj.schedule.indices[k])
         tau = r * eta
-        Hp = H_plus[:, k]
+        Hp = potential.hessian(traj.x_plus[:, k])
         limit_b2[:, k] = 2.0 * tau**2 * np.einsum("bac,bca->b", Hp, Hp)
         if r == 0:
             continue
-        Hi = H_nodes[:, k, :r]  # (B, r, d, d)
+        H_nodes = _step_hessians(potential, traj, k)
+        Hi = H_nodes[:, :r]  # (B, r, d, d)
         A = root2eta * np.einsum("ij,biac->biajc", lower[:r, :r], Hi).reshape(
             B, r * d, r * d
         )
@@ -771,7 +771,7 @@ def trace_diagnostics_mlmc(
         tr_ba[:, k] = np.einsum("bij,bji->b", Bmat, A)
         tr_b2[:, k] = np.einsum("bij,bji->b", Bmat, Bmat)
         # trapezoid of f(t) = 2t·tr(∇²V(X⁺)∇²V(X_t)) on nodes 0..r
-        Ht = H_nodes[:, k, : r + 1]  # includes the node at τ itself
+        Ht = H_nodes[:, : r + 1]  # includes the node at τ itself
         f = 2.0 * (eta * np.arange(r + 1)) * np.einsum("bac,bica->bi", Hp, Ht)
         limit_ba[:, k] = np.trapezoid(f, dx=eta, axis=-1)
     return TraceDiagnostics(tr_a2, tr_ba, tr_b2, limit_ba, limit_b2)

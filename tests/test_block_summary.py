@@ -5,8 +5,9 @@ each block's factors (``block_summary_mlmc/_ulmc/_dmulmc``); these tests hold
 them to ``block_summary_dense`` of the ``malliavin_blocks_*`` reference on a
 non-quadratic target, both read through the one assembly
 ``summary_log_weight``.  The overdamped tr(D_k²) of ``trace_square_mlmc`` is
-held to the dense blocks the same way.  The generic-route summaries take one
-step at a time, so their working set does not grow with the step count.
+held to the dense blocks the same way.  The generic-route summaries and
+criterion 5's trace diagnostics take one step at a time, so their working set
+does not grow with the step count.
 """
 
 import tracemalloc
@@ -28,6 +29,7 @@ from girsanovlab.girsanov import (
     malliavin_blocks_mlmc,
     malliavin_blocks_ulmc,
     summary_log_weight,
+    trace_diagnostics_mlmc,
     trace_square_mlmc,
 )
 from girsanovlab.integrators import simulate_dmulmc, simulate_mlmc, simulate_ulmc
@@ -194,16 +196,17 @@ def _traced_peak(fn) -> int:
 
 
 @pytest.mark.parametrize(
-    "summary", [block_summary_mlmc, trace_square_mlmc, block_summary_dmulmc],
+    "summary",
+    [block_summary_mlmc, trace_square_mlmc, block_summary_dmulmc, trace_diagnostics_mlmc],
     ids=lambda f: f.__name__,
 )
 def test_generic_summary_working_set_does_not_grow_with_steps(summary):
     # each step's Hessians and factors exist only while that step is
-    # summarised: at the same B, m and d, N = 8 peaks no higher than N = 2
+    # summarised: at the same B, m and d, N = 16 peaks no higher than N = 2
     pot = PerturbedQuadratic(np.linspace(1.0, 2.0, 6), amplitude=0.1, frequency=1.0)
     n_paths, m, h = 64, 16, 0.25
     peaks = {}
-    for N in (2, 8):
+    for N in (2, 16):
         grid = TimeGrid(N * h, N, m)
         xi = noise_matrix(5, n_paths, grid.n_cells, pot.d)
         x0 = np.random.default_rng(2).normal(size=(n_paths, pot.d))
@@ -213,4 +216,5 @@ def test_generic_summary_working_set_does_not_grow_with_steps(summary):
         else:
             traj = simulate_mlmc(pot, OverdampedSchedule.deterministic(grid), x0, xi)
         peaks[N] = _traced_peak(lambda: summary(pot, traj))
-    assert peaks[8] <= 1.25 * peaks[2] + 2**19, peaks
+    assert peaks[16] <= 1.25 * peaks[2] + 2**19, peaks
+

@@ -1,7 +1,7 @@
 """Engine claims: the affine and generic routes agree, both are bit-identical
-across thread counts, paths are read one window at a time, the affine route
-never forms a dense block, and a local-error window holds one replica's
-noise at a time."""
+across thread counts, paths are read one window at a time, windows are cut by
+the bytes of their noise, the affine route never forms a dense block, and a
+local-error window holds one replica's noise at a time."""
 
 import tracemalloc
 
@@ -14,11 +14,13 @@ import girsanovlab.integrators as integrators
 import girsanovlab.paths as gp
 from girsanovlab.divergences import local_error_sweep
 from girsanovlab.engine import (
+    WINDOW_BYTES,
     WINDOW_PATHS,
     generic_log_weights,
     run_weights,
     scheme_for,
     start_states,
+    window_rows,
 )
 from girsanovlab.kernels import StepKernels
 from girsanovlab.paths import (
@@ -145,6 +147,90 @@ def test_local_error_sweep_reads_one_window_at_a_time(monkeypatch):
     assert sum(rows) == len(grids) * 5 * n
 
 
+@pytest.mark.parametrize("values", [1, 3, 1024, 1025, 3 * 512, 4096, 6 * 512, 8192,
+                                    WINDOW_BYTES // 8, WINDOW_BYTES // 8 + 1, 10**9])
+def test_window_rows_fit_the_window_bytes(values):
+    rows = window_rows(values)
+    assert 1 <= rows <= WINDOW_PATHS and rows & (rows - 1) == 0
+    assert BLOCK_PATHS % rows == 0
+    assert rows == 1 or rows * values * 8 <= WINDOW_BYTES
+    # the largest such power of two
+    assert rows == WINDOW_PATHS or 2 * rows * values * 8 > WINDOW_BYTES
+
+
+def test_window_rows_cut_only_the_grids_that_do_not_fit():
+    # criterion 8's m = 128 grid keeps 512 rows; criterion 7's finest grid
+    # (N = 32, m = 64, d = 2) and criterion 8's m = 512 grid get 128
+    assert window_rows(128 * (2 + 4)) == WINDOW_PATHS
+    assert window_rows(32 * 64 * 2) == 128
+    assert window_rows(512 * (2 + 4)) == 128
+
+
+# criterion 7's finest grid: n_cells·d = 4096 at d = 2, so a 512-path window
+# would hold 16 MiB of noise
+BYTE_CUT_GRID = TimeGrid(0.5, 32, 64)
+
+
+def _window_rows_read(rows: int, n: int, reads: int) -> list[int]:
+    """Rows of each read when ``reads`` arrays are drawn per window of ``rows``."""
+    full, tail = divmod(n, rows)
+    return [rows] * (reads * full) + [tail] * (reads if tail else 0)
+
+
+@pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
+def test_run_weights_reads_byte_cut_windows(monkeypatch, pot):
+    rows = _record_rows(monkeypatch)
+    window = window_rows(BYTE_CUT_GRID.n_cells * pot.d)
+    assert window < WINDOW_PATHS
+    n = 2 * window + 40
+    run_weights("mlmc", pot, schedule=OverdampedSchedule.deterministic(BYTE_CUT_GRID),
+                n_paths=n, seed=3)
+    # per window: increments, then start states; every row read once
+    assert rows == _window_rows_read(window, n, 2)
+
+
+def test_local_error_sweep_reads_byte_cut_windows(monkeypatch):
+    rows = _record_rows(monkeypatch)
+    pot, m = IsotropicQuadratic(2), 2048  # m·d = 4096
+    window = window_rows(m * (pot.d + 2 * pot.d))
+    assert window < WINDOW_PATHS
+    n = 2 * window + 8
+    local_error_sweep("dmulmc", pot, [TimeGrid(1 / 32, 1, m)], gamma=1.0, n_paths=n, seed=3)
+    # per window: start states, then increments and residuals of two replicas
+    assert rows == _window_rows_read(window, n, 5)
+
+
+def test_affine_run_weights_holds_one_window_of_noise():
+    kwargs = dict(schedule=UnderdampedSchedule.deterministic(BYTE_CUT_GRID), gamma=1.0, seed=1)
+    pot = IsotropicQuadratic(2)
+    run_weights("dmulmc", pot, n_paths=8, **kwargs)  # first calls load lazy imports
+    tracemalloc.start()
+    try:
+        run_weights("dmulmc", pot, n_paths=1024, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * WINDOW_BYTES + 2**20
+
+
+def test_byte_cut_windows_are_thread_invariant():
+    # four byte-cut windows on each side, the last one short
+    pot = IsotropicQuadratic(2)
+    schedule = UnderdampedSchedule.deterministic(BYTE_CUT_GRID)
+    n = 3 * window_rows(BYTE_CUT_GRID.n_cells * pot.d) + 40
+    one, two = (run_weights("dmulmc", pot, schedule=schedule, gamma=1.0, n_paths=n, seed=5,
+                            threads=t) for t in (1, 2))
+    assert np.array_equal(one.log_weight, two.log_weight)
+    assert np.array_equal(one.invertible, two.invertible)
+    grids = [TimeGrid(1 / 32, 1, 512)]
+    n = 3 * window_rows(512 * 3 * pot.d) + 40
+    one, two = (local_error_sweep("dmulmc", pot, grids, gamma=1.0, n_paths=n, seed=5,
+                                  threads=t) for t in (1, 2))
+    for name in ("strong_x", "strong_p", "weak_x", "weak_p"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
+        assert np.array_equal(getattr(one, name + "_se"), getattr(two, name + "_se"))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_dmulmc_local_error_sweep_builds_no_kernel_table(threads):
     # the marginal update reads four kernel rows, never the (m+1) × m tables
@@ -158,11 +244,11 @@ def test_dmulmc_local_error_sweep_builds_no_kernel_table(threads):
 
 
 def test_local_error_sweep_holds_one_replicas_noise_at_a_time():
-    # one window of a criterion 8 grid: the peak is one replica's ξ (d) and
-    # residual (2d), not both replicas' noise, nor the kernel tables
+    # criterion 8's finest grid: the peak is one window of one replica's ξ (d)
+    # and residual (2d), at most WINDOW_BYTES, not both replicas' noise, nor
+    # the kernel tables, nor a 512-row window's 12 MiB
     pot = AnisotropicQuadratic((0.5, 1.0))
-    rows, m, d = WINDOW_PATHS, 512, pot.d
-    noise_bytes = rows * m * 3 * d * 8
+    rows, m = WINDOW_PATHS, 512
     local_error_sweep("dmulmc", pot, [TimeGrid(1 / 32, 1, 4)], gamma=1.0, n_paths=8,
                       seed=1)  # first calls load what they lazily import
     tracemalloc.start()
@@ -172,7 +258,7 @@ def test_local_error_sweep_holds_one_replicas_noise_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * noise_bytes + 2**20
+    assert peak <= 1.25 * WINDOW_BYTES + 2**20
 
 
 @pytest.mark.parametrize("threads", [1, 2])
