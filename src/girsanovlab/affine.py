@@ -20,15 +20,15 @@ the step's multipliers (λ₁, λ₂); the weights then cost O(B·N·m·d²) and
 path KL forms no (m·d)² product.  The other schemes have full-rank blocks and
 keep ψ itself as coordinates (U = I), at O(B·N·m²·d²).
 
-Each step's derivative block enters only through its block summary (sign and
-log|det(I + D)|, tr D and the power-iterate norm), taken from the scheme's
-factors; the dense block is never formed.  Weights and the path KL read those
+Each step's derivative block enters only through its block summary (the sign
+of det(I + D), log|det₂(I + D)|, tr D and ρ(D)), taken from the scheme's small
+core; the dense block is never formed.  Weights and the path KL read those
 summaries through girsanov's one weight assembly.
 
 The derivation of E[log M] uses E[δψ] = 0 (Gaussian integration by parts) and
 E⟨ψ_i, ξ_i⟩ organized per step, leaving
 
-    KL = Σ_k [ tr(D_k) − log|det(I + D_k)| + ½ Σ_i E‖ψ_i‖² ],
+    KL = Σ_k [ ½ Σ_i E‖ψ_i‖² − log|det₂(I + D_k)| ],  det₂ = det·e^{−tr},
 
 with E‖ψ_i‖² from the propagated state moments.
 """

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import logsumexp, stdtrit
 
-from .engine import map_windows, scheme_for, start_states
+from .engine import map_windows, scheme_for, start_law
 from .paths import LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential
 
@@ -276,11 +276,12 @@ def local_error_sweep(
     affine map of :func:`~girsanovlab.integrators.ou_endpoint_map` (the
     overdamped flow for EM-LD and M-LMC, the kinetic one for ULMC and
     DM-ULMC), built once per grid before its windows run and shared by every
-    window and both replicas (tested).  Start states come from
-    :func:`~girsanovlab.engine.start_states` with the default (stationary)
-    law.  Strong errors use replica 1 only; weak errors pair two
-    replicas sharing the start state.  Deterministic midpoint schedules are
-    used throughout, and paths are processed in the windows of
+    window and both replicas (tested).  Start states are drawn from the
+    default (stationary) law, resolved once per call by
+    :func:`~girsanovlab.engine.start_law` (tested).  Strong errors use
+    replica 1 only; weak errors pair two replicas sharing the start state.
+    Deterministic midpoint schedules are used throughout, and paths are
+    processed in the windows of
     :func:`~girsanovlab.engine.map_windows`, as in ``run_weights``, cut so
     that one replica's m·(d + z) normals per path fit in
     :data:`~girsanovlab.engine.WINDOW_BYTES`: with ``threads`` > 1 the
@@ -311,6 +312,7 @@ def local_error_sweep(
     d = potential.d
     zdim = 2 * d if kinetic else d
 
+    draw_starts = start_law(potential, kinetic)
     hs, ms = [], []
     cols = {k: ([], []) for k in ("strong_x", "strong_p", "weak_x", "weak_p")}
     for grid in grids:
@@ -333,7 +335,7 @@ def local_error_sweep(
             return s.advance(potential, grid, schedule, gamma, z0, xi) - z_ref
 
         def eval_window(lo: int, hi: int) -> None:
-            z0 = start_states(potential, kinetic, seed, hi - lo, start=lo)
+            z0 = draw_starts(seed, hi - lo, start=lo)
             d1, d2 = defect(z0, lo), defect(z0, n_paths + lo)
             # x and p parts; p is empty for overdamped schemes, so its sums are 0
             sx[lo:hi] = np.sum(d1[:, :d] ** 2, axis=1)

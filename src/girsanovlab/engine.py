@@ -11,9 +11,10 @@ per-window arithmetic, and the merge order are all functions of the path
 index and the grid alone, so estimates are bit-identical across thread counts
 and across runs with the same seed.
 
-Every path consumer draws start states through :func:`start_states`: path
-p's start is row p of the seed's initialization stream, as its increments are
-row p of the path stream.  The default start law is the stationary law for
+Every path consumer draws start states from :func:`start_law`, resolved once
+per run: path p's start is row p of the seed's initialization stream, as its
+increments are row p of the path stream.  The default start law is the
+stationary law for
 quadratic targets, N(0, H⁻¹) or N(0, diag(H⁻¹, I)) in phase space, and
 otherwise x ~ N(0, I/α) with p ~ N(0, I).
 
@@ -66,7 +67,8 @@ from .potentials import Potential
 
 __all__ = [
     "SCHEMES", "Scheme", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS", "scheme_for",
-    "start_states", "window_rows", "map_windows", "run_weights", "generic_log_weights",
+    "start_law", "start_states", "window_rows", "map_windows", "run_weights",
+    "generic_log_weights",
 ]
 
 #: Most paths in one evaluation window of :func:`run_weights` and the
@@ -350,14 +352,16 @@ def generic_log_weights(
     return summary_log_weight(s.drift(potential, traj), s.summary(potential, traj), xi)
 
 
-def start_states(
-    potential: Potential, kinetic: bool, seed: int, n: int, *, start: int = 0, init=None
-) -> np.ndarray:
-    """Start states of paths ``start .. start+n−1``, shape (n, d) or (n, 2d).
+def start_law(potential: Potential, kinetic: bool, init=None):
+    """The start law's sampler ``draw(seed, n, start=0)``, resolved once per run.
 
     ``init`` is None (the default start law) or ("gaussian", mean, cov).
-    Path p's start is row p of the seed's initialization stream pushed
-    through the law's Cholesky factor, so it depends on (seed, p) alone.
+    ``draw`` returns the start states of paths ``start .. start+n−1``, shape
+    (n, d) or (n, 2d): path p's start is row p of the seed's initialization
+    stream pushed through the law's Cholesky factor, so it depends on
+    (seed, p) alone.  The stationary law of a quadratic target costs a
+    Hessian, an ``eigh`` and a Cholesky factor, so windowed runs resolve it
+    once and draw every window's rows from it.
     """
     d = potential.d
     zdim = 2 * d if kinetic else d
@@ -372,8 +376,20 @@ def start_states(
         mean, cov = np.asarray(init[1], dtype=float), np.asarray(init[2], dtype=float)
     else:
         raise ValueError(f"unknown initial law {init!r}")
-    normals = noise_matrix(seed, n, 1, zdim, label=LABEL_INIT, start=start)[:, 0]
-    return mean + normals @ np.linalg.cholesky(cov).T
+    chol = np.linalg.cholesky(cov)
+
+    def draw(seed: int, n: int, start: int = 0) -> np.ndarray:
+        normals = noise_matrix(seed, n, 1, zdim, label=LABEL_INIT, start=start)[:, 0]
+        return mean + normals @ chol.T
+
+    return draw
+
+
+def start_states(
+    potential: Potential, kinetic: bool, seed: int, n: int, *, start: int = 0, init=None
+) -> np.ndarray:
+    """Start states of paths ``start .. start+n−1`` under :func:`start_law` (``init``)."""
+    return start_law(potential, kinetic, init)(seed, n, start)
 
 
 def window_rows(values_per_path: int) -> int:
@@ -421,8 +437,9 @@ def run_weights(
     Paths are evaluated in the windows of :func:`map_windows`, cut by the
     n_cells·d increments of a path on either route, so that one window's
     noise fits in ``WINDOW_BYTES``: each window draws the increments of its
-    own paths, takes its start states from :func:`start_states` with
-    ``init`` (default: the default start law), and yields one :class:`~girsanovlab.girsanov.LogWeight`.  Constant-Hessian
+    own paths, draws its start states from the law :func:`start_law`
+    resolves once from ``init``, and yields one
+    :class:`~girsanovlab.girsanov.LogWeight`.  Constant-Hessian
     targets take the affine fast path, which agrees with
     :func:`generic_log_weights` to rounding (tested).
     """
@@ -437,10 +454,11 @@ def run_weights(
     maps = None
     if potential.is_quadratic:
         maps = step_maps_for_schedule(scheme, potential, schedule or the_grid, gamma)
+    draw_starts = start_law(potential, s.kinetic, init)
 
     def eval_window(lo: int, hi: int) -> LogWeight:
         xi = noise_matrix(seed, hi - lo, the_grid.n_cells, potential.d, start=lo)
-        z0 = start_states(potential, s.kinetic, seed, hi - lo, start=lo, init=init)
+        z0 = draw_starts(seed, hi - lo, start=lo)
         if maps is not None:
             return fast_log_weights(maps, z0, xi)
         return generic_log_weights(scheme, potential, schedule, the_grid, gamma, z0, xi)

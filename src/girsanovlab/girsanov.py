@@ -33,39 +33,42 @@ path per step.  A step's tangent never sees later increments, so every block
 above the step diagonal is zero: the derivative is block lower-triangular,
 det(I + Dψ) = Π_k det(I + D_k), and only diagonal blocks carry trace.
 
-Structured evaluation.  The weight needs only sign and log|det(I + D_k)|,
-tr D_k and a power-iterate norm per block, and each scheme's block has a
-low-rank anticipating part that yields all three from its factors
-(:class:`BlockSummary`), never forming the dense (m·d)×(m·d) block:
+Structured evaluation.  The weight needs only the sign of det(I + D_k),
+log|det₂(I + D_k)|, tr D_k and the spectral radius ρ(D_k) per block
+(:class:`BlockSummary`).  Each scheme's block has a small core that yields
+them, never forming the dense (m·d)×(m·d) block, and det₂ is summed from
+O(h²) terms rather than formed as log|det| − tr, two O(h) numbers:
 
 * overdamped midpoint: D = L − C·Rᵀ with L[i,j] = η·H_i·1_{j<i},
   C_i = η·(iη·H_i·H⁺ + H⁺) and R = 1_{j<r} ⊗ I_d.  I + L is unit lower
   block-triangular, so by the matrix determinant lemma
-  det(I + D) = det(I_d − Σ_{j<r} Y_j), where (I + L)·Y = C is the recurrence
-  Y_i = C_i − η·H_i·Σ_{j<i} Y_j, and tr D = −η·Σ_{i<r} tr(iη·H_i·H⁺ + H⁺).
-  The same factors give tr(D²) (:func:`trace_square_mlmc`), which the
-  determinant-linearization check compares with log det₂;
+  det(I + D) = det(I_d − Ŷ) with Ŷ = Σ_{j<r} Y_j, where (I + L)·Y = C is the
+  recurrence Y_i = C_i − η·H_i·Σ_{j<i} Y_j, and tr D = −η·Σ_{i<r}
+  tr(iη·H_i·H⁺ + H⁺).  det₂ is a log1p sum over the d eigenvalues of Ŷ plus
+  a trace summed inside the recurrence.  D is block lower-triangular across
+  the midpoint cell, so ρ(D) is that of its r·d leading cells, estimated
+  by 20 power steps there.  The same factors give tr(D²)
+  (:func:`trace_square_mlmc`), which the determinant-linearization check
+  compares with log det₂;
 * frozen-gradient kinetic: D is strictly lower triangular (nilpotent), so
-  det(I + D) = 1 and tr D = 0 exactly;
+  det(I + D) = 1 and det₂ = tr D = ρ(D) = 0 exactly, with no evaluation;
 * double-midpoint kinetic: D = U·Wᵀ with U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d]
   (left-endpoint kernels, :func:`drift_basis_dmulmc`; the affine step maps
-  store the drift in this basis too) and Wᵀ = ∂(λ₁, λ₂)/∂ξ, so
-  det(I + D) = det(I_{2d} + Wᵀ·U) and tr D = tr(Wᵀ·U).  Wᵀ comes from the
-  path's own step solver (:func:`~girsanovlab.integrators.solve_dmulmc_step`
-  with grad = ∇²V·DX), run on the 2d columns of U plus the power-iteration
-  start vector instead of on all m·d noise coordinates as the dense block is.
+  store the drift in this basis too) and Wᵀ = ∂(λ₁, λ₂)/∂ξ, so the nonzero
+  eigenvalues of D are those of the 2d × 2d core Wᵀ·U, which give det₂, the
+  sign and ρ exactly, and tr D = tr(Wᵀ·U).  Wᵀ comes from the path's own
+  step solver (:func:`~girsanovlab.integrators.solve_dmulmc_step` with
+  grad = ∇²V·DX), run on the 2d columns of U instead of on all m·d noise
+  coordinates as the dense block is.
 
-The power iterate is the same 20 normalised steps from the same start vector
-as on the dense block, through an O(m·d²) matrix-vector product (overdamped,
-frozen-gradient) or inside the range of U (double midpoint).  The overdamped
-and double-midpoint summaries and the tangent rules evaluate ∇²V one step at
-a time, so their working set is one step's (B, m, d, d) Hessians and
-factors whatever N is.  Both weight
-routes use these evaluators: the generic route per path, the affine route
-once per distinct step on a zero path.  The dense blocks serve the
-finite-difference checks and trace diagnostics, and their summary
-:func:`block_summary_dense` (LU determinant, dense power iterate) is the
-reference that block dumps and the tests use.
+The overdamped and double-midpoint summaries and the tangent rules evaluate
+∇²V one step at a time, so their working set is one step's (B, m, d, d)
+Hessians and factors whatever N is.  Both weight routes use these
+evaluators: the generic route per path, the affine route once per distinct
+step on a zero path.  The dense blocks serve the finite-difference checks
+and trace diagnostics, and their summary :func:`block_summary_dense` (LU
+sign, det₂ and ρ from the block's eigenvalues) is the reference that block
+dumps and the tests use.
 Every summary, structured or dense, becomes a weight through the one assembly
 :func:`summary_log_weight`, where the invertibility rule is written.
 
@@ -116,12 +119,11 @@ __all__ = [
 
 #: Invertibility flag threshold on the per-block spectral-radius estimate.
 SPECTRAL_RADIUS_LIMIT = 0.9
-_POWER_ITERATIONS = 20
 #: Stop of the double-midpoint tangent sweeps, finer than the path's 1e-12
 #: (``integrators.FIXED_POINT_TOL``).  Path nodes are O(1), so 1e-12 is
 #: already a relative accuracy there.  Tangent columns are small: a unit ξ
-#: entry moves the nodes by O(h·√η), and the columns of U and the spread
-#: power start vector by less, so the same absolute stop would resolve Dλ
+#: entry moves the nodes by O(h·√η), and the columns of U by less, so the
+#: same absolute stop would resolve Dλ
 #: coarsely.  The sweeps are linear and contract like the path's; the finer
 #: stop costs about one sweep more (5 → 6 at h = 1/4, m = 16, d = 8).
 _DERIV_TOL = 1e-14
@@ -163,7 +165,8 @@ class LogWeight:
     """Pieces of the pathwise log Radon–Nikodym weight, per path.
 
     ``log_weight = log_cf_det − skorohod − energy``.  ``invertible``: the
-    largest per-step power norm is below 0.9 and det₂ is finite; estimators
+    largest per-step ``BlockSummary.rho`` (ρ(D_k), or its power estimate on
+    the overdamped midpoint route) is below 0.9 and det₂ is finite; estimators
     exclude other paths and count them as rejections.  ``negative_det`` flags
     paths where some block determinant came out negative despite a passing
     diagnostic — an anomaly counter, expected to stay zero under the scheme
@@ -453,67 +456,64 @@ def malliavin_blocks_dmulmc(
 class BlockSummary:
     """What the weight needs of each diagonal block, without the block.
 
-    All fields are (B, N), per path and step k: ``sign`` and ``logabs`` of
-    det(I + D_k), ``trace`` = tr(D_k), and ``power_norm``, the value
-    :func:`block_summary_dense` reads on the dense D_k (same start vector,
-    same number of steps).
+    All fields are (B, N), per path and step k: ``sign`` of det(I + D_k) (0
+    when I + D_k is singular), ``det2`` = log|det₂(I + D_k)| =
+    log|det(I + D_k)| − tr(D_k), ``trace`` = tr(D_k), and ``rho``, the
+    spectral radius ρ(D_k) that the invertibility rule reads: exact on every
+    route but the overdamped midpoint one, where it is a power estimate
+    (:func:`block_summary_mlmc`).
     """
 
     sign: np.ndarray
-    logabs: np.ndarray
+    det2: np.ndarray
     trace: np.ndarray
-    power_norm: np.ndarray
+    rho: np.ndarray
 
 
-def _power_start(s: int) -> np.ndarray:
-    """Deterministic unit start vector of the power iterate: ones plus a tilt."""
-    v = np.ones(s) + np.linspace(0.0, 1.0, s)
-    return v / np.linalg.norm(v)
+def _log1p_minus_x(x: np.ndarray) -> np.ndarray:
+    """log(1 + x) − x, without cancellation where |x| < 0.01.
 
-
-def _power_norms(matvec, batch: tuple, s: int) -> np.ndarray:
-    """‖D·v_{n−1}‖ after n = 20 normalised power steps v_{t+1} = D·v_t/‖D·v_t‖.
-
-    ``matvec(v, out)`` writes the products of the (*batch, s) vectors ``v``
-    into ``out`` of the same shape; every block starts from
-    :func:`_power_start`, and a zero product keeps the previous vector.  The
-    iterate, the product and the squares of the norm are three buffers,
-    reused by every step.
+    With u = x/(2 + x), log(1 + x) = 2·atanh(u) and x − 2u = x·u, so
+    log(1 + x) − x = 2·(atanh(u) − u) − x·u, whose series is cut after u⁹
+    (relative truncation below 1e-18 there).  Elsewhere the direct
+    difference is within 2e-14 relative.
     """
-    v = np.broadcast_to(_power_start(s), (*batch, s)).copy()
-    w = np.empty_like(v)
-    sq = np.empty_like(v)
-    for _ in range(_POWER_ITERATIONS):
-        matvec(v, w)
-        # np.linalg.norm's own sum, without its temporary
-        nrm = np.sqrt(np.square(w, out=sq).sum(axis=-1))
-        np.divide(w, nrm[..., None], out=v, where=nrm[..., None] > 0.0)
-    return nrm
+    u = x / (2.0 + x)
+    u2 = u * u
+    series = 2.0 * u * u2 * (1 / 3 + u2 * (1 / 5 + u2 * (1 / 7 + u2 / 9))) - x * u
+    return np.where(np.abs(x) < 0.01, series, np.log1p(x) - x)
+
+
+def _spectral_fields(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sign of det(I + D), log|det₂(I + D)|, ρ(D)) from the eigenvalues λ (..., s) of D.
+
+    det₂ = Σ log|1 + λ| − Re λ.  For λ = a + ib and x = |1 + λ|² − 1 =
+    a·(2 + a) + b², each term is ½·[(log(1 + x) − x) + |λ|²], two O(|λ|²)
+    parts each formed without cancellation, so the sum is accurate to
+    O(ε·|λ|²) per term, not the O(ε) of log|det| − tr.  A conjugate pair
+    contributes a positive factor |1 + λ|² to the determinant, so only real
+    eigenvalues carry sign; λ = −1 gives sign 0.
+    """
+    a, b = lam.real, lam.imag
+    sign = np.where(b == 0.0, np.sign(1.0 + a), 1.0).prod(axis=-1)
+    with np.errstate(divide="ignore"):
+        det2 = 0.5 * (_log1p_minus_x(a * (2.0 + a) + b * b) + a * a + b * b).sum(axis=-1)
+    return sign, det2, np.abs(lam).max(axis=-1)
 
 
 def block_summary_dense(blocks: MalliavinBlocks) -> BlockSummary:
-    """The reference summary of dense blocks: slogdet(I + D_k), tr D_k, power iterate.
+    """The reference summary of dense blocks: slogdet for the sign, eigvals for det₂ and ρ.
 
-    ``power_norm`` is ‖D_k·v_{n−1}‖ after n = 20 normalised power steps
-    v_{t+1} = D_k·v_t/‖D_k·v_t‖ from the fixed start vector v₀ (ones plus a
-    linear tilt, so results are reproducible).  When D_k has a single
-    dominant eigenvalue this tends to ρ(D_k); it is not a bound on ρ, and it
-    is not ρ in general.  A nilpotent block (ρ = 0) reads small but positive
-    until n reaches its nilpotency index: a frozen-gradient kinetic block,
-    strictly lower triangular in m cells, reads of order 1e-5 at m = 24.
+    ``sign`` comes from slogdet(I + D_k), which is exactly zero on an exactly
+    singular block; ``det2`` and ``rho`` come from the m·d eigenvalues of
+    D_k (:func:`_spectral_fields`), so ``rho`` is ρ(D_k) itself: exactly 0
+    on a strictly lower-triangular block, whose eigenvalues LAPACK isolates
+    on the diagonal.
     """
-    B, N, s, _ = blocks.diag.shape
-    sign, logabs = np.linalg.slogdet(np.eye(s) + blocks.diag)
-    trace = np.trace(blocks.diag, axis1=-2, axis2=-1)
-    rho = _power_norms(
-        lambda v, out: np.einsum("bnij,bnj->bni", blocks.diag, v, out=out), (B, N), s
-    )
-    return BlockSummary(sign, logabs, trace, rho)
-
-
-def _batched_matvec(H: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(..., d, d) @ (..., d) → (..., d)."""
-    return (H @ v[..., None])[..., 0]
+    s = blocks.diag.shape[-1]
+    sign = np.linalg.slogdet(np.eye(s) + blocks.diag)[0]
+    _, det2, rho = _spectral_fields(np.linalg.eigvals(blocks.diag))
+    return BlockSummary(sign, det2, np.trace(blocks.diag, axis1=-2, axis2=-1), rho)
 
 
 def _mlmc_step_factors(potential: Potential, traj: OverdampedTrajectory, k: int):
@@ -559,124 +559,99 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
     """Overdamped midpoint blocks D = L − C·Rᵀ summarised from their factors.
 
     L[i,j] = η·H_i·1_{j<i}, C_i = η·(iη·H_i·H⁺ + H⁺), R = 1_{j<r} ⊗ I_d.  The
-    recurrence Y_i = C_i − η·H_i·Σ_{j<i} Y_j solves (I + L)·Y = C, so
-    det(I + D) = det(I_d − Σ_{j<r} Y_j) and tr D = −Σ_{i<r} tr C_i; the
-    power iterate uses (D·v)_i = η·H_i·Σ_{j<i} v_j − C_i·Σ_{j<r} v_j.
-    Cost O(m·d³) per step instead of O((m·d)³).  At r = 0 (EM-LD) the
-    determinant correction is exactly zero.  Steps are summarised one at a
-    time, each from its own factors (:func:`_mlmc_step_factors`), and the
-    power products run in buffers of one step's (B, m·d) vectors: the
-    working set is one step's (B, m + r_k, d, d) factors, whatever N is.
+    recurrence Y_i = C_i − η·H_i·Σ_{j<i} Y_j solves (I + L)·Y = C, so with
+    Ŷ = Σ_{i<r} Y_i and Ĉ = Σ_{i<r} C_i, det(I + D) = det(I_d − Ŷ),
+    tr D = −tr Ĉ and
+
+        det₂ = Σ_{μ ∈ eig Ŷ} [log|1 − μ| + μ] + tr(Ĉ − Ŷ),
+
+    with tr(Ĉ − Ŷ) = η·Σ_{i<r} tr(H_i·Σ_{j<i} Y_j) summed inside the
+    recurrence, so neither O(h²) term is a difference of O(h) numbers.  No
+    cell j ≥ r reaches a cell i < r, so D is block lower-triangular across
+    the midpoint cell with a nilpotent trailing block, and ρ(D) = ρ(D₁₁) on
+    the r·d leading cells.  ``rho`` is ‖D₁₁·v₁₉‖ after 20 normalised power
+    steps from ones plus a linear tilt, through
+    (D₁₁·v)_i = η·H_i·Σ_{j<i} v_j − C_i·Σ_{j<r} v_j: an estimate of ρ, not
+    a bound.  At r = 0 (EM-LD) every field but the sign is exactly zero.
+    Cost O(m·d³) per step instead of O((m·d)³); steps are summarised one at
+    a time, so the working set is one step's (B, m + r_k, d, d) factors
+    (:func:`_mlmc_step_factors`), whatever N is.
     """
-    grid = traj.grid
-    N, m, eta = grid.N, grid.m, grid.eta
+    N, eta = traj.grid.N, traj.grid.eta
     B, d = traj.x.shape[0], traj.x.shape[2]
-    i_eta = eta * np.arange(m)[:, None]
-    sign, logabs, trace, rho = (np.empty((B, N)) for _ in range(4))
-    before = np.zeros((B, m, d))  # Σ_{j<i} v_j; cell 0 stays zero
-    shifted = np.empty((B, m, d))
+    sign, det2, trace, rho = (np.zeros((B, N)) for _ in range(4))
     for k in range(N):
         H, Hp, C = _mlmc_step_factors(potential, traj, k)
         r = C.shape[1]
-        prefix = np.zeros((B, d, d))  # Σ_{j<i} Y_j, and Σ_{j<r} Y_j once i = r
+        prefix = np.zeros((B, d, d))  # Σ_{j<i} Y_j, and Ŷ once i = r
+        excess = np.zeros(B)  # tr(Ĉ − Ŷ)
         for i in range(r):
-            prefix = prefix + (C[:, i] - eta * (H[:, i] @ prefix))
-        sign[:, k], logabs[:, k] = np.linalg.slogdet(np.eye(d) - prefix)
+            HY = H[:, i] @ prefix
+            excess += np.trace(HY, axis1=-2, axis2=-1)
+            prefix = prefix + (C[:, i] - eta * HY)
+        sign[:, k], core, _ = _spectral_fields(np.linalg.eigvals(-prefix))
+        det2[:, k] = core + eta * excess
         trace[:, k] = -np.einsum("biaa->b", C)
-
-        def matvec(v: np.ndarray, out: np.ndarray) -> None:
-            V = v.reshape(B, m, d)
-            np.cumsum(V[:, :-1], axis=1, out=before[:, 1:])
-            u = _batched_matvec(Hp, V[:, :r].sum(axis=1))  # H⁺·Σ_{j<r} v_j
-            np.subtract(before, np.multiply(i_eta, u[:, None], out=shifted), out=shifted)
-            w = out.reshape(B, m, d, 1)
-            np.matmul(H, shifted[..., None], out=w)
-            w -= u[:, None, :, None]
-            w *= eta
-
-        rho[:, k] = _power_norms(matvec, (B,), m * d)
-    return BlockSummary(sign, logabs, trace, rho)
+        if r == 0:
+            continue
+        i_eta = eta * np.arange(r)[:, None, None]
+        v = np.ones(r * d) + np.linspace(0.0, 1.0, r * d)
+        V = np.broadcast_to((v / np.linalg.norm(v)).reshape(r, d, 1), (B, r, d, 1))
+        for _ in range(20):
+            u = Hp @ V.sum(axis=1)  # H⁺·Σ_{j<r} v_j, (B, d, 1)
+            before = np.cumsum(V, axis=1) - V  # Σ_{j<i} v_j
+            W = eta * (H[:, :r] @ (before - i_eta * u[:, None]) - u[:, None])
+            nrm = np.sqrt(np.square(W).sum(axis=(1, 2, 3)))
+            V = W / np.where(nrm > 0.0, nrm, 1.0)[:, None, None, None]
+        rho[:, k] = nrm
+    return BlockSummary(sign, det2, trace, rho)
 
 
 def block_summary_ulmc(potential: Potential, traj: UnderdampedTrajectory) -> BlockSummary:
     """Frozen-gradient kinetic blocks η·E₂(jη, iη)·H_i·1_{j<i}, summarised.
 
-    Strictly lower triangular, hence nilpotent: det(I + D) = 1 and tr D = 0
-    exactly.  Only the power iterate needs the factors, through
-    (D·v)_i = η·H_i·Σ_j E₂(jη, iη)·v_j.
+    Strictly lower triangular, hence nilpotent: det(I + D) = 1 and
+    det₂ = tr D = ρ(D) = 0 exactly, whatever the Hessians.  So no Hessian,
+    kernel table or product is evaluated; ``potential`` is unused.
     """
-    grid = traj.grid
-    N, m, eta = grid.N, grid.m, grid.eta
-    B, d = traj.x.shape[0], traj.x.shape[2]
-    K2 = StepKernels.build(traj.gamma, grid.h, m).K2[:m]
-    H = potential.hessian(_left_nodes(traj.x, N, m))
-
-    def matvec(v: np.ndarray, out: np.ndarray) -> None:
-        mixed = np.einsum("ij,bnjd->bnid", K2, v.reshape(B, N, m, d))
-        np.multiply(eta, _batched_matvec(H, mixed).reshape(B, N, m * d), out=out)
-
-    rho = _power_norms(matvec, (B, N), m * d)
-    return BlockSummary(np.ones((B, N)), np.zeros((B, N)), np.zeros((B, N)), rho)
+    shape = (traj.x.shape[0], traj.grid.N)
+    return BlockSummary(np.ones(shape), np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
 
 def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> BlockSummary:
-    """Double-midpoint blocks D = U·Wᵀ summarised from their rank-2d factors.
+    """Double-midpoint blocks D = U·Wᵀ summarised from their 2d × 2d core Wᵀ·U.
 
     U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d] and Wᵀ = ∂(λ₁, λ₂)/∂ξ.  The derivative
-    fixed point runs on 2d + 1 noise directions, the columns of U and the
-    power start vector v₀, giving Wᵀ·U and Wᵀ·v₀.  Then
-    det(I + D) = det(I_{2d} + Wᵀ·U), tr D = tr(Wᵀ·U), and from the first
-    product on the power iterate stays in the range of U: D·(U·a) = U·(Wᵀ·U·a).
-    Steps are summarised one at a time, and :func:`tangents_dmulmc` evaluates
-    each step's Hessians itself: the working set is one step's (B, m, d, d)
-    Hessians and the fixed point's (B, m+1, d, 2d+1) buffers, whatever N is.
+    fixed point runs on the 2d columns of U as noise directions, giving
+    Wᵀ·U, whose eigenvalues are the nonzero eigenvalues of D.  So
+    det₂ = Σ log|1 + λ| − λ over them (:func:`_spectral_fields`), with the
+    sign of det(I + D), ρ(D) = max|λ| exactly, and tr D = tr(Wᵀ·U).  Steps are
+    summarised one at a time, and :func:`tangents_dmulmc` evaluates each
+    step's Hessians itself: the working set is one step's (B, m, d, d)
+    Hessians and the fixed point's (B, m+1, d, 2d) buffers, whatever N is.
     """
     tangents = tangents_dmulmc(potential, traj)
-    grid = traj.grid
-    N, m, eta = grid.N, grid.m, grid.eta
+    N, m = traj.grid.N, traj.grid.m
     B, d = traj.x.shape[0], traj.x.shape[2]
-    kern = StepKernels.build(traj.gamma, grid.h, m)
-    coef = np.sqrt(eta / (2.0 * traj.gamma))
-
-    def times_u(a: np.ndarray) -> np.ndarray:
-        """U·a for a (B, 2d) → (B, m·d)."""
-        ua = kern.e1_left[:, None] * a[:, None, :d] + kern.e2_left[:, None] * a[:, None, d:]
-        return coef * ua.reshape(B, m * d)
-
-    # noise directions (m, d, 2d + 1): the columns of U, then v₀
-    dirs = np.concatenate(
-        [drift_basis_dmulmc(traj)[0].reshape(m, d, 2 * d), _power_start(m * d).reshape(m, d, 1)],
-        axis=-1,
-    )
-    sign = np.empty((B, N))
-    logabs = np.empty((B, N))
-    trace = np.empty((B, N))
-    rho = np.empty((B, N))
+    dirs = drift_basis_dmulmc(traj)[0].reshape(m, d, 2 * d)  # the columns of U
+    sign, det2, trace, rho = (np.empty((B, N)) for _ in range(4))
     for k in range(N):
-        WT = tangents(k, dirs, None)[0]  # (B, 2d, 2d + 1)
-        WtU, a = WT[:, :, : 2 * d], WT[:, :, 2 * d]
-        sign[:, k], logabs[:, k] = np.linalg.slogdet(np.eye(2 * d) + WtU)
+        WtU = tangents(k, dirs, None)[0]  # (B, 2d, 2d)
+        sign[:, k], det2[:, k], rho[:, k] = _spectral_fields(np.linalg.eigvals(WtU))
         trace[:, k] = np.trace(WtU, axis1=-2, axis2=-1)
-        # D·v₀ = U·a; each later product is U·(WᵀU·a)/‖U·a‖
-        nrm = np.linalg.norm(times_u(a), axis=-1)
-        for _ in range(_POWER_ITERATIONS - 1):
-            safe = np.where(nrm > 0.0, nrm, 1.0)[:, None]
-            a = np.where(nrm[:, None] > 0.0, _batched_matvec(WtU, a) / safe, a)
-            nrm = np.linalg.norm(times_u(a), axis=-1)
-        rho[:, k] = nrm
-    return BlockSummary(sign, logabs, trace, rho)
+    return BlockSummary(sign, det2, trace, rho)
 
 
 def carleman_fredholm_logdet(summary: BlockSummary) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_k [log|det(I + D_k)| − tr(D_k)] per path, from the block summaries.
+    """Σ_k log|det₂(I + D_k)| per path, the sum of the block summaries' ``det2``.
 
     The full derivative is block lower-triangular, so diagonal blocks carry
     the whole determinant.  Returns (value, negative_det): an exactly singular
-    block yields −inf; ``negative_det`` marks paths where some block
+    block (sign 0) yields −inf; ``negative_det`` marks paths where some block
     determinant is negative (anomaly under the scheme step bounds).
     """
     sign = summary.sign
-    value = np.where(sign == 0.0, -np.inf, summary.logabs - summary.trace).sum(axis=-1)
+    value = np.where(sign == 0.0, -np.inf, summary.det2).sum(axis=-1)
     return value, np.any(sign < 0.0, axis=-1)
 
 
@@ -695,7 +670,7 @@ def summary_log_weight(
 def _summary_weight(summary: BlockSummary, ito: np.ndarray, energy: np.ndarray) -> LogWeight:
     """The weight of every route from Σ⟨ψ_i, ξ_i⟩, ½Σ‖ψ_i‖² and the block summaries."""
     log_cf, negative = carleman_fredholm_logdet(summary)
-    rho = summary.power_norm.max(axis=-1)
+    rho = summary.rho.max(axis=-1)
     return LogWeight(
         log_cf_det=log_cf,
         skorohod=ito - summary.trace.sum(axis=-1),

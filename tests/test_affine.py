@@ -99,7 +99,7 @@ def _dense_path_kl(maps, mean, cov):
         kl += 0.5 * float(np.sum((Pz @ mean + p0) ** 2))
         kl += 0.5 * float(np.einsum("idz,ze,ide->", Pz, cov, Pz))
         kl += 0.5 * float(np.sum(Pxi**2))
-        kl -= float(sm.summary.logabs[0, 0] - sm.summary.trace[0, 0])
+        kl -= float(sm.summary.det2[0, 0])
         mean = sm.A @ mean + sm.b
         cov = sm.A @ cov @ sm.A.T + sm.noise_cov
     return kl

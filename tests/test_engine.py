@@ -1,7 +1,8 @@
 """Engine claims: the affine and generic routes agree, both are bit-identical
 across thread counts, paths are read one window at a time, windows are cut by
-the bytes of their noise, the affine route never forms a dense block, and a
-local-error window holds one replica's noise at a time."""
+the bytes of their noise, the start law is resolved once per run, the affine
+route never forms a dense block, and a local-error window holds one replica's
+noise at a time."""
 
 import tracemalloc
 
@@ -311,6 +312,32 @@ def test_affine_route_forms_no_dense_block(monkeypatch, scheme):
     gamma = 1.0 if scheme in ("ulmc", "dmulmc") else None
     run = run_weights(scheme, IsotropicQuadratic(2), grid=GRID, gamma=gamma, n_paths=64, seed=1)
     assert np.all(np.isfinite(run.log_weight)) and run.n_rejected == 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("route", ["affine", "generic", "local-error"])
+def test_start_law_is_resolved_once_per_call(monkeypatch, route, threads):
+    # three windows draw their rows from one resolved law: the stationary
+    # law's Hessian, eigh and Cholesky factor are not redone per window
+    import girsanovlab.divergences as divergences
+
+    calls = []
+    resolve = engine.start_law
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "start_law", counted)
+    monkeypatch.setattr(divergences, "start_law", counted)
+    n = 2 * WINDOW_PATHS + 40
+    if route == "local-error":
+        local_error_sweep("mlmc", ISOTROPIC, [TimeGrid(0.25, 1, 4)], n_paths=n, seed=3,
+                          threads=threads)
+    else:
+        pot = ISOTROPIC if route == "affine" else PERTURBED
+        run_weights("mlmc", pot, grid=GRID, n_paths=n, seed=3, threads=threads)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kinetic", [False, True])

@@ -247,8 +247,9 @@ def test_carleman_flags_singular_and_negative_blocks():
 
 def test_spectral_radius_known_value():
     blocks = MalliavinBlocks("mlmc", np.array([[[[0.5]]]]))
-    estimate = block_summary_dense(blocks).power_norm.max(axis=-1)
-    assert estimate[0] == pytest.approx(0.5, rel=1e-12)
+    summary = block_summary_dense(blocks)
+    assert summary.rho[0, 0] == 0.5
+    assert summary.det2[0, 0] == pytest.approx(np.log(1.5) - 0.5, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
