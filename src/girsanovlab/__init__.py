@@ -43,7 +43,6 @@ from .engine import (
 from .experiments import Check, RunResult, run, run_experiment
 from .girsanov import (
     BlockSummary,
-    DriftRealization,
     LogWeight,
     MalliavinBlocks,
     TraceDiagnostics,
@@ -56,9 +55,6 @@ from .girsanov import (
     drift_dmulmc,
     drift_mlmc,
     drift_ulmc,
-    malliavin_blocks_dmulmc,
-    malliavin_blocks_mlmc,
-    malliavin_blocks_ulmc,
     summary_log_weight,
     trace_diagnostics_mlmc,
     trace_square_mlmc,
@@ -97,7 +93,6 @@ __all__ = [
     "ConfigError",
     "CriterionResult",
     "DivergenceEstimate",
-    "DriftRealization",
     "ExperimentConfig",
     "IsotropicQuadratic",
     "LocalErrorReport",
@@ -135,9 +130,6 @@ __all__ = [
     "load_config",
     "load_config_file",
     "local_error_sweep",
-    "malliavin_blocks_dmulmc",
-    "malliavin_blocks_mlmc",
-    "malliavin_blocks_ulmc",
     "noise_matrix",
     "quadratic_path_kl",
     "refine_noise",

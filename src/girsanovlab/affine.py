@@ -8,17 +8,20 @@ them off the scheme's one step tangent rule (``Scheme.tangents``, the rule
 behind the dense blocks) on one zero path per distinct step key, whose
 endpoint and drift coordinates are the constant parts.  It then provides:
 
-* exact propagation of step-marginal Gaussian moments,
+* exact propagation of step-marginal Gaussian moments, written once and read
+  by both exact functionals below,
 * a deterministic (Monte-Carlo-free) path KL between scheme and diffusion,
 * batched log-weight evaluation at a cost linear in the number of steps,
   whose drift terms are BLAS matrix products and which agrees with the
   generic per-path assembly to 1e-12 (dual-route tested).
 
-Maps are stored in drift coordinates, ψ = U·c with c affine in the inputs.
-DM-ULMC drifts span 2d columns, U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d], and c is
-the step's multipliers (λ₁, λ₂); the weights then cost O(B·N·m·d²) and the
-path KL forms no (m·d)² product.  The other schemes have full-rank blocks and
-keep ψ itself as coordinates (U = I), at O(B·N·m²·d²).
+Maps are stored in drift coordinates only, ψ = U·c with c affine in the
+inputs (``Scheme.drift_coordinates``); no dense drift map is kept.  DM-ULMC
+drifts span 2d columns, U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d], and c is the
+step's multipliers (λ₁, λ₂); the weights then cost O(B·N·m·d²) and the path
+KL forms no (m·d)² product.  The other schemes have full-rank blocks and keep
+ψ itself as coordinates (U = I), at O(B·N·m²·d²).  The path KL reads both
+through one coordinate formula, with G = I for the identity basis.
 
 Each step's derivative block enters only through its block summary (the sign
 of det(I + D), log|det₂(I + D)|, tr D and ρ(D)), taken from the scheme's small
@@ -72,9 +75,8 @@ class StepMaps:
     * EM-LD, M-LMC, ULMC: full-rank blocks; ``U`` and ``G`` are None, the
       identity basis (c = ψ, r = m·d).
 
-    ``Pz`` (m, d, z), ``Pxi`` (m, d, m·d) and ``p0`` (m, d) are the dense
-    drift maps derived from these, ψ_i = Pz[i]·z + Pxi[i]·ξ_flat + p0[i].
-    The constant within-step derivative D = ∂ψ/∂ξ enters through
+    The dense drift map is U·Lz, U·Wt, U·l0; it is not stored.  The
+    constant within-step derivative D = ∂ψ/∂ξ = U·Wt enters through
     ``summary``, its :class:`~girsanovlab.girsanov.BlockSummary` on one path
     and one step (fields of shape (1, 1)).
     """
@@ -100,23 +102,6 @@ class StepMaps:
     def noise_cov(self) -> np.ndarray:
         """Covariance contribution of one step's increments, S·Sᵀ."""
         return self.S @ self.S.T
-
-    def _dense(self, coords: np.ndarray) -> np.ndarray:
-        return (coords if self.U is None else self.U @ coords).reshape(
-            self.m, self.d, *coords.shape[1:]
-        )
-
-    @property
-    def Pz(self) -> np.ndarray:
-        return self._dense(self.Lz)
-
-    @property
-    def Pxi(self) -> np.ndarray:
-        return self._dense(self.Wt)
-
-    @property
-    def p0(self) -> np.ndarray:
-        return self._dense(self.l0)
 
     @cached_property
     def noise_product(self) -> np.ndarray:
@@ -188,15 +173,23 @@ def step_maps_for_schedule(
     return out
 
 
+def _state_moments(maps: list[StepMaps], mean0: np.ndarray, cov0: np.ndarray):
+    """The one moment propagation: the state's exact (mean, cov) at each step
+    start, then at the horizon, lazily (z' = A·z + S·ξ + b)."""
+    mean, cov = np.asarray(mean0, dtype=float), np.asarray(cov0, dtype=float)
+    yield mean, cov
+    for sm in maps:
+        mean = sm.A @ mean + sm.b
+        cov = sm.A @ cov @ sm.A.T + sm.noise_cov
+        yield mean, cov
+
+
 def marginal_moments(
     maps: list[StepMaps], mean0: np.ndarray, cov0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gaussian moments of the scheme marginal after all steps."""
-    mean, cov = np.asarray(mean0, dtype=float), np.asarray(cov0, dtype=float)
-    for sm in maps:
-        mean = sm.A @ mean + sm.b
-        cov = sm.A @ cov @ sm.A.T + sm.noise_cov
-    return mean, cov
+    *_, horizon = _state_moments(maps, mean0, cov0)
+    return horizon
 
 
 def scheme_marginal_gaussian(
@@ -228,31 +221,31 @@ def _step_summaries(maps: list[StepMaps], n_paths: int = 1) -> BlockSummary:
     ))
 
 
+def _gram_times(sm: StepMaps, coords: np.ndarray) -> np.ndarray:
+    """G·coords, with G = I in the identity basis."""
+    return coords if sm.G is None else sm.G @ coords
+
+
 def quadratic_path_kl(
     maps: list[StepMaps], mean0: np.ndarray, cov0: np.ndarray
 ) -> float:
     """KL between the scheme path law and the diffusion path law, exactly.
 
-    Deterministic: uses E[δψ] = 0 and the propagated state moments, no
-    sampling.  E‖ψ‖² = E[cᵀGc] comes from the drift coordinates' moments,
-    so a low-rank step forms no (m·d)² product.  Infinite when some step
-    block is exactly singular.
+    Deterministic: uses E[δψ] = 0 and the propagated state moments (μ, Σ),
+    no sampling.  Per step, with m_c = Lz·μ + l0 the drift coordinates' mean,
+    E‖ψ‖² = E[cᵀGc] = m_cᵀG·m_c + Σ(Lz·Σ)∘(G·Lz) + ΣWt∘(G·Wt): one trace form
+    for both bases (G = I for the identity basis), so no step forms an
+    (m·d)³ product, and a low-rank one no (m·d)² array.  Infinite when some
+    step block is exactly singular.
     """
-    mean = np.asarray(mean0, dtype=float)
-    cov = np.asarray(cov0, dtype=float)
     kl = 0.0
-    for sm in maps:
-        if sm.G is None:  # identity basis: c = ψ
-            mean_psi = sm.Pz @ mean + sm.p0  # (m, d)
-            kl += 0.5 * float(np.sum(mean_psi**2))
-            kl += 0.5 * float(np.einsum("idz,ze,ide->", sm.Pz, cov, sm.Pz))
-            kl += 0.5 * float(np.sum(sm.Pxi**2))
-        else:
-            mean_c = sm.Lz @ mean + sm.l0
-            cov_c = sm.Lz @ cov @ sm.Lz.T + sm.Wt @ sm.Wt.T
-            kl += 0.5 * float(mean_c @ sm.G @ mean_c + np.sum(sm.G * cov_c))
-        mean = sm.A @ mean + sm.b
-        cov = sm.A @ cov @ sm.A.T + sm.noise_cov
+    for sm, (mean, cov) in zip(maps, _state_moments(maps, mean0, cov0)):
+        mean_c = sm.Lz @ mean + sm.l0
+        kl += 0.5 * float(
+            mean_c @ _gram_times(sm, mean_c)
+            + np.sum((sm.Lz @ cov) * _gram_times(sm, sm.Lz))
+            + np.sum(sm.Wt * _gram_times(sm, sm.Wt))
+        )
     log_cf, _ = girsanov.carleman_fredholm_logdet(_step_summaries(maps))
     return kl - float(log_cf[0])
 

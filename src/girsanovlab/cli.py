@@ -172,11 +172,11 @@ def _cmd_dump_blocks(args) -> int:
     cfg = load_config_file(args.config)
     b = args.path
     scheme, grid, _, _, xi, traj = _path_setup(cfg, b)
-    drift = scheme.drift(cfg.potential, traj)
+    psi = scheme.drift(cfg.potential, traj)
     blocks = scheme.blocks(cfg.potential, traj)
-    lw = summary_log_weight(drift, block_summary_dense(blocks), xi)
+    lw = summary_log_weight(psi, block_summary_dense(blocks), xi)
     lines = _dump_header(cfg, "blocks", b, grid)
-    _emit_array(lines, "psi", drift.psi[-1])
+    _emit_array(lines, "psi", psi[-1])
     _emit_array(lines, "diag", blocks.diag[-1])
     for name, value in (
         ("log_cf_det", lw.log_cf_det[-1]),

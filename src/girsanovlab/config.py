@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import SCHEMES
+from .engine import SCHEDULE_MODES, SCHEMES
 from .paths import TimeGrid
 from .potentials import (
     AnisotropicQuadratic,
@@ -56,8 +56,6 @@ EXPERIMENTS = (
 
 #: canonical scheme ids keyed by the user-facing spellings: id or lower-case label
 SCHEME_NAMES = {key: name for name, s in SCHEMES.items() for key in (name, s.label.lower())}
-
-SCHEDULE_MODES = ("deterministic", "randomized", "zero")
 
 #: experiments that run each scheme's deterministic schedule, so reject the key
 FIXED_SCHEDULE_EXPERIMENTS = ("local-error-sweep", "complexity-table")

@@ -37,13 +37,11 @@ from .girsanov import (
     block_summary_dmulmc,
     block_summary_mlmc,
     block_summary_ulmc,
+    derivative_blocks,
     drift_basis_dmulmc,
     drift_dmulmc,
     drift_mlmc,
     drift_ulmc,
-    malliavin_blocks_dmulmc,
-    malliavin_blocks_mlmc,
-    malliavin_blocks_ulmc,
     summary_log_weight,
     tangents_dmulmc,
     tangents_mlmc,
@@ -66,8 +64,8 @@ from .paths import (
 from .potentials import Potential
 
 __all__ = [
-    "SCHEMES", "Scheme", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS", "scheme_for",
-    "start_law", "start_states", "window_rows", "map_windows", "run_weights",
+    "SCHEDULE_MODES", "SCHEMES", "Scheme", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS",
+    "scheme_for", "start_law", "start_states", "window_rows", "map_windows", "run_weights",
     "generic_log_weights",
 ]
 
@@ -80,6 +78,9 @@ WINDOW_PATHS = 512
 #: Bytes of noise one evaluation window may hold: rows × values per path × 8.
 WINDOW_BYTES = 4 * 2**20
 
+#: Midpoint schedule modes of ``Scheme.schedule``.
+SCHEDULE_MODES = ("deterministic", "randomized", "zero")
+
 
 class Scheme:
     """One discretization, as every scheme-dependent call site needs it.
@@ -89,8 +90,8 @@ class Scheme:
     integrator and weight layers through this module's names at call time.
 
     * ``schedule(grid, mode, seed, stream)``: the midpoint schedule for a
-      mode (deterministic | randomized | zero).  ``midpoint_choice`` is
-      False when the scheme has one schedule whatever the mode.
+      mode of ``SCHEDULE_MODES``, ValueError for another.  ``midpoint_choice``
+      is False when the scheme has one schedule whatever the mode.
     * ``simulate(potential, grid, schedule, gamma, z0, xi)``: the trajectory
       from stacked start states z0 — x, or (x, p) for kinetic schemes —
       and ``endpoint(traj)``, its state at the horizon, shaped like z0.
@@ -98,19 +99,20 @@ class Scheme:
       state alone, equal to ``endpoint(simulate(...))``; a scheme overrides
       it where the marginal update is cheaper than the trajectory (DM-ULMC
       skips the inner fixed point, and agrees to 1e-12, tested).
-    * ``drift``, the dense derivative ``blocks`` (the reference for finite
-      differences and dumps; diagonal blocks per step or, with
-      ``include_offdiag``, the whole derivative in one forward sweep) and
-      their structured ``summary`` (both weight routes: per path on the
-      generic route, once per step on the affine one) of a trajectory.
-    * ``drift_coordinates(potential, traj)``: (U, G, c), the drifts of each
-      step flattened to m·d as ψ = U·c with coordinates c (B, N, r) and Gram
-      matrix G = UᵀU.  DM-ULMC drifts span r = 2d columns; the other schemes
-      return U = G = None, the identity basis (c = ψ, r = m·d).
+    * ``drift_coordinates(potential, traj)``: (U, G, c), the one stored form
+      of a step's drift, flattened to m·d as ψ = U·c with coordinates c
+      (B, N, r) and Gram matrix G = UᵀU.  DM-ULMC drifts span r = 2d
+      columns; the other schemes return U = G = None, the identity basis
+      (c = ψ, r = m·d).  ``drift(potential, traj)`` is ψ, (B, N·m, d).
     * ``tangents(potential, traj)``: the one step tangent rule
       (k, dirs, dz0) → (Dc, Dz_h) in drift coordinates, which runs the
       scheme's own integrator step with grad = ∇²V·DX, behind the dense
       ``blocks``, the DM-ULMC ``summary`` and the affine step maps.
+    * ``blocks(potential, traj, include_offdiag)``: the dense derivative
+      Dψ = U·Dc from the tangent rule, for every scheme (the reference for
+      finite differences and dumps: diagonal blocks per step or the whole
+      derivative in one forward sweep); ``summary(potential, traj)``, its
+      structured block summary, which both weight routes read.
     * ``step_keys(grid, schedule)``: per outer step, the hashable midpoint
       choice that fixes the step's affine maps; ``step_schedule(step_grid,
       key)`` is the one-step schedule of a key.
@@ -127,14 +129,25 @@ class Scheme:
 
     def schedule(self, grid: TimeGrid, mode: str = "deterministic", seed: int = 0,
                  stream: int = 0):
+        if mode not in SCHEDULE_MODES:
+            raise ValueError(f"unknown schedule mode {mode!r}: use {' | '.join(SCHEDULE_MODES)}")
+        return self._schedule(grid, mode, seed, stream)
+
+    def _schedule(self, grid, mode, seed, stream):
         return None
 
     def advance(self, potential: Potential, grid: TimeGrid, schedule, gamma, z0, xi):
         return self.endpoint(self.simulate(potential, grid, schedule, gamma, z0, xi))
 
     def drift_coordinates(self, potential: Potential, traj):
-        psi = self.drift(potential, traj).psi
+        psi = self.drift(potential, traj)
         return None, None, psi.reshape(psi.shape[0], traj.grid.N, -1)
+
+    def blocks(self, potential: Potential, traj, include_offdiag: bool = False):
+        basis = self.drift_coordinates(potential, traj)[0]
+        return derivative_blocks(
+            self.name, traj, self.tangents(potential, traj), include_offdiag, basis
+        )
 
     def step_keys(self, grid: TimeGrid, schedule) -> list:
         return [0] * grid.N
@@ -156,7 +169,7 @@ class _MidpointLMC(Scheme):
     name, label, bound_rule = "mlmc", "M-LMC", "1/(beta*q)"
     midpoint_choice = True
 
-    def schedule(self, grid, mode="deterministic", seed=0, stream=0):
+    def _schedule(self, grid, mode, seed, stream):
         if mode == "deterministic":
             return OverdampedSchedule.deterministic(grid)
         if mode == "zero":
@@ -171,9 +184,6 @@ class _MidpointLMC(Scheme):
 
     def drift(self, potential, traj):
         return drift_mlmc(potential, traj)
-
-    def blocks(self, potential, traj, include_offdiag=False):
-        return malliavin_blocks_mlmc(potential, traj, include_offdiag=include_offdiag)
 
     def tangents(self, potential, traj):
         return tangents_mlmc(potential, traj)
@@ -201,7 +211,7 @@ class _EulerLD(_MidpointLMC):
     name, label, bound_rule = "em-ld", "EM-LD", ""
     midpoint_choice = False
 
-    def schedule(self, grid, mode="deterministic", seed=0, stream=0):
+    def _schedule(self, grid, mode, seed, stream):
         return OverdampedSchedule.zero(grid)
 
     def step_bound(self, beta, q):
@@ -225,9 +235,6 @@ class _FrozenGradientULMC(_Kinetic):
     def drift(self, potential, traj):
         return drift_ulmc(potential, traj)
 
-    def blocks(self, potential, traj, include_offdiag=False):
-        return malliavin_blocks_ulmc(potential, traj, include_offdiag=include_offdiag)
-
     def tangents(self, potential, traj):
         return tangents_ulmc(potential, traj)
 
@@ -242,7 +249,7 @@ class _DoubleMidpointULMC(_Kinetic):
     name, label, bound_rule = "dmulmc", "DM-ULMC", f"{DM_STEP_MARGIN:g}/sqrt(beta*q)"
     midpoint_choice = True
 
-    def schedule(self, grid, mode="deterministic", seed=0, stream=0):
+    def _schedule(self, grid, mode, seed, stream):
         if mode == "deterministic":
             return UnderdampedSchedule.deterministic(grid)
         if mode == "zero":
@@ -265,9 +272,6 @@ class _DoubleMidpointULMC(_Kinetic):
     def drift_coordinates(self, potential, traj):
         U, gram = drift_basis_dmulmc(traj)
         return U, gram, np.concatenate([traj.lambda1, traj.lambda2], axis=-1)
-
-    def blocks(self, potential, traj, include_offdiag=False):
-        return malliavin_blocks_dmulmc(potential, traj, include_offdiag=include_offdiag)
 
     def tangents(self, potential, traj):
         return tangents_dmulmc(potential, traj)
@@ -325,11 +329,14 @@ class WeightRun:
 
 
 def _resolve_grid(schedule, grid: TimeGrid | None) -> TimeGrid:
-    if schedule is not None:
-        return schedule.grid
-    if grid is None:
-        raise ValueError("need a schedule or a grid")
-    return grid
+    """The schedule's grid, or ``grid`` without one; ValueError if both are given and differ."""
+    if schedule is None:
+        if grid is None:
+            raise ValueError("need a schedule or a grid")
+        return grid
+    if grid is not None and grid != schedule.grid:
+        raise ValueError(f"grid {grid} differs from the schedule's grid {schedule.grid}")
+    return schedule.grid
 
 
 def generic_log_weights(
@@ -355,7 +362,8 @@ def generic_log_weights(
 def start_law(potential: Potential, kinetic: bool, init=None):
     """The start law's sampler ``draw(seed, n, start=0)``, resolved once per run.
 
-    ``init`` is None (the default start law) or ("gaussian", mean, cov).
+    ``init`` is None (the default start law) or ("gaussian", mean, cov) with
+    mean (z,) and cov (z, z), z = d or 2d; other shapes are a ValueError.
     ``draw`` returns the start states of paths ``start .. start+n−1``, shape
     (n, d) or (n, 2d): path p's start is row p of the seed's initialization
     stream pushed through the law's Cholesky factor, so it depends on
@@ -374,6 +382,11 @@ def start_law(potential: Potential, kinetic: bool, init=None):
         cov[:d, :d] /= potential.alpha if potential.alpha > 0 else 1.0
     elif init[0] == "gaussian":
         mean, cov = np.asarray(init[1], dtype=float), np.asarray(init[2], dtype=float)
+        if mean.shape != (zdim,) or cov.shape != (zdim, zdim):
+            raise ValueError(
+                f"a gaussian start law needs mean ({zdim},) and cov ({zdim}, {zdim}), "
+                f"got {mean.shape} and {cov.shape}"
+            )
     else:
         raise ValueError(f"unknown initial law {init!r}")
     chol = np.linalg.cholesky(cov)
@@ -439,7 +452,8 @@ def run_weights(
     noise fits in ``WINDOW_BYTES``: each window draws the increments of its
     own paths, draws its start states from the law :func:`start_law`
     resolves once from ``init``, and yields one
-    :class:`~girsanovlab.girsanov.LogWeight`.  Constant-Hessian
+    :class:`~girsanovlab.girsanov.LogWeight`.  A ``grid`` given beside a
+    ``schedule`` must be the schedule's own.  Constant-Hessian
     targets take the affine fast path, which agrees with
     :func:`generic_log_weights` to rounding (tested).
     """

@@ -232,12 +232,12 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
         x0 = start_states(potential, False, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
         traj = scheme.simulate(potential, grid, schedule, None, x0, xi)
-        drift = scheme.drift(potential, traj)
+        psi = scheme.drift(potential, traj)
         summary = scheme.summary(potential, traj)
-        lw = summary_log_weight(drift, summary, xi)
+        lw = summary_log_weight(psi, summary, xi)
         # classical adapted exponent: -sum psi.xi - energy (Ito integral form)
-        ito = np.einsum("bid,bid->b", drift.psi, xi.reshape(n, grid.n_cells, d))
-        classical = -ito - drift.energy
+        ito = np.einsum("bid,bid->b", psi, xi.reshape(n, grid.n_cells, d))
+        classical = -ito - lw.energy
         max_cf = float(np.max(np.abs(lw.log_cf_det)))
         max_diff = float(np.max(np.abs(lw.log_weight - classical)))
         max_trace = float(np.max(np.abs(summary.trace)))
@@ -286,7 +286,7 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
                     pert = xi.copy()
                     pert[:, cell, a] += sign * FD_PROBE
                     moved = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, pert)
-                    flat = scheme.drift(potential, moved).psi.reshape(n, s)
+                    flat = scheme.drift(potential, moved).reshape(n, s)
                     if sign > 0:
                         numeric[:, :, col] = flat
                     else:

@@ -20,18 +20,24 @@ outer step, √η elementary scaling):
 * frozen-gradient kinetic:  ψ_i = √(η/(2γ))·(∇V(X̂_{iη}) − ∇V(x₀))
 * double-midpoint kinetic:  ψ_i = √(η/(2γ))·(E₁(iη,h)λ₁ + E₂(iη,h)λ₂)
 
+The double-midpoint drift is stored in drift coordinates, ψ = U·(λ₁, λ₂)
+per step with the basis U of :func:`drift_basis_dmulmc`; the other schemes'
+drifts are their own coordinates (U = I).  ``drift_*`` return ψ itself,
+(B, N·m, d), and every derivative below is in the same coordinates.
+
 Derivative structure: each scheme has one tangent rule (``tangents_*``,
 ``Scheme.tangents``), the derivative of step k's drift coordinates and end
 state along directions in its own increments plus a step-start tangent.  The
 rule writes no step equation: it runs the scheme's own step function from
 :mod:`girsanovlab.integrators` on the tangents with ∇V(X) replaced by
 ∇²V(X)·DX at the path's points (the step recursion linearised), then
-differentiates the drift.  Its three consumers are the dense derivative, one
-forward sweep of the tangents that carries each step's end tangent into the
-next; the DM-ULMC summary; and the affine step maps, its value on one zero
-path per step.  A step's tangent never sees later increments, so every block
-above the step diagonal is zero: the derivative is block lower-triangular,
-det(I + Dψ) = Π_k det(I + D_k), and only diagonal blocks carry trace.
+differentiates the drift.  Its three consumers are the dense derivative
+(:func:`derivative_blocks`, Dψ = U·Dc, one forward sweep of the tangents that
+carries each step's end tangent into the next); the DM-ULMC summary; and the
+affine step maps, its value on one zero path per step.  A step's tangent
+never sees later increments, so every block above the step diagonal is zero:
+the derivative is block lower-triangular, det(I + Dψ) = Π_k det(I + D_k),
+and only diagonal blocks carry trace.
 
 Structured evaluation.  The weight needs only the sign of det(I + D_k),
 log|det₂(I + D_k)|, tr D_k and the spectral radius ρ(D_k) per block
@@ -65,10 +71,12 @@ The overdamped and double-midpoint summaries and the tangent rules evaluate
 ∇²V one step at a time, so their working set is one step's (B, m, d, d)
 Hessians and factors whatever N is.  Both weight routes use these
 evaluators: the generic route per path, the affine route once per distinct
-step on a zero path.  The dense blocks serve the finite-difference checks
-and trace diagnostics, and their summary :func:`block_summary_dense` (LU
-sign, det₂ and ρ from the block's eigenvalues) is the reference that block
-dumps and the tests use.
+step on a zero path.  The dense blocks serve the finite-difference check of
+criterion 3 (``fd-malliavin``), block dumps and the tests; their summary
+:func:`block_summary_dense` (LU sign, det₂ and ρ from the block's
+eigenvalues) is the reference those read.  The trace diagnostics of
+:func:`trace_diagnostics_mlmc` assemble their own leading-cell matrices and
+do not use them.
 Every summary, structured or dense, becomes a weight through the one assembly
 :func:`summary_log_weight`, where the invertibility rule is written.
 
@@ -78,7 +86,7 @@ shared across paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +101,6 @@ from .kernels import StepKernels
 from .potentials import Potential
 
 __all__ = [
-    "DriftRealization",
     "MalliavinBlocks",
     "LogWeight",
     "TraceDiagnostics",
@@ -101,9 +108,7 @@ __all__ = [
     "drift_ulmc",
     "drift_dmulmc",
     "drift_basis_dmulmc",
-    "malliavin_blocks_mlmc",
-    "malliavin_blocks_ulmc",
-    "malliavin_blocks_dmulmc",
+    "derivative_blocks",
     "tangents_mlmc", "tangents_ulmc", "tangents_dmulmc",
     "BlockSummary",
     "block_summary_dense",
@@ -127,21 +132,6 @@ SPECTRAL_RADIUS_LIMIT = 0.9
 #: coarsely.  The sweeps are linear and contract like the path's; the finer
 #: stop costs about one sweep more (5 → 6 at h = 1/4, m = 16, d = 8).
 _DERIV_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class DriftRealization:
-    """Per-cell elementary drift differences ψ with their energy.
-
-    ``psi`` has shape (B, N·m, d); ``energy`` = ½Σ_i‖ψ_i‖² per path.
-    """
-
-    scheme: str
-    psi: np.ndarray
-    energy: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "energy", 0.5 * np.sum(self.psi**2, axis=(-2, -1)))
 
 
 @dataclass(frozen=True)
@@ -196,43 +186,37 @@ def _left_nodes(traj_x: np.ndarray, N: int, m: int) -> np.ndarray:
     return traj_x[:, :-1].reshape(B, N, m, d)
 
 
-def drift_mlmc(potential: Potential, traj: OverdampedTrajectory) -> DriftRealization:
-    """ψ_i = √(η/2)·(∇V(X̂_{iη}) − ∇V(X⁺_k)) on each cell of each step."""
+def drift_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.ndarray:
+    """ψ_i = √(η/2)·(∇V(X̂_{iη}) − ∇V(X⁺_k)) on each cell of each step, (B, N·m, d)."""
     grid = traj.grid
     left = _left_nodes(traj.x, grid.N, grid.m)
     g_nodes = potential.gradient(left)
     g_plus = potential.gradient(traj.x_plus)
     psi = np.sqrt(grid.eta / 2.0) * (g_nodes - g_plus[:, :, None, :])
-    return DriftRealization("mlmc", psi.reshape(psi.shape[0], grid.n_cells, -1))
+    return psi.reshape(psi.shape[0], grid.n_cells, -1)
 
 
-def drift_ulmc(potential: Potential, traj: UnderdampedTrajectory) -> DriftRealization:
-    """ψ_i = √(η/(2γ))·(∇V(X̂_{iη}) − ∇V(x_{kh})) for the frozen-gradient scheme."""
+def drift_ulmc(potential: Potential, traj: UnderdampedTrajectory) -> np.ndarray:
+    """ψ_i = √(η/(2γ))·(∇V(X̂_{iη}) − ∇V(x_{kh})) for the frozen-gradient scheme, (B, N·m, d)."""
     grid = traj.grid
     left = _left_nodes(traj.x, grid.N, grid.m)
     g_nodes = potential.gradient(left)
     g_start = g_nodes[:, :, :1]  # cell 0 of each step sits at the step start
     psi = np.sqrt(grid.eta / (2.0 * traj.gamma)) * (g_nodes - g_start)
-    return DriftRealization("ulmc", psi.reshape(psi.shape[0], grid.n_cells, -1))
+    return psi.reshape(psi.shape[0], grid.n_cells, -1)
 
 
-def drift_dmulmc(traj: UnderdampedTrajectory) -> DriftRealization:
-    """ψ_i = √(η/(2γ))·(E₁(iη,h)λ_{k,1} + E₂(iη,h)λ_{k,2}) per cell.
+def drift_dmulmc(traj: UnderdampedTrajectory) -> np.ndarray:
+    """ψ = U·(λ₁, λ₂) on each step, (B, N·m, d), with U of :func:`drift_basis_dmulmc`.
 
     The multipliers must come from a solved interpolation (the trajectory's
     ``lambda1``/``lambda2`` fields).
     """
     if traj.schedule is None:
         raise ValueError("trajectory carries no interpolation multipliers")
-    grid = traj.grid
-    kern = StepKernels.build(traj.gamma, grid.h, grid.m)
-    # (B, N, m, d) = e-kernels (m,) × multipliers (B, N, d)
-    comb = (
-        kern.e1_left[:, None] * traj.lambda1[:, :, None, :]
-        + kern.e2_left[:, None] * traj.lambda2[:, :, None, :]
-    )
-    psi = np.sqrt(grid.eta / (2.0 * traj.gamma)) * comb
-    return DriftRealization("dmulmc", psi.reshape(psi.shape[0], grid.n_cells, -1))
+    coords = np.concatenate([traj.lambda1, traj.lambda2], axis=-1)  # (B, N, 2d)
+    psi = coords @ drift_basis_dmulmc(traj)[0].T  # (B, N, m·d)
+    return psi.reshape(psi.shape[0], traj.grid.n_cells, -1)
 
 
 def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndarray]:
@@ -259,11 +243,11 @@ def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _derivative_blocks(
+def derivative_blocks(
     scheme: str, traj: OverdampedTrajectory | UnderdampedTrajectory, tangents,
-    include_offdiag: bool, basis: np.ndarray | None = None,
+    include_offdiag: bool = False, basis: np.ndarray | None = None,
 ) -> MalliavinBlocks:
-    """The dense derivative from a scheme's step tangent rule.
+    """The dense derivative from a scheme's step tangent rule (``Scheme.blocks``).
 
     ``tangents(k, dirs, dz0)`` returns (Dc (B, r, U), Dz_h (B, z, U)), the
     tangents of step k's drift coordinates and of its end state (z = d or 2d
@@ -314,13 +298,16 @@ def _step_hessians(potential: Potential, traj, k: int) -> np.ndarray:
 
 
 def tangents_mlmc(potential: Potential, traj: OverdampedTrajectory):
-    """Step tangent rule of :func:`malliavin_blocks_mlmc`: (Dψ (B, m·d, U), DX_h (B, d, U)).
+    """Overdamped midpoint step tangent rule: (Dψ (B, m·d, U), DX_h (B, d, U)).
 
     :func:`~girsanovlab.integrators.step_mlmc` run on the tangents with
     grad = ∇²V·DX at the path's points, then
-    Dψ_i = √(η/2)·(∇²V(X̂_i)·DX̂_i − ∇²V(X⁺)·DX⁺).  ``tangents(k, …)``
-    evaluates step k's Hessians itself, so one step's (B, m, d, d) node
-    Hessians exist at a time, never the whole path's.
+    Dψ_i = √(η/2)·(∇²V(X̂_i)·DX̂_i − ∇²V(X⁺)·DX⁺).  With a fixed start the
+    block is ∂ψ_i/∂ξ_j = η·[H_i·1_{j<i} − (iη·H_i·H⁺ + H⁺)·1_{j<r}]
+    (H_i = ∇²V(X̂_{iη}), H⁺ = ∇²V(X⁺_k)), the 1_{j<r} band carrying the
+    anticipating dependence through X⁺.  ``tangents(k, …)`` evaluates step
+    k's Hessians itself, so one step's (B, m, d, d) node Hessians exist at a
+    time, never the whole path's.
     """
     m, eta = traj.grid.m, traj.grid.eta
 
@@ -340,27 +327,16 @@ def tangents_mlmc(potential: Potential, traj: OverdampedTrajectory):
     return tangents
 
 
-def malliavin_blocks_mlmc(
-    potential: Potential,
-    traj: OverdampedTrajectory,
-    include_offdiag: bool = False,
-) -> MalliavinBlocks:
-    """Exact derivative blocks of the overdamped midpoint drift.
-
-    With a fixed start the block is ∂ψ_i/∂ξ_j = η·[H_i·1_{j<i} −
-    (iη·H_i·H⁺ + H⁺)·1_{j<r}] (H_i = ∇²V(X̂_{iη}), H⁺ = ∇²V(X⁺_k)), the
-    1_{j<r} band carrying the anticipating dependence through X⁺.
-    """
-    return _derivative_blocks("mlmc", traj, tangents_mlmc(potential, traj), include_offdiag)
-
-
 def tangents_ulmc(potential: Potential, traj: UnderdampedTrajectory):
-    """Step tangent rule of :func:`malliavin_blocks_ulmc`: (Dψ (B, m·d, U), Dz_h (B, 2d, U)).
+    """Frozen-gradient kinetic step tangent rule: (Dψ (B, m·d, U), Dz_h (B, 2d, U)).
 
     :func:`~girsanovlab.integrators.step_ulmc` run on the tangents with
     grad = ∇²V·DX at the step start, then
-    Dψ_i = √(η/(2γ))·(∇²V(X̂_i)·DX̂_i − ∇²V(x_k)·DX̂_0).  Step k's node
-    Hessians are evaluated inside ``tangents(k, …)``, one step at a time.
+    Dψ_i = √(η/(2γ))·(∇²V(X̂_i)·DX̂_i − ∇²V(x_k)·DX̂_0).  With a fixed start
+    the block is ∂ψ_i/∂ξ_j = η·E₂(jη, iη)·H_i·1_{j<i}: strictly lower in the
+    temporal index (the scheme is adapted), so every determinant is exactly
+    one.  Step k's node Hessians are evaluated inside ``tangents(k, …)``, one
+    step at a time.
     """
     grid = traj.grid
     m = grid.m
@@ -381,22 +357,8 @@ def tangents_ulmc(potential: Potential, traj: UnderdampedTrajectory):
     return tangents
 
 
-def malliavin_blocks_ulmc(
-    potential: Potential,
-    traj: UnderdampedTrajectory,
-    include_offdiag: bool = False,
-) -> MalliavinBlocks:
-    """Derivative blocks of the frozen-gradient kinetic drift.
-
-    With a fixed start ∂ψ_i/∂ξ_j = η·E₂(jη, iη)·H_i·1_{j<i}
-    (H_i = ∇²V(X̂_{iη})): strictly lower in the temporal index (the scheme is
-    adapted), so every determinant is exactly one.
-    """
-    return _derivative_blocks("ulmc", traj, tangents_ulmc(potential, traj), include_offdiag)
-
-
 def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
-    """Step tangent rule of :func:`malliavin_blocks_dmulmc` in drift coordinates.
+    """Double-midpoint step tangent rule, in drift coordinates.
 
     Returns (Dλ₁‖Dλ₂ (B, 2d, U), Dz_h (B, 2d, U)) along ``dirs`` (m, d, U),
     directions in step k's ξ, and the step-start tangents ``dz0`` (B, 2d, U)
@@ -404,7 +366,8 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
     step end (x, p).  The tangents are the path's own
     :func:`~girsanovlab.integrators.solve_dmulmc_step` with grad = ∇²V·DX,
     fixed point included, so the implicit dependence of the multipliers is
-    kept.  ``tangents(k, …)`` evaluates step k's node and midpoint Hessians
+    kept, not dropped; Dψ = U·Dλ in the basis of :func:`drift_basis_dmulmc`.
+    ``tangents(k, …)`` evaluates step k's node and midpoint Hessians
     itself: the working set is one step's (B, m, d, d) Hessians plus the
     sweep's buffers, whatever N is.
     """
@@ -427,24 +390,6 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
         return np.concatenate([sol.lam1, sol.lam2], axis=1), Dz_h
 
     return tangents
-
-
-def malliavin_blocks_dmulmc(
-    potential: Potential,
-    traj: UnderdampedTrajectory,
-    include_offdiag: bool = False,
-) -> MalliavinBlocks:
-    """Derivative blocks of the double-midpoint drift.
-
-    ψ_i is temporally rank-two in (λ₁, λ₂), so step k's tangent is
-    Dψ_i = √(η/(2γ))·(E₁(iη,h)·Dλ₁ + E₂(iη,h)·Dλ₂) with the multiplier
-    tangents from the exact linear fixed point of :func:`tangents_dmulmc` (the
-    implicit dependence of the optimal drift is kept, not dropped).
-    """
-    return _derivative_blocks(
-        "dmulmc", traj, tangents_dmulmc(potential, traj), include_offdiag,
-        drift_basis_dmulmc(traj)[0],
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -655,16 +600,16 @@ def carleman_fredholm_logdet(summary: BlockSummary) -> tuple[np.ndarray, np.ndar
     return value, np.any(sign < 0.0, axis=-1)
 
 
-def summary_log_weight(
-    drift: DriftRealization, summary: BlockSummary, xi: np.ndarray
-) -> LogWeight:
+def summary_log_weight(psi: np.ndarray, summary: BlockSummary, xi: np.ndarray) -> LogWeight:
     """log M = log_cf_det − δψ − energy: the one weight assembly, for any summary.
 
-    δψ = Σ_i⟨ψ_i, ξ_i⟩ − Σ_k tr(D_k), mean zero under the sampling law.  The
-    summary may be :func:`block_summary_dense` or a structured one.
+    ``psi`` (B, N·m, d) is a scheme's drift (``Scheme.drift``), and
+    energy = ½Σ_i‖ψ_i‖².  δψ = Σ_i⟨ψ_i, ξ_i⟩ − Σ_k tr(D_k), mean zero under
+    the sampling law.  The summary may be :func:`block_summary_dense` or a
+    structured one.
     """
-    ito = np.einsum("bid,bid->b", drift.psi, np.asarray(xi, dtype=float))
-    return _summary_weight(summary, ito, drift.energy)
+    ito = np.einsum("bid,bid->b", psi, np.asarray(xi, dtype=float))
+    return _summary_weight(summary, ito, 0.5 * np.sum(psi**2, axis=(-2, -1)))
 
 
 def _summary_weight(summary: BlockSummary, ito: np.ndarray, energy: np.ndarray) -> LogWeight:

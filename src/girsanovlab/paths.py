@@ -109,9 +109,7 @@ class TimeGrid:
 
 
 def _snap_index(fraction: float, m: int) -> int:
-    """Nearest inner-grid index to τ = fraction·h, clipped into [0, m−1]."""
-    if not (0.0 <= fraction < 1.0):
-        raise ValueError(f"midpoint fraction must lie in [0, 1), got {fraction}")
+    """Nearest inner-grid index to τ = fraction·h, fraction in [0, 1), clipped into [0, m−1]."""
     return min(int(round(fraction * m)), m - 1)
 
 
@@ -140,9 +138,9 @@ class OverdampedSchedule:
         return self.grid.eta * self.indices
 
     @classmethod
-    def deterministic(cls, grid: TimeGrid, fraction: float = 0.5) -> "OverdampedSchedule":
-        r = _snap_index(fraction, grid.m)
-        return cls(grid, np.full(grid.N, r, dtype=int))
+    def deterministic(cls, grid: TimeGrid) -> "OverdampedSchedule":
+        """τ = h/2 on every step, snapped to the inner grid."""
+        return cls(grid, np.full(grid.N, _snap_index(0.5, grid.m), dtype=int))
 
     @classmethod
     def zero(cls, grid: TimeGrid) -> "OverdampedSchedule":

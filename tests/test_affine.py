@@ -27,8 +27,14 @@ def _schedule(scheme, mode):
     return scheme_for(scheme).schedule(GRID, mode, 4, 0)
 
 
+def _dense(sm, coords):
+    """The dense drift map U·coords of drift coordinates; U = I when None."""
+    return coords if sm.U is None else sm.U @ coords
+
+
 def _probed_step_maps(scheme, key):
-    """Dense (A, S, b, Pz, Pxi, p0) of one step, read off the path solver on basis inputs.
+    """Dense maps (A, S, b) of the endpoint and (Pz, Pxi, p0) of the drift ψ of one
+    step, read off the path solver on basis inputs.
 
     The oracle is independent of the derivative code: it runs the simulator on
     the zero input, the start-state basis and every increment entry, and takes
@@ -44,7 +50,7 @@ def _probed_step_maps(scheme, key):
     xi[1 + zdim :] = np.eye(md).reshape(md, m, d)
     traj = s.simulate(POT, step_grid, s.step_schedule(step_grid, key), _gamma(scheme), z0, xi)
     zT = s.endpoint(traj)
-    psi = s.drift(POT, traj).psi.reshape(len(z0), md)
+    psi = s.drift(POT, traj).reshape(len(z0), md)
 
     def split(v):  # (start-state map, increment map, constant)
         return (v[1 : 1 + zdim] - v[0]).T, (v[1 + zdim :] - v[0]).T, v[0]
@@ -57,9 +63,8 @@ def _probed_step_maps(scheme, key):
 def test_step_maps_match_probed_oracle(scheme, mode):
     s, schedule = scheme_for(scheme), _schedule(scheme, mode)
     maps = step_maps_for_schedule(scheme, POT, schedule or GRID, _gamma(scheme))
-    md = GRID.m * POT.d
     for key, sm in zip(s.step_keys(GRID, schedule), maps):
-        ours = (sm.A, sm.S, sm.b, sm.Pz.reshape(md, -1), sm.Pxi.reshape(md, md), sm.p0.ravel())
+        ours = (sm.A, sm.S, sm.b, _dense(sm, sm.Lz), _dense(sm, sm.Wt), _dense(sm, sm.l0))
         probed = _probed_step_maps(scheme, key)
         for name, got, want in zip(("A", "S", "b", "Pz", "Pxi", "p0"), ours, probed):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12,
@@ -95,9 +100,9 @@ def _dense_path_kl(maps, mean, cov):
     """The path KL from dense drift maps: ½ E‖ψ‖² per step, minus log det₂."""
     kl = 0.0
     for sm in maps:
-        Pz, Pxi, p0 = sm.Pz, sm.Pxi, sm.p0
+        Pz, Pxi, p0 = _dense(sm, sm.Lz), _dense(sm, sm.Wt), _dense(sm, sm.l0)
         kl += 0.5 * float(np.sum((Pz @ mean + p0) ** 2))
-        kl += 0.5 * float(np.einsum("idz,ze,ide->", Pz, cov, Pz))
+        kl += 0.5 * float(np.einsum("iz,ze,ie->", Pz, cov, Pz))
         kl += 0.5 * float(np.sum(Pxi**2))
         kl -= float(sm.summary.det2[0, 0])
         mean = sm.A @ mean + sm.b

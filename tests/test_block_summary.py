@@ -2,8 +2,9 @@
 
 Both weight routes evaluate the sign of det(I + D_k), det₂, tr(D_k) and ρ(D_k)
 from each block's small core (``block_summary_mlmc/_ulmc/_dmulmc``); these
-tests hold them to ``block_summary_dense`` of the ``malliavin_blocks_*``
-reference on a non-quadratic target, both read through the one assembly
+tests hold them to ``block_summary_dense`` of the dense reference blocks
+``Scheme.blocks`` (``derivative_blocks`` of the scheme's tangent rule) on a
+non-quadratic target, both read through the one assembly
 ``summary_log_weight``.  ρ is held to the dense eigenvalues, or, on the
 overdamped midpoint route, to a power oracle on the block's leading cells;
 det₂ is held to a 40-digit evaluation of the same float64 core.  The
@@ -20,9 +21,9 @@ import mpmath
 import numpy as np
 import pytest
 
+from girsanovlab.engine import SCHEMES
 from girsanovlab.girsanov import (
     BlockSummary,
-    DriftRealization,
     block_summary_dense,
     block_summary_dmulmc,
     block_summary_mlmc,
@@ -32,9 +33,6 @@ from girsanovlab.girsanov import (
     drift_basis_dmulmc,
     drift_ulmc,
     _mlmc_step_factors,
-    malliavin_blocks_dmulmc,
-    malliavin_blocks_mlmc,
-    malliavin_blocks_ulmc,
     summary_log_weight,
     tangents_dmulmc,
     trace_diagnostics_mlmc,
@@ -68,7 +66,7 @@ def _overdamped(schedule):
     pot = _target()
     xi, x0, _ = _inputs(pot.d)
     traj = simulate_mlmc(pot, schedule, x0, xi)
-    blocks = malliavin_blocks_mlmc(pot, traj)
+    blocks = SCHEMES["mlmc"].blocks(pot, traj)
     return xi, drift_mlmc(pot, traj), blocks, block_summary_mlmc(pot, traj)
 
 
@@ -76,7 +74,7 @@ def _frozen_gradient():
     pot = _target()
     xi, x0, p0 = _inputs(pot.d)
     traj = simulate_ulmc(pot, GRID, 1.0, x0, p0, xi)
-    blocks = malliavin_blocks_ulmc(pot, traj)
+    blocks = SCHEMES["ulmc"].blocks(pot, traj)
     return xi, drift_ulmc(pot, traj), blocks, block_summary_ulmc(pot, traj)
 
 
@@ -84,7 +82,7 @@ def _double_midpoint(schedule):
     pot = _target()
     xi, x0, p0 = _inputs(pot.d)
     traj = simulate_dmulmc(pot, schedule, 1.0, x0, p0, xi)
-    blocks = malliavin_blocks_dmulmc(pot, traj)
+    blocks = SCHEMES["dmulmc"].blocks(pot, traj)
     return xi, drift_dmulmc(traj), blocks, block_summary_dmulmc(pot, traj)
 
 
@@ -95,7 +93,7 @@ OVERDAMPED = {
     # the band's edges: r = 0 (empty band slices), r = m − 1 and r = m/2
     "mlmc-edges": EDGES,
 }
-#: case → (ξ, drift, dense blocks, structured summary)
+#: case → (ξ, ψ, dense blocks, structured summary)
 CASES = {
     **{case: (lambda sched=sched: _overdamped(sched)) for case, sched in OVERDAMPED.items()},
     "ulmc": _frozen_gradient,
@@ -107,9 +105,9 @@ POWER_CASES = ("mlmc-deterministic", "mlmc-randomized", "mlmc-edges")
 
 
 def _weights(case):
-    xi, drift, blocks, structured = CASES[case]()
-    return (summary_log_weight(drift, block_summary_dense(blocks), xi),
-            summary_log_weight(drift, structured, xi))
+    xi, psi, blocks, structured = CASES[case]()
+    return (summary_log_weight(psi, block_summary_dense(blocks), xi),
+            summary_log_weight(psi, structured, xi))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -181,9 +179,9 @@ def test_structured_singular_block_gives_minus_inf():
     schedule = OverdampedSchedule(grid, np.array([1]))
     xi = noise_matrix(2, 3, grid.n_cells, 1)
     traj = simulate_mlmc(pot, schedule, np.zeros((3, 1)), xi)
-    drift = drift_mlmc(pot, traj)
-    dense = summary_log_weight(drift, block_summary_dense(malliavin_blocks_mlmc(pot, traj)), xi)
-    structured = summary_log_weight(drift, block_summary_mlmc(pot, traj), xi)
+    psi = drift_mlmc(pot, traj)
+    dense = summary_log_weight(psi, block_summary_dense(SCHEMES["mlmc"].blocks(pot, traj)), xi)
+    structured = summary_log_weight(psi, block_summary_mlmc(pot, traj), xi)
     assert np.all(dense.log_cf_det == -np.inf)
     assert np.all(structured.log_cf_det == -np.inf)
     assert not structured.invertible.any()
@@ -192,14 +190,14 @@ def test_structured_singular_block_gives_minus_inf():
 
 def test_summary_weight_flags_singular_and_negative_steps():
     ones = np.ones((1, 2))
-    drift = DriftRealization("mlmc", np.zeros((1, 4, 1)))
+    psi = np.zeros((1, 4, 1))
     xi = np.zeros((1, 4, 1))
     singular = BlockSummary(np.array([[1.0, 0.0]]), 0 * ones, 0 * ones, 0 * ones)
-    lw = summary_log_weight(drift, singular, xi)
+    lw = summary_log_weight(psi, singular, xi)
     assert lw.log_cf_det[0] == -np.inf and not lw.invertible[0]
     # log|det| = 0 and tr = −1 per step: det₂ = 1 per step
     flipped = BlockSummary(np.array([[1.0, -1.0]]), ones, -ones, 0 * ones)
-    lw = summary_log_weight(drift, flipped, xi)
+    lw = summary_log_weight(psi, flipped, xi)
     assert lw.log_cf_det[0] == pytest.approx(2.0)
     assert lw.skorohod[0] == pytest.approx(2.0)
     assert lw.negative_det[0] and lw.invertible[0]
@@ -215,10 +213,10 @@ def test_nilpotent_blocks_read_zero_spectral_radius(scheme):
     xi = noise_matrix(1, 4, grid.n_cells, 2)
     if scheme == "ulmc":
         traj = simulate_ulmc(pot, grid, 1.0, np.zeros((4, 2)), np.zeros((4, 2)), xi)
-        blocks, structured = malliavin_blocks_ulmc(pot, traj), block_summary_ulmc(pot, traj)
+        blocks, structured = SCHEMES["ulmc"].blocks(pot, traj), block_summary_ulmc(pot, traj)
     else:
         traj = simulate_mlmc(pot, OverdampedSchedule.zero(grid), np.zeros((4, 2)), xi)
-        blocks, structured = malliavin_blocks_mlmc(pot, traj), block_summary_mlmc(pot, traj)
+        blocks, structured = SCHEMES["mlmc"].blocks(pot, traj), block_summary_mlmc(pot, traj)
     assert np.array_equal(np.triu(blocks.diag), np.zeros_like(blocks.diag))
     assert np.any(blocks.diag != 0.0)
     for summary in (block_summary_dense(blocks), structured):
@@ -284,7 +282,7 @@ def test_mlmc_det2_matches_a_40_digit_oracle():
 def test_trace_square_matches_dense_blocks(pot, schedule):
     xi, x0, _ = _inputs(pot.d)
     traj = simulate_mlmc(pot, schedule, x0, xi)
-    diag = malliavin_blocks_mlmc(pot, traj).diag
+    diag = SCHEMES["mlmc"].blocks(pot, traj).diag
     dense = np.einsum("bnij,bnji->bn", diag, diag)
     # the anticipating part is really exercised (a step with r = 0 has D = 0)
     assert np.all(np.abs(dense[:, schedule.indices > 0]) > 1e-6)

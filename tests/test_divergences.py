@@ -202,7 +202,7 @@ def test_scheme_marginal_free_dynamics_accumulates_variance():
 def test_scheme_marginal_matches_empirical_moments():
     pot = IsotropicQuadratic(1)
     grid = TimeGrid(0.5, 4, 2)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.5)
+    sched = OverdampedSchedule.deterministic(grid)
     n = 20480
     xi = noise_matrix(23, n, grid.n_cells, 1)
     traj = simulate_mlmc(pot, sched, np.ones((n, 1)), xi)

@@ -1,14 +1,16 @@
 """Engine claims: the affine and generic routes agree, both are bit-identical
 across thread counts, paths are read one window at a time, windows are cut by
 the bytes of their noise, the start law is resolved once per run, the affine
-route never forms a dense block, and a local-error window holds one replica's
-noise at a time."""
+route never forms a dense block, a local-error window holds one replica's
+noise at a time, and malformed schedules, start laws and grids are refused."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import girsanovlab.config as config
 import girsanovlab.engine as engine
 import girsanovlab.girsanov as girsanov
 import girsanovlab.integrators as integrators
@@ -76,11 +78,11 @@ def test_affine_and_generic_routes_agree(scheme, schedule, pot):
     kinetic = scheme_for(scheme).kinetic
     gamma = 1.0 if kinetic else None
     n, seed = 1024, 11
+    grid = GRID if schedule is None else schedule.grid
     affine = run_weights(
-        scheme, pot, schedule=schedule, grid=GRID, gamma=gamma, n_paths=n, seed=seed
+        scheme, pot, schedule=schedule, grid=grid, gamma=gamma, n_paths=n, seed=seed
     )
     z0 = start_states(pot, kinetic, seed, n)
-    grid = GRID if schedule is None else schedule.grid
     xi = noise_matrix(seed, n, grid.n_cells, pot.d)
     generic = generic_log_weights(scheme, pot, schedule, grid, gamma, z0, xi)
     assert np.max(np.abs(affine.log_weight - generic.log_weight)) <= 1e-12
@@ -291,6 +293,34 @@ def test_run_weights_needs_a_path():
         run_weights("mlmc", PERTURBED, grid=GRID, n_paths=0, seed=1)
 
 
+@pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
+def test_schedule_rejects_an_unknown_mode(scheme):
+    # a misspelt mode is refused by every scheme, never read as randomized
+    with pytest.raises(ValueError, match=re.escape("deterministic | randomized | zero")):
+        scheme_for(scheme).schedule(GRID, "Deterministic")
+    assert config.SCHEDULE_MODES is engine.SCHEDULE_MODES
+
+
+@pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
+@pytest.mark.parametrize("mean, cov", [(np.zeros(1), np.eye(4)), (np.zeros(4), np.eye(2))],
+                         ids=["mean-(1,)", "cov-(d,d)"])
+def test_run_weights_rejects_a_start_law_of_the_wrong_shape(pot, mean, cov):
+    # a kinetic run's gaussian start law lives in phase space, (x, p): 2d = 4
+    with pytest.raises(ValueError, match=re.escape("needs mean (4,) and cov (4, 4)")):
+        run_weights("dmulmc", pot, grid=GRID, gamma=1.0, n_paths=4, seed=1,
+                    init=("gaussian", mean, cov))
+
+
+@pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
+def test_a_grid_beside_a_schedule_must_be_its_grid(pot):
+    schedule = SCHEDULES["mlmc"][0]
+    with pytest.raises(ValueError, match="differs from the schedule's grid"):
+        run_weights("mlmc", pot, schedule=schedule, grid=GRID16, n_paths=4, seed=1)
+    z0, xi = np.zeros((4, pot.d)), noise_matrix(1, 4, GRID16.n_cells, pot.d)
+    with pytest.raises(ValueError, match="differs from the schedule's grid"):
+        generic_log_weights("mlmc", pot, schedule, GRID16, None, z0, xi)
+
+
 @pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
 def test_run_weights_needs_a_finite_friction(scheme, pot):
@@ -305,9 +335,10 @@ def test_affine_route_forms_no_dense_block(monkeypatch, scheme):
     def dense(*args, **kwargs):
         raise AssertionError("the affine route formed a dense block")
 
-    for name in ("malliavin_blocks_mlmc", "malliavin_blocks_ulmc", "malliavin_blocks_dmulmc"):
-        monkeypatch.setattr(engine, name, dense)
-        monkeypatch.setattr(girsanov, name, dense)
+    # every dense block is formed by derivative_blocks, which Scheme.blocks
+    # looks up in the engine
+    monkeypatch.setattr(engine, "derivative_blocks", dense)
+    monkeypatch.setattr(girsanov, "derivative_blocks", dense)
     monkeypatch.setattr(girsanov, "block_summary_dense", dense)
     gamma = 1.0 if scheme in ("ulmc", "dmulmc") else None
     run = run_weights(scheme, IsotropicQuadratic(2), grid=GRID, gamma=gamma, n_paths=64, seed=1)

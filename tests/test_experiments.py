@@ -107,9 +107,10 @@ def test_adapted_equivalence_forms_no_dense_block(monkeypatch):
     def dense(*args, **kwargs):
         raise AssertionError("the adapted-equivalence run formed a dense block")
 
-    for name in ("malliavin_blocks_mlmc", "malliavin_blocks_ulmc", "malliavin_blocks_dmulmc"):
-        monkeypatch.setattr(engine, name, dense)
-        monkeypatch.setattr(girsanov, name, dense)
+    # every dense block is formed by derivative_blocks, which Scheme.blocks
+    # looks up in the engine
+    monkeypatch.setattr(engine, "derivative_blocks", dense)
+    monkeypatch.setattr(girsanov, "derivative_blocks", dense)
     monkeypatch.setattr(girsanov, "block_summary_dense", dense)
     result = run_experiment(load_config(ADAPTED_CONFIG))
     assert result.passed and len(result.rows) == 1

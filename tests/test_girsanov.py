@@ -5,17 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from girsanovlab.engine import run_weights
+from girsanovlab.engine import SCHEMES, run_weights
 from girsanovlab.girsanov import (
-    DriftRealization,
+    BlockSummary,
     MalliavinBlocks,
     block_summary_dense,
     carleman_fredholm_logdet,
     drift_dmulmc,
     drift_mlmc,
-    malliavin_blocks_dmulmc,
-    malliavin_blocks_mlmc,
-    malliavin_blocks_ulmc,
     summary_log_weight,
     trace_diagnostics_mlmc,
 )
@@ -35,6 +32,13 @@ from girsanovlab.potentials import IsotropicQuadratic, PerturbedQuadratic
 # ---------------------------------------------------------------------------
 
 
+def _energy(psi):
+    """½Σ‖ψ_i‖² per path, as the one weight assembly computes it."""
+    zero = np.zeros((psi.shape[0], 1))
+    summary = BlockSummary(zero + 1.0, zero, zero, zero)
+    return summary_log_weight(psi, summary, np.zeros_like(psi)).energy
+
+
 def test_drift_zero_for_free_potential():
     pot = IsotropicQuadratic(2, scale=0.0)
     grid = TimeGrid(0.4, 2, 4)
@@ -42,14 +46,14 @@ def test_drift_zero_for_free_potential():
     x0 = np.zeros((3, 2))
 
     over = simulate_mlmc(pot, OverdampedSchedule.deterministic(grid), x0, xi)
-    d_over = drift_mlmc(pot, over)
-    np.testing.assert_array_equal(d_over.psi, 0.0)
-    np.testing.assert_array_equal(d_over.energy, 0.0)
+    psi_over = drift_mlmc(pot, over)
+    np.testing.assert_array_equal(psi_over, 0.0)
+    np.testing.assert_array_equal(_energy(psi_over), 0.0)
 
     under = simulate_dmulmc(pot, UnderdampedSchedule.deterministic(grid), 1.0, x0, x0, xi)
-    d_under = drift_dmulmc(under)
-    np.testing.assert_array_equal(d_under.psi, 0.0)
-    np.testing.assert_array_equal(d_under.energy, 0.0)
+    psi_under = drift_dmulmc(under)
+    np.testing.assert_array_equal(psi_under, 0.0)
+    np.testing.assert_array_equal(_energy(psi_under), 0.0)
 
 
 def test_drift_overdamped_hand_values():
@@ -57,14 +61,14 @@ def test_drift_overdamped_hand_values():
     # psi_2 = sqrt(0.05)(0.91-0.9)
     pot = IsotropicQuadratic(1)
     grid = TimeGrid(0.2, 1, 2)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.5)
+    sched = OverdampedSchedule.deterministic(grid)
     traj = simulate_mlmc(pot, sched, np.array([1.0]), np.zeros((1, 2, 1)))
-    drift = drift_mlmc(pot, traj)
+    psi = drift_mlmc(pot, traj)
     root = math.sqrt(0.05)
-    assert drift.psi[0, 0, 0] == pytest.approx(root * 0.1, rel=1e-13)
-    assert drift.psi[0, 1, 0] == pytest.approx(root * 0.01, rel=1e-13)
+    assert psi[0, 0, 0] == pytest.approx(root * 0.1, rel=1e-13)
+    assert psi[0, 1, 0] == pytest.approx(root * 0.01, rel=1e-13)
     expect_energy = 0.5 * ((root * 0.1) ** 2 + (root * 0.01) ** 2)
-    assert drift.energy[0] == pytest.approx(expect_energy, rel=1e-13)
+    assert _energy(psi)[0] == pytest.approx(expect_energy, rel=1e-13)
 
 
 def test_drift_kinetic_multiplier_identity():
@@ -77,7 +81,7 @@ def test_drift_kinetic_multiplier_identity():
     xi = noise_matrix(2, 3, grid.n_cells, 2)
     rng = np.random.default_rng(5)
     traj = simulate_dmulmc(pot, sched, gamma, rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), xi)
-    drift = drift_dmulmc(traj)
+    psi = drift_dmulmc(traj)
 
     eta, h, m = grid.eta, grid.h, grid.m
     lefts = eta * np.arange(m)
@@ -86,10 +90,10 @@ def test_drift_kinetic_multiplier_identity():
         + e2(gamma, lefts, h)[:, None] * traj.lambda2[:, :, None, :]
     )  # (B, N, m, d)
     expect_psi = np.sqrt(eta / (2.0 * gamma)) * comb.reshape(3, grid.n_cells, 2)
-    np.testing.assert_allclose(drift.psi, expect_psi, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(psi, expect_psi, rtol=1e-12, atol=1e-14)
 
     expect_energy = eta / (4.0 * gamma) * np.sum(comb**2, axis=(1, 2, 3))
-    np.testing.assert_allclose(drift.energy, expect_energy, rtol=1e-12)
+    np.testing.assert_allclose(_energy(psi), expect_energy, rtol=1e-12)
 
 
 def test_double_midpoint_multipliers_match_independent_solve():
@@ -147,14 +151,13 @@ def _zero_blocks(B, N, m, d, scheme="mlmc"):
     return MalliavinBlocks(scheme, np.zeros((B, N, m * d, m * d)))
 
 
-def _skorohod(drift, blocks, xi):
+def _skorohod(psi, blocks, xi):
     """δψ of dense blocks, as the one weight assembly reads it."""
-    return summary_log_weight(drift, block_summary_dense(blocks), xi).skorohod
+    return summary_log_weight(psi, block_summary_dense(blocks), xi).skorohod
 
 
 def test_skorohod_zero_drift():
-    drift = DriftRealization("mlmc", np.zeros((2, 8, 1)))
-    out = _skorohod(drift, _zero_blocks(2, 4, 2, 1), np.zeros((2, 8, 1)))
+    out = _skorohod(np.zeros((2, 8, 1)), _zero_blocks(2, 4, 2, 1), np.zeros((2, 8, 1)))
     np.testing.assert_array_equal(out, 0.0)
 
 
@@ -162,8 +165,7 @@ def test_skorohod_deterministic_drift_is_ito_sum():
     rng = np.random.default_rng(11)
     psi = rng.normal(size=(3, 8, 2))
     xi = rng.normal(size=(3, 8, 2))
-    drift = DriftRealization("mlmc", psi)
-    out = _skorohod(drift, _zero_blocks(3, 2, 4, 2), xi)
+    out = _skorohod(psi, _zero_blocks(3, 2, 4, 2), xi)
     np.testing.assert_allclose(out, np.einsum("bid,bid->b", psi, xi), rtol=1e-14)
 
 
@@ -172,13 +174,12 @@ def test_skorohod_adapted_drift_has_zero_mean():
     # sum whose mean vanishes under the sampling law
     pot = PerturbedQuadratic((1.0,), amplitude=0.2, frequency=1.0)
     grid = TimeGrid(0.5, 4, 2)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.0)
+    sched = OverdampedSchedule.zero(grid)
     n = 4096
     xi = noise_matrix(3, n, grid.n_cells, 1)
     traj = simulate_mlmc(pot, sched, np.zeros((n, 1)), xi)
-    drift = drift_mlmc(pot, traj)
-    blocks = malliavin_blocks_mlmc(pot, traj)
-    out = _skorohod(drift, blocks, xi)
+    blocks = SCHEMES["mlmc"].blocks(pot, traj)
+    out = _skorohod(drift_mlmc(pot, traj), blocks, xi)
     se = out.std(ddof=1) / math.sqrt(n)
     assert abs(out.mean()) <= 4.0 * se
 
@@ -202,9 +203,9 @@ def test_carleman_adapted_blocks_exactly_zero():
     xi = noise_matrix(4, 3, grid.n_cells, 1)
     x0 = np.zeros((3, 1))
 
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.0)
+    sched = OverdampedSchedule.zero(grid)
     traj = simulate_mlmc(pot, sched, x0, xi)
-    blocks = malliavin_blocks_mlmc(pot, traj)
+    blocks = SCHEMES["mlmc"].blocks(pot, traj)
     tri = blocks.diag[0, 0]
     assert np.array_equal(np.triu(tri), np.zeros_like(tri))
     value, negative = carleman_fredholm_logdet(block_summary_dense(blocks))
@@ -212,7 +213,7 @@ def test_carleman_adapted_blocks_exactly_zero():
     assert not negative.any()
 
     kin = simulate_ulmc(pot, grid, 1.0, x0, x0, xi)
-    kin_blocks = malliavin_blocks_ulmc(pot, kin)
+    kin_blocks = SCHEMES["ulmc"].blocks(pot, kin)
     value, negative = carleman_fredholm_logdet(block_summary_dense(kin_blocks))
     np.testing.assert_array_equal(value, 0.0)
     assert not negative.any()
@@ -264,14 +265,14 @@ def test_log_weight_zero_for_free_potential():
     x0 = np.zeros((2, 1))
 
     traj = simulate_mlmc(pot, OverdampedSchedule.deterministic(grid), x0, xi)
-    summary = block_summary_dense(malliavin_blocks_mlmc(pot, traj))
+    summary = block_summary_dense(SCHEMES["mlmc"].blocks(pot, traj))
     lw = summary_log_weight(drift_mlmc(pot, traj), summary, xi)
     np.testing.assert_array_equal(lw.log_weight, 0.0)
     assert lw.invertible.all()
     assert not lw.negative_det.any()
 
     kin = simulate_dmulmc(pot, UnderdampedSchedule.deterministic(grid), 1.0, x0, x0, xi)
-    summary = block_summary_dense(malliavin_blocks_dmulmc(pot, kin))
+    summary = block_summary_dense(SCHEMES["dmulmc"].blocks(pot, kin))
     lw = summary_log_weight(drift_dmulmc(kin), summary, xi)
     np.testing.assert_array_equal(lw.log_weight, 0.0)
     assert lw.invertible.all()
@@ -282,13 +283,13 @@ def test_log_weight_adapted_equals_classical_exponent():
     # determinant correction
     pot = PerturbedQuadratic((1.0,), amplitude=0.2, frequency=1.0)
     grid = TimeGrid(0.5, 2, 4)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.0)
+    sched = OverdampedSchedule.zero(grid)
     xi = noise_matrix(7, 5, grid.n_cells, 1)
     traj = simulate_mlmc(pot, sched, np.zeros((5, 1)), xi)
-    drift = drift_mlmc(pot, traj)
-    lw = summary_log_weight(drift, block_summary_dense(malliavin_blocks_mlmc(pot, traj)), xi)
+    psi = drift_mlmc(pot, traj)
+    lw = summary_log_weight(psi, block_summary_dense(SCHEMES["mlmc"].blocks(pot, traj)), xi)
     np.testing.assert_array_equal(lw.log_cf_det, 0.0)
-    classical = -np.einsum("bid,bid->b", drift.psi, xi) - drift.energy
+    classical = -np.einsum("bid,bid->b", psi, xi) - _energy(psi)
     np.testing.assert_allclose(lw.log_weight, classical, rtol=1e-14)
 
 
@@ -320,7 +321,7 @@ def test_trace_diagnostics_quadratic_closed_forms():
     gaps = []
     for m in (4, 8, 16, 32):
         grid = TimeGrid(0.4, 2, m)
-        sched = OverdampedSchedule.deterministic(grid, fraction=0.5)
+        sched = OverdampedSchedule.deterministic(grid)
         xi = noise_matrix(9, 2, grid.n_cells, 1)
         traj = simulate_mlmc(pot, sched, np.zeros((2, 1)), xi)
         diag = trace_diagnostics_mlmc(pot, traj)
@@ -339,7 +340,7 @@ def test_trace_diagnostics_quadratic_closed_forms():
 def test_trace_diagnostics_zero_hessian():
     pot = IsotropicQuadratic(2, scale=0.0)
     grid = TimeGrid(0.4, 2, 4)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.5)
+    sched = OverdampedSchedule.deterministic(grid)
     xi = noise_matrix(10, 2, grid.n_cells, 2)
     traj = simulate_mlmc(pot, sched, np.zeros((2, 2)), xi)
     diag = trace_diagnostics_mlmc(pot, traj)
@@ -362,7 +363,7 @@ def test_dm_block_norm_halves_with_step():
         sched = UnderdampedSchedule.deterministic(grid)
         xi = noise_matrix(12, 16, grid.n_cells, 1)
         traj = simulate_dmulmc(pot, sched, 1.0, np.zeros((16, 1)), np.zeros((16, 1)), xi)
-        blocks = malliavin_blocks_dmulmc(pot, traj)
+        blocks = SCHEMES["dmulmc"].blocks(pot, traj)
         norms.append(float(np.linalg.norm(blocks.diag, ord=2, axis=(-2, -1)).mean()))
     assert norms[0] / norms[1] >= 2.0
     assert norms[1] / norms[2] >= 2.0
@@ -380,7 +381,7 @@ def test_dm_log_cf_magnitude_stable_across_dimensions():
         traj = simulate_dmulmc(
             pot, sched, gamma, np.zeros((16, d)), np.zeros((16, d)), xi
         )
-        blocks = malliavin_blocks_dmulmc(pot, traj)
+        blocks = SCHEMES["dmulmc"].blocks(pot, traj)
         value, _ = carleman_fredholm_logdet(block_summary_dense(blocks))
         cs.append(float(np.abs(value).max()) / (d * h**4 * N))
     assert max(cs) / min(cs) <= 3.0
@@ -450,7 +451,8 @@ def test_dense_blocks_match_probed_step_maps(scheme):
     # the step maps and the dense derivative share each scheme's step tangent
     # rule (the maps are checked against a probe of the path solver in
     # test_affine), so this checks the horizon sweep that composes the steps:
-    # diagonal blocks are each step's Pxi, the cross-step block (1, 0) is Pz_1 S_0
+    # diagonal blocks are each step's U·Wt, the cross-step block (1, 0) is
+    # U_1·Lz_1·S_0
     from girsanovlab.affine import step_maps_for_schedule
     from girsanovlab.engine import scheme_for
     from girsanovlab.potentials import AnisotropicQuadratic
@@ -466,11 +468,15 @@ def test_dense_blocks_match_probed_step_maps(scheme):
     traj = s.simulate(pot, grid, schedule, gamma, z0, noise_matrix(8, 2, grid.n_cells, d))
     full = s.blocks(pot, traj, include_offdiag=True).full
     maps = step_maps_for_schedule(scheme, pot, schedule if schedule is not None else grid, gamma)
+
+    def dense(sm, coords):  # the dense drift map U·coords, U = I when None
+        return coords if sm.U is None else sm.U @ coords
+
     for k in range(2):
         diag = full[:, k * md : (k + 1) * md, k * md : (k + 1) * md]
-        np.testing.assert_allclose(diag, np.broadcast_to(maps[k].Pxi.reshape(md, md), diag.shape),
+        np.testing.assert_allclose(diag, np.broadcast_to(dense(maps[k], maps[k].Wt), diag.shape),
                                    rtol=0, atol=1e-12)
-    cross = (maps[1].Pz @ maps[0].S).reshape(md, md)
+    cross = dense(maps[1], maps[1].Lz) @ maps[0].S
     np.testing.assert_allclose(full[:, md:, :md], np.broadcast_to(cross, (2, md, md)),
                                rtol=0, atol=1e-12)
     np.testing.assert_array_equal(full[:, :md, md:], 0.0)

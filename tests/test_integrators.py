@@ -262,7 +262,7 @@ def test_midpoint_overdamped_hand_values():
     #   X+ = 1 - 0.1*1 = 0.9; node at 0.1: 1 - 0.1*0.9 = 0.91; endpoint 0.82
     pot = IsotropicQuadratic(1)
     grid = TimeGrid(0.2, 1, 2)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.5)
+    sched = OverdampedSchedule.deterministic(grid)
     assert sched.taus[0] == pytest.approx(0.1)
     traj = simulate_mlmc(pot, sched, np.array([1.0]), np.zeros((1, 2, 1)))
     assert traj.x_plus[0, 0, 0] == pytest.approx(0.9, rel=1e-15)
@@ -274,7 +274,7 @@ def test_midpoint_at_zero_offset_matches_euler():
     # with m=1 and tau=0 the midpoint update IS one Euler step per step
     pot = PerturbedQuadratic((1.0,), amplitude=0.2, frequency=1.0)
     grid = TimeGrid(0.5, 5, 1)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.0)
+    sched = OverdampedSchedule.zero(grid)
     np.testing.assert_array_equal(sched.indices, 0)
     xi = noise_matrix(11, 2, grid.n_cells, 1)
     x0 = np.array([[0.3], [-1.1]])
@@ -287,7 +287,7 @@ def test_midpoint_overdamped_affine_superposition():
     # for quadratic V the scheme map is affine in (x0, xi) jointly
     pot = AnisotropicQuadratic((0.5, 1.5))
     grid = TimeGrid(0.4, 2, 4)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.5)
+    sched = OverdampedSchedule.deterministic(grid)
     rng = np.random.default_rng(7)
     x0 = np.zeros((4, 2))
     xi = np.zeros((4, grid.n_cells, 2))

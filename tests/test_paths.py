@@ -240,12 +240,12 @@ def test_refinement_deterministic_per_level():
 
 def test_overdamped_schedule_snapping():
     grid = TimeGrid(1.0, 4, 8)
-    sched = OverdampedSchedule.deterministic(grid, fraction=0.5)
+    sched = OverdampedSchedule.deterministic(grid)
     np.testing.assert_array_equal(sched.indices, 4)
     np.testing.assert_allclose(sched.taus, grid.h / 2)
     # snapped tau is within eta/2 of the request for a non-grid fraction
-    odd = OverdampedSchedule.deterministic(grid, fraction=0.3)
-    assert np.all(np.abs(odd.taus - 0.3 * grid.h) <= grid.eta / 2 + 1e-15)
+    odd = gp._snap_index(0.3, grid.m) * grid.eta
+    assert abs(odd - 0.3 * grid.h) <= grid.eta / 2 + 1e-15
 
 
 def test_underdamped_schedule_deterministic_thirds():
