@@ -81,7 +81,6 @@ class StepMaps:
     and one step (fields of shape (1, 1)).
     """
 
-    scheme: str
     d: int
     m: int
     A: np.ndarray  # (z, z)
@@ -138,7 +137,7 @@ def extract_step_maps(
     cols = np.eye(zdim + m * d)  # start-state directions, then increment entries
     Dc, Dz = s.tangents(potential, traj)(0, cols[zdim:].reshape(m, d, -1), cols[None, :zdim])
     return StepMaps(
-        scheme, d, m, A=Dz[0, :, :zdim], S=Dz[0, :, zdim:], b=s.endpoint(traj)[0],
+        d, m, A=Dz[0, :, :zdim], S=Dz[0, :, zdim:], b=s.endpoint(traj)[0],
         Lz=Dc[0, :, :zdim], Wt=Dc[0, :, zdim:], l0=coords[0, 0], U=U, G=G,
         summary=s.summary(potential, traj),
     )

@@ -104,6 +104,8 @@ class Scheme:
       (B, N, r) and Gram matrix G = UᵀU.  DM-ULMC drifts span r = 2d
       columns; the other schemes return U = G = None, the identity basis
       (c = ψ, r = m·d).  ``drift(potential, traj)`` is ψ, (B, N·m, d).
+      ``drift_basis(traj)`` is U alone, read from the trajectory's grid
+      without evaluating the drift.
     * ``tangents(potential, traj)``: the one step tangent rule
       (k, dirs, dz0) → (Dc, Dz_h) in drift coordinates, which runs the
       scheme's own integrator step with grad = ∇²V·DX, behind the dense
@@ -143,10 +145,12 @@ class Scheme:
         psi = self.drift(potential, traj)
         return None, None, psi.reshape(psi.shape[0], traj.grid.N, -1)
 
+    def drift_basis(self, traj):
+        return None
+
     def blocks(self, potential: Potential, traj, include_offdiag: bool = False):
-        basis = self.drift_coordinates(potential, traj)[0]
         return derivative_blocks(
-            self.name, traj, self.tangents(potential, traj), include_offdiag, basis
+            traj, self.tangents(potential, traj), include_offdiag, self.drift_basis(traj)
         )
 
     def step_keys(self, grid: TimeGrid, schedule) -> list:
@@ -272,6 +276,9 @@ class _DoubleMidpointULMC(_Kinetic):
     def drift_coordinates(self, potential, traj):
         U, gram = drift_basis_dmulmc(traj)
         return U, gram, np.concatenate([traj.lambda1, traj.lambda2], axis=-1)
+
+    def drift_basis(self, traj):
+        return drift_basis_dmulmc(traj)[0]
 
     def tangents(self, potential, traj):
         return tangents_dmulmc(potential, traj)

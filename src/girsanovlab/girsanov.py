@@ -91,6 +91,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrators import (
+    DmWorkspace,
     OverdampedTrajectory,
     UnderdampedTrajectory,
     solve_dmulmc_step,
@@ -145,7 +146,6 @@ class MalliavinBlocks:
     its diagonal and exact zeros above it.
     """
 
-    scheme: str
     diag: np.ndarray
     full: np.ndarray | None = None
 
@@ -244,7 +244,7 @@ def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndar
 
 
 def derivative_blocks(
-    scheme: str, traj: OverdampedTrajectory | UnderdampedTrajectory, tangents,
+    traj: OverdampedTrajectory | UnderdampedTrajectory, tangents,
     include_offdiag: bool = False, basis: np.ndarray | None = None,
 ) -> MalliavinBlocks:
     """The dense derivative from a scheme's step tangent rule (``Scheme.blocks``).
@@ -266,7 +266,7 @@ def derivative_blocks(
         for k in range(N):
             Dc = tangents(k, increments, None)[0]
             diag[:, k] = Dc if basis is None else basis @ Dc
-        return MalliavinBlocks(scheme, diag)
+        return MalliavinBlocks(diag)
     s = N * md
     entries = np.eye(s).reshape(N, m, d, s)
     full = np.empty((B, s, s))
@@ -276,7 +276,7 @@ def derivative_blocks(
         rows = slice(k * md, (k + 1) * md)
         full[:, rows] = Dc if basis is None else basis @ Dc
         diag[:, k] = full[:, rows, rows]
-    return MalliavinBlocks(scheme, diag, full)
+    return MalliavinBlocks(diag, full)
 
 
 def _start_tangents(dz0, H_start: np.ndarray, z: int, dirs: np.ndarray):
@@ -369,22 +369,35 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
     kept, not dropped; Dψ = U·Dλ in the basis of :func:`drift_basis_dmulmc`.
     ``tangents(k, …)`` evaluates step k's node and midpoint Hessians
     itself: the working set is one step's (B, m, d, d) Hessians plus the
-    sweep's buffers, whatever N is.
+    sweep's buffers, whatever N is.  Those buffers are one
+    :class:`~girsanovlab.integrators.DmWorkspace` per rule, which every
+    step's sweeps fill in place: the two iterate buffers, (B, m+1, d, U)
+    each, and the ∇²V(X̂)·DX̂ product, which the oracle writes there with
+    ``np.matmul(…, out=)``.  So they are allocated and faulted in once per
+    rule, not once per step; a rule is made per call and serves one thread.
     """
     if traj.schedule is None:
         raise ValueError("trajectory carries no interpolation multipliers")
     grid, sched = traj.grid, traj.schedule
     kern = StepKernels.build(traj.gamma, grid.h, grid.m)
     m, d = grid.m, traj.x.shape[2]
+    work = DmWorkspace()
 
     def tangents(k, dirs, dz0):
         H_nodes = _step_hessians(potential, traj, k)
         dz0, H_start = _start_tangents(dz0, H_nodes[:, 0], 2 * d, dirs)
         H = {"start": H_start, "minus": potential.hessian(traj.x_minus[:, k]),
-             "plus": potential.hessian(traj.x_plus[:, k]), "nodes": H_nodes}
+             "plus": potential.hessian(traj.x_plus[:, k])}
+
+        def grad(where, X):
+            if where != "nodes":
+                return H[where] @ X
+            # (B, m, d, d)·(B or 1, m, d, U): the product has X's trailing shape
+            return np.matmul(H_nodes, X, out=work.array("grad", (len(H_nodes), *X.shape[1:])))
+
         sol = solve_dmulmc_step(
-            kern, lambda where, X: H[where] @ X, dz0[:, :d], dz0[:, d:], dirs[None],
-            int(sched.indices_minus[k]), int(sched.indices_plus[k]), _DERIV_TOL,
+            kern, grad, dz0[:, :d], dz0[:, d:], dirs[None],
+            int(sched.indices_minus[k]), int(sched.indices_plus[k]), _DERIV_TOL, work,
         )
         Dz_h = np.concatenate([sol.x_nodes[:, m], sol.p_nodes[:, m]], axis=1)
         return np.concatenate([sol.lam1, sol.lam2], axis=1), Dz_h
@@ -464,14 +477,16 @@ def block_summary_dense(blocks: MalliavinBlocks) -> BlockSummary:
 def _mlmc_step_factors(potential: Potential, traj: OverdampedTrajectory, k: int):
     """Factors of step k's overdamped midpoint block D = L − C·Rᵀ.
 
-    H_i (B, m, d, d), H⁺ (B, d, d) and C_i = η·(iη·H_i·H⁺ + H⁺) on the band
-    cells i < r_k only, (B, r_k, d, d): C·Rᵀ is zero outside the band.
+    H_i, H⁺ (B, d, d) and C_i = η·(iη·H_i·H⁺ + H⁺), all on the band cells
+    i < r_k only, (B, r_k, d, d): C·Rᵀ is zero outside the band, and no
+    summary reads H_i there (ρ(D) is that of the leading cells, and their
+    recurrence and traces run over i < r_k).
     """
-    eta = traj.grid.eta
+    eta, m = traj.grid.eta, traj.grid.m
     r = int(traj.schedule.indices[k])
-    H = _step_hessians(potential, traj, k)
+    H = potential.hessian(traj.x[:, k * m : k * m + r])
     Hp = potential.hessian(traj.x_plus[:, k])
-    C = H[:, :r] @ Hp[:, None]
+    C = H @ Hp[:, None]
     C *= eta * np.arange(r)[:, None, None]
     C += Hp[:, None]
     C *= eta
@@ -486,7 +501,7 @@ def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.nd
     tr(D²) = tr((Σ_{i<r} C_i)²) − 2·tr(Σ_{j<r} η·H_j·Σ_{i<j} C_i).
     Cost O(m·d³) per step; agrees with the trace of the dense blocks' square
     to 1e-12 (tested).  Steps are taken one at a time: the working set is
-    one step's factors, (B, m + 2·r_k, d, d), whatever N is.
+    one step's factors, (B, 2·r_k, d, d), whatever N is.
     """
     (B, _, d), N = traj.x.shape, traj.grid.N
     out = np.empty((B, N))
@@ -498,6 +513,34 @@ def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.nd
         cross = np.einsum("bjac,bjca->b", H[:, 1:r], partial[:, :-1])
         out[:, k] = np.einsum("bac,bca->b", banded, banded) - 2.0 * traj.grid.eta * cross
     return out
+
+
+def _power_estimate_mlmc(H: np.ndarray, Hp: np.ndarray, eta: float) -> np.ndarray:
+    """‖D₁₁·v₁₉‖ after 20 normalised power steps on the r leading cells, (B,).
+
+    (D₁₁·v)_i = η·(H_i·(Σ_{j<i} v_j − iη·u) − u) with u = H⁺·Σ_{j<r} v_j, for
+    H_i (B, r, d, d) and H⁺ (B, d, d), from v₀ = ones plus a linear tilt.
+    The iterate is cell-major, (r, B·d), so the exclusive prefix sums of
+    every path are one product with the strictly lower r × r ones matrix,
+    and Σ_{j<r} v_j is the last prefix plus v_{r−1}: no reduction runs along
+    the short cell axis.  H_i·(…) is one batched matmul over a cell-major
+    view of H, with no copy of it.
+    """
+    B, r, d = H.shape[0], H.shape[1], H.shape[2]
+    lower = np.tri(r, r, -1)
+    i_eta = eta * np.arange(r)[:, None, None, None]
+    H_cells = H.transpose(1, 0, 2, 3)  # (r, B, d, d), a view
+    v = np.ones(r * d) + np.linspace(0.0, 1.0, r * d)
+    V = np.broadcast_to((v / np.linalg.norm(v)).reshape(r, 1, d), (r, B, d))
+    for _ in range(20):
+        before = (lower @ V.reshape(r, B * d)).reshape(r, B, d, 1)  # Σ_{j<i} v_j
+        u = Hp @ (before[r - 1] + V[r - 1, :, :, None])  # H⁺·Σ_{j<r} v_j, (B, d, 1)
+        W = np.matmul(H_cells, before - i_eta * u, out=before)
+        W -= u
+        W *= eta
+        nrm = np.sqrt(np.einsum("rbdk,rbdk->b", W, W))
+        V = W[..., 0] / np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    return nrm
 
 
 def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> BlockSummary:
@@ -517,9 +560,14 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
     the r·d leading cells.  ``rho`` is ‖D₁₁·v₁₉‖ after 20 normalised power
     steps from ones plus a linear tilt, through
     (D₁₁·v)_i = η·H_i·Σ_{j<i} v_j − C_i·Σ_{j<r} v_j: an estimate of ρ, not
-    a bound.  At r = 0 (EM-LD) every field but the sign is exactly zero.
-    Cost O(m·d³) per step instead of O((m·d)³); steps are summarised one at
-    a time, so the working set is one step's (B, m + r_k, d, d) factors
+    a bound (:func:`_power_estimate_mlmc`).  Its iterate is cell-major,
+    (r, B·d), so each power step costs r²·B·d for every exclusive prefix
+    Σ_{j<i} v_j (one product with the strictly lower r × r ones matrix),
+    B·d² for u = H⁺·Σ_{j<r} v_j, one batched matmul of the r·B products
+    H_i·(…), r·B·d², and O(r·B·d) elementwise work, with no reduction along
+    the cell axis.  At r = 0 (EM-LD) every field but the sign is exactly zero.
+    Cost O(r·d³) per step instead of O((m·d)³); steps are summarised one at
+    a time, so the working set is one step's (B, 2·r_k, d, d) factors
     (:func:`_mlmc_step_factors`), whatever N is.
     """
     N, eta = traj.grid.N, traj.grid.eta
@@ -539,16 +587,7 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
         trace[:, k] = -np.einsum("biaa->b", C)
         if r == 0:
             continue
-        i_eta = eta * np.arange(r)[:, None, None]
-        v = np.ones(r * d) + np.linspace(0.0, 1.0, r * d)
-        V = np.broadcast_to((v / np.linalg.norm(v)).reshape(r, d, 1), (B, r, d, 1))
-        for _ in range(20):
-            u = Hp @ V.sum(axis=1)  # H⁺·Σ_{j<r} v_j, (B, d, 1)
-            before = np.cumsum(V, axis=1) - V  # Σ_{j<i} v_j
-            W = eta * (H[:, :r] @ (before - i_eta * u[:, None]) - u[:, None])
-            nrm = np.sqrt(np.square(W).sum(axis=(1, 2, 3)))
-            V = W / np.where(nrm > 0.0, nrm, 1.0)[:, None, None, None]
-        rho[:, k] = nrm
+        rho[:, k] = _power_estimate_mlmc(H, Hp, eta)
     return BlockSummary(sign, det2, trace, rho)
 
 
@@ -574,6 +613,7 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     summarised one at a time, and :func:`tangents_dmulmc` evaluates each
     step's Hessians itself: the working set is one step's (B, m, d, d)
     Hessians and the fixed point's (B, m+1, d, 2d) buffers, whatever N is.
+    One rule serves every step, so its buffers are made once per call.
     """
     tangents = tangents_dmulmc(potential, traj)
     N, m = traj.grid.N, traj.grid.m

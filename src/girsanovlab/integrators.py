@@ -71,6 +71,7 @@ __all__ = [
     "OverdampedTrajectory",
     "UnderdampedTrajectory",
     "DmStepSolution",
+    "DmWorkspace",
     "step_mlmc",
     "step_ulmc",
     "step_dmulmc_marginal",
@@ -308,6 +309,29 @@ class DmStepSolution:
     iterations: int
 
 
+class DmWorkspace:
+    """The sweep buffers of :func:`solve_dmulmc_step`, kept from one step to the next.
+
+    A caller that solves many steps of one shape makes one workspace and
+    passes it to every solve, which then fills the same arrays in place
+    instead of allocating and faulting them in afresh for each step.
+    ``array(name, shape)`` returns the buffer kept under ``name``, made anew
+    only when the shape changes: the solver keeps its two iterate buffers
+    here, and a gradient oracle may keep its output here too.  Every entry is
+    written before it is read, so no state passes from one step to the next.
+    A workspace belongs to one caller and one thread.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        buf = self._arrays.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self._arrays[name] = np.empty(shape)
+        return buf
+
+
 def solve_dmulmc_step(
     kern: StepKernels,
     grad,
@@ -317,6 +341,7 @@ def solve_dmulmc_step(
     r_minus: int,
     r_plus: int,
     tol: float,
+    work: DmWorkspace | None = None,
 ) -> DmStepSolution:
     """Solve the implicit inner-grid interpolation of one DM step.
 
@@ -327,18 +352,24 @@ def solve_dmulmc_step(
     h·√β ≤ 0.5 (:func:`simulate_dmulmc` checks the bound); StepSizeError if
     they do not converge.
 
-    The sweeps run in place: the iterate alternates between two buffers of
-    its (B, m+1, d, …) shape, G is corrected inside the array ``grad``
-    returns, one more buffer of G's shape holds the E·λ products, and the
+    The sweeps run in place, in the buffers of ``work`` (a fresh
+    :class:`DmWorkspace` when None): the iterate alternates between two
+    buffers of its (B, m+1, d, …) shape, and G is corrected inside the array
+    ``grad`` returns, with the E·λ products formed in the leading m nodes of
+    the spare iterate buffer before the next iterate overwrites it; the
     momentum nodes are formed in the spent iterate's buffer.  So the working
-    set is four node arrays whatever the number of sweeps.  Each entry is
-    rounded as by the out-of-place expressions: G = (g − E₁λ₁) − E₂λ₂,
-    X = base + (−η·K₂G) and P = (E₁p₀ − η·K₁G) + c·K₁ξ.  ``base`` may be
-    unbatched ((1, m+1, d, U) for a tangent batch with a fixed start) while
-    the iterate is (B, m+1, d, U); the first sweep allocates the second
-    buffer at the iterate's shape.
+    set is three node arrays whatever the number of sweeps, and a caller that
+    passes one workspace to every step allocates them once.  The solution's
+    ``x_nodes`` and ``p_nodes`` are then the workspace's iterate buffers,
+    valid until its next solve.  Each entry is rounded as by the
+    out-of-place expressions: s_a = η·Σ_j E_a(jη,h)·g_j − target,
+    G = (g − E₁λ₁) − E₂λ₂, X = base + (−η·K₂G) and
+    P = (E₁p₀ − η·K₁G) + c·K₁ξ.  ``base`` may be unbatched ((1, m+1, d, U)
+    for a tangent batch with a fixed start) while the iterate is
+    (B, m+1, d, U); the first sweep broadcasts it into the iterate's shape.
     """
     m, eta = kern.m, kern.eta
+    work = DmWorkspace() if work is None else work
     x_minus, x_plus, g0, _ = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
     gx = kern.e3_0[m] * grad("minus", x_minus)  # constraint targets
     gp = kern.e2_0[m] * grad("plus", x_plus)
@@ -346,20 +377,28 @@ def solve_dmulmc_step(
     c = np.sqrt(2.0 * kern.gamma * eta)
     base = x0[:, None] + _col(kern.e2_0, x0) * p0[:, None] + c * _node_noise(kern.K2, xi)
     x = base - _col(kern.e3_0, x0) * g0[:, None]  # frozen-gradient path
-    e_lam = spare = None  # the E·λ buffer and the iterate's second buffer
     e1, e2 = _col(kern.e1_left, x0), _col(kern.e2_left, x0)
     for it in range(1, FIXED_POINT_MAX_ITERS + 1):
         g_opt = grad("nodes", x[:, :m])
-        s1 = eta * np.einsum("j,bj...->b...", kern.e1_left, g_opt)
-        s2 = eta * np.einsum("j,bj...->b...", kern.e2_left, g_opt)
-        lam1, lam2 = kern.sigma_hat.solve(s1 - gp, s2 - gx)
-        e_lam = np.multiply(e1, lam1[:, None], out=e_lam)
+        s1 = np.einsum("j,bj...->b...", kern.e1_left, g_opt)
+        s1 *= eta
+        s1 -= gp
+        s2 = np.einsum("j,bj...->b...", kern.e2_left, g_opt)
+        s2 *= eta
+        s2 -= gx
+        lam1, lam2 = kern.sigma_hat.solve(s1, s2)
+        if it == 1:  # the iterate's shape is G's with one node more
+            shape = (g_opt.shape[0], m + 1, *g_opt.shape[2:])
+            spare, free = work.array("nodes_a", shape), work.array("nodes_b", shape)
+        e_lam = spare[:, :m]  # free until the next iterate lands there
+        np.multiply(e1, lam1[:, None], out=e_lam)
         g_opt -= e_lam
         g_opt -= np.multiply(e2, lam2[:, None], out=e_lam)
         x_new = _node_noise(kern.K2, g_opt, out=spare)
         x_new *= -eta
         x_new += base
-        step = np.subtract(x_new, x, out=x if x.shape == x_new.shape else None)
+        # the first step lands in the free buffer, later ones in the spent iterate
+        step = np.subtract(x_new, x, out=free if it == 1 else x)
         delta = float(np.max(np.abs(step, out=step)))
         x, spare = x_new, step
         if delta <= tol or not np.isfinite(delta):

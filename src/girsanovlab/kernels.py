@@ -131,8 +131,12 @@ class SigmaCoefficients:
 
     def solve(self, b1: np.ndarray, b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve [[s11, s12], [s12, s22]] @ (x1, x2) = (b1, b2) elementwise."""
-        x1 = (self.s22 * b1 - self.s12 * b2) / self.delta
-        x2 = (-self.s12 * b1 + self.s11 * b2) / self.delta
+        x1 = self.s22 * b1
+        x1 -= self.s12 * b2
+        x1 /= self.delta
+        x2 = -self.s12 * b1
+        x2 += self.s11 * b2
+        x2 /= self.delta
         return x1, x2
 
 

@@ -33,6 +33,7 @@ from girsanovlab.girsanov import (
     drift_basis_dmulmc,
     drift_ulmc,
     _mlmc_step_factors,
+    _spectral_fields,
     summary_log_weight,
     tangents_dmulmc,
     trace_diagnostics_mlmc,
@@ -170,6 +171,48 @@ def test_mlmc_rho_is_the_leading_cells_power_estimate(case):
             continue
         oracle = _power_oracle(D[:, : r * d, : r * d])
         np.testing.assert_allclose(structured.rho[:, k], oracle, rtol=0.0, atol=1e-12)
+
+
+def test_mlmc_power_estimate_at_the_benchmark_shape():
+    # the cell-major iterate at d = 8, m = 32 and B = 16: a step with r = 16
+    # (the deterministic midpoint) and one with r = 1, a single leading cell
+    pot = PerturbedQuadratic(np.linspace(1.0, 2.0, 8), amplitude=0.1, frequency=1.0)
+    d, grid = pot.d, TimeGrid(0.25, 2, 32)
+    schedule = OverdampedSchedule(grid, np.array([16, 1]))
+    xi = noise_matrix(8, 16, grid.n_cells, d)
+    traj = simulate_mlmc(pot, schedule, np.random.default_rng(4).normal(size=(16, d)), xi)
+    blocks = SCHEMES["mlmc"].blocks(pot, traj)
+    rho = block_summary_mlmc(pot, traj).rho
+    for k, r in enumerate(schedule.indices):
+        oracle = _power_oracle(blocks.diag[:, k, : r * d, : r * d])
+        assert np.all(oracle > 1e-3)
+        np.testing.assert_allclose(rho[:, k], oracle, rtol=0.0, atol=1e-12)
+
+
+def _dmulmc_fields(WtU: np.ndarray) -> tuple:
+    """(sign, det₂, tr, ρ) of one step's 2d × 2d cores, as the summary forms them."""
+    return (*_spectral_fields(np.linalg.eigvals(WtU)), np.trace(WtU, axis1=-2, axis2=-1))
+
+
+def test_dmulmc_summary_workspace_carries_no_state():
+    # one tangent rule, and so one sweep workspace, serves every step of a
+    # summary: on a randomized schedule, whose (r⁻, r⁺) differ by step, each
+    # step equals a fresh rule's, and a second summary of the path equals the
+    # first, bit for bit
+    pot = _target()
+    sched = UnderdampedSchedule.randomized(GRID, 5, 2)
+    assert len(set(zip(sched.indices_minus, sched.indices_plus))) == GRID.N
+    xi, x0, p0 = _inputs(pot.d)
+    traj = simulate_dmulmc(pot, sched, 1.0, x0, p0, xi)
+    first, second = block_summary_dmulmc(pot, traj), block_summary_dmulmc(pot, traj)
+    dirs = drift_basis_dmulmc(traj)[0].reshape(GRID.m, pot.d, 2 * pot.d)
+    for k in range(GRID.N):
+        WtU = tangents_dmulmc(pot, traj)(k, dirs, None)[0]
+        fresh = _dmulmc_fields(WtU)
+        for name, want in zip(("sign", "det2", "rho", "trace"), fresh):
+            np.testing.assert_array_equal(getattr(first, name)[:, k], want, err_msg=name)
+    for name in ("sign", "det2", "trace", "rho"):
+        np.testing.assert_array_equal(getattr(second, name), getattr(first, name), err_msg=name)
 
 
 def test_structured_singular_block_gives_minus_inf():

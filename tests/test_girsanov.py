@@ -147,8 +147,8 @@ def test_double_midpoint_multipliers_match_independent_solve():
 # ---------------------------------------------------------------------------
 
 
-def _zero_blocks(B, N, m, d, scheme="mlmc"):
-    return MalliavinBlocks(scheme, np.zeros((B, N, m * d, m * d)))
+def _zero_blocks(B, N, m, d):
+    return MalliavinBlocks(np.zeros((B, N, m * d, m * d)))
 
 
 def _skorohod(psi, blocks, xi):
@@ -226,7 +226,7 @@ def test_carleman_matches_second_order_expansion():
     D *= 0.1 / np.linalg.norm(D, ord=2)
     remainders = []
     for scale in (1.0, 0.5):
-        blocks = MalliavinBlocks("mlmc", (scale * D)[None, None])
+        blocks = MalliavinBlocks((scale * D)[None, None])
         value, _ = carleman_fredholm_logdet(block_summary_dense(blocks))
         second = -0.5 * np.trace((scale * D) @ (scale * D))
         remainders.append(abs(value[0] - second))
@@ -234,12 +234,12 @@ def test_carleman_matches_second_order_expansion():
 
 
 def test_carleman_flags_singular_and_negative_blocks():
-    singular = MalliavinBlocks("mlmc", np.array([[[[-1.0]]]]))
+    singular = MalliavinBlocks(np.array([[[[-1.0]]]]))
     value, negative = carleman_fredholm_logdet(block_summary_dense(singular))
     assert value[0] == -np.inf
     assert not negative[0]
 
-    flipped = MalliavinBlocks("mlmc", np.array([[[[-2.0]]]]))
+    flipped = MalliavinBlocks(np.array([[[[-2.0]]]]))
     value, negative = carleman_fredholm_logdet(block_summary_dense(flipped))
     # |det(I + D)| = 1 so log|det| = 0; the trace correction remains
     assert value[0] == pytest.approx(2.0)
@@ -247,7 +247,7 @@ def test_carleman_flags_singular_and_negative_blocks():
 
 
 def test_spectral_radius_known_value():
-    blocks = MalliavinBlocks("mlmc", np.array([[[[0.5]]]]))
+    blocks = MalliavinBlocks(np.array([[[[0.5]]]]))
     summary = block_summary_dense(blocks)
     assert summary.rho[0, 0] == 0.5
     assert summary.det2[0, 0] == pytest.approx(np.log(1.5) - 0.5, rel=1e-15)
@@ -444,6 +444,26 @@ def test_tangent_rules_run_the_integrators_steps(monkeypatch, scheme):
         for got, want in zip((Dc, Dz), reference(1, dirs, dz0)):
             np.testing.assert_array_equal(got, want)
     assert calls == [_STEPS[scheme]] * 4
+
+
+@pytest.mark.parametrize("scheme", sorted(_STEPS))
+def test_dense_blocks_evaluate_no_drift(scheme):
+    # Scheme.blocks reads its basis from the trajectory's grid: no gradient,
+    # so no drift, is evaluated to learn U
+    from girsanovlab.engine import scheme_for
+
+    s = scheme_for(scheme)
+    pot = PerturbedQuadratic((1.0, 1.5), amplitude=0.1, frequency=1.0)
+    grid = TimeGrid(0.5, 2, 4)
+    zdim = 2 * pot.d if s.kinetic else pot.d
+    gamma = 1.0 if s.kinetic else None
+    xi = noise_matrix(4, 3, grid.n_cells, pot.d)
+    traj = s.simulate(pot, grid, s.schedule(grid), gamma, np.full((3, zdim), 0.3), xi)
+    hessian_only = _HessianOnly((1.0, 1.5), amplitude=0.1, frequency=1.0)
+    for include_offdiag in (False, True):
+        got = s.blocks(hessian_only, traj, include_offdiag)
+        want = s.blocks(pot, traj, include_offdiag)
+        np.testing.assert_array_equal(got.diag, want.diag)
 
 
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
