@@ -60,6 +60,11 @@ SCHEME_NAMES = {key: name for name, s in SCHEMES.items() for key in (name, s.lab
 #: experiments that run each scheme's deterministic schedule, so reject the key
 FIXED_SCHEDULE_EXPERIMENTS = ("local-error-sweep", "complexity-table")
 
+#: experiments that form no DM-ULMC weight or path KL on the config's inner
+#: grid (the marginal update, and the complexity table's own m rule), so they
+#: take DM-ULMC at m = 1, where the interpolation's σ̂ is singular
+DM_ONE_CELL_EXPERIMENTS = ("local-error-sweep", "complexity-table")
+
 _KNOWN_KEYS = {
     "experiment": {"name", "seed", "n_paths", "output"},
     "potential": {"kind", "d", "scale", "spectrum", "amplitude", "frequency", "c"},
@@ -335,6 +340,12 @@ def load_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"{e.where('scheme.schedule')}: {SCHEMES[scheme].label} has no midpoint "
             "to schedule; remove the key"
+        )
+    if scheme == "dmulmc" and experiment not in DM_ONE_CELL_EXPERIMENTS and min(m_list) < 2:
+        raise ConfigError(
+            f"{e.where('grid.m')}: {SCHEMES[scheme].label} weights and path KLs need "
+            f"m >= 2 inner cells, got m = {min(m_list)} (with one cell the "
+            "interpolation's Gram matrix σ̂ is singular)"
         )
     kinetic = SCHEMES[scheme].kinetic
     if e.has("scheme.gamma"):

@@ -192,7 +192,8 @@ def drift_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.ndarray:
     left = _left_nodes(traj.x, grid.N, grid.m)
     g_nodes = potential.gradient(left)
     g_plus = potential.gradient(traj.x_plus)
-    psi = np.sqrt(grid.eta / 2.0) * (g_nodes - g_plus[:, :, None, :])
+    psi = np.subtract(g_nodes, g_plus[:, :, None, :], out=g_nodes)
+    psi *= np.sqrt(grid.eta / 2.0)
     return psi.reshape(psi.shape[0], grid.n_cells, -1)
 
 
@@ -223,7 +224,8 @@ def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndar
     """U (m·d, 2d) with ψ = U·(λ₁, λ₂) per step, and its Gram matrix UᵀU.
 
     U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d] on the left-endpoint kernels, so
-    UᵀU = σ̂/(2γ) ⊗ I_d with σ̂ the kernels' discrete Gram coefficients.
+    UᵀU = σ̂/(2γ) ⊗ I_d with σ̂ the kernels' discrete Gram coefficients;
+    ValueError for m = 1, where σ̂ is singular.
     """
     grid, d = traj.grid, traj.x.shape[2]
     kern = StepKernels.build(traj.gamma, grid.h, grid.m)
@@ -372,9 +374,11 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
     sweep's buffers, whatever N is.  Those buffers are one
     :class:`~girsanovlab.integrators.DmWorkspace` per rule, which every
     step's sweeps fill in place: the two iterate buffers, (B, m+1, d, U)
-    each, and the ∇²V(X̂)·DX̂ product, which the oracle writes there with
-    ``np.matmul(…, out=)``.  So they are allocated and faulted in once per
-    rule, not once per step; a rule is made per call and serves one thread.
+    each, and the sweep's right-hand side (B, m+2, d, U), whose leading m
+    cells take the ∇²V(X̂)·DX̂ product, written there by the oracle with
+    ``np.matmul(…, out=work.gradient_out(…))``.  So they are allocated and
+    faulted in once per rule, not once per step; a rule is made per call
+    and serves one thread.
     """
     if traj.schedule is None:
         raise ValueError("trajectory carries no interpolation multipliers")
@@ -393,7 +397,7 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
             if where != "nodes":
                 return H[where] @ X
             # (B, m, d, d)·(B or 1, m, d, U): the product has X's trailing shape
-            return np.matmul(H_nodes, X, out=work.array("grad", (len(H_nodes), *X.shape[1:])))
+            return np.matmul(H_nodes, X, out=work.gradient_out((len(H_nodes), *X.shape[1:])))
 
         sol = solve_dmulmc_step(
             kern, grad, dz0[:, :d], dz0[:, d:], dirs[None],

@@ -19,10 +19,14 @@ grid, increments √η·ξ_i):
   of the double-midpoint scheme: the implicit fixed point for (X̂, λ₁, λ₂)
   whose drift G^opt_t = ∇V(X̂_t) − E₁(t,h)λ₁ − E₂(t,h)λ₂ satisfies the two
   marginal constraints η·Σ_j E₁(jη,h)G^opt_j = E₂(0,h)∇V(X⁺) and
-  η·Σ_j E₂(jη,h)G^opt_j = E₃(0,h)∇V(X⁻).  Its endpoint reproduces the
-  marginal update (the multipliers solve the constraints by construction,
-  tested to 1e-12), so iteration only refines interior nodes; the weights
-  need those nodes, a local error does not.
+  η·Σ_j E₂(jη,h)G^opt_j = E₃(0,h)∇V(X⁻).  λ is affine in the node
+  gradients, so the sweeps run with the multipliers eliminated, one product
+  of a memoised table per sweep (:class:`~girsanovlab.kernels.ConstrainedSweep`),
+  and λ is formed once after convergence.  The endpoint row of that table
+  is zero in exact arithmetic, so the endpoint reproduces the marginal
+  update (tested to 1e-12 on quadratic and non-quadratic targets, both
+  schedules) and iteration only refines interior nodes; the weights need
+  those nodes, a local error does not.  Needs m ≥ 2 inner cells.
 * ``ou_endpoint_map`` — the horizon state of the exact Gaussian transitions
   of the continuous dynamics for quadratic potentials, coupled to the same
   increments: each cell draws from the exact conditional law given the
@@ -294,10 +298,11 @@ def step_dmulmc_marginal(
 class DmStepSolution:
     """Converged inner interpolation of one double-midpoint step.
 
-    The endpoint (x_nodes[:, m], p_nodes[:, m]) equals the closed-form
-    marginal update exactly: the multipliers solve the marginal constraints
-    for the final drift evaluation by construction, so the fixed point only
-    moves interior nodes.
+    The endpoint (x_nodes[:, m], p_nodes[:, m]) is the closed-form marginal
+    update in exact arithmetic, and to rounding in floating point (tested to
+    1e-12): the multipliers solve the marginal constraints for the final
+    drift evaluation by construction, so the fixed point only moves interior
+    nodes.
     """
 
     x_nodes: np.ndarray  # (B, m+1, d)
@@ -317,7 +322,11 @@ class DmWorkspace:
     instead of allocating and faulting them in afresh for each step.
     ``array(name, shape)`` returns the buffer kept under ``name``, made anew
     only when the shape changes: the solver keeps its two iterate buffers
-    here, and a gradient oracle may keep its output here too.  Every entry is
+    here and the right-hand side [g; t] of its one product per sweep, the m
+    node gradients stacked on the two constraint targets.  A gradient
+    oracle writes its "nodes" output into :meth:`gradient_out`, the leading m
+    cells of that right-hand side, so the sweep reads it without a copy; an
+    oracle that returns an array of its own is copied in.  Every entry is
     written before it is read, so no state passes from one step to the next.
     A workspace belongs to one caller and one thread.
     """
@@ -330,6 +339,14 @@ class DmWorkspace:
         if buf is None or buf.shape != shape:
             buf = self._arrays[name] = np.empty(shape)
         return buf
+
+    def _rhs(self, grad_shape: tuple) -> np.ndarray:
+        """The (B, m+2, …) stack [g; t] for node gradients of shape (B, m, …)."""
+        return self.array("rhs", (grad_shape[0], grad_shape[1] + 2, *grad_shape[2:]))
+
+    def gradient_out(self, shape: tuple) -> np.ndarray:
+        """Where an oracle may write node gradients of ``shape`` (B, m, …)."""
+        return self._rhs(shape)[:, : shape[1]]
 
 
 def solve_dmulmc_step(
@@ -345,57 +362,56 @@ def solve_dmulmc_step(
 ) -> DmStepSolution:
     """Solve the implicit inner-grid interpolation of one DM step.
 
-    From the frozen-gradient path, sweeps X ↦ base − η·K₂·G with
-    G_j = grad("nodes", X)_j − E₁(jη,h)λ₁ − E₂(jη,h)λ₂ and (λ₁, λ₂) from the
-    2×2 Gram system, so the marginal constraints hold at every sweep.  Stops
-    once no entry of X moves by more than ``tol``.  The sweeps contract under
-    h·√β ≤ 0.5 (:func:`simulate_dmulmc` checks the bound); StepSizeError if
-    they do not converge.
+    From the frozen-gradient path, sweeps X ↦ base + M·[g; t], with
+    g = grad("nodes", X) on the m left nodes, t the two constraint targets
+    and M = ``kern.constrained.x``.  This is the map X ↦ base − η·K₂·G,
+    G = g − E₁λ₁ − E₂λ₂, with (λ₁, λ₂) solved from the marginal constraints,
+    but with the multipliers eliminated: λ is affine in g, so G = P·g +
+    E·σ̂⁻¹·t (:class:`~girsanovlab.kernels.ConstrainedSweep`), and a sweep is
+    one product with no multiplier formed in it.  Stops once no entry of X
+    moves by more than ``tol``.  Then, once, λ = σ̂⁻¹·(η·Eᵀ·g − t) from the
+    last sweep's g, so G meets both constraints to rounding, and the
+    momentum nodes from [g; λ].  The sweeps contract under h·√β ≤ 0.5
+    (:func:`simulate_dmulmc` checks the bound); StepSizeError if they do not
+    converge.  Needs m ≥ 2: with one cell σ̂ is singular (ValueError).
 
     The sweeps run in place, in the buffers of ``work`` (a fresh
     :class:`DmWorkspace` when None): the iterate alternates between two
-    buffers of its (B, m+1, d, …) shape, and G is corrected inside the array
-    ``grad`` returns, with the E·λ products formed in the leading m nodes of
-    the spare iterate buffer before the next iterate overwrites it; the
-    momentum nodes are formed in the spent iterate's buffer.  So the working
-    set is three node arrays whatever the number of sweeps, and a caller that
-    passes one workspace to every step allocates them once.  The solution's
-    ``x_nodes`` and ``p_nodes`` are then the workspace's iterate buffers,
-    valid until its next solve.  Each entry is rounded as by the
-    out-of-place expressions: s_a = η·Σ_j E_a(jη,h)·g_j − target,
-    G = (g − E₁λ₁) − E₂λ₂, X = base + (−η·K₂G) and
-    P = (E₁p₀ − η·K₁G) + c·K₁ξ.  ``base`` may be unbatched ((1, m+1, d, U)
-    for a tangent batch with a fixed start) while the iterate is
-    (B, m+1, d, U); the first sweep broadcasts it into the iterate's shape.
+    buffers of its (B, m+1, d, …) shape, each sweep's step landing in the
+    spent iterate, and [g; t] is one (B, m+2, d, …) buffer whose target rows
+    are written once per step and whose gradient rows the oracle fills
+    (:meth:`DmWorkspace.gradient_out`); λ then replaces t there.  So the
+    working set is three node arrays whatever the number of sweeps, and a
+    caller that passes one workspace to every step allocates them once.  The
+    solution's ``x_nodes`` and ``p_nodes`` are then the workspace's iterate
+    buffers, valid until its next solve.  Each entry is rounded as by the
+    out-of-place expressions X = base + x·[g; t], s = residual·[g; t],
+    (λ₁, λ₂) = ``sigma_hat.solve(s₁, s₂)`` and momentum nodes
+    (p·[g; λ] + E₁p₀) + c·K₁ξ, with the tables x, residual and p of
+    ``kern.constrained`` (tested).  ``base`` may be unbatched
+    ((1, m+1, d, U) for a tangent batch with a fixed start) while the
+    iterate is (B, m+1, d, U); the first sweep broadcasts it into the
+    iterate's shape.
     """
-    m, eta = kern.m, kern.eta
+    m = kern.m
+    tables = kern.constrained
     work = DmWorkspace() if work is None else work
     x_minus, x_plus, g0, _ = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
-    gx = kern.e3_0[m] * grad("minus", x_minus)  # constraint targets
-    gp = kern.e2_0[m] * grad("plus", x_plus)
+    targets = kern.e2_0[m] * grad("plus", x_plus), kern.e3_0[m] * grad("minus", x_minus)
 
-    c = np.sqrt(2.0 * kern.gamma * eta)
+    c = np.sqrt(2.0 * kern.gamma * kern.eta)
     base = x0[:, None] + _col(kern.e2_0, x0) * p0[:, None] + c * _node_noise(kern.K2, xi)
     x = base - _col(kern.e3_0, x0) * g0[:, None]  # frozen-gradient path
-    e1, e2 = _col(kern.e1_left, x0), _col(kern.e2_left, x0)
     for it in range(1, FIXED_POINT_MAX_ITERS + 1):
-        g_opt = grad("nodes", x[:, :m])
-        s1 = np.einsum("j,bj...->b...", kern.e1_left, g_opt)
-        s1 *= eta
-        s1 -= gp
-        s2 = np.einsum("j,bj...->b...", kern.e2_left, g_opt)
-        s2 *= eta
-        s2 -= gx
-        lam1, lam2 = kern.sigma_hat.solve(s1, s2)
-        if it == 1:  # the iterate's shape is G's with one node more
-            shape = (g_opt.shape[0], m + 1, *g_opt.shape[2:])
+        g = grad("nodes", x[:, :m])
+        if it == 1:  # the iterate's shape is g's with one node more
+            rhs = work._rhs(g.shape)
+            rhs[:, m], rhs[:, m + 1] = targets
+            shape = (g.shape[0], m + 1, *g.shape[2:])
             spare, free = work.array("nodes_a", shape), work.array("nodes_b", shape)
-        e_lam = spare[:, :m]  # free until the next iterate lands there
-        np.multiply(e1, lam1[:, None], out=e_lam)
-        g_opt -= e_lam
-        g_opt -= np.multiply(e2, lam2[:, None], out=e_lam)
-        x_new = _node_noise(kern.K2, g_opt, out=spare)
-        x_new *= -eta
+        if g.base is not rhs:
+            rhs[:, :m] = g
+        x_new = _node_noise(tables.x, rhs, out=spare)
         x_new += base
         # the first step lands in the free buffer, later ones in the spent iterate
         step = np.subtract(x_new, x, out=free if it == 1 else x)
@@ -408,15 +424,17 @@ def solve_dmulmc_step(
             f"implicit interpolation did not converge ({it} sweeps); the step "
             "violates the contraction condition h ~ 1/sqrt(beta)"
         )
-    p_nodes = _node_noise(kern.K1, g_opt, out=spare)
-    p_nodes *= -eta
+    residual = _node_noise(tables.residual, rhs)  # η·Eᵀ·g − t
+    lam = rhs[:, m:]  # the targets are spent: [g; t] becomes [g; λ]
+    lam[:, 0], lam[:, 1] = kern.sigma_hat.solve(residual[:, 0], residual[:, 1])
+    p_nodes = _node_noise(tables.p, rhs, out=spare)
     p_nodes += _col(kern.e1_0, x0) * p0[:, None]
     p_nodes += c * _node_noise(kern.K1, xi)
     return DmStepSolution(
         x_nodes=x,
         p_nodes=p_nodes,
-        lam1=lam1,
-        lam2=lam2,
+        lam1=lam[:, 0].copy(),
+        lam2=lam[:, 1].copy(),
         x_minus=x_minus,
         x_plus=x_plus,
         iterations=it,

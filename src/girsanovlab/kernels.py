@@ -22,7 +22,8 @@ series below w = 0.35 for the two genuinely cancelling objects
 accuracy is ~1e−15 for all w ≥ 0, including w = 0.
 
 Discrete (left-endpoint Riemann) counterparts σ̂ and the per-step kernel tables
-used by the integrators live in :class:`StepKernels`.
+used by the integrators live in :class:`StepKernels`, the double-midpoint
+fixed point's tables in :class:`ConstrainedSweep`.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "SigmaCoefficients",
     "sigma_coefficients",
     "StepKernels",
+    "ConstrainedSweep",
 ]
 
 # Series crossover: below this the series branches are used.  At w = 0.35 the
@@ -117,11 +119,14 @@ def e3(gamma: float, s, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SigmaCoefficients:
-    """Gram coefficients of (E₁(·,h), E₂(·,h)) on [0, h].
+    """Gram coefficients of a pair of kernels, the 2×2 system [[s11, s12], [s12, s22]].
 
-    ``delta`` = σ₁₁σ₂₂ − σ₁₂² > 0 (strict Cauchy–Schwarz: E₁ and E₂ are not
-    proportional), so the 2×2 system for the marginal-matching multipliers is
-    always solvable.
+    For the analytic σ of :func:`sigma_coefficients`, ``delta`` =
+    σ₁₁σ₂₂ − σ₁₂² > 0 by strict Cauchy–Schwarz: E₁(·,h) and E₂(·,h) are not
+    proportional on [0, h].  The discrete σ̂ of :class:`StepKernels` is the
+    Gram matrix of the kernels' m cell values, which with one cell (m = 1)
+    are two length-1 vectors: σ̂ is then singular, and ``StepKernels`` refuses
+    to build it.
     """
 
     s11: float
@@ -167,6 +172,39 @@ def sigma_coefficients(gamma: float, h: float) -> SigmaCoefficients:
     return SigmaCoefficients(s11, s12, s22, s11 * s22 - s12**2)
 
 
+@dataclass(frozen=True)
+class ConstrainedSweep:
+    """The double-midpoint fixed point with its multipliers eliminated.
+
+    A sweep maps the node gradients g (m cells) to the drift
+    G = g − E₁λ₁ − E₂λ₂ whose multipliers solve the marginal constraints
+    η·Eᵀ·G = t, with E = [e1_left, e2_left] and the targets
+    t = (E₂(0,h)·∇V(X⁺), E₃(0,h)·∇V(X⁻)).  λ is affine in g, so
+    G = P·g + E·σ̂⁻¹·t with the projector P = I − η·E·σ̂⁻¹·Eᵀ (P·E = 0 and
+    Eᵀ·P = 0, as σ̂ = η·EᵀE).  Each table acts along the cell axis of an
+    (m+2)-row stack, the m node gradients over two more rows:
+
+    * ``x`` (m+1, m+2) = [M | −η·K₂·E·σ̂⁻¹] on [g; t], M = −η·K₂·P: the
+      nodes X = base + x·[g; t].  Row m of M is −η·e2_leftᵀ·P, zero in exact
+      arithmetic, so the endpoint is the marginal update whatever g is;
+    * ``residual`` (2, m+2) = [η·Eᵀ | −I] on [g; t]: s = η·Eᵀ·g − t, whence
+      λ = σ̂⁻¹·s, the difference taken before σ̂⁻¹ amplifies its rounding;
+    * ``p`` (m+1, m+2) = [−η·K₁ | η·K₁·E] on [g; λ]: the momentum nodes'
+      drift part −η·K₁·G.
+
+    The tables are read only.
+    """
+
+    x: np.ndarray
+    residual: np.ndarray
+    p: np.ndarray
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 def _check_m(m) -> None:
     if isinstance(m, bool) or m < 1 or not float(m).is_integer():
         raise ValueError(f"m must be a positive integer, got {m}")
@@ -176,9 +214,11 @@ class StepKernels:
     """Kernels of one underdamped step of length h = m·η.
 
     The O(m) vectors below are computed on construction.  The (m+1) × m
-    tables K1, K2 are built on first access and then kept; a caller that
-    needs only a few of their rows takes them from :meth:`row`, which is the
-    one formula both use, so a row equals the table's row bit for bit
+    tables K1, K2, the coefficients σ̂ and the constrained-sweep tables are
+    built on first access and then kept, read only, so every step and window
+    on the same (γ, h, m) shares them, across threads too; a caller that
+    needs only a few rows of K1, K2 takes them from :meth:`row`, which is
+    the one formula both use, so a row equals the table's row bit for bit
     (tested).
 
     Attributes
@@ -191,7 +231,10 @@ class StepKernels:
     sigma_hat : Gram coefficients σ̂_ab = η Σⱼ E_a(jη,h)·E_b(jη,h) of (e1_left,
         e2_left).  These left-endpoint sums, not the analytic σ, make the
         double-midpoint marginal constraints exact, because every stochastic
-        integral is realized with the same left-endpoint rule.
+        integral is realized with the same left-endpoint rule.  With one
+        cell σ̂ is singular, so it raises ValueError for m < 2.
+    constrained : :class:`ConstrainedSweep`, the double-midpoint fixed point
+        with its multipliers eliminated (needs σ̂, so m ≥ 2).
     """
 
     def __init__(self, gamma: float, h: float, m: int):
@@ -213,10 +256,32 @@ class StepKernels:
         self.e2_0 = e2(gamma, 0.0, self._nodes)
         self.e3_0 = e3(gamma, 0.0, self._nodes)
 
+    @cached_property
+    def sigma_hat(self) -> SigmaCoefficients:
+        if self.m < 2:
+            raise ValueError(
+                f"the double-midpoint interpolation needs m >= 2 inner cells, got "
+                f"m = {self.m}: with one cell σ̂ is the Gram matrix of two "
+                "length-1 vectors, which is singular"
+            )
         s11 = self.eta * float(self.e1_left @ self.e1_left)
         s12 = self.eta * float(self.e1_left @ self.e2_left)
         s22 = self.eta * float(self.e2_left @ self.e2_left)
-        self.sigma_hat = SigmaCoefficients(s11, s12, s22, s11 * s22 - s12**2)
+        return SigmaCoefficients(s11, s12, s22, s11 * s22 - s12**2)
+
+    @cached_property
+    def constrained(self) -> "ConstrainedSweep":
+        eta = self.eta
+        E = np.stack([self.e1_left, self.e2_left], axis=1)  # (m, 2)
+        sh = self.sigma_hat
+        inv = np.stack(sh.solve(np.array([1.0, 0.0]), np.array([0.0, 1.0])))  # σ̂⁻¹
+        inv_Et = np.stack(sh.solve(self.e1_left, self.e2_left))  # σ̂⁻¹·Eᵀ (2, m)
+        K2E = self.K2 @ E
+        K2P = self.K2 - eta * (K2E @ inv_Et)  # P is I less rank 2: O(m²), not O(m³)
+        x = np.concatenate([-eta * K2P, -eta * (K2E @ inv)], axis=1)
+        residual = np.concatenate([eta * E.T, -np.eye(2)], axis=1)
+        p = np.concatenate([-eta * self.K1, eta * (self.K1 @ E)], axis=1)
+        return ConstrainedSweep(*map(_read_only, (x, residual, p)))
 
     def row(self, a: int, n) -> np.ndarray:
         """E_a(jη, nη)·1{j<n} over the cells j = 0..m−1, for a ∈ {1, 2}.
@@ -233,11 +298,11 @@ class StepKernels:
 
     @cached_property
     def K1(self) -> np.ndarray:
-        return self.row(1, np.arange(self.m + 1))
+        return _read_only(self.row(1, np.arange(self.m + 1)))
 
     @cached_property
     def K2(self) -> np.ndarray:
-        return self.row(2, np.arange(self.m + 1))
+        return _read_only(self.row(2, np.arange(self.m + 1)))
 
     @staticmethod
     @lru_cache(maxsize=64)

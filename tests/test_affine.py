@@ -1,6 +1,8 @@
 """Affine step maps: every scheme's maps against a probe of the path solver,
 and the DM-ULMC drift factors against dense formulas."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,15 @@ def _dense_path_kl(maps, mean, cov):
         mean = sm.A @ mean + sm.b
         cov = sm.A @ cov @ sm.A.T + sm.noise_cov
     return kl
+
+
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
+def test_dmulmc_step_maps_need_two_inner_cells(mode):
+    # one cell makes σ̂ singular; the maps (and so the path KL) are refused
+    grid = TimeGrid(0.5, 4, 1)
+    schedule = scheme_for("dmulmc").schedule(grid, mode, 4, 0)
+    with pytest.raises(ValueError, match=re.escape("needs m >= 2 inner cells, got m = 1")):
+        step_maps_for_schedule("dmulmc", POT, schedule, GAMMA)
 
 
 @pytest.mark.parametrize("mode", ["deterministic", "randomized"])

@@ -87,6 +87,27 @@ def test_fixed_schedule_experiments_reject_the_schedule_key(experiment):
     assert cfg.experiment == experiment
 
 
+@pytest.mark.parametrize(
+    "experiment", ["kl-order-sweep", "normalization", "fd-malliavin", "eta-refinement"])
+def test_dmulmc_weights_reject_one_inner_cell(experiment):
+    # with one cell the interpolation's σ̂ is singular: every experiment that
+    # forms DM-ULMC weights or a path KL on grid.m refuses m = 1 at load time
+    text = _with(BASE, "name = kl-order-sweep", f"name = {experiment}")
+    with pytest.raises(ConfigError, match=r"line 11 .*DM-ULMC weights and path KLs need m >= 2"
+                                          r" inner cells, got m = 1"):
+        load_config(_with(text, "m = 4 8", "m = 1 8"))
+    assert load_config(_with(text, "m = 4 8", "m = 2 8")).m_list == (2, 8)
+
+
+@pytest.mark.parametrize("experiment", ["local-error-sweep", "complexity-table"])
+def test_dmulmc_marginal_experiments_take_one_inner_cell(experiment):
+    # the marginal update uses no σ̂, and the complexity table sets DM-ULMC's
+    # m by its own rule
+    text = _with(BASE, "name = kl-order-sweep", f"name = {experiment}")
+    text = _with(text, "schedule = deterministic\n", "")
+    assert load_config(_with(text, "m = 4 8", "m = 1")).m_list == (1, 1)
+
+
 @pytest.mark.parametrize("label", ["EM-LD", "ULMC"])
 def test_schemes_without_a_midpoint_reject_the_schedule_key(label):
     text = _with(BASE, "name = DM-ULMC", f"name = {label}")

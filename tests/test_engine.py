@@ -321,6 +321,14 @@ def test_a_grid_beside_a_schedule_must_be_its_grid(pot):
         generic_log_weights("mlmc", pot, schedule, GRID16, None, z0, xi)
 
 
+@pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
+def test_dmulmc_weights_need_two_inner_cells(pot):
+    # with one cell σ̂ is the Gram matrix of two length-1 vectors, singular:
+    # refused on either route, not turned into finite, meaningless weights
+    with pytest.raises(ValueError, match=re.escape("needs m >= 2 inner cells, got m = 1")):
+        run_weights("dmulmc", pot, grid=TimeGrid(0.5, 4, 1), gamma=1.0, n_paths=4, seed=1)
+
+
 @pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
 def test_run_weights_needs_a_finite_friction(scheme, pot):

@@ -82,6 +82,15 @@ def test_local_error_sweep_is_thread_invariant(scheme):
     assert one.csv_text == two.csv_text
 
 
+def test_dmulmc_local_error_sweep_runs_at_one_inner_cell():
+    # the marginal update uses no σ̂, so m = 1 stays valid for it
+    text = LOCAL_ERROR_CONFIG.format(n_paths=64, scheme="name = DM-ULMC\ngamma = 1.0")
+    cfg = load_config(text.replace("m = 4 8 16", "m = 1"))
+    result = run_experiment(cfg)
+    assert [row["m"] for row in result.rows] == [1, 1, 1]
+    assert all(row["status"] == "ok" for row in result.rows)
+
+
 ADAPTED_CONFIG = """
 [experiment]
 name = adapted-equivalence

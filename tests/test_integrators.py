@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from girsanovlab.integrators import (
     FIXED_POINT_MAX_ITERS,
+    DmWorkspace,
     StepSizeError,
     TrajectoryBlowupError,
     UnsupportedPotentialError,
@@ -228,6 +229,18 @@ def test_discrete_sigma_converges_to_analytic():
     assert isinstance(StepKernels.build(gamma, h, 8).sigma_hat, SigmaCoefficients)
 
 
+def test_one_cell_has_no_discrete_gram_matrix():
+    # with m = 1, e1_left and e2_left are two length-1 vectors, so σ̂ is
+    # singular (δ ≈ 2e-19 at γ = 1, h = 0.25): σ̂ and every table built on it
+    # are refused, while the kernels the marginal update reads stay valid
+    kern = StepKernels(1.0, 0.25, 1)
+    for name in ("sigma_hat", "constrained"):
+        with pytest.raises(ValueError, match=r"needs m >= 2 inner cells, got m = 1"):
+            getattr(kern, name)
+    assert kern.K1.shape == kern.K2.shape == (2, 1)
+    assert StepKernels(1.0, 0.25, 2).sigma_hat.delta > 0
+
+
 # ---------------------------------------------------------------------------
 # Overdamped integrators
 # ---------------------------------------------------------------------------
@@ -430,18 +443,23 @@ def test_double_midpoint_marginal_hand_values():
 
 
 def test_double_midpoint_interpolation_hits_marginal_endpoints():
-    rng = np.random.default_rng(3)
-    pot = AnisotropicQuadratic((0.6, 1.4))
+    # the endpoint row of the sweep table is zero in exact arithmetic, so
+    # every outer node of the interpolation is the closed-form marginal
+    # update, on a quadratic and a non-quadratic target, for both schedules
     grid = TimeGrid(0.6, 3, 8)
-    sched = UnderdampedSchedule.randomized(grid, seed=4, stream=0)
-    x0 = rng.normal(size=(5, 2))
-    p0 = rng.normal(size=(5, 2))
     xi = noise_matrix(8, 5, grid.n_cells, 2)
-    traj = simulate_dmulmc(pot, sched, 1.2, x0, p0, xi)
-    xs, ps = simulate_dmulmc_marginal(pot, sched, 1.2, x0, p0, xi)
-    for k in range(grid.N + 1):
-        np.testing.assert_allclose(traj.x[:, k * grid.m], xs[:, k], atol=1e-10)
-        np.testing.assert_allclose(traj.p[:, k * grid.m], ps[:, k], atol=1e-10)
+    for pot in (AnisotropicQuadratic((0.6, 1.4)),
+                PerturbedQuadratic((0.6, 1.4), amplitude=0.1, frequency=1.0)):
+        for sched in (UnderdampedSchedule.randomized(grid, seed=4, stream=0),
+                      UnderdampedSchedule.deterministic(grid)):
+            rng = np.random.default_rng(3)
+            x0 = rng.normal(size=(5, 2))
+            p0 = rng.normal(size=(5, 2))
+            traj = simulate_dmulmc(pot, sched, 1.2, x0, p0, xi)
+            xs, ps = simulate_dmulmc_marginal(pot, sched, 1.2, x0, p0, xi)
+            for k in range(grid.N + 1):
+                np.testing.assert_allclose(traj.x[:, k * grid.m], xs[:, k], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(traj.p[:, k * grid.m], ps[:, k], rtol=0, atol=1e-12)
 
 
 def test_double_midpoint_affine_superposition():
@@ -469,21 +487,22 @@ def test_double_midpoint_rejects_oversized_steps():
         simulate_dmulmc(pot, sched, 1.0, np.array([1.0]), np.array([0.0]), np.zeros((1, 4, 1)))
 
 
+def _sums(K, v):
+    """K·v along the cell axis (axis 1), out of place."""
+    return (K @ v.reshape(*v.shape[:2], -1)).reshape(v.shape[0], K.shape[0], *v.shape[2:])
+
+
 def _solve_out_of_place(kern, grad, x0, p0, xi, r_minus, r_plus, tol):
-    """The double-midpoint sweeps as out-of-place expressions, for the in-place solver.
+    """The double-midpoint sweeps with (λ₁, λ₂) solved in every sweep, out of place.
 
     Returns (x_nodes, p_nodes, lam1, lam2, sweeps).
     """
     m, eta = kern.m, kern.eta
     c = np.sqrt(2.0 * kern.gamma * eta)
-
-    def sums(K, v):
-        return (K @ v.reshape(*v.shape[:2], -1)).reshape(v.shape[0], K.shape[0], *v.shape[2:])
-
     x_minus, x_plus, g0, _ = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
     gx = kern.e3_0[m] * grad("minus", x_minus)
     gp = kern.e2_0[m] * grad("plus", x_plus)
-    base = x0[:, None] + _col(kern.e2_0, x0) * p0[:, None] + c * sums(kern.K2, xi)
+    base = x0[:, None] + _col(kern.e2_0, x0) * p0[:, None] + c * _sums(kern.K2, xi)
     x = base - _col(kern.e3_0, x0) * g0[:, None]
     e1, e2 = _col(kern.e1_left, x0), _col(kern.e2_left, x0)
     for it in range(1, FIXED_POINT_MAX_ITERS + 1):
@@ -492,20 +511,52 @@ def _solve_out_of_place(kern, grad, x0, p0, xi, r_minus, r_plus, tol):
         s2 = eta * np.einsum("j,bj...->b...", kern.e2_left, g)
         lam1, lam2 = kern.sigma_hat.solve(s1 - gp, s2 - gx)
         g_opt = g - e1 * lam1[:, None] - e2 * lam2[:, None]
-        x_new = base - eta * sums(kern.K2, g_opt)
+        x_new = base - eta * _sums(kern.K2, g_opt)
         delta = float(np.max(np.abs(x_new - x)))
         x = x_new
         if delta <= tol:
             break
-    p = _col(kern.e1_0, x0) * p0[:, None] - eta * sums(kern.K1, g_opt) + c * sums(kern.K1, xi)
+    p = _col(kern.e1_0, x0) * p0[:, None] - eta * _sums(kern.K1, g_opt) + c * _sums(kern.K1, xi)
     return x, p, lam1, lam2, it
 
 
-@pytest.mark.parametrize("batch", ["paths", "tangents"])
-def test_double_midpoint_sweeps_in_place_match_the_out_of_place_sweeps(batch):
-    # the in-place sweeps round every entry as the out-of-place expressions
-    # do; the tangent batch has an unbatched base (1, m+1, d, U) under a
-    # batched iterate (B, m+1, d, U), the first sweep broadcasting
+def _solve_constrained_out_of_place(kern, grad, x0, p0, xi, r_minus, r_plus, tol):
+    """The constrained sweeps X ← base + M·[g; t] of the solver, out of place,
+    then λ = σ̂⁻¹·(η·Eᵀ·g − t) and the momentum nodes from [g; λ].
+
+    Returns (x_nodes, p_nodes, lam1, lam2, sweeps).
+    """
+    m = kern.m
+    tables = kern.constrained
+    c = np.sqrt(2.0 * kern.gamma * kern.eta)
+    x_minus, x_plus, g0, _ = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
+    t = np.stack([kern.e2_0[m] * grad("plus", x_plus), kern.e3_0[m] * grad("minus", x_minus)], 1)
+    base = x0[:, None] + _col(kern.e2_0, x0) * p0[:, None] + c * _sums(kern.K2, xi)
+    x = base - _col(kern.e3_0, x0) * g0[:, None]
+    for it in range(1, FIXED_POINT_MAX_ITERS + 1):
+        g = grad("nodes", x[:, :m])
+        rhs = np.concatenate([g, np.broadcast_to(t, (len(g), *t.shape[1:]))], axis=1)
+        x_new = _sums(tables.x, rhs) + base
+        delta = float(np.max(np.abs(x_new - x)))
+        x = x_new
+        if delta <= tol:
+            break
+    residual = _sums(tables.residual, rhs)
+    lam1, lam2 = kern.sigma_hat.solve(residual[:, 0], residual[:, 1])
+    rhs = np.concatenate([rhs[:, :m], lam1[:, None], lam2[:, None]], axis=1)
+    p = _sums(tables.p, rhs) + _col(kern.e1_0, x0) * p0[:, None] + c * _sums(kern.K1, xi)
+    return x, p, lam1, lam2, it
+
+
+def _dm_step_case(batch):
+    """One step of a non-quadratic DM-ULMC path, as a path batch or a tangent batch.
+
+    Returns (kern, make_grad, args, n): ``make_grad(work)`` gives the step's
+    gradient oracle, the tangent one writing into ``work.gradient_out`` when
+    a workspace is given, as the summary's does.  The tangent batch has an
+    unbatched base (1, m+1, d, U) under a batched iterate (B, m+1, d, U), the
+    first sweep broadcasting.
+    """
     pot = PerturbedQuadratic((1.0, 1.5, 2.0), amplitude=0.1, frequency=1.0)
     grid = TimeGrid(0.5, 2, 8)
     sched = UnderdampedSchedule.randomized(grid, seed=6, stream=0)
@@ -516,23 +567,111 @@ def test_double_midpoint_sweeps_in_place_match_the_out_of_place_sweeps(batch):
     x0, p0 = rng.normal(size=(n, d)), rng.normal(size=(n, d))
     r = int(sched.indices_minus[k]), int(sched.indices_plus[k])
     if batch == "paths":
-        grad = lambda where, x: pot.gradient(x)
-        args = (x0, p0, xi[:, k * m : (k + 1) * m], *r, 1e-12)
-    else:
-        traj = simulate_dmulmc(pot, sched, 1.0, x0, p0, xi)
-        H = {"start": np.zeros((1, d, d)), "minus": pot.hessian(traj.x_minus[:, k]),
-             "plus": pot.hessian(traj.x_plus[:, k]),
-             "nodes": pot.hessian(traj.x[:, k * m : (k + 1) * m])}
-        grad = lambda where, X: H[where] @ X
-        U = 2 * d + 1
-        dirs = rng.normal(size=(1, m, d, U))
-        args = (np.zeros((1, d, U)), np.zeros((1, d, U)), dirs, *r, 1e-14)
-    sol = solve_dmulmc_step(kern, grad, *args)
-    want = _solve_out_of_place(kern, grad, *args)
+        return kern, lambda work: (lambda where, x: pot.gradient(x)), (
+            x0, p0, xi[:, k * m : (k + 1) * m], *r, 1e-12), n
+    traj = simulate_dmulmc(pot, sched, 1.0, x0, p0, xi)
+    H = {"start": np.zeros((1, d, d)), "minus": pot.hessian(traj.x_minus[:, k]),
+         "plus": pot.hessian(traj.x_plus[:, k]),
+         "nodes": pot.hessian(traj.x[:, k * m : (k + 1) * m])}
+
+    def make_grad(work):
+        def grad(where, X):
+            if where != "nodes" or work is None:
+                return H[where] @ X
+            return np.matmul(H[where], X, out=work.gradient_out((n, *X.shape[1:])))
+        return grad
+
+    U = 2 * d + 1
+    dirs = rng.normal(size=(1, m, d, U))
+    return kern, make_grad, (np.zeros((1, d, U)), np.zeros((1, d, U)), dirs, *r, 1e-14), n
+
+
+@pytest.mark.parametrize("batch", ["paths", "tangents"])
+def test_double_midpoint_sweeps_in_place_match_the_out_of_place_sweeps(batch):
+    # the solver eliminates the multipliers from its sweeps; against sweeps
+    # that solve them every time it takes the same number of sweeps and
+    # agrees to rounding, relative to each array's largest entry
+    kern, make_grad, args, n = _dm_step_case(batch)
+    work = DmWorkspace()
+    sol = solve_dmulmc_step(kern, make_grad(work), *args, work)
+    want = _solve_out_of_place(kern, make_grad(None), *args)
     assert sol.x_nodes.shape[0] == n
     assert sol.iterations == want[4] > 2
     for got, expected in zip((sol.x_nodes, sol.p_nodes, sol.lam1, sol.lam2), want):
+        assert got.shape == expected.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("batch, oracle_buffer", [("paths", False), ("tangents", False),
+                                                   ("tangents", True)],
+                         ids=["paths", "tangents-copied", "tangents-in-place"])
+def test_constrained_sweeps_match_their_out_of_place_rendering(batch, oracle_buffer):
+    # the in-place sweeps round every entry as the out-of-place expressions
+    # do, whether the oracle writes into the workspace's right-hand side or
+    # returns an array of its own
+    kern, make_grad, args, n = _dm_step_case(batch)
+    work = DmWorkspace()
+    sol = solve_dmulmc_step(kern, make_grad(work if oracle_buffer else None), *args, work)
+    want = _solve_constrained_out_of_place(kern, make_grad(None), *args)
+    assert sol.iterations == want[4] > 2
+    for got, expected in zip((sol.x_nodes, sol.p_nodes, sol.lam1, sol.lam2), want):
         np.testing.assert_array_equal(got, expected)
+    # the multipliers are the solution's own: the workspace's next solve,
+    # on other increments, leaves them be
+    solve_dmulmc_step(kern, make_grad(work if oracle_buffer else None),
+                      *args[:2], 0.5 * args[2], *args[3:], work)
+    np.testing.assert_array_equal(sol.lam1, want[2])
+    np.testing.assert_array_equal(sol.lam2, want[3])
+
+
+@pytest.mark.parametrize("gamma, h, m", [(1.0, 0.25, 2), (1.0, 0.25, 8), (0.3, 1 / 32, 64),
+                                         (7.5, 2.0, 3), (1.0, 0.5, 2048)])
+def test_constrained_sweep_table_annihilates_the_kernels(gamma, h, m):
+    # M = −η·K₂·P with Eᵀ·P = 0 and P·E = 0: M·[e1_left, e2_left] = 0 and the
+    # endpoint row of M is zero, to rounding of the products that form them
+    kern = StepKernels(gamma, h, m)
+    tables = kern.constrained
+    E = np.stack([kern.e1_left, kern.e2_left], axis=1)
+    M = tables.x[:, :m]
+    scale = (kern.eta * np.abs(kern.K2)) @ np.abs(E)  # |−η·K₂|·|E|
+    assert np.all(np.abs(M @ E) <= 32 * np.finfo(float).eps * scale.max(axis=0))
+    assert np.abs(M[m]).max() <= 32 * np.finfo(float).eps * kern.eta * np.abs(kern.K2).max()
+    assert tables.x.shape == tables.p.shape == (m + 1, m + 2)
+    assert tables.residual.shape == (2, m + 2)
+    for table in (tables.x, tables.residual, tables.p, kern.K1, kern.K2):
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+def test_double_midpoint_constraints_hold_at_convergence(mode):
+    # the drift G = g − E₁λ₁ − E₂λ₂ of the last sweep meets both marginal
+    # constraints, η·Σ_j E₁(jη,h)·G_j = E₂(0,h)·∇V(X⁺) and
+    # η·Σ_j E₂(jη,h)·G_j = E₃(0,h)·∇V(X⁻)
+    pot = PerturbedQuadratic((1.0, 1.5, 2.0), amplitude=0.1, frequency=1.0)
+    grid = TimeGrid(0.5, 2, 8)
+    sched = (UnderdampedSchedule.randomized(grid, seed=6, stream=0) if mode == "randomized"
+             else UnderdampedSchedule.deterministic(grid))
+    kern = StepKernels.build(1.0, grid.h, grid.m)
+    m, eta = grid.m, kern.eta
+    rng = np.random.default_rng(5)
+    x0, p0 = rng.normal(size=(6, pot.d)), rng.normal(size=(6, pot.d))
+    xi = noise_matrix(2, 6, grid.n_cells, pot.d)
+    last = {}
+
+    def grad(where, x):
+        last[where] = pot.gradient(x)
+        return last[where]
+
+    for k in range(grid.N):
+        r = int(sched.indices_minus[k]), int(sched.indices_plus[k])
+        sol = solve_dmulmc_step(kern, grad, x0, p0, xi[:, k * m : (k + 1) * m], *r, 1e-12)
+        G = last["nodes"] - _col(kern.e1_left, x0) * sol.lam1[:, None] \
+            - _col(kern.e2_left, x0) * sol.lam2[:, None]
+        for e, target in ((kern.e1_left, kern.e2_0[m] * pot.gradient(sol.x_plus)),
+                          (kern.e2_left, kern.e3_0[m] * pot.gradient(sol.x_minus))):
+            lhs = eta * np.einsum("j,bjd->bd", e, G)
+            np.testing.assert_allclose(lhs, target, rtol=0, atol=1e-12 * np.abs(target).max())
+        x0, p0 = sol.x_nodes[:, m], sol.p_nodes[:, m]
 
 
 def test_kinetic_rejects_nonpositive_friction():
