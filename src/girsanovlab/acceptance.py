@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, load_config
+from .config import load_config
 from .engine import start_states
 from .experiments import RunResult, run_experiment
 from .girsanov import block_summary_mlmc, carleman_fredholm_logdet, trace_square_mlmc
@@ -63,13 +63,8 @@ class CriterionResult:
         return f"criterion {self.index:2d} [{status}] {self.name}: {self.detail}"
 
 
-def _checks_summary(result: RunResult, exclude: str | None = None) -> str:
-    parts = []
-    for c in result.checks:
-        if exclude is not None and exclude in c.label:
-            continue
-        parts.append(f"{c.label}: {c.detail}")
-    return "; ".join(parts)
+def _checks_summary(result: RunResult) -> str:
+    return "; ".join(f"{c.label}: {c.detail}" for c in result.checks)
 
 
 class AcceptanceSuite:
@@ -87,12 +82,9 @@ class AcceptanceSuite:
 
     # -- configuration texts ------------------------------------------------
 
-    def _cfg(self, text: str) -> ExperimentConfig:
-        return load_config(text)
-
     def _experiment(self, key: str, text: str, threads: int | None = None) -> RunResult:
         if key not in self._memo:
-            cfg = self._cfg(text)
+            cfg = load_config(text)
             self._memo[key] = run_experiment(
                 cfg, self.threads if threads is None else threads)
         return self._memo[key]
@@ -388,7 +380,7 @@ m = 4
 name = {label}
 schedule = randomized
 """
-            cfg = self._cfg(text)
+            cfg = load_config(text)
             runs = [run_experiment(cfg, threads=1),
                     run_experiment(cfg, threads=1),
                     run_experiment(cfg, threads=8)]

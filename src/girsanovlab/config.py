@@ -90,7 +90,6 @@ class ExperimentConfig:
 
     experiment: str
     potential: Potential
-    potential_kind: str
     T: float
     h_list: tuple[float, ...]
     n_list: tuple[int, ...]
@@ -377,7 +376,6 @@ def load_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=experiment,
         potential=potential,
-        potential_kind=potential_kind,
         T=float(T),
         h_list=tuple(float(h) for h in h_list),
         n_list=tuple(int(n) for n in n_list),

@@ -406,10 +406,10 @@ def start_law(potential: Potential, kinetic: bool, init=None):
 
 
 def start_states(
-    potential: Potential, kinetic: bool, seed: int, n: int, *, start: int = 0, init=None
+    potential: Potential, kinetic: bool, seed: int, n: int, *, start: int = 0
 ) -> np.ndarray:
-    """Start states of paths ``start .. start+n−1`` under :func:`start_law` (``init``)."""
-    return start_law(potential, kinetic, init)(seed, n, start)
+    """Start states of paths ``start .. start+n−1`` under the default :func:`start_law`."""
+    return start_law(potential, kinetic)(seed, n, start)
 
 
 def window_rows(values_per_path: int) -> int:

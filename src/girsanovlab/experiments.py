@@ -18,6 +18,14 @@ CSV schemas (version tag in the first ``#`` comment line):
   plus fitted-exponent rows.
 
 Not-applicable cells are left empty.
+
+``_RUNNERS`` maps each experiment to its runner, CSV schema and columns:
+:func:`run_experiment` builds the one :class:`RunResult`, and the runner
+fills in its rows (each from ``_base_row``) and checks.  The local-error
+runner fits each column of the
+:class:`~girsanovlab.divergences.LocalErrorReport` once with
+:func:`~girsanovlab.divergences.fit_loglog_slope`; a failed fit reads
+"no fit: <reason>", as in the KL order sweep.
 """
 
 from __future__ import annotations
@@ -178,9 +186,7 @@ def _base_row(cfg: ExperimentConfig, **kv) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run_normalization(cfg: ExperimentConfig, threads: int) -> RunResult:
-    result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
-                       REPORT_COLUMNS, [], [])
+def _run_normalization(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     scheme = scheme_for(cfg.scheme)
     for i, grid in enumerate(cfg.grids()):
         schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
@@ -206,7 +212,6 @@ def _run_normalization(cfg: ExperimentConfig, threads: int) -> RunResult:
             passed,
             f"|mean(M) - 1| = {gap:.3g} vs 3*SE = {3 * se:.3g}, SE = {se:.3g} <= 0.01",
         ))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +220,7 @@ def _run_normalization(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
-    result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
-                       REPORT_COLUMNS, [], [])
+def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     if cfg.scheme != "em-ld":
         raise ValueError(
             "the adapted-equivalence experiment applies to the EM-LD scheme "
@@ -256,7 +259,6 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
             max_diff <= 1e-10,
             f"max |log_weight - classical| = {max_diff:.3g} <= 1e-10",
         ))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +266,7 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
-    result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
-                       REPORT_COLUMNS, [], [])
+def _run_fd_malliavin(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
@@ -306,7 +306,6 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
             f"max scaled error = {worst:.3g} <= {FD_REL_TOL:g} "
             f"(relative, absolute floor {FD_ABS_FLOOR:g})",
         ))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +313,7 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_eta_refinement(cfg: ExperimentConfig, threads: int) -> RunResult:
-    result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
-                       REPORT_COLUMNS, [], [])
+def _run_eta_refinement(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
@@ -356,7 +353,6 @@ def _run_eta_refinement(cfg: ExperimentConfig, threads: int) -> RunResult:
             f"max |log_weight(m) - log_weight(2m)| sequence {gap_text} "
             f"({n_rej} rejected)",
         ))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +360,7 @@ def _run_eta_refinement(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
-    result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
-                       REPORT_COLUMNS, [], [])
+def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     hs, kls, ses = [], [], []
@@ -442,7 +436,6 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
             f"log-log slope {fit.slope:.3f} >= {threshold:g} "
             f"(R^2 = {fit.r_squared:.4f})",
         ))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -450,63 +443,45 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_local_error_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
-    result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_LOCAL,
-                       LOCAL_COLUMNS, [], [])
-    potential = cfg.potential
-    kinetic = scheme_for(cfg.scheme).kinetic
+def _run_local_error_sweep(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     grids = [TimeGrid(h, 1, m) for h, m in zip(cfg.h_list, cfg.m_list)]
     report = local_error_sweep(
-        cfg.scheme, potential, grids, gamma=cfg.gamma,
+        cfg.scheme, cfg.potential, grids, gamma=cfg.gamma,
         n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
     )
     for i, grid in enumerate(grids):
-        result.rows.append({
-            "experiment": cfg.experiment,
-            "config_hash": cfg.config_hash,
-            "h": grid.h,
-            "d": potential.d,
-            "m": grid.m,
-            "gamma": cfg.gamma if kinetic else None,
-            "strong_x": report.strong_x[i], "strong_x_se": report.strong_x_se[i],
-            "strong_p": report.strong_p[i], "strong_p_se": report.strong_p_se[i],
-            "weak_x": report.weak_x[i], "weak_x_se": report.weak_x_se[i],
-            "weak_p": report.weak_p[i], "weak_p_se": report.weak_p_se[i],
-            "status": "ok",
-        })
+        cells = {}
+        for name, (values, se_vals) in report.errors.items():
+            cells[name], cells[name + "_se"] = values[i], se_vals[i]
+        result.rows.append(_base_row(cfg, h=grid.h, m=grid.m, **cells))
     thresholds = LOCAL_ERROR_THRESHOLDS.get(cfg.scheme, {})
-    lx = np.log(np.asarray(report.h, dtype=float))
-    for name in ("strong_x", "strong_p", "weak_x", "weak_p"):
-        values = np.asarray(getattr(report, name), dtype=float)
-        se_vals = np.asarray(getattr(report, name + "_se"), dtype=float)
-        fit = report.slopes.get(name)
-        if fit is None:
-            if name in thresholds:
-                why = ("all step sizes h are equal" if np.ptp(lx) == 0.0
-                       else "fewer than 3 entries or a non-positive one")
+    lx = np.log(report.h)
+    for name, (values, se_vals) in report.errors.items():
+        bound = thresholds.get(name)
+        try:
+            fit = fit_loglog_slope(report.h, values)
+        except ValueError as exc:
+            if bound is not None:
                 result.checks.append(Check(
-                    f"{name} squared-error decay order", False, f"no fit: {why}",
+                    f"{name} squared-error decay order", False, f"no fit: {exc}",
                 ))
             continue
-        if name in thresholds:
-            # slope standard error propagated from the per-point SEs (a fit
-            # exists, so the values are positive and the h spread)
-            coef = (lx - lx.mean()) / np.sum((lx - lx.mean()) ** 2)
-            slope_se = float(np.sqrt(np.sum(coef**2 * (se_vals / values) ** 2)))
-            bound = thresholds[name]
-            passed = fit.slope - slope_se >= bound
-            result.checks.append(Check(
-                f"{name} squared-error decay order",
-                bool(passed),
-                f"slope {fit.slope:.3f} - SE {slope_se:.3f} >= {bound:g}",
-            ))
-        else:
+        if bound is None:
             result.checks.append(Check(
                 f"{name} squared-error decay order (informational)",
                 True,
                 f"slope {fit.slope:.3f} (R^2 = {fit.r_squared:.4f})",
             ))
-    return result
+            continue
+        # slope standard error propagated from the per-point SEs (a fit
+        # exists, so the values are positive and the h spread)
+        coef = (lx - lx.mean()) / np.sum((lx - lx.mean()) ** 2)
+        slope_se = float(np.sqrt(np.sum(coef**2 * (se_vals / values) ** 2)))
+        result.checks.append(Check(
+            f"{name} squared-error decay order",
+            bool(fit.slope - slope_se >= bound),
+            f"slope {fit.slope:.3f} - SE {slope_se:.3f} >= {bound:g}",
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +489,7 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int) -> RunResult:
-    result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_REPORT,
-                       REPORT_COLUMNS, [], [])
+def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     if cfg.scheme != "mlmc":
         raise ValueError(
             "trace diagnostics are defined for the overdamped midpoint scheme "
@@ -565,7 +538,6 @@ def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int) -> RunResult:
             "trace gap halving", False,
             "config has no m-doubling pairs; give grids with doubled m",
         ))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -601,14 +573,9 @@ def _dm_inner_cells(n_steps: int, T: float) -> int:
     return max(3, int(np.ceil(3.0 * (1.0 / (8.0 * h)) ** 1.5)))
 
 
-#: inner-cell rules of the complexity table by scheme id; the other schemes
-#: use the config's m
-COMPLEXITY_INNER_CELLS = {"dmulmc": _dm_inner_cells}
-
-
 def _inner_cells(scheme: str, n_steps: int, T: float, m_cfg: int) -> int:
-    rule = COMPLEXITY_INNER_CELLS.get(scheme)
-    return rule(n_steps, T) if rule else m_cfg
+    """The complexity table's m: the double-midpoint rule, else the config's m."""
+    return _dm_inner_cells(n_steps, T) if scheme == "dmulmc" else m_cfg
 
 
 def _step_bound_floor(scheme: str, potential: Potential, T: float,
@@ -684,27 +651,16 @@ def _complexity_row(cfg: ExperimentConfig, scheme: str, eps: float,
         s = scheme_for(scheme)
         grid = TimeGrid(cfg.T, n_steps, m)
         queries = s.grad_queries(grid, s.schedule(grid))
-    return {
-        "experiment": cfg.experiment,
-        "config_hash": cfg.config_hash,
-        "scheme": scheme,
-        "epsilon": eps,
-        "d": potential.d,
-        "m": m,
-        "gamma": _complexity_gamma(cfg, scheme),
-        "h": (cfg.T / n_steps) if n_steps else None,
-        "n_steps": n_steps,
-        "queries": queries,
-        "kl": kl if n_steps else None,
-        "marginal_kl": marginal if n_steps else None,
-        "exponent": None,
-        "status": "ok" if n_steps else "unreachable",
-    }
+    return _base_row(
+        cfg, scheme=scheme, epsilon=eps, d=potential.d, m=m,
+        gamma=_complexity_gamma(cfg, scheme), h=(cfg.T / n_steps) if n_steps else None,
+        n_steps=n_steps, queries=queries, kl=kl if n_steps else None,
+        marginal_kl=marginal if n_steps else None,
+        status="ok" if n_steps else "unreachable",
+    )
 
 
-def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
-    result = RunResult(cfg.experiment, cfg.config_hash, CSV_SCHEMA_COMPLEXITY,
-                       COMPLEXITY_COLUMNS, [], [])
+def _run_complexity_table(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     potential = cfg.potential
     if not potential.is_quadratic:
         raise ValueError(
@@ -731,15 +687,9 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
             fit = fit_loglog_slope(np.array([p[0] for p in points]),
                                    np.array([p[1] for p in points], dtype=float))
             exponents[scheme] = fit.slope
-            result.rows.append({
-                "experiment": cfg.experiment,
-                "config_hash": cfg.config_hash,
-                "scheme": scheme,
-                "d": potential.d,
-                "gamma": gamma,
-                "exponent": fit.slope,
-                "status": "ok",
-            })
+            result.rows.append(_base_row(
+                cfg, scheme=scheme, d=potential.d, gamma=gamma, exponent=fit.slope,
+            ))
     result.checks.append(Check(
         "marginal accuracy certificate",
         certificate_ok,
@@ -785,7 +735,6 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
             "dimension-doubling ordering (qualitative)", False,
             f"accuracy eps = {eps_mid:g} unreachable for some scheme",
         ))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -793,21 +742,25 @@ def _run_complexity_table(cfg: ExperimentConfig, threads: int) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
+#: experiment name → (runner, CSV schema, columns); a runner fills in the
+#: rows and checks of the one RunResult that run_experiment builds
 _RUNNERS = {
-    "normalization": _run_normalization,
-    "adapted-equivalence": _run_adapted_equivalence,
-    "fd-malliavin": _run_fd_malliavin,
-    "eta-refinement": _run_eta_refinement,
-    "kl-order-sweep": _run_kl_order_sweep,
-    "local-error-sweep": _run_local_error_sweep,
-    "trace-diagnostics": _run_trace_diagnostics,
-    "complexity-table": _run_complexity_table,
+    "normalization": (_run_normalization, CSV_SCHEMA_REPORT, REPORT_COLUMNS),
+    "adapted-equivalence": (_run_adapted_equivalence, CSV_SCHEMA_REPORT, REPORT_COLUMNS),
+    "fd-malliavin": (_run_fd_malliavin, CSV_SCHEMA_REPORT, REPORT_COLUMNS),
+    "eta-refinement": (_run_eta_refinement, CSV_SCHEMA_REPORT, REPORT_COLUMNS),
+    "kl-order-sweep": (_run_kl_order_sweep, CSV_SCHEMA_REPORT, REPORT_COLUMNS),
+    "local-error-sweep": (_run_local_error_sweep, CSV_SCHEMA_LOCAL, LOCAL_COLUMNS),
+    "trace-diagnostics": (_run_trace_diagnostics, CSV_SCHEMA_REPORT, REPORT_COLUMNS),
+    "complexity-table": (_run_complexity_table, CSV_SCHEMA_COMPLEXITY, COMPLEXITY_COLUMNS),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> RunResult:
     """Execute the named experiment; no file output."""
-    result = _RUNNERS[cfg.experiment](cfg, threads)
+    runner, schema, columns = _RUNNERS[cfg.experiment]
+    result = RunResult(cfg.experiment, cfg.config_hash, schema, columns, [], [])
+    runner(cfg, threads, result)
     result.csv_text = render_csv(result, cfg)
     return result
 

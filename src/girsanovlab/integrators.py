@@ -42,6 +42,11 @@ Batch convention: states are (B, d), per-step increments (B, m, d), full
 horizons (B, N·m, d); single paths pass B = 1.  Trajectory node arrays have
 shape (B, N·m + 1, d) with node k·m + n holding X̂_{nη} of outer step k.
 
+The four simulators share one horizon chain, ``_chain``: each hands it a
+step closure, and the chain slices ξ per outer step, writes the node arrays,
+carries each step's end state into the next, checks it is finite and stacks
+the per-step values (X∓, λ, sweep counts).
+
 Each step is written once and shared with its Malliavin derivative.  A step
 function takes ``grad(where, x)`` in place of the potential: ``where`` names
 the point, "start" (x₀), "plus" (X⁺), "minus" (X⁻) or "nodes" (the fixed
@@ -446,6 +451,36 @@ def solve_dmulmc_step(
 # ---------------------------------------------------------------------------
 
 
+def _chain(grid: TimeGrid, starts: tuple, xi: np.ndarray, step) -> tuple[list, list]:
+    """The one loop over outer steps: chain ``step`` across the horizon of ``grid``.
+
+    ``starts`` holds the start state of each line, (x0,) or (x0, p0), each
+    (B, d).  ``step(k, state, xi_k)`` advances step k from ``state`` with its
+    m cells of ξ and returns (segments, values): per line the step's nodes
+    after its start, (B, n, d) with the end state last, and the per-step
+    values to keep.  Returns per line the node array (B, N·n + 1, d) that
+    begins with the start state, and per value its stack over the steps,
+    (B, N, d) for an array and (N,) for a scalar.  Each step's end state
+    starts the next; TrajectoryBlowupError names the first step whose end
+    position is non-finite.
+    """
+    m, state, lines, values = grid.m, starts, None, []
+    for k in range(grid.N):
+        segments, vals = step(k, state, xi[:, k * m : (k + 1) * m])
+        if lines is None:
+            n = segments[0].shape[1]
+            lines = [np.empty((s.shape[0], grid.N * n + 1, *s.shape[2:])) for s in segments]
+            for line, s0 in zip(lines, starts):
+                line[:, 0] = s0
+        for line, seg in zip(lines, segments):
+            line[:, k * n + 1 : (k + 1) * n + 1] = seg
+        state = tuple(seg[:, -1] for seg in segments)
+        _check_finite(state[0], k)
+        values.append(vals)
+    stacks = [np.stack(v, axis=1) if np.ndim(v[0]) else np.array(v) for v in zip(*values)]
+    return lines, stacks
+
+
 def simulate_mlmc(
     potential: Potential, schedule: OverdampedSchedule, x0: np.ndarray, xi: np.ndarray
 ) -> OverdampedTrajectory:
@@ -453,20 +488,13 @@ def simulate_mlmc(
     grid = schedule.grid
     x0 = _batch(x0, potential.d, "x0")
     xi = _batch_noise(xi, grid.n_cells, potential.d)
-    B, d, m = x0.shape[0], potential.d, grid.m
-    nodes = np.empty((B, grid.n_cells + 1, d))
-    nodes[:, 0] = x0
-    x_plus = np.empty((B, grid.N, d))
-    x = x0
     grad = lambda where, x: potential.gradient(x)  # ∇V at every point
-    for k in range(grid.N):
-        seg, xp = step_mlmc(
-            grad, x, xi[:, k * m : (k + 1) * m], grid.eta, int(schedule.indices[k])
-        )
-        nodes[:, k * m + 1 : (k + 1) * m + 1] = seg[:, 1:]
-        x_plus[:, k] = xp
-        x = seg[:, m]
-        _check_finite(x, k)
+
+    def step(k, state, xi_k):
+        seg, x_plus = step_mlmc(grad, state[0], xi_k, grid.eta, int(schedule.indices[k]))
+        return (seg[:, 1:],), (x_plus,)
+
+    (nodes,), (x_plus,) = _chain(grid, (x0,), xi, step)
     return OverdampedTrajectory(grid=grid, schedule=schedule, x=nodes, x_plus=x_plus)
 
 
@@ -477,23 +505,15 @@ def _kinetic_setup(
     x0: np.ndarray,
     p0: np.ndarray,
     xi: np.ndarray,
-    n_nodes: int,
 ) -> tuple:
-    """Validated inputs, step kernels and (x, p) node arrays of a kinetic run.
-
-    The node arrays have ``n_nodes`` nodes per path, the first set to (x0, p0).
-    """
+    """Validated inputs and step kernels of a kinetic run."""
     if not (np.isfinite(gamma) and gamma > 0):
         raise ValueError(f"friction must be positive, got {gamma}")
     d = potential.d
     x0 = _batch(x0, d, "x0")
     p0 = _batch(p0, d, "p0")
     xi = _batch_noise(xi, grid.n_cells, d)
-    kern = StepKernels.build(gamma, grid.h, grid.m)
-    xs = np.empty((x0.shape[0], n_nodes, d))
-    ps = np.empty((x0.shape[0], n_nodes, d))
-    xs[:, 0], ps[:, 0] = x0, p0
-    return x0, p0, xi, kern, xs, ps
+    return x0, p0, xi, StepKernels.build(gamma, grid.h, grid.m)
 
 
 def simulate_ulmc(
@@ -505,19 +525,15 @@ def simulate_ulmc(
     xi: np.ndarray,
 ) -> UnderdampedTrajectory:
     """Chain frozen-gradient exponential Euler steps across the horizon."""
-    x0, p0, xi, kern, xs, ps = _kinetic_setup(
-        potential, grid, gamma, x0, p0, xi, grid.n_cells + 1
-    )
-    B, d, m = x0.shape[0], potential.d, grid.m
-    x, p = x0, p0
+    x0, p0, xi, kern = _kinetic_setup(potential, grid, gamma, x0, p0, xi)
     grad = lambda where, x: potential.gradient(x)  # ∇V at every point
-    for k in range(grid.N):
-        xn, pn = step_ulmc(kern, grad, x, p, xi[:, k * m : (k + 1) * m])
-        xs[:, k * m + 1 : (k + 1) * m + 1] = xn[:, 1:]
-        ps[:, k * m + 1 : (k + 1) * m + 1] = pn[:, 1:]
-        x, p = xn[:, m], pn[:, m]
-        _check_finite(x, k)
-    zeros = np.zeros((B, grid.N, d))
+
+    def step(k, state, xi_k):
+        xn, pn = step_ulmc(kern, grad, *state, xi_k)
+        return (xn[:, 1:], pn[:, 1:]), ()
+
+    (xs, ps), _ = _chain(grid, (x0, p0), xi, step)
+    zeros = np.zeros((x0.shape[0], grid.N, potential.d))
     return UnderdampedTrajectory(
         grid=grid,
         gamma=gamma,
@@ -542,40 +558,21 @@ def simulate_dmulmc(
 ) -> UnderdampedTrajectory:
     """Chain interpolated double-midpoint steps (fixed point per step)."""
     grid = schedule.grid
-    x0, p0, xi, kern, xs, ps = _kinetic_setup(
-        potential, grid, gamma, x0, p0, xi, grid.n_cells + 1
-    )
+    x0, p0, xi, kern = _kinetic_setup(potential, grid, gamma, x0, p0, xi)
     if kern.h * np.sqrt(max(potential.beta, 0.0)) > DM_STEP_MARGIN:
         raise StepSizeError(
             f"implicit interpolation requires h*sqrt(beta) <= {DM_STEP_MARGIN} "
             f"(h={kern.h}, beta={potential.beta}); reduce the step size"
         )
-    B, d, m = x0.shape[0], potential.d, grid.m
-    x_minus = np.empty((B, grid.N, d))
-    x_plus = np.empty((B, grid.N, d))
-    lam1 = np.empty((B, grid.N, d))
-    lam2 = np.empty((B, grid.N, d))
-    iters = np.zeros(grid.N, dtype=int)
-    x, p = x0, p0
     grad = lambda where, x: potential.gradient(x)  # ∇V at every point
-    for k in range(grid.N):
-        sol = solve_dmulmc_step(
-            kern,
-            grad,
-            x,
-            p,
-            xi[:, k * m : (k + 1) * m],
-            int(schedule.indices_minus[k]),
-            int(schedule.indices_plus[k]),
-            FIXED_POINT_TOL,
-        )
-        xs[:, k * m + 1 : (k + 1) * m + 1] = sol.x_nodes[:, 1:]
-        ps[:, k * m + 1 : (k + 1) * m + 1] = sol.p_nodes[:, 1:]
-        x_minus[:, k], x_plus[:, k] = sol.x_minus, sol.x_plus
-        lam1[:, k], lam2[:, k] = sol.lam1, sol.lam2
-        iters[k] = sol.iterations
-        x, p = sol.x_nodes[:, m], sol.p_nodes[:, m]
-        _check_finite(x, k)
+
+    def step(k, state, xi_k):
+        r_minus, r_plus = int(schedule.indices_minus[k]), int(schedule.indices_plus[k])
+        sol = solve_dmulmc_step(kern, grad, *state, xi_k, r_minus, r_plus, FIXED_POINT_TOL)
+        values = (sol.x_minus, sol.x_plus, sol.lam1, sol.lam2, sol.iterations)
+        return (sol.x_nodes[:, 1:], sol.p_nodes[:, 1:]), values
+
+    (xs, ps), (x_minus, x_plus, lam1, lam2, iters) = _chain(grid, (x0, p0), xi, step)
     return UnderdampedTrajectory(
         grid=grid,
         gamma=gamma,
@@ -603,24 +600,15 @@ def simulate_dmulmc_marginal(
     Returns outer-node arrays (x, p), each (B, N+1, d).
     """
     grid = schedule.grid
-    x0, p0, xi, kern, xs, ps = _kinetic_setup(
-        potential, grid, gamma, x0, p0, xi, grid.N + 1
-    )
-    m = grid.m
-    x, p = x0, p0
+    x0, p0, xi, kern = _kinetic_setup(potential, grid, gamma, x0, p0, xi)
     grad = lambda where, x: potential.gradient(x)  # ∇V at every point
-    for k in range(grid.N):
-        x, p, _, _ = step_dmulmc_marginal(
-            kern,
-            grad,
-            x,
-            p,
-            xi[:, k * m : (k + 1) * m],
-            int(schedule.indices_minus[k]),
-            int(schedule.indices_plus[k]),
-        )
-        _check_finite(x, k)
-        xs[:, k + 1], ps[:, k + 1] = x, p
+
+    def step(k, state, xi_k):
+        r_minus, r_plus = int(schedule.indices_minus[k]), int(schedule.indices_plus[k])
+        x, p, _, _ = step_dmulmc_marginal(kern, grad, *state, xi_k, r_minus, r_plus)
+        return (x[:, None], p[:, None]), ()
+
+    (xs, ps), _ = _chain(grid, (x0, p0), xi, step)
     return xs, ps
 
 

@@ -101,6 +101,7 @@ gamma = 1.0
     assert main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 1
     out = capsys.readouterr().out
     assert "decay order: no fit" in out and "FAIL" in out
+    assert "all x are equal" in out
     assert (tmp_path / "out.csv").exists()
 
 

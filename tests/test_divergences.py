@@ -140,6 +140,34 @@ def test_gaussian_kl_rotation_invariance():
     assert rotated == pytest.approx(base, rel=1e-12)
 
 
+def _gaussian_kl_mp(mean0, cov0, mean1, cov1) -> float:
+    """The textbook KL formula in 40-digit arithmetic on the same float64 inputs."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c0, c1 = mpmath.matrix(cov0.tolist()), mpmath.matrix(cov1.tolist())
+        diff = mpmath.matrix((mean1 - mean0).tolist())
+        inv1 = mpmath.inverse(c1)
+        trace = sum((inv1 * c0)[i, i] for i in range(c0.rows))
+        maha = (diff.T * inv1 * diff)[0, 0]
+        logdet = mpmath.log(mpmath.det(c1)) - mpmath.log(mpmath.det(c0))
+        return float((trace - c0.rows + logdet + maha) / 2)
+
+
+@pytest.mark.parametrize("eps, shift", [(1e-2, 0.0), (1e-4, 0.0), (1e-6, 0.0), (1e-6, 1e-7)])
+def test_gaussian_kl_keeps_its_relative_accuracy_near_zero(eps, shift):
+    # cov0 = cov1 + eps (B + Bᵀ): KL ~ eps², which a sum of O(1) terms loses
+    rng = np.random.default_rng(23)
+    A, B = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+    cov1 = A @ A.T + np.eye(8)
+    cov1 = 0.5 * (cov1 + cov1.T)
+    cov0 = cov1 + eps * (B + B.T)
+    mean1 = np.zeros(8)
+    mean0 = mean1 + shift * rng.normal(size=8)
+    exact = _gaussian_kl_mp(mean0, cov0, mean1, cov1)
+    assert 0.0 < exact < 1e-3
+    assert gaussian_kl(mean0, cov0, mean1, cov1) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
 def test_gaussian_kl_rejects_indefinite_covariance():
     with pytest.raises(ValueError):
         gaussian_kl([0.0], [[-1.0]], [0.0], [[1.0]])
@@ -255,8 +283,9 @@ def test_local_error_sweep_em_ld_is_one_euler_step():
     report = local_error_sweep("em-ld", pot, [TimeGrid(h, 1, 4)], n_paths=16384, seed=5)
     integral = h - 2.0 * (1.0 - math.exp(-h)) + 0.5 * (1.0 - math.exp(-2.0 * h))
     expected = (1.0 - h - math.exp(-h)) ** 2 + 2.0 * integral
-    assert abs(report.strong_x[0] - expected) <= 5.0 * report.strong_x_se[0]
-    np.testing.assert_array_equal(report.strong_p, 0.0)
+    strong_x, strong_x_se = report.errors["strong_x"]
+    assert abs(strong_x[0] - expected) <= 5.0 * strong_x_se[0]
+    np.testing.assert_array_equal(report.errors["strong_p"][0], 0.0)
 
 
 def test_local_error_sweep_rejects_multistep_grids():

@@ -370,6 +370,22 @@ def test_blowup_error_names_the_step():
                 _em_ld(pot, grid, np.array([1.0]), np.zeros((1, 40 * m, 1)))
 
 
+@pytest.mark.parametrize("chain, m", [("ulmc", 1), ("ulmc", 4), ("dmulmc-marginal", 1)])
+def test_kinetic_blowup_error_names_the_step(chain, m):
+    # the frozen-gradient position line multiplies x by about 1 - h = 1 - 1e8
+    # each step, so both kinetic chains overflow at outer step 38 as EM-LD does
+    pot = IsotropicQuadratic(1)
+    grid = TimeGrid(4e9, 40, m)
+    x0, p0, xi = np.array([1.0]), np.array([0.0]), np.zeros((1, 40 * m, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrajectoryBlowupError, match=r"after step 38$"):
+            if chain == "ulmc":
+                simulate_ulmc(pot, grid, 1.0, x0, p0, xi)
+            else:
+                schedule = UnderdampedSchedule.deterministic(grid)
+                simulate_dmulmc_marginal(pot, schedule, 1.0, x0, p0, xi)
+
+
 # ---------------------------------------------------------------------------
 # Kinetic integrators
 # ---------------------------------------------------------------------------
