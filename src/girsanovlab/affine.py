@@ -132,7 +132,7 @@ def extract_step_maps(
     zdim = 2 * d if s.kinetic else d
     step_grid = TimeGrid(T=grid.h, N=1, m=m)
     zero = np.zeros((1, zdim)), np.zeros((1, m, d))
-    traj = s.simulate(potential, step_grid, s.step_schedule(step_grid, r), gamma, *zero)
+    traj = s.simulate(potential, s.step_schedule(step_grid, r), gamma, *zero)
     U, G, coords = s.drift_coordinates(potential, traj)
     cols = np.eye(zdim + m * d)  # start-state directions, then increment entries
     Dc, Dz = s.tangents(potential, traj)(0, cols[zdim:].reshape(m, d, -1), cols[None, :zdim])
@@ -149,25 +149,21 @@ def step_maps_for_schedule(
     schedule,
     gamma: float | None = None,
 ) -> list[StepMaps]:
-    """One StepMaps per outer step, deduplicated across equal midpoint indices.
+    """One StepMaps per outer step of ``schedule``, deduplicated across equal step keys.
 
-    ``schedule`` may be a plain TimeGrid for schemes without midpoints
-    (frozen-gradient and the kinetic baseline) or to request the default
-    deterministic midpoint schedule of a midpoint scheme.
+    ``schedule`` is the scheme's schedule (for ULMC its TimeGrid); a bare
+    TimeGrid means the scheme's default ``schedule(grid)``, the deterministic
+    midpoint schedule of a midpoint scheme.
     """
     from .engine import scheme_for  # the engine imports this module
 
     s = scheme_for(scheme)
-    if isinstance(schedule, TimeGrid):
-        grid, schedule = schedule, s.schedule(schedule)
-    else:
-        grid = schedule.grid
-    keys = s.step_keys(grid, schedule)
+    schedule = s.as_schedule(schedule)
     cache: dict = {}
     out = []
-    for key in keys:
+    for key in s.step_keys(schedule):
         if key not in cache:
-            cache[key] = extract_step_maps(scheme, potential, grid, key, gamma)
+            cache[key] = extract_step_maps(scheme, potential, schedule.grid, key, gamma)
         out.append(cache[key])
     return out
 
@@ -201,9 +197,10 @@ def scheme_marginal_gaussian(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact marginal law of a scheme at the horizon, for quadratic targets.
 
-    Composes the affine step maps of ``schedule`` (or a plain TimeGrid, for
-    schemes without midpoint choices) starting from N(mean0, cov0).  The
-    state is x (overdamped) or stacked (x, p) (kinetic).
+    Composes the affine step maps of ``schedule`` (read as in
+    :func:`step_maps_for_schedule`: a bare TimeGrid means the scheme's
+    default schedule) starting from N(mean0, cov0).  The state is x
+    (overdamped) or stacked (x, p) (kinetic).
     """
     maps = step_maps_for_schedule(scheme, potential, schedule, gamma)
     return marginal_moments(maps, mean0, cov0)

@@ -64,12 +64,11 @@ def _path_setup(cfg: ExperimentConfig, path_index: int):
     """
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
-    grid = cfg.grids()[0]
-    schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, 0)
+    schedule = cfg.schedules()[0]
     z0 = start_states(potential, scheme.kinetic, cfg.seed, 1, start=path_index)
-    xi = noise_matrix(cfg.seed, 1, grid.n_cells, potential.d, start=path_index)
-    traj = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, xi)
-    return scheme, grid, schedule, z0, xi, traj
+    xi = noise_matrix(cfg.seed, 1, schedule.grid.n_cells, potential.d, start=path_index)
+    traj = scheme.simulate(potential, schedule, cfg.gamma, z0, xi)
+    return scheme, schedule, z0, xi, traj
 
 
 def _dump_header(cfg: ExperimentConfig, kind: str, path_index: int,
@@ -151,15 +150,14 @@ def _cmd_verify(args) -> int:
 def _cmd_dump_path(args) -> int:
     cfg = load_config_file(args.config)
     b = args.path
-    _, grid, schedule, z0, xi, traj = _path_setup(cfg, b)
-    lines = _dump_header(cfg, "path", b, grid)
+    _, schedule, z0, xi, traj = _path_setup(cfg, b)
+    lines = _dump_header(cfg, "path", b, schedule.grid)
     _emit_array(lines, "z0", z0[-1])
     _emit_array(lines, "xi", xi[-1])
-    if schedule is not None:
-        for f in dataclasses.fields(schedule):
-            value = getattr(schedule, f.name)
-            if isinstance(value, np.ndarray):
-                _emit_array(lines, f"schedule.{f.name}", value)
+    for f in dataclasses.fields(schedule):  # a grid, ULMC's schedule, has no arrays
+        value = getattr(schedule, f.name)
+        if isinstance(value, np.ndarray):
+            _emit_array(lines, f"schedule.{f.name}", value)
     for name in PATH_FIELDS:
         value = getattr(traj, name, None)
         if value is not None:
@@ -171,11 +169,11 @@ def _cmd_dump_path(args) -> int:
 def _cmd_dump_blocks(args) -> int:
     cfg = load_config_file(args.config)
     b = args.path
-    scheme, grid, _, _, xi, traj = _path_setup(cfg, b)
+    scheme, schedule, _, xi, traj = _path_setup(cfg, b)
     psi = scheme.drift(cfg.potential, traj)
     blocks = scheme.blocks(cfg.potential, traj)
     lw = summary_log_weight(psi, block_summary_dense(blocks), xi)
-    lines = _dump_header(cfg, "blocks", b, grid)
+    lines = _dump_header(cfg, "blocks", b, schedule.grid)
     _emit_array(lines, "psi", psi[-1])
     _emit_array(lines, "diag", blocks.diag[-1])
     for name, value in (

@@ -107,6 +107,11 @@ class ExperimentConfig:
     def grids(self) -> list[TimeGrid]:
         return [TimeGrid(self.T, n, m) for n, m in zip(self.n_list, self.m_list)]
 
+    def schedules(self) -> list:
+        """Grid i's schedule: the scheme's under ``schedule_mode``, with the seed and stream i."""
+        mode, s = self.schedule_mode, SCHEMES[self.scheme]
+        return [s.schedule(g, mode, self.seed, i) for i, g in enumerate(self.grids())]
+
 
 def _parse_lines(text: str) -> dict[str, tuple[str, int]]:
     """Sectioned key=value lines -> {"section.key": (value, line_no)}."""

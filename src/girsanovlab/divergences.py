@@ -333,7 +333,7 @@ def local_error_sweep(
             xi = noise_matrix(seed, rows, grid.m, d, label=LABEL_PATH, start=off)
             resid = noise_matrix(seed, rows, grid.m, zdim, label=LABEL_RESIDUAL, start=off)
             z_ref = reference(z0, xi, resid)
-            return s.advance(potential, grid, schedule, gamma, z0, xi) - z_ref
+            return s.advance(potential, schedule, gamma, z0, xi) - z_ref
 
         def eval_window(lo: int, hi: int) -> None:
             z0 = draw_starts(seed, hi - lo, start=lo)

@@ -86,16 +86,20 @@ class Scheme:
     """One discretization, as every scheme-dependent call site needs it.
 
     ``name`` is the scheme id and ``label`` its user-facing spelling.  A
-    schedule-free scheme has ``None`` as its schedule.  The methods call the
+    schedule is the one description of a run's time discretization: its
+    ``grid`` is the run's TimeGrid, and no method takes a grid beside it.
+    The midpoint schemes' schedules hold midpoint indices; ULMC, which has no
+    midpoint, has the grid itself as its schedule.  The methods call the
     integrator and weight layers through this module's names at call time.
 
-    * ``schedule(grid, mode, seed, stream)``: the midpoint schedule for a
+    * ``schedule(grid, mode, seed, stream)``: the schedule on ``grid`` for a
       mode of ``SCHEDULE_MODES``, ValueError for another.  ``midpoint_choice``
       is False when the scheme has one schedule whatever the mode.
-    * ``simulate(potential, grid, schedule, gamma, z0, xi)``: the trajectory
+      ``as_schedule(schedule)`` reads a bare TimeGrid as ``schedule(grid)``.
+    * ``simulate(potential, schedule, gamma, z0, xi)``: the trajectory
       from stacked start states z0 — x, or (x, p) for kinetic schemes —
       and ``endpoint(traj)``, its state at the horizon, shaped like z0.
-    * ``advance(potential, grid, schedule, gamma, z0, xi)``: the horizon
+    * ``advance(potential, schedule, gamma, z0, xi)``: the horizon
       state alone, equal to ``endpoint(simulate(...))``; a scheme overrides
       it where the marginal update is cheaper than the trajectory (DM-ULMC
       skips the inner fixed point, and agrees to 1e-12, tested).
@@ -115,10 +119,10 @@ class Scheme:
       finite differences and dumps: diagonal blocks per step or the whole
       derivative in one forward sweep); ``summary(potential, traj)``, its
       structured block summary, which both weight routes read.
-    * ``step_keys(grid, schedule)``: per outer step, the hashable midpoint
+    * ``step_keys(schedule)``: per outer step, the hashable midpoint
       choice that fixes the step's affine maps; ``step_schedule(step_grid,
       key)`` is the one-step schedule of a key.
-    * ``grad_queries(grid, schedule)``: gradient evaluations per path in the
+    * ``grad_queries(schedule)``: gradient evaluations per path in the
       algorithm's marginal updates.
     * ``step_bound(beta, q)``: the largest step size h the weights allow,
       stated as ``bound_rule``; infinite when there is none.
@@ -136,10 +140,13 @@ class Scheme:
         return self._schedule(grid, mode, seed, stream)
 
     def _schedule(self, grid, mode, seed, stream):
-        return None
+        return grid
 
-    def advance(self, potential: Potential, grid: TimeGrid, schedule, gamma, z0, xi):
-        return self.endpoint(self.simulate(potential, grid, schedule, gamma, z0, xi))
+    def as_schedule(self, schedule):
+        return self.schedule(schedule) if isinstance(schedule, TimeGrid) else schedule
+
+    def advance(self, potential: Potential, schedule, gamma, z0, xi):
+        return self.endpoint(self.simulate(potential, schedule, gamma, z0, xi))
 
     def drift_coordinates(self, potential: Potential, traj):
         psi = self.drift(potential, traj)
@@ -153,11 +160,11 @@ class Scheme:
             traj, self.tangents(potential, traj), include_offdiag, self.drift_basis(traj)
         )
 
-    def step_keys(self, grid: TimeGrid, schedule) -> list:
-        return [0] * grid.N
+    def step_keys(self, schedule) -> list:
+        return [0] * schedule.grid.N
 
     def step_schedule(self, step_grid: TimeGrid, key):
-        return None
+        return step_grid
 
     def step_bound(self, beta: float, q: float) -> float:
         return np.inf
@@ -180,7 +187,7 @@ class _MidpointLMC(Scheme):
             return OverdampedSchedule.zero(grid)
         return OverdampedSchedule.randomized(grid, seed, stream)
 
-    def simulate(self, potential, grid, schedule, gamma, z0, xi):
+    def simulate(self, potential, schedule, gamma, z0, xi):
         return simulate_mlmc(potential, schedule, z0, xi)
 
     def endpoint(self, traj):
@@ -195,13 +202,13 @@ class _MidpointLMC(Scheme):
     def summary(self, potential, traj):
         return block_summary_mlmc(potential, traj)
 
-    def step_keys(self, grid, schedule):
+    def step_keys(self, schedule):
         return [int(i) for i in schedule.indices]
 
     def step_schedule(self, step_grid, key):
         return OverdampedSchedule(step_grid, np.array([int(key)], dtype=int))
 
-    def grad_queries(self, grid, schedule):
+    def grad_queries(self, schedule):
         # a zero midpoint index reuses the start gradient: one query that step
         return int(np.sum(np.where(schedule.indices > 0, 2, 1)))
 
@@ -232,9 +239,9 @@ class _Kinetic(Scheme):
 class _FrozenGradientULMC(_Kinetic):
     name, label = "ulmc", "ULMC"
 
-    def simulate(self, potential, grid, schedule, gamma, z0, xi):
+    def simulate(self, potential, schedule, gamma, z0, xi):
         d = potential.d
-        return simulate_ulmc(potential, grid, gamma, z0[:, :d], z0[:, d:], xi)
+        return simulate_ulmc(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
 
     def drift(self, potential, traj):
         return drift_ulmc(potential, traj)
@@ -245,8 +252,8 @@ class _FrozenGradientULMC(_Kinetic):
     def summary(self, potential, traj):
         return block_summary_ulmc(potential, traj)
 
-    def grad_queries(self, grid, schedule):
-        return grid.N
+    def grad_queries(self, schedule):
+        return schedule.grid.N
 
 
 class _DoubleMidpointULMC(_Kinetic):
@@ -261,11 +268,11 @@ class _DoubleMidpointULMC(_Kinetic):
             return UnderdampedSchedule(grid, zeros, zeros.copy())
         return UnderdampedSchedule.randomized(grid, seed, stream)
 
-    def simulate(self, potential, grid, schedule, gamma, z0, xi):
+    def simulate(self, potential, schedule, gamma, z0, xi):
         d = potential.d
         return simulate_dmulmc(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
 
-    def advance(self, potential, grid, schedule, gamma, z0, xi):
+    def advance(self, potential, schedule, gamma, z0, xi):
         d = potential.d
         xs, ps = simulate_dmulmc_marginal(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
         return np.concatenate([xs[:, -1], ps[:, -1]], axis=-1)
@@ -286,7 +293,7 @@ class _DoubleMidpointULMC(_Kinetic):
     def summary(self, potential, traj):
         return block_summary_dmulmc(potential, traj)
 
-    def step_keys(self, grid, schedule):
+    def step_keys(self, schedule):
         return [(int(a), int(b)) for a, b in zip(schedule.indices_minus, schedule.indices_plus)]
 
     def step_schedule(self, step_grid, key):
@@ -295,8 +302,8 @@ class _DoubleMidpointULMC(_Kinetic):
             step_grid, np.array([int(r_minus)], dtype=int), np.array([int(r_plus)], dtype=int)
         )
 
-    def grad_queries(self, grid, schedule):
-        return 3 * grid.N
+    def grad_queries(self, schedule):
+        return 3 * schedule.grid.N
 
     def step_bound(self, beta, q):
         return DM_STEP_MARGIN / np.sqrt(beta * q) if beta > 0 else np.inf
@@ -335,22 +342,10 @@ class WeightRun:
         return int((~self.invertible).sum())
 
 
-def _resolve_grid(schedule, grid: TimeGrid | None) -> TimeGrid:
-    """The schedule's grid, or ``grid`` without one; ValueError if both are given and differ."""
-    if schedule is None:
-        if grid is None:
-            raise ValueError("need a schedule or a grid")
-        return grid
-    if grid is not None and grid != schedule.grid:
-        raise ValueError(f"grid {grid} differs from the schedule's grid {schedule.grid}")
-    return schedule.grid
-
-
 def generic_log_weights(
     scheme: str,
     potential: Potential,
     schedule,
-    grid: TimeGrid | None,
     gamma: float | None,
     z0: np.ndarray,
     xi: np.ndarray,
@@ -362,7 +357,7 @@ def generic_log_weights(
     are never formed.
     """
     s = scheme_for(scheme)
-    traj = s.simulate(potential, _resolve_grid(schedule, grid), schedule, gamma, z0, xi)
+    traj = s.simulate(potential, schedule, gamma, z0, xi)
     return summary_log_weight(s.drift(potential, traj), s.summary(potential, traj), xi)
 
 
@@ -444,8 +439,7 @@ def run_weights(
     scheme: str,
     potential: Potential,
     *,
-    schedule=None,
-    grid: TimeGrid | None = None,
+    schedule,
     gamma: float | None = None,
     n_paths: int,
     seed: int,
@@ -454,37 +448,37 @@ def run_weights(
 ) -> WeightRun:
     """Sample ``n_paths`` scheme paths and evaluate their log weights.
 
-    Paths are evaluated in the windows of :func:`map_windows`, cut by the
+    ``schedule`` is the scheme's schedule, whose grid the paths run on; a
+    bare TimeGrid means the scheme's default ``schedule(grid)``.  Paths are
+    evaluated in the windows of :func:`map_windows`, cut by the
     n_cells·d increments of a path on either route, so that one window's
     noise fits in ``WINDOW_BYTES``: each window draws the increments of its
     own paths, draws its start states from the law :func:`start_law`
     resolves once from ``init``, and yields one
-    :class:`~girsanovlab.girsanov.LogWeight`.  A ``grid`` given beside a
-    ``schedule`` must be the schedule's own.  Constant-Hessian
+    :class:`~girsanovlab.girsanov.LogWeight`.  Constant-Hessian
     targets take the affine fast path, which agrees with
     :func:`generic_log_weights` to rounding (tested).
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
-    the_grid = _resolve_grid(schedule, grid)
     s = scheme_for(scheme)
     s.check_gamma(gamma)
-    if schedule is None:
-        schedule = s.schedule(the_grid)
+    schedule = s.as_schedule(schedule)
+    n_cells = schedule.grid.n_cells
 
     maps = None
     if potential.is_quadratic:
-        maps = step_maps_for_schedule(scheme, potential, schedule or the_grid, gamma)
+        maps = step_maps_for_schedule(scheme, potential, schedule, gamma)
     draw_starts = start_law(potential, s.kinetic, init)
 
     def eval_window(lo: int, hi: int) -> LogWeight:
-        xi = noise_matrix(seed, hi - lo, the_grid.n_cells, potential.d, start=lo)
+        xi = noise_matrix(seed, hi - lo, n_cells, potential.d, start=lo)
         z0 = draw_starts(seed, hi - lo, start=lo)
         if maps is not None:
             return fast_log_weights(maps, z0, xi)
-        return generic_log_weights(scheme, potential, schedule, the_grid, gamma, z0, xi)
+        return generic_log_weights(scheme, potential, schedule, gamma, z0, xi)
 
-    windows = map_windows(eval_window, n_paths, threads, the_grid.n_cells * potential.d)
+    windows = map_windows(eval_window, n_paths, threads, n_cells * potential.d)
     return WeightRun(
         scheme=scheme,
         seed=seed,
@@ -492,5 +486,5 @@ def run_weights(
         invertible=np.concatenate([w.invertible for w in windows]),
         spectral_radius=max(float(w.spectral_radius.max()) for w in windows),
         n_negative_det=sum(int(w.negative_det.sum()) for w in windows),
-        grad_queries_per_path=s.grad_queries(the_grid, schedule),
+        grad_queries_per_path=s.grad_queries(schedule),
     )

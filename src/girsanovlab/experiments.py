@@ -187,12 +187,11 @@ def _base_row(cfg: ExperimentConfig, **kv) -> dict:
 
 
 def _run_normalization(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
-    scheme = scheme_for(cfg.scheme)
-    for i, grid in enumerate(cfg.grids()):
-        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
+    for schedule in cfg.schedules():
+        grid = schedule.grid
         wr = run_weights(
-            cfg.scheme, cfg.potential, schedule=schedule, grid=grid,
-            gamma=cfg.gamma, n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
+            cfg.scheme, cfg.potential, schedule=schedule, gamma=cfg.gamma,
+            n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
         )
         logw = wr.log_weight[wr.invertible]
         with np.errstate(over="ignore"):
@@ -229,12 +228,12 @@ def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int, result: RunRes
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
-    for grid in cfg.grids():
-        schedule = scheme.schedule(grid)
+    for schedule in cfg.schedules():
+        grid = schedule.grid
         n = cfg.n_paths
         x0 = start_states(potential, False, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
-        traj = scheme.simulate(potential, grid, schedule, None, x0, xi)
+        traj = scheme.simulate(potential, schedule, None, x0, xi)
         psi = scheme.drift(potential, traj)
         summary = scheme.summary(potential, traj)
         lw = summary_log_weight(psi, summary, xi)
@@ -271,11 +270,11 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int, result: RunResult) ->
     potential = cfg.potential
     d = potential.d
     n = min(cfg.n_paths, 64)  # derivative checks need few paths
-    for i, grid in enumerate(cfg.grids()):
-        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
+    for schedule in cfg.schedules():
+        grid = schedule.grid
         z0 = start_states(potential, scheme.kinetic, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
-        traj = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, xi)
+        traj = scheme.simulate(potential, schedule, cfg.gamma, z0, xi)
         analytic = scheme.blocks(potential, traj, include_offdiag=True).full
         s = grid.n_cells * d
         numeric = np.empty((n, s, s))
@@ -285,7 +284,7 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int, result: RunResult) ->
                 for sign in (+1.0, -1.0):
                     pert = xi.copy()
                     pert[:, cell, a] += sign * FD_PROBE
-                    moved = scheme.simulate(potential, grid, schedule, cfg.gamma, z0, pert)
+                    moved = scheme.simulate(potential, schedule, cfg.gamma, z0, pert)
                     flat = scheme.drift(potential, moved).reshape(n, s)
                     if sign > 0:
                         numeric[:, :, col] = flat
@@ -318,23 +317,19 @@ def _run_eta_refinement(cfg: ExperimentConfig, threads: int, result: RunResult) 
     potential = cfg.potential
     d = potential.d
     n = min(cfg.n_paths, 100)
-    for i, grid in enumerate(cfg.grids()):
-        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
+    for schedule in cfg.schedules():
+        grid = schedule.grid
         z0 = start_states(potential, scheme.kinetic, cfg.seed, n)
         noise = NoisePath(noise_matrix(cfg.seed, n, grid.n_cells, d), cfg.seed, 0)
-        cur_grid, cur_schedule = grid, schedule
         logws = []
         keep = np.ones(n, dtype=bool)
         for level in range(ETA_DOUBLINGS + 1):
-            lw = generic_log_weights(cfg.scheme, potential, cur_schedule,
-                                     cur_grid, cfg.gamma, z0, noise.xi)
+            lw = generic_log_weights(cfg.scheme, potential, schedule, cfg.gamma, z0, noise.xi)
             logws.append(lw.log_weight)
             keep &= lw.invertible
             if level < ETA_DOUBLINGS:
                 noise = refine_noise(noise)
-                cur_grid = cur_grid.refined()
-                if cur_schedule is not None:
-                    cur_schedule = cur_schedule.refined()
+                schedule = schedule.refined()
         n_rej = int((~keep).sum())
         gaps = []
         for level in range(ETA_DOUBLINGS):
@@ -364,10 +359,10 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int, result: RunResult) 
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     hs, kls, ses = [], [], []
-    for i, grid in enumerate(cfg.grids()):
-        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
+    for schedule in cfg.schedules():
+        grid = schedule.grid
         wr = run_weights(
-            cfg.scheme, potential, schedule=schedule, grid=grid, gamma=cfg.gamma,
+            cfg.scheme, potential, schedule=schedule, gamma=cfg.gamma,
             n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
         )
         est = estimate_kl(wr)
@@ -399,8 +394,7 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int, result: RunResult) 
         if potential.is_quadratic:
             mean0, cov0 = stationary_moments(potential, kinetic=scheme.kinetic)
             sm_mean, sm_cov = scheme_marginal_gaussian(
-                cfg.scheme, potential, schedule if schedule is not None else grid,
-                mean0, cov0, gamma=cfg.gamma)
+                cfg.scheme, potential, schedule, mean0, cov0, gamma=cfg.gamma)
             marginal = gaussian_kl(sm_mean, sm_cov, mean0, cov0)
             bound_ok = marginal <= est.value + 3.0 * est.se
             result.checks.append(Check(
@@ -501,11 +495,11 @@ def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int, result: RunResul
     n = min(cfg.n_paths, 4096)
     gaps = []
     zero_ok = True
-    for i, grid in enumerate(cfg.grids()):
-        schedule = scheme.schedule(grid, cfg.schedule_mode, cfg.seed, i)
+    for schedule in cfg.schedules():
+        grid = schedule.grid
         x0 = start_states(potential, False, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
-        traj = scheme.simulate(potential, grid, schedule, None, x0, xi)
+        traj = scheme.simulate(potential, schedule, None, x0, xi)
         diag = trace_diagnostics_mlmc(potential, traj)
         zero_ok &= bool(np.all(diag.tr_a2 == 0.0))
         per_path = np.maximum(
@@ -649,8 +643,7 @@ def _complexity_row(cfg: ExperimentConfig, scheme: str, eps: float,
     queries = None
     if n_steps:
         s = scheme_for(scheme)
-        grid = TimeGrid(cfg.T, n_steps, m)
-        queries = s.grad_queries(grid, s.schedule(grid))
+        queries = s.grad_queries(s.schedule(TimeGrid(cfg.T, n_steps, m)))
     return _base_row(
         cfg, scheme=scheme, epsilon=eps, d=potential.d, m=m,
         gamma=_complexity_gamma(cfg, scheme), h=(cfg.T / n_steps) if n_steps else None,

@@ -131,9 +131,9 @@ def _batch_noise(xi: np.ndarray, n_cells: int, d: int) -> np.ndarray:
     return xi
 
 
-def _check_finite(x: np.ndarray, step: int) -> None:
+def _check_finite(x: np.ndarray, step: int, when: str = "after") -> None:
     if not np.all(np.isfinite(x)):
-        raise TrajectoryBlowupError(f"state is non-finite after step {step}")
+        raise TrajectoryBlowupError(f"state is non-finite {when} step {step}")
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ def solve_dmulmc_step(
     r_minus: int,
     r_plus: int,
     tol: float,
-    work: DmWorkspace | None = None,
+    work: DmWorkspace,
 ) -> DmStepSolution:
     """Solve the implicit inner-grid interpolation of one DM step.
 
@@ -380,19 +380,18 @@ def solve_dmulmc_step(
     (:func:`simulate_dmulmc` checks the bound); StepSizeError if they do not
     converge.  Needs m ≥ 2: with one cell σ̂ is singular (ValueError).
 
-    The sweeps run in place, in the buffers of ``work`` (a fresh
-    :class:`DmWorkspace` when None): the iterate alternates between two
-    buffers of its (B, m+1, d, …) shape, each sweep's step landing in the
-    spent iterate, and [g; t] is one (B, m+2, d, …) buffer whose target rows
-    are written once per step and whose gradient rows the oracle fills
-    (:meth:`DmWorkspace.gradient_out`); λ then replaces t there.  So the
-    working set is three node arrays whatever the number of sweeps, and a
-    caller that passes one workspace to every step allocates them once.  The
-    solution's ``x_nodes`` and ``p_nodes`` are then the workspace's iterate
-    buffers, valid until its next solve.  Each entry is rounded as by the
-    out-of-place expressions X = base + x·[g; t], s = residual·[g; t],
-    (λ₁, λ₂) = ``sigma_hat.solve(s₁, s₂)`` and momentum nodes
-    (p·[g; λ] + E₁p₀) + c·K₁ξ, with the tables x, residual and p of
+    The sweeps run in place, in the buffers of ``work``: the iterate
+    alternates between two buffers of its (B, m+1, d, …) shape, each sweep's
+    step landing in the spent iterate, and [g; t] is one (B, m+2, d, …)
+    buffer whose target rows are written once per step and whose gradient
+    rows the oracle fills (:meth:`DmWorkspace.gradient_out`); λ then
+    replaces t there.  So the working set is three node arrays whatever the
+    number of sweeps, and a caller that passes one workspace to every step
+    allocates them once.  The solution's ``x_nodes`` and ``p_nodes`` are
+    then the workspace's iterate buffers, valid until its next solve.  Each
+    entry is rounded as by the out-of-place expressions X = base + x·[g; t],
+    s = residual·[g; t], (λ₁, λ₂) = ``sigma_hat.solve(s₁, s₂)`` and momentum
+    nodes (p·[g; λ] + E₁p₀) + c·K₁ξ, with the tables x, residual and p of
     ``kern.constrained`` (tested).  ``base`` may be unbatched
     ((1, m+1, d, U) for a tangent batch with a fixed start) while the
     iterate is (B, m+1, d, U); the first sweep broadcasts it into the
@@ -400,7 +399,6 @@ def solve_dmulmc_step(
     """
     m = kern.m
     tables = kern.constrained
-    work = DmWorkspace() if work is None else work
     x_minus, x_plus, g0, _ = _dm_midpoints(kern, grad, x0, p0, xi, r_minus, r_plus)
     targets = kern.e2_0[m] * grad("plus", x_plus), kern.e3_0[m] * grad("minus", x_minus)
 
@@ -460,9 +458,10 @@ def _chain(grid: TimeGrid, starts: tuple, xi: np.ndarray, step) -> tuple[list, l
     after its start, (B, n, d) with the end state last, and the per-step
     values to keep.  Returns per line the node array (B, N·n + 1, d) that
     begins with the start state, and per value its stack over the steps,
-    (B, N, d) for an array and (N,) for a scalar.  Each step's end state
-    starts the next; TrajectoryBlowupError names the first step whose end
-    position is non-finite.
+    (B, N, d) for an array and (N,) for a scalar.  Each step's end state,
+    read from the line just written (a step's segments may be buffers its
+    next call reuses), starts the next; TrajectoryBlowupError names the
+    first step whose end position is non-finite.
     """
     m, state, lines, values = grid.m, starts, None, []
     for k in range(grid.N):
@@ -474,7 +473,7 @@ def _chain(grid: TimeGrid, starts: tuple, xi: np.ndarray, step) -> tuple[list, l
                 line[:, 0] = s0
         for line, seg in zip(lines, segments):
             line[:, k * n + 1 : (k + 1) * n + 1] = seg
-        state = tuple(seg[:, -1] for seg in segments)
+        state = tuple(line[:, (k + 1) * n] for line in lines)
         _check_finite(state[0], k)
         values.append(vals)
     stacks = [np.stack(v, axis=1) if np.ndim(v[0]) else np.array(v) for v in zip(*values)]
@@ -565,10 +564,11 @@ def simulate_dmulmc(
             f"(h={kern.h}, beta={potential.beta}); reduce the step size"
         )
     grad = lambda where, x: potential.gradient(x)  # ∇V at every point
+    work = DmWorkspace()  # one set of sweep buffers for every step
 
     def step(k, state, xi_k):
         r_minus, r_plus = int(schedule.indices_minus[k]), int(schedule.indices_plus[k])
-        sol = solve_dmulmc_step(kern, grad, *state, xi_k, r_minus, r_plus, FIXED_POINT_TOL)
+        sol = solve_dmulmc_step(kern, grad, *state, xi_k, r_minus, r_plus, FIXED_POINT_TOL, work)
         values = (sol.x_minus, sol.x_plus, sol.lam1, sol.lam2, sol.iterations)
         return (sol.x_nodes[:, 1:], sol.p_nodes[:, 1:]), values
 
@@ -601,9 +601,13 @@ def simulate_dmulmc_marginal(
     """
     grid = schedule.grid
     x0, p0, xi, kern = _kinetic_setup(potential, grid, gamma, x0, p0, xi)
-    grad = lambda where, x: potential.gradient(x)  # ∇V at every point
 
     def step(k, state, xi_k):
+        def grad(where, x):  # ∇V; X∓ may overflow inside a step that starts finite
+            if where != "start":
+                _check_finite(x, k, "in")
+            return potential.gradient(x)
+
         r_minus, r_plus = int(schedule.indices_minus[k]), int(schedule.indices_plus[k])
         x, p, _, _ = step_dmulmc_marginal(kern, grad, *state, xi_k, r_minus, r_plus)
         return (x[:, None], p[:, None]), ()

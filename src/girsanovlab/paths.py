@@ -72,7 +72,8 @@ class TimeGrid:
     """Horizon T split into N outer steps, each with m inner cells.
 
     N and m must be integers (Python or numpy); a float, even 4.0, or a bool
-    is rejected, since cell counts size the noise arrays.
+    is rejected, since cell counts size the noise arrays.  A grid is ULMC's
+    schedule: like a midpoint schedule it has ``grid`` (itself) and ``refined()``.
     """
 
     T: float
@@ -90,6 +91,10 @@ class TimeGrid:
             raise ValueError(f"need at least one outer step, got N={self.N}")
         if self.m < 1:
             raise ValueError(f"inner cell count must be positive, got m={self.m}")
+
+    @property
+    def grid(self) -> "TimeGrid":
+        return self
 
     @property
     def h(self) -> float:

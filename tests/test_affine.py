@@ -25,7 +25,7 @@ def _gamma(scheme):
 
 
 def _schedule(scheme, mode):
-    """The scheme's schedule for a mode; None for the schedule-free ULMC."""
+    """The scheme's schedule for a mode; ULMC's is the grid itself."""
     return scheme_for(scheme).schedule(GRID, mode, 4, 0)
 
 
@@ -50,7 +50,7 @@ def _probed_step_maps(scheme, key):
     xi = np.zeros((1 + zdim + md, m, d))
     z0[1 : 1 + zdim] = np.eye(zdim)
     xi[1 + zdim :] = np.eye(md).reshape(md, m, d)
-    traj = s.simulate(POT, step_grid, s.step_schedule(step_grid, key), _gamma(scheme), z0, xi)
+    traj = s.simulate(POT, s.step_schedule(step_grid, key), _gamma(scheme), z0, xi)
     zT = s.endpoint(traj)
     psi = s.drift(POT, traj).reshape(len(z0), md)
 
@@ -64,8 +64,8 @@ def _probed_step_maps(scheme, key):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_step_maps_match_probed_oracle(scheme, mode):
     s, schedule = scheme_for(scheme), _schedule(scheme, mode)
-    maps = step_maps_for_schedule(scheme, POT, schedule or GRID, _gamma(scheme))
-    for key, sm in zip(s.step_keys(GRID, schedule), maps):
+    maps = step_maps_for_schedule(scheme, POT, schedule, _gamma(scheme))
+    for key, sm in zip(s.step_keys(schedule), maps):
         ours = (sm.A, sm.S, sm.b, _dense(sm, sm.Lz), _dense(sm, sm.Wt), _dense(sm, sm.l0))
         probed = _probed_step_maps(scheme, key)
         for name, got, want in zip(("A", "S", "b", "Pz", "Pxi", "p0"), ours, probed):
@@ -80,13 +80,13 @@ def test_extraction_simulates_one_path_per_step_key(monkeypatch, scheme, mode):
     rows = []
     simulate = s.simulate
 
-    def recording(potential, grid, sched, gamma, z0, xi):
+    def recording(potential, sched, gamma, z0, xi):
         rows.append(z0.shape[0])
-        return simulate(potential, grid, sched, gamma, z0, xi)
+        return simulate(potential, sched, gamma, z0, xi)
 
     monkeypatch.setattr(s, "simulate", recording)
-    step_maps_for_schedule(scheme, POT, schedule or GRID, _gamma(scheme))
-    assert rows == [1] * len(set(s.step_keys(GRID, schedule)))
+    step_maps_for_schedule(scheme, POT, schedule, _gamma(scheme))
+    assert rows == [1] * len(set(s.step_keys(schedule)))
 
 
 @pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
@@ -129,7 +129,7 @@ def test_dmulmc_step_maps_are_rank_2d_factors(mode):
     d, md = POT.d, GRID.m * POT.d
     sh = StepKernels.build(GAMMA, GRID.h, GRID.m).sigma_hat
     gram = np.kron(np.array([[sh.s11, sh.s12], [sh.s12, sh.s22]]) / (2 * GAMMA), np.eye(d))
-    for key, sm in zip(s.step_keys(GRID, schedule), maps):
+    for key, sm in zip(s.step_keys(schedule), maps):
         assert sm.U.shape == (md, 2 * d) and sm.Wt.shape == (2 * d, md)
         Pz, Pxi, p0 = _probed_step_maps("dmulmc", key)[3:]
         np.testing.assert_allclose(sm.U @ sm.Wt, Pxi, rtol=0, atol=1e-12)

@@ -1,8 +1,12 @@
 """Config parsing: one case per ConfigError the parser raises, and the hash."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from girsanovlab.config import ConfigError, load_config
+from girsanovlab.engine import SCHEMES
 
 BASE = """\
 [experiment]
@@ -163,3 +167,24 @@ def test_hash_ignores_output_path_and_scheme_spelling():
 
 def test_largest_seed_loads():
     assert load_config(_with(BASE, "seed = 3", f"seed = {2**64 - 1}")).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("scheme", ["name = M-LMC", "name = DM-ULMC\ngamma = 1.0"],
+                         ids=["mlmc", "dmulmc"])
+def test_schedules_are_the_schemes_per_grid_schedules(scheme):
+    # grid i's schedule is the scheme's under the config's mode, seed and stream i
+    text = _with(_with(BASE, "name = DM-ULMC\ngamma = 1.0", scheme),
+                 "schedule = deterministic", "schedule = randomized")
+    cfg = load_config(text)
+    s, grids = SCHEMES[cfg.scheme], cfg.grids()
+    got = cfg.schedules()
+    want = [s.schedule(grid, "randomized", 3, i) for i, grid in enumerate(grids)]
+    assert len(grids) == len(got) == len(want) == 2
+    for a, b, grid in zip(got, want, grids):
+        assert type(a) is type(b) and a.grid == b.grid == grid
+        for f in dataclasses.fields(a)[1:]:  # the index arrays after the grid
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name))
+    # stream 1, not stream 0, on the second grid
+    first_stream = s.schedule(grids[1], "randomized", 3, 0)
+    assert any(not np.array_equal(getattr(got[1], f.name), getattr(first_stream, f.name))
+               for f in dataclasses.fields(first_stream)[1:])

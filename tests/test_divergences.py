@@ -263,7 +263,7 @@ def test_path_kl_dominates_marginal_kl_and_matches_sampling():
     marginal = gaussian_kl(mean_s, cov_s, mean0, cov0)
     assert marginal <= path_kl + 1e-12
 
-    run = run_weights("em-ld", pot, grid=grid, n_paths=8192, seed=3)
+    run = run_weights("em-ld", pot, schedule=grid, n_paths=8192, seed=3)
     est = estimate_kl(run)
     assert est.reliable
     assert abs(est.value - path_kl) <= 4.0 * est.se

@@ -57,7 +57,7 @@ SCHEDULES = {
 ISOTROPIC = IsotropicQuadratic(2)
 ROUTE_CASES = [
     pytest.param("em-ld", OverdampedSchedule.zero(GRID), ISOTROPIC, id="em-ld"),
-    pytest.param("ulmc", None, ISOTROPIC, id="ulmc"),
+    pytest.param("ulmc", GRID, ISOTROPIC, id="ulmc"),  # ULMC's schedule is its grid
 ] + [
     pytest.param(scheme, SCHEDULES[scheme][which], ISOTROPIC, id=f"{label}-{scheme}")
     for which, label in enumerate(("deterministic", "randomized"))
@@ -79,13 +79,10 @@ def test_affine_and_generic_routes_agree(scheme, schedule, pot):
     kinetic = scheme_for(scheme).kinetic
     gamma = 1.0 if kinetic else None
     n, seed = 1024, 11
-    grid = GRID if schedule is None else schedule.grid
-    affine = run_weights(
-        scheme, pot, schedule=schedule, grid=grid, gamma=gamma, n_paths=n, seed=seed
-    )
+    affine = run_weights(scheme, pot, schedule=schedule, gamma=gamma, n_paths=n, seed=seed)
     z0 = start_states(pot, kinetic, seed, n)
-    xi = noise_matrix(seed, n, grid.n_cells, pot.d)
-    generic = generic_log_weights(scheme, pot, schedule, grid, gamma, z0, xi)
+    xi = noise_matrix(seed, n, schedule.grid.n_cells, pot.d)
+    generic = generic_log_weights(scheme, pot, schedule, gamma, z0, xi)
     assert np.max(np.abs(affine.log_weight - generic.log_weight)) <= 1e-12
     np.testing.assert_array_equal(affine.invertible, generic.invertible)
     assert affine.n_negative_det == int(generic.negative_det.sum())
@@ -292,7 +289,7 @@ def test_local_error_sweep_builds_the_reference_once_per_grid(
 
 def test_run_weights_needs_a_path():
     with pytest.raises(ValueError, match="n_paths"):
-        run_weights("mlmc", PERTURBED, grid=GRID, n_paths=0, seed=1)
+        run_weights("mlmc", PERTURBED, schedule=GRID, n_paths=0, seed=1)
 
 
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
@@ -303,24 +300,30 @@ def test_schedule_rejects_an_unknown_mode(scheme):
     assert config.SCHEDULE_MODES is engine.SCHEDULE_MODES
 
 
+@pytest.mark.parametrize("mode", ["deterministic", "randomized", "zero"])
+@pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
+def test_every_schedule_carries_its_grid(scheme, mode):
+    # a schedule is the one description of a run's time grid: it has the
+    # grid and refines with it, and ULMC's schedule is the grid itself
+    s = scheme_for(scheme)
+    schedule = s.schedule(GRID, mode, 7, 0)
+    assert schedule.grid == GRID
+    assert schedule.refined().grid == GRID.refined()
+    assert (schedule is GRID) == (scheme == "ulmc")
+    assert s.as_schedule(GRID).grid == GRID
+    step_grid = TimeGrid(GRID.h, 1, GRID.m)
+    for key in s.step_keys(schedule):
+        assert s.step_schedule(step_grid, key).grid == step_grid
+
+
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
 @pytest.mark.parametrize("mean, cov", [(np.zeros(1), np.eye(4)), (np.zeros(4), np.eye(2))],
                          ids=["mean-(1,)", "cov-(d,d)"])
 def test_run_weights_rejects_a_start_law_of_the_wrong_shape(pot, mean, cov):
     # a kinetic run's gaussian start law lives in phase space, (x, p): 2d = 4
     with pytest.raises(ValueError, match=re.escape("needs mean (4,) and cov (4, 4)")):
-        run_weights("dmulmc", pot, grid=GRID, gamma=1.0, n_paths=4, seed=1,
+        run_weights("dmulmc", pot, schedule=GRID, gamma=1.0, n_paths=4, seed=1,
                     init=("gaussian", mean, cov))
-
-
-@pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
-def test_a_grid_beside_a_schedule_must_be_its_grid(pot):
-    schedule = SCHEDULES["mlmc"][0]
-    with pytest.raises(ValueError, match="differs from the schedule's grid"):
-        run_weights("mlmc", pot, schedule=schedule, grid=GRID16, n_paths=4, seed=1)
-    z0, xi = np.zeros((4, pot.d)), noise_matrix(1, 4, GRID16.n_cells, pot.d)
-    with pytest.raises(ValueError, match="differs from the schedule's grid"):
-        generic_log_weights("mlmc", pot, schedule, GRID16, None, z0, xi)
 
 
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
@@ -328,7 +331,7 @@ def test_dmulmc_weights_need_two_inner_cells(pot):
     # with one cell σ̂ is the Gram matrix of two length-1 vectors, singular:
     # refused on either route, not turned into finite, meaningless weights
     with pytest.raises(ValueError, match=re.escape("needs m >= 2 inner cells, got m = 1")):
-        run_weights("dmulmc", pot, grid=TimeGrid(0.5, 4, 1), gamma=1.0, n_paths=4, seed=1)
+        run_weights("dmulmc", pot, schedule=TimeGrid(0.5, 4, 1), gamma=1.0, n_paths=4, seed=1)
 
 
 @pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
@@ -337,7 +340,7 @@ def test_run_weights_needs_a_finite_friction(scheme, pot):
     # an infinite friction is refused up front, on either route, with the
     # scheme table's message
     with pytest.raises(ValueError, match="kinetic schemes need a positive friction gamma"):
-        run_weights(scheme, pot, grid=GRID, gamma=np.inf, n_paths=4, seed=1)
+        run_weights(scheme, pot, schedule=GRID, gamma=np.inf, n_paths=4, seed=1)
 
 
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
@@ -351,7 +354,8 @@ def test_affine_route_forms_no_dense_block(monkeypatch, scheme):
     monkeypatch.setattr(girsanov, "derivative_blocks", dense)
     monkeypatch.setattr(girsanov, "block_summary_dense", dense)
     gamma = 1.0 if scheme in ("ulmc", "dmulmc") else None
-    run = run_weights(scheme, IsotropicQuadratic(2), grid=GRID, gamma=gamma, n_paths=64, seed=1)
+    run = run_weights(scheme, IsotropicQuadratic(2), schedule=GRID, gamma=gamma, n_paths=64,
+                      seed=1)
     assert np.all(np.isfinite(run.log_weight)) and run.n_rejected == 0
 
 
@@ -377,7 +381,7 @@ def test_start_law_is_resolved_once_per_call(monkeypatch, route, threads):
                           threads=threads)
     else:
         pot = ISOTROPIC if route == "affine" else PERTURBED
-        run_weights("mlmc", pot, grid=GRID, n_paths=n, seed=3, threads=threads)
+        run_weights("mlmc", pot, schedule=GRID, n_paths=n, seed=3, threads=threads)
     assert len(calls) == 1
 
 

@@ -432,7 +432,7 @@ def test_tangent_rules_run_the_integrators_steps(monkeypatch, scheme):
     zdim = 2 * pot.d if s.kinetic else pot.d
     xi = noise_matrix(4, 3, grid.n_cells, pot.d)
     gamma = 1.0 if s.kinetic else None
-    traj = s.simulate(pot, grid, s.schedule(grid), gamma, np.full((3, zdim), 0.3), xi)
+    traj = s.simulate(pot, s.schedule(grid), gamma, np.full((3, zdim), 0.3), xi)
     assert calls == [_STEPS[scheme]] * grid.N
     calls.clear()
     rule = s.tangents(_HessianOnly((1.0, 1.5), amplitude=0.1, frequency=1.0), traj)
@@ -458,7 +458,7 @@ def test_dense_blocks_evaluate_no_drift(scheme):
     zdim = 2 * pot.d if s.kinetic else pot.d
     gamma = 1.0 if s.kinetic else None
     xi = noise_matrix(4, 3, grid.n_cells, pot.d)
-    traj = s.simulate(pot, grid, s.schedule(grid), gamma, np.full((3, zdim), 0.3), xi)
+    traj = s.simulate(pot, s.schedule(grid), gamma, np.full((3, zdim), 0.3), xi)
     hessian_only = _HessianOnly((1.0, 1.5), amplitude=0.1, frequency=1.0)
     for include_offdiag in (False, True):
         got = s.blocks(hessian_only, traj, include_offdiag)
@@ -485,9 +485,9 @@ def test_dense_blocks_match_probed_step_maps(scheme):
     d, md = pot.d, grid.m * pot.d
     zdim = 2 * d if s.kinetic else d
     z0 = np.random.default_rng(8).normal(size=(2, zdim))
-    traj = s.simulate(pot, grid, schedule, gamma, z0, noise_matrix(8, 2, grid.n_cells, d))
+    traj = s.simulate(pot, schedule, gamma, z0, noise_matrix(8, 2, grid.n_cells, d))
     full = s.blocks(pot, traj, include_offdiag=True).full
-    maps = step_maps_for_schedule(scheme, pot, schedule if schedule is not None else grid, gamma)
+    maps = step_maps_for_schedule(scheme, pot, schedule, gamma)
 
     def dense(sm, coords):  # the dense drift map U·coords, U = I when None
         return coords if sm.U is None else sm.U @ coords
@@ -545,8 +545,7 @@ def test_full_sweep_keeps_the_diagonal_blocks_and_zero_upper_blocks(scheme):
     grid = TimeGrid(0.75, 3, 4)
     gamma = 1.0 if s.kinetic else None
     z0 = np.random.default_rng(3).normal(size=(4, 2 * pot.d if s.kinetic else pot.d))
-    traj = s.simulate(pot, grid, s.schedule(grid), gamma, z0,
-                      noise_matrix(3, 4, grid.n_cells, pot.d))
+    traj = s.simulate(pot, s.schedule(grid), gamma, z0, noise_matrix(3, 4, grid.n_cells, pot.d))
     blocks = s.blocks(pot, traj, include_offdiag=True)
     np.testing.assert_allclose(blocks.diag, s.blocks(pot, traj).diag, rtol=0, atol=1e-15)
     md = grid.m * pot.d
