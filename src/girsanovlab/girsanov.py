@@ -68,8 +68,12 @@ O(h²) terms rather than formed as log|det| − tr, two O(h) numbers:
   coordinates as the dense block is.
 
 The overdamped and double-midpoint summaries and the tangent rules evaluate
-∇²V one step at a time, so their working set is one step's (B, m, d, d)
-Hessians and factors whatever N is.  Both weight routes use these
+∇²V one step at a time and in the potential's factor form
+(``Potential.hessian(x, factor=True)``): the diagonal, (B, m, d), of a
+separable target, else the dense (B, m, d, d) batch.  Every product by ∇²V
+goes through :func:`_hessian_times`, elementwise for a diagonal (d-fold
+less work) and a matmul for a dense one, with the same bits.  So their
+working set is one step's factors whatever N is.  Both weight routes use these
 evaluators: the generic route per path, the affine route once per distinct
 step on a zero path.  The dense blocks serve the finite-difference check of
 criterion 3 (``fd-malliavin``), block dumps and the tests; their summary
@@ -99,7 +103,7 @@ from .integrators import (
     step_ulmc,
 )
 from .kernels import StepKernels
-from .potentials import Potential
+from .potentials import Potential, diagonal_matrices
 
 __all__ = [
     "MalliavinBlocks",
@@ -281,22 +285,42 @@ def derivative_blocks(
     return MalliavinBlocks(diag, full)
 
 
+def _hessian_times(H: np.ndarray, X: np.ndarray, diagonal: bool, out=None) -> np.ndarray:
+    """H·X for a ∇²V factor H, ``potential.hessian(x, factor=True)``.
+
+    ``diagonal`` is the potential's ``diagonal_hessian``.  X is columns
+    (…, d, U), or a second factor of H's form, and H broadcasts against X's
+    leading axes.  A diagonal factor (…, d) multiplies elementwise, d·U
+    products per matrix (a diagonal X gives the diagonal of the product); a
+    dense factor (…, d, d) is a matmul, d²·U.  The matmul by the dense form
+    of a diagonal adds only exact zeros to each product, so both forms give
+    the same bits.
+    """
+    if not diagonal:
+        return np.matmul(H, X, out=out)
+    return np.multiply(H[..., None] if X.ndim > H.ndim else H, X, out=out)
+
+
+def _dense(A: np.ndarray, diagonal: bool) -> np.ndarray:
+    """A matrix in factor form as a dense (…, d, d) one."""
+    return diagonal_matrices(A) if diagonal else A
+
+
 def _start_tangents(dz0, H_start: np.ndarray, z: int, dirs: np.ndarray):
-    """(dz0, H_start), or (1, z, U) and (1, d, d) zeros for a fixed start (None).
+    """(dz0, H_start), or (1, z, U) and a zero (1, …) factor for a fixed start (None).
 
     The zero Hessian keeps a fixed start unbatched: no (B, …) array forms
     before the step's own Hessians act.
     """
     if dz0 is None:
-        d = H_start.shape[-1]
-        return np.zeros((1, z, dirs.shape[-1])), np.zeros((1, d, d))
+        return np.zeros((1, z, dirs.shape[-1])), np.zeros((1, *H_start.shape[1:]))
     return dz0, H_start
 
 
 def _step_hessians(potential: Potential, traj, k: int) -> np.ndarray:
-    """∇²V at the m left nodes of step k, (B, m, d, d): one step's node Hessians."""
+    """∇²V factors at the m left nodes of step k: (B, m, d) diagonal or (B, m, d, d) dense."""
     m = traj.grid.m
-    return potential.hessian(traj.x[:, k * m : (k + 1) * m])
+    return potential.hessian(traj.x[:, k * m : (k + 1) * m], factor=True)
 
 
 def tangents_mlmc(potential: Potential, traj: OverdampedTrajectory):
@@ -308,21 +332,23 @@ def tangents_mlmc(potential: Potential, traj: OverdampedTrajectory):
     block is ∂ψ_i/∂ξ_j = η·[H_i·1_{j<i} − (iη·H_i·H⁺ + H⁺)·1_{j<r}]
     (H_i = ∇²V(X̂_{iη}), H⁺ = ∇²V(X⁺_k)), the 1_{j<r} band carrying the
     anticipating dependence through X⁺.  ``tangents(k, …)`` evaluates step
-    k's Hessians itself, so one step's (B, m, d, d) node Hessians exist at a
-    time, never the whole path's.
+    k's Hessian factors itself, so one step's node factors (B, m, d), or
+    (B, m, d, d) for a dense Hessian, exist at a time, never the whole path's.
     """
     m, eta = traj.grid.m, traj.grid.eta
+    diag = potential.diagonal_hessian
 
     def tangents(k, dirs, dz0):
         H_nodes = _step_hessians(potential, traj, k)
         # x_k is cell 0's left node
         dz0, H_start = _start_tangents(dz0, H_nodes[:, 0], traj.x.shape[2], dirs)
-        H = {"start": H_start, "plus": potential.hessian(traj.x_plus[:, k])}
+        H = {"start": H_start, "plus": potential.hessian(traj.x_plus[:, k], factor=True)}
         DX, DX_plus = step_mlmc(
-            lambda where, X: H[where] @ X, dz0, dirs[None], eta, int(traj.schedule.indices[k])
+            lambda where, X: _hessian_times(H[where], X, diag), dz0, dirs[None], eta,
+            int(traj.schedule.indices[k]),
         )
-        HpDXp = H["plus"] @ DX_plus
-        Dpsi = np.sqrt(eta / 2.0) * (H_nodes @ DX[:, :m] - HpDXp[:, None])
+        HpDXp = _hessian_times(H["plus"], DX_plus, diag)
+        Dpsi = np.sqrt(eta / 2.0) * (_hessian_times(H_nodes, DX[:, :m], diag) - HpDXp[:, None])
         B, U = len(Dpsi), dirs.shape[-1]
         return Dpsi.reshape(B, -1, U), np.broadcast_to(DX[:, m], (B, DX.shape[2], U))
 
@@ -337,21 +363,23 @@ def tangents_ulmc(potential: Potential, traj: UnderdampedTrajectory):
     Dψ_i = √(η/(2γ))·(∇²V(X̂_i)·DX̂_i − ∇²V(x_k)·DX̂_0).  With a fixed start
     the block is ∂ψ_i/∂ξ_j = η·E₂(jη, iη)·H_i·1_{j<i}: strictly lower in the
     temporal index (the scheme is adapted), so every determinant is exactly
-    one.  Step k's node Hessians are evaluated inside ``tangents(k, …)``, one
-    step at a time.
+    one.  Step k's node Hessian factors are evaluated inside
+    ``tangents(k, …)``, one step at a time.
     """
     grid = traj.grid
     m = grid.m
     B, d = traj.x.shape[0], traj.x.shape[2]
     kern = StepKernels.build(traj.gamma, grid.h, m)
     coef = np.sqrt(grid.eta / (2.0 * traj.gamma))
+    diag = potential.diagonal_hessian
 
     def tangents(k, dirs, dz0):
         H_nodes = _step_hessians(potential, traj, k)
         dz0, H_start = _start_tangents(dz0, H_nodes[:, 0], 2 * d, dirs)
         H = {"start": H_start}
-        DX, DP = step_ulmc(kern, lambda where, X: H[where] @ X, dz0[:, :d], dz0[:, d:], dirs[None])
-        HDX = H_nodes @ DX[:, :m]  # cell 0 is the step start
+        DX, DP = step_ulmc(kern, lambda where, X: _hessian_times(H[where], X, diag),
+                           dz0[:, :d], dz0[:, d:], dirs[None])
+        HDX = _hessian_times(H_nodes, DX[:, :m], diag)  # cell 0 is the step start
         Dpsi = coef * (HDX - HDX[:, :1])
         Dz_h = np.concatenate([DX[:, m], DP[:, m]], axis=-2)
         return Dpsi.reshape(B, m * d, -1), np.broadcast_to(Dz_h, (B, 2 * d, dirs.shape[-1]))
@@ -369,35 +397,39 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
     :func:`~girsanovlab.integrators.solve_dmulmc_step` with grad = ∇²V·DX,
     fixed point included, so the implicit dependence of the multipliers is
     kept, not dropped; Dψ = U·Dλ in the basis of :func:`drift_basis_dmulmc`.
-    ``tangents(k, …)`` evaluates step k's node and midpoint Hessians
-    itself: the working set is one step's (B, m, d, d) Hessians plus the
-    sweep's buffers, whatever N is.  Those buffers are one
+    ``tangents(k, …)`` evaluates step k's node and midpoint Hessian
+    factors itself: the working set is one step's node factors, (B, m, d)
+    diagonal or (B, m, d, d) dense, plus the sweep's buffers, whatever N
+    is.  Those buffers are one
     :class:`~girsanovlab.integrators.DmWorkspace` per rule, which every
     step's sweeps fill in place: the two iterate buffers, (B, m+1, d, U)
     each, and the sweep's right-hand side (B, m+2, d, U), whose leading m
     cells take the ∇²V(X̂)·DX̂ product, written there by the oracle with
-    ``np.matmul(…, out=work.gradient_out(…))``.  So they are allocated and
-    faulted in once per rule, not once per step; a rule is made per call
-    and serves one thread.
+    ``_hessian_times(…, out=work.gradient_out(…))``: m·d·U products per
+    path and sweep for a diagonal Hessian, m·d²·U for a dense one.  So the
+    buffers are allocated and faulted in once per rule, not once per step;
+    a rule is made per call and serves one thread.
     """
     if traj.schedule is None:
         raise ValueError("trajectory carries no interpolation multipliers")
     grid, sched = traj.grid, traj.schedule
     kern = StepKernels.build(traj.gamma, grid.h, grid.m)
     m, d = grid.m, traj.x.shape[2]
+    diag = potential.diagonal_hessian
     work = DmWorkspace()
 
     def tangents(k, dirs, dz0):
         H_nodes = _step_hessians(potential, traj, k)
         dz0, H_start = _start_tangents(dz0, H_nodes[:, 0], 2 * d, dirs)
-        H = {"start": H_start, "minus": potential.hessian(traj.x_minus[:, k]),
-             "plus": potential.hessian(traj.x_plus[:, k])}
+        H = {"start": H_start, "minus": potential.hessian(traj.x_minus[:, k], factor=True),
+             "plus": potential.hessian(traj.x_plus[:, k], factor=True)}
 
         def grad(where, X):
             if where != "nodes":
-                return H[where] @ X
-            # (B, m, d, d)·(B or 1, m, d, U): the product has X's trailing shape
-            return np.matmul(H_nodes, X, out=work.gradient_out((len(H_nodes), *X.shape[1:])))
+                return _hessian_times(H[where], X, diag)
+            # (B, m, …)·(B or 1, m, d, U): the product has X's trailing shape
+            out = work.gradient_out((len(H_nodes), *X.shape[1:]))
+            return _hessian_times(H_nodes, X, diag, out=out)
 
         sol = solve_dmulmc_step(
             kern, grad, dz0[:, :d], dz0[:, d:], dirs[None],
@@ -481,17 +513,20 @@ def block_summary_dense(blocks: MalliavinBlocks) -> BlockSummary:
 def _mlmc_step_factors(potential: Potential, traj: OverdampedTrajectory, k: int):
     """Factors of step k's overdamped midpoint block D = L − C·Rᵀ.
 
-    H_i, H⁺ (B, d, d) and C_i = η·(iη·H_i·H⁺ + H⁺), all on the band cells
-    i < r_k only, (B, r_k, d, d): C·Rᵀ is zero outside the band, and no
-    summary reads H_i there (ρ(D) is that of the leading cells, and their
-    recurrence and traces run over i < r_k).
+    H_i, H⁺ and C_i = η·(iη·H_i·H⁺ + H⁺), with H and C on the band cells
+    i < r_k only: C·Rᵀ is zero outside the band, and no summary reads H_i
+    there (ρ(D) is that of the leading cells, and their recurrence and traces
+    run over i < r_k).  All three are in the potential's factor form
+    (``hessian(x, factor=True)``): H⁺ (B, d) and H, C (B, r_k, d) for a
+    diagonal Hessian, where C is a diagonal too; (B, d, d) and
+    (B, r_k, d, d) for a dense one.
     """
     eta, m = traj.grid.eta, traj.grid.m
     r = int(traj.schedule.indices[k])
-    H = potential.hessian(traj.x[:, k * m : k * m + r])
-    Hp = potential.hessian(traj.x_plus[:, k])
-    C = H @ Hp[:, None]
-    C *= eta * np.arange(r)[:, None, None]
+    H = potential.hessian(traj.x[:, k * m : k * m + r], factor=True)
+    Hp = potential.hessian(traj.x_plus[:, k], factor=True)
+    C = _hessian_times(H, Hp[:, None], potential.diagonal_hessian)
+    C *= np.expand_dims(eta * np.arange(r), tuple(range(1, C.ndim - 1)))
     C += Hp[:, None]
     C *= eta
     return H, Hp, C
@@ -503,43 +538,52 @@ def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.nd
     With D = L − C·Rᵀ as in :func:`block_summary_mlmc`, L is strictly lower
     block-triangular, so tr(L²) = 0 and
     tr(D²) = tr((Σ_{i<r} C_i)²) − 2·tr(Σ_{j<r} η·H_j·Σ_{i<j} C_i).
-    Cost O(m·d³) per step; agrees with the trace of the dense blocks' square
-    to 1e-12 (tested).  Steps are taken one at a time: the working set is
-    one step's factors, (B, 2·r_k, d, d), whatever N is.
+    Cost O(r_k·d³) per path and step for a dense Hessian (the factor
+    products), O(r_k·d²) for a diagonal one; agrees with the trace of the
+    dense blocks' square to 1e-12 (tested).  The einsums read dense
+    (B, r_k, d, d) matrices, so diagonal factors are expanded to them here,
+    after the prefix sums.  Steps are taken one at a time: the working set
+    is one step's factors, (B, 2·r_k, d, d), whatever N is.
     """
     (B, _, d), N = traj.x.shape, traj.grid.N
+    diag = potential.diagonal_hessian
     out = np.empty((B, N))
     for k in range(N):
         H, _, C = _mlmc_step_factors(potential, traj, k)
         r = C.shape[1]
-        partial = np.cumsum(C, axis=1)  # Σ_{i≤j} C_i
+        H = _dense(H, diag)
+        partial = _dense(np.cumsum(C, axis=1), diag)  # Σ_{i≤j} C_i
         banded = partial[:, -1] if r else np.zeros((B, d, d))  # Σ_{i<r} C_i
         cross = np.einsum("bjac,bjca->b", H[:, 1:r], partial[:, :-1])
         out[:, k] = np.einsum("bac,bca->b", banded, banded) - 2.0 * traj.grid.eta * cross
     return out
 
 
-def _power_estimate_mlmc(H: np.ndarray, Hp: np.ndarray, eta: float) -> np.ndarray:
+def _power_estimate_mlmc(
+    H: np.ndarray, Hp: np.ndarray, eta: float, diagonal: bool
+) -> np.ndarray:
     """‖D₁₁·v₁₉‖ after 20 normalised power steps on the r leading cells, (B,).
 
     (D₁₁·v)_i = η·(H_i·(Σ_{j<i} v_j − iη·u) − u) with u = H⁺·Σ_{j<r} v_j, for
-    H_i (B, r, d, d) and H⁺ (B, d, d), from v₀ = ones plus a linear tilt.
-    The iterate is cell-major, (r, B·d), so the exclusive prefix sums of
-    every path are one product with the strictly lower r × r ones matrix,
-    and Σ_{j<r} v_j is the last prefix plus v_{r−1}: no reduction runs along
-    the short cell axis.  H_i·(…) is one batched matmul over a cell-major
-    view of H, with no copy of it.
+    the factors H_i (B, r, …) and H⁺ (B, …) of :func:`_mlmc_step_factors`,
+    from v₀ = ones plus a linear tilt.  The iterate is cell-major, (r, B·d),
+    so the exclusive prefix sums of every path are one product with the
+    strictly lower r × r ones matrix, and Σ_{j<r} v_j is the last prefix
+    plus v_{r−1}: no reduction runs along the short cell axis.  H_i·(…) is
+    one :func:`_hessian_times` over a cell-major view of H, with no copy of
+    it: elementwise for a diagonal Hessian, a batched matmul for a dense one.
     """
     B, r, d = H.shape[0], H.shape[1], H.shape[2]
     lower = np.tri(r, r, -1)
     i_eta = eta * np.arange(r)[:, None, None, None]
-    H_cells = H.transpose(1, 0, 2, 3)  # (r, B, d, d), a view
+    H_cells = H.swapaxes(0, 1)  # (r, B, …), a view
     v = np.ones(r * d) + np.linspace(0.0, 1.0, r * d)
     V = np.broadcast_to((v / np.linalg.norm(v)).reshape(r, 1, d), (r, B, d))
     for _ in range(20):
         before = (lower @ V.reshape(r, B * d)).reshape(r, B, d, 1)  # Σ_{j<i} v_j
-        u = Hp @ (before[r - 1] + V[r - 1, :, :, None])  # H⁺·Σ_{j<r} v_j, (B, d, 1)
-        W = np.matmul(H_cells, before - i_eta * u, out=before)
+        # H⁺·Σ_{j<r} v_j, (B, d, 1)
+        u = _hessian_times(Hp, before[r - 1] + V[r - 1, :, :, None], diagonal)
+        W = _hessian_times(H_cells, before - i_eta * u, diagonal, out=before)
         W -= u
         W *= eta
         nrm = np.sqrt(np.einsum("rbdk,rbdk->b", W, W))
@@ -567,31 +611,41 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
     a bound (:func:`_power_estimate_mlmc`).  Its iterate is cell-major,
     (r, B·d), so each power step costs r²·B·d for every exclusive prefix
     Σ_{j<i} v_j (one product with the strictly lower r × r ones matrix),
-    B·d² for u = H⁺·Σ_{j<r} v_j, one batched matmul of the r·B products
-    H_i·(…), r·B·d², and O(r·B·d) elementwise work, with no reduction along
-    the cell axis.  At r = 0 (EM-LD) every field but the sign is exactly zero.
-    Cost O(r·d³) per step instead of O((m·d)³); steps are summarised one at
-    a time, so the working set is one step's (B, 2·r_k, d, d) factors
-    (:func:`_mlmc_step_factors`), whatever N is.
+    B·d for u = H⁺·Σ_{j<r} v_j, r·B·d for the r·B products H_i·(…), and
+    O(r·B·d) elementwise work, with no reduction along the cell axis; a
+    dense Hessian makes the two products B·d² and r·B·d², one batched
+    matmul each.  At r = 0 (EM-LD) every field but the sign is exactly zero.
+    The factors stay in the potential's form (:func:`_mlmc_step_factors`):
+    for a diagonal Hessian every Y_i is diagonal, so the recurrence costs
+    O(r·d) per path and step, against O(r·d³) for a dense one, instead of
+    O((m·d)³) for the block.  tr D keeps the summation order of an einsum
+    over the dense diagonal of C, so a diagonal C is expanded to
+    (B, r_k, d, d) for it.  Steps are summarised one at a time, so the
+    working set is one step's factors, (B, 2·r_k, d) plus that expansion or
+    (B, 2·r_k, d, d), whatever N is.
     """
     N, eta = traj.grid.N, traj.grid.eta
-    B, d = traj.x.shape[0], traj.x.shape[2]
+    B = traj.x.shape[0]
+    diag = potential.diagonal_hessian
     sign, det2, trace, rho = (np.zeros((B, N)) for _ in range(4))
     for k in range(N):
         H, Hp, C = _mlmc_step_factors(potential, traj, k)
         r = C.shape[1]
-        prefix = np.zeros((B, d, d))  # Σ_{j<i} Y_j, and Ŷ once i = r
+        prefix = np.zeros((B, *C.shape[2:]))  # Σ_{j<i} Y_j, and Ŷ once i = r
         excess = np.zeros(B)  # tr(Ĉ − Ŷ)
         for i in range(r):
-            HY = H[:, i] @ prefix
-            excess += np.trace(HY, axis1=-2, axis2=-1)
+            HY = _hessian_times(H[:, i], prefix, diag)
+            excess += (HY if diag else np.diagonal(HY, axis1=-2, axis2=-1)).sum(axis=-1)
             prefix = prefix + (C[:, i] - eta * HY)
-        sign[:, k], core, _ = _spectral_fields(np.linalg.eigvals(-prefix))
+        # a diagonal Ŷ's eigenvalues are its entries, in the order LAPACK gives them
+        lam = -prefix if diag else np.linalg.eigvals(-prefix)
+        sign[:, k], core, _ = _spectral_fields(lam)
         det2[:, k] = core + eta * excess
-        trace[:, k] = -np.einsum("biaa->b", C)
+        # a sum over the compact diagonal, in its own order, moves tr D by an ulp
+        trace[:, k] = -np.einsum("biaa->b", _dense(C, diag))
         if r == 0:
             continue
-        rho[:, k] = _power_estimate_mlmc(H, Hp, eta)
+        rho[:, k] = _power_estimate_mlmc(H, Hp, eta, diag)
     return BlockSummary(sign, det2, trace, rho)
 
 
@@ -615,8 +669,9 @@ def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> B
     det₂ = Σ log|1 + λ| − λ over them (:func:`_spectral_fields`), with the
     sign of det(I + D), ρ(D) = max|λ| exactly, and tr D = tr(Wᵀ·U).  Steps are
     summarised one at a time, and :func:`tangents_dmulmc` evaluates each
-    step's Hessians itself: the working set is one step's (B, m, d, d)
-    Hessians and the fixed point's (B, m+1, d, 2d) buffers, whatever N is.
+    step's Hessian factors itself: the working set is one step's factors,
+    (B, m, d) diagonal or (B, m, d, d) dense, and the fixed point's
+    (B, m+1, d, 2d) buffers, whatever N is.
     One rule serves every step, so its buffers are made once per call.
     """
     tangents = tangents_dmulmc(potential, traj)
@@ -701,9 +756,11 @@ def trace_diagnostics_mlmc(
     """Compute the discrete block traces and their refinement limits.
 
     All arrays are (B, N).  Traces are evaluated from the assembled matrices,
-    not from closed forms, so they test the block structure itself.  Step k's
-    node Hessians and H⁺ are evaluated inside the step loop, so one step's
-    (B, m, d, d) Hessians exist at a time, never the whole path's.
+    not from closed forms, so they test the block structure itself, and
+    their einsums read dense Hessians (``Potential.hessian``), whatever the
+    potential's factor form.  Step k's node Hessians and H⁺ are evaluated
+    inside the step loop, so one step's (B, m, d, d) Hessians exist at a
+    time, never the whole path's.
     """
     grid = traj.grid
     N, m, eta = grid.N, grid.m, grid.eta
@@ -723,7 +780,7 @@ def trace_diagnostics_mlmc(
         limit_b2[:, k] = 2.0 * tau**2 * np.einsum("bac,bca->b", Hp, Hp)
         if r == 0:
             continue
-        H_nodes = _step_hessians(potential, traj, k)
+        H_nodes = potential.hessian(traj.x[:, k * m : (k + 1) * m])
         Hi = H_nodes[:, :r]  # (B, r, d, d)
         A = root2eta * np.einsum("ij,biac->biajc", lower[:r, :r], Hi).reshape(
             B, r * d, r * d

@@ -3,7 +3,14 @@
 All potentials are β-smooth and α-strongly convex with known constants, which
 the step-size preconditions of the weighted schemes consume.  Evaluation is
 vectorized over arbitrary leading batch axes: ``x`` has shape (..., d), values
-have shape (...), gradients (..., d), Hessians (..., d, d).
+have shape (...), gradients (..., d), and Hessians (..., d, d) dense, or, as
+``hessian(x, factor=True)``, in the potential's declared form.
+
+A separable potential declares ``diagonal_hessian`` and implements only the
+diagonal of ∇²V: its factor is that diagonal, (..., d), and the base class
+fills the dense batch from it, in one place.  Every other potential's factor
+is its dense Hessian.  The generic weight route multiplies by ∇²V through
+the factor, so a diagonal Hessian costs O(d) per product there, not O(d²).
 
 Potentials with a constant Hessian advertise it through ``constant_hessian``;
 the Monte Carlo engine uses that to hoist all Malliavin-derivative work out of
@@ -15,12 +22,21 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "diagonal_matrices",
     "Potential",
     "IsotropicQuadratic",
     "AnisotropicQuadratic",
     "PerturbedQuadratic",
     "LogCoshProduct",
 ]
+
+
+def diagonal_matrices(diag: np.ndarray) -> np.ndarray:
+    """(…, d) diagonals → (…, d, d) matrices with exact zeros off the diagonal."""
+    d = diag.shape[-1]
+    out = np.zeros(diag.shape + (d,))
+    out.reshape(*diag.shape[:-1], d * d)[..., :: d + 1] = diag
+    return out
 
 
 def _check_points(x: np.ndarray, d: int) -> np.ndarray:
@@ -37,7 +53,8 @@ class Potential:
 
     Subclasses set ``d``, ``beta`` (a global upper bound on ‖∇²V‖_op),
     ``alpha`` (a lower bound on the Hessian spectrum) and implement the
-    ``_value/_gradient/_hessian`` hooks on pre-validated points.
+    ``_value/_gradient`` hooks on pre-validated points, with either
+    ``_hessian`` (dense) or, for a separable V, ``_hessian_diagonal``.
     """
 
     d: int
@@ -45,6 +62,8 @@ class Potential:
     alpha: float
     #: (d, d) array when ∇²V is constant, else None.
     constant_hessian: np.ndarray | None = None
+    #: True when ∇²V is diagonal everywhere: the factor form is its diagonal.
+    diagonal_hessian: bool = False
 
     @property
     def is_quadratic(self) -> bool:
@@ -56,8 +75,16 @@ class Potential:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._gradient(_check_points(x, self.d))
 
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self._hessian(_check_points(x, self.d))
+    def hessian(self, x: np.ndarray, factor: bool = False) -> np.ndarray:
+        """∇²V, dense (..., d, d); with ``factor``, in the declared form.
+
+        The factor form is the diagonal (..., d) when ``diagonal_hessian``
+        is set, else the dense batch.
+        """
+        x = _check_points(x, self.d)
+        if factor and self.diagonal_hessian:
+            return self._hessian_diagonal(x)
+        return self._hessian(x)
 
     def _value(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -66,6 +93,10 @@ class Potential:
         raise NotImplementedError
 
     def _hessian(self, x: np.ndarray) -> np.ndarray:
+        """The dense batch, with the diagonal of ``_hessian_diagonal`` and exact zeros off it."""
+        return diagonal_matrices(self._hessian_diagonal(x))
+
+    def _hessian_diagonal(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _broadcast_hessian(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -135,6 +166,8 @@ class PerturbedQuadratic(Potential):
     a·ω² < min(spectrum) so convexity survives the perturbation.
     """
 
+    diagonal_hessian = True
+
     def __init__(self, spectrum, amplitude: float = 0.1, frequency: float = 1.0):
         spectrum = np.asarray(spectrum, dtype=float)
         if spectrum.ndim != 1 or spectrum.size < 1:
@@ -166,13 +199,9 @@ class PerturbedQuadratic(Potential):
         aw = self.amplitude * self.frequency
         return self.spectrum * x - aw * np.sin(self.frequency * x)
 
-    def _hessian(self, x):
+    def _hessian_diagonal(self, x):
         aw2 = self.amplitude * self.frequency**2
-        diag = self.spectrum - aw2 * np.cos(self.frequency * x)
-        out = np.zeros(x.shape[:-1] + (self.d, self.d))
-        idx = np.arange(self.d)
-        out[..., idx, idx] = diag
-        return out
+        return self.spectrum - aw2 * np.cos(self.frequency * x)
 
 
 class LogCoshProduct(Potential):
@@ -180,6 +209,8 @@ class LogCoshProduct(Potential):
 
     Each marginal Hessian is 1 + c·sech²(xᵢ) ∈ [1, 1+c], so α = 1, β = 1+c.
     """
+
+    diagonal_hessian = True
 
     def __init__(self, d: int, c: float = 1.0):
         if d < 1:
@@ -200,9 +231,5 @@ class LogCoshProduct(Potential):
     def _gradient(self, x):
         return x + self.c * np.tanh(x)
 
-    def _hessian(self, x):
-        diag = 1.0 + self.c * (1.0 - np.tanh(x) ** 2)
-        out = np.zeros(x.shape[:-1] + (self.d, self.d))
-        idx = np.arange(self.d)
-        out[..., idx, idx] = diag
-        return out
+    def _hessian_diagonal(self, x):
+        return 1.0 + self.c * (1.0 - np.tanh(x) ** 2)

@@ -294,8 +294,10 @@ def test_dmulmc_det2_matches_a_40_digit_oracle():
 
 def test_mlmc_det2_matches_a_40_digit_oracle():
     # det₂ = log|det(I_d − Ŷ)| + tr Ĉ, with the recurrence for Ŷ run at 40
-    # digits on the same float64 factors H_i, C_i
+    # digits on the same float64 factors H_i, C_i: the target's Hessian is
+    # diagonal, so they are its (B, r, d) diagonals
     pot = _target()
+    assert pot.diagonal_hessian
     grid = TimeGrid(1.0, 1024, 8)
     xi = noise_matrix(4, 2, grid.n_cells, pot.d)
     traj = simulate_mlmc(pot, OverdampedSchedule.deterministic(grid), _inputs(pot.d)[1][:2], xi)
@@ -304,8 +306,8 @@ def test_mlmc_det2_matches_a_40_digit_oracle():
         for k in (0, 511, 1023):
             H, _, C = _mlmc_step_factors(pot, traj, k)
             for b in range(2):
-                Hs = [mpmath.matrix(h.tolist()) for h in H[b]]
-                Cs = [mpmath.matrix(c.tolist()) for c in C[b]]
+                Hs = [mpmath.diag(h.tolist()) for h in H[b]]
+                Cs = [mpmath.diag(c.tolist()) for c in C[b]]
                 prefix = mpmath.zeros(pot.d, pot.d)
                 for i in range(len(Cs)):
                     prefix += Cs[i] - grid.eta * Hs[i] * prefix
@@ -370,7 +372,7 @@ def test_generic_summary_working_set_does_not_grow_with_steps(monkeypatch, summa
     assert peaks[16] <= 1.25 * peaks[2] + 2**19, peaks
     if summary is block_summary_ulmc:
         # the nilpotent block's summary is exact without any Hessian
-        def no_hessian(x):
+        def no_hessian(x, **_):
             raise AssertionError("the frozen-gradient summary evaluated a Hessian")
 
         monkeypatch.setattr(pot, "hessian", no_hessian)

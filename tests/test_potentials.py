@@ -98,6 +98,22 @@ def test_hessian_product_potential_diagonal():
     assert not pot.is_quadratic
 
 
+def test_hessian_factor_is_the_declared_form():
+    # separable targets give the diagonal (…, d) of the dense batch; the
+    # quadratics keep their dense constant Hessian
+    x = np.random.default_rng(4).normal(size=(4, 2, 3))
+    for pot in ALL_KINDS:
+        xd = x[..., : pot.d]
+        dense, factor = pot.hessian(xd), pot.hessian(xd, factor=True)
+        assert dense.shape == xd.shape + (pot.d,)
+        assert pot.diagonal_hessian == isinstance(pot, (PerturbedQuadratic, LogCoshProduct))
+        if pot.diagonal_hessian:
+            assert factor.shape == xd.shape
+            np.testing.assert_array_equal(dense, factor[..., None] * np.eye(pot.d))
+        else:
+            np.testing.assert_array_equal(factor, dense)
+
+
 def test_hessian_symmetric_and_spectrum_bounded():
     rng = np.random.default_rng(2)
     for pot in ALL_KINDS:
