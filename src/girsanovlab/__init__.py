@@ -52,7 +52,6 @@ from .girsanov import (
     block_summary_ulmc,
     carleman_fredholm_logdet,
     drift_basis_dmulmc,
-    drift_dmulmc,
     drift_mlmc,
     drift_ulmc,
     summary_log_weight,
@@ -119,7 +118,6 @@ __all__ = [
     "block_summary_ulmc",
     "carleman_fredholm_logdet",
     "drift_basis_dmulmc",
-    "drift_dmulmc",
     "drift_mlmc",
     "drift_ulmc",
     "estimate_kl",

@@ -201,10 +201,14 @@ class _Entries:
             raise ConfigError(f"missing required key {full!r}")
         return self.entries[full][0]
 
+    def optional(self, full: str, parse, default):
+        """``parse(raw, where)`` of an optional key, ``default`` when it is absent."""
+        return parse(self.raw(full), self.where(full)) if self.has(full) else default
+
 
 def _build_potential(e: _Entries) -> tuple[Potential, str]:
     kind = e.require("potential.kind").lower()
-    d = _int(e.raw("potential.d"), e.where("potential.d")) if e.has("potential.d") else None
+    d = e.optional("potential.d", _int, None)
 
     def reject(*keys: str) -> None:
         for key in keys:
@@ -214,36 +218,33 @@ def _build_potential(e: _Entries) -> tuple[Potential, str]:
                     f"{e.where(full)}: key not applicable to kind {kind!r}"
                 )
 
+    def spectrum() -> list[float]:
+        values = _number_list(e.require("potential.spectrum"), "potential.spectrum")
+        if d is not None and d != len(values):
+            raise ConfigError(
+                f"{e.where('potential.d')}: d = {d} contradicts a spectrum of length {len(values)}"
+            )
+        return values
+
     if kind == "gaussian":
         reject("spectrum", "amplitude", "frequency", "c")
         if d is None:
             raise ConfigError("missing required key 'potential.d' for gaussian")
-        scale = _number(e.raw("potential.scale"), e.where("potential.scale")) if e.has("potential.scale") else 1.0
-        return IsotropicQuadratic(d, scale), kind
+        return IsotropicQuadratic(d, e.optional("potential.scale", _number, 1.0)), kind
     if kind == "anisotropic-gaussian":
         reject("scale", "amplitude", "frequency", "c")
-        spectrum = _number_list(e.require("potential.spectrum"), "potential.spectrum")
-        if d is not None and d != len(spectrum):
-            raise ConfigError(
-                f"{e.where('potential.d')}: d = {d} contradicts a spectrum of length {len(spectrum)}"
-            )
-        return AnisotropicQuadratic(spectrum), kind
+        return AnisotropicQuadratic(spectrum()), kind
     if kind == "perturbed-quadratic":
         reject("scale", "c")
-        spectrum = _number_list(e.require("potential.spectrum"), "potential.spectrum")
-        if d is not None and d != len(spectrum):
-            raise ConfigError(
-                f"{e.where('potential.d')}: d = {d} contradicts a spectrum of length {len(spectrum)}"
-            )
-        amplitude = _number(e.raw("potential.amplitude"), e.where("potential.amplitude")) if e.has("potential.amplitude") else 0.1
-        frequency = _number(e.raw("potential.frequency"), e.where("potential.frequency")) if e.has("potential.frequency") else 1.0
-        return PerturbedQuadratic(spectrum, amplitude, frequency), kind
+        values = spectrum()
+        amplitude = e.optional("potential.amplitude", _number, 0.1)
+        frequency = e.optional("potential.frequency", _number, 1.0)
+        return PerturbedQuadratic(values, amplitude, frequency), kind
     if kind == "logcosh":
         reject("scale", "spectrum", "amplitude", "frequency")
         if d is None:
             raise ConfigError("missing required key 'potential.d' for logcosh")
-        c = _number(e.raw("potential.c"), e.where("potential.c")) if e.has("potential.c") else 1.0
-        return LogCoshProduct(d, c), kind
+        return LogCoshProduct(d, e.optional("potential.c", _number, 1.0)), kind
     raise ConfigError(
         f"{e.where('potential.kind')}: unknown potential kind {kind!r} "
         "(known: gaussian, anisotropic-gaussian, perturbed-quadratic, logcosh)"
@@ -274,10 +275,10 @@ def load_config(text: str) -> ExperimentConfig:
             f"{e.where('experiment.name')}: unknown experiment {experiment!r} "
             f"(known: {', '.join(EXPERIMENTS)})"
         )
-    seed = _int(e.raw("experiment.seed"), e.where("experiment.seed")) if e.has("experiment.seed") else 0
+    seed = e.optional("experiment.seed", _int, 0)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{e.where('experiment.seed')}: seed must be in [0, 2**64)")
-    n_paths = _int(e.raw("experiment.n_paths"), e.where("experiment.n_paths")) if e.has("experiment.n_paths") else 100_000
+    n_paths = e.optional("experiment.n_paths", _int, 100_000)
     if n_paths < 2:
         raise ConfigError(f"{e.where('experiment.n_paths')}: need at least 2 paths")
     output = e.raw("experiment.output") if e.has("experiment.output") else None
@@ -363,7 +364,7 @@ def load_config(text: str) -> ExperimentConfig:
     else:
         # the kinetic-scheme convention used throughout the experiments
         gamma = float(np.sqrt(potential.beta)) if kinetic else None
-    q_list = tuple(_number_list(e.raw("scheme.q"), e.where("scheme.q"))) if e.has("scheme.q") else (2.0,)
+    q_list = tuple(e.optional("scheme.q", _number_list, (2.0,)))
     if any(not np.isfinite(q) or q < 1 for q in q_list):
         raise ConfigError(f"{e.where('scheme.q')}: divergence orders must satisfy q >= 1")
 

@@ -19,9 +19,9 @@ quadratic targets, N(0, H⁻¹) or N(0, diag(H⁻¹, I)) in phase space, and
 otherwise x ~ N(0, I/α) with p ~ N(0, I).
 
 The scheme table :data:`SCHEMES` defines each discretization once — its
-schedules, simulation, horizon state, drift, step tangent rule, derivative
-blocks, affine step keys, gradient query count and step-size bound — and
-every scheme-dependent call site in the package goes through it.
+schedules, simulation, horizon state, drift coordinates, step tangent rule,
+derivative blocks, affine step keys, gradient query count and step-size
+bound — and every scheme-dependent call site in the package goes through it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .girsanov import (
     block_summary_ulmc,
     derivative_blocks,
     drift_basis_dmulmc,
-    drift_dmulmc,
     drift_mlmc,
     drift_ulmc,
     summary_log_weight,
@@ -104,20 +103,22 @@ class Scheme:
       it where the marginal update is cheaper than the trajectory (DM-ULMC
       skips the inner fixed point, and agrees to 1e-12, tested).
     * ``drift_coordinates(potential, traj)``: (U, G, c), the one stored form
-      of a step's drift, flattened to m·d as ψ = U·c with coordinates c
-      (B, N, r) and Gram matrix G = UᵀU.  DM-ULMC drifts span r = 2d
-      columns; the other schemes return U = G = None, the identity basis
-      (c = ψ, r = m·d).  ``drift(potential, traj)`` is ψ, (B, N·m, d).
-      ``drift_basis(traj)`` is U alone, read from the trajectory's grid
-      without evaluating the drift.
+      of a step's drift and the one a scheme defines, flattened to m·d as
+      ψ = U·c with coordinates c (B, N, r) and Gram matrix G = UᵀU.  DM-ULMC
+      drifts span r = 2d columns, the trajectory's multipliers, and a
+      trajectory without them (ULMC's) is a ValueError; the other schemes
+      return U = G = None, the identity basis (c = ψ, r = m·d).
+      ``drift(potential, traj)`` is ψ, (B, N·m, d), formed from (U, c) here
+      for every scheme.  ``drift_basis(traj)`` is U alone, read from the
+      trajectory's grid without evaluating the drift.
     * ``tangents(potential, traj)``: the one step tangent rule
       (k, dirs, dz0) → (Dc, Dz_h) in drift coordinates, which runs the
       scheme's own integrator step with grad = ∇²V·DX, behind the dense
       ``blocks``, the DM-ULMC ``summary`` and the affine step maps.
-    * ``blocks(potential, traj, include_offdiag)``: the dense derivative
-      Dψ = U·Dc from the tangent rule, for every scheme (the reference for
-      finite differences and dumps: diagonal blocks per step or the whole
-      derivative in one forward sweep); ``summary(potential, traj)``, its
+    * ``blocks(potential, traj)``: the dense derivative Dψ = U·Dc from the
+      tangent rule, for every scheme (the reference for finite differences
+      and dumps): the whole derivative in one forward sweep, with its
+      diagonal blocks read off it; ``summary(potential, traj)``, its
       structured block summary, which both weight routes read.
     * ``step_keys(schedule)``: per outer step, the hashable midpoint
       choice that fixes the step's affine maps; ``step_schedule(step_grid,
@@ -148,17 +149,16 @@ class Scheme:
     def advance(self, potential: Potential, schedule, gamma, z0, xi):
         return self.endpoint(self.simulate(potential, schedule, gamma, z0, xi))
 
-    def drift_coordinates(self, potential: Potential, traj):
-        psi = self.drift(potential, traj)
-        return None, None, psi.reshape(psi.shape[0], traj.grid.N, -1)
+    def drift(self, potential: Potential, traj):
+        U, _, c = self.drift_coordinates(potential, traj)
+        psi = c if U is None else c @ U.T  # (B, N, m·d)
+        return psi.reshape(psi.shape[0], traj.grid.n_cells, -1)
 
     def drift_basis(self, traj):
         return None
 
-    def blocks(self, potential: Potential, traj, include_offdiag: bool = False):
-        return derivative_blocks(
-            traj, self.tangents(potential, traj), include_offdiag, self.drift_basis(traj)
-        )
+    def blocks(self, potential: Potential, traj):
+        return derivative_blocks(traj, self.tangents(potential, traj), self.drift_basis(traj))
 
     def step_keys(self, schedule) -> list:
         return [0] * schedule.grid.N
@@ -193,8 +193,9 @@ class _MidpointLMC(Scheme):
     def endpoint(self, traj):
         return traj.x[:, -1]
 
-    def drift(self, potential, traj):
-        return drift_mlmc(potential, traj)
+    def drift_coordinates(self, potential, traj):
+        psi = drift_mlmc(potential, traj)
+        return None, None, psi.reshape(psi.shape[0], traj.grid.N, -1)
 
     def tangents(self, potential, traj):
         return tangents_mlmc(potential, traj)
@@ -243,8 +244,9 @@ class _FrozenGradientULMC(_Kinetic):
         d = potential.d
         return simulate_ulmc(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
 
-    def drift(self, potential, traj):
-        return drift_ulmc(potential, traj)
+    def drift_coordinates(self, potential, traj):
+        psi = drift_ulmc(potential, traj)
+        return None, None, psi.reshape(psi.shape[0], traj.grid.N, -1)
 
     def tangents(self, potential, traj):
         return tangents_ulmc(potential, traj)
@@ -277,10 +279,9 @@ class _DoubleMidpointULMC(_Kinetic):
         xs, ps = simulate_dmulmc_marginal(potential, schedule, gamma, z0[:, :d], z0[:, d:], xi)
         return np.concatenate([xs[:, -1], ps[:, -1]], axis=-1)
 
-    def drift(self, potential, traj):
-        return drift_dmulmc(traj)
-
     def drift_coordinates(self, potential, traj):
+        if traj.lambda1 is None:
+            raise ValueError("trajectory carries no interpolation multipliers")
         U, gram = drift_basis_dmulmc(traj)
         return U, gram, np.concatenate([traj.lambda1, traj.lambda2], axis=-1)
 

@@ -275,7 +275,7 @@ def _run_fd_malliavin(cfg: ExperimentConfig, threads: int, result: RunResult) ->
         z0 = start_states(potential, scheme.kinetic, cfg.seed, n)
         xi = noise_matrix(cfg.seed, n, grid.n_cells, d)
         traj = scheme.simulate(potential, schedule, cfg.gamma, z0, xi)
-        analytic = scheme.blocks(potential, traj, include_offdiag=True).full
+        analytic = scheme.blocks(potential, traj).full
         s = grid.n_cells * d
         numeric = np.empty((n, s, s))
         for cell in range(grid.n_cells):

@@ -20,10 +20,13 @@ outer step, √η elementary scaling):
 * frozen-gradient kinetic:  ψ_i = √(η/(2γ))·(∇V(X̂_{iη}) − ∇V(x₀))
 * double-midpoint kinetic:  ψ_i = √(η/(2γ))·(E₁(iη,h)λ₁ + E₂(iη,h)λ₂)
 
-The double-midpoint drift is stored in drift coordinates, ψ = U·(λ₁, λ₂)
-per step with the basis U of :func:`drift_basis_dmulmc`; the other schemes'
-drifts are their own coordinates (U = I).  ``drift_*`` return ψ itself,
-(B, N·m, d), and every derivative below is in the same coordinates.
+A step's drift is stored in drift coordinates (``Scheme.drift_coordinates``):
+the double-midpoint drift as ψ = U·(λ₁, λ₂) per step, with the basis U of
+:func:`drift_basis_dmulmc` and the multipliers the trajectory carries; the
+other schemes' drifts as their own coordinates (U = I), which
+``drift_mlmc`` and ``drift_ulmc`` return, (B, N·m, d).  ψ itself is formed
+from (U, c) in one place, ``Scheme.drift``, and every derivative below is in
+the same coordinates.
 
 Derivative structure: each scheme has one tangent rule (``tangents_*``,
 ``Scheme.tangents``), the derivative of step k's drift coordinates and end
@@ -111,7 +114,6 @@ __all__ = [
     "TraceDiagnostics",
     "drift_mlmc",
     "drift_ulmc",
-    "drift_dmulmc",
     "drift_basis_dmulmc",
     "derivative_blocks",
     "tangents_mlmc", "tangents_ulmc", "tangents_dmulmc",
@@ -143,15 +145,15 @@ _DERIV_TOL = 1e-14
 class MalliavinBlocks:
     """Per-step derivative blocks ∂ψ_i/∂ξ_j.
 
-    ``diag`` has shape (B, N, m·d, m·d): diagonal (within-step) blocks in cell
-    ordering, each d×d spatial entry flattened in place.  ``full``, when
-    assembled, is the complete (B, N·m·d, N·m·d) derivative from one forward
-    tangent sweep over the horizon: block lower-triangular, with ``diag`` on
-    its diagonal and exact zeros above it.
+    ``full`` is the complete (B, N·m·d, N·m·d) derivative from one forward
+    tangent sweep over the horizon: block lower-triangular, with exact zeros
+    above its diagonal blocks.  ``diag`` has shape (B, N, m·d, m·d): those
+    diagonal (within-step) blocks in cell ordering, each d×d spatial entry
+    flattened in place.
     """
 
     diag: np.ndarray
-    full: np.ndarray | None = None
+    full: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -211,19 +213,6 @@ def drift_ulmc(potential: Potential, traj: UnderdampedTrajectory) -> np.ndarray:
     return psi.reshape(psi.shape[0], grid.n_cells, -1)
 
 
-def drift_dmulmc(traj: UnderdampedTrajectory) -> np.ndarray:
-    """ψ = U·(λ₁, λ₂) on each step, (B, N·m, d), with U of :func:`drift_basis_dmulmc`.
-
-    The multipliers must come from a solved interpolation (the trajectory's
-    ``lambda1``/``lambda2`` fields).
-    """
-    if traj.schedule is None:
-        raise ValueError("trajectory carries no interpolation multipliers")
-    coords = np.concatenate([traj.lambda1, traj.lambda2], axis=-1)  # (B, N, 2d)
-    psi = coords @ drift_basis_dmulmc(traj)[0].T  # (B, N, m·d)
-    return psi.reshape(psi.shape[0], traj.grid.n_cells, -1)
-
-
 def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndarray]:
     """U (m·d, 2d) with ψ = U·(λ₁, λ₂) per step, and its Gram matrix UᵀU.
 
@@ -251,7 +240,7 @@ def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndar
 
 def derivative_blocks(
     traj: OverdampedTrajectory | UnderdampedTrajectory, tangents,
-    include_offdiag: bool = False, basis: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
 ) -> MalliavinBlocks:
     """The dense derivative from a scheme's step tangent rule (``Scheme.blocks``).
 
@@ -260,22 +249,16 @@ def derivative_blocks(
     coordinates) along the increment directions ``dirs`` (m, d, U) in its own
     ξ plus the step-start tangents ``dz0`` (B, z, U), or None for a fixed
     start.  ``basis`` U (m·d, r) maps them to Dψ = U·Dc; None is the identity
-    basis (Dc = Dψ).  The diagonal blocks take every ξ entry of each step with
-    a fixed start; the full derivative is one forward sweep along all N·m·d
-    entries that carries Dz_h into the next step.
+    basis (Dc = Dψ).  The derivative is one forward sweep along all N·m·d
+    entries that carries Dz_h into the next step, and the diagonal blocks are
+    read off it.
     """
     N, m, (B, _, d) = traj.grid.N, traj.grid.m, traj.x.shape
     md = m * d
-    diag = np.empty((B, N, md, md))
-    if not include_offdiag:
-        increments = np.eye(md).reshape(m, d, md)  # every ξ_j entry
-        for k in range(N):
-            Dc = tangents(k, increments, None)[0]
-            diag[:, k] = Dc if basis is None else basis @ Dc
-        return MalliavinBlocks(diag)
     s = N * md
     entries = np.eye(s).reshape(N, m, d, s)
     full = np.empty((B, s, s))
+    diag = np.empty((B, N, md, md))
     dz = None
     for k in range(N):
         Dc, dz = tangents(k, entries[k], dz)
@@ -410,7 +393,7 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
     buffers are allocated and faulted in once per rule, not once per step;
     a rule is made per call and serves one thread.
     """
-    if traj.schedule is None:
+    if traj.lambda1 is None:
         raise ValueError("trajectory carries no interpolation multipliers")
     grid, sched = traj.grid, traj.schedule
     kern = StepKernels.build(traj.gamma, grid.h, grid.m)
@@ -758,9 +741,10 @@ def trace_diagnostics_mlmc(
     All arrays are (B, N).  Traces are evaluated from the assembled matrices,
     not from closed forms, so they test the block structure itself, and
     their einsums read dense Hessians (``Potential.hessian``), whatever the
-    potential's factor form.  Step k's node Hessians and H⁺ are evaluated
-    inside the step loop, so one step's (B, m, d, d) Hessians exist at a
-    time, never the whole path's.
+    potential's factor form.  Step k's H⁺ and its Hessians at the r_k + 1
+    nodes 0..r_k that the traces and the trapezoid read are evaluated inside
+    the step loop, none when r_k = 0, so one step's (B, r_k + 1, d, d)
+    Hessians exist at a time, never the whole path's.
     """
     grid = traj.grid
     N, m, eta = grid.N, grid.m, grid.eta
@@ -780,7 +764,7 @@ def trace_diagnostics_mlmc(
         limit_b2[:, k] = 2.0 * tau**2 * np.einsum("bac,bca->b", Hp, Hp)
         if r == 0:
             continue
-        H_nodes = potential.hessian(traj.x[:, k * m : (k + 1) * m])
+        H_nodes = potential.hessian(traj.x[:, k * m : k * m + r + 1])  # nodes 0..r
         Hi = H_nodes[:, :r]  # (B, r, d, d)
         A = root2eta * np.einsum("ij,biac->biajc", lower[:r, :r], Hi).reshape(
             B, r * d, r * d
@@ -791,8 +775,7 @@ def trace_diagnostics_mlmc(
         tr_a2[:, k] = np.einsum("bij,bji->b", A, A)
         tr_ba[:, k] = np.einsum("bij,bji->b", Bmat, A)
         tr_b2[:, k] = np.einsum("bij,bji->b", Bmat, Bmat)
-        # trapezoid of f(t) = 2t·tr(∇²V(X⁺)∇²V(X_t)) on nodes 0..r
-        Ht = H_nodes[:, : r + 1]  # includes the node at τ itself
-        f = 2.0 * (eta * np.arange(r + 1)) * np.einsum("bac,bica->bi", Hp, Ht)
+        # trapezoid of f(t) = 2t·tr(∇²V(X⁺)∇²V(X_t)) on nodes 0..r, τ's included
+        f = 2.0 * (eta * np.arange(r + 1)) * np.einsum("bac,bica->bi", Hp, H_nodes)
         limit_ba[:, k] = np.trapezoid(f, dx=eta, axis=-1)
     return TraceDiagnostics(tr_a2, tr_ba, tr_b2, limit_ba, limit_b2)

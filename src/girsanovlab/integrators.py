@@ -140,36 +140,43 @@ def _check_finite(x: np.ndarray, step: int, when: str = "after") -> None:
 class OverdampedTrajectory:
     """Inner-grid overdamped trajectory with per-step midpoint states.
 
-    ``x`` has shape (B, N·m + 1, d); ``x_plus`` (B, N, d) holds X⁺_k.
+    ``x`` has shape (B, N·m + 1, d); ``x_plus`` (B, N, d) holds X⁺_k.  The
+    grid is the schedule's.
     """
 
-    grid: TimeGrid
     schedule: OverdampedSchedule
     x: np.ndarray
     x_plus: np.ndarray
 
+    @property
+    def grid(self) -> TimeGrid:
+        return self.schedule.grid
+
 
 @dataclass(frozen=True)
 class UnderdampedTrajectory:
-    """Inner-grid kinetic trajectory.
+    """Inner-grid kinetic trajectory; the grid is the schedule's.
 
     For the double-midpoint scheme, ``x_minus``/``x_plus`` hold the midpoint
     states and ``lambda1``/``lambda2`` the per-step multipliers of the
     interpolation (all (B, N, d)); ``iterations[k]`` counts fixed-point sweeps
-    of step k.  The frozen-gradient baseline has no midpoints or multipliers
-    (``schedule is None``, multipliers zero).
+    of step k.  The frozen-gradient baseline's schedule is its TimeGrid, and
+    it has no midpoints, multipliers or sweeps: those five fields are None.
     """
 
-    grid: TimeGrid
     gamma: float
-    schedule: UnderdampedSchedule | None
+    schedule: UnderdampedSchedule | TimeGrid
     x: np.ndarray
     p: np.ndarray
-    x_minus: np.ndarray | None
-    x_plus: np.ndarray | None
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    iterations: np.ndarray
+    x_minus: np.ndarray | None = None
+    x_plus: np.ndarray | None = None
+    lambda1: np.ndarray | None = None
+    lambda2: np.ndarray | None = None
+    iterations: np.ndarray | None = None
+
+    @property
+    def grid(self) -> TimeGrid:
+        return self.schedule.grid
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +501,7 @@ def simulate_mlmc(
         return (seg[:, 1:],), (x_plus,)
 
     (nodes,), (x_plus,) = _chain(grid, (x0,), xi, step)
-    return OverdampedTrajectory(grid=grid, schedule=schedule, x=nodes, x_plus=x_plus)
+    return OverdampedTrajectory(schedule=schedule, x=nodes, x_plus=x_plus)
 
 
 def _kinetic_setup(
@@ -532,19 +539,7 @@ def simulate_ulmc(
         return (xn[:, 1:], pn[:, 1:]), ()
 
     (xs, ps), _ = _chain(grid, (x0, p0), xi, step)
-    zeros = np.zeros((x0.shape[0], grid.N, potential.d))
-    return UnderdampedTrajectory(
-        grid=grid,
-        gamma=gamma,
-        schedule=None,
-        x=xs,
-        p=ps,
-        x_minus=None,
-        x_plus=None,
-        lambda1=zeros,
-        lambda2=np.zeros_like(zeros),
-        iterations=np.zeros(grid.N, dtype=int),
-    )
+    return UnderdampedTrajectory(gamma=gamma, schedule=grid, x=xs, p=ps)
 
 
 def simulate_dmulmc(
@@ -574,7 +569,6 @@ def simulate_dmulmc(
 
     (xs, ps), (x_minus, x_plus, lam1, lam2, iters) = _chain(grid, (x0, p0), xi, step)
     return UnderdampedTrajectory(
-        grid=grid,
         gamma=gamma,
         schedule=schedule,
         x=xs,

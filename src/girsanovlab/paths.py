@@ -138,10 +138,6 @@ class OverdampedSchedule:
             raise ValueError("midpoint indices must lie in [0, m-1]")
         object.__setattr__(self, "indices", idx)
 
-    @property
-    def taus(self) -> np.ndarray:
-        return self.grid.eta * self.indices
-
     @classmethod
     def deterministic(cls, grid: TimeGrid) -> "OverdampedSchedule":
         """τ = h/2 on every step, snapped to the inner grid."""
@@ -183,14 +179,6 @@ class UnderdampedSchedule:
             if np.any(idx < 0) or np.any(idx >= self.grid.m):
                 raise ValueError("midpoint indices must lie in [0, m-1]")
             object.__setattr__(self, name, idx)
-
-    @property
-    def taus_minus(self) -> np.ndarray:
-        return self.grid.eta * self.indices_minus
-
-    @property
-    def taus_plus(self) -> np.ndarray:
-        return self.grid.eta * self.indices_plus
 
     @classmethod
     def deterministic(cls, grid: TimeGrid) -> "UnderdampedSchedule":

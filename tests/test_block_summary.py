@@ -28,7 +28,6 @@ from girsanovlab.girsanov import (
     block_summary_dmulmc,
     block_summary_mlmc,
     block_summary_ulmc,
-    drift_dmulmc,
     drift_mlmc,
     drift_basis_dmulmc,
     drift_ulmc,
@@ -84,7 +83,7 @@ def _double_midpoint(schedule):
     xi, x0, p0 = _inputs(pot.d)
     traj = simulate_dmulmc(pot, schedule, 1.0, x0, p0, xi)
     blocks = SCHEMES["dmulmc"].blocks(pot, traj)
-    return xi, drift_dmulmc(traj), blocks, block_summary_dmulmc(pot, traj)
+    return xi, SCHEMES["dmulmc"].drift(pot, traj), blocks, block_summary_dmulmc(pot, traj)
 
 
 OVERDAMPED = {
@@ -378,3 +377,24 @@ def test_generic_summary_working_set_does_not_grow_with_steps(monkeypatch, summa
         monkeypatch.setattr(pot, "hessian", no_hessian)
         summary(pot, traj)
 
+
+
+def test_trace_diagnostics_evaluate_only_the_hessians_they_read():
+    # step k reads ∇²V at nodes 0..r_k and at X⁺_k, and no node Hessian when
+    # r_k = 0: on the band's edges, B·(N + (m − 1 + 1) + (m/2 + 1)) points
+    points = []
+
+    class Counting(PerturbedQuadratic):
+        def hessian(self, x, factor=False):
+            points.append(np.size(x) // self.d)
+            return super().hessian(x, factor)
+
+    pot = Counting((1.0, 1.5, 2.0), amplitude=0.1, frequency=1.0)
+    xi, x0, _ = _inputs(pot.d)
+    traj = simulate_mlmc(pot, EDGES, x0, xi)
+    diagnostics = trace_diagnostics_mlmc(pot, traj)
+    r = EDGES.indices
+    assert sum(points) == N_PATHS * (GRID.N + np.sum(np.where(r > 0, r + 1, 0)))
+    # the trapezoid still reaches the node at τ = r·η
+    np.testing.assert_array_equal(diagnostics.limit_ba[:, 0], 0.0)
+    assert np.all(diagnostics.limit_ba[:, 1:] != 0.0)

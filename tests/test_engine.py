@@ -4,6 +4,7 @@ the bytes of their noise, the start law is resolved once per run, the affine
 route never forms a dense block, a local-error window holds one replica's
 noise at a time, and malformed schedules, start laws and grids are refused."""
 
+import importlib
 import re
 import tracemalloc
 
@@ -314,6 +315,61 @@ def test_every_schedule_carries_its_grid(scheme, mode):
     step_grid = TimeGrid(GRID.h, 1, GRID.m)
     for key in s.step_keys(schedule):
         assert s.step_schedule(step_grid, key).grid == step_grid
+
+
+def _simulated(scheme, schedule, n_paths=3):
+    s = scheme_for(scheme)
+    zdim = 2 * PERTURBED.d if s.kinetic else PERTURBED.d
+    z0 = np.random.default_rng(4).normal(size=(n_paths, zdim))
+    xi = noise_matrix(4, n_paths, schedule.grid.n_cells, PERTURBED.d)
+    return s.simulate(PERTURBED, schedule, 1.0 if s.kinetic else None, z0, xi)
+
+
+@pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
+def test_trajectory_grid_is_its_schedules(scheme):
+    schedule = scheme_for(scheme).schedule(GRID, "randomized", 7, 0)
+    traj = _simulated(scheme, schedule)
+    assert traj.schedule is schedule
+    assert traj.grid == traj.schedule.grid == GRID
+
+
+def test_ulmc_trajectory_holds_its_grid_and_no_midpoints():
+    # the DM-only fields stay unset; the benchmark's sweep counter reads
+    # ``iterations is None`` as "no fixed point ran"
+    traj = _simulated("ulmc", GRID)
+    assert traj.schedule is GRID
+    for name in ("x_minus", "x_plus", "lambda1", "lambda2", "iterations"):
+        assert getattr(traj, name) is None, name
+    dm = _simulated("dmulmc", UnderdampedSchedule.deterministic(GRID))
+    assert dm.iterations.shape == (GRID.N,)
+
+
+def test_double_midpoint_drift_and_tangents_need_multipliers():
+    traj = _simulated("ulmc", GRID)
+    with pytest.raises(ValueError, match="multipliers"):
+        scheme_for("dmulmc").drift(PERTURBED, traj)
+    with pytest.raises(ValueError, match="multipliers"):
+        girsanov.tangents_dmulmc(PERTURBED, traj)
+
+
+@pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
+def test_drift_is_the_basis_times_the_drift_coordinates(scheme):
+    s = scheme_for(scheme)
+    traj = _simulated(scheme, s.schedule(GRID, "randomized", 7, 0))
+    U, _, c = s.drift_coordinates(PERTURBED, traj)
+    psi = c if U is None else c @ U.T
+    np.testing.assert_array_equal(s.drift(PERTURBED, traj),
+                                  psi.reshape(3, GRID.n_cells, PERTURBED.d))
+
+
+@pytest.mark.parametrize(
+    "module", ["girsanovlab", *(f"girsanovlab.{m}" for m in (
+        "affine", "config", "divergences", "engine", "experiments", "girsanov",
+        "integrators", "kernels", "paths", "potentials"))],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])

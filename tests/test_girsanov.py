@@ -11,7 +11,6 @@ from girsanovlab.girsanov import (
     MalliavinBlocks,
     block_summary_dense,
     carleman_fredholm_logdet,
-    drift_dmulmc,
     drift_mlmc,
     summary_log_weight,
     trace_diagnostics_mlmc,
@@ -51,7 +50,7 @@ def test_drift_zero_for_free_potential():
     np.testing.assert_array_equal(_energy(psi_over), 0.0)
 
     under = simulate_dmulmc(pot, UnderdampedSchedule.deterministic(grid), 1.0, x0, x0, xi)
-    psi_under = drift_dmulmc(under)
+    psi_under = SCHEMES["dmulmc"].drift(pot, under)
     np.testing.assert_array_equal(psi_under, 0.0)
     np.testing.assert_array_equal(_energy(psi_under), 0.0)
 
@@ -81,7 +80,7 @@ def test_drift_kinetic_multiplier_identity():
     xi = noise_matrix(2, 3, grid.n_cells, 2)
     rng = np.random.default_rng(5)
     traj = simulate_dmulmc(pot, sched, gamma, rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), xi)
-    psi = drift_dmulmc(traj)
+    psi = SCHEMES["dmulmc"].drift(pot, traj)
 
     eta, h, m = grid.eta, grid.h, grid.m
     lefts = eta * np.arange(m)
@@ -108,8 +107,8 @@ def test_double_midpoint_multipliers_match_independent_solve():
     x0, p0 = 1.0, 0.0
     traj = simulate_dmulmc(pot, sched, gamma, np.array([x0]), np.array([p0]), np.zeros((1, m, 1)))
 
-    tau_minus = float(sched.taus_minus[0])
-    tau_plus = float(sched.taus_plus[0])
+    tau_minus = grid.eta * sched.indices_minus[0]
+    tau_plus = grid.eta * sched.indices_plus[0]
     x_minus = x0 + e2(gamma, 0, tau_minus) * p0 - e3(gamma, 0, tau_minus) * x0
     x_plus = x0 + e2(gamma, 0, tau_plus) * p0 - e3(gamma, 0, tau_plus) * x0
 
@@ -148,7 +147,12 @@ def test_double_midpoint_multipliers_match_independent_solve():
 
 
 def _zero_blocks(B, N, m, d):
-    return MalliavinBlocks(np.zeros((B, N, m * d, m * d)))
+    return MalliavinBlocks(np.zeros((B, N, m * d, m * d)), np.zeros((B, N * m * d, N * m * d)))
+
+
+def _one_block(D):
+    """One path's one-step derivative D as blocks: the diagonal block is the whole."""
+    return MalliavinBlocks(D[None, None], D[None])
 
 
 def _skorohod(psi, blocks, xi):
@@ -226,7 +230,7 @@ def test_carleman_matches_second_order_expansion():
     D *= 0.1 / np.linalg.norm(D, ord=2)
     remainders = []
     for scale in (1.0, 0.5):
-        blocks = MalliavinBlocks((scale * D)[None, None])
+        blocks = _one_block(scale * D)
         value, _ = carleman_fredholm_logdet(block_summary_dense(blocks))
         second = -0.5 * np.trace((scale * D) @ (scale * D))
         remainders.append(abs(value[0] - second))
@@ -234,12 +238,12 @@ def test_carleman_matches_second_order_expansion():
 
 
 def test_carleman_flags_singular_and_negative_blocks():
-    singular = MalliavinBlocks(np.array([[[[-1.0]]]]))
+    singular = _one_block(np.array([[-1.0]]))
     value, negative = carleman_fredholm_logdet(block_summary_dense(singular))
     assert value[0] == -np.inf
     assert not negative[0]
 
-    flipped = MalliavinBlocks(np.array([[[[-2.0]]]]))
+    flipped = _one_block(np.array([[-2.0]]))
     value, negative = carleman_fredholm_logdet(block_summary_dense(flipped))
     # |det(I + D)| = 1 so log|det| = 0; the trace correction remains
     assert value[0] == pytest.approx(2.0)
@@ -247,7 +251,7 @@ def test_carleman_flags_singular_and_negative_blocks():
 
 
 def test_spectral_radius_known_value():
-    blocks = MalliavinBlocks(np.array([[[[0.5]]]]))
+    blocks = _one_block(np.array([[0.5]]))
     summary = block_summary_dense(blocks)
     assert summary.rho[0, 0] == 0.5
     assert summary.det2[0, 0] == pytest.approx(np.log(1.5) - 0.5, rel=1e-15)
@@ -273,7 +277,7 @@ def test_log_weight_zero_for_free_potential():
 
     kin = simulate_dmulmc(pot, UnderdampedSchedule.deterministic(grid), 1.0, x0, x0, xi)
     summary = block_summary_dense(SCHEMES["dmulmc"].blocks(pot, kin))
-    lw = summary_log_weight(drift_dmulmc(kin), summary, xi)
+    lw = summary_log_weight(SCHEMES["dmulmc"].drift(pot, kin), summary, xi)
     np.testing.assert_array_equal(lw.log_weight, 0.0)
     assert lw.invertible.all()
 
@@ -325,7 +329,7 @@ def test_trace_diagnostics_quadratic_closed_forms():
         xi = noise_matrix(9, 2, grid.n_cells, 1)
         traj = simulate_mlmc(pot, sched, np.zeros((2, 1)), xi)
         diag = trace_diagnostics_mlmc(pot, traj)
-        tau = float(sched.taus[0])
+        tau = grid.eta * sched.indices[0]
         r = m // 2
         np.testing.assert_array_equal(diag.tr_a2, 0.0)
         np.testing.assert_allclose(diag.tr_b2, 2.0 * tau**2, rtol=1e-12)
@@ -460,10 +464,7 @@ def test_dense_blocks_evaluate_no_drift(scheme):
     xi = noise_matrix(4, 3, grid.n_cells, pot.d)
     traj = s.simulate(pot, s.schedule(grid), gamma, np.full((3, zdim), 0.3), xi)
     hessian_only = _HessianOnly((1.0, 1.5), amplitude=0.1, frequency=1.0)
-    for include_offdiag in (False, True):
-        got = s.blocks(hessian_only, traj, include_offdiag)
-        want = s.blocks(pot, traj, include_offdiag)
-        np.testing.assert_array_equal(got.diag, want.diag)
+    np.testing.assert_array_equal(s.blocks(hessian_only, traj).full, s.blocks(pot, traj).full)
 
 
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
@@ -486,7 +487,7 @@ def test_dense_blocks_match_probed_step_maps(scheme):
     zdim = 2 * d if s.kinetic else d
     z0 = np.random.default_rng(8).normal(size=(2, zdim))
     traj = s.simulate(pot, schedule, gamma, z0, noise_matrix(8, 2, grid.n_cells, d))
-    full = s.blocks(pot, traj, include_offdiag=True).full
+    full = s.blocks(pot, traj).full
     maps = step_maps_for_schedule(scheme, pot, schedule, gamma)
 
     def dense(sm, coords):  # the dense drift map U·coords, U = I when None
@@ -546,8 +547,7 @@ def test_full_sweep_keeps_the_diagonal_blocks_and_zero_upper_blocks(scheme):
     gamma = 1.0 if s.kinetic else None
     z0 = np.random.default_rng(3).normal(size=(4, 2 * pot.d if s.kinetic else pot.d))
     traj = s.simulate(pot, s.schedule(grid), gamma, z0, noise_matrix(3, 4, grid.n_cells, pot.d))
-    blocks = s.blocks(pot, traj, include_offdiag=True)
-    np.testing.assert_allclose(blocks.diag, s.blocks(pot, traj).diag, rtol=0, atol=1e-15)
+    blocks = s.blocks(pot, traj)
     md = grid.m * pot.d
     for k in range(grid.N):
         rows = slice(k * md, (k + 1) * md)

@@ -276,7 +276,7 @@ def test_midpoint_overdamped_hand_values():
     pot = IsotropicQuadratic(1)
     grid = TimeGrid(0.2, 1, 2)
     sched = OverdampedSchedule.deterministic(grid)
-    assert sched.taus[0] == pytest.approx(0.1)
+    assert grid.eta * sched.indices[0] == pytest.approx(0.1)
     traj = simulate_mlmc(pot, sched, np.array([1.0]), np.zeros((1, 2, 1)))
     assert traj.x_plus[0, 0, 0] == pytest.approx(0.9, rel=1e-15)
     assert traj.x[0, 1, 0] == pytest.approx(0.91, rel=1e-15)
@@ -452,8 +452,8 @@ def test_double_midpoint_marginal_hand_values():
     pot = IsotropicQuadratic(1)
     grid = TimeGrid(0.3, 1, 6)
     sched = UnderdampedSchedule.deterministic(grid)
-    assert sched.taus_minus[0] == pytest.approx(0.1)
-    assert sched.taus_plus[0] == pytest.approx(0.15)
+    assert grid.eta * sched.indices_minus[0] == pytest.approx(0.1)
+    assert grid.eta * sched.indices_plus[0] == pytest.approx(0.15)
     xs, ps = simulate_dmulmc_marginal(
         pot, sched, 1.0, np.array([1.0]), np.array([0.0]), np.zeros((1, 6, 1))
     )

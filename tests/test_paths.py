@@ -242,7 +242,7 @@ def test_overdamped_schedule_snapping():
     grid = TimeGrid(1.0, 4, 8)
     sched = OverdampedSchedule.deterministic(grid)
     np.testing.assert_array_equal(sched.indices, 4)
-    np.testing.assert_allclose(sched.taus, grid.h / 2)
+    np.testing.assert_allclose(grid.eta * sched.indices, grid.h / 2)
     # snapped tau is within eta/2 of the request for a non-grid fraction
     odd = gp._snap_index(0.3, grid.m) * grid.eta
     assert abs(odd - 0.3 * grid.h) <= grid.eta / 2 + 1e-15
@@ -251,8 +251,8 @@ def test_overdamped_schedule_snapping():
 def test_underdamped_schedule_deterministic_thirds():
     grid = TimeGrid(0.9, 3, 6)
     sched = UnderdampedSchedule.deterministic(grid)
-    np.testing.assert_allclose(sched.taus_minus, grid.h / 3)
-    np.testing.assert_allclose(sched.taus_plus, grid.h / 2)
+    np.testing.assert_allclose(grid.eta * sched.indices_minus, grid.h / 3)
+    np.testing.assert_allclose(grid.eta * sched.indices_plus, grid.h / 2)
 
 
 def test_randomized_schedules_reproducible_and_in_range():
@@ -270,7 +270,7 @@ def test_schedule_refinement_keeps_physical_taus():
     grid = TimeGrid(1.0, 3, 4)
     sched = OverdampedSchedule.randomized(grid, seed=2, stream=5)
     fine = sched.refined()
-    np.testing.assert_allclose(fine.taus, sched.taus)
+    np.testing.assert_allclose(fine.grid.eta * fine.indices, grid.eta * sched.indices)
     ud = UnderdampedSchedule.randomized(grid, seed=2, stream=5).refined()
     assert ud.grid.m == 8
 
