@@ -29,7 +29,6 @@ from .divergences import (
     fit_loglog_slope,
     gaussian_kl,
     local_error_sweep,
-    stationary_moments,
 )
 from .engine import (
     SCHEMES,
@@ -79,6 +78,7 @@ from .potentials import (
     LogCoshProduct,
     PerturbedQuadratic,
     Potential,
+    stationary_moments,
 )
 
 __version__ = "0.1.0"

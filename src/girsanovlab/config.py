@@ -5,19 +5,23 @@ Config files are line-oriented UTF-8 ``key = value`` text grouped into
 are not supported (values may legitimately contain ``#``-free text only).
 Unknown sections or keys are errors, as are duplicate keys; duplicates are
 reported with both line numbers.  Step-size preconditions of the chosen
-scheme are checked at load time, before any simulation.
+scheme, and the target and scheme an experiment needs, are checked at load
+time, before any simulation.
 
 Sections and keys
 -----------------
 [experiment]  name (required), seed, n_paths, output
 [potential]   kind (required): gaussian | anisotropic-gaussian |
               perturbed-quadratic | logcosh; d; scale; spectrum;
-              amplitude; frequency; c
+              amplitude; frequency; c.  local-error-sweep and
+              complexity-table need a quadratic kind (gaussian or
+              anisotropic-gaussian)
 [grid]        T (required); exactly one of N or h (list); m (scalar or list
               parallel to h)
-[scheme]      name (required): EM-LD | M-LMC | ULMC | DM-ULMC;
-              gamma; schedule: deterministic | randomized | zero (M-LMC
-              and DM-ULMC only; rejected by local-error-sweep and
+[scheme]      name (required): EM-LD | M-LMC | ULMC | DM-ULMC
+              (adapted-equivalence takes EM-LD only, trace-diagnostics
+              M-LMC only); gamma; schedule: deterministic | randomized
+              (M-LMC and DM-ULMC only; rejected by local-error-sweep and
               complexity-table, which run each scheme's deterministic
               schedule); q (list)
 """
@@ -57,13 +61,16 @@ EXPERIMENTS = (
 #: canonical scheme ids keyed by the user-facing spellings: id or lower-case label
 SCHEME_NAMES = {key: name for name, s in SCHEMES.items() for key in (name, s.label.lower())}
 
-#: experiments that run each scheme's deterministic schedule, so reject the key
-FIXED_SCHEDULE_EXPERIMENTS = ("local-error-sweep", "complexity-table")
+#: experiments measured against an exact Gaussian reference of a quadratic
+#: target (the exact flow, or the stationary law), so they need a quadratic
+#: target; they run each scheme's deterministic schedule, so reject the
+#: schedule key, and form no DM-ULMC weight or path KL on the config's inner
+#: grid (the marginal update, and the complexity table's own m rule), so
+#: they take DM-ULMC at m = 1, where the interpolation's σ̂ is singular
+EXACT_REFERENCE_EXPERIMENTS = ("local-error-sweep", "complexity-table")
 
-#: experiments that form no DM-ULMC weight or path KL on the config's inner
-#: grid (the marginal update, and the complexity table's own m rule), so they
-#: take DM-ULMC at m = 1, where the interpolation's σ̂ is singular
-DM_ONE_CELL_EXPERIMENTS = ("local-error-sweep", "complexity-table")
+#: experiments defined for one scheme only: experiment name → scheme id
+EXPERIMENT_SCHEMES = {"adapted-equivalence": "em-ld", "trace-diagnostics": "mlmc"}
 
 _KNOWN_KEYS = {
     "experiment": {"name", "seed", "n_paths", "output"},
@@ -284,6 +291,12 @@ def load_config(text: str) -> ExperimentConfig:
     output = e.raw("experiment.output") if e.has("experiment.output") else None
 
     potential, potential_kind = _build_potential(e)
+    if experiment in EXACT_REFERENCE_EXPERIMENTS and not potential.is_quadratic:
+        raise ConfigError(
+            f"{e.where('potential.kind')}: the {experiment} experiment compares against an "
+            "exact Gaussian reference and needs a quadratic potential "
+            "(gaussian or anisotropic-gaussian)"
+        )
 
     T = _number(e.require("grid.T"), "grid.T")
     if not (np.isfinite(T) and T > 0):
@@ -330,13 +343,18 @@ def load_config(text: str) -> ExperimentConfig:
             f"{e.where('scheme.name')}: unknown scheme {scheme_label!r} "
             f"(known: {', '.join(s.label for s in SCHEMES.values())})"
         )
+    if EXPERIMENT_SCHEMES.get(experiment, scheme) != scheme:
+        raise ConfigError(
+            f"{e.where('scheme.name')}: the {experiment} experiment applies to the "
+            f"{SCHEMES[EXPERIMENT_SCHEMES[experiment]].label} scheme only"
+        )
     schedule_mode = e.raw("scheme.schedule") if e.has("scheme.schedule") else "deterministic"
     if schedule_mode not in SCHEDULE_MODES:
         raise ConfigError(
             f"{e.where('scheme.schedule')}: unknown schedule mode {schedule_mode!r} "
             f"(known: {', '.join(SCHEDULE_MODES)})"
         )
-    if e.has("scheme.schedule") and experiment in FIXED_SCHEDULE_EXPERIMENTS:
+    if e.has("scheme.schedule") and experiment in EXACT_REFERENCE_EXPERIMENTS:
         raise ConfigError(
             f"{e.where('scheme.schedule')}: the {experiment} experiment uses each "
             "scheme's deterministic schedule; remove the key"
@@ -346,7 +364,7 @@ def load_config(text: str) -> ExperimentConfig:
             f"{e.where('scheme.schedule')}: {SCHEMES[scheme].label} has no midpoint "
             "to schedule; remove the key"
         )
-    if scheme == "dmulmc" and experiment not in DM_ONE_CELL_EXPERIMENTS and min(m_list) < 2:
+    if scheme == "dmulmc" and experiment not in EXACT_REFERENCE_EXPERIMENTS and min(m_list) < 2:
         raise ConfigError(
             f"{e.where('grid.m')}: {SCHEMES[scheme].label} weights and path KLs need "
             f"m >= 2 inner cells, got m = {min(m_list)} (with one cell the "

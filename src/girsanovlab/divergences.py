@@ -9,8 +9,9 @@ Q the diffusion's, so
 and both are estimated from sampled log M values.  Paths flagged
 non-invertible are excluded and counted; estimates carrying more than 1%
 rejections are marked unreliable.  For quadratic targets the module also
-provides the exact stationary moments and the closed-form Gaussian KL used in
-data-processing cross-checks.
+provides the closed-form Gaussian KL used in data-processing cross-checks,
+beside the exact stationary moments of
+:func:`~girsanovlab.potentials.stationary_moments`, which it re-exports.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.special import logsumexp, stdtrit
 from .engine import map_windows, scheme_for, start_law
 from .girsanov import _log1p_minus_x
 from .paths import LABEL_PATH, LABEL_RESIDUAL
-from .potentials import Potential
+from .potentials import Potential, stationary_moments
 
 __all__ = [
     "DivergenceEstimate",
@@ -152,26 +153,6 @@ def gaussian_kl(
         raise ValueError("covariances must be symmetric positive definite: cov0 is not")
     shift = solve_triangular(chol1, mean1 - mean0, lower=True)
     return 0.5 * float(shift @ shift - np.sum(_log1p_minus_x(x)))
-
-
-def stationary_moments(
-    potential: Potential, kinetic: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of the target: N(0, H⁻¹), or N(0, diag(H⁻¹, I)) in phase space."""
-    if not potential.is_quadratic:
-        raise ValueError("Gaussian reference moments require a quadratic potential")
-    H = potential.hessian(np.zeros((1, potential.d)))[0]
-    w, Q = np.linalg.eigh(H)
-    if np.any(w <= 0):
-        raise ValueError("stationary law needs a strictly convex quadratic")
-    cov_x = (Q / w) @ Q.T
-    d = potential.d
-    if not kinetic:
-        return np.zeros(d), cov_x
-    cov = np.zeros((2 * d, 2 * d))
-    cov[:d, :d] = cov_x
-    cov[d:, d:] = np.eye(d)
-    return np.zeros(2 * d), cov
 
 
 @dataclass(frozen=True)

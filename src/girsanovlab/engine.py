@@ -14,9 +14,10 @@ and across runs with the same seed.
 Every path consumer draws start states from :func:`start_law`, resolved once
 per run: path p's start is row p of the seed's initialization stream, as its
 increments are row p of the path stream.  The default start law is the
-stationary law for
-quadratic targets, N(0, H⁻¹) or N(0, diag(H⁻¹, I)) in phase space, and
-otherwise x ~ N(0, I/α) with p ~ N(0, I).
+stationary law for quadratic targets,
+:func:`~girsanovlab.potentials.stationary_moments` of the constant Hessian H:
+N(0, H⁻¹), or N(0, diag(H⁻¹, I)) in phase space; otherwise it is
+x ~ N(0, I/α) with p ~ N(0, I).
 
 The scheme table :data:`SCHEMES` defines each discretization once — its
 schedules, simulation, horizon state, drift coordinates, step tangent rule,
@@ -60,7 +61,7 @@ from .paths import (
     UnderdampedSchedule,
     noise_matrix,
 )
-from .potentials import Potential
+from .potentials import Potential, stationary_moments
 
 __all__ = [
     "SCHEDULE_MODES", "SCHEMES", "Scheme", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS",
@@ -78,7 +79,7 @@ WINDOW_PATHS = 512
 WINDOW_BYTES = 4 * 2**20
 
 #: Midpoint schedule modes of ``Scheme.schedule``.
-SCHEDULE_MODES = ("deterministic", "randomized", "zero")
+SCHEDULE_MODES = ("deterministic", "randomized")
 
 
 class Scheme:
@@ -92,9 +93,12 @@ class Scheme:
     integrator and weight layers through this module's names at call time.
 
     * ``schedule(grid, mode, seed, stream)``: the schedule on ``grid`` for a
-      mode of ``SCHEDULE_MODES``, ValueError for another.  ``midpoint_choice``
-      is False when the scheme has one schedule whatever the mode.
-      ``as_schedule(schedule)`` reads a bare TimeGrid as ``schedule(grid)``.
+      mode of ``SCHEDULE_MODES``, ValueError for another.  A midpoint scheme
+      names its schedule class in ``schedule_type``, whose ``deterministic``
+      and ``randomized`` constructors the modes call; ``midpoint_choice`` is
+      False when the scheme has one schedule whatever the mode (EM-LD's
+      τ ≡ 0, ULMC's grid).  ``as_schedule(schedule)`` reads a bare TimeGrid
+      as ``schedule(grid)``.
     * ``simulate(potential, schedule, gamma, z0, xi)``: the trajectory
       from stacked start states z0 — x, or (x, p) for kinetic schemes —
       and ``endpoint(traj)``, its state at the horizon, shaped like z0.
@@ -133,6 +137,7 @@ class Scheme:
 
     name = label = bound_rule = ""
     kinetic = midpoint_choice = False
+    schedule_type = None
 
     def schedule(self, grid: TimeGrid, mode: str = "deterministic", seed: int = 0,
                  stream: int = 0):
@@ -141,7 +146,11 @@ class Scheme:
         return self._schedule(grid, mode, seed, stream)
 
     def _schedule(self, grid, mode, seed, stream):
-        return grid
+        if self.schedule_type is None:
+            return grid
+        if mode == "deterministic":
+            return self.schedule_type.deterministic(grid)
+        return self.schedule_type.randomized(grid, seed, stream)
 
     def as_schedule(self, schedule):
         return self.schedule(schedule) if isinstance(schedule, TimeGrid) else schedule
@@ -179,13 +188,7 @@ class Scheme:
 class _MidpointLMC(Scheme):
     name, label, bound_rule = "mlmc", "M-LMC", "1/(beta*q)"
     midpoint_choice = True
-
-    def _schedule(self, grid, mode, seed, stream):
-        if mode == "deterministic":
-            return OverdampedSchedule.deterministic(grid)
-        if mode == "zero":
-            return OverdampedSchedule.zero(grid)
-        return OverdampedSchedule.randomized(grid, seed, stream)
+    schedule_type = OverdampedSchedule
 
     def simulate(self, potential, schedule, gamma, z0, xi):
         return simulate_mlmc(potential, schedule, z0, xi)
@@ -261,14 +264,7 @@ class _FrozenGradientULMC(_Kinetic):
 class _DoubleMidpointULMC(_Kinetic):
     name, label, bound_rule = "dmulmc", "DM-ULMC", f"{DM_STEP_MARGIN:g}/sqrt(beta*q)"
     midpoint_choice = True
-
-    def _schedule(self, grid, mode, seed, stream):
-        if mode == "deterministic":
-            return UnderdampedSchedule.deterministic(grid)
-        if mode == "zero":
-            zeros = np.zeros(grid.N, dtype=int)
-            return UnderdampedSchedule(grid, zeros, zeros.copy())
-        return UnderdampedSchedule.randomized(grid, seed, stream)
+    schedule_type = UnderdampedSchedule
 
     def simulate(self, potential, schedule, gamma, z0, xi):
         d = potential.d
@@ -370,15 +366,13 @@ def start_law(potential: Potential, kinetic: bool, init=None):
     ``draw`` returns the start states of paths ``start .. start+n−1``, shape
     (n, d) or (n, 2d): path p's start is row p of the seed's initialization
     stream pushed through the law's Cholesky factor, so it depends on
-    (seed, p) alone.  The stationary law of a quadratic target costs a
-    Hessian, an ``eigh`` and a Cholesky factor, so windowed runs resolve it
-    once and draw every window's rows from it.
+    (seed, p) alone.  The stationary law of a quadratic target costs an
+    ``eigh`` of its constant Hessian and a Cholesky factor, so windowed runs
+    resolve it once and draw every window's rows from it.
     """
     d = potential.d
     zdim = 2 * d if kinetic else d
     if init is None and potential.is_quadratic:
-        from .divergences import stationary_moments  # divergences imports this module
-
         mean, cov = stationary_moments(potential, kinetic=kinetic)
     elif init is None:
         mean, cov = np.zeros(zdim), np.eye(zdim)

@@ -19,6 +19,9 @@ CSV schemas (version tag in the first ``#`` comment line):
 
 Not-applicable cells are left empty.
 
+A runner trusts its config: the target and the scheme an experiment needs
+are checked when the config loads (:mod:`girsanovlab.config`).
+
 ``_RUNNERS`` maps each experiment to its runner, CSV schema and columns:
 :func:`run_experiment` builds the one :class:`RunResult`, and the runner
 fills in its rows (each from ``_base_row``) and checks.  The local-error
@@ -48,12 +51,11 @@ from .divergences import (
     fit_loglog_slope,
     gaussian_kl,
     local_error_sweep,
-    stationary_moments,
 )
 from .engine import generic_log_weights, run_weights, scheme_for, start_states
 from .girsanov import summary_log_weight, trace_diagnostics_mlmc
 from .paths import NoisePath, TimeGrid, noise_matrix, refine_noise
-from .potentials import AnisotropicQuadratic, IsotropicQuadratic, Potential
+from .potentials import AnisotropicQuadratic, IsotropicQuadratic, Potential, stationary_moments
 
 __all__ = [
     "Check",
@@ -220,11 +222,6 @@ def _run_normalization(cfg: ExperimentConfig, threads: int, result: RunResult) -
 
 
 def _run_adapted_equivalence(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
-    if cfg.scheme != "em-ld":
-        raise ValueError(
-            "the adapted-equivalence experiment applies to the EM-LD scheme "
-            f"(got {cfg.scheme_label!r})"
-        )
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
@@ -484,11 +481,6 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int, result: RunResul
 
 
 def _run_trace_diagnostics(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
-    if cfg.scheme != "mlmc":
-        raise ValueError(
-            "trace diagnostics are defined for the overdamped midpoint scheme "
-            f"(got {cfg.scheme_label!r})"
-        )
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     d = potential.d
@@ -655,11 +647,6 @@ def _complexity_row(cfg: ExperimentConfig, scheme: str, eps: float,
 
 def _run_complexity_table(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
     potential = cfg.potential
-    if not potential.is_quadratic:
-        raise ValueError(
-            "the complexity table measures accuracy via gaussian_kl and "
-            "needs a quadratic potential"
-        )
     T = cfg.T
     m_cfg = cfg.m_list[0]
     q_max = max(cfg.q_list)

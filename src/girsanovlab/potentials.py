@@ -12,9 +12,11 @@ fills the dense batch from it, in one place.  Every other potential's factor
 is its dense Hessian.  The generic weight route multiplies by ∇²V through
 the factor, so a diagonal Hessian costs O(d) per product there, not O(d²).
 
-Potentials with a constant Hessian advertise it through ``constant_hessian``;
-the Monte Carlo engine uses that to hoist all Malliavin-derivative work out of
-the per-path loop.
+Potentials with a constant Hessian advertise it through ``constant_hessian``,
+and the base class broadcasts it over the batch axes of ``hessian``; the Monte
+Carlo engine uses it to hoist all Malliavin-derivative work out of the
+per-path loop, and :func:`stationary_moments` reads the target's Gaussian
+law, the default start law of every quadratic run, off it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 
 __all__ = [
     "diagonal_matrices",
+    "stationary_moments",
     "Potential",
     "IsotropicQuadratic",
     "AnisotropicQuadratic",
@@ -54,7 +57,8 @@ class Potential:
     Subclasses set ``d``, ``beta`` (a global upper bound on ‖∇²V‖_op),
     ``alpha`` (a lower bound on the Hessian spectrum) and implement the
     ``_value/_gradient`` hooks on pre-validated points, with either
-    ``_hessian`` (dense) or, for a separable V, ``_hessian_diagonal``.
+    ``_hessian`` (dense) or, for a separable V, ``_hessian_diagonal``; a
+    quadratic V sets ``constant_hessian`` and needs neither.
     """
 
     d: int
@@ -93,15 +97,15 @@ class Potential:
         raise NotImplementedError
 
     def _hessian(self, x: np.ndarray) -> np.ndarray:
-        """The dense batch, with the diagonal of ``_hessian_diagonal`` and exact zeros off it."""
+        """The dense batch: a read-only broadcast of ``constant_hessian`` when
+        there is one, else the diagonal of ``_hessian_diagonal`` with exact
+        zeros off it."""
+        if self.constant_hessian is not None:
+            return np.broadcast_to(self.constant_hessian, x.shape[:-1] + (self.d, self.d))
         return diagonal_matrices(self._hessian_diagonal(x))
 
     def _hessian_diagonal(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def _broadcast_hessian(self, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Read-only broadcast of a constant (d, d) Hessian over batch axes."""
-        return np.broadcast_to(h, x.shape[:-1] + (self.d, self.d))
 
 
 class IsotropicQuadratic(Potential):
@@ -128,9 +132,6 @@ class IsotropicQuadratic(Potential):
     def _gradient(self, x):
         return self.scale * x
 
-    def _hessian(self, x):
-        return self._broadcast_hessian(x, self.constant_hessian)
-
 
 class AnisotropicQuadratic(Potential):
     """V(x) = ½ xᵀ diag(spectrum) x with an arbitrary positive spectrum."""
@@ -152,9 +153,6 @@ class AnisotropicQuadratic(Potential):
 
     def _gradient(self, x):
         return self.spectrum * x
-
-    def _hessian(self, x):
-        return self._broadcast_hessian(x, self.constant_hessian)
 
 
 class PerturbedQuadratic(Potential):
@@ -233,3 +231,26 @@ class LogCoshProduct(Potential):
 
     def _hessian_diagonal(self, x):
         return 1.0 + self.c * (1.0 - np.tanh(x) ** 2)
+
+
+def stationary_moments(
+    potential: Potential, kinetic: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moments of the target: N(0, H⁻¹), or N(0, diag(H⁻¹, I)) in phase space.
+
+    H is the potential's ``constant_hessian``; a potential without one is a
+    ValueError, as is an H that is not positive definite.
+    """
+    if not potential.is_quadratic:
+        raise ValueError("Gaussian reference moments require a quadratic potential")
+    w, Q = np.linalg.eigh(potential.constant_hessian)
+    if np.any(w <= 0):
+        raise ValueError("stationary law needs a strictly convex quadratic")
+    cov_x = (Q / w) @ Q.T
+    d = potential.d
+    if not kinetic:
+        return np.zeros(d), cov_x
+    cov = np.zeros((2 * d, 2 * d))
+    cov[:d, :d] = cov_x
+    cov[d:, d:] = np.eye(d)
+    return np.zeros(2 * d), cov

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from girsanovlab.cli import main
 from girsanovlab.config import ConfigError, load_config
 from girsanovlab.engine import SCHEMES
 
@@ -58,6 +59,9 @@ def _with(base: str, old: str, new: str) -> str:
         (_with(BASE, "name = DM-ULMC", "name = RK4"), r"line 13 .*unknown scheme 'RK4'"),
         (_with(BASE, "schedule = deterministic", "schedule = midway"),
          r"line 15 .*unknown schedule mode 'midway'"),
+        # τ ≡ 0 is the EM-LD scheme, not a mode of M-LMC's or DM-ULMC's schedule
+        (_with(BASE, "schedule = deterministic", "schedule = zero"),
+         r"line 15 .*unknown schedule mode 'zero' \(known: deterministic, randomized\)"),
         (_with(BASE, "h = 1/8 1/16", "h = 1/2 1/16"),
          r"step size h = 0.5 violates h <= 0.5/sqrt\(beta\*q\) = 0.25 required for DM-ULMC"),
     ],
@@ -67,6 +71,7 @@ def _with(base: str, old: str, new: str) -> str:
         "malformed-fraction", "malformed-integer", "seed-negative", "seed-too-large",
         "both-N-and-h", "h-not-dividing-T",
         "m-count-mismatch", "gamma-on-overdamped", "unknown-scheme", "unknown-schedule",
+        "zero-schedule",
         "step-bound",
     ],
 )
@@ -89,6 +94,44 @@ def test_fixed_schedule_experiments_reject_the_schedule_key(experiment):
         load_config(text)
     cfg = load_config(_with(text, "schedule = deterministic\n", ""))
     assert cfg.experiment == experiment
+
+
+#: configs an experiment cannot run, refused at load time: the experiment,
+#: the BASE line it swaps, the refused line and what the message says
+REFUSED = {
+    "local-error-sweep-non-quadratic": (
+        "local-error-sweep", ("kind = anisotropic-gaussian", "kind = perturbed-quadratic"), 6,
+        "the local-error-sweep experiment compares against an exact Gaussian reference "
+        "and needs a quadratic potential"),
+    "complexity-table-non-quadratic": (
+        "complexity-table", ("kind = anisotropic-gaussian", "kind = perturbed-quadratic"), 6,
+        "the complexity-table experiment compares against an exact Gaussian reference "
+        "and needs a quadratic potential"),
+    "adapted-equivalence-mlmc": (
+        "adapted-equivalence", ("name = DM-ULMC", "name = M-LMC"), 13,
+        "the adapted-equivalence experiment applies to the EM-LD scheme only"),
+    "trace-diagnostics-em-ld": (
+        "trace-diagnostics", ("name = DM-ULMC", "name = EM-LD"), 13,
+        "the trace-diagnostics experiment applies to the M-LMC scheme only"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_experiment_preconditions_are_checked_at_load_time(tmp_path, capsys, case):
+    # a target or scheme the experiment cannot run is a ConfigError naming
+    # its line, so `girsanovlab run` exits 2 before any simulation, with no
+    # traceback from inside the run
+    experiment, (old, new), line, message = REFUSED[case]
+    text = _with(_with(BASE, "name = kl-order-sweep", f"name = {experiment}"), old, new)
+    with pytest.raises(ConfigError, match=rf"^line {line} \(.*\): {message}"):
+        load_config(text)
+    path = tmp_path / "refused.cfg"
+    path.write_text(text)
+    assert main(["run", str(path), "--output", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line} (") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,17 @@ def test_stationary_moments_quadratic():
         stationary_moments(IsotropicQuadratic(2, scale=0.0))
 
 
+def test_stationary_moments_live_beside_the_constant_hessian():
+    # one definition, in potentials; divergences re-exports the same function
+    import girsanovlab.divergences as divergences
+    import girsanovlab.potentials as potentials
+
+    assert divergences.stationary_moments is potentials.stationary_moments
+    assert "stationary_moments" in divergences.__all__
+    with pytest.raises(ValueError, match="require a quadratic potential"):
+        stationary_moments(PerturbedQuadratic((1.0, 2.0)))
+
+
 # ---------------------------------------------------------------------------
 # Log-log slope fitting
 # ---------------------------------------------------------------------------

@@ -265,27 +265,27 @@ def test_local_error_sweep_holds_one_replicas_noise_at_a_time():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("scheme, cell, gamma", [
-    ("mlmc", "ou_cell_ld", None),
-    ("dmulmc", "ou_cell_uld", 1.0),
-], ids=["mlmc", "dmulmc"])
+@pytest.mark.parametrize("scheme, gamma", [("mlmc", None), ("dmulmc", 1.0)],
+                         ids=["mlmc", "dmulmc"])
 def test_local_error_sweep_builds_the_reference_once_per_grid(
-    monkeypatch, scheme, cell, gamma, threads
+    monkeypatch, scheme, gamma, threads
 ):
     # three windows of two replicas each share one exact-flow map per grid,
-    # for the overdamped and the kinetic reference alike
+    # for the overdamped and the kinetic reference alike, from the one cell
+    # builder
     calls = []
-    build = getattr(integrators, cell)
+    build = integrators.ou_cell
 
     def counted(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(integrators, cell, counted)
+    monkeypatch.setattr(integrators, "ou_cell", counted)
     grids = [TimeGrid(h, 1, 4) for h in (0.25, 0.125)]
     local_error_sweep(scheme, IsotropicQuadratic(2), grids, gamma=gamma,
                       n_paths=2 * WINDOW_PATHS + 40, seed=3, threads=threads)
     assert len(calls) == len(grids)
+    assert all(args[1] == gamma for args in calls)
 
 
 def test_run_weights_needs_a_path():
@@ -295,13 +295,15 @@ def test_run_weights_needs_a_path():
 
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
 def test_schedule_rejects_an_unknown_mode(scheme):
-    # a misspelt mode is refused by every scheme, never read as randomized
-    with pytest.raises(ValueError, match=re.escape("deterministic | randomized | zero")):
-        scheme_for(scheme).schedule(GRID, "Deterministic")
+    # a misspelt mode is refused by every scheme, never read as randomized,
+    # and so is the removed zero mode: τ ≡ 0 is the EM-LD scheme
+    for mode in ("Deterministic", "zero"):
+        with pytest.raises(ValueError, match=re.escape("deterministic | randomized")):
+            scheme_for(scheme).schedule(GRID, mode)
     assert config.SCHEDULE_MODES is engine.SCHEDULE_MODES
 
 
-@pytest.mark.parametrize("mode", ["deterministic", "randomized", "zero"])
+@pytest.mark.parametrize("mode", ["deterministic", "randomized"])
 @pytest.mark.parametrize("scheme", ["em-ld", "mlmc", "ulmc", "dmulmc"])
 def test_every_schedule_carries_its_grid(scheme, mode):
     # a schedule is the one description of a run's time grid: it has the

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh
 
 from girsanovlab.integrators import (
     FIXED_POINT_MAX_ITERS,
@@ -15,8 +17,7 @@ from girsanovlab.integrators import (
     _col,
     _dm_midpoints,
     _node_noise,
-    ou_cell_ld,
-    ou_cell_uld,
+    ou_cell,
     ou_endpoint_map,
     simulate_dmulmc,
     simulate_dmulmc_marginal,
@@ -89,6 +90,22 @@ def ou_nodes(cell, z0, xi, residual):
         z = z @ Phi.T + xi[:, i] @ mean_coef.T + residual[:, i] @ resid_half.T
         nodes.append(z)
     return np.stack(nodes, axis=1)
+
+
+def ou_cell_closed_form(potential, eta):
+    """The overdamped cell (Φ, M, R) from per-eigenvalue closed forms.
+
+    In the eigenbasis U of H, with w = λη: Φ = e^{−w}, the ξ-coefficient
+    √2·s/√η and the residual root √(c − 2s²/η), where s = ∫₀^η e^{−λu}du
+    and c = 2∫₀^η e^{−2λu}du, each formed by expm1 and exact at λ = 0.
+    """
+    lam, U = eigh(potential.constant_hessian)
+    w = lam * eta
+    s = eta * np.where(w == 0.0, 1.0, -np.expm1(-w) / np.where(w == 0.0, 1.0, w))
+    cvar = eta * np.where(w == 0.0, 2.0, -np.expm1(-2 * w) / np.where(w == 0.0, 1.0, w))
+    mean_coef = np.sqrt(2.0) * s / np.sqrt(eta)
+    resid_sd = np.sqrt(np.clip(cvar - 2.0 * s**2 / eta, 0.0, None))
+    return tuple((U * v) @ U.T for v in (np.exp(-w), mean_coef, resid_sd))
 
 
 def test_brownian_partial_sums_oracle():
@@ -728,7 +745,7 @@ def test_exact_overdamped_flow_mean_decay():
 def test_exact_overdamped_flow_preserves_stationary_variance():
     # stationary law x ~ N(0, H^{-1}): Phi H^{-1} Phi' + M M' + R R' == H^{-1}
     pot = AnisotropicQuadratic((0.5, 2.0))
-    Phi, mean_coef, resid_half = ou_cell_ld(pot, 0.3)
+    Phi, mean_coef, resid_half = ou_cell(pot, None, 0.3)
     stat = np.diag([1.0 / 0.5, 1.0 / 2.0])
     out = Phi @ stat @ Phi.T + mean_coef @ mean_coef.T + resid_half @ resid_half.T
     np.testing.assert_allclose(out, stat, rtol=1e-12, atol=1e-15)
@@ -746,11 +763,40 @@ def test_exact_overdamped_flow_free_potential_is_brownian():
         np.testing.assert_allclose(end, expect[:, n], rtol=1e-12, atol=1e-13)
 
 
+@pytest.mark.parametrize("pot", [AnisotropicQuadratic((0.5, 1.0, 2.5)),
+                                 IsotropicQuadratic(2, scale=0.0)], ids=["anisotropic", "free"])
+@pytest.mark.parametrize("eta", [1 / 4096, 1 / 64, 0.3, 1.0])
+def test_overdamped_cell_matches_the_closed_forms(pot, eta):
+    # the block exponentials give the per-eigenvalue propagator and
+    # ξ-coefficient to 1e-14 relative, the free target's (Φ = I) included
+    cell, closed = ou_cell(pot, None, eta), ou_cell_closed_form(pot, eta)
+    for got, want in zip(cell[:2], closed[:2]):
+        assert got.shape == want.shape == (pot.d, pot.d)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("eta", [0.02, 0.1, 0.5, 2.0])
+def test_overdamped_residual_root_matches_a_40_digit_oracle(eta):
+    # √(c − 2s²/η) per eigenvalue, in 40 digits: the root cancels as λη → 0
+    # in any form, and holds to 1e-10 relative for λη ≥ 1e-2
+    spectrum = (0.5, 1.0, 2.5)
+    assert min(spectrum) * eta >= 1e-2
+    with mpmath.workdps(40):
+        oracle = []
+        for lam in spectrum:
+            lam, h = mpmath.mpf(lam), mpmath.mpf(eta)
+            s = -mpmath.expm1(-lam * h) / lam
+            c = -mpmath.expm1(-2 * lam * h) / lam
+            oracle.append(float(mpmath.sqrt(c - 2 * s**2 / h)))
+    resid_half = ou_cell(AnisotropicQuadratic(spectrum), None, eta)[2]
+    np.testing.assert_allclose(resid_half, np.diag(oracle), rtol=1e-10, atol=0)
+
+
 def test_exact_kinetic_cell_covariance_matches_quadrature():
     # full cell covariance = mean part + residual part = int_0^eta e^{Au} Q e^{A'u} du
     pot = IsotropicQuadratic(1, scale=0.7)
     gamma, eta = 1.3, 0.21
-    Phi, mean_coef, resid_half = ou_cell_uld(pot, gamma, eta)
+    Phi, mean_coef, resid_half = ou_cell(pot, gamma, eta)
     total = mean_coef @ mean_coef.T + resid_half @ resid_half.T
     A = np.array([[0.0, 1.0], [-0.7, -gamma]])
     Q = np.diag([0.0, 2.0 * gamma])
@@ -771,7 +817,7 @@ def test_exact_kinetic_flow_preserves_stationary_covariance():
     # stationary law: x ~ N(0, H^{-1}), p ~ N(0, I), independent
     pot = AnisotropicQuadratic((0.8, 1.7))
     gamma, eta = 0.9, 0.4
-    Phi, mean_coef, resid_half = ou_cell_uld(pot, gamma, eta)
+    Phi, mean_coef, resid_half = ou_cell(pot, gamma, eta)
     stat = np.zeros((4, 4))
     stat[:2, :2] = np.diag([1.0 / 0.8, 1.0 / 1.7])
     stat[2:, 2:] = np.eye(2)
@@ -783,7 +829,7 @@ def test_exact_kinetic_flow_deterministic_part():
     # no noise: z evolves by the propagator alone, at every prefix
     pot = IsotropicQuadratic(1)
     gamma, eta, n = 1.1, 0.1, 6
-    Phi, _, _ = ou_cell_uld(pot, gamma, eta)
+    Phi, _, _ = ou_cell(pot, gamma, eta)
     z = np.array([1.0, -0.5])
     for i in range(n + 1):
         end = ou_endpoint_map(pot, gamma, eta, i)(
@@ -803,10 +849,10 @@ def test_exact_ou_endpoints_match_cell_composition(n):
     xi = noise_matrix(21, B, n, d)
     residual = noise_matrix(21, B, n, 2 * d, label=LABEL_RESIDUAL)
     ld = ou_endpoint_map(pot, None, eta, n)(z0[:, :d], xi, residual[..., :d])
-    oracle_ld = ou_nodes(ou_cell_ld(pot, eta), z0[:, :d], xi, residual[..., :d])[:, -1]
+    oracle_ld = ou_nodes(ou_cell(pot, None, eta), z0[:, :d], xi, residual[..., :d])[:, -1]
     np.testing.assert_allclose(ld, oracle_ld, rtol=0, atol=1e-12)
     uld = ou_endpoint_map(pot, gamma, eta, n)(z0, xi, residual)
-    oracle_uld = ou_nodes(ou_cell_uld(pot, gamma, eta), z0, xi, residual)[:, -1]
+    oracle_uld = ou_nodes(ou_cell(pot, gamma, eta), z0, xi, residual)[:, -1]
     np.testing.assert_allclose(uld, oracle_uld, rtol=0, atol=1e-12)
 
 
@@ -819,7 +865,7 @@ def test_exact_kinetic_endpoint_broadcasts_one_start_row():
     residual = noise_matrix(8, B, n, 4, label=LABEL_RESIDUAL)
     end = ou_endpoint_map(pot, gamma, eta, n)(z0, xi, residual)
     assert end.shape == (B, 4)
-    oracle = ou_nodes(ou_cell_uld(pot, gamma, eta), np.tile(z0, (B, 1)), xi, residual)[:, -1]
+    oracle = ou_nodes(ou_cell(pot, gamma, eta), np.tile(z0, (B, 1)), xi, residual)[:, -1]
     np.testing.assert_allclose(end, oracle, rtol=0, atol=1e-12)
 
 

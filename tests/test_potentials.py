@@ -90,6 +90,19 @@ def test_hessian_constant_for_quadratics():
     np.testing.assert_array_equal(pot.constant_hessian, np.diag([0.5, 2.0]))
 
 
+@pytest.mark.parametrize("pot", [IsotropicQuadratic(2, scale=1.5),
+                                 AnisotropicQuadratic(np.array([0.5, 2.0]))],
+                         ids=["isotropic", "anisotropic"])
+def test_constant_hessian_is_broadcast_over_the_batch(pot):
+    # the base class broadcasts the one stored matrix, read-only, in both forms
+    x = np.zeros((3, 4, 2))
+    for factor in (False, True):
+        H = pot.hessian(x, factor=factor)
+        assert H.shape == (3, 4, 2, 2) and not H.flags.writeable
+        assert np.shares_memory(H, pot.constant_hessian)
+        np.testing.assert_array_equal(H, np.broadcast_to(pot.constant_hessian, H.shape))
+
+
 def test_hessian_product_potential_diagonal():
     pot = LogCoshProduct(3, c=2.0)
     H = pot.hessian(np.array([0.3, -0.7, 1.1]))
