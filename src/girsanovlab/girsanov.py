@@ -68,7 +68,11 @@ O(h²) terms rather than formed as log|det| − tr, two O(h) numbers:
   sign and ρ exactly, and tr D = tr(Wᵀ·U).  Wᵀ comes from the path's own
   step solver (:func:`~girsanovlab.integrators.solve_dmulmc_step` with
   grad = ∇²V·DX), run on the 2d columns of U instead of on all m·d noise
-  coordinates as the dense block is.
+  coordinates as the dense block is.  On a diagonal Hessian no coordinate
+  couples to another, so the core is d independent 2 × 2 cores: the solver
+  runs on 2 directions, each moving every coordinate along one kernel, and
+  each core's eigenvalues are taken in closed form instead of by
+  ``eigvals``.
 
 The overdamped and double-midpoint summaries and the tangent rules evaluate
 ∇²V one step at a time and in the potential's factor form
@@ -76,7 +80,10 @@ The overdamped and double-midpoint summaries and the tangent rules evaluate
 separable target, else the dense (B, m, d, d) batch.  Every product by ∇²V
 goes through :func:`_hessian_times`, elementwise for a diagonal (d-fold
 less work) and a matmul for a dense one, with the same bits.  So their
-working set is one step's factors whatever N is.  Both weight routes use these
+working set is one step's factors whatever N is.  The double-midpoint
+summary is the one place where the diagonal form also changes the
+arithmetic (its compact directions and closed-form cores): there the two
+forms agree to rounding, not bit for bit.  Both weight routes use these
 evaluators: the generic route per path, the affine route once per distinct
 step on a zero path.  The dense blocks serve the finite-difference check of
 criterion 3 (``fd-malliavin``), block dumps and the tests; their summary
@@ -218,7 +225,11 @@ def drift_basis_dmulmc(traj: UnderdampedTrajectory) -> tuple[np.ndarray, np.ndar
 
     U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d] on the left-endpoint kernels, so
     UᵀU = σ̂/(2γ) ⊗ I_d with σ̂ the kernels' discrete Gram coefficients;
-    ValueError for m = 1, where σ̂ is singular.
+    ValueError for m = 1, where σ̂ is singular.  That Kronecker form is why
+    the DM-ULMC core splits: column (a, i) of U moves coordinate i alone, so
+    on a target with a diagonal Hessian, whose tangents couple no
+    coordinates, Wᵀ·U is d independent 2 × 2 cores, one per coordinate
+    (:func:`block_summary_dmulmc`).
     """
     grid, d = traj.grid, traj.x.shape[2]
     kern = StepKernels.build(traj.gamma, grid.h, grid.m)
@@ -391,7 +402,10 @@ def tangents_dmulmc(potential: Potential, traj: UnderdampedTrajectory):
     ``_hessian_times(…, out=work.gradient_out(…))``: m·d·U products per
     path and sweep for a diagonal Hessian, m·d²·U for a dense one.  So the
     buffers are allocated and faulted in once per rule, not once per step;
-    a rule is made per call and serves one thread.
+    a rule is made per call and serves one thread.  U is the number of
+    directions: the block summary passes 2d (the columns of U) on a dense
+    Hessian and 2 on a diagonal one (:func:`_dmulmc_directions`), so there
+    the buffers are (B, m+1, d, 2), linear in d.
     """
     if traj.lambda1 is None:
         raise ValueError("trajectory carries no interpolation multipliers")
@@ -643,29 +657,79 @@ def block_summary_ulmc(potential: Potential, traj: UnderdampedTrajectory) -> Blo
     return BlockSummary(np.ones(shape), np.zeros(shape), np.zeros(shape), np.zeros(shape))
 
 
+def _dmulmc_directions(traj: UnderdampedTrajectory, diagonal: bool) -> np.ndarray:
+    """The noise directions of the DM-ULMC core, the columns of U.
+
+    All 2d of them, (m, d, 2d), for a dense Hessian.  For a diagonal one
+    the tangent system does not couple coordinates, so column (a, i) of U
+    moves only coordinate i, and one direction per kernel,
+    ``dirs[:, i, a] = √(η/(2γ))·e_a`` for every i, (m, d, 2), carries all d
+    of its columns at once: coordinate i of its tangent is column (a, i)'s.
+    """
+    m, d = traj.grid.m, traj.x.shape[2]
+    U = drift_basis_dmulmc(traj)[0].reshape(m, d, 2, d)
+    if not diagonal:
+        return U.reshape(m, d, 2 * d)
+    return np.ascontiguousarray(np.diagonal(U, axis1=1, axis2=3).swapaxes(1, 2))
+
+
+def _core_spectrum(WtU: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (B, 2d) and trace (B,) of one step's core Wᵀ·U.
+
+    A dense core (B, 2d, 2d) goes to ``eigvals``.  The compact tangents of a
+    diagonal Hessian (B, 2d, 2), row (a, i) and direction b, are d
+    independent 2 × 2 cores [[p, q], [r, s]], one per coordinate i, whose
+    eigenvalues are (p + s)/2 ± √(((p − s)/2)² + q·r): a real pair with
+    imaginary part exactly 0 when the discriminant is ≥ 0, else a conjugate
+    pair.  The discriminant is not formed as t² − det, which cancels at a
+    near-double eigenvalue.  The trace is the sum of the cores' p + s.
+    """
+    if not diagonal:
+        return np.linalg.eigvals(WtU), np.trace(WtU, axis1=-2, axis2=-1)
+    B, d = WtU.shape[0], WtU.shape[1] // 2
+    p, q, r, s = WtU[:, :d, 0], WtU[:, :d, 1], WtU[:, d:, 0], WtU[:, d:, 1]
+    half = 0.5 * (p + s)
+    disc = (0.5 * (p - s)) ** 2 + q * r
+    root = np.sqrt(np.abs(disc))
+    real = disc >= 0.0
+    plus_minus = np.array([[1.0], [-1.0]])
+    lam = np.empty((B, 2, d), dtype=complex)
+    lam.real = half[:, None] + plus_minus * np.where(real, root, 0.0)[:, None]
+    lam.imag = plus_minus * np.where(real, 0.0, root)[:, None]
+    return lam.reshape(B, 2 * d), (p + s).sum(axis=-1)
+
+
 def block_summary_dmulmc(potential: Potential, traj: UnderdampedTrajectory) -> BlockSummary:
     """Double-midpoint blocks D = U·Wᵀ summarised from their 2d × 2d core Wᵀ·U.
 
     U = √(η/(2γ))·[e₁ ⊗ I_d, e₂ ⊗ I_d] and Wᵀ = ∂(λ₁, λ₂)/∂ξ.  The derivative
-    fixed point runs on the 2d columns of U as noise directions, giving
+    fixed point runs on the columns of U as noise directions, giving
     Wᵀ·U, whose eigenvalues are the nonzero eigenvalues of D.  So
     det₂ = Σ log|1 + λ| − λ over them (:func:`_spectral_fields`), with the
-    sign of det(I + D), ρ(D) = max|λ| exactly, and tr D = tr(Wᵀ·U).  Steps are
+    sign of det(I + D), ρ(D) = max|λ| exactly, and tr D = tr(Wᵀ·U).
+
+    The core's form follows the Hessian's (:func:`_dmulmc_directions`,
+    :func:`_core_spectrum`).  A dense Hessian runs the fixed point on all 2d
+    columns, m·d²·2d products per path and sweep, and takes ``eigvals`` of
+    the (B, 2d, 2d) core, O(d³) per step.  A diagonal one couples no
+    coordinates, so Wᵀ·U is d independent 2 × 2 cores: the fixed point runs
+    on 2 directions, m·d·2 products per path and sweep, and each core's
+    eigenvalues come in closed form, O(d) per step.  Both forms feed their
+    2d eigenvalues to the one :func:`_spectral_fields`.  Steps are
     summarised one at a time, and :func:`tangents_dmulmc` evaluates each
     step's Hessian factors itself: the working set is one step's factors,
     (B, m, d) diagonal or (B, m, d, d) dense, and the fixed point's
-    (B, m+1, d, 2d) buffers, whatever N is.
+    (B, m+1, d, 2) or (B, m+1, d, 2d) buffers, whatever N is.
     One rule serves every step, so its buffers are made once per call.
     """
     tangents = tangents_dmulmc(potential, traj)
-    N, m = traj.grid.N, traj.grid.m
-    B, d = traj.x.shape[0], traj.x.shape[2]
-    dirs = drift_basis_dmulmc(traj)[0].reshape(m, d, 2 * d)  # the columns of U
+    diag = potential.diagonal_hessian
+    dirs = _dmulmc_directions(traj, diag)
+    B, N = traj.x.shape[0], traj.grid.N
     sign, det2, trace, rho = (np.empty((B, N)) for _ in range(4))
     for k in range(N):
-        WtU = tangents(k, dirs, None)[0]  # (B, 2d, 2d)
-        sign[:, k], det2[:, k], rho[:, k] = _spectral_fields(np.linalg.eigvals(WtU))
-        trace[:, k] = np.trace(WtU, axis1=-2, axis2=-1)
+        lam, trace[:, k] = _core_spectrum(tangents(k, dirs, None)[0], diag)
+        sign[:, k], det2[:, k], rho[:, k] = _spectral_fields(lam)
     return BlockSummary(sign, det2, trace, rho)
 
 

@@ -31,6 +31,8 @@ from girsanovlab.girsanov import (
     drift_mlmc,
     drift_basis_dmulmc,
     drift_ulmc,
+    _core_spectrum,
+    _dmulmc_directions,
     _mlmc_step_factors,
     _spectral_fields,
     summary_log_weight,
@@ -188,9 +190,10 @@ def test_mlmc_power_estimate_at_the_benchmark_shape():
         np.testing.assert_allclose(rho[:, k], oracle, rtol=0.0, atol=1e-12)
 
 
-def _dmulmc_fields(WtU: np.ndarray) -> tuple:
-    """(sign, det₂, tr, ρ) of one step's 2d × 2d cores, as the summary forms them."""
-    return (*_spectral_fields(np.linalg.eigvals(WtU)), np.trace(WtU, axis1=-2, axis2=-1))
+def _dmulmc_fields(WtU: np.ndarray, diagonal: bool) -> tuple:
+    """(sign, det₂, ρ, tr) of one step's cores, as the summary forms them."""
+    lam, trace = _core_spectrum(WtU, diagonal)
+    return (*_spectral_fields(lam), trace)
 
 
 def test_dmulmc_summary_workspace_carries_no_state():
@@ -204,10 +207,13 @@ def test_dmulmc_summary_workspace_carries_no_state():
     xi, x0, p0 = _inputs(pot.d)
     traj = simulate_dmulmc(pot, sched, 1.0, x0, p0, xi)
     first, second = block_summary_dmulmc(pot, traj), block_summary_dmulmc(pot, traj)
-    dirs = drift_basis_dmulmc(traj)[0].reshape(GRID.m, pot.d, 2 * pot.d)
+    # the target's Hessian is diagonal, so the summary reads the compact directions
+    assert pot.diagonal_hessian
+    dirs = _dmulmc_directions(traj, True)
+    assert dirs.shape == (GRID.m, pot.d, 2)
     for k in range(GRID.N):
         WtU = tangents_dmulmc(pot, traj)(k, dirs, None)[0]
-        fresh = _dmulmc_fields(WtU)
+        fresh = _dmulmc_fields(WtU, True)
         for name, want in zip(("sign", "det2", "rho", "trace"), fresh):
             np.testing.assert_array_equal(getattr(first, name)[:, k], want, err_msg=name)
     for name in ("sign", "det2", "trace", "rho"):
@@ -284,6 +290,24 @@ def test_dmulmc_det2_matches_a_40_digit_oracle():
     summary = block_summary_dmulmc(pot, traj)
     dirs = drift_basis_dmulmc(traj)[0].reshape(grid.m, 1, 2)
     core = tangents_dmulmc(pot, traj)(0, dirs, None)[0]  # Wᵀ·U, (B, 2, 2)
+    with mpmath.workdps(40):
+        for b in range(2):
+            exact = _mp_det2(core[b], mpmath.fsum(mpmath.mpf(x) for x in np.diag(core[b])))
+            assert abs(exact) > 1e-16
+            assert abs(mpmath.mpf(summary.det2[b, 0]) - exact) <= 1e-20
+
+
+def test_separable_dmulmc_det2_matches_a_40_digit_oracle():
+    # the same step on a diagonal Hessian, from a start where ∇²V varies: the
+    # summary's core is the closed-form 2 × 2 one, not eigvals
+    pot = PerturbedQuadratic((1.0,), amplitude=0.1, frequency=1.0)
+    assert pot.diagonal_hessian
+    grid = TimeGrid(1.0 / 1024, 1, 48)
+    xi = noise_matrix(3, 2, grid.n_cells, 1)
+    traj = simulate_dmulmc(pot, UnderdampedSchedule.deterministic(grid), 1.0,
+                           np.array([[0.7], [-1.3]]), np.zeros((2, 1)), xi)
+    summary = block_summary_dmulmc(pot, traj)
+    core = tangents_dmulmc(pot, traj)(0, _dmulmc_directions(traj, True), None)[0]  # (B, 2, 2)
     with mpmath.workdps(40):
         for b in range(2):
             exact = _mp_det2(core[b], mpmath.fsum(mpmath.mpf(x) for x in np.diag(core[b])))
@@ -377,6 +401,23 @@ def test_generic_summary_working_set_does_not_grow_with_steps(monkeypatch, summa
         monkeypatch.setattr(pot, "hessian", no_hessian)
         summary(pot, traj)
 
+
+
+def test_dmulmc_summary_working_set_is_linear_in_d_on_a_separable_target():
+    # a diagonal Hessian's fixed point runs on 2 directions, not 2d, so its
+    # buffers are (B, m+1, d, 2): 4× the dimension costs about 4× the memory,
+    # where 2d columns would cost about 16×
+    n_paths, N, m, h = 64, 2, 16, 0.25
+    grid = TimeGrid(N * h, N, m)
+    peaks = {}
+    for d in (8, 32):
+        pot = PerturbedQuadratic(np.linspace(1.0, 2.0, d), amplitude=0.1, frequency=1.0)
+        xi = noise_matrix(5, n_paths, grid.n_cells, d)
+        x0 = np.random.default_rng(2).normal(size=(n_paths, d))
+        traj = simulate_dmulmc(pot, UnderdampedSchedule.deterministic(grid), 1.0, x0,
+                               np.zeros_like(x0), xi)
+        peaks[d] = _traced_peak(lambda: block_summary_dmulmc(pot, traj))
+    assert peaks[32] <= 5 * peaks[8], peaks
 
 
 def test_trace_diagnostics_evaluate_only_the_hessians_they_read():
