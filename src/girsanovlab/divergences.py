@@ -16,15 +16,16 @@ beside the exact stationary moments of
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp, stdtrit
 
-from .engine import map_windows, scheme_for, start_law
+from .engine import map_windows, scheme_for, start_law, window_rows
 from .girsanov import _log1p_minus_x
-from .paths import LABEL_PATH, LABEL_RESIDUAL
+from .paths import BLOCK_PATHS, LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential, stationary_moments
 
 __all__ = [
@@ -260,25 +261,42 @@ def local_error_sweep(
     and so no step-size check of its own) and the reference's from the
     affine map of :func:`~girsanovlab.integrators.ou_endpoint_map` (the
     overdamped flow for EM-LD and M-LMC, the kinetic one for ULMC and
-    DM-ULMC), built once per grid before its windows run and shared by every
-    window and both replicas (tested).  Start states are drawn from the
-    default (stationary) law, resolved once per call by
+    DM-ULMC), built once per grid before the walk and shared by every batch
+    and both replicas (tested).  Start states are drawn from the default
+    (stationary) law, resolved once per call by
     :func:`~girsanovlab.engine.start_law` (tested).  Strong errors use
     replica 1 only; weak errors pair two replicas sharing the start state.
-    Deterministic midpoint schedules are used throughout, and paths are
-    processed in the windows of
-    :func:`~girsanovlab.engine.map_windows`, as in ``run_weights``, cut so
-    that one replica's m·(d + z) normals per path fit in
-    :data:`~girsanovlab.engine.WINDOW_BYTES`: with ``threads`` > 1 the
-    windows of a grid run on a thread pool, and since each window fills only
-    its own slice of the per-path errors, the report does not depend on
-    ``threads`` (tested).
+    Path p's replica 1 is row p of the ξ and residual streams, its replica 2
+    row n_paths + p.  Deterministic midpoint schedules are used throughout.
 
-    Working set per running window: one replica's noise (ξ and the
-    reference's residual, rows × m × (d + z) normals, at most
-    ``WINDOW_BYTES``), drawn, used and freed before the other replica draws,
-    plus the two replicas' (rows, z) defects (tested).  For DM-ULMC no
-    (m+1) × m kernel table is built (tested).
+    Each noise word is drawn once for all grids.  Row q of a grid reads words
+    [q·m·w, (q+1)·m·w) of its generation block's ξ (w = d) and residual
+    (w = z) streams, so every grid reads a prefix of what the finest grid
+    (largest m) reads (:mod:`~girsanovlab.paths`).  The sweep walks that
+    grid's 2·n_paths rows in the windows of
+    :func:`~girsanovlab.engine.map_windows`, cut by its m·(d + z) normals
+    per row.  Each window draws its chunk of ξ and residual once.  Every
+    batch of every grid whose first word lies in the chunk reads its noise
+    as a reshaped view of it.  A batch is one of the grid's own windows for
+    one replica, the rows a sweep of that grid alone evaluates together.  So
+    each grid runs on the same batches whatever the other grids are, and
+    the sweep returns, bit for bit, the errors of sweeping each grid alone
+    (tested).  A batch that runs past its chunk (n_paths not a multiple of
+    the windows, or m that do not nest) draws the rows the chunk lacks.
+    Each batch fills its own slice of the per-path errors, so with
+    ``threads`` > 1 the windows run on a thread pool and the report does not
+    depend on ``threads`` (tested).
+
+    Working set per running window: one chunk of noise (at most
+    ``WINDOW_BYTES``), freed before the next chunk is drawn, plus one
+    batch's temporaries.  Held across windows: the four (n_paths,) per-path
+    error columns of every grid, and each replica-1 batch's start states and
+    (rows, z) defects until its replica-2 partner arrives.  When n_paths is
+    a multiple of ``BLOCK_PATHS``, every grid's replica-2 rows lie n_paths
+    rows after their partners, and the walk visits window i, then its
+    partner window i + n_paths/rows, so it holds the defects of one window's
+    batches, not of n_paths rows (tested).  For DM-ULMC no (m+1) × m kernel
+    table is built (tested).
     """
     # looked up at call time, so wrappers installed on these modules see the calls
     from .integrators import ou_endpoint_map
@@ -294,46 +312,98 @@ def local_error_sweep(
             "the local-error sweep couples against the exact Gaussian flow "
             "and needs a quadratic potential"
         )
+    grids = list(grids)
+    if any(grid.N != 1 for grid in grids):
+        raise ValueError("local_error_sweep expects single-step grids (N = 1)")
     d = potential.d
     zdim = 2 * d if kinetic else d
-
     draw_starts = start_law(potential, kinetic)
-    grids = list(grids)
-    cols = {name: ([], []) for name in ERROR_COLUMNS}
-    for grid in grids:
-        if grid.N != 1:
-            raise ValueError("local_error_sweep expects single-step grids (N = 1)")
-        eta = grid.h / grid.m
-        schedule = s.schedule(grid)
-        reference = ou_endpoint_map(potential, gamma if kinetic else None, eta, grid.m)
-        per_path = {name: np.empty(n_paths) for name in ERROR_COLUMNS}
+    schedules = [s.schedule(grid) for grid in grids]
+    references = [
+        ou_endpoint_map(potential, gamma if kinetic else None, grid.h / grid.m, grid.m)
+        for grid in grids
+    ]
+    per_path = [{name: np.empty(n_paths) for name in ERROR_COLUMNS} for _ in grids]
 
-        def defect(z0: np.ndarray, off: int) -> np.ndarray:
-            """One replica's (rows, z) endpoint defect; its noise is freed on return."""
-            rows = z0.shape[0]
-            xi = noise_matrix(seed, rows, grid.m, d, label=LABEL_PATH, start=off)
-            resid = noise_matrix(seed, rows, grid.m, zdim, label=LABEL_RESIDUAL, start=off)
-            z_ref = reference(z0, xi, resid)
-            return s.advance(potential, schedule, gamma, z0, xi) - z_ref
+    # the walk's grid: the one with the most words per row
+    top = max((grid.m for grid in grids), default=1)
+    top_rows = window_rows(top * (d + zdim))
 
-        def eval_window(lo: int, hi: int) -> None:
-            z0 = draw_starts(seed, hi - lo, start=lo)
-            d1, d2 = defect(z0, lo), defect(z0, n_paths + lo)
+    def window_batches(lo: int, hi: int):
+        """(grid, first row, path lo, path hi) of each batch whose first word
+        lies in the walk's rows lo … hi−1; replica 1 before replica 2."""
+        block, row = divmod(lo, BLOCK_PATHS)
+        for g, grid in enumerate(grids):
+            rows = window_rows(grid.m * (d + zdim))
+            # the grid's rows of this block whose first cell lies in the chunk's cells
+            r_lo, r_hi = (block * BLOCK_PATHS + min(-(-c * top // grid.m), BLOCK_PATHS)
+                          for c in (row, row + hi - lo))
+            for rep in (0, n_paths):
+                skip = -(-max(r_lo - rep, 0) // rows) * rows
+                for p_lo in range(skip, min(r_hi - rep, n_paths), rows):
+                    yield g, rep + p_lo, p_lo, min(p_lo + rows, n_paths)
+
+    # with whole blocks per replica, every grid's replica-2 rows lie n_paths
+    # rows after their partners, so the walk visits window i, then window i + half
+    half = n_paths // top_rows if n_paths % BLOCK_PATHS == 0 else 0
+    held, lock = {}, threading.Lock()
+
+    def eval_batch(g, first, lo, hi, xi, resid):
+        key = (g, lo)
+        with lock:
+            partner = held.get(key)
+        z0 = draw_starts(seed, hi - lo, start=lo) if partner is None else partner[0]
+        dz = s.advance(potential, schedules[g], gamma, z0, xi) - references[g](z0, xi, resid)
+        out = per_path[g]
+        if first < n_paths:  # replica 1
             # x and p parts; p is empty for overdamped schemes, so its sums are 0
-            per_path["strong_x"][lo:hi] = np.sum(d1[:, :d] ** 2, axis=1)
-            per_path["strong_p"][lo:hi] = np.sum(d1[:, d:] ** 2, axis=1)
-            per_path["weak_x"][lo:hi] = np.sum(d1[:, :d] * d2[:, :d], axis=1)
-            per_path["weak_p"][lo:hi] = np.sum(d1[:, d:] * d2[:, d:], axis=1)
+            out["strong_x"][lo:hi] = np.sum(dz[:, :d] ** 2, axis=1)
+            out["strong_p"][lo:hi] = np.sum(dz[:, d:] ** 2, axis=1)
+        with lock:
+            partner = held.pop(key, None)
+            if partner is None:
+                held[key] = (z0, dz)
+        if partner is not None:
+            d1, d2 = (dz, partner[1]) if first < n_paths else (partner[1], dz)
+            out["weak_x"][lo:hi] = np.sum(d1[:, :d] * d2[:, :d], axis=1)
+            out["weak_p"][lo:hi] = np.sum(d1[:, d:] * d2[:, d:], axis=1)
 
-        map_windows(eval_window, n_paths, threads, grid.m * (d + zdim))
-        for name, arr in per_path.items():
-            cols[name][0].append(float(arr.mean()))
-            cols[name][1].append(float(arr.std(ddof=1) / np.sqrt(n_paths)))
+    def eval_window(v_lo: int, v_hi: int) -> None:
+        i = v_lo // top_rows
+        lo = (i // 2 + i % 2 * half) * top_rows if half else v_lo
+        todo = list(window_batches(lo, lo + v_hi - v_lo))
+        if not todo:
+            return
+        offset = lo % BLOCK_PATHS * top  # the chunk's first cell in its block
+        chunk = [
+            noise_matrix(seed, v_hi - v_lo, top, w, label=label, start=lo).ravel()
+            for w, label in ((d, LABEL_PATH), (zdim, LABEL_RESIDUAL))
+        ]
+        for g, first, p_lo, p_hi in todo:
+            m, rows = grids[g].m, p_hi - p_lo
+            start = first % BLOCK_PATHS * m - offset
+            inside = min(rows, ((v_hi - v_lo) * top - start) // m)
+            noise = []
+            for w, label, words in zip((d, zdim), (LABEL_PATH, LABEL_RESIDUAL), chunk):
+                part = words[start * w:(start + inside * m) * w].reshape(inside, m, w)
+                if inside < rows:  # the rows the chunk lacks
+                    part = np.concatenate([part, noise_matrix(
+                        seed, rows - inside, m, w, label=label, start=first + inside)])
+                noise.append(part)
+            eval_batch(g, first, p_lo, p_hi, *noise)
 
+    map_windows(eval_window, 2 * n_paths, threads, top * (d + zdim))
+    errors = {
+        name: (
+            np.asarray([float(c[name].mean()) for c in per_path]),
+            np.asarray([float(c[name].std(ddof=1) / np.sqrt(n_paths)) for c in per_path]),
+        )
+        for name in ERROR_COLUMNS
+    }
     return LocalErrorReport(
         scheme=scheme,
         h=np.asarray([grid.h for grid in grids]),
         m=np.asarray([grid.m for grid in grids], dtype=int),
-        errors={name: (np.asarray(v), np.asarray(se)) for name, (v, se) in cols.items()},
+        errors=errors,
         n_paths=n_paths,
     )

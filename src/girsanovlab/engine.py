@@ -11,6 +11,11 @@ per-window arithmetic, and the merge order are all functions of the path
 index and the grid alone, so estimates are bit-identical across thread counts
 and across runs with the same seed.
 
+The local-error sweep cuts its windows the same way, by the rows of its
+finest grid over both replicas: there a window is one chunk of noise words
+that every grid of the sweep reads, each through its own batches of rows
+(:func:`~girsanovlab.divergences.local_error_sweep`).
+
 Every path consumer draws start states from :func:`start_law`, resolved once
 per run: path p's start is row p of the seed's initialization stream, as its
 increments are row p of the path stream.  The default start law is the
@@ -69,7 +74,7 @@ __all__ = [
     "generic_log_weights",
 ]
 
-#: Most paths in one evaluation window of :func:`run_weights` and the
+#: Most rows in one evaluation window of :func:`run_weights` and the
 #: local-error sweep.  It divides ``BLOCK_PATHS``, so no window crosses a
 #: generation block; grids whose 512-row window holds more than
 #: ``WINDOW_BYTES`` of noise get fewer rows (:func:`window_rows`).
@@ -418,8 +423,11 @@ def map_windows(eval_window, n_paths: int, threads: int, values_per_path: int) -
 
     Windows have :func:`window_rows` (``values_per_path``) rows, the last one
     fewer; this is the one place that cuts them, for :func:`run_weights` and
-    the local-error sweep.  With ``threads`` > 1 the windows run on a thread
-    pool.
+    the local-error sweep.  For :func:`run_weights` a window is a batch of
+    paths.  For the sweep it is a chunk of its finest grid's rows over both
+    replicas, whose words every grid of the sweep reads (``n_paths`` is then
+    twice the sweep's paths).  With ``threads`` > 1 the windows run on a
+    thread pool.
     """
     rows = window_rows(values_per_path)
     starts = range(0, n_paths, rows)

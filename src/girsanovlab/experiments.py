@@ -28,7 +28,8 @@ fills in its rows (each from ``_base_row``) and checks.  The local-error
 runner fits each column of the
 :class:`~girsanovlab.divergences.LocalErrorReport` once with
 :func:`~girsanovlab.divergences.fit_loglog_slope`; a failed fit reads
-"no fit: <reason>", as in the KL order sweep.
+"no fit: <reason>", as in the KL order sweep, followed by each grid whose
+estimate is not positive, with its value and standard error.
 """
 
 from __future__ import annotations
@@ -453,8 +454,15 @@ def _run_local_error_sweep(cfg: ExperimentConfig, threads: int, result: RunResul
             fit = fit_loglog_slope(report.h, values)
         except ValueError as exc:
             if bound is not None:
+                # name the grids the log-log fit cannot take
+                bad = "; ".join(
+                    f"h={h:g} m={m}: {v:.3g} +/- {se:.2g}"
+                    for h, m, v, se in zip(report.h, report.m, values, se_vals)
+                    if not v > 0.0
+                )
                 result.checks.append(Check(
-                    f"{name} squared-error decay order", False, f"no fit: {exc}",
+                    f"{name} squared-error decay order", False,
+                    f"no fit: {exc}" + (f" (estimate <= 0 at {bad})" if bad else ""),
                 ))
             continue
         if bound is None:

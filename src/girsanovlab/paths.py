@@ -27,6 +27,13 @@ window's first word (Philox4x64 yields four words per counter step) and the
 at most three words before it are dropped.  Nothing is cached; a window costs
 its own rows plus at most three normals.
 
+Row q of a block read with n words per row (n = n_cells·d) is words
+[q·n, (q+1)·n) of that block's stream, so the rows of two reads with
+different n cover nested prefixes of the same words.  Row 1 of an m = 64
+grid is the second half of row 0 of an m = 128 grid, for the path and the
+residual streams alike.  The local-error sweep draws each word once for all
+its grids on this fact (:func:`~girsanovlab.divergences.local_error_sweep`).
+
 Refinement
 ----------
 ``refine_noise`` is the package's one bridge refinement.  It splits each

@@ -23,9 +23,9 @@ from girsanovlab.divergences import (
     local_error_sweep,
     stationary_moments,
 )
-from girsanovlab.engine import run_weights
+from girsanovlab.engine import WINDOW_PATHS, run_weights
 from girsanovlab.integrators import simulate_mlmc
-from girsanovlab.paths import OverdampedSchedule, TimeGrid, noise_matrix
+from girsanovlab.paths import BLOCK_PATHS, OverdampedSchedule, TimeGrid, noise_matrix
 from girsanovlab.potentials import AnisotropicQuadratic, IsotropicQuadratic, PerturbedQuadratic
 
 
@@ -297,6 +297,37 @@ def test_local_error_sweep_em_ld_is_one_euler_step():
     strong_x, strong_x_se = report.errors["strong_x"]
     assert abs(strong_x[0] - expected) <= 5.0 * strong_x_se[0]
     np.testing.assert_array_equal(report.errors["strong_p"][0], 0.0)
+
+
+# grids of criterion 8 (their windows hold 512, 512, 256 and 128 rows for
+# DM-ULMC at d = 2), grids whose words per row do not nest, and a path count
+# of whole generation blocks with coarse grids, whose rows end early in each
+# block of the walk
+SWEEP_CASES = {
+    "nested": ((64, 128, 256, 512), WINDOW_PATHS),
+    "nested-ragged": ((64, 128, 256, 512), WINDOW_PATHS + 40),
+    "non-nesting": ((3, 5, 8), 2 * WINDOW_PATHS + 40),
+    "paired-blocks": ((8, 2, 4), 2 * BLOCK_PATHS),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+@pytest.mark.parametrize("scheme, gamma", [("em-ld", None), ("dmulmc", 1.0)],
+                         ids=["em-ld", "dmulmc"])
+def test_local_error_sweep_equals_its_grids_swept_alone(scheme, gamma, case):
+    # one grid is the walk's degenerate case: each grid's batches do not
+    # depend on the other grids, so neither do its errors, to the bit
+    ms, n = SWEEP_CASES[case]
+    pot = AnisotropicQuadratic((0.5, 1.0))
+    grids = [TimeGrid(0.25 / 2**i, 1, m) for i, m in enumerate(ms)]
+    alone = [local_error_sweep(scheme, pot, [grid], gamma=gamma, n_paths=n, seed=3)
+             for grid in grids]
+    for threads in (1, 2):
+        report = local_error_sweep(scheme, pot, grids, gamma=gamma, n_paths=n, seed=3,
+                                   threads=threads)
+        for name, (values, se) in report.errors.items():
+            np.testing.assert_array_equal(values, [a.errors[name][0][0] for a in alone])
+            np.testing.assert_array_equal(se, [a.errors[name][1][0] for a in alone])
 
 
 def test_local_error_sweep_rejects_multistep_grids():

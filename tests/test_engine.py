@@ -1,11 +1,13 @@
 """Engine claims: the affine and generic routes agree, both are bit-identical
 across thread counts, paths are read one window at a time, windows are cut by
 the bytes of their noise, the start law is resolved once per run, the affine
-route never forms a dense block, a local-error window holds one replica's
-noise at a time, and malformed schedules, start laws and grids are refused."""
+route never forms a dense block, the local-error sweep draws each noise word
+once for all its grids and holds one chunk of it at a time, and malformed
+schedules, start laws and grids are refused."""
 
 import importlib
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -112,18 +114,29 @@ def test_weights_are_thread_invariant(scheme, pot):
     assert one.n_negative_det == two.n_negative_det
 
 
-def _record_rows(monkeypatch) -> list[int]:
-    """Rows of every generation-block read, recorded from here on."""
-    rows = []
+def _record_reads(monkeypatch) -> list[tuple[int, int, int]]:
+    """(label, first row, end row) of every generation-block read, from here on."""
+    reads = []
     original = gp.normal_block
 
-    def recording(*args, **kwargs):
-        out = original(*args, **kwargs)
-        rows.append(out.shape[0])
-        return out
+    def recording(seed, n_cells, d, block, *, start=0, n_rows=BLOCK_PATHS, level=0,
+                  label=gp.LABEL_PATH):
+        first = block * BLOCK_PATHS + start
+        reads.append((label, first, first + n_rows))
+        return original(seed, n_cells, d, block, start=start, n_rows=n_rows, level=level,
+                        label=label)
 
     monkeypatch.setattr(gp, "normal_block", recording)
-    return rows
+    return reads
+
+
+def _row_counts(reads, label: int, n_rows: int) -> np.ndarray:
+    """How often each of rows 0 … n_rows−1 of one stream was read."""
+    counts = np.zeros(n_rows, dtype=int)
+    for lab, lo, hi in reads:
+        if lab == label:
+            counts[lo:hi] += 1
+    return counts
 
 
 def test_windows_tile_the_generation_blocks():
@@ -132,21 +145,39 @@ def test_windows_tile_the_generation_blocks():
 
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
 def test_run_weights_reads_one_window_at_a_time(monkeypatch, pot):
-    rows = _record_rows(monkeypatch)
+    reads = _record_reads(monkeypatch)
     n = WINDOW_PATHS + 40
     run_weights("mlmc", pot, schedule=SCHEDULES["mlmc"][0], n_paths=n, seed=3)
+    rows = [hi - lo for _, lo, hi in reads]
     assert max(rows) <= WINDOW_PATHS
     assert sum(rows) == 2 * n  # increments and start states, every row seen
 
 
+NOISE_LABELS = (gp.LABEL_PATH, gp.LABEL_RESIDUAL)
+
+
 def test_local_error_sweep_reads_one_window_at_a_time(monkeypatch):
-    rows = _record_rows(monkeypatch)
-    n = WINDOW_PATHS + 40
+    # three grids with the same m share every noise word: their ξ and residual
+    # rows are drawn once, not once per grid; start states once per grid
+    reads = _record_reads(monkeypatch)
     grids = [TimeGrid(h, 1, 4) for h in (0.25, 0.125, 0.0625)]
-    local_error_sweep("dmulmc", IsotropicQuadratic(2), grids, gamma=1.0, n_paths=n, seed=3)
-    assert max(rows) <= WINDOW_PATHS
-    # per grid: start states, then increments and residuals of two replicas
-    assert sum(rows) == len(grids) * 5 * n
+    window = window_rows(4 * 3 * 2)
+    for n in (2 * WINDOW_PATHS, WINDOW_PATHS + 40):
+        reads.clear()
+        local_error_sweep("dmulmc", IsotropicQuadratic(2), grids, gamma=1.0, n_paths=n, seed=3)
+        assert max(hi - lo for _, lo, hi in reads) <= WINDOW_PATHS
+        assert np.all(_row_counts(reads, gp.LABEL_INIT, n) == len(grids))
+        for label in NOISE_LABELS:
+            counts = _row_counts(reads, label, 2 * n)
+            if n % window == 0:
+                assert np.all(counts == 1)
+                continue
+            # replica 2 starts inside a walk window: each grid's batch running
+            # past it draws the rows that window lacks, the next window's head
+            edge = (n // window + 1) * window
+            tail = n + window - edge
+            assert np.all(counts[:edge] == 1) and np.all(counts[edge + tail:] == 1)
+            assert np.all(counts[edge:edge + tail] == 1 + len(grids))
 
 
 @pytest.mark.parametrize("values", [1, 3, 1024, 1025, 3 * 512, 4096, 6 * 512, 8192,
@@ -181,25 +212,42 @@ def _window_rows_read(rows: int, n: int, reads: int) -> list[int]:
 
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
 def test_run_weights_reads_byte_cut_windows(monkeypatch, pot):
-    rows = _record_rows(monkeypatch)
+    reads = _record_reads(monkeypatch)
     window = window_rows(BYTE_CUT_GRID.n_cells * pot.d)
     assert window < WINDOW_PATHS
     n = 2 * window + 40
     run_weights("mlmc", pot, schedule=OverdampedSchedule.deterministic(BYTE_CUT_GRID),
                 n_paths=n, seed=3)
     # per window: increments, then start states; every row read once
-    assert rows == _window_rows_read(window, n, 2)
+    assert [hi - lo for _, lo, hi in reads] == _window_rows_read(window, n, 2)
 
 
 def test_local_error_sweep_reads_byte_cut_windows(monkeypatch):
-    rows = _record_rows(monkeypatch)
+    reads = _record_reads(monkeypatch)
     pot, m = IsotropicQuadratic(2), 2048  # m·d = 4096
     window = window_rows(m * (pot.d + 2 * pot.d))
     assert window < WINDOW_PATHS
-    n = 2 * window + 8
-    local_error_sweep("dmulmc", pot, [TimeGrid(1 / 32, 1, m)], gamma=1.0, n_paths=n, seed=3)
-    # per window: start states, then increments and residuals of two replicas
-    assert rows == _window_rows_read(window, n, 5)
+    for extra in (0, 8):
+        reads.clear()
+        n = 2 * window + extra
+        local_error_sweep("dmulmc", pot, [TimeGrid(1 / 32, 1, m)], gamma=1.0, n_paths=n,
+                          seed=3)
+        # one grid: every read is one of its byte-cut windows or less
+        assert max(hi - lo for _, lo, hi in reads) <= window
+        assert np.all(_row_counts(reads, gp.LABEL_INIT, n) == 1)
+        for label in NOISE_LABELS:
+            if extra == 0:
+                # the walk's windows are the grid's windows over both replicas
+                assert [(lo, hi) for lab, lo, hi in reads if lab == label] == [
+                    (lo, lo + window) for lo in range(0, 2 * n, window)]
+                continue
+            # replica 2's windows start `extra` rows into a walk window, so each
+            # runs `extra` rows past its walk window's end and draws those again
+            counts = _row_counts(reads, label, 2 * n)
+            assert np.all(counts >= 1) and np.all(counts <= 2)
+            assert set(np.flatnonzero(counts == 2)) == {
+                r for edge in range(window * (n // window + 1), 2 * n, window)
+                for r in range(edge, edge + extra)}
 
 
 def test_affine_run_weights_holds_one_window_of_noise():
@@ -234,6 +282,25 @@ def test_byte_cut_windows_are_thread_invariant():
         assert np.array_equal(se_1, se_2)
 
 
+def test_local_error_sweep_pairs_replicas_under_thread_contention():
+    # the walk visits each window beside its replica partner, so with more
+    # threads than cores partners run at once: replica 2 now and then
+    # arrives first, draws its own start states and is held for replica 1.
+    # A lost pairing would leave a weak column unwritten
+    pot, grids = IsotropicQuadratic(1), [TimeGrid(0.25, 1, 2), TimeGrid(0.125, 1, 4)]
+    kwargs = dict(gamma=1.0, n_paths=2 * BLOCK_PATHS, seed=9)
+    one = local_error_sweep("dmulmc", pot, grids, threads=1, **kwargs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = local_error_sweep("dmulmc", pot, grids, threads=4, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    for name, (values, se) in one.errors.items():
+        np.testing.assert_array_equal(many.errors[name][0], values)
+        np.testing.assert_array_equal(many.errors[name][1], se)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_dmulmc_local_error_sweep_builds_no_kernel_table(threads):
     # the marginal update reads four kernel rows, never the (m+1) × m tables
@@ -246,22 +313,41 @@ def test_dmulmc_local_error_sweep_builds_no_kernel_table(threads):
     assert "K1" not in vars(kern) and "K2" not in vars(kern)
 
 
-def test_local_error_sweep_holds_one_replicas_noise_at_a_time():
-    # criterion 8's finest grid: the peak is one window of one replica's ξ (d)
-    # and residual (2d), at most WINDOW_BYTES, not both replicas' noise, nor
-    # the kernel tables, nor a 512-row window's 12 MiB
+def _sweep_peak(grids, n_paths: int) -> int:
+    """tracemalloc peak of one DM-ULMC local-error sweep on criterion 8's target."""
     pot = AnisotropicQuadratic((0.5, 1.0))
-    rows, m = WINDOW_PATHS, 512
     local_error_sweep("dmulmc", pot, [TimeGrid(1 / 32, 1, 4)], gamma=1.0, n_paths=8,
                       seed=1)  # first calls load what they lazily import
     tracemalloc.start()
     try:
-        local_error_sweep("dmulmc", pot, [TimeGrid(1 / 32, 1, m)], gamma=1.0,
-                          n_paths=rows, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        local_error_sweep("dmulmc", pot, grids, gamma=1.0, n_paths=n_paths, seed=1)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * WINDOW_BYTES + 2**20
+
+
+def test_local_error_sweep_holds_one_replicas_noise_at_a_time():
+    # criterion 8's finest grid: the peak is one chunk of the walk, one
+    # window of ξ (d) and residual (2d), at most WINDOW_BYTES, not both
+    # replicas' noise, nor the kernel tables, nor a 512-row window's 12 MiB.
+    # Criterion 8's four nested grids read views of that one chunk, so they
+    # hold no more noise; their per-path columns and held defects are
+    # 0.2 MiB at 512 paths
+    bound = 1.25 * WINDOW_BYTES + 2**20
+    assert _sweep_peak([TimeGrid(1 / 32, 1, 512)], WINDOW_PATHS) <= bound
+    grids = [TimeGrid(0.25 / 2**i, 1, m) for i, m in enumerate((64, 128, 256, 512))]
+    assert _sweep_peak(grids, WINDOW_PATHS) <= bound
+
+
+def test_local_error_sweep_holds_one_window_pair_of_defects():
+    # with whole generation blocks per replica the walk visits each window
+    # beside its replica partner, so doubling the paths adds their four
+    # per-path columns (8 bytes each), not 2n rows of held start states and
+    # defects (2z values each)
+    grids = [TimeGrid(1 / 32, 1, 4)]
+    n = 2 * BLOCK_PATHS
+    growth = _sweep_peak(grids, 2 * n) - _sweep_peak(grids, n)
+    assert growth <= 4 * n * 8 + 2**16
 
 
 @pytest.mark.parametrize("threads", [1, 2])

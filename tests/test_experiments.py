@@ -1,5 +1,6 @@
 """Experiment internals that the acceptance criteria do not pin."""
 
+import numpy as np
 import pytest
 
 from girsanovlab.config import load_config
@@ -89,6 +90,29 @@ def test_dmulmc_local_error_sweep_runs_at_one_inner_cell():
     result = run_experiment(cfg)
     assert [row["m"] for row in result.rows] == [1, 1, 1]
     assert all(row["status"] == "ok" for row in result.rows)
+
+
+def test_local_error_no_fit_names_the_grids_it_cannot_take(monkeypatch):
+    # a weak-error estimate <= 0 admits no log-log fit; the failed check
+    # names each such grid with its value and SE, and still fails
+    from girsanovlab import experiments
+
+    sweep = experiments.local_error_sweep
+
+    def dipping(*args, **kwargs):
+        report = sweep(*args, **kwargs)
+        se = report.errors["weak_p"][1]
+        report.errors["weak_p"] = (np.array([1e-4, -2.5e-7, 1e-6]), se)
+        return report
+
+    monkeypatch.setattr(experiments, "local_error_sweep", dipping)
+    cfg = load_config(LOCAL_ERROR_CONFIG.format(n_paths=64, scheme="name = DM-ULMC\ngamma = 1.0"))
+    result = run_experiment(cfg)
+    (check,) = [c for c in result.checks if c.label.startswith("weak_p")]
+    se = result.rows[1]["weak_p_se"]
+    assert not check.passed and not result.passed
+    assert check.detail.startswith("no fit: log-log fit requires strictly positive x and y")
+    assert check.detail.endswith(f"(estimate <= 0 at h=0.125 m=8: -2.5e-07 +/- {se:.2g})")
 
 
 ADAPTED_CONFIG = """

@@ -22,6 +22,7 @@ from girsanovlab.paths import (
     LABEL_BRIDGE,
     LABEL_INIT,
     LABEL_PATH,
+    LABEL_RESIDUAL,
     normal_block,
 )
 
@@ -181,6 +182,20 @@ def test_noise_matrix_window_across_blocks(seed, label, level, n_cells, d, start
     )
     whole = np.concatenate([_whole_block(seed, label, level, b, n_cells, d) for b in (0, 1)])
     np.testing.assert_array_equal(window, whole[start : start + n_paths])
+
+
+@pytest.mark.parametrize("label, width", [(LABEL_PATH, 2), (LABEL_RESIDUAL, 4)],
+                         ids=["path", "residual"])
+def test_grids_read_nested_prefixes_of_one_stream(label, width):
+    # row q of a block is words [q·n, (q+1)·n) of its stream, whatever n:
+    # rows 2q and 2q+1 of an m = 64 grid are row q of an m = 128 grid,
+    # inside a block and in the next one
+    for start in (0, BLOCK_PATHS):
+        fine = noise_matrix(5, 8, 128, width, label=label, start=start)
+        coarse = noise_matrix(5, 16, 64, width, label=label, start=start)
+        np.testing.assert_array_equal(coarse.reshape(8, 128, width), fine)
+    assert noise_matrix(5, 1, 3, width, label=label, start=5)[0, 1, 0] == (
+        noise_matrix(5, 4, 5, width, label=label)[3, 1, 0])  # word 16·width of both
 
 
 def test_normal_block_rejects_rows_outside_the_block():
