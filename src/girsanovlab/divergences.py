@@ -25,7 +25,7 @@ from scipy.special import logsumexp, stdtrit
 
 from .engine import map_windows, scheme_for, start_law, window_rows
 from .girsanov import _log1p_minus_x
-from .paths import BLOCK_PATHS, LABEL_PATH, LABEL_RESIDUAL
+from .paths import BLOCK_PATHS, LABEL_PATH, LABEL_RESIDUAL, NoiseChunk
 from .potentials import Potential, stationary_moments
 
 __all__ = [
@@ -275,32 +275,35 @@ def local_error_sweep(
     (largest m) reads (:mod:`~girsanovlab.paths`).  The sweep walks that
     grid's 2·n_paths rows in the windows of
     :func:`~girsanovlab.engine.map_windows`, cut by its m·(d + z) normals
-    per row.  Each window draws its chunk of ξ and residual once.  Every
-    batch of every grid whose first word lies in the chunk reads its noise
-    as a reshaped view of it.  A batch is one of the grid's own windows for
-    one replica, the rows a sweep of that grid alone evaluates together.  So
-    each grid runs on the same batches whatever the other grids are, and
-    the sweep returns, bit for bit, the errors of sweeping each grid alone
-    (tested).  A batch that runs past its chunk (n_paths not a multiple of
-    the windows, or m that do not nest) draws the rows the chunk lacks.
+    per row.  Each window holds its ξ and residual words as two
+    :class:`~girsanovlab.paths.NoiseChunk`, drawn once.  Every batch of
+    every grid whose first word lies in the window reads its noise from
+    them: reshaped views of the words they hold, and the rows they lack
+    (n_paths not a multiple of the windows, m that do not nest) drawn
+    alone.  A batch is one of the grid's own windows for one replica, the
+    rows a sweep of that grid alone evaluates together.  So each grid runs
+    on the same batches whatever the other grids are, and the sweep
+    returns, bit for bit, the errors of sweeping each grid alone (tested).
     Each batch fills its own slice of the per-path errors, so with
-    ``threads`` > 1 the windows run on a thread pool and the report does not
-    depend on ``threads`` (tested).
+    ``threads`` > 1 the windows run on a thread pool and the report does
+    not depend on ``threads`` (tested).
 
     Working set per running window: one chunk of noise (at most
     ``WINDOW_BYTES``), freed before the next chunk is drawn, plus one
     batch's temporaries.  Held across windows: the four (n_paths,) per-path
     error columns of every grid, and each replica-1 batch's start states and
-    (rows, z) defects until its replica-2 partner arrives.  When n_paths is
-    a multiple of ``BLOCK_PATHS``, every grid's replica-2 rows lie n_paths
-    rows after their partners, and the walk visits window i, then its
-    partner window i + n_paths/rows, so it holds the defects of one window's
-    batches, not of n_paths rows (tested).  For DM-ULMC no (m+1) × m kernel
-    table is built (tested).
+    (rows, z) defects until its replica-2 partner arrives.  Partners lie
+    n_paths = k·``BLOCK_PATHS`` + r rows apart in every grid, so the walk
+    visits the windows of replica 1's k whole blocks in pairs: window i,
+    then the window k·``BLOCK_PATHS`` rows on, which serves each grid's
+    partners of the rows r rows before window i's.  A replica-1 batch waits
+    for at most its grid's next r rows and a window, so the walk holds the
+    defects of about a block's rows per grid at most, not of n_paths rows,
+    for any n_paths (tested); when r = 0, of one window's batches.  For
+    DM-ULMC no (m+1) × m kernel table is built (tested).
     """
-    # looked up at call time, so wrappers installed on these modules see the calls
+    # looked up at call time, so wrappers installed on the module see the calls
     from .integrators import ou_endpoint_map
-    from .paths import noise_matrix
 
     s = scheme_for(scheme)
     kinetic = s.kinetic
@@ -328,24 +331,12 @@ def local_error_sweep(
     # the walk's grid: the one with the most words per row
     top = max((grid.m for grid in grids), default=1)
     top_rows = window_rows(top * (d + zdim))
-
-    def window_batches(lo: int, hi: int):
-        """(grid, first row, path lo, path hi) of each batch whose first word
-        lies in the walk's rows lo … hi−1; replica 1 before replica 2."""
-        block, row = divmod(lo, BLOCK_PATHS)
-        for g, grid in enumerate(grids):
-            rows = window_rows(grid.m * (d + zdim))
-            # the grid's rows of this block whose first cell lies in the chunk's cells
-            r_lo, r_hi = (block * BLOCK_PATHS + min(-(-c * top // grid.m), BLOCK_PATHS)
-                          for c in (row, row + hi - lo))
-            for rep in (0, n_paths):
-                skip = -(-max(r_lo - rep, 0) // rows) * rows
-                for p_lo in range(skip, min(r_hi - rep, n_paths), rows):
-                    yield g, rep + p_lo, p_lo, min(p_lo + rows, n_paths)
-
-    # with whole blocks per replica, every grid's replica-2 rows lie n_paths
-    # rows after their partners, so the walk visits window i, then window i + half
-    half = n_paths // top_rows if n_paths % BLOCK_PATHS == 0 else 0
+    batch_rows = [window_rows(grid.m * (d + zdim)) for grid in grids]
+    # replica 1's whole blocks hold `pairs` windows; window i of them is
+    # visited beside window i + pairs, which serves every grid's replica-2
+    # rows n_paths % BLOCK_PATHS rows before its partners' (these partners
+    # themselves when that is 0), so the held defects stay within a block's rows
+    pairs = n_paths // BLOCK_PATHS * (BLOCK_PATHS // top_rows)
     held, lock = {}, threading.Lock()
 
     def eval_batch(g, first, lo, hi, xi, resid):
@@ -368,29 +359,23 @@ def local_error_sweep(
             out["weak_x"][lo:hi] = np.sum(d1[:, :d] * d2[:, :d], axis=1)
             out["weak_p"][lo:hi] = np.sum(d1[:, d:] * d2[:, d:], axis=1)
 
-    def eval_window(v_lo: int, v_hi: int) -> None:
-        i = v_lo // top_rows
-        lo = (i // 2 + i % 2 * half) * top_rows if half else v_lo
-        todo = list(window_batches(lo, lo + v_hi - v_lo))
-        if not todo:
-            return
-        offset = lo % BLOCK_PATHS * top  # the chunk's first cell in its block
-        chunk = [
-            noise_matrix(seed, v_hi - v_lo, top, w, label=label, start=lo).ravel()
-            for w, label in ((d, LABEL_PATH), (zdim, LABEL_RESIDUAL))
-        ]
-        for g, first, p_lo, p_hi in todo:
-            m, rows = grids[g].m, p_hi - p_lo
-            start = first % BLOCK_PATHS * m - offset
-            inside = min(rows, ((v_hi - v_lo) * top - start) // m)
-            noise = []
-            for w, label, words in zip((d, zdim), (LABEL_PATH, LABEL_RESIDUAL), chunk):
-                part = words[start * w:(start + inside * m) * w].reshape(inside, m, w)
-                if inside < rows:  # the rows the chunk lacks
-                    part = np.concatenate([part, noise_matrix(
-                        seed, rows - inside, m, w, label=label, start=first + inside)])
-                noise.append(part)
-            eval_batch(g, first, p_lo, p_hi, *noise)
+    def eval_window(lo: int, _hi: int) -> None:
+        i = lo // top_rows
+        if i < 2 * pairs:
+            lo = (i // 2 + i % 2 * pairs) * top_rows
+        n_rows = min(top_rows, 2 * n_paths - lo)
+        chunks = [NoiseChunk(seed, n_rows, top, w, start=lo, label=label)
+                  for w, label in ((d, LABEL_PATH), (zdim, LABEL_RESIDUAL))]
+        # each batch runs in the window that holds its first word: one of its
+        # grid's own windows for one replica, as a sweep of that grid alone cuts them
+        for g, grid in enumerate(grids):
+            firsts, rows = chunks[0].starts(grid.m), batch_rows[g]
+            for rep in (0, n_paths):
+                skip = -(-max(firsts.start - rep, 0) // rows) * rows
+                for p_lo in range(skip, min(firsts.stop - rep, n_paths), rows):
+                    p_hi = min(p_lo + rows, n_paths)
+                    xi, resid = (c.rows(rep + p_lo, p_hi - p_lo, grid.m) for c in chunks)
+                    eval_batch(g, rep + p_lo, p_lo, p_hi, xi, resid)
 
     map_windows(eval_window, 2 * n_paths, threads, top * (d + zdim))
     errors = {

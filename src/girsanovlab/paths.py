@@ -31,8 +31,10 @@ Row q of a block read with n words per row (n = n_cells·d) is words
 [q·n, (q+1)·n) of that block's stream, so the rows of two reads with
 different n cover nested prefixes of the same words.  Row 1 of an m = 64
 grid is the second half of row 0 of an m = 128 grid, for the path and the
-residual streams alike.  The local-error sweep draws each word once for all
-its grids on this fact (:func:`~girsanovlab.divergences.local_error_sweep`).
+residual streams alike.  :class:`NoiseChunk` holds one read's rows and
+lends them to reads with other cell counts, drawing only the words it
+lacks; the local-error sweep draws each word once for all its grids
+through it (:func:`~girsanovlab.divergences.local_error_sweep`).
 
 Refinement
 ----------
@@ -61,6 +63,7 @@ __all__ = [
     "NoisePath",
     "refine_noise",
     "normal_block",
+    "NoiseChunk",
 ]
 
 #: Paths per Philox generation block.  Fixed: part of the determinism contract.
@@ -299,6 +302,63 @@ def noise_matrix(
         ))
         start += n_rows
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class NoiseChunk:
+    """Rows ``start .. start+n_rows−1`` of a read with ``n_cells`` cells per row,
+    lent to reads with any other cell count m.
+
+    The rows lie in one generation block.  A cell is ``d`` words, and row q
+    of a read with m cells per row is cells [q·m, (q+1)·m) of its block, so
+    the chunk holds the words of every row of such a read that falls inside
+    its cells.  :meth:`starts` names the rows whose first cell it holds;
+    :meth:`rows` returns rows as reshaped views of the chunk and draws, as
+    :func:`noise_matrix` does, the rows or tail it lacks (past its last
+    cell, or in the next block).  The chunk is drawn once, when a row is
+    first read out of it, and lives as long as the object.
+    """
+
+    def __init__(self, seed: int, n_rows: int, n_cells: int, d: int, *, start: int,
+                 label: int = LABEL_PATH):
+        block, row = divmod(start, BLOCK_PATHS)
+        if not (0 <= start and 0 < n_rows and row + n_rows <= BLOCK_PATHS):
+            raise ValueError(f"rows {start}..{start + n_rows - 1} lie outside a block")
+        self.seed, self.d, self.label = seed, d, label
+        # the chunk is cells lo … hi−1 of its block
+        self.block, self.lo, self.hi = block, row * n_cells, (row + n_rows) * n_cells
+        self._draw = (n_rows, n_cells, start)
+        self._cells = None  # (hi − lo, d) once drawn
+
+    def starts(self, m: int) -> range:
+        """Rows of a read with m cells per row whose first cell the chunk holds."""
+        base = self.block * BLOCK_PATHS
+        first, stop = (base + min(-(-cell // m), BLOCK_PATHS) for cell in (self.lo, self.hi))
+        return range(first, stop)
+
+    def rows(self, start: int, n_rows: int, m: int) -> np.ndarray:
+        """Rows ``start .. start+n_rows−1`` of a read with m cells per row.
+
+        Equal to ``noise_matrix(seed, n_rows, m, d, label=label, start=start)``,
+        (n_rows, m, d), however the rows fall against the chunk.
+        """
+        block, row = divmod(start, BLOCK_PATHS)
+        cell = row * m - self.lo  # the first row's first cell, counted from the chunk's
+        inside = 0
+        if block == self.block and 0 <= cell:
+            inside = max(0, min(n_rows, BLOCK_PATHS - row, (self.hi - self.lo - cell) // m))
+        parts = []
+        if inside:
+            if self._cells is None:
+                n, n_cells, first = self._draw
+                self._cells = noise_matrix(
+                    self.seed, n, n_cells, self.d, label=self.label, start=first
+                ).reshape(-1, self.d)
+            parts.append(self._cells[cell:cell + inside * m].reshape(inside, m, self.d))
+        if inside < n_rows:
+            parts.append(noise_matrix(
+                self.seed, n_rows - inside, m, self.d, label=self.label, start=start + inside
+            ))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def refine_noise(path: NoisePath) -> NoisePath:

@@ -300,14 +300,18 @@ def test_local_error_sweep_em_ld_is_one_euler_step():
 
 
 # grids of criterion 8 (their windows hold 512, 512, 256 and 128 rows for
-# DM-ULMC at d = 2), grids whose words per row do not nest, and a path count
+# DM-ULMC at d = 2), grids whose words per row do not nest, a path count
 # of whole generation blocks with coarse grids, whose rows end early in each
-# block of the walk
+# block of the walk, and ragged path counts past a block whose replica-2
+# batches cross into the next block while the walk's chunk runs past the
+# coarse grid's last row of the block
 SWEEP_CASES = {
     "nested": ((64, 128, 256, 512), WINDOW_PATHS),
     "nested-ragged": ((64, 128, 256, 512), WINDOW_PATHS + 40),
     "non-nesting": ((3, 5, 8), 2 * WINDOW_PATHS + 40),
     "paired-blocks": ((8, 2, 4), 2 * BLOCK_PATHS),
+    "block-crossing": ((1, 64), 3000),
+    "block-crossing-non-nesting": ((2, 3), 3000),
 }
 
 

@@ -339,15 +339,19 @@ def test_local_error_sweep_holds_one_replicas_noise_at_a_time():
     assert _sweep_peak(grids, WINDOW_PATHS) <= bound
 
 
-def test_local_error_sweep_holds_one_window_pair_of_defects():
-    # with whole generation blocks per replica the walk visits each window
-    # beside its replica partner, so doubling the paths adds their four
-    # per-path columns (8 bytes each), not 2n rows of held start states and
-    # defects (2z values each)
-    grids = [TimeGrid(1 / 32, 1, 4)]
-    n = 2 * BLOCK_PATHS
+@pytest.mark.parametrize("n", [2 * BLOCK_PATHS, 2 * BLOCK_PATHS + 40],
+                         ids=["whole-blocks", "ragged"])
+def test_local_error_sweep_holds_a_window_pair_of_defects(n):
+    # the walk visits replica 1's windows beside the windows n // BLOCK_PATHS
+    # blocks on.  With whole blocks these hold every grid's replica-2
+    # partners; with 40 more rows, the rows 40 before them, so a replica-1
+    # batch waits a window pair or two, and replica 1's last 40 rows wait
+    # for the last block.  Either way doubling the paths adds their per-path
+    # columns (8 bytes each), not 2n rows of held start states and defects
+    # (2z values each)
+    grids = [TimeGrid(1 / 32, 1, 4), TimeGrid(1 / 64, 1, 2)]
     growth = _sweep_peak(grids, 2 * n) - _sweep_peak(grids, n)
-    assert growth <= 4 * n * 8 + 2**16
+    assert growth <= len(grids) * 4 * n * 8 + 2**16
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -23,6 +23,7 @@ from girsanovlab.paths import (
     LABEL_INIT,
     LABEL_PATH,
     LABEL_RESIDUAL,
+    NoiseChunk,
     normal_block,
 )
 
@@ -196,6 +197,60 @@ def test_grids_read_nested_prefixes_of_one_stream(label, width):
         np.testing.assert_array_equal(coarse.reshape(8, 128, width), fine)
     assert noise_matrix(5, 1, 3, width, label=label, start=5)[0, 1, 0] == (
         noise_matrix(5, 4, 5, width, label=label)[3, 1, 0])  # word 16·width of both
+
+
+# (first row, rows, cells per row) of a chunk: at a block's head, at its
+# end, one whose cells run past the last row of every narrower read in its
+# block (an m = 1 read ends at cell BLOCK_PATHS), and one in a later block
+CHUNKS = [(0, 16, 8), (BLOCK_PATHS - 32, 32, 8), (0, 80, 64), (BLOCK_PATHS + 64, 64, 5)]
+
+
+@pytest.mark.parametrize("label, width", [(LABEL_PATH, 2), (LABEL_RESIDUAL, 4)],
+                         ids=["path", "residual"])
+@pytest.mark.parametrize("first, n_rows, n_cells", CHUNKS)
+def test_noise_chunk_rows_are_the_stream_rows(label, width, first, n_rows, n_cells):
+    chunk = NoiseChunk(7, n_rows, n_cells, width, start=first, label=label)
+    block, row = divmod(first, BLOCK_PATHS)
+    lo, hi = row * n_cells, (row + n_rows) * n_cells
+    for m in (1, 2, 3, n_cells, 2 * n_cells + 1):  # narrower, not nesting, equal, wider
+        starts = chunk.starts(m)
+        base = block * BLOCK_PATHS
+        assert list(starts) == [base + q for q in range(BLOCK_PATHS) if lo <= q * m < hi]
+        # reads from before the chunk, from its first row, and across its
+        # last cell and the block's end
+        for start in {starts.start - 1, starts.start, starts.stop - 2, starts.stop - 1}:
+            for rows in (1, 3, len(starts) + 2):
+                if start >= 0:
+                    np.testing.assert_array_equal(
+                        chunk.rows(start, rows, m),
+                        noise_matrix(7, rows, m, width, label=label, start=start))
+
+
+def test_noise_chunk_draws_its_words_once(monkeypatch):
+    draws = []
+    original = gp.noise_matrix
+
+    def recording(seed, n_paths, n_cells, d, **kwargs):
+        draws.append((n_paths, n_cells, kwargs["start"]))
+        return original(seed, n_paths, n_cells, d, **kwargs)
+
+    monkeypatch.setattr(gp, "noise_matrix", recording)
+    chunk = NoiseChunk(7, 64, 8, 2, start=BLOCK_PATHS - 64)
+    assert not chunk.starts(2) and draws == []  # an m = 2 read ends at cell 2·BLOCK_PATHS
+    whole = chunk.rows(BLOCK_PATHS - 64, 64, 8)
+    wide = chunk.rows(BLOCK_PATHS // 2 - 32, 32, 16)  # the same cells, two rows in one
+    assert np.shares_memory(whole, wide) and draws == [(64, 8, BLOCK_PATHS - 64)]
+    # two rows in the chunk, the two it lacks from the next block
+    tail = chunk.rows(BLOCK_PATHS - 2, 4, 8)
+    assert draws[1:] == [(2, 8, BLOCK_PATHS)]
+    np.testing.assert_array_equal(tail, noise_matrix(7, 4, 8, 2, start=BLOCK_PATHS - 2))
+
+
+def test_noise_chunk_lies_in_one_block():
+    with pytest.raises(ValueError, match="outside a block"):
+        NoiseChunk(1, 2, 8, 1, start=BLOCK_PATHS - 1)
+    with pytest.raises(ValueError, match="outside a block"):
+        NoiseChunk(1, 0, 8, 1, start=0)
 
 
 def test_normal_block_rejects_rows_outside_the_block():
