@@ -38,6 +38,7 @@ from .engine import (
     run_weights,
     scheme_for,
     start_states,
+    sweep_weights,
 )
 from .experiments import Check, RunResult, run, run_experiment
 from .girsanov import (
@@ -143,6 +144,7 @@ __all__ = [
     "stationary_moments",
     "summary_log_weight",
     "step_maps_for_schedule",
+    "sweep_weights",
     "trace_diagnostics_mlmc",
     "trace_square_mlmc",
     "__version__",

@@ -23,9 +23,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import logsumexp, stdtrit
 
-from .engine import map_windows, scheme_for, start_law, window_rows
+from .engine import scheme_for, start_law, walk_grids
 from .girsanov import _log1p_minus_x
-from .paths import BLOCK_PATHS, LABEL_PATH, LABEL_RESIDUAL, NoiseChunk
+from .paths import BLOCK_PATHS, LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential, stationary_moments
 
 __all__ = [
@@ -269,35 +269,20 @@ def local_error_sweep(
     Path p's replica 1 is row p of the ξ and residual streams, its replica 2
     row n_paths + p.  Deterministic midpoint schedules are used throughout.
 
-    Each noise word is drawn once for all grids.  Row q of a grid reads words
-    [q·m·w, (q+1)·m·w) of its generation block's ξ (w = d) and residual
-    (w = z) streams, so every grid reads a prefix of what the finest grid
-    (largest m) reads (:mod:`~girsanovlab.paths`).  The sweep walks that
-    grid's 2·n_paths rows in the windows of
-    :func:`~girsanovlab.engine.map_windows`, cut by its m·(d + z) normals
-    per row.  Each window holds its ξ and residual words as two
-    :class:`~girsanovlab.paths.NoiseChunk`, drawn once.  Every batch of
-    every grid whose first word lies in the window reads its noise from
-    them: reshaped views of the words they hold, and the rows they lack
-    (n_paths not a multiple of the windows, m that do not nest) drawn
-    alone.  A batch is one of the grid's own windows for one replica, the
-    rows a sweep of that grid alone evaluates together.  So each grid runs
-    on the same batches whatever the other grids are, and the sweep
-    returns, bit for bit, the errors of sweeping each grid alone (tested).
-    Each batch fills its own slice of the per-path errors, so with
-    ``threads`` > 1 the windows run on a thread pool and the report does
-    not depend on ``threads`` (tested).
-
-    Working set per running window: one chunk of noise (at most
-    ``WINDOW_BYTES``), freed before the next chunk is drawn, plus one
-    batch's temporaries.  Held across windows: the four (n_paths,) per-path
-    error columns of every grid, and each replica-1 batch's start states and
+    The sweep runs on :func:`~girsanovlab.engine.walk_grids` with two
+    streams, ξ (d words per cell) and the residual (z words), over both
+    replicas, so each noise word is drawn once for all grids.  Each grid
+    runs on its own batches whatever the other grids are, so the sweep
+    returns, bit for bit, the errors of sweeping each grid alone, at any
+    ``threads`` (tested).  What the sweep adds to the walk is its replica
+    pairing.  Held across windows: the four (n_paths,) per-path error
+    columns of every grid, and each replica-1 batch's start states and
     (rows, z) defects until its replica-2 partner arrives.  Partners lie
-    n_paths = k·``BLOCK_PATHS`` + r rows apart in every grid, so the walk
+    n_paths = k·``BLOCK_PATHS`` + r rows apart in every grid, so the sweep
     visits the windows of replica 1's k whole blocks in pairs: window i,
     then the window k·``BLOCK_PATHS`` rows on, which serves each grid's
     partners of the rows r rows before window i's.  A replica-1 batch waits
-    for at most its grid's next r rows and a window, so the walk holds the
+    for at most its grid's next r rows and a window, so the sweep holds the
     defects of about a block's rows per grid at most, not of n_paths rows,
     for any n_paths (tested); when r = 0, of one window's batches.  For
     DM-ULMC no (m+1) × m kernel table is built (tested).
@@ -328,18 +313,19 @@ def local_error_sweep(
     ]
     per_path = [{name: np.empty(n_paths) for name in ERROR_COLUMNS} for _ in grids]
 
-    # the walk's grid: the one with the most words per row
-    top = max((grid.m for grid in grids), default=1)
-    top_rows = window_rows(top * (d + zdim))
-    batch_rows = [window_rows(grid.m * (d + zdim)) for grid in grids]
-    # replica 1's whole blocks hold `pairs` windows; window i of them is
-    # visited beside window i + pairs, which serves every grid's replica-2
-    # rows n_paths % BLOCK_PATHS rows before its partners' (these partners
-    # themselves when that is 0), so the held defects stay within a block's rows
-    pairs = n_paths // BLOCK_PATHS * (BLOCK_PATHS // top_rows)
+    # the walk's windows of replica 1's whole blocks come in `pairs`; window
+    # i of them is visited beside window i + pairs, which serves every grid's
+    # replica-2 rows n_paths % BLOCK_PATHS rows before its partners' (these
+    # partners themselves when that is 0), so the held defects stay within a
+    # block's rows
+    def visit(i: int, rows: int) -> int:
+        pairs = n_paths // BLOCK_PATHS * (BLOCK_PATHS // rows)
+        return i // 2 + i % 2 * pairs if i < 2 * pairs else i
+
     held, lock = {}, threading.Lock()
 
-    def eval_batch(g, first, lo, hi, xi, resid):
+    def eval_batch(g, first, lo, hi, noise):
+        xi, resid = noise
         key = (g, lo)
         with lock:
             partner = held.get(key)
@@ -359,25 +345,8 @@ def local_error_sweep(
             out["weak_x"][lo:hi] = np.sum(d1[:, :d] * d2[:, :d], axis=1)
             out["weak_p"][lo:hi] = np.sum(d1[:, d:] * d2[:, d:], axis=1)
 
-    def eval_window(lo: int, _hi: int) -> None:
-        i = lo // top_rows
-        if i < 2 * pairs:
-            lo = (i // 2 + i % 2 * pairs) * top_rows
-        n_rows = min(top_rows, 2 * n_paths - lo)
-        chunks = [NoiseChunk(seed, n_rows, top, w, start=lo, label=label)
-                  for w, label in ((d, LABEL_PATH), (zdim, LABEL_RESIDUAL))]
-        # each batch runs in the window that holds its first word: one of its
-        # grid's own windows for one replica, as a sweep of that grid alone cuts them
-        for g, grid in enumerate(grids):
-            firsts, rows = chunks[0].starts(grid.m), batch_rows[g]
-            for rep in (0, n_paths):
-                skip = -(-max(firsts.start - rep, 0) // rows) * rows
-                for p_lo in range(skip, min(firsts.stop - rep, n_paths), rows):
-                    p_hi = min(p_lo + rows, n_paths)
-                    xi, resid = (c.rows(rep + p_lo, p_hi - p_lo, grid.m) for c in chunks)
-                    eval_batch(g, rep + p_lo, p_lo, p_hi, xi, resid)
-
-    map_windows(eval_window, 2 * n_paths, threads, top * (d + zdim))
+    walk_grids(eval_batch, seed, [grid.m for grid in grids], n_paths, threads,
+               ((d, LABEL_PATH), (zdim, LABEL_RESIDUAL)), replicas=2, visit=visit)
     errors = {
         name: (
             np.asarray([float(c[name].mean()) for c in per_path]),

@@ -3,18 +3,19 @@
 Work is partitioned by path index into windows of :func:`window_rows` paths:
 the largest power of two, at most ``WINDOW_PATHS``, whose noise fits in
 ``WINDOW_BYTES``.  So windows tile the RNG's generation blocks, and a
-window's noise does not grow with the grid.  Each window reads its own
-increments and start states and is evaluated independently — affine fast
-path for constant-Hessian targets, generic per-path assembly otherwise — and
-the windows' weights are merged in path order.  The partition, the
-per-window arithmetic, and the merge order are all functions of the path
-index and the grid alone, so estimates are bit-identical across thread counts
-and across runs with the same seed.
-
-The local-error sweep cuts its windows the same way, by the rows of its
-finest grid over both replicas: there a window is one chunk of noise words
-that every grid of the sweep reads, each through its own batches of rows
-(:func:`~girsanovlab.divergences.local_error_sweep`).
+window's noise does not grow with the grid.  One noise walk,
+:func:`walk_grids`, serves every path consumer: :func:`run_weights` (one
+grid), :func:`sweep_weights` (the KL-order sweep's grids) and the local-error
+sweep (its grids over two replicas,
+:func:`~girsanovlab.divergences.local_error_sweep`).  It walks the windows
+of the grid with the most cells, each one chunk of noise words that every
+grid reads, and hands each grid its own windows' batches of paths.  The
+weight runs evaluate a batch on the affine fast path for constant-Hessian
+targets and by generic per-path assembly otherwise, and every caller writes
+a batch's results into per-path columns.  The batches, the per-batch
+arithmetic and the merge order are all functions of the path index and the
+grid alone, so estimates are bit-identical across thread counts, across runs
+with the same seed, and whatever other grids share the walk.
 
 Every path consumer draws start states from :func:`start_law`, resolved once
 per run: path p's start is row p of the seed's initialization stream, as its
@@ -61,6 +62,8 @@ from .integrators import (
 )
 from .paths import (
     LABEL_INIT,
+    LABEL_PATH,
+    NoiseChunk,
     OverdampedSchedule,
     TimeGrid,
     UnderdampedSchedule,
@@ -70,13 +73,13 @@ from .potentials import Potential, stationary_moments
 
 __all__ = [
     "SCHEDULE_MODES", "SCHEMES", "Scheme", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS",
-    "scheme_for", "start_law", "start_states", "window_rows", "map_windows", "run_weights",
-    "generic_log_weights",
+    "scheme_for", "start_law", "start_states", "window_rows", "map_windows", "walk_grids",
+    "sweep_weights", "run_weights", "generic_log_weights",
 ]
 
-#: Most rows in one evaluation window of :func:`run_weights` and the
-#: local-error sweep.  It divides ``BLOCK_PATHS``, so no window crosses a
-#: generation block; grids whose 512-row window holds more than
+#: Most rows in one window of the noise walk :func:`walk_grids`, whichever
+#: of its three callers drives it.  It divides ``BLOCK_PATHS``, so no window
+#: crosses a generation block; grids whose 512-row window holds more than
 #: ``WINDOW_BYTES`` of noise get fewer rows (:func:`window_rows`).
 WINDOW_PATHS = 512
 
@@ -422,11 +425,9 @@ def map_windows(eval_window, n_paths: int, threads: int, values_per_path: int) -
     """eval_window(lo, hi) over the windows of paths 0 … n_paths−1, in window order.
 
     Windows have :func:`window_rows` (``values_per_path``) rows, the last one
-    fewer; this is the one place that cuts them, for :func:`run_weights` and
-    the local-error sweep.  For :func:`run_weights` a window is a batch of
-    paths.  For the sweep it is a chunk of its finest grid's rows over both
-    replicas, whose words every grid of the sweep reads (``n_paths`` is then
-    twice the sweep's paths).  With ``threads`` > 1 the windows run on a
+    fewer; this is the one place that cuts them.  Its one caller is
+    :func:`walk_grids`, where a window is a chunk of the finest grid's rows
+    whose words every grid reads.  With ``threads`` > 1 the windows run on a
     thread pool.
     """
     rows = window_rows(values_per_path)
@@ -436,6 +437,124 @@ def map_windows(eval_window, n_paths: int, threads: int, values_per_path: int) -
         return [eval_window(lo, hi) for lo, hi in zip(starts, stops)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(eval_window, starts, stops))
+
+
+def walk_grids(eval_batch, seed: int, cells, n_paths: int, threads: int, streams, *,
+               replicas: int = 1, visit=None) -> None:
+    """eval_batch(g, first, lo, hi, noise) over every batch of every grid, each
+    noise word drawn once: the one noise walk of :func:`sweep_weights`,
+    :func:`run_weights` and the local-error sweep.
+
+    Grid g reads rows of ``cells[g]`` cells from each stream of ``streams``,
+    pairs (words per cell, Philox label).  Replica k's path p is row
+    k·n_paths + p of every stream.  A batch is one of grid g's own windows
+    of one replica: ``first`` is its first stream row, [lo, hi) its paths
+    and ``noise`` its rows of each stream, (hi − lo, cells[g], words).  So a
+    grid's batches, and the bits computed from them, do not depend on the
+    other grids.
+
+    The walk covers the rows of the grid with the most cells in the windows
+    of :func:`map_windows`.  Each window draws its words once, as one
+    :class:`~girsanovlab.paths.NoiseChunk` per stream, and runs every batch
+    whose first word it holds on reshaped views of them; a batch running
+    past the chunk draws the rows it lacks.  The working set is one chunk
+    (at most ``WINDOW_BYTES``) plus one batch, copied out of the chunk with
+    its tail when it runs past it (tested).  ``visit(i, rows)`` is the
+    window run in slot i, for windows of ``rows`` rows; by default window
+    i.  eval_batch must write only its own paths' results, so that with
+    ``threads`` > 1 nothing depends on the threads' order.
+    """
+    width = sum(words for words, _ in streams)
+    top = max(cells, default=1)
+    batch_rows = [window_rows(c * width) for c in cells]
+    top_rows = window_rows(top * width)
+    total = replicas * n_paths
+
+    def eval_window(lo: int, _hi: int) -> None:
+        if visit is not None:
+            lo = visit(lo // top_rows, top_rows) * top_rows
+        chunks = [NoiseChunk(seed, min(top_rows, total - lo), top, words, start=lo, label=label)
+                  for words, label in streams]
+        for g, c in enumerate(cells):
+            firsts, rows = chunks[0].starts(c), batch_rows[g]
+            for rep in range(0, total, n_paths):
+                skip = -(-max(firsts.start - rep, 0) // rows) * rows
+                for p_lo in range(skip, min(firsts.stop - rep, n_paths), rows):
+                    p_hi = min(p_lo + rows, n_paths)
+                    noise = [chunk.rows(rep + p_lo, p_hi - p_lo, c) for chunk in chunks]
+                    eval_batch(g, rep + p_lo, p_lo, p_hi, noise)
+
+    map_windows(eval_window, total, threads, top * width)
+
+
+def sweep_weights(
+    scheme: str,
+    potential: Potential,
+    *,
+    schedules,
+    gamma: float | None = None,
+    n_paths: int,
+    seed: int,
+    init=None,
+    threads: int = 1,
+) -> list[WeightRun]:
+    """Log weights of the same ``n_paths`` scheme paths on each of ``schedules``.
+
+    One :class:`WeightRun` per schedule, each equal bit for bit to
+    :func:`run_weights` on that schedule alone.  Path p of every schedule
+    is row p of the seed's path stream, so the schedules' rows are prefixes
+    of the same words; :func:`walk_grids` draws each once.  Each batch draws
+    its start states from the law :func:`start_law` resolves once from
+    ``init``, takes the affine fast path (:func:`fast_log_weights`) for a
+    constant-Hessian target and :func:`generic_log_weights` otherwise, and
+    writes its paths' slices of the schedule's (n_paths,) log-weight and
+    invertible columns; its ρ maximum and negative-det count go to the
+    batch's own slot.
+    """
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
+    s = scheme_for(scheme)
+    s.check_gamma(gamma)
+    schedules = [s.as_schedule(schedule) for schedule in schedules]
+    d = potential.d
+    cells = [schedule.grid.n_cells for schedule in schedules]
+    maps = [
+        step_maps_for_schedule(scheme, potential, schedule, gamma)
+        if potential.is_quadratic else None
+        for schedule in schedules
+    ]
+    draw_starts = start_law(potential, s.kinetic, init)
+    rows = [window_rows(c * d) for c in cells]
+    log_weight = [np.empty(n_paths) for _ in schedules]
+    invertible = [np.empty(n_paths, dtype=bool) for _ in schedules]
+    rho = [np.empty(-(-n_paths // r)) for r in rows]
+    negative = [np.empty(-(-n_paths // r), dtype=int) for r in rows]
+
+    def eval_batch(g: int, _first: int, lo: int, hi: int, noise) -> None:
+        xi, = noise
+        z0 = draw_starts(seed, hi - lo, start=lo)
+        if maps[g] is not None:
+            w = fast_log_weights(maps[g], z0, xi)
+        else:
+            w = generic_log_weights(scheme, potential, schedules[g], gamma, z0, xi)
+        log_weight[g][lo:hi] = w.log_weight
+        invertible[g][lo:hi] = w.invertible
+        rho[g][lo // rows[g]] = w.spectral_radius.max()
+        negative[g][lo // rows[g]] = w.negative_det.sum()
+
+    walk_grids(eval_batch, seed, cells, n_paths, threads, ((d, LABEL_PATH),))
+    return [
+        WeightRun(
+            scheme=scheme,
+            seed=seed,
+            log_weight=log_weight[g],
+            invertible=invertible[g],
+            spectral_radius=max(rho[g].tolist()),
+            n_negative_det=int(negative[g].sum()),
+            grad_queries_per_path=s.grad_queries(schedule),
+        )
+        for g, schedule in enumerate(schedules)
+    ]
 
 
 def run_weights(
@@ -452,42 +571,15 @@ def run_weights(
     """Sample ``n_paths`` scheme paths and evaluate their log weights.
 
     ``schedule`` is the scheme's schedule, whose grid the paths run on; a
-    bare TimeGrid means the scheme's default ``schedule(grid)``.  Paths are
-    evaluated in the windows of :func:`map_windows`, cut by the
-    n_cells·d increments of a path on either route, so that one window's
-    noise fits in ``WINDOW_BYTES``: each window draws the increments of its
-    own paths, draws its start states from the law :func:`start_law`
-    resolves once from ``init``, and yields one
-    :class:`~girsanovlab.girsanov.LogWeight`.  Constant-Hessian
-    targets take the affine fast path, which agrees with
-    :func:`generic_log_weights` to rounding (tested).
+    bare TimeGrid means the scheme's default ``schedule(grid)``.  This is
+    :func:`sweep_weights` over one schedule: the walk's windows are then the
+    grid's own, cut by the n_cells·d increments of a path so that one
+    window's noise fits in ``WINDOW_BYTES``, and each window draws the
+    increments and start states of its own paths.  Constant-Hessian targets
+    take the affine fast path, which agrees with :func:`generic_log_weights`
+    to rounding (tested).
     """
-    if n_paths < 1:
-        raise ValueError(f"need n_paths >= 1, got {n_paths}")
-    s = scheme_for(scheme)
-    s.check_gamma(gamma)
-    schedule = s.as_schedule(schedule)
-    n_cells = schedule.grid.n_cells
-
-    maps = None
-    if potential.is_quadratic:
-        maps = step_maps_for_schedule(scheme, potential, schedule, gamma)
-    draw_starts = start_law(potential, s.kinetic, init)
-
-    def eval_window(lo: int, hi: int) -> LogWeight:
-        xi = noise_matrix(seed, hi - lo, n_cells, potential.d, start=lo)
-        z0 = draw_starts(seed, hi - lo, start=lo)
-        if maps is not None:
-            return fast_log_weights(maps, z0, xi)
-        return generic_log_weights(scheme, potential, schedule, gamma, z0, xi)
-
-    windows = map_windows(eval_window, n_paths, threads, n_cells * potential.d)
-    return WeightRun(
-        scheme=scheme,
-        seed=seed,
-        log_weight=np.concatenate([w.log_weight for w in windows]),
-        invertible=np.concatenate([w.invertible for w in windows]),
-        spectral_radius=max(float(w.spectral_radius.max()) for w in windows),
-        n_negative_det=sum(int(w.negative_det.sum()) for w in windows),
-        grad_queries_per_path=s.grad_queries(schedule),
-    )
+    return sweep_weights(
+        scheme, potential, schedules=[schedule], gamma=gamma, n_paths=n_paths, seed=seed,
+        init=init, threads=threads,
+    )[0]

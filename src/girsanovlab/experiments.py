@@ -53,7 +53,7 @@ from .divergences import (
     gaussian_kl,
     local_error_sweep,
 )
-from .engine import generic_log_weights, run_weights, scheme_for, start_states
+from .engine import generic_log_weights, scheme_for, start_states, sweep_weights
 from .girsanov import summary_log_weight, trace_diagnostics_mlmc
 from .paths import NoisePath, TimeGrid, noise_matrix, refine_noise
 from .potentials import AnisotropicQuadratic, IsotropicQuadratic, Potential, stationary_moments
@@ -190,12 +190,13 @@ def _base_row(cfg: ExperimentConfig, **kv) -> dict:
 
 
 def _run_normalization(cfg: ExperimentConfig, threads: int, result: RunResult) -> None:
-    for schedule in cfg.schedules():
+    schedules = cfg.schedules()
+    runs = sweep_weights(
+        cfg.scheme, cfg.potential, schedules=schedules, gamma=cfg.gamma,
+        n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
+    )
+    for schedule, wr in zip(schedules, runs):
         grid = schedule.grid
-        wr = run_weights(
-            cfg.scheme, cfg.potential, schedule=schedule, gamma=cfg.gamma,
-            n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
-        )
         logw = wr.log_weight[wr.invertible]
         with np.errstate(over="ignore"):
             w = np.exp(logw)
@@ -357,12 +358,16 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int, result: RunResult) 
     scheme = scheme_for(cfg.scheme)
     potential = cfg.potential
     hs, kls, ses = [], [], []
-    for schedule in cfg.schedules():
+    schedules = cfg.schedules()
+    # one walk for every grid: the grids' rows are prefixes of the same words
+    runs = sweep_weights(
+        cfg.scheme, potential, schedules=schedules, gamma=cfg.gamma,
+        n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
+    )
+    if potential.is_quadratic:
+        mean0, cov0 = stationary_moments(potential, kinetic=scheme.kinetic)
+    for schedule, wr in zip(schedules, runs):
         grid = schedule.grid
-        wr = run_weights(
-            cfg.scheme, potential, schedule=schedule, gamma=cfg.gamma,
-            n_paths=cfg.n_paths, seed=cfg.seed, threads=threads,
-        )
         est = estimate_kl(wr)
         ok = est.reliable and np.isfinite(est.value)
         row = _base_row(
@@ -390,7 +395,6 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int, result: RunResult) 
                     status="ok" if renyi.reliable else "failed",
                 ))
         if potential.is_quadratic:
-            mean0, cov0 = stationary_moments(potential, kinetic=scheme.kinetic)
             sm_mean, sm_cov = scheme_marginal_gaussian(
                 cfg.scheme, potential, schedule, mean0, cov0, gamma=cfg.gamma)
             marginal = gaussian_kl(sm_mean, sm_cov, mean0, cov0)

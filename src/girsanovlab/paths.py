@@ -33,8 +33,10 @@ different n cover nested prefixes of the same words.  Row 1 of an m = 64
 grid is the second half of row 0 of an m = 128 grid, for the path and the
 residual streams alike.  :class:`NoiseChunk` holds one read's rows and
 lends them to reads with other cell counts, drawing only the words it
-lacks; the local-error sweep draws each word once for all its grids
-through it (:func:`~girsanovlab.divergences.local_error_sweep`).
+lacks.  Through it the one noise walk,
+:func:`~girsanovlab.engine.walk_grids`, lets every multi-grid sweep — the
+KL-order sweep's and the local-error sweep's — draw each word once for all
+its grids; a batch that runs past its chunk draws its tail again.
 
 Refinement
 ----------

@@ -28,7 +28,7 @@ def test_benchmark_self_test_passes():
 #: multipliers (its drift coordinates), not its drifts
 LAYER_SPANS = {
     "kl-affine": {
-        "experiments.run_experiment", "engine.run_weights", "affine.step_maps",
+        "experiments.run_experiment", "affine.step_maps",
         "affine.fast_weights", "affine.marginal",
         "integrators.simulate", "divergences.estimate", "paths.normal_block",
     },
