@@ -50,6 +50,7 @@ from .potentials import Potential
 
 __all__ = [
     "StepMaps",
+    "ScheduleMaps",
     "extract_step_maps",
     "step_maps_for_schedule",
     "marginal_moments",
@@ -143,12 +144,54 @@ def extract_step_maps(
     )
 
 
+class ScheduleMaps(tuple):
+    """The StepMaps of one schedule, one per outer step (equal step keys share
+    one object), with the constants its weights read formed once.
+
+    A tuple, read as the list of maps everywhere; what it adds is for
+    :func:`fast_log_weights`, formed on first use and kept with the maps: the
+    steps' noise operands stacked along the steps, so that one stacked
+    ``matmul`` makes every step's own BLAS product, and the totals of the
+    steps' block summaries, which every path of the schedule shares.
+    """
+
+    @cached_property
+    def noise_operands(self) -> tuple[np.ndarray, ...]:
+        """Per step, what ξ_k (B, m·d) is multiplied by, stacked (N, m·d, ·):
+        [Wtᵀ | U | Sᵀ] in a low-rank basis, else Wtᵀ and Sᵀ as transposed
+        views, the layout each step's own product reads."""
+        if self[0].U is not None:
+            return (np.stack([sm.noise_product for sm in self]),)
+        return tuple(np.stack([getattr(sm, f) for sm in self]).swapaxes(1, 2) for f in ("Wt", "S"))
+
+    @cached_property
+    def state_operands(self) -> np.ndarray:
+        """The steps' Lzᵀ as transposed views, stacked (N, z, r)."""
+        return np.stack([sm.Lz for sm in self]).swapaxes(1, 2)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """The steps' l0, stacked (N, 1, r) to broadcast over a batch."""
+        return np.stack([sm.l0 for sm in self])[:, None]
+
+    @cached_property
+    def grams(self) -> np.ndarray | None:
+        """The steps' Gram matrices G stacked (N, r, r); None in the identity basis."""
+        return None if self[0].G is None else np.stack([sm.G for sm in self])
+
+    @cached_property
+    def summary_totals(self) -> tuple[np.ndarray, ...]:
+        """The weight's totals over the steps' block summaries, on one row
+        (:func:`~girsanovlab.girsanov._summary_totals`)."""
+        return girsanov._summary_totals(_step_summaries(self))
+
+
 def step_maps_for_schedule(
     scheme: str,
     potential: Potential,
     schedule,
     gamma: float | None = None,
-) -> list[StepMaps]:
+) -> ScheduleMaps:
     """One StepMaps per outer step of ``schedule``, deduplicated across equal step keys.
 
     ``schedule`` is the scheme's schedule (for ULMC its TimeGrid); a bare
@@ -165,7 +208,7 @@ def step_maps_for_schedule(
         if key not in cache:
             cache[key] = extract_step_maps(scheme, potential, schedule.grid, key, gamma)
         out.append(cache[key])
-    return out
+    return ScheduleMaps(out)
 
 
 def _state_moments(maps: list[StepMaps], mean0: np.ndarray, cov0: np.ndarray):
@@ -206,13 +249,10 @@ def scheme_marginal_gaussian(
     return marginal_moments(maps, mean0, cov0)
 
 
-def _step_summaries(maps: list[StepMaps], n_paths: int = 1) -> BlockSummary:
-    """The steps' block summaries side by side, fields (n_paths, N)."""
+def _step_summaries(maps) -> BlockSummary:
+    """The steps' block summaries side by side, fields (1, N)."""
     return BlockSummary(*(
-        np.broadcast_to(
-            np.concatenate([getattr(sm.summary, f.name) for sm in maps], axis=-1),
-            (n_paths, len(maps)),
-        )
+        np.concatenate([getattr(sm.summary, f.name) for sm in maps], axis=-1)
         for f in fields(BlockSummary)
     ))
 
@@ -246,39 +286,69 @@ def quadratic_path_kl(
     return kl - float(log_cf[0])
 
 
-def fast_log_weights(
-    maps: list[StepMaps], z0: np.ndarray, xi: np.ndarray
-) -> LogWeight:
+def fast_log_weights(maps, z0: np.ndarray, xi: np.ndarray) -> LogWeight:
     """Batched log Radon–Nikodym weights through the affine maps.
 
-    ``z0`` is (B, state_dim), ``xi`` is (B, N·m, d).  Per step, the drift
-    coordinates are c = z·Lzᵀ + ξ·Wtᵀ + l0, the Itô term is Σ c·(Uᵀξ) and
-    the energy ½ Σ (c·G)·c.  A DM-ULMC step reads ξ through one BLAS product
-    with [Wtᵀ | U | Sᵀ] (m·d × (4d + z)), of cost O(B·N·m·d²) over the
-    horizon; the other schemes' drifts are their own coordinates (U = I),
-    two products of cost O(B·N·m²·d²).  The determinant, trace and
-    invertibility rule come from the one weight assembly, applied to the
-    steps' block summaries.  Agrees with the generic per-path assembly to
-    1e-12 for constant-Hessian targets (dual-route tested, every scheme).
+    ``maps`` is one schedule's StepMaps (a :class:`ScheduleMaps`, or any
+    sequence of them), ``z0`` is (B, state_dim) and ``xi`` is (B, N·m, d).
+    Per step, the drift coordinates are c = z·Lzᵀ + ξ·Wtᵀ + l0, the Itô term
+    is Σ c·(Uᵀξ) and the energy ½ Σ (c·G)·c.  Only the state recursion
+    z ← z·Aᵀ + S·ξ + b runs step by step, three small array operations per
+    step.  Every other product is one stacked ``matmul`` over the steps,
+    which makes the same BLAS product per step as a step loop: ξ by
+    [Wtᵀ | U | Sᵀ] (m·d × (4d + z)) for DM-ULMC, of cost O(B·N·m·d²) over
+    the horizon, or by Wtᵀ and Sᵀ for the other schemes, whose drifts are
+    their own coordinates (U = I), of cost O(B·N·m²·d²); the stored states
+    by Lzᵀ; and c by G.  The Itô terms and energies of all steps are formed
+    at once, and each path's are added in step order, so every bit is that
+    of the step loop (tested); the cost beside the noise products is
+    O(B·N·r) with no per-step Python overhead but the recursion's.  The
+    determinant, trace and invertibility rule come from the one weight
+    assembly, applied to the totals of the steps' block summaries, which the
+    maps form once for all batches.  Agrees with the generic per-path
+    assembly to 1e-12 for constant-Hessian targets (dual-route tested, every
+    scheme).
     """
-    B = z0.shape[0]
-    m, d = maps[0].m, maps[0].d
-    md = m * d
-    z = np.asarray(z0, dtype=float)
-    ito = np.zeros(B)
-    energy = np.zeros(B)
-    for k, sm in enumerate(maps):
-        xif = xi[:, k * m : (k + 1) * m].reshape(B, md)
-        if sm.U is None:  # identity basis: c = ψ
-            c = z @ sm.Lz.T + xif @ sm.Wt.T + sm.l0
-            u_xi, c_g, s_xi = xif, c, xif @ sm.S.T
-        else:
-            r = sm.l0.size
-            prod = xif @ sm.noise_product
-            c = z @ sm.Lz.T + prod[:, :r] + sm.l0
-            u_xi, s_xi = prod[:, r : 2 * r], prod[:, 2 * r :]
-            c_g = c @ sm.G
-        ito += (c * u_xi).sum(1)
-        energy += 0.5 * (c_g * c).sum(1)
-        z = z @ sm.A.T + s_xi + sm.b
-    return girsanov._summary_weight(_step_summaries(maps, B), ito, energy)
+    maps = maps if isinstance(maps, ScheduleMaps) else ScheduleMaps(maps)
+    B, N = z0.shape[0], len(maps)
+    md = maps[0].m * maps[0].d
+    xis = np.asarray(xi, dtype=float).reshape(B, N, md).swapaxes(0, 1)  # step-major view
+    if maps.grams is None:  # identity basis: c = ψ, read against ξ itself
+        wt, st = maps.noise_operands
+        c, s_xi, u_xi = xis @ wt, xis @ st, xis
+    else:
+        r = maps[0].l0.size
+        prod = xis @ maps.noise_operands[0]
+        c, u_xi, s_xi = prod[..., :r].copy(), prod[..., r : 2 * r], prod[..., 2 * r :]
+    # the state at each step's start; the horizon state is not needed
+    z = np.empty((N, B, z0.shape[1]))
+    z[0] = z0
+    for k in range(N - 1):
+        np.matmul(z[k], maps[k].A.T, out=z[k + 1])
+        z[k + 1] += s_xi[k]
+        z[k + 1] += maps[k].b
+    c += z @ maps.state_operands  # ξ·Wtᵀ + z·Lzᵀ, the sum of either order
+    c += maps.offsets
+    terms = np.empty((N, 2, B))  # per step: the Itô term and the energy
+    terms[:, 0] = _row_dots(c, u_xi)
+    terms[:, 1] = _row_dots(c if maps.grams is None else c @ maps.grams, c)
+    terms[:, 1] *= 0.5
+    total = np.zeros((2, B))
+    for term in terms:  # in step order
+        total += term
+    return girsanov._totals_weight(maps.summary_totals, total[0], total[1])
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ_j a[..., j]·b[..., j], bit for bit ``(a * b).sum(-1)``.
+
+    numpy adds fewer than 8 terms in order (its pairwise sum starts at 8), so
+    a short last axis, such as DM-ULMC's 2d drift coordinates, is summed
+    here term by term over all rows at once, without a reduction per row.
+    """
+    if a.shape[-1] >= 8:
+        return np.sum(a * b, axis=-1)
+    out = a[..., 0] * b[..., 0]
+    for j in range(1, a.shape[-1]):
+        out += a[..., j] * b[..., j]
+    return out

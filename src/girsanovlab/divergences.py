@@ -275,9 +275,10 @@ def local_error_sweep(
     runs on its own batches whatever the other grids are, so the sweep
     returns, bit for bit, the errors of sweeping each grid alone, at any
     ``threads`` (tested).  What the sweep adds to the walk is its replica
-    pairing.  Held across windows: the four (n_paths,) per-path error
-    columns of every grid, and each replica-1 batch's start states and
-    (rows, z) defects until its replica-2 partner arrives.  Partners lie
+    pairing; both replicas of path p map the same start row, which the walk
+    draws once.  Held across windows: the four (n_paths,) per-path error
+    columns of every grid, and each replica-1 batch's (rows, z) defects
+    until its replica-2 partner arrives.  Partners lie
     n_paths = k·``BLOCK_PATHS`` + r rows apart in every grid, so the sweep
     visits the windows of replica 1's k whole blocks in pairs: window i,
     then the window k·``BLOCK_PATHS`` rows on, which serves each grid's
@@ -305,7 +306,6 @@ def local_error_sweep(
         raise ValueError("local_error_sweep expects single-step grids (N = 1)")
     d = potential.d
     zdim = 2 * d if kinetic else d
-    draw_starts = start_law(potential, kinetic)
     schedules = [s.schedule(grid) for grid in grids]
     references = [
         ou_endpoint_map(potential, gamma if kinetic else None, grid.h / grid.m, grid.m)
@@ -324,12 +324,8 @@ def local_error_sweep(
 
     held, lock = {}, threading.Lock()
 
-    def eval_batch(g, first, lo, hi, noise):
+    def eval_batch(g, first, lo, hi, noise, z0):
         xi, resid = noise
-        key = (g, lo)
-        with lock:
-            partner = held.get(key)
-        z0 = draw_starts(seed, hi - lo, start=lo) if partner is None else partner[0]
         dz = s.advance(potential, schedules[g], gamma, z0, xi) - references[g](z0, xi, resid)
         out = per_path[g]
         if first < n_paths:  # replica 1
@@ -337,16 +333,17 @@ def local_error_sweep(
             out["strong_x"][lo:hi] = np.sum(dz[:, :d] ** 2, axis=1)
             out["strong_p"][lo:hi] = np.sum(dz[:, d:] ** 2, axis=1)
         with lock:
-            partner = held.pop(key, None)
+            partner = held.pop((g, lo), None)
             if partner is None:
-                held[key] = (z0, dz)
+                held[(g, lo)] = dz
         if partner is not None:
-            d1, d2 = (dz, partner[1]) if first < n_paths else (partner[1], dz)
+            d1, d2 = (dz, partner) if first < n_paths else (partner, dz)
             out["weak_x"][lo:hi] = np.sum(d1[:, :d] * d2[:, :d], axis=1)
             out["weak_p"][lo:hi] = np.sum(d1[:, d:] * d2[:, d:], axis=1)
 
     walk_grids(eval_batch, seed, [grid.m for grid in grids], n_paths, threads,
-               ((d, LABEL_PATH), (zdim, LABEL_RESIDUAL)), replicas=2, visit=visit)
+               ((d, LABEL_PATH), (zdim, LABEL_RESIDUAL)), start_law(potential, kinetic),
+               replicas=2, visit=visit)
     errors = {
         name: (
             np.asarray([float(c[name].mean()) for c in per_path]),

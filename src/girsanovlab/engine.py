@@ -9,18 +9,21 @@ grid), :func:`sweep_weights` (the KL-order sweep's grids) and the local-error
 sweep (its grids over two replicas,
 :func:`~girsanovlab.divergences.local_error_sweep`).  It walks the windows
 of the grid with the most cells, each one chunk of noise words that every
-grid reads, and hands each grid its own windows' batches of paths.  The
-weight runs evaluate a batch on the affine fast path for constant-Hessian
-targets and by generic per-path assembly otherwise, and every caller writes
-a batch's results into per-path columns.  The batches, the per-batch
-arithmetic and the merge order are all functions of the path index and the
-grid alone, so estimates are bit-identical across thread counts, across runs
-with the same seed, and whatever other grids share the walk.
+grid reads, and hands each grid its own windows' batches of paths.  A
+coarser grid's batch whose words run past a window is paired, not redrawn:
+the window that holds the rest of its words runs it.  The weight runs
+evaluate a batch on the affine fast path for constant-Hessian targets and by
+generic per-path assembly otherwise, and every caller writes a batch's
+results into per-path columns.  The batches, the per-batch arithmetic and
+the merge order are all functions of the path index and the grid alone, so
+estimates are bit-identical across thread counts, across runs with the same
+seed, and whatever other grids share the walk.
 
-Every path consumer draws start states from :func:`start_law`, resolved once
+Every path consumer takes start states from :func:`start_law`, resolved once
 per run: path p's start is row p of the seed's initialization stream, as its
-increments are row p of the path stream.  The default start law is the
-stationary law for quadratic targets,
+increments are row p of the path stream.  The walk draws each start row
+once for all grids and replicas, and each batch maps its own rows.  The
+default start law is the stationary law for quadratic targets,
 :func:`~girsanovlab.potentials.stationary_moments` of the constant Hessian H:
 N(0, H⁻¹), or N(0, diag(H⁻¹, I)) in phase space; otherwise it is
 x ~ N(0, I/α) with p ~ N(0, I).
@@ -33,12 +36,13 @@ bound — and every scheme-dependent call site in the package goes through it.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import fast_log_weights, step_maps_for_schedule
+from .affine import ScheduleMaps, fast_log_weights, step_maps_for_schedule
 from .girsanov import (
     LogWeight,
     block_summary_dmulmc,
@@ -61,6 +65,7 @@ from .integrators import (
     simulate_ulmc,
 )
 from .paths import (
+    BLOCK_PATHS,
     LABEL_INIT,
     LABEL_PATH,
     NoiseChunk,
@@ -72,7 +77,7 @@ from .paths import (
 from .potentials import Potential, stationary_moments
 
 __all__ = [
-    "SCHEDULE_MODES", "SCHEMES", "Scheme", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS",
+    "SCHEDULE_MODES", "SCHEMES", "Scheme", "StartLaw", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS",
     "scheme_for", "start_law", "start_states", "window_rows", "map_windows", "walk_grids",
     "sweep_weights", "run_weights", "generic_log_weights",
 ]
@@ -337,6 +342,8 @@ class WeightRun:
     spectral_radius: float
     n_negative_det: int
     grad_queries_per_path: int
+    #: the affine step maps the weights were formed through; None on the generic route
+    step_maps: ScheduleMaps | None = None
 
     @property
     def n_paths(self) -> int:
@@ -366,17 +373,47 @@ def generic_log_weights(
     return summary_log_weight(s.drift(potential, traj), s.summary(potential, traj), xi)
 
 
-def start_law(potential: Potential, kinetic: bool, init=None):
-    """The start law's sampler ``draw(seed, n, start=0)``, resolved once per run.
+@dataclass(frozen=True)
+class StartLaw:
+    """A resolved Gaussian start law N(mean, chol·cholᵀ) over z = d or 2d coordinates.
+
+    ``normals(seed, n, start)`` draws the rows of paths ``start ..
+    start+n−1`` of the seed's initialization stream, (n, z), and
+    ``states(normals)`` maps rows to start states, ``mean + normals·cholᵀ``;
+    calling the law, ``law(seed, n, start)``, does both, so path p's start
+    depends on (seed, p) alone.
+    """
+
+    mean: np.ndarray
+    chol: np.ndarray
+
+    @property
+    def zdim(self) -> int:
+        return self.mean.size
+
+    def normals(self, seed: int, n: int, start: int = 0) -> np.ndarray:
+        """Rows ``start .. start+n−1`` of the seed's initialization stream, (n, z)."""
+        return noise_matrix(seed, n, 1, self.zdim, label=LABEL_INIT, start=start)[:, 0]
+
+    def states(self, normals: np.ndarray) -> np.ndarray:
+        return self.mean + normals @ self.chol.T
+
+    def __call__(self, seed: int, n: int, start: int = 0) -> np.ndarray:
+        return self.states(self.normals(seed, n, start))
+
+
+def start_law(potential: Potential, kinetic: bool, init=None) -> StartLaw:
+    """The start law, resolved once per run: a :class:`StartLaw`.
 
     ``init`` is None (the default start law) or ("gaussian", mean, cov) with
     mean (z,) and cov (z, z), z = d or 2d; other shapes are a ValueError.
-    ``draw`` returns the start states of paths ``start .. start+n−1``, shape
-    (n, d) or (n, 2d): path p's start is row p of the seed's initialization
-    stream pushed through the law's Cholesky factor, so it depends on
-    (seed, p) alone.  The stationary law of a quadratic target costs an
-    ``eigh`` of its constant Hessian and a Cholesky factor, so windowed runs
-    resolve it once and draw every window's rows from it.
+    Calling the result, ``law(seed, n, start=0)``, returns the start states
+    of paths ``start .. start+n−1``, shape (n, d) or (n, 2d): path p's start
+    is row p of the seed's initialization stream pushed through the law's
+    Cholesky factor, so it depends on (seed, p) alone.  The stationary law of
+    a quadratic target costs an ``eigh`` of its constant Hessian and a
+    Cholesky factor, so windowed runs resolve it once and map every batch's
+    rows through it.
     """
     d = potential.d
     zdim = 2 * d if kinetic else d
@@ -394,13 +431,7 @@ def start_law(potential: Potential, kinetic: bool, init=None):
             )
     else:
         raise ValueError(f"unknown initial law {init!r}")
-    chol = np.linalg.cholesky(cov)
-
-    def draw(seed: int, n: int, start: int = 0) -> np.ndarray:
-        normals = noise_matrix(seed, n, 1, zdim, label=LABEL_INIT, start=start)[:, 0]
-        return mean + normals @ chol.T
-
-    return draw
+    return StartLaw(mean, np.linalg.cholesky(cov))
 
 
 def start_states(
@@ -439,50 +470,123 @@ def map_windows(eval_window, n_paths: int, threads: int, values_per_path: int) -
         return list(pool.map(eval_window, starts, stops))
 
 
-def walk_grids(eval_batch, seed: int, cells, n_paths: int, threads: int, streams, *,
-               replicas: int = 1, visit=None) -> None:
-    """eval_batch(g, first, lo, hi, noise) over every batch of every grid, each
-    noise word drawn once: the one noise walk of :func:`sweep_weights`,
-    :func:`run_weights` and the local-error sweep.
+def walk_grids(eval_batch, seed: int, cells, n_paths: int, threads: int, streams,
+               law: StartLaw, *, replicas: int = 1, visit=None) -> None:
+    """eval_batch(g, first, lo, hi, noise, z0) over every batch of every grid,
+    each noise word and start row drawn once: the one noise walk of
+    :func:`sweep_weights`, :func:`run_weights` and the local-error sweep.
 
     Grid g reads rows of ``cells[g]`` cells from each stream of ``streams``,
     pairs (words per cell, Philox label).  Replica k's path p is row
     k·n_paths + p of every stream.  A batch is one of grid g's own windows
-    of one replica: ``first`` is its first stream row, [lo, hi) its paths
-    and ``noise`` its rows of each stream, (hi − lo, cells[g], words).  So a
-    grid's batches, and the bits computed from them, do not depend on the
-    other grids.
+    of one replica: ``first`` is its first stream row, [lo, hi) its paths,
+    ``noise`` its rows of each stream, (hi − lo, cells[g], words), and
+    ``z0`` its paths' start states under ``law``, mapped from their rows of
+    the initialization stream.  So a grid's batches, and the bits computed
+    from them, do not depend on the other grids.
 
     The walk covers the rows of the grid with the most cells in the windows
     of :func:`map_windows`.  Each window draws its words once, as one
-    :class:`~girsanovlab.paths.NoiseChunk` per stream, and runs every batch
-    whose first word it holds on reshaped views of them; a batch running
-    past the chunk draws the rows it lacks.  The working set is one chunk
-    (at most ``WINDOW_BYTES``) plus one batch, copied out of the chunk with
-    its tail when it runs past it (tested).  ``visit(i, rows)`` is the
-    window run in slot i, for windows of ``rows`` rows; by default window
-    i.  eval_batch must write only its own paths' results, so that with
-    ``threads`` > 1 nothing depends on the threads' order.
+    :class:`~girsanovlab.paths.NoiseChunk` per stream, and serves every
+    batch whose cells it holds.  A batch inside the window runs on views of
+    it.  A batch whose cells run past the window (a coarse grid's batch
+    astride two windows, or a replica's batch astride two generation blocks)
+    is run by whichever of its windows arrives last: each window copies its
+    cells into the batch's buffer, held under a lock until then.  Start rows
+    come in pieces of the largest batch's rows, so each batch lies in one
+    piece.  A piece is drawn by the first window that needs it and held
+    until its last batch has run.  The working set is one chunk (at most
+    ``WINDOW_BYTES``), one batch, the buffers of the batches astride the
+    chunks in flight, and the start pieces in flight (tested).
+    ``visit(i, rows)`` is the window run in slot i, for windows of ``rows``
+    rows; by default window i.  eval_batch must write only its own paths'
+    results, so that with ``threads`` > 1 nothing depends on the threads'
+    order.
     """
     width = sum(words for words, _ in streams)
     top = max(cells, default=1)
     batch_rows = [window_rows(c * width) for c in cells]
     top_rows = window_rows(top * width)
+    top_cells = top_rows * top  # the cells of a whole window
     total = replicas * n_paths
+    piece_rows = max(batch_rows, default=1)
+    # batches left per start piece, to free the piece after its last one
+    pending = [
+        replicas * sum(-(-(min(lo + piece_rows, n_paths) - lo) // rows) for rows in batch_rows)
+        for lo in range(0, n_paths, piece_rows)
+    ]
+    pieces, held, lock = {}, {}, threading.Lock()
+
+    def run(g: int, first: int, lo: int, hi: int, noise) -> None:
+        piece = lo // piece_rows
+        at = piece * piece_rows
+        with lock:
+            if piece not in pieces:
+                pieces[piece] = law.normals(seed, min(piece_rows, n_paths - at), at)
+            normals = pieces[piece]
+        eval_batch(g, first, lo, hi, noise, law.states(normals[lo - at:hi - at]))
+        with lock:
+            pending[piece] -= 1
+            if not pending[piece]:
+                del pieces[piece]
+
+    def block_spans(first: int, n: int, c: int) -> list:
+        """(block, first cell, end cell) of stream rows first .. first+n−1 in each block."""
+        out = []
+        while n:
+            block, row = divmod(first, BLOCK_PATHS)
+            k = min(n, BLOCK_PATHS - row)
+            out.append((block, row * c, (row + k) * c))
+            first, n = first + k, n - k
+        return out
+
+    def serve(g: int, first: int, lo: int, hi: int, chunks) -> None:
+        c, head = cells[g], chunks[0]
+        spans = block_spans(first, hi - lo, c)
+        windows = sum((end - 1) // top_cells - a // top_cells + 1 for _, a, end in spans)
+        if windows == 1:
+            _, a, end = spans[0]
+            run(g, first, lo, hi, [chunk.cells(a, end).reshape(hi - lo, c, -1) for chunk in chunks])
+            return
+        key = (g, first)
+        with lock:
+            if key not in held:
+                held[key] = [windows, [np.empty((hi - lo, c, words)) for words, _ in streams]]
+            entry = held[key]
+        offset = 0
+        for block, a, end in spans:
+            if block == head.block:
+                a_in, end_in = max(a, head.lo), min(end, head.hi)
+                for buffer, chunk in zip(entry[1], chunks):
+                    flat = buffer.reshape(-1, buffer.shape[-1])
+                    flat[offset + a_in - a:offset + end_in - a] = chunk.cells(a_in, end_in)
+            offset += end - a
+        with lock:
+            entry[0] -= 1
+            done = not entry[0]
+            if done:
+                del held[key]
+        if done:
+            run(g, first, lo, hi, entry[1])
 
     def eval_window(lo: int, _hi: int) -> None:
         if visit is not None:
             lo = visit(lo // top_rows, top_rows) * top_rows
         chunks = [NoiseChunk(seed, min(top_rows, total - lo), top, words, start=lo, label=label)
                   for words, label in streams]
+        base = chunks[0].block * BLOCK_PATHS
         for g, c in enumerate(cells):
-            firsts, rows = chunks[0].starts(c), batch_rows[g]
+            rows = batch_rows[g]
+            # the stream rows with a cell in the window
+            row_lo = base + chunks[0].lo // c
+            row_hi = min(base + -(-chunks[0].hi // c), base + BLOCK_PATHS, total)
             for rep in range(0, total, n_paths):
-                skip = -(-max(firsts.start - rep, 0) // rows) * rows
-                for p_lo in range(skip, min(firsts.stop - rep, n_paths), rows):
-                    p_hi = min(p_lo + rows, n_paths)
-                    noise = [chunk.rows(rep + p_lo, p_hi - p_lo, c) for chunk in chunks]
-                    eval_batch(g, rep + p_lo, p_lo, p_hi, noise)
+                p_lo, p_hi = max(row_lo - rep, 0), min(row_hi - rep, n_paths)
+                if p_lo >= p_hi:
+                    continue
+                for b_lo in range(p_lo // rows * rows, p_hi, rows):
+                    b_hi = min(b_lo + rows, n_paths)
+                    serve(g, rep + b_lo, b_lo, b_hi, chunks)
 
     map_windows(eval_window, total, threads, top * width)
 
@@ -503,13 +607,15 @@ def sweep_weights(
     One :class:`WeightRun` per schedule, each equal bit for bit to
     :func:`run_weights` on that schedule alone.  Path p of every schedule
     is row p of the seed's path stream, so the schedules' rows are prefixes
-    of the same words; :func:`walk_grids` draws each once.  Each batch draws
-    its start states from the law :func:`start_law` resolves once from
-    ``init``, takes the affine fast path (:func:`fast_log_weights`) for a
-    constant-Hessian target and :func:`generic_log_weights` otherwise, and
-    writes its paths' slices of the schedule's (n_paths,) log-weight and
-    invertible columns; its ρ maximum and negative-det count go to the
-    batch's own slot.
+    of the same words; :func:`walk_grids` draws each once, and each start row
+    once, under the law :func:`start_law` resolves once from ``init``.  The
+    maps of a constant-Hessian target are extracted once per schedule, and
+    each batch takes the affine fast path (:func:`fast_log_weights`) through
+    them, :func:`generic_log_weights` otherwise.  It writes its paths'
+    slices of the schedule's (n_paths,) log-weight and invertible columns;
+    its ρ maximum and negative-det count go to the batch's own slot.  Each
+    run keeps the maps its weights were formed through (``step_maps``), so
+    exact functionals of the same grid need not extract them again.
     """
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
@@ -523,16 +629,15 @@ def sweep_weights(
         if potential.is_quadratic else None
         for schedule in schedules
     ]
-    draw_starts = start_law(potential, s.kinetic, init)
+    law = start_law(potential, s.kinetic, init)
     rows = [window_rows(c * d) for c in cells]
     log_weight = [np.empty(n_paths) for _ in schedules]
     invertible = [np.empty(n_paths, dtype=bool) for _ in schedules]
     rho = [np.empty(-(-n_paths // r)) for r in rows]
     negative = [np.empty(-(-n_paths // r), dtype=int) for r in rows]
 
-    def eval_batch(g: int, _first: int, lo: int, hi: int, noise) -> None:
+    def eval_batch(g: int, _first: int, lo: int, hi: int, noise, z0) -> None:
         xi, = noise
-        z0 = draw_starts(seed, hi - lo, start=lo)
         if maps[g] is not None:
             w = fast_log_weights(maps[g], z0, xi)
         else:
@@ -542,7 +647,7 @@ def sweep_weights(
         rho[g][lo // rows[g]] = w.spectral_radius.max()
         negative[g][lo // rows[g]] = w.negative_det.sum()
 
-    walk_grids(eval_batch, seed, cells, n_paths, threads, ((d, LABEL_PATH),))
+    walk_grids(eval_batch, seed, cells, n_paths, threads, ((d, LABEL_PATH),), law)
     return [
         WeightRun(
             scheme=scheme,
@@ -552,6 +657,7 @@ def sweep_weights(
             spectral_radius=max(rho[g].tolist()),
             n_negative_det=int(negative[g].sum()),
             grad_queries_per_path=s.grad_queries(schedule),
+            step_maps=maps[g],
         )
         for g, schedule in enumerate(schedules)
     ]

@@ -41,7 +41,6 @@ import numpy as np
 from .affine import (
     marginal_moments,
     quadratic_path_kl,
-    scheme_marginal_gaussian,
     step_maps_for_schedule,
 )
 from .config import ExperimentConfig
@@ -395,8 +394,8 @@ def _run_kl_order_sweep(cfg: ExperimentConfig, threads: int, result: RunResult) 
                     status="ok" if renyi.reliable else "failed",
                 ))
         if potential.is_quadratic:
-            sm_mean, sm_cov = scheme_marginal_gaussian(
-                cfg.scheme, potential, schedule, mean0, cov0, gamma=cfg.gamma)
+            # the maps the sweep weighed this grid's paths through
+            sm_mean, sm_cov = marginal_moments(wr.step_maps, mean0, cov0)
             marginal = gaussian_kl(sm_mean, sm_cov, mean0, cov0)
             bound_ok = marginal <= est.value + 3.0 * est.se
             result.checks.append(Check(

@@ -760,11 +760,27 @@ def summary_log_weight(psi: np.ndarray, summary: BlockSummary, xi: np.ndarray) -
 
 def _summary_weight(summary: BlockSummary, ito: np.ndarray, energy: np.ndarray) -> LogWeight:
     """The weight of every route from Σ⟨ψ_i, ξ_i⟩, ½Σ‖ψ_i‖² and the block summaries."""
+    return _totals_weight(_summary_totals(summary), ito, energy)
+
+
+def _summary_totals(summary: BlockSummary) -> tuple[np.ndarray, ...]:
+    """Per path: (Σ_k log|det₂(I + D_k)|, some det(I + D_k) < 0, max_k ρ(D_k), Σ_k tr D_k)."""
     log_cf, negative = carleman_fredholm_logdet(summary)
-    rho = summary.rho.max(axis=-1)
+    return log_cf, negative, summary.rho.max(axis=-1), summary.trace.sum(axis=-1)
+
+
+def _totals_weight(totals, ito: np.ndarray, energy: np.ndarray) -> LogWeight:
+    """The weight from :func:`_summary_totals`, repeated over the paths of ``ito``.
+
+    Totals of one row serve a batch whose paths share their blocks (the
+    affine route): each path's totals are the same reductions of the same
+    values, so repeating them changes no bit.
+    """
+    n = np.shape(ito)[0]
+    log_cf, negative, rho, trace = (t if t.shape[0] == n else t.repeat(n) for t in totals)
     return LogWeight(
         log_cf_det=log_cf,
-        skorohod=ito - summary.trace.sum(axis=-1),
+        skorohod=ito - trace,
         energy=energy,
         spectral_radius=rho,
         invertible=(rho < SPECTRAL_RADIUS_LIMIT) & np.isfinite(log_cf),

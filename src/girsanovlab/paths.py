@@ -32,11 +32,11 @@ Row q of a block read with n words per row (n = n_cells·d) is words
 different n cover nested prefixes of the same words.  Row 1 of an m = 64
 grid is the second half of row 0 of an m = 128 grid, for the path and the
 residual streams alike.  :class:`NoiseChunk` holds one read's rows and
-lends them to reads with other cell counts, drawing only the words it
-lacks.  Through it the one noise walk,
-:func:`~girsanovlab.engine.walk_grids`, lets every multi-grid sweep — the
-KL-order sweep's and the local-error sweep's — draw each word once for all
-its grids; a batch that runs past its chunk draws its tail again.
+lends their cells to reads with other cell counts.  Through it the one
+noise walk, :func:`~girsanovlab.engine.walk_grids`, lets every multi-grid
+sweep — the KL-order sweep's and the local-error sweep's — draw each word
+once for all its grids: a batch whose rows run past one chunk takes its
+cells from each chunk that holds some, and no word is drawn twice.
 
 Refinement
 ----------
@@ -308,16 +308,15 @@ def noise_matrix(
 
 class NoiseChunk:
     """Rows ``start .. start+n_rows−1`` of a read with ``n_cells`` cells per row,
-    lent to reads with any other cell count m.
+    lent by cells to reads with any other cell count m.
 
-    The rows lie in one generation block.  A cell is ``d`` words, and row q
-    of a read with m cells per row is cells [q·m, (q+1)·m) of its block, so
-    the chunk holds the words of every row of such a read that falls inside
-    its cells.  :meth:`starts` names the rows whose first cell it holds;
-    :meth:`rows` returns rows as reshaped views of the chunk and draws, as
-    :func:`noise_matrix` does, the rows or tail it lacks (past its last
-    cell, or in the next block).  The chunk is drawn once, when a row is
-    first read out of it, and lives as long as the object.
+    The rows lie in one generation block, and are its cells ``lo .. hi−1``
+    (attributes, counted from the block's first cell; ``block`` is its
+    index).  A cell is ``d`` words, and row q of a read with m cells per row
+    is cells [q·m, (q+1)·m) of its block, so the chunk holds every cell of
+    such a read that falls inside it, whether its row does or runs past it.
+    :meth:`cells` lends cells as views.  The chunk is drawn once, when a cell
+    is first read out of it, and lives as long as the object.
     """
 
     def __init__(self, seed: int, n_rows: int, n_cells: int, d: int, *, start: int,
@@ -326,41 +325,25 @@ class NoiseChunk:
         if not (0 <= start and 0 < n_rows and row + n_rows <= BLOCK_PATHS):
             raise ValueError(f"rows {start}..{start + n_rows - 1} lie outside a block")
         self.seed, self.d, self.label = seed, d, label
-        # the chunk is cells lo … hi−1 of its block
         self.block, self.lo, self.hi = block, row * n_cells, (row + n_rows) * n_cells
         self._draw = (n_rows, n_cells, start)
         self._cells = None  # (hi − lo, d) once drawn
 
-    def starts(self, m: int) -> range:
-        """Rows of a read with m cells per row whose first cell the chunk holds."""
-        base = self.block * BLOCK_PATHS
-        first, stop = (base + min(-(-cell // m), BLOCK_PATHS) for cell in (self.lo, self.hi))
-        return range(first, stop)
+    def cells(self, lo: int, hi: int) -> np.ndarray:
+        """Cells ``lo .. hi−1`` of the block, (hi − lo, d), a view of the chunk.
 
-    def rows(self, start: int, n_rows: int, m: int) -> np.ndarray:
-        """Rows ``start .. start+n_rows−1`` of a read with m cells per row.
-
-        Equal to ``noise_matrix(seed, n_rows, m, d, label=label, start=start)``,
-        (n_rows, m, d), however the rows fall against the chunk.
+        Row q of a read with m cells per row is ``cells(q·m, (q+1)·m)``;
+        cells outside the chunk are a ValueError.
         """
-        block, row = divmod(start, BLOCK_PATHS)
-        cell = row * m - self.lo  # the first row's first cell, counted from the chunk's
-        inside = 0
-        if block == self.block and 0 <= cell:
-            inside = max(0, min(n_rows, BLOCK_PATHS - row, (self.hi - self.lo - cell) // m))
-        parts = []
-        if inside:
-            if self._cells is None:
-                n, n_cells, first = self._draw
-                self._cells = noise_matrix(
-                    self.seed, n, n_cells, self.d, label=self.label, start=first
-                ).reshape(-1, self.d)
-            parts.append(self._cells[cell:cell + inside * m].reshape(inside, m, self.d))
-        if inside < n_rows:
-            parts.append(noise_matrix(
-                self.seed, n_rows - inside, m, self.d, label=self.label, start=start + inside
-            ))
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if not self.lo <= lo <= hi <= self.hi:
+            raise ValueError(f"cells {lo}..{hi - 1} lie outside the chunk's "
+                             f"{self.lo}..{self.hi - 1}")
+        if self._cells is None:
+            n, n_cells, first = self._draw
+            self._cells = noise_matrix(
+                self.seed, n, n_cells, self.d, label=self.label, start=first
+            ).reshape(-1, self.d)
+        return self._cells[lo - self.lo:hi - self.lo]
 
 
 def refine_noise(path: NoisePath) -> NoisePath:

@@ -1,16 +1,24 @@
 """Affine step maps: every scheme's maps against a probe of the path solver,
-and the DM-ULMC drift factors against dense formulas."""
+the DM-ULMC drift factors against dense formulas, and the batched weights
+bit for bit against a step-by-step loop."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from girsanovlab.affine import quadratic_path_kl, scheme_marginal_gaussian, step_maps_for_schedule
+from girsanovlab.affine import (
+    ScheduleMaps,
+    fast_log_weights,
+    quadratic_path_kl,
+    scheme_marginal_gaussian,
+    step_maps_for_schedule,
+)
 from girsanovlab.divergences import stationary_moments
 from girsanovlab.engine import scheme_for
 from girsanovlab.kernels import StepKernels
-from girsanovlab.paths import TimeGrid
+from girsanovlab.paths import TimeGrid, noise_matrix
 from girsanovlab.potentials import AnisotropicQuadratic
 
 POT = AnisotropicQuadratic((0.6, 1.4))
@@ -141,3 +149,73 @@ def test_dmulmc_step_maps_are_rank_2d_factors(mode):
     exact = quadratic_path_kl(maps, mean0, cov0)
     assert exact > 0
     assert abs(exact - _dense_path_kl(maps, mean0, cov0)) <= 1e-12
+
+
+def _step_loop_log_weights(maps, z0, xi):
+    """(log weight, invertible) of a batch, one step at a time: the drift
+    coordinates, Itô term, energy and state of each step formed from that
+    step's maps alone, the block summaries read per path."""
+    B, (m, d) = z0.shape[0], (maps[0].m, maps[0].d)
+    z, ito, energy = z0, np.zeros(B), np.zeros(B)
+    for k, sm in enumerate(maps):
+        xif = xi[:, k * m : (k + 1) * m].reshape(B, m * d)
+        if sm.U is None:
+            c = z @ sm.Lz.T + xif @ sm.Wt.T + sm.l0
+            u_xi, c_g, s_xi = xif, c, xif @ sm.S.T
+        else:
+            r = sm.l0.size
+            prod = xif @ sm.noise_product
+            c = z @ sm.Lz.T + prod[:, :r] + sm.l0
+            u_xi, s_xi = prod[:, r : 2 * r], prod[:, 2 * r :]
+            c_g = c @ sm.G
+        ito += (c * u_xi).sum(1)
+        energy += 0.5 * (c_g * c).sum(1)
+        z = z @ sm.A.T + s_xi + sm.b
+    summary = {name: np.broadcast_to(np.concatenate([getattr(sm.summary, name) for sm in maps],
+                                                    axis=-1), (B, len(maps)))
+               for name in ("sign", "det2", "trace", "rho")}
+    log_cf = np.where(summary["sign"] == 0.0, -np.inf, summary["det2"]).sum(axis=-1)
+    log_weight = log_cf - (ito - summary["trace"].sum(axis=-1)) - energy
+    return log_weight, (summary["rho"].max(axis=-1) < 0.9) & np.isfinite(log_cf)
+
+
+# (target, grid, offsets): criterion 7's d with 16 and with 3 cells per step
+# (an identity-basis step then has 6 < 8 drift coordinates, DM-ULMC 4), and
+# d = 4, where DM-ULMC has 8.  The package's quadratic targets are centred,
+# so their maps have l0 = b = 0; "offsets" sets both to nonzero values,
+# where the order of the additions shows
+BIT_CASES = {
+    "d2-m16": (POT, GRID, False),
+    "d2-m3": (POT, TimeGrid(0.5, 3, 3), False),
+    "d2-m3-offsets": (POT, TimeGrid(0.5, 3, 3), True),
+    "d4-m4": (AnisotropicQuadratic((0.5, 0.8, 1.1, 1.4)), TimeGrid(0.5, 3, 4), False),
+}
+
+
+@pytest.mark.parametrize("case", list(BIT_CASES))
+@pytest.mark.parametrize("B", [1, 7, 128])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_fast_log_weights_are_the_step_loop_bit_for_bit(scheme, mode, B, case):
+    # the stacked kernel makes each step's own BLAS products and adds the
+    # per-step terms in step order; a randomized schedule has distinct step
+    # keys, so distinct maps per step
+    pot, grid, offsets = BIT_CASES[case]
+    s = scheme_for(scheme)
+    schedule = s.schedule(grid, mode, 4, 0)
+    maps = step_maps_for_schedule(scheme, pot, schedule, _gamma(scheme))
+    if mode == "randomized" and s.midpoint_choice:
+        assert len({id(sm) for sm in maps}) > 1
+    if offsets:
+        rng = np.random.default_rng(5)
+        maps = ScheduleMaps(replace(sm, l0=rng.normal(size=sm.l0.shape), b=rng.normal(size=sm.b.shape))
+                            for sm in maps)
+    zdim = 2 * pot.d if s.kinetic else pot.d
+    z0 = np.random.default_rng(B).normal(size=(B, zdim))
+    xi = noise_matrix(3, B, grid.n_cells, pot.d)
+    log_weight, invertible = _step_loop_log_weights(maps, z0, xi)
+    for given in (maps, list(maps)):  # the schedule's maps, and a plain list of them
+        w = fast_log_weights(given, z0, xi)
+        np.testing.assert_array_equal(w.log_weight, log_weight)
+        np.testing.assert_array_equal(w.invertible, invertible)
+        assert w.log_weight.shape == w.negative_det.shape == w.spectral_radius.shape == (B,)

@@ -55,6 +55,54 @@ def test_complexity_table_builds_each_evaluation_once(monkeypatch):
     assert len(calls) == len(set(calls))
 
 
+KL_SWEEP_CONFIG = """
+[experiment]
+name = kl-order-sweep
+n_paths = 64
+seed = 4
+[potential]
+kind = gaussian
+d = 2
+[grid]
+T = 0.5
+h = 1/4 1/8 1/16
+m = 3 4 6
+[scheme]
+name = DM-ULMC
+gamma = 1.0
+schedule = randomized
+"""
+
+
+def test_kl_sweep_extracts_each_grids_maps_once(monkeypatch):
+    # the weights and the marginal lower-bound check read the same maps:
+    # one extraction per grid, and the check's moments are those of that
+    # grid's maps
+    from girsanovlab import affine, engine, experiments
+
+    calls = []
+    for module in (affine, engine, experiments):
+        original = module.step_maps_for_schedule
+
+        def counted(scheme, potential, schedule, gamma=None, _original=original):
+            calls.append(schedule.grid)
+            return _original(scheme, potential, schedule, gamma)
+
+        monkeypatch.setattr(module, "step_maps_for_schedule", counted)
+    cfg = load_config(KL_SWEEP_CONFIG)
+    result = run_experiment(cfg)
+    assert calls == cfg.grids()
+    bounds = [c for c in result.checks if c.label.endswith("marginal lower bound")]
+    assert len(bounds) == len(calls)
+    mean0, cov0 = experiments.stationary_moments(cfg.potential, kinetic=True)
+    for check, schedule in zip(bounds, cfg.schedules()):
+        marginal = affine.marginal_moments(
+            affine.step_maps_for_schedule(cfg.scheme, cfg.potential, schedule, cfg.gamma),
+            mean0, cov0)
+        kl = experiments.gaussian_kl(*marginal, mean0, cov0)
+        assert f"gaussian_kl(marginals) = {kl:.3g} <=" in check.detail
+
+
 LOCAL_ERROR_CONFIG = """
 [experiment]
 name = local-error-sweep

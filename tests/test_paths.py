@@ -212,18 +212,19 @@ def test_noise_chunk_rows_are_the_stream_rows(label, width, first, n_rows, n_cel
     chunk = NoiseChunk(7, n_rows, n_cells, width, start=first, label=label)
     block, row = divmod(first, BLOCK_PATHS)
     lo, hi = row * n_cells, (row + n_rows) * n_cells
+    assert (chunk.block, chunk.lo, chunk.hi) == (block, lo, hi)
+    base = block * BLOCK_PATHS
     for m in (1, 2, 3, n_cells, 2 * n_cells + 1):  # narrower, not nesting, equal, wider
-        starts = chunk.starts(m)
-        base = block * BLOCK_PATHS
-        assert list(starts) == [base + q for q in range(BLOCK_PATHS) if lo <= q * m < hi]
-        # reads from before the chunk, from its first row, and across its
-        # last cell and the block's end
-        for start in {starts.start - 1, starts.start, starts.stop - 2, starts.stop - 1}:
-            for rows in (1, 3, len(starts) + 2):
-                if start >= 0:
-                    np.testing.assert_array_equal(
-                        chunk.rows(start, rows, m),
-                        noise_matrix(7, rows, m, width, label=label, start=start))
+        # every row of the read with a cell in the chunk: its cells there are
+        # the stream row's, whether the row lies inside or runs past the chunk
+        for q in range(lo // m, min(-(-hi // m), BLOCK_PATHS)):
+            a, end = max(q * m, lo), min((q + 1) * m, hi)
+            stream_row = noise_matrix(7, 1, m, width, label=label, start=base + q)[0]
+            np.testing.assert_array_equal(chunk.cells(a, end), stream_row[a - q * m:end - q * m])
+    for a, end in ((lo - 1, lo + 1), (hi - 1, hi + 1)):  # across either end
+        if a >= 0:
+            with pytest.raises(ValueError, match="outside the chunk"):
+                chunk.cells(a, end)
 
 
 def test_noise_chunk_draws_its_words_once(monkeypatch):
@@ -236,14 +237,11 @@ def test_noise_chunk_draws_its_words_once(monkeypatch):
 
     monkeypatch.setattr(gp, "noise_matrix", recording)
     chunk = NoiseChunk(7, 64, 8, 2, start=BLOCK_PATHS - 64)
-    assert not chunk.starts(2) and draws == []  # an m = 2 read ends at cell 2·BLOCK_PATHS
-    whole = chunk.rows(BLOCK_PATHS - 64, 64, 8)
-    wide = chunk.rows(BLOCK_PATHS // 2 - 32, 32, 16)  # the same cells, two rows in one
+    assert draws == []  # nothing is drawn before a cell is read
+    whole = chunk.cells(chunk.lo, chunk.hi).reshape(64, 8, 2)
+    wide = chunk.cells(chunk.lo + 16, chunk.lo + 48).reshape(2, 16, 2)  # two rows of m = 16
     assert np.shares_memory(whole, wide) and draws == [(64, 8, BLOCK_PATHS - 64)]
-    # two rows in the chunk, the two it lacks from the next block
-    tail = chunk.rows(BLOCK_PATHS - 2, 4, 8)
-    assert draws[1:] == [(2, 8, BLOCK_PATHS)]
-    np.testing.assert_array_equal(tail, noise_matrix(7, 4, 8, 2, start=BLOCK_PATHS - 2))
+    np.testing.assert_array_equal(whole, noise_matrix(7, 64, 8, 2, start=BLOCK_PATHS - 64))
 
 
 def test_noise_chunk_lies_in_one_block():

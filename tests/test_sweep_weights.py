@@ -1,8 +1,9 @@
 """The multi-schedule weight sweep: bit for bit a per-grid loop written here,
-at one and two threads; each path-stream word drawn once for nesting grids,
-and only the straddling batches' tails again for grids that do not nest; no
+at one and two threads; each path-stream word and start row drawn once, for
+nesting grids and for grids whose batches straddle the walk's chunks; no
 read over ``WINDOW_BYTES``; and a working set of one chunk plus one batch."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -146,62 +147,82 @@ def _word_counts(reads, label: int, block: int, n_words: int) -> np.ndarray:
     return counts
 
 
-def _sweep(grids, n, pot=QUADRATIC):
+def _sweep(grids, n, pot=QUADRATIC, threads=1):
     schedules = _schedules("mlmc", "deterministic", grids)
-    return sweep_weights("mlmc", pot, schedules=schedules, n_paths=n, seed=3)
+    return sweep_weights("mlmc", pot, schedules=schedules, n_paths=n, seed=3, threads=threads)
+
+
+def _assert_each_word_once(reads, n, top, d):
+    """Every path-stream word of the finest grid's rows, and every start row,
+    read exactly once; no read over WINDOW_BYTES."""
+    assert max((hi - lo) * 8 for _, _, lo, hi in reads) <= WINDOW_BYTES
+    for block in range(-(-n // BLOCK_PATHS)):
+        rows = min(BLOCK_PATHS, n - block * BLOCK_PATHS)
+        for label, words in ((gp.LABEL_PATH, top * d), (gp.LABEL_INIT, d)):
+            counts = _word_counts(reads, label, block, rows * words)
+            np.testing.assert_array_equal(counts, 1)
 
 
 @pytest.mark.parametrize("n", [2 * WINDOW_PATHS, 2 * BLOCK_PATHS],
                          ids=["two-windows", "two-blocks"])
 def test_nesting_grids_draw_each_word_once(monkeypatch, n):
-    # criterion 6's grids: each coarser grid's rows end on a row of the finest
+    # criterion 6's grids: each coarser grid's rows end on a row of the
+    # finest; the start rows, which every grid reads, are drawn once too
     grids = _grids("criterion-6", 4)
-    d, top = QUADRATIC.d, max(grid.n_cells for grid in grids)
     reads = _record_words(monkeypatch)
     _sweep(grids, n)
-    assert max((hi - lo) * 8 for _, _, lo, hi in reads) <= WINDOW_BYTES
-    for block in range(-(-n // BLOCK_PATHS)):
-        rows = min(BLOCK_PATHS, n - block * BLOCK_PATHS)
-        counts = _word_counts(reads, gp.LABEL_PATH, block, rows * top * d)
-        assert np.all(counts == 1)
-    # start states stay drawn per batch, once per grid
-    counts = _word_counts(reads, gp.LABEL_INIT, 0, min(n, BLOCK_PATHS) * d)
-    assert np.all(counts == len(grids))
+    _assert_each_word_once(reads, n, max(grid.n_cells for grid in grids), QUADRATIC.d)
 
 
-@pytest.mark.parametrize("n", [2 * WINDOW_PATHS, 2 * BLOCK_PATHS + 40],
-                         ids=["two-windows", "block-crossing"])
-def test_grids_that_do_not_nest_redraw_only_straddling_tails(monkeypatch, n):
-    # kl-affine's grids, with a quarter of their steps: a coarse grid's batch
-    # may start in one chunk of the finest grid's words and end in the next,
-    # and then draws the words past its chunk again
-    grids = _grids("kl-affine", 4)
-    d = QUADRATIC.d
-    cells = [grid.n_cells for grid in grids]
+def _straddling_batches(cells, n, d) -> int:
+    """Batches of the coarser grids whose words run past a chunk of the
+    finest grid's words, in the walk's geometry."""
     top = max(cells)
     chunk_words = window_rows(top * d) * top * d
+    count = 0
+    for c in cells:
+        batch, row_words = window_rows(c * d), c * d
+        for lo in range(0, n, batch):
+            block_lo = lo % BLOCK_PATHS
+            first = block_lo * row_words
+            end = (min(lo + batch, n) - lo + block_lo) * row_words
+            count += (end - 1) // chunk_words > first // chunk_words
+    return count
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [2 * WINDOW_PATHS, 2 * BLOCK_PATHS + 40],
+                         ids=["two-windows", "block-crossing"])
+def test_grids_that_do_not_nest_draw_each_word_once(monkeypatch, n, threads):
+    # kl-affine's grids, with a quarter of their steps: a coarse grid's batch
+    # may start in one chunk of the finest grid's words and end in the next.
+    # It is run by the second of the two windows, from both chunks' words,
+    # so no word is drawn again, at any thread count
+    grids = _grids("kl-affine", 4)
+    cells = [grid.n_cells for grid in grids]
     reads = _record_words(monkeypatch)
-    _sweep(grids, n)
-    assert max((hi - lo) * 8 for _, _, lo, hi in reads) <= WINDOW_BYTES
-    redrawn = 0
-    for block in range(-(-n // BLOCK_PATHS)):
-        rows = min(BLOCK_PATHS, n - block * BLOCK_PATHS)
-        expected = np.ones(rows * top * d, dtype=np.int16)
-        # each grid's batches of this block, in words of the block: a batch
-        # running past the chunk that holds its first word draws again its
-        # rows from the first one the chunk does not hold whole
-        for c in cells:
-            batch, row_words = window_rows(c * d), c * d
-            for lo in range(0, rows, batch):
-                first, end = lo * row_words, min(lo + batch, rows) * row_words
-                chunk_end = (first // chunk_words + 1) * chunk_words
-                if end > chunk_end:
-                    expected[first + (chunk_end - first) // row_words * row_words:end] += 1
-        counts = _word_counts(reads, gp.LABEL_PATH, block, rows * top * d)
-        np.testing.assert_array_equal(counts, expected)
-        redrawn += int(np.sum(expected - 1))
+    _sweep(grids, n, threads=threads)
+    _assert_each_word_once(reads, n, max(cells), QUADRATIC.d)
     if n > BLOCK_PATHS:
-        assert redrawn > 0  # the coarse grids' batches do straddle chunks
+        assert _straddling_batches(cells, n, QUADRATIC.d) > 0  # batches do straddle chunks
+
+
+def test_straddling_batches_pair_under_thread_contention():
+    # more threads than cores, switching every microsecond: windows that
+    # share a straddling batch, or a start piece, run at once.  A lost part
+    # or a piece freed early would leave a batch unrun or raise
+    grids = _grids("kl-affine", 4)
+    n = 2 * BLOCK_PATHS + 40
+    one = _sweep(grids, n)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = _sweep(grids, n, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(one, many):
+        np.testing.assert_array_equal(a.log_weight, b.log_weight)
+        np.testing.assert_array_equal(a.invertible, b.invertible)
 
 
 def _sweep_peak(grids, n: int) -> int:
@@ -220,9 +241,9 @@ def _sweep_peak(grids, n: int) -> int:
 def test_sweep_holds_one_chunk_and_one_batch():
     # kl-affine's grids: the finest grid's 128-row window is WINDOW_BYTES of
     # noise.  Beside that chunk the walk holds one batch: at most a coarse
-    # grid's window of noise, copied out of the chunk with the tail it
-    # lacks drawn for it when it straddles the chunk's end, plus 1 MiB of
-    # the batch's temporaries and the grids' step maps
+    # grid's window of noise, a buffer filled from this chunk and the one
+    # before when the batch straddles them, plus 1 MiB of the batch's
+    # temporaries and the grids' step maps
     grids = _grids("kl-affine")
     batch_bytes = max(window_rows(g.n_cells * 2) * g.n_cells * 2 * 8 for g in grids[:-1])
     n = 2 * WINDOW_PATHS
