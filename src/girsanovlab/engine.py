@@ -654,7 +654,7 @@ def sweep_weights(
             seed=seed,
             log_weight=log_weight[g],
             invertible=invertible[g],
-            spectral_radius=max(rho[g].tolist()),
+            spectral_radius=float(rho[g].max()),  # a NaN batch maximum propagates
             n_negative_det=int(negative[g].sum()),
             grad_queries_per_path=s.grad_queries(schedule),
             step_maps=maps[g],

@@ -510,12 +510,11 @@ def block_summary_dense(blocks: MalliavinBlocks) -> BlockSummary:
 def _mlmc_step_factors(potential: Potential, traj: OverdampedTrajectory, k: int):
     """Factors of step k's overdamped midpoint block D = L − C·Rᵀ.
 
-    H_i, H⁺ and C_i = η·(iη·H_i·H⁺ + H⁺), with H and C on the band cells
-    i < r_k only: C·Rᵀ is zero outside the band, and no summary reads H_i
-    there (ρ(D) is that of the leading cells, and their recurrence and traces
-    run over i < r_k).  All three are in the potential's factor form
-    (``hessian(x, factor=True)``): H⁺ (B, d) and H, C (B, r_k, d) for a
-    diagonal Hessian, where C is a diagonal too; (B, d, d) and
+    H_i and C_i = η·(iη·H_i·H⁺ + H⁺), on the band cells i < r_k only: C·Rᵀ
+    is zero outside the band, and no summary reads H_i there (ρ(D) is that
+    of the leading cells, and their recurrence and traces run over i < r_k).
+    Both are in the potential's factor form (``hessian(x, factor=True)``):
+    (B, r_k, d) for a diagonal Hessian, where C is a diagonal too, and
     (B, r_k, d, d) for a dense one.
     """
     eta, m = traj.grid.eta, traj.grid.m
@@ -526,7 +525,7 @@ def _mlmc_step_factors(potential: Potential, traj: OverdampedTrajectory, k: int)
     C *= np.expand_dims(eta * np.arange(r), tuple(range(1, C.ndim - 1)))
     C += Hp[:, None]
     C *= eta
-    return H, Hp, C
+    return H, C
 
 
 def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.ndarray:
@@ -546,7 +545,7 @@ def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.nd
     diag = potential.diagonal_hessian
     out = np.empty((B, N))
     for k in range(N):
-        H, _, C = _mlmc_step_factors(potential, traj, k)
+        H, C = _mlmc_step_factors(potential, traj, k)
         r = C.shape[1]
         H = _dense(H, diag)
         partial = _dense(np.cumsum(C, axis=1), diag)  # Σ_{i≤j} C_i
@@ -556,36 +555,40 @@ def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.nd
     return out
 
 
-def _power_estimate_mlmc(
-    H: np.ndarray, Hp: np.ndarray, eta: float, diagonal: bool
-) -> np.ndarray:
-    """‖D₁₁·v₁₉‖ after 20 normalised power steps on the r leading cells, (B,).
+#: Power steps between normalisations of the M-LMC iterate.
+_POWER_RENORM = 4
 
-    (D₁₁·v)_i = η·(H_i·(Σ_{j<i} v_j − iη·u) − u) with u = H⁺·Σ_{j<r} v_j, for
-    the factors H_i (B, r, …) and H⁺ (B, …) of :func:`_mlmc_step_factors`,
-    from v₀ = ones plus a linear tilt.  The iterate is cell-major, (r, B·d),
-    so the exclusive prefix sums of every path are one product with the
-    strictly lower r × r ones matrix, and Σ_{j<r} v_j is the last prefix
-    plus v_{r−1}: no reduction runs along the short cell axis.  H_i·(…) is
-    one :func:`_hessian_times` over a cell-major view of H, with no copy of
-    it: elementwise for a diagonal Hessian, a batched matmul for a dense one.
+
+def _power_estimate_mlmc(H: np.ndarray, C: np.ndarray, eta: float, diagonal: bool) -> np.ndarray:
+    """‖D₁₁·v₁₉‖ = ‖v₂₀‖/‖v₁₉‖ after 20 power steps on the r leading cells, (B,).
+
+    (D₁₁·v)_i = (η·H_i)·S_i − C_i·s with S_i = Σ_{j<i} v_j, s = S_{r−1} + v_{r−1}
+    and the factors H, C (B, r, …) of :func:`_mlmc_step_factors`, from v₀ =
+    ones plus a linear tilt.  On the cell-major (r, B·d) iterate every S_i is
+    one product with the strictly lower r × r ones matrix, then come three
+    elementwise passes (a matmul each for a dense H) over contiguous η·H and
+    C.  Normalised every ``_POWER_RENORM`` steps, its squared norm stays
+    finite and normal while ρ and ‖D₁₁‖ lie within 1e±38; overflow reads inf.
     """
-    B, r, d = H.shape[0], H.shape[1], H.shape[2]
+    B, r, d = H.shape[:3]
     lower = np.tri(r, r, -1)
-    i_eta = eta * np.arange(r)[:, None, None, None]
-    H_cells = H.swapaxes(0, 1)  # (r, B, …), a view
+    eta_H, C = (np.ascontiguousarray(A.swapaxes(0, 1)) for A in (eta * H, C))  # (r, B, …)
     v = np.ones(r * d) + np.linspace(0.0, 1.0, r * d)
-    V = np.broadcast_to((v / np.linalg.norm(v)).reshape(r, 1, d), (r, B, d))
-    for _ in range(20):
-        before = (lower @ V.reshape(r, B * d)).reshape(r, B, d, 1)  # Σ_{j<i} v_j
-        # H⁺·Σ_{j<r} v_j, (B, d, 1)
-        u = _hessian_times(Hp, before[r - 1] + V[r - 1, :, :, None], diagonal)
-        W = _hessian_times(H_cells, before - i_eta * u, diagonal, out=before)
-        W -= u
-        W *= eta
-        nrm = np.sqrt(np.einsum("rbdk,rbdk->b", W, W))
-        V = W[..., 0] / np.where(nrm > 0.0, nrm, 1.0)[:, None]
-    return nrm
+    V = np.broadcast_to((v / np.linalg.norm(v)).reshape(r, 1, d, 1), (r, B, d, 1))
+    finite, nrm = np.ones(B, dtype=bool), None
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow reads inf below
+        for step in range(1, 21):
+            S = (lower @ V.reshape(r, B * d)).reshape(r, B, d, 1)
+            s = S[-1:] + V[-1:]
+            V = _hessian_times(eta_H, S, diagonal, out=S)
+            V -= _hessian_times(C, s, diagonal)
+            if step % _POWER_RENORM == 0 or step >= 19:
+                prev, nrm = nrm, np.sqrt(np.einsum("rbdk,rbdk->b", V, V))
+                finite &= np.isfinite(nrm)
+                if step < 19:
+                    V /= np.where(nrm > 0.0, nrm, 1.0)[:, None, None]
+    rho = np.divide(nrm, prev, out=np.zeros(B), where=prev > 0.0)
+    return np.where(finite, rho, np.inf)
 
 
 def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> BlockSummary:
@@ -605,13 +608,15 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
     the r·d leading cells.  ``rho`` is ‖D₁₁·v₁₉‖ after 20 normalised power
     steps from ones plus a linear tilt, through
     (D₁₁·v)_i = η·H_i·Σ_{j<i} v_j − C_i·Σ_{j<r} v_j: an estimate of ρ, not
-    a bound (:func:`_power_estimate_mlmc`).  Its iterate is cell-major,
-    (r, B·d), so each power step costs r²·B·d for every exclusive prefix
-    Σ_{j<i} v_j (one product with the strictly lower r × r ones matrix),
-    B·d for u = H⁺·Σ_{j<r} v_j, r·B·d for the r·B products H_i·(…), and
-    O(r·B·d) elementwise work, with no reduction along the cell axis; a
-    dense Hessian makes the two products B·d² and r·B·d², one batched
-    matmul each.  At r = 0 (EM-LD) every field but the sign is exactly zero.
+    a bound (:func:`_power_estimate_mlmc`).  It applies D₁₁ through the
+    step's own factors η·H and C, made cell-major and contiguous once per
+    step.  Its iterate is cell-major, (r, B·d), so each power step costs one
+    r × r by r × (B·d) product for every exclusive prefix Σ_{j<i} v_j, three
+    elementwise passes of r·B·d (η·H_i·S_i, C_i·Σ_{j<r} v_j and their
+    difference), and a norm every four steps, with no reduction along the
+    cell axis; a dense Hessian makes the two factor products r·B·d² each,
+    one batched matmul each.  At r = 0 (EM-LD) every field but the sign is
+    exactly zero.
     The factors stay in the potential's form (:func:`_mlmc_step_factors`):
     for a diagonal Hessian every Y_i is diagonal, so the recurrence costs
     O(r·d) per path and step, against O(r·d³) for a dense one, instead of
@@ -626,7 +631,7 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
     diag = potential.diagonal_hessian
     sign, det2, trace, rho = (np.zeros((B, N)) for _ in range(4))
     for k in range(N):
-        H, Hp, C = _mlmc_step_factors(potential, traj, k)
+        H, C = _mlmc_step_factors(potential, traj, k)
         r = C.shape[1]
         prefix = np.zeros((B, *C.shape[2:]))  # Σ_{j<i} Y_j, and Ŷ once i = r
         excess = np.zeros(B)  # tr(Ĉ − Ŷ)
@@ -642,7 +647,7 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
         trace[:, k] = -np.einsum("biaa->b", _dense(C, diag))
         if r == 0:
             continue
-        rho[:, k] = _power_estimate_mlmc(H, Hp, eta, diag)
+        rho[:, k] = _power_estimate_mlmc(H, C, eta, diag)
     return BlockSummary(sign, det2, trace, rho)
 
 

@@ -6,7 +6,8 @@ tests hold them to ``block_summary_dense`` of the dense reference blocks
 ``Scheme.blocks`` (``derivative_blocks`` of the scheme's tangent rule) on a
 non-quadratic target, both read through the one assembly
 ``summary_log_weight``.  ρ is held to the dense eigenvalues, or, on the
-overdamped midpoint route, to a power oracle on the block's leading cells;
+overdamped midpoint route, to a power oracle on the block's leading cells,
+also on factors scaled to ρ ≈ 1e±30 (an overflowing iterate reads inf);
 det₂ is held to a 40-digit evaluation of the same float64 core.  The
 overdamped tr(D_k²) of ``trace_square_mlmc`` is held to the dense blocks the
 same way.  The generic-route summaries and criterion 5's trace diagnostics
@@ -34,6 +35,7 @@ from girsanovlab.girsanov import (
     _core_spectrum,
     _dmulmc_directions,
     _mlmc_step_factors,
+    _power_estimate_mlmc,
     _spectral_fields,
     summary_log_weight,
     tangents_dmulmc,
@@ -47,7 +49,7 @@ from girsanovlab.paths import (
     UnderdampedSchedule,
     noise_matrix,
 )
-from girsanovlab.potentials import IsotropicQuadratic, PerturbedQuadratic
+from girsanovlab.potentials import IsotropicQuadratic, PerturbedQuadratic, diagonal_matrices
 
 GRID = TimeGrid(0.5, 3, 8)
 N_PATHS = 32
@@ -174,6 +176,10 @@ def test_mlmc_rho_is_the_leading_cells_power_estimate(case):
         np.testing.assert_allclose(structured.rho[:, k], oracle, rtol=0.0, atol=1e-12)
 
 
+class _DensePerturbed(PerturbedQuadratic):
+    diagonal_hessian = False
+
+
 def test_mlmc_power_estimate_at_the_benchmark_shape():
     # the cell-major iterate at d = 8, m = 32 and B = 16: a step with r = 16
     # (the deterministic midpoint) and one with r = 1, a single leading cell
@@ -188,6 +194,52 @@ def test_mlmc_power_estimate_at_the_benchmark_shape():
         oracle = _power_oracle(blocks.diag[:, k, : r * d, : r * d])
         assert np.all(oracle > 1e-3)
         np.testing.assert_allclose(rho[:, k], oracle, rtol=0.0, atol=1e-12)
+    # the same target forced onto the dense matmul branch: the same bits
+    dense = _DensePerturbed(np.linspace(1.0, 2.0, 8), amplitude=0.1, frequency=1.0)
+    np.testing.assert_array_equal(block_summary_mlmc(dense, traj).rho, rho)
+
+
+def _synthetic_mlmc_factors(scale: float, B: int = 4, r: int = 5, d: int = 3, eta: float = 0.1):
+    """Diagonal factors H (B, r, d), C_i = η·(iη·H_i·H⁺ + H⁺), both times ``scale``."""
+    rng = np.random.default_rng(11)
+    H, Hp = rng.uniform(1.0, 2.0, (B, r, d)), rng.uniform(1.0, 2.0, (B, 1, d))
+    C = eta * (eta * np.arange(r)[:, None] * H * Hp + Hp)
+    return scale * H, scale * C, eta
+
+
+def _mlmc_leading_block(H: np.ndarray, C: np.ndarray, eta: float) -> np.ndarray:
+    """Dense D₁₁ (B, r·d, r·d) of diagonal factors: block (i, j) = η·H_i·1_{j<i} − C_i."""
+    B, r, d = H.shape
+    cells = np.tri(r, r, -1)[:, :, None] * eta * H[:, :, None] - C[:, :, None]
+    return diagonal_matrices(cells).swapaxes(2, 3).reshape(B, r * d, r * d)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+def test_mlmc_power_estimate_holds_far_from_unit_radius(scale):
+    # an iterate normalised every few steps stays finite and normal across
+    # 60 decades of ρ, and matches the oracle normalised at every step
+    H, C, eta = _synthetic_mlmc_factors(scale)
+    oracle = _power_oracle(_mlmc_leading_block(H, C, eta))
+    assert np.all((oracle > 1e-2 * scale) & (oracle < 1e2 * scale))
+    rho = _power_estimate_mlmc(H, C, eta, True)
+    np.testing.assert_allclose(rho, oracle, rtol=1e-12, atol=0.0)
+    dense = _power_estimate_mlmc(diagonal_matrices(H), diagonal_matrices(C), eta, False)
+    np.testing.assert_array_equal(dense, rho)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_mlmc_power_estimate_overflow_reads_inf_and_is_rejected(scale):
+    # the squared norm (1e200) or the iterate itself (1e300) overflows: ρ is
+    # inf, never NaN or a normalised-away zero, and the rule rejects the path
+    H, C, eta = _synthetic_mlmc_factors(scale)
+    for rho in (_power_estimate_mlmc(H, C, eta, True),
+                _power_estimate_mlmc(diagonal_matrices(H), diagonal_matrices(C), eta, False)):
+        np.testing.assert_array_equal(rho, np.inf)
+        B, d = rho.size, H.shape[-1]
+        ones, zeros = np.ones((B, 1)), np.zeros((B, 1))
+        w = summary_log_weight(np.zeros((B, 1, d)), BlockSummary(ones, zeros, zeros, rho[:, None]),
+                               np.zeros((B, 1, d)))
+        assert not w.invertible.any()
 
 
 def _dmulmc_fields(WtU: np.ndarray, diagonal: bool) -> tuple:
@@ -327,7 +379,7 @@ def test_mlmc_det2_matches_a_40_digit_oracle():
     summary = block_summary_mlmc(pot, traj)
     with mpmath.workdps(40):
         for k in (0, 511, 1023):
-            H, _, C = _mlmc_step_factors(pot, traj, k)
+            H, C = _mlmc_step_factors(pot, traj, k)
             for b in range(2):
                 Hs = [mpmath.diag(h.tolist()) for h in H[b]]
                 Cs = [mpmath.diag(c.tolist()) for c in C[b]]

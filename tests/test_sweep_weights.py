@@ -1,14 +1,17 @@
 """The multi-schedule weight sweep: bit for bit a per-grid loop written here,
 at one and two threads; each path-stream word and start row drawn once, for
 nesting grids and for grids whose batches straddle the walk's chunks; no
-read over ``WINDOW_BYTES``; and a working set of one chunk plus one batch."""
+read over ``WINDOW_BYTES``; a working set of one chunk plus one batch; and a
+ρ maximum that a NaN batch makes NaN wherever the batch lies."""
 
+import dataclasses
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import girsanovlab.engine as engine
 import girsanovlab.paths as gp
 from girsanovlab.affine import fast_log_weights, step_maps_for_schedule
 from girsanovlab.engine import (
@@ -252,3 +255,25 @@ def test_sweep_holds_one_chunk_and_one_batch():
     # not their noise or their log weights' pieces
     growth = _sweep_peak(grids, 2 * n) - _sweep_peak(grids, n)
     assert growth <= len(grids) * 9 * n + 2**16
+
+
+@pytest.mark.parametrize("bad_batch", [0, 1], ids=["first", "second"])
+def test_sweep_rho_propagates_a_nan_batch_maximum(monkeypatch, bad_batch):
+    # the run's ρ is the batches' maximum: a batch whose ρ is NaN makes it
+    # NaN wherever that batch lies in the run, not only when it comes first
+    calls = []
+
+    def generic(*args):
+        w = generic_log_weights(*args)
+        calls.append(None)
+        if len(calls) - 1 == bad_batch:
+            w = dataclasses.replace(w, spectral_radius=np.full_like(w.spectral_radius, np.nan))
+        return w
+
+    monkeypatch.setattr(engine, "generic_log_weights", generic)
+    schedules = _schedules("mlmc", "deterministic", [TimeGrid(0.125, 1, 8)])
+    n = 2 * WINDOW_PATHS
+    assert window_rows(8 * PERTURBED.d) < n  # two batches, walked in path order
+    run, = sweep_weights("mlmc", PERTURBED, schedules=schedules, n_paths=n, seed=3)
+    assert len(calls) == 2
+    assert np.isnan(run.spectral_radius)
