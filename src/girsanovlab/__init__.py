@@ -16,7 +16,6 @@ from .acceptance import (
 )
 from .affine import (
     quadratic_path_kl,
-    scheme_marginal_gaussian,
     step_maps_for_schedule,
 )
 from .config import ConfigError, ExperimentConfig, load_config, load_config_file
@@ -136,7 +135,6 @@ __all__ = [
     "run_experiment",
     "run_weights",
     "scheme_for",
-    "scheme_marginal_gaussian",
     "simulate_dmulmc",
     "simulate_mlmc",
     "simulate_ulmc",

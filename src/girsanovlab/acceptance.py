@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import load_config
-from .engine import start_states
+from .engine import scheme_for, start_states
 from .experiments import RunResult, run_experiment
-from .girsanov import block_summary_mlmc, carleman_fredholm_logdet, trace_square_mlmc
-from .integrators import simulate_mlmc
-from .paths import OverdampedSchedule, TimeGrid, noise_matrix
+from .girsanov import carleman_fredholm_logdet, trace_square_mlmc
+from .paths import TimeGrid, noise_matrix
 from .potentials import IsotropicQuadratic
 
 DEFAULT_SEED = 20260815
@@ -210,16 +209,15 @@ name = {label}
 
     def criterion_4(self) -> CriterionResult:
         t0 = time.perf_counter()
-        potential = IsotropicQuadratic(2)
+        potential, s = IsotropicQuadratic(2), scheme_for("mlmc")
         T, m, n = 0.4, 64, 100
         gaps = []
         for n_steps in (2, 4, 8):  # h = 0.2, 0.1, 0.05 at fixed T
             grid = TimeGrid(T, n_steps, m)
-            schedule = OverdampedSchedule.deterministic(grid)
-            x0 = start_states(potential, False, self.seed, n)
+            x0 = start_states(potential, s.kinetic, self.seed, n)
             xi = noise_matrix(self.seed, n, grid.n_cells, potential.d)
-            traj = simulate_mlmc(potential, schedule, x0, xi)
-            exact, _ = carleman_fredholm_logdet(block_summary_mlmc(potential, traj))
+            traj = s.simulate(potential, s.schedule(grid), None, x0, xi)
+            exact, _ = carleman_fredholm_logdet(s.summary(potential, traj))
             tr_d2 = trace_square_mlmc(potential, traj).sum(axis=1)
             gaps.append(float(np.mean(np.abs(exact - (-0.5 * tr_d2)))))
         ratios = [gaps[i] / gaps[i + 1] for i in range(2)]

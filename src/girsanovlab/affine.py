@@ -54,7 +54,6 @@ __all__ = [
     "extract_step_maps",
     "step_maps_for_schedule",
     "marginal_moments",
-    "scheme_marginal_gaussian",
     "quadratic_path_kl",
     "fast_log_weights",
 ]
@@ -103,11 +102,6 @@ class StepMaps:
         """Covariance contribution of one step's increments, S·Sᵀ."""
         return self.S @ self.S.T
 
-    @cached_property
-    def noise_product(self) -> np.ndarray:
-        """[Wtᵀ | U | Sᵀ] (m·d, 2r + z): ξ times it gives Wt·ξ, Uᵀ·ξ and S·ξ."""
-        return np.concatenate([self.Wt.T, self.U, self.S.T], axis=1)
-
 
 def extract_step_maps(
     scheme: str, potential: Potential, grid: TimeGrid, r, gamma: float | None = None
@@ -148,20 +142,20 @@ class ScheduleMaps(tuple):
     """The StepMaps of one schedule, one per outer step (equal step keys share
     one object), with the constants its weights read formed once.
 
-    A tuple, read as the list of maps everywhere; what it adds is for
-    :func:`fast_log_weights`, formed on first use and kept with the maps: the
-    steps' noise operands stacked along the steps, so that one stacked
-    ``matmul`` makes every step's own BLAS product, and the totals of the
-    steps' block summaries, which every path of the schedule shares.
+    A tuple, read as the list of maps everywhere; what it adds is formed on
+    first use and kept with the maps: the steps' noise operands stacked along
+    the steps, so that one stacked ``matmul`` makes every step's own BLAS
+    product in :func:`fast_log_weights`, and the totals of the steps' block
+    summaries, which every path of the schedule and its path KL share.
     """
 
     @cached_property
     def noise_operands(self) -> tuple[np.ndarray, ...]:
         """Per step, what ξ_k (B, m·d) is multiplied by, stacked (N, m·d, ·):
-        [Wtᵀ | U | Sᵀ] in a low-rank basis, else Wtᵀ and Sᵀ as transposed
-        views, the layout each step's own product reads."""
+        [Wtᵀ | U | Sᵀ] (Wt·ξ, Uᵀ·ξ and S·ξ at once) in a low-rank basis, else
+        Wtᵀ and Sᵀ as transposed views, the layout each step's own product reads."""
         if self[0].U is not None:
-            return (np.stack([sm.noise_product for sm in self]),)
+            return (np.stack([np.concatenate([sm.Wt.T, sm.U, sm.S.T], axis=1) for sm in self]),)
         return tuple(np.stack([getattr(sm, f) for sm in self]).swapaxes(1, 2) for f in ("Wt", "S"))
 
     @cached_property
@@ -181,9 +175,11 @@ class ScheduleMaps(tuple):
 
     @cached_property
     def summary_totals(self) -> tuple[np.ndarray, ...]:
-        """The weight's totals over the steps' block summaries, on one row
-        (:func:`~girsanovlab.girsanov._summary_totals`)."""
-        return girsanov._summary_totals(_step_summaries(self))
+        """The schedule's one Σ_k log det₂, Σ_k tr D_k and the other weight totals
+        (:func:`~girsanovlab.girsanov._summary_totals`) of its steps' summaries, on one row."""
+        steps = (np.concatenate([getattr(sm.summary, f.name) for sm in self], axis=-1)
+                 for f in fields(BlockSummary))
+        return girsanov._summary_totals(BlockSummary(*steps))
 
 
 def step_maps_for_schedule(
@@ -230,33 +226,6 @@ def marginal_moments(
     return horizon
 
 
-def scheme_marginal_gaussian(
-    scheme: str,
-    potential: Potential,
-    schedule,
-    mean0: np.ndarray,
-    cov0: np.ndarray,
-    gamma: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact marginal law of a scheme at the horizon, for quadratic targets.
-
-    Composes the affine step maps of ``schedule`` (read as in
-    :func:`step_maps_for_schedule`: a bare TimeGrid means the scheme's
-    default schedule) starting from N(mean0, cov0).  The state is x
-    (overdamped) or stacked (x, p) (kinetic).
-    """
-    maps = step_maps_for_schedule(scheme, potential, schedule, gamma)
-    return marginal_moments(maps, mean0, cov0)
-
-
-def _step_summaries(maps) -> BlockSummary:
-    """The steps' block summaries side by side, fields (1, N)."""
-    return BlockSummary(*(
-        np.concatenate([getattr(sm.summary, f.name) for sm in maps], axis=-1)
-        for f in fields(BlockSummary)
-    ))
-
-
 def _gram_times(sm: StepMaps, coords: np.ndarray) -> np.ndarray:
     """G·coords, with G = I in the identity basis."""
     return coords if sm.G is None else sm.G @ coords
@@ -272,8 +241,9 @@ def quadratic_path_kl(
     E‖ψ‖² = E[cᵀGc] = m_cᵀG·m_c + Σ(Lz·Σ)∘(G·Lz) + ΣWt∘(G·Wt): one trace form
     for both bases (G = I for the identity basis), so no step forms an
     (m·d)³ product, and a low-rank one no (m·d)² array.  Infinite when some
-    step block is exactly singular.
+    step block is exactly singular.  Σ_k log det₂ is the maps' ``summary_totals``.
     """
+    maps = maps if isinstance(maps, ScheduleMaps) else ScheduleMaps(maps)
     kl = 0.0
     for sm, (mean, cov) in zip(maps, _state_moments(maps, mean0, cov0)):
         mean_c = sm.Lz @ mean + sm.l0
@@ -282,8 +252,7 @@ def quadratic_path_kl(
             + np.sum((sm.Lz @ cov) * _gram_times(sm, sm.Lz))
             + np.sum(sm.Wt * _gram_times(sm, sm.Wt))
         )
-    log_cf, _ = girsanov.carleman_fredholm_logdet(_step_summaries(maps))
-    return kl - float(log_cf[0])
+    return kl - float(maps.summary_totals[0][0])
 
 
 def fast_log_weights(maps, z0: np.ndarray, xi: np.ndarray) -> LogWeight:

@@ -25,7 +25,7 @@ from scipy.special import logsumexp, stdtrit
 
 from .engine import scheme_for, start_law, walk_grids
 from .girsanov import _log1p_minus_x
-from .paths import BLOCK_PATHS, LABEL_PATH, LABEL_RESIDUAL
+from .paths import LABEL_PATH, LABEL_RESIDUAL
 from .potentials import Potential, stationary_moments
 
 __all__ = [
@@ -277,16 +277,12 @@ def local_error_sweep(
     ``threads`` (tested).  What the sweep adds to the walk is its replica
     pairing; both replicas of path p map the same start row, which the walk
     draws once.  Held across windows: the four (n_paths,) per-path error
-    columns of every grid, and each replica-1 batch's (rows, z) defects
-    until its replica-2 partner arrives.  Partners lie
-    n_paths = k·``BLOCK_PATHS`` + r rows apart in every grid, so the sweep
-    visits the windows of replica 1's k whole blocks in pairs: window i,
-    then the window k·``BLOCK_PATHS`` rows on, which serves each grid's
-    partners of the rows r rows before window i's.  A replica-1 batch waits
-    for at most its grid's next r rows and a window, so the sweep holds the
-    defects of about a block's rows per grid at most, not of n_paths rows,
-    for any n_paths (tested); when r = 0, of one window's batches.  For
-    DM-ULMC no (m+1) × m kernel table is built (tested).
+    columns of every grid, and each batch's (rows, z) defects until its
+    partner in the other replica arrives.  The walk runs each window beside
+    the one that holds its partners' rows, so the sweep holds the defects
+    of about a block's rows per grid at most, not of n_paths rows, for any
+    n_paths (tested; the order is stated in ``walk_grids``).  For DM-ULMC
+    no (m+1) × m kernel table is built (tested).
     """
     # looked up at call time, so wrappers installed on the module see the calls
     from .integrators import ou_endpoint_map
@@ -313,15 +309,6 @@ def local_error_sweep(
     ]
     per_path = [{name: np.empty(n_paths) for name in ERROR_COLUMNS} for _ in grids]
 
-    # the walk's windows of replica 1's whole blocks come in `pairs`; window
-    # i of them is visited beside window i + pairs, which serves every grid's
-    # replica-2 rows n_paths % BLOCK_PATHS rows before its partners' (these
-    # partners themselves when that is 0), so the held defects stay within a
-    # block's rows
-    def visit(i: int, rows: int) -> int:
-        pairs = n_paths // BLOCK_PATHS * (BLOCK_PATHS // rows)
-        return i // 2 + i % 2 * pairs if i < 2 * pairs else i
-
     held, lock = {}, threading.Lock()
 
     def eval_batch(g, first, lo, hi, noise, z0):
@@ -343,7 +330,7 @@ def local_error_sweep(
 
     walk_grids(eval_batch, seed, [grid.m for grid in grids], n_paths, threads,
                ((d, LABEL_PATH), (zdim, LABEL_RESIDUAL)), start_law(potential, kinetic),
-               replicas=2, visit=visit)
+               replicas=2)
     errors = {
         name: (
             np.asarray([float(c[name].mean()) for c in per_path]),

@@ -31,7 +31,11 @@ x ~ N(0, I/α) with p ~ N(0, I).
 The scheme table :data:`SCHEMES` defines each discretization once — its
 schedules, simulation, horizon state, drift coordinates, step tangent rule,
 derivative blocks, affine step keys, gradient query count and step-size
-bound — and every scheme-dependent call site in the package goes through it.
+bound — and every call site that schedules, simulates or summarises a scheme
+goes through it.  Per-scheme thresholds and checks stay keyed by scheme id:
+``KL_SLOPE_THRESHOLDS``, ``LOCAL_ERROR_THRESHOLDS``, ``_inner_cells`` and the
+config's DM-ULMC m ≥ 2 check; the M-LMC trace diagnostics are called directly,
+on a trajectory the table simulates.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from .potentials import Potential, stationary_moments
 
 __all__ = [
     "SCHEDULE_MODES", "SCHEMES", "Scheme", "StartLaw", "WeightRun", "WINDOW_BYTES", "WINDOW_PATHS",
-    "scheme_for", "start_law", "start_states", "window_rows", "map_windows", "walk_grids",
+    "scheme_for", "start_law", "start_states", "window_rows", "walk_grids",
     "sweep_weights", "run_weights", "generic_log_weights",
 ]
 
@@ -406,7 +410,8 @@ def start_law(potential: Potential, kinetic: bool, init=None) -> StartLaw:
     """The start law, resolved once per run: a :class:`StartLaw`.
 
     ``init`` is None (the default start law) or ("gaussian", mean, cov) with
-    mean (z,) and cov (z, z), z = d or 2d; other shapes are a ValueError.
+    finite mean (z,) and symmetric (to 1e-12 relative) positive definite cov
+    (z, z), z = d or 2d; anything else is a ValueError.
     Calling the result, ``law(seed, n, start=0)``, returns the start states
     of paths ``start .. start+n−1``, shape (n, d) or (n, 2d): path p's start
     is row p of the seed's initialization stream pushed through the law's
@@ -429,9 +434,16 @@ def start_law(potential: Potential, kinetic: bool, init=None) -> StartLaw:
                 f"a gaussian start law needs mean ({zdim},) and cov ({zdim}, {zdim}), "
                 f"got {mean.shape} and {cov.shape}"
             )
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("a gaussian start law needs finite mean and cov entries")
+        if np.abs(cov - cov.T).max() > 1e-12 * np.abs(cov).max():  # Cholesky reads one triangle
+            raise ValueError("a gaussian start law needs a symmetric cov")
     else:
         raise ValueError(f"unknown initial law {init!r}")
-    return StartLaw(mean, np.linalg.cholesky(cov))
+    try:
+        return StartLaw(mean, np.linalg.cholesky(cov))
+    except np.linalg.LinAlgError:
+        raise ValueError("a start law needs a positive definite cov") from None
 
 
 def start_states(
@@ -452,26 +464,8 @@ def window_rows(values_per_path: int) -> int:
     return rows
 
 
-def map_windows(eval_window, n_paths: int, threads: int, values_per_path: int) -> list:
-    """eval_window(lo, hi) over the windows of paths 0 … n_paths−1, in window order.
-
-    Windows have :func:`window_rows` (``values_per_path``) rows, the last one
-    fewer; this is the one place that cuts them.  Its one caller is
-    :func:`walk_grids`, where a window is a chunk of the finest grid's rows
-    whose words every grid reads.  With ``threads`` > 1 the windows run on a
-    thread pool.
-    """
-    rows = window_rows(values_per_path)
-    starts = range(0, n_paths, rows)
-    stops = [min(lo + rows, n_paths) for lo in starts]
-    if threads <= 1:
-        return [eval_window(lo, hi) for lo, hi in zip(starts, stops)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(eval_window, starts, stops))
-
-
 def walk_grids(eval_batch, seed: int, cells, n_paths: int, threads: int, streams,
-               law: StartLaw, *, replicas: int = 1, visit=None) -> None:
+               law: StartLaw, *, replicas: int = 1) -> None:
     """eval_batch(g, first, lo, hi, noise, z0) over every batch of every grid,
     each noise word and start row drawn once: the one noise walk of
     :func:`sweep_weights`, :func:`run_weights` and the local-error sweep.
@@ -485,8 +479,9 @@ def walk_grids(eval_batch, seed: int, cells, n_paths: int, threads: int, streams
     the initialization stream.  So a grid's batches, and the bits computed
     from them, do not depend on the other grids.
 
-    The walk covers the rows of the grid with the most cells in the windows
-    of :func:`map_windows`.  Each window draws its words once, as one
+    The walk cuts the rows of the grid with the most cells into windows of
+    :func:`window_rows` rows, the one place that cuts them, run on a thread
+    pool when ``threads`` > 1.  Each window draws its words once, as one
     :class:`~girsanovlab.paths.NoiseChunk` per stream, and serves every
     batch whose cells it holds.  A batch inside the window runs on views of
     it.  A batch whose cells run past the window (a coarse grid's batch
@@ -498,10 +493,16 @@ def walk_grids(eval_batch, seed: int, cells, n_paths: int, threads: int, streams
     until its last batch has run.  The working set is one chunk (at most
     ``WINDOW_BYTES``), one batch, the buffers of the batches astride the
     chunks in flight, and the start pieces in flight (tested).
-    ``visit(i, rows)`` is the window run in slot i, for windows of ``rows``
-    rows; by default window i.  eval_batch must write only its own paths'
-    results, so that with ``threads`` > 1 nothing depends on the threads'
-    order.
+
+    Windows run in order, but the replicas' whole blocks are zipped: with
+    n_paths = b·``BLOCK_PATHS`` + r and pairs = b·``BLOCK_PATHS`` / rows,
+    slot i·replicas + k runs window k·pairs + i, and the rest follow.  So
+    window i runs beside the window b blocks on, which holds the next
+    replica's partners of the rows r rows before window i's, and a caller
+    that pairs replicas (the local-error sweep) holds a batch for about a
+    block's rows at most, not n_paths rows (tested).  eval_batch must write
+    only its own paths' results, so that with ``threads`` > 1 nothing
+    depends on the threads' order.
     """
     width = sum(words for words, _ in streams)
     top = max(cells, default=1)
@@ -569,9 +570,7 @@ def walk_grids(eval_batch, seed: int, cells, n_paths: int, threads: int, streams
         if done:
             run(g, first, lo, hi, entry[1])
 
-    def eval_window(lo: int, _hi: int) -> None:
-        if visit is not None:
-            lo = visit(lo // top_rows, top_rows) * top_rows
+    def eval_window(lo: int) -> None:
         chunks = [NoiseChunk(seed, min(top_rows, total - lo), top, words, start=lo, label=label)
                   for words, label in streams]
         base = chunks[0].block * BLOCK_PATHS
@@ -588,7 +587,15 @@ def walk_grids(eval_batch, seed: int, cells, n_paths: int, threads: int, streams
                     b_hi = min(b_lo + rows, n_paths)
                     serve(g, rep + b_lo, b_lo, b_hi, chunks)
 
-    map_windows(eval_window, total, threads, top * width)
+    starts, pairs = range(0, total, top_rows), n_paths // BLOCK_PATHS * (BLOCK_PATHS // top_rows)
+    slots = zip(*(starts[k * pairs:(k + 1) * pairs] for k in range(replicas)))
+    order = [lo for slot in slots for lo in slot] + list(starts[replicas * pairs:])
+    if threads <= 1:
+        for lo in order:
+            eval_window(lo)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(eval_window, order))
 
 
 def sweep_weights(

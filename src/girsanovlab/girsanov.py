@@ -295,11 +295,6 @@ def _hessian_times(H: np.ndarray, X: np.ndarray, diagonal: bool, out=None) -> np
     return np.multiply(H[..., None] if X.ndim > H.ndim else H, X, out=out)
 
 
-def _dense(A: np.ndarray, diagonal: bool) -> np.ndarray:
-    """A matrix in factor form as a dense (…, d, d) one."""
-    return diagonal_matrices(A) if diagonal else A
-
-
 def _start_tangents(dz0, H_start: np.ndarray, z: int, dirs: np.ndarray):
     """(dz0, H_start), or (1, z, U) and a zero (1, …) factor for a fixed start (None).
 
@@ -547,8 +542,9 @@ def trace_square_mlmc(potential: Potential, traj: OverdampedTrajectory) -> np.nd
     for k in range(N):
         H, C = _mlmc_step_factors(potential, traj, k)
         r = C.shape[1]
-        H = _dense(H, diag)
-        partial = _dense(np.cumsum(C, axis=1), diag)  # Σ_{i≤j} C_i
+        partial = np.cumsum(C, axis=1)  # Σ_{i≤j} C_i
+        if diag:
+            H, partial = diagonal_matrices(H), diagonal_matrices(partial)
         banded = partial[:, -1] if r else np.zeros((B, d, d))  # Σ_{i<r} C_i
         cross = np.einsum("bjac,bjca->b", H[:, 1:r], partial[:, :-1])
         out[:, k] = np.einsum("bac,bca->b", banded, banded) - 2.0 * traj.grid.eta * cross
@@ -591,6 +587,17 @@ def _power_estimate_mlmc(H: np.ndarray, C: np.ndarray, eta: float, diagonal: boo
     return np.where(finite, rho, np.inf)
 
 
+def _trace_sum(cells: np.ndarray) -> np.ndarray:
+    """Σ_i Σ_a cells[:, i, a], (B,), of (B, r, d) diagonals, bit for bit
+    ``einsum("biaa->b")`` of their dense matrices (tested).  For d ≥ 2 that
+    adds each cell's entries in order from +0 (so + 0.0, which reads −0.0 as
+    +0.0), then the cells in order; at d = 1 or r = 0 it is einsum's own
+    loop along the cells, as on the compact form."""
+    if cells.shape[-1] == 1 or not cells.shape[1]:
+        return np.einsum("bia->b", cells)
+    return np.cumsum(np.cumsum(cells, axis=-1)[..., -1] + 0.0, axis=-1)[..., -1]
+
+
 def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> BlockSummary:
     """Overdamped midpoint blocks D = L − C·Rᵀ summarised from their factors.
 
@@ -620,11 +627,11 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
     The factors stay in the potential's form (:func:`_mlmc_step_factors`):
     for a diagonal Hessian every Y_i is diagonal, so the recurrence costs
     O(r·d) per path and step, against O(r·d³) for a dense one, instead of
-    O((m·d)³) for the block.  tr D keeps the summation order of an einsum
-    over the dense diagonal of C, so a diagonal C is expanded to
-    (B, r_k, d, d) for it.  Steps are summarised one at a time, so the
-    working set is one step's factors, (B, 2·r_k, d) plus that expansion or
-    (B, 2·r_k, d, d), whatever N is.
+    O((m·d)³) for the block.  tr D = −Σ_i tr C_i is summed from C's compact
+    (B, r_k, d) diagonal (:func:`_trace_sum`).  Steps are summarised one at a
+    time: the working set is one step's factors, (B, 2·r_k, d), or
+    (B, 2·r_k, d, d) for a dense Hessian, plus tr D's (B, r_k, d) running
+    sums, whatever N is.
     """
     N, eta = traj.grid.N, traj.grid.eta
     B = traj.x.shape[0]
@@ -643,11 +650,9 @@ def block_summary_mlmc(potential: Potential, traj: OverdampedTrajectory) -> Bloc
         lam = -prefix if diag else np.linalg.eigvals(-prefix)
         sign[:, k], core, _ = _spectral_fields(lam)
         det2[:, k] = core + eta * excess
-        # a sum over the compact diagonal, in its own order, moves tr D by an ulp
-        trace[:, k] = -np.einsum("biaa->b", _dense(C, diag))
-        if r == 0:
-            continue
-        rho[:, k] = _power_estimate_mlmc(H, C, eta, diag)
+        trace[:, k] = -_trace_sum(C if diag else np.diagonal(C, axis1=-2, axis2=-1))
+        if r:
+            rho[:, k] = _power_estimate_mlmc(H, C, eta, diag)
     return BlockSummary(sign, det2, trace, rho)
 
 
@@ -760,12 +765,7 @@ def summary_log_weight(psi: np.ndarray, summary: BlockSummary, xi: np.ndarray) -
     structured one.
     """
     ito = np.einsum("bid,bid->b", psi, np.asarray(xi, dtype=float))
-    return _summary_weight(summary, ito, 0.5 * np.sum(psi**2, axis=(-2, -1)))
-
-
-def _summary_weight(summary: BlockSummary, ito: np.ndarray, energy: np.ndarray) -> LogWeight:
-    """The weight of every route from Σ⟨ψ_i, ξ_i⟩, ½Σ‖ψ_i‖² and the block summaries."""
-    return _totals_weight(_summary_totals(summary), ito, energy)
+    return _totals_weight(_summary_totals(summary), ito, 0.5 * np.sum(psi**2, axis=(-2, -1)))
 
 
 def _summary_totals(summary: BlockSummary) -> tuple[np.ndarray, ...]:

@@ -12,7 +12,6 @@ from girsanovlab.affine import (
     ScheduleMaps,
     fast_log_weights,
     quadratic_path_kl,
-    scheme_marginal_gaussian,
     step_maps_for_schedule,
 )
 from girsanovlab.divergences import stationary_moments
@@ -99,11 +98,8 @@ def test_extraction_simulates_one_path_per_step_key(monkeypatch, scheme, mode):
 
 @pytest.mark.parametrize("scheme", ["ulmc", "dmulmc"])
 def test_kinetic_maps_need_a_friction(scheme):
-    mean, cov = stationary_moments(POT, kinetic=True)
     with pytest.raises(ValueError, match="friction"):
         step_maps_for_schedule(scheme, POT, GRID, None)
-    with pytest.raises(ValueError, match="friction"):
-        scheme_marginal_gaussian(scheme, POT, GRID, mean, cov, gamma=None)
 
 
 def _dense_path_kl(maps, mean, cov):
@@ -151,6 +147,18 @@ def test_dmulmc_step_maps_are_rank_2d_factors(mode):
     assert abs(exact - _dense_path_kl(maps, mean0, cov0)) <= 1e-12
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_path_kl_reads_a_plain_list_as_its_schedule_maps(scheme):
+    # the path KL's Σ log det₂ is the maps' own summary total, whether the
+    # maps come as the ScheduleMaps that cache it or as a plain list
+    maps = step_maps_for_schedule(scheme, POT, _schedule(scheme, "randomized"), _gamma(scheme))
+    assert isinstance(maps, ScheduleMaps)
+    mean0, cov0 = stationary_moments(POT, kinetic=scheme_for(scheme).kinetic)
+    exact = quadratic_path_kl(maps, mean0, cov0)
+    assert quadratic_path_kl(list(maps), mean0, cov0) == exact
+    assert exact > 0
+
+
 def _step_loop_log_weights(maps, z0, xi):
     """(log weight, invertible) of a batch, one step at a time: the drift
     coordinates, Itô term, energy and state of each step formed from that
@@ -164,7 +172,7 @@ def _step_loop_log_weights(maps, z0, xi):
             u_xi, c_g, s_xi = xif, c, xif @ sm.S.T
         else:
             r = sm.l0.size
-            prod = xif @ sm.noise_product
+            prod = xif @ np.concatenate([sm.Wt.T, sm.U, sm.S.T], axis=1)
             c = z @ sm.Lz.T + prod[:, :r] + sm.l0
             u_xi, s_xi = prod[:, r : 2 * r], prod[:, 2 * r :]
             c_g = c @ sm.G

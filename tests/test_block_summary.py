@@ -37,6 +37,7 @@ from girsanovlab.girsanov import (
     _mlmc_step_factors,
     _power_estimate_mlmc,
     _spectral_fields,
+    _trace_sum,
     summary_log_weight,
     tangents_dmulmc,
     trace_diagnostics_mlmc,
@@ -323,6 +324,37 @@ def test_nilpotent_blocks_read_zero_spectral_radius(scheme):
         np.testing.assert_array_equal(summary.rho, 0.0)
         np.testing.assert_array_equal(summary.det2, 0.0)
         np.testing.assert_array_equal(summary.sign, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1.0, 1e30])
+@pytest.mark.parametrize("d", [1, 2, 8])
+@pytest.mark.parametrize("r", [0, 1, 16, 31])
+def test_mlmc_trace_is_the_dense_einsum_bit_for_bit(r, d, scale):
+    # Σ_i tr C_i from the compact diagonal, in either factor form, against
+    # the einsum over the dense matrices that the summary once expanded C to;
+    # zeros of either sign and entries spread over six decades included
+    rng = np.random.default_rng(1000 * r + d)
+    C = scale * rng.standard_normal((64, r, d)) * np.exp(3.0 * rng.standard_normal((64, r, d)))
+    C[:8] = -0.0
+    C[8:16, ::2] = -0.0
+    dense = rng.standard_normal((64, r, d, d)) * scale
+    dense[:8] = -0.0
+    for cells, matrices in ((C, diagonal_matrices(C)),
+                            (np.diagonal(dense, axis1=-2, axis2=-1), dense)):
+        got, want = _trace_sum(cells), np.einsum("biaa->b", matrices)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_em_ld_trace_reads_minus_zero():
+    # r = 0: tr D = −(an empty sum), −0.0 on every path and step, as the
+    # einsum over an empty dense C gave
+    pot = PerturbedQuadratic((1.0, 2.0), amplitude=0.1, frequency=1.0)
+    traj = simulate_mlmc(pot, OverdampedSchedule.zero(GRID), np.ones((4, 2)),
+                         noise_matrix(1, 4, GRID.n_cells, 2))
+    trace = block_summary_mlmc(pot, traj).trace
+    assert trace.shape == (4, GRID.N)
+    assert np.all(trace == 0.0) and np.all(np.signbit(trace))
 
 
 def _mp_det2(core: np.ndarray, shift) -> mpmath.mpf:

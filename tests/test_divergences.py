@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from girsanovlab.affine import (
+    marginal_moments,
     quadratic_path_kl,
-    scheme_marginal_gaussian,
     step_maps_for_schedule,
 )
 from girsanovlab.divergences import (
@@ -233,7 +233,8 @@ def test_scheme_marginal_free_dynamics_accumulates_variance():
     # with no drift every step adds 2h to the covariance and keeps the mean
     pot = IsotropicQuadratic(1, scale=0.0)
     grid = TimeGrid(1.0, 4, 2)
-    mean, cov = scheme_marginal_gaussian("em-ld", pot, grid, np.array([1.0]), np.array([[0.5]]))
+    mean, cov = marginal_moments(step_maps_for_schedule("em-ld", pot, grid), np.array([1.0]),
+                                 np.array([[0.5]]))
     assert mean[0] == pytest.approx(1.0, rel=1e-14)
     assert cov[0, 0] == pytest.approx(0.5 + 2.0, rel=1e-14)
 
@@ -246,7 +247,8 @@ def test_scheme_marginal_matches_empirical_moments():
     xi = noise_matrix(23, n, grid.n_cells, 1)
     traj = simulate_mlmc(pot, sched, np.ones((n, 1)), xi)
     end = traj.x[:, -1, 0]
-    mean, cov = scheme_marginal_gaussian("mlmc", pot, sched, np.array([1.0]), np.array([[0.0]]))
+    mean, cov = marginal_moments(step_maps_for_schedule("mlmc", pot, sched), np.array([1.0]),
+                                 np.array([[0.0]]))
     se_mean = end.std(ddof=1) / math.sqrt(n)
     assert end.mean() == pytest.approx(mean[0], abs=4.0 * se_mean)
     se_var = end.var(ddof=1) * math.sqrt(2.0 / (n - 1))
@@ -270,7 +272,7 @@ def test_path_kl_dominates_marginal_kl_and_matches_sampling():
     mean0, cov0 = stationary_moments(pot)
     maps = step_maps_for_schedule("em-ld", pot, grid)
     path_kl = quadratic_path_kl(maps, mean0, cov0)
-    mean_s, cov_s = scheme_marginal_gaussian("em-ld", pot, grid, mean0, cov0)
+    mean_s, cov_s = marginal_moments(step_maps_for_schedule("em-ld", pot, grid), mean0, cov0)
     marginal = gaussian_kl(mean_s, cov_s, mean0, cov0)
     assert marginal <= path_kl + 1e-12
 

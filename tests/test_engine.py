@@ -342,6 +342,37 @@ def test_local_error_sweep_holds_a_window_pair_of_defects(n):
     assert growth <= len(grids) * 4 * n * 8 + 2**16
 
 
+def _walk_chunk_starts(monkeypatch, n: int, replicas: int) -> list[int]:
+    """First stream rows of the chunks a walk of one 1-cell grid draws, in order."""
+    starts, chunk = [], gp.NoiseChunk
+
+    def recording(*args, start, **kwargs):
+        starts.append(start)
+        return chunk(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(engine, "NoiseChunk", recording)
+    law = start_law(IsotropicQuadratic(1), False)
+    engine.walk_grids(lambda *args: None, 3, [1], n, 1, ((1, gp.LABEL_PATH),), law,
+                      replicas=replicas)
+    return starts
+
+
+@pytest.mark.parametrize("n", [2 * BLOCK_PATHS, 2 * BLOCK_PATHS + 40],
+                         ids=["whole-blocks", "ragged"])
+def test_walk_zips_the_replicas_whole_blocks(monkeypatch, n):
+    # 512-row windows: replica 1's two whole blocks run window by window
+    # beside the windows two blocks on, then the rest in order (with 40 more
+    # rows, one short window of replica 2's last 80 rows)
+    assert window_rows(1) == WINDOW_PATHS
+    whole = 2 * BLOCK_PATHS
+    zipped = zip(range(0, whole, WINDOW_PATHS), range(whole, 2 * whole, WINDOW_PATHS))
+    expected = [lo for pair in zipped for lo in pair]
+    expected += list(range(2 * whole, 2 * n, WINDOW_PATHS))
+    assert _walk_chunk_starts(monkeypatch, n, 2) == expected
+    # one replica reads its windows in ascending order
+    assert _walk_chunk_starts(monkeypatch, n, 1) == list(range(0, n, WINDOW_PATHS))
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("scheme, gamma", [("mlmc", None), ("dmulmc", 1.0)],
                          ids=["mlmc", "dmulmc"])
@@ -460,6 +491,21 @@ def test_run_weights_rejects_a_start_law_of_the_wrong_shape(pot, mean, cov):
     with pytest.raises(ValueError, match=re.escape("needs mean (4,) and cov (4, 4)")):
         run_weights("dmulmc", pot, schedule=GRID, gamma=1.0, n_paths=4, seed=1,
                     init=("gaussian", mean, cov))
+
+
+@pytest.mark.parametrize("cov, message", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "needs a symmetric cov"),
+    (np.array([[1.0, 2.0], [2.0, 1.0]]), "needs a positive definite cov"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "needs finite mean and cov"),
+], ids=["asymmetric", "indefinite", "nan"])
+def test_gaussian_start_law_is_refused_unless_a_covariance(cov, message):
+    # Cholesky reads one triangle of an asymmetric cov and would sample
+    # another law; the others would raise LinAlgError or fail far downstream
+    with pytest.raises(ValueError, match=f"start law {message}"):
+        start_law(IsotropicQuadratic(2), False, ("gaussian", np.zeros(2), cov))
+    # asymmetry at rounding level is accepted
+    near = np.eye(2) + 1e-13 * np.tri(2)
+    start_law(IsotropicQuadratic(2), False, ("gaussian", np.zeros(2), near))
 
 
 @pytest.mark.parametrize("pot", [IsotropicQuadratic(2), PERTURBED], ids=["affine", "generic"])
